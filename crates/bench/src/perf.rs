@@ -561,6 +561,11 @@ pub fn render_json(
         "  \"mode\": \"{}\",",
         if cfg.quick { "quick" } else { "full" }
     );
+    let _ = writeln!(
+        out,
+        "  \"host_parallelism\": {},",
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    );
     let _ = writeln!(out, "  \"warmup\": {},", cfg.warmup);
     let _ = writeln!(out, "  \"repeats\": {},", cfg.repeats);
     out.push_str("  \"kernels\": [\n");
@@ -739,6 +744,7 @@ mod tests {
         assert_eq!(stats[5].work_units, CUBE_PDES_EVENTS);
         assert!(json.contains("\"p90_ns\""));
         assert!(json.contains("\"outliers\""));
+        assert!(json.contains("\"host_parallelism\": "));
     }
 
     #[test]

@@ -88,6 +88,10 @@ pub trait CoherenceView {
     /// All owner-registry entries.
     fn registry_entries(&self) -> Vec<(LineAddr, NodeId)>;
 
+    /// Every line the registry counts shared copies of, with that count
+    /// (lines with a zero count are omitted).
+    fn registry_sharers(&self) -> Vec<(LineAddr, u32)>;
+
     /// The arena engines' exclusive-clean (`E`) side table.
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)>;
 
@@ -154,6 +158,10 @@ impl CoherenceView for Machine {
 
     fn registry_entries(&self) -> Vec<(LineAddr, NodeId)> {
         Machine::registry_entries(self).collect()
+    }
+
+    fn registry_sharers(&self) -> Vec<(LineAddr, u32)> {
+        Machine::registry_sharers(self).collect()
     }
 
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
@@ -228,6 +236,17 @@ pub enum CoherenceViolation {
         /// Description of the mismatch.
         detail: String,
     },
+    /// The registry's count of shared copies of a line differs from the
+    /// number of caches holding it shared. Purge sweeps skip lines the
+    /// count says nobody shares, so a low count would leave stale copies.
+    SharerCountMismatch {
+        /// The line concerned.
+        line: LineAddr,
+        /// The registry's count.
+        registry: u32,
+        /// Caches actually holding the line shared.
+        caches: u32,
+    },
     /// A watchdog escalation outlived its transaction: at quiescence every
     /// escalated transaction must have completed (and been cleared), so a
     /// leftover entry means the escalation path failed to make progress.
@@ -278,6 +297,14 @@ impl fmt::Display for CoherenceViolation {
             CoherenceViolation::RegistryMismatch { line, detail } => {
                 write!(f, "line {line:?} registry mismatch: {detail}")
             }
+            CoherenceViolation::SharerCountMismatch {
+                line,
+                registry,
+                caches,
+            } => write!(
+                f,
+                "line {line:?}: registry counts {registry} sharers but {caches} caches hold it shared"
+            ),
             CoherenceViolation::EscalationLeak { txn } => {
                 write!(f, "{txn} still escalated at quiescence")
             }
@@ -341,8 +368,9 @@ fn known_lines(v: &dyn CoherenceView, g: &Gathered) -> Vec<LineAddr> {
     lines
 }
 
-/// Registry sanity, both directions: every cache owner is registered, and
-/// every registry entry is backed by a modified copy.
+/// Registry sanity, both directions: every cache owner is registered,
+/// every registry entry is backed by a modified copy, and the per-line
+/// sharer count equals the number of shared copies.
 fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceViolation> {
     let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
     owned_lines.sort_unstable_by_key(|l| l.index());
@@ -367,6 +395,22 @@ fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceVi
             line,
             detail: format!("registry claims {node} but no cache holds it modified"),
         });
+    }
+    let registered: LineMap<u32> = v.registry_sharers().into_iter().collect();
+    let mut shared_lines: Vec<LineAddr> =
+        g.sharers.keys().chain(registered.keys()).copied().collect();
+    shared_lines.sort_unstable_by_key(|l| l.index());
+    shared_lines.dedup();
+    for line in shared_lines {
+        let caches = g.sharers.get(&line).map_or(0, |s| s.len() as u32);
+        let registry = registered.get(&line).copied().unwrap_or(0);
+        if caches != registry {
+            return Err(CoherenceViolation::SharerCountMismatch {
+                line,
+                registry,
+                caches,
+            });
+        }
     }
     Ok(())
 }

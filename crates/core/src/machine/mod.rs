@@ -16,6 +16,8 @@ mod tas;
 mod writeback;
 
 use std::collections::VecDeque;
+use std::iter::StepBy;
+use std::ops::Range;
 
 use multicube_mem::{LineAddr, LineGeometry, LineMap, LineVersion, MemoryBank};
 use multicube_sim::{DeterministicRng, EventQueue, SimDuration, SimTime};
@@ -418,11 +420,9 @@ impl Machine {
     /// Writes `line`'s synchronization word from `node`, which must hold
     /// the line modified (a local write to an owned line; no bus traffic).
     ///
-    /// # Errors
-    ///
-    /// Returns `Err(())`-like [`SubmitError::Busy`]? No — returns `false`
-    /// when the node does not hold the line modified; the caller must
-    /// acquire ownership first (e.g. with a write request).
+    /// Returns whether the word was written. It is `false`, and nothing
+    /// changes, when `node` does not hold the line modified; the caller
+    /// must acquire ownership first (e.g. with a write request).
     pub fn write_sync_word(&mut self, node: NodeId, line: LineAddr, value: u64) -> bool {
         let holds = self.controllers[node.as_usize()].mode_of(&line) == Some(LineMode::Modified);
         if !holds {
@@ -758,16 +758,34 @@ impl Machine {
         self.config.topology().node(row, col)
     }
 
-    /// Node indices on row `row`.
-    pub(crate) fn row_nodes(&self, row: u32) -> impl Iterator<Item = usize> + '_ {
-        let n = self.n;
-        (0..n).map(move |c| (row * n + c) as usize)
+    /// Node indices on row `row`, in column order. Pure arithmetic on `n`:
+    /// the iterator borrows nothing, so handlers can mutate while walking.
+    pub(crate) fn row_nodes(&self, row: u32) -> Range<usize> {
+        let n = self.n as usize;
+        row as usize * n..(row as usize + 1) * n
     }
 
-    /// Node indices on column `col`.
-    pub(crate) fn col_nodes(&self, col: u32) -> impl Iterator<Item = usize> + '_ {
-        let n = self.n;
-        (0..n).map(move |r| (r * n + col) as usize)
+    /// Node indices on column `col`, in row order.
+    pub(crate) fn col_nodes(&self, col: u32) -> StepBy<Range<usize>> {
+        let n = self.n as usize;
+        (col as usize..n * n).step_by(n)
+    }
+
+    /// The cache in column `col` holding `line` modified. Read from the
+    /// owner registry, which is exact, instead of probing the column's `n`
+    /// caches; the probe survives as a debug-build oracle.
+    pub(crate) fn modified_holder_in(&self, col: u32, line: LineAddr) -> Option<usize> {
+        let holder = self
+            .registry_owner(line)
+            .map(NodeId::as_usize)
+            .filter(|&idx| idx % self.n as usize == col as usize);
+        debug_assert_eq!(
+            holder,
+            self.col_nodes(col)
+                .find(|&i| self.controllers[i].mode_of(&line) == Some(LineMode::Modified)),
+            "owner registry diverged from column {col}'s caches for {line:?}"
+        );
+        holder
     }
 
     /// The row of the transaction originator.
@@ -831,19 +849,44 @@ impl Machine {
             .filter_map(|(l, e)| e.owner.map(|n| (*l, n)))
     }
 
+    /// All lines with a nonzero sharer count (line, count).
+    pub(crate) fn registry_sharers(&self) -> impl Iterator<Item = (LineAddr, u32)> + '_ {
+        self.lines
+            .iter()
+            .filter(|(_, e)| e.sharers > 0)
+            .map(|(l, e)| (*l, e.sharers))
+    }
+
     fn sharers_incr(&mut self, line: LineAddr) {
         self.line_entry(line).sharers += 1;
     }
 
     fn sharers_decr(&mut self, line: LineAddr) {
-        if let Some(e) = self.lines.get_mut(&line) {
-            e.sharers = e.sharers.saturating_sub(1);
+        match self.lines.get_mut(&line) {
+            Some(e) if e.sharers > 0 => e.sharers -= 1,
+            _ => debug_assert!(false, "sharer count underflow for {line:?}"),
         }
     }
 
     /// Number of caches holding `line` shared.
     pub(crate) fn sharer_count(&self, line: LineAddr) -> u32 {
         self.lines.get(&line).map(|e| e.sharers).unwrap_or(0)
+    }
+
+    /// Whether no cache holds `line` shared, from the registry's exact
+    /// count: a purge sweep over `members` would then find nothing to
+    /// invalidate. Debug builds probe the members to confirm it.
+    pub(crate) fn no_sharers(
+        &self,
+        line: LineAddr,
+        mut members: impl Iterator<Item = usize>,
+    ) -> bool {
+        let none = self.sharer_count(line) == 0;
+        debug_assert!(
+            !none || members.all(|i| self.controllers[i].mode_of(&line) != Some(LineMode::Shared)),
+            "sharer count is zero but a cache holds {line:?} shared"
+        );
+        none
     }
 
     /// Whether any node other than `except` has an outstanding transaction
@@ -853,12 +896,7 @@ impl Machine {
     /// Answered in O(1) from the line-keyed [`Self::inflight_interest`]
     /// index rather than scanning all `n^2` controllers.
     pub(crate) fn line_has_inflight_interest(&self, line: LineAddr, except: NodeId) -> bool {
-        let count = self.lines.get(&line).map(|e| e.inflight).unwrap_or(0);
-        let except_holds = self.controllers[except.as_usize()]
-            .outstanding()
-            .map(|o| o.line == line)
-            .unwrap_or(false);
-        let interested = count > u32::from(except_holds);
+        let interested = self.inflight_elsewhere(line, except);
         #[cfg(debug_assertions)]
         {
             let scanned = self.controllers.iter().any(|c| {
@@ -870,6 +908,16 @@ impl Machine {
             );
         }
         interested
+    }
+
+    /// The O(1) answer behind [`Self::line_has_inflight_interest`], without
+    /// its debug-build scan of every controller.
+    fn inflight_elsewhere(&self, line: LineAddr, except: NodeId) -> bool {
+        let count = self.lines.get(&line).map(|e| e.inflight).unwrap_or(0);
+        let except_holds = self.controllers[except.as_usize()]
+            .outstanding()
+            .is_some_and(|o| o.line == line);
+        count > u32::from(except_holds)
     }
 
     /// Installs a node's outstanding transaction, maintaining the
@@ -1233,13 +1281,26 @@ impl Machine {
     /// operations against their own outstanding request — the paper's one
     /// sanctioned exception to memorylessness ("The only exception is for
     /// outstanding processor requests issued locally").
+    ///
+    /// The in-flight index answers "does anyone else have a request on
+    /// this line?" in O(1); only then are the bus members visited.
     pub(crate) fn poison_readers(
         &mut self,
-        node_indices: &[usize],
+        members: impl Iterator<Item = usize> + Clone,
         line: LineAddr,
         except: NodeId,
     ) {
-        for &idx in node_indices {
+        if !self.inflight_elsewhere(line, except) {
+            debug_assert!(
+                members.clone().all(|idx| idx == except.as_usize()
+                    || self.controllers[idx]
+                        .outstanding()
+                        .is_none_or(|o| o.line != line)),
+                "inflight index missed a request on {line:?}"
+            );
+            return;
+        }
+        for idx in members {
             let node = self.controllers[idx].node();
             if node == except {
                 continue;
@@ -1511,6 +1572,36 @@ mod tests {
         assert_eq!(done.kind, RequestKind::Writeback);
         assert_eq!(done.latency.as_nanos(), 0);
         assert_eq!(done.at, SimTime::ZERO);
+    }
+
+    #[test]
+    fn checker_reports_a_desynchronised_sharer_count() {
+        let mut m = machine(2);
+        let line = LineAddr::new(6);
+        m.submit(NodeId::new(1), Request::read(line)).unwrap();
+        m.advance().unwrap();
+        assert_eq!(m.sharer_count(line), 1);
+        m.check_coherence().unwrap();
+        crate::check::check_midflight(&m).unwrap();
+
+        m.line_entry(line).sharers = 0;
+        let expected = CoherenceViolation::SharerCountMismatch {
+            line,
+            registry: 0,
+            caches: 1,
+        };
+        assert_eq!(m.check_coherence(), Err(expected.clone()));
+        assert_eq!(crate::check::check_midflight(&m), Err(expected));
+
+        m.line_entry(line).sharers = 3;
+        assert_eq!(
+            m.check_coherence(),
+            Err(CoherenceViolation::SharerCountMismatch {
+                line,
+                registry: 3,
+                caches: 1,
+            })
+        );
     }
 
     #[test]

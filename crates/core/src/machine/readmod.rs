@@ -54,10 +54,7 @@ impl Machine {
             self.reissue_row_request(&op);
             return;
         }
-        let holder = self
-            .col_nodes(col)
-            .find(|&i| self.controllers[i].mode_of(&op.line) == Some(LineMode::Modified));
-        let Some(d_idx) = holder else {
+        let Some(d_idx) = self.modified_holder_in(col, op.line) else {
             self.reissue_row_request(&op);
             return;
         };
@@ -175,9 +172,9 @@ impl Machine {
         let fanout_needed = !self.config.broadcast_filter()
             || self.sharer_count(op.line) > 0
             || self.line_has_inflight_interest(op.line, op.originator);
-        let members: Vec<usize> = self.col_nodes(col).collect();
-        self.poison_readers(&members, op.line, op.originator);
-        for idx in members.clone() {
+        let members = self.col_nodes(col);
+        self.poison_readers(members.clone(), op.line, op.originator);
+        for idx in members {
             let node = self.controllers[idx].node();
             let r = self.controllers[idx].row();
             if node == op.originator {
@@ -220,35 +217,42 @@ impl Machine {
         debug_assert_eq!(row, self.origin_row(&op));
         self.verify_carried(&op);
         let o_col = self.origin_col(&op);
-        let members: Vec<usize> = self.row_nodes(row).collect();
-        self.poison_readers(&members, op.line, op.originator);
-        for idx in members.clone() {
-            let node = self.controllers[idx].node();
-            if node == op.originator {
-                let ins = BusOp::new(OpKind::ReadModColInsert, op.line, op.originator, op.txn)
-                    .with_allocate(op.allocate);
-                let dst = self.col_slot(o_col);
-                self.emit(dst, ins, 0);
-                self.install_and_finish(op.originator, op.txn, op.data, true, true);
-            } else if self.controllers[idx].mode_of(&op.line) == Some(LineMode::Shared) {
+        let members = self.row_nodes(row);
+        self.poison_readers(members.clone(), op.line, op.originator);
+        // Purging before the delivery is safe: it touches only other
+        // nodes' copies of this line, and neither schedules nor traces.
+        if !self.no_sharers(op.line, members.clone()) {
+            for idx in members {
                 // The formal protocol exempts home-column caches ("the home
                 // column data cache has already been purged"), but with
                 // snarfing a home-column node can re-acquire a stale copy
                 // *between* the column purge and this row purge — so we
                 // purge unconditionally; re-purging an invalid line is a
                 // no-op.
-                self.clear_line(idx, op.line);
-                self.metrics.invalidations.incr();
+                if idx != op.originator.as_usize()
+                    && self.controllers[idx].mode_of(&op.line) == Some(LineMode::Shared)
+                {
+                    self.clear_line(idx, op.line);
+                    self.metrics.invalidations.incr();
+                }
             }
         }
+        let ins = BusOp::new(OpKind::ReadModColInsert, op.line, op.originator, op.txn)
+            .with_allocate(op.allocate);
+        let dst = self.col_slot(o_col);
+        self.emit(dst, ins, 0);
+        self.install_and_finish(op.originator, op.txn, op.data, true, true);
     }
 
     /// `READMOD (ROW, PURGE)`: invalidate shared copies along one row.
     pub(crate) fn on_readmod_row_purge(&mut self, slot: usize, op: BusOp) {
         let row = self.slot_row(slot);
-        let members: Vec<usize> = self.row_nodes(row).collect();
-        self.poison_readers(&members, op.line, op.originator);
-        for idx in members.clone() {
+        let members = self.row_nodes(row);
+        self.poison_readers(members.clone(), op.line, op.originator);
+        if self.no_sharers(op.line, members.clone()) {
+            return;
+        }
+        for idx in members {
             if self.controllers[idx].node() == op.originator {
                 continue;
             }

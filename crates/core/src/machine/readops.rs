@@ -30,7 +30,7 @@ impl Machine {
         let now = self.now();
         let mut found: Option<u32> = None;
         let perturbed = self.faults.plan().is_active();
-        for idx in self.row_nodes(row).collect::<Vec<_>>() {
+        for idx in self.row_nodes(row) {
             if self.faults.in_blackout(idx, txn, now) {
                 continue;
             }
@@ -92,7 +92,7 @@ impl Machine {
     /// the entry was present ("remove failed" drives race retries).
     pub(crate) fn mlt_remove_all(&mut self, col: u32, line: &LineAddr) -> bool {
         let mut removed = None;
-        for idx in self.col_nodes(col).collect::<Vec<_>>() {
+        for idx in self.col_nodes(col) {
             let r = self.controllers[idx].mlt.remove(line);
             match removed {
                 None => removed = Some(r),
@@ -135,7 +135,7 @@ impl Machine {
     pub(crate) fn mlt_insert_all(&mut self, col: u32, op: &BusOp) {
         use multicube_mem::MltInsert;
         let mut overflow: Option<LineAddr> = None;
-        for idx in self.col_nodes(col).collect::<Vec<_>>() {
+        for idx in self.col_nodes(col) {
             if let MltInsert::Overflow(v) = self.controllers[idx].mlt.insert(op.line) {
                 overflow = Some(v);
             }
@@ -151,10 +151,7 @@ impl Machine {
         self.maybe_delay_replica(col, op.line, false);
         let Some(victim) = overflow else { return };
         self.metrics.mlt_overflows.incr();
-        let holder = self
-            .col_nodes(col)
-            .find(|&i| self.controllers[i].mode_of(&victim) == Some(LineMode::Modified));
-        let Some(h_idx) = holder else {
+        let Some(h_idx) = self.modified_holder_in(col, victim) else {
             assert!(
                 !self.config.checking(),
                 "MLT overflow victim {victim:?} has no holder in column {col}"
@@ -251,8 +248,7 @@ impl Machine {
             return;
         }
         let now = self.now();
-        let nodes: Vec<usize> = self.row_nodes(self.slot_row(slot)).collect();
-        for idx in nodes {
+        for idx in self.row_nodes(self.slot_row(slot)) {
             let node = self.controllers[idx].node();
             if node == op.originator {
                 continue;
@@ -326,10 +322,7 @@ impl Machine {
             self.reissue_row_request(&op);
             return;
         }
-        let holder = self
-            .col_nodes(col)
-            .find(|&i| self.controllers[i].mode_of(&op.line) == Some(LineMode::Modified));
-        let Some(d_idx) = holder else {
+        let Some(d_idx) = self.modified_holder_in(col, op.line) else {
             // Defensive: table and caches diverged; retry as a lost race.
             self.reissue_row_request(&op);
             return;

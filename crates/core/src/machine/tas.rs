@@ -15,7 +15,6 @@
 
 use crate::machine::Machine;
 use crate::metrics::Served;
-use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind};
 
 impl Machine {
@@ -39,10 +38,7 @@ impl Machine {
     /// the READ-MOD reply machinery; failure sends a short notification.
     pub(crate) fn on_tas_col_request(&mut self, slot: usize, op: BusOp) {
         let col = self.slot_col(slot);
-        let holder = self
-            .col_nodes(col)
-            .find(|&i| self.controllers[i].mode_of(&op.line) == Some(LineMode::Modified));
-        let Some(d_idx) = holder else {
+        let Some(d_idx) = self.modified_holder_in(col, op.line) else {
             // Stale routing (the line moved or was written back): retry.
             self.reissue_row_request(&op);
             return;

@@ -6,6 +6,8 @@
 //! per-line mode enum. The container is protocol-agnostic: coherence
 //! semantics live in the `multicube` crate.
 
+use core::num::NonZeroU64;
+
 use crate::addr::{LineAddr, LineMap};
 
 /// Shape of a set-associative cache.
@@ -50,10 +52,16 @@ impl CacheGeometry {
         self.sets * self.ways
     }
 
-    /// The set a line maps to.
+    /// The set a line maps to: a mask when `sets` is a power of two (every
+    /// configured geometry), the general modulo otherwise.
     #[inline]
     fn set_of(self, line: LineAddr) -> usize {
-        (line.index() % self.sets as u64) as usize
+        let sets = u64::from(self.sets);
+        if sets.is_power_of_two() {
+            (line.index() & (sets - 1)) as usize
+        } else {
+            (line.index() % sets) as usize
+        }
     }
 }
 
@@ -71,15 +79,27 @@ pub struct Evicted<M> {
 struct Way<M> {
     line: LineAddr,
     meta: M,
-    /// Last-touch stamp for LRU within the set.
-    touched: u64,
+    /// Last-touch stamp for LRU within the set. Stamps start at 1, so the
+    /// zero niche lets an empty [`Slot`] cost no space.
+    touched: NonZeroU64,
 }
+
+/// One arena slot: a resident way, or `None` for a free one.
+type Slot<M> = Option<Way<M>>;
 
 /// A set-associative cache mapping [`LineAddr`] to per-line metadata `M`,
 /// with LRU replacement within each set.
 ///
 /// Lookups, insertions and removals are O(ways). Absence of a line means
 /// "invalid" — the protocol never stores an explicit invalid mode.
+///
+/// Storage is one slot arena per cache. A set owns a block of `ways`
+/// consecutive slots, allocated on its first insertion; a set that was
+/// never written costs only its 4-byte block number. The arena is a list
+/// of segments of 4, 8, 16, ... up to 64 blocks, each allocated once at its
+/// final size, so growth never copies or frees slots. Within a block the
+/// resident ways form a prefix, kept in insertion order with swap-removal,
+/// so iteration order matches a per-set vector exactly.
 ///
 /// # Example
 ///
@@ -97,7 +117,12 @@ struct Way<M> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     geometry: CacheGeometry,
-    sets: Vec<Vec<Way<M>>>,
+    /// Per set: 0 if never written, else 1 + the number of its block.
+    blocks: Vec<u32>,
+    /// The slot arena, in segments (see [`segment_of`]).
+    segments: Vec<Vec<Slot<M>>>,
+    /// Blocks allocated so far.
+    allocated: usize,
     clock: u64,
     len: usize,
 }
@@ -107,7 +132,9 @@ impl<M> SetAssocCache<M> {
     pub fn new(geometry: CacheGeometry) -> Self {
         SetAssocCache {
             geometry,
-            sets: (0..geometry.sets()).map(|_| Vec::new()).collect(),
+            blocks: vec![0; geometry.sets() as usize],
+            segments: Vec::new(),
+            allocated: 0,
             clock: 0,
             len: 0,
         }
@@ -128,42 +155,85 @@ impl<M> SetAssocCache<M> {
         self.len == 0
     }
 
-    fn tick(&mut self) -> u64 {
+    fn tick(&mut self) -> NonZeroU64 {
         self.clock += 1;
-        self.clock
+        NonZeroU64::new(self.clock).expect("clock starts at 1")
+    }
+
+    /// Segment index and slot offset of a set's block, if the set was
+    /// ever written.
+    #[inline]
+    fn locate(&self, set: usize) -> Option<(usize, usize)> {
+        let block = self.blocks[set].checked_sub(1)? as usize;
+        let (segment, first) = segment_of(block);
+        Some((segment, (block - first) * self.geometry.ways() as usize))
+    }
+
+    /// The slots of `line`'s set (empty if the set was never written).
+    #[inline]
+    fn set_ways(&self, line: &LineAddr) -> &[Slot<M>] {
+        let ways = self.geometry.ways() as usize;
+        match self.locate(self.geometry.set_of(*line)) {
+            Some((segment, off)) => &self.segments[segment][off..off + ways],
+            None => &[],
+        }
+    }
+
+    /// Mutable slots of `line`'s set (empty if the set was never written).
+    #[inline]
+    fn set_ways_mut(&mut self, line: &LineAddr) -> &mut [Slot<M>] {
+        let ways = self.geometry.ways() as usize;
+        match self.locate(self.geometry.set_of(*line)) {
+            Some((segment, off)) => &mut self.segments[segment][off..off + ways],
+            None => &mut [],
+        }
+    }
+
+    /// The slots of `line`'s set, allocating its block on first use. A new
+    /// segment is sized once, capped at the sets still without a block.
+    fn set_ways_alloc(&mut self, line: &LineAddr) -> &mut [Slot<M>] {
+        let set = self.geometry.set_of(*line);
+        if self.blocks[set] == 0 {
+            let ways = self.geometry.ways() as usize;
+            let block = self.allocated;
+            let (segment, _) = segment_of(block);
+            if segment == self.segments.len() {
+                let blocks = (MIN_SEGMENT_BLOCKS << segment)
+                    .min(MAX_SEGMENT_BLOCKS)
+                    .min(self.blocks.len() - block);
+                self.segments.push(Vec::with_capacity(blocks * ways));
+            }
+            let slots = &mut self.segments[segment];
+            slots.resize_with(slots.len() + ways, || None);
+            self.allocated += 1;
+            self.blocks[set] = block as u32 + 1;
+        }
+        self.set_ways_mut(line)
     }
 
     /// Looks up a line without affecting recency (a *snoop*, not an access).
     pub fn peek(&self, line: &LineAddr) -> Option<&M> {
-        let set = &self.sets[self.geometry.set_of(*line)];
-        set.iter().find(|w| w.line == *line).map(|w| &w.meta)
+        resident(self.set_ways(line))
+            .find(|w| w.line == *line)
+            .map(|w| &w.meta)
     }
 
     /// Looks up a line, updating LRU recency (a processor-side access).
     pub fn get(&mut self, line: &LineAddr) -> Option<&M> {
-        let stamp = self.tick();
-        let set_idx = self.geometry.set_of(*line);
-        let set = &mut self.sets[set_idx];
-        let way = set.iter_mut().find(|w| w.line == *line)?;
-        way.touched = stamp;
-        Some(&way.meta)
+        self.get_mut(line).map(|meta| &*meta)
     }
 
     /// Mutable lookup, updating LRU recency.
     pub fn get_mut(&mut self, line: &LineAddr) -> Option<&mut M> {
         let stamp = self.tick();
-        let set_idx = self.geometry.set_of(*line);
-        let set = &mut self.sets[set_idx];
-        let way = set.iter_mut().find(|w| w.line == *line)?;
+        let way = resident_mut(self.set_ways_mut(line)).find(|w| w.line == *line)?;
         way.touched = stamp;
         Some(&mut way.meta)
     }
 
     /// Mutable lookup without touching recency (snoop-side state change).
     pub fn peek_mut(&mut self, line: &LineAddr) -> Option<&mut M> {
-        let set_idx = self.geometry.set_of(*line);
-        self.sets[set_idx]
-            .iter_mut()
+        resident_mut(self.set_ways_mut(line))
             .find(|w| w.line == *line)
             .map(|w| &mut w.meta)
     }
@@ -178,83 +248,84 @@ impl<M> SetAssocCache<M> {
     ///
     /// The victim is the least recently used way of the line's set.
     pub fn insert(&mut self, line: LineAddr, meta: M) -> Option<Evicted<M>> {
-        let stamp = self.tick();
-        let set_idx = self.geometry.set_of(line);
-        let ways = self.geometry.ways() as usize;
-        let set = &mut self.sets[set_idx];
-
-        if let Some(way) = set.iter_mut().find(|w| w.line == line) {
+        let touched = self.tick();
+        let set = self.set_ways_alloc(&line);
+        let used = resident(set).count();
+        if let Some(way) = resident_mut(set).find(|w| w.line == line) {
             way.meta = meta;
-            way.touched = stamp;
+            way.touched = touched;
             return None;
         }
-
-        let mut evicted = None;
-        if set.len() >= ways {
-            let lru = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.touched)
-                .map(|(i, _)| i)
-                .expect("full set is nonempty");
-            let victim = set.swap_remove(lru);
-            self.len -= 1;
-            evicted = Some(Evicted {
-                line: victim.line,
-                meta: victim.meta,
-            });
-        }
-        set.push(Way {
+        let way = Way {
             line,
             meta,
-            touched: stamp,
-        });
-        self.len += 1;
-        evicted
+            touched,
+        };
+        if used < set.len() {
+            set[used] = Some(way);
+            self.len += 1;
+            return None;
+        }
+        // Full set: the last way moves into the victim's slot and the new
+        // line takes the last one (a vector's swap-remove, then push).
+        let last = used - 1;
+        set.swap(lru_index(set), last);
+        let victim = set[last].replace(way).expect("full set is nonempty");
+        Some(Evicted {
+            line: victim.line,
+            meta: victim.meta,
+        })
     }
 
     /// The line that would be evicted if `line` were inserted now: the LRU
     /// way of the target set, or `None` if there is a free way or the line
     /// is already resident.
     pub fn victim_for(&self, line: &LineAddr) -> Option<(LineAddr, &M)> {
-        let set = &self.sets[self.geometry.set_of(*line)];
-        if set.iter().any(|w| w.line == *line) {
+        let set = self.set_ways(line);
+        if resident(set).any(|w| w.line == *line) {
             return None;
         }
-        if set.len() < self.geometry.ways() as usize {
+        if resident(set).count() < self.geometry.ways() as usize {
             return None;
         }
-        set.iter()
-            .min_by_key(|w| w.touched)
-            .map(|w| (w.line, &w.meta))
+        let victim = set[lru_index(set)].as_ref()?;
+        Some((victim.line, &victim.meta))
     }
 
     /// Removes a line, returning its metadata if it was resident.
     pub fn remove(&mut self, line: &LineAddr) -> Option<M> {
-        let set_idx = self.geometry.set_of(*line);
-        let set = &mut self.sets[set_idx];
-        let pos = set.iter().position(|w| w.line == *line)?;
-        let way = set.swap_remove(pos);
+        let set = self.set_ways_mut(line);
+        let pos = resident(set).position(|w| w.line == *line)?;
+        let last = resident(set).count() - 1;
+        set.swap(pos, last);
+        let way = set[last].take().expect("resident way");
         self.len -= 1;
         Some(way.meta)
     }
 
     /// Iterates over all resident `(line, meta)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
-        self.sets
-            .iter()
-            .flat_map(|set| set.iter().map(|w| (w.line, &w.meta)))
+        let ways = self.geometry.ways() as usize;
+        (0..self.blocks.len())
+            .filter_map(move |set| self.locate(set))
+            .flat_map(move |(segment, off)| resident(&self.segments[segment][off..off + ways]))
+            .map(|w| (w.line, &w.meta))
     }
 
     /// Drains the cache, returning all resident lines.
     pub fn drain(&mut self) -> Vec<(LineAddr, M)> {
-        self.len = 0;
-        let mut out = Vec::new();
-        for set in &mut self.sets {
-            for w in set.drain(..) {
+        let ways = self.geometry.ways() as usize;
+        let mut out = Vec::with_capacity(self.len);
+        for set in 0..self.blocks.len() {
+            let Some((segment, off)) = self.locate(set) else {
+                continue;
+            };
+            for slot in &mut self.segments[segment][off..off + ways] {
+                let Some(w) = slot.take() else { break };
                 out.push((w.line, w.meta));
             }
         }
+        self.len = 0;
         out
     }
 
@@ -265,6 +336,54 @@ impl<M> SetAssocCache<M> {
     {
         self.iter().map(|(l, m)| (l, m.clone())).collect()
     }
+}
+
+/// Blocks in the first arena segment: enough for the handful of sets a
+/// lightly used cache touches, in one allocation.
+const MIN_SEGMENT_BLOCKS: usize = 4;
+
+/// Blocks in the largest arena segment. Segments double up to this size
+/// and stay there, so a cache wastes at most one partly filled segment.
+const MAX_SEGMENT_BLOCKS: usize = 64;
+
+/// Blocks held by the doubling segments, `MIN..=MAX` blocks each.
+const DOUBLING_BLOCKS: usize = 2 * MAX_SEGMENT_BLOCKS - MIN_SEGMENT_BLOCKS;
+
+/// The arena segment holding block `block`, and the segment's first block.
+/// Segment `k` holds `MIN_SEGMENT_BLOCKS << k` blocks up to
+/// [`MAX_SEGMENT_BLOCKS`]; every later segment holds that many.
+#[inline]
+fn segment_of(block: usize) -> (usize, usize) {
+    if block < DOUBLING_BLOCKS {
+        let segment = (block / MIN_SEGMENT_BLOCKS + 1).ilog2() as usize;
+        (segment, MIN_SEGMENT_BLOCKS * ((1 << segment) - 1))
+    } else {
+        let past = (block - DOUBLING_BLOCKS) / MAX_SEGMENT_BLOCKS;
+        let doubling = (MAX_SEGMENT_BLOCKS / MIN_SEGMENT_BLOCKS).ilog2() as usize + 1;
+        (doubling + past, DOUBLING_BLOCKS + past * MAX_SEGMENT_BLOCKS)
+    }
+}
+
+/// The resident prefix of a set's slots.
+#[inline]
+fn resident<M>(set: &[Slot<M>]) -> impl Iterator<Item = &Way<M>> {
+    set.iter().map_while(Option::as_ref)
+}
+
+/// The resident prefix of a set's slots, mutably.
+#[inline]
+fn resident_mut<M>(set: &mut [Slot<M>]) -> impl Iterator<Item = &mut Way<M>> {
+    set.iter_mut().map_while(Option::as_mut)
+}
+
+/// Position of the least recently used way of a nonempty set. Stamps are
+/// unique, so the victim is too.
+fn lru_index<M>(set: &[Slot<M>]) -> usize {
+    resident(set)
+        .enumerate()
+        .min_by_key(|(_, w)| w.touched)
+        .map(|(i, _)| i)
+        .expect("full set is nonempty")
 }
 
 #[cfg(test)]
@@ -393,6 +512,73 @@ mod tests {
             assert!(c.insert(line(i * 100), 0).is_none());
         }
         assert!(c.insert(line(999), 0).is_some());
+    }
+
+    #[test]
+    fn slots_are_no_larger_than_ways() {
+        use core::mem::size_of;
+        assert_eq!(size_of::<Slot<()>>(), 16);
+        assert_eq!(size_of::<Slot<u32>>(), size_of::<Way<u32>>());
+        assert_eq!(size_of::<Slot<(u8, u64)>>(), size_of::<Way<(u8, u64)>>());
+    }
+
+    #[test]
+    fn untouched_sets_allocate_nothing() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
+        assert!(c.peek(&line(5)).is_none());
+        assert!(c.victim_for(&line(5)).is_none());
+        assert!(c.remove(&line(5)).is_none());
+        assert!(c.segments.is_empty());
+        c.insert(line(5), 5);
+        c.insert(line(5 + 1024), 6);
+        assert_eq!(c.allocated, 1);
+        c.insert(line(6), 7);
+        c.insert(line(7), 8);
+        assert_eq!(c.allocated, 3);
+        let sizes: Vec<usize> = c.segments.iter().map(Vec::capacity).collect();
+        assert_eq!(sizes, [16]);
+        assert_eq!(
+            c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
+            [5, 1029, 6, 7]
+        );
+    }
+
+    #[test]
+    fn segments_double_then_stay_flat() {
+        let starts: Vec<(usize, usize)> = [0, 3, 4, 11, 12, 123, 124, 187, 188, 1023]
+            .into_iter()
+            .map(segment_of)
+            .collect();
+        assert_eq!(
+            starts,
+            [
+                (0, 0),
+                (0, 0),
+                (1, 4),
+                (1, 4),
+                (2, 12),
+                (4, 60),
+                (5, 124),
+                (5, 124),
+                (6, 188),
+                (19, 1020)
+            ]
+        );
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(200, 1));
+        for i in 0..200 {
+            c.insert(line(i), 0);
+        }
+        let sizes: Vec<usize> = c.segments.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [4, 8, 16, 32, 64, 64, 12]);
+        assert_eq!(c.iter().count(), 200);
+    }
+
+    #[test]
+    fn non_power_of_two_sets_use_modulo() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(3, 1));
+        c.insert(line(1), 1);
+        assert_eq!(c.insert(line(4), 4).map(|e| e.line), Some(line(1)));
+        assert!(c.insert(line(2), 2).is_none());
     }
 
     #[test]

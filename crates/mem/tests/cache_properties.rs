@@ -25,7 +25,182 @@ fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
     )
 }
 
+/// The retired `Vec<Vec<Way>>` cache layout, kept as the differential
+/// oracle for the slot-arena [`SetAssocCache`]: every set is its own
+/// vector, insertion pushes, removal swap-removes, and the victim is the
+/// way with the smallest last-touch stamp.
+struct VecOfVecsCache {
+    sets: Vec<Vec<(u64, u32, u64)>>,
+    ways: usize,
+    clock: u64,
+    len: usize,
+}
+
+impl VecOfVecsCache {
+    fn new(sets: u32, ways: u32) -> Self {
+        VecOfVecsCache {
+            sets: (0..sets).map(|_| Vec::new()).collect(),
+            ways: ways as usize,
+            clock: 0,
+            len: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<(u64, u32, u64)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    fn peek(&mut self, line: u64) -> Option<u32> {
+        self.set(line).iter().find(|w| w.0 == line).map(|w| w.1)
+    }
+
+    fn get(&mut self, line: u64) -> Option<u32> {
+        let stamp = self.tick();
+        let way = self.set(line).iter_mut().find(|w| w.0 == line)?;
+        way.2 = stamp;
+        Some(way.1)
+    }
+
+    fn insert(&mut self, line: u64, meta: u32) -> Option<(u64, u32)> {
+        let stamp = self.tick();
+        let ways = self.ways;
+        let set = self.set(line);
+        if let Some(way) = set.iter_mut().find(|w| w.0 == line) {
+            *way = (line, meta, stamp);
+            return None;
+        }
+        let mut evicted = None;
+        if set.len() >= ways {
+            let lru = (0..set.len()).min_by_key(|&i| set[i].2).unwrap();
+            let victim = set.swap_remove(lru);
+            evicted = Some((victim.0, victim.1));
+        }
+        set.push((line, meta, stamp));
+        if evicted.is_none() {
+            self.len += 1;
+        }
+        evicted
+    }
+
+    fn victim_for(&mut self, line: u64) -> Option<(u64, u32)> {
+        let ways = self.ways;
+        let set = self.set(line);
+        if set.iter().any(|w| w.0 == line) || set.len() < ways {
+            return None;
+        }
+        set.iter().min_by_key(|w| w.2).map(|w| (w.0, w.1))
+    }
+
+    fn remove(&mut self, line: u64) -> Option<u32> {
+        let set = self.set(line);
+        let pos = set.iter().position(|w| w.0 == line)?;
+        let meta = set.swap_remove(pos).1;
+        self.len -= 1;
+        Some(meta)
+    }
+
+    fn iter(&self) -> Vec<(u64, u32)> {
+        self.sets.iter().flatten().map(|w| (w.0, w.1)).collect()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum DiffOp {
+    Insert(u64, u32),
+    Get(u64),
+    Peek(u64),
+    Remove(u64),
+    VictimFor(u64),
+}
+
+/// Random operation streams over `lines` distinct addresses.
+fn diff_ops(lines: u64) -> impl Strategy<Value = Vec<DiffOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0..lines, any::<u32>()).prop_map(|(l, m)| DiffOp::Insert(l, m)),
+            (0..lines, any::<u32>()).prop_map(|(l, m)| DiffOp::Insert(l, m)),
+            (0..lines).prop_map(DiffOp::Get),
+            (0..lines).prop_map(DiffOp::Peek),
+            (0..lines).prop_map(DiffOp::Remove),
+            (0..lines).prop_map(DiffOp::VictimFor),
+        ],
+        0..400,
+    )
+}
+
+/// Drives the arena cache and the retired layout in lockstep, asserting
+/// identical evictions, lookups, victims, lengths and iteration order.
+fn run_differential(sets: u32, ways: u32, ops: Vec<DiffOp>) {
+    let mut cache: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(sets, ways));
+    let mut oracle = VecOfVecsCache::new(sets, ways);
+    for op in ops {
+        match op {
+            DiffOp::Insert(l, m) => {
+                let got = cache
+                    .insert(LineAddr::new(l), m)
+                    .map(|e| (e.line.index(), e.meta));
+                prop_assert_eq!(got, oracle.insert(l, m));
+            }
+            DiffOp::Get(l) => {
+                prop_assert_eq!(cache.get(&LineAddr::new(l)).copied(), oracle.get(l));
+            }
+            DiffOp::Peek(l) => {
+                prop_assert_eq!(cache.peek(&LineAddr::new(l)).copied(), oracle.peek(l));
+            }
+            DiffOp::Remove(l) => {
+                prop_assert_eq!(cache.remove(&LineAddr::new(l)), oracle.remove(l));
+            }
+            DiffOp::VictimFor(l) => {
+                let got = cache
+                    .victim_for(&LineAddr::new(l))
+                    .map(|(v, m)| (v.index(), *m));
+                prop_assert_eq!(got, oracle.victim_for(l));
+            }
+        }
+        prop_assert_eq!(cache.len(), oracle.len);
+    }
+    let order: Vec<(u64, u32)> = cache.iter().map(|(l, m)| (l.index(), *m)).collect();
+    prop_assert_eq!(order, oracle.iter());
+}
+
 proptest! {
+    /// Sparse geometry: 1024 sets x 4 ways, lines spread over a few sets
+    /// (so they collide) and over many (so most sets stay untouched).
+    #[test]
+    fn arena_matches_vec_of_vecs_sparse(
+        ops in diff_ops(8 * 1024),
+        dense in any::<bool>(),
+    ) {
+        let ops = if dense {
+            // Fold the stream onto 4 sets so ways fill and evict.
+            ops.into_iter().map(|op| match op {
+                DiffOp::Insert(l, m) => DiffOp::Insert(l % 4 + 1024 * (l % 7), m),
+                DiffOp::Get(l) => DiffOp::Get(l % 4 + 1024 * (l % 7)),
+                DiffOp::Peek(l) => DiffOp::Peek(l % 4 + 1024 * (l % 7)),
+                DiffOp::Remove(l) => DiffOp::Remove(l % 4 + 1024 * (l % 7)),
+                DiffOp::VictimFor(l) => DiffOp::VictimFor(l % 4 + 1024 * (l % 7)),
+            }).collect()
+        } else {
+            ops
+        };
+        run_differential(1024, 4, ops);
+    }
+
+    /// Tiny geometries, where every insert past the first few evicts.
+    #[test]
+    fn arena_matches_vec_of_vecs_tiny(
+        ops in diff_ops(6),
+        geometry in prop_oneof![Just((1u32, 1u32)), Just((2, 2)), Just((3, 2)), Just((1, 3))],
+    ) {
+        run_differential(geometry.0, geometry.1, ops);
+    }
+
     /// The cache never exceeds its capacity and set residency never exceeds
     /// the way count, under arbitrary operation sequences.
     #[test]

@@ -318,6 +318,21 @@ impl CoherenceView for StateView<'_> {
             .collect()
     }
 
+    fn registry_sharers(&self) -> Vec<(LineAddr, u32)> {
+        // Derived from the modes, like the owner: the model has no separate
+        // count that could drift.
+        self.state
+            .lines
+            .iter()
+            .enumerate()
+            .map(|(l, ls)| {
+                let count = ls.mode.iter().filter(|m| **m == Mode::S).count() as u32;
+                (LineAddr::new(l as u64), count)
+            })
+            .filter(|(_, count)| *count > 0)
+            .collect()
+    }
+
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
         self.state
             .lines
