@@ -9,7 +9,8 @@
 //! `BENCH_core.json` in the current directory). `--baseline` embeds a
 //! previous report's medians and the speedup against them. `--guard`
 //! additionally fails the run when a guarded kernel
-//! (`machine_1k_transactions` or `cube_pdes_events`) regresses more than
+//! (`machine_1k_transactions`, `cube_pdes_events` or
+//! `cube_pdes_events_parallel`) regresses more than
 //! `MULTICUBE_PERF_GUARD_PCT` percent (default 25) against the baseline,
 //! comparing per work unit so `--quick` runs measure against full-mode
 //! baselines.

@@ -427,7 +427,7 @@ mod tests {
 /// memory and changed to global state unmodified").
 #[derive(Debug, Clone)]
 pub struct MltRow {
-    /// Modified-line-table capacity (entries per column replica).
+    /// Modified-line-table capacity (entries per column).
     pub capacity: usize,
     /// Run efficiency.
     pub efficiency: f64,
@@ -530,7 +530,7 @@ pub struct FaultSweepRow {
     pub duplicated_ops: u64,
     /// Memory-bank transient NACKs.
     pub memory_nacks: u64,
-    /// MLT replica updates left transiently stale.
+    /// MLT updates that left a controller's view transiently stale.
     pub mlt_delays: u64,
     /// Controller blackout windows opened.
     pub blackouts: u64,

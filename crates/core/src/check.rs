@@ -63,8 +63,8 @@ pub trait CoherenceView {
     /// level is not modelled.
     fn l1_lines(&self, node: NodeId) -> Vec<LineAddr>;
 
-    /// The contents of `node`'s modified-line-table replica. Order is not
-    /// significant (compared as sets).
+    /// The contents of the modified line table `node` consults: its
+    /// column's. Order is not significant (compared as sets).
     fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr>;
 
     /// The home column of `line`.
@@ -88,9 +88,9 @@ pub trait CoherenceView {
     /// All owner-registry entries.
     fn registry_entries(&self) -> Vec<(LineAddr, NodeId)>;
 
-    /// Every line the registry counts shared copies of, with that count
-    /// (lines with a zero count are omitted).
-    fn registry_sharers(&self) -> Vec<(LineAddr, u32)>;
+    /// Every line the registry lists shared copies of, with the nodes it
+    /// lists in ascending order (lines with no sharers are omitted).
+    fn registry_sharers(&self) -> Vec<(LineAddr, Vec<NodeId>)>;
 
     /// The arena engines' exclusive-clean (`E`) side table.
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)>;
@@ -124,7 +124,10 @@ impl CoherenceView for Machine {
     }
 
     fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr> {
-        self.controller(node).mlt.iter().copied().collect()
+        self.mlt(self.controller(node).col())
+            .iter()
+            .copied()
+            .collect()
     }
 
     fn home_column(&self, line: LineAddr) -> u32 {
@@ -160,8 +163,10 @@ impl CoherenceView for Machine {
         Machine::registry_entries(self).collect()
     }
 
-    fn registry_sharers(&self) -> Vec<(LineAddr, u32)> {
-        Machine::registry_sharers(self).collect()
+    fn registry_sharers(&self) -> Vec<(LineAddr, Vec<NodeId>)> {
+        Machine::registry_sharers(self)
+            .map(|(line, nodes)| (line, nodes.to_vec()))
+            .collect()
     }
 
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
@@ -236,16 +241,16 @@ pub enum CoherenceViolation {
         /// Description of the mismatch.
         detail: String,
     },
-    /// The registry's count of shared copies of a line differs from the
-    /// number of caches holding it shared. Purge sweeps skip lines the
-    /// count says nobody shares, so a low count would leave stale copies.
-    SharerCountMismatch {
+    /// The registry's list of caches holding a line shared differs from
+    /// the caches that do. Purges visit only the listed caches, so a
+    /// missing entry would leave a stale copy behind.
+    SharerSetMismatch {
         /// The line concerned.
         line: LineAddr,
-        /// The registry's count.
-        registry: u32,
-        /// Caches actually holding the line shared.
-        caches: u32,
+        /// The nodes the registry lists, ascending.
+        registry: Vec<NodeId>,
+        /// The nodes actually holding the line shared, ascending.
+        caches: Vec<NodeId>,
     },
     /// A watchdog escalation outlived its transaction: at quiescence every
     /// escalated transaction must have completed (and been cleared), so a
@@ -297,13 +302,13 @@ impl fmt::Display for CoherenceViolation {
             CoherenceViolation::RegistryMismatch { line, detail } => {
                 write!(f, "line {line:?} registry mismatch: {detail}")
             }
-            CoherenceViolation::SharerCountMismatch {
+            CoherenceViolation::SharerSetMismatch {
                 line,
                 registry,
                 caches,
             } => write!(
                 f,
-                "line {line:?}: registry counts {registry} sharers but {caches} caches hold it shared"
+                "line {line:?}: registry lists sharers {registry:?} but {caches:?} hold it shared"
             ),
             CoherenceViolation::EscalationLeak { txn } => {
                 write!(f, "{txn} still escalated at quiescence")
@@ -370,7 +375,7 @@ fn known_lines(v: &dyn CoherenceView, g: &Gathered) -> Vec<LineAddr> {
 
 /// Registry sanity, both directions: every cache owner is registered,
 /// every registry entry is backed by a modified copy, and the per-line
-/// sharer count equals the number of shared copies.
+/// sharer list names exactly the caches holding shared copies.
 fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceViolation> {
     let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
     owned_lines.sort_unstable_by_key(|l| l.index());
@@ -396,19 +401,21 @@ fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceVi
             detail: format!("registry claims {node} but no cache holds it modified"),
         });
     }
-    let registered: LineMap<u32> = v.registry_sharers().into_iter().collect();
+    let registered: LineMap<Vec<NodeId>> = v.registry_sharers().into_iter().collect();
     let mut shared_lines: Vec<LineAddr> =
         g.sharers.keys().chain(registered.keys()).copied().collect();
     shared_lines.sort_unstable_by_key(|l| l.index());
     shared_lines.dedup();
     for line in shared_lines {
-        let caches = g.sharers.get(&line).map_or(0, |s| s.len() as u32);
-        let registry = registered.get(&line).copied().unwrap_or(0);
+        // `gather` visits nodes in ascending order, so both lists are
+        // sorted and equal exactly when the sets are.
+        let caches = g.sharers.get(&line).map_or(&[][..], Vec::as_slice);
+        let registry = registered.get(&line).map_or(&[][..], Vec::as_slice);
         if caches != registry {
-            return Err(CoherenceViolation::SharerCountMismatch {
+            return Err(CoherenceViolation::SharerSetMismatch {
                 line,
-                registry,
-                caches,
+                registry: registry.to_vec(),
+                caches: caches.to_vec(),
             });
         }
     }

@@ -285,7 +285,7 @@ impl MachineConfig {
         self
     }
 
-    /// Sets the modified-line-table capacity (entries per column replica).
+    /// Sets the modified-line-table capacity (entries per column).
     #[must_use]
     pub fn with_mlt_capacity(mut self, capacity: usize) -> Self {
         self.mlt_capacity = capacity;

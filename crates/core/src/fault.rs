@@ -20,8 +20,8 @@
 //!   acts on it; the originator must retry.
 //! - **Duplicated bus operations** — a request is heard twice; the copy must
 //!   be harmless.
-//! - **Delayed MLT replica updates** — one replica in a column serves a
-//!   stale membership view for a bounded window (transient desync).
+//! - **Delayed MLT updates** — one controller in a column serves a stale
+//!   view of its column's table for a bounded window (transient desync).
 //! - **Memory-bank transient NACKs** — a memory request is refused as if the
 //!   valid bit were clear, forcing a bounce.
 //! - **Controller blackout windows** — a controller neither snoops nor
@@ -194,8 +194,8 @@ impl FaultPlan {
         self
     }
 
-    /// Probability that an MLT membership change leaves one replica of the
-    /// column serving its *pre-update* view for `window_ns` nanoseconds.
+    /// Probability that an MLT membership change leaves one controller of
+    /// the column serving its *pre-update* view for `window_ns` nanoseconds.
     #[must_use]
     pub fn with_mlt_delay(mut self, p: f64, window_ns: u64) -> Self {
         self.mlt_delay = p;
@@ -450,7 +450,7 @@ pub(crate) struct FaultInjector {
     /// Per-node blackout expiry (index = node index).
     blackout_until: Vec<SimTime>,
     /// Stale MLT overlay: a node temporarily serves this membership view for
-    /// the line instead of the authoritative replica. Entries expire lazily.
+    /// the line instead of its column's table. Entries expire lazily.
     stale_view: FxHashMap<(usize, LineAddr), (bool, SimTime)>,
     /// Transactions escalated by the watchdog: immune to all further faults.
     escalated: TxnSet,
@@ -512,13 +512,14 @@ impl FaultInjector {
         self.plan.memory_nack > 0.0 && !self.immune(txn) && self.rng.chance(self.plan.memory_nack)
     }
 
-    /// Rolls whether this MLT membership change leaves a replica stale.
+    /// Rolls whether this MLT membership change leaves a controller's view
+    /// stale.
     pub(crate) fn roll_mlt_delay(&mut self) -> bool {
         self.plan.mlt_delay > 0.0 && self.rng.chance(self.plan.mlt_delay)
     }
 
     /// Uniform draw in `0..bound` from the injector's stream (used to pick
-    /// the stale replica's row).
+    /// the stale controller's row).
     pub(crate) fn pick(&mut self, bound: u64) -> u64 {
         self.rng.below(bound)
     }
@@ -536,8 +537,8 @@ impl FaultInjector {
             .insert((node_idx, line), (stale_present, until));
     }
 
-    /// The node's (possibly stale) MLT view of `line`, or `None` if the
-    /// authoritative replica applies. Expired entries are dropped lazily.
+    /// The node's (possibly stale) MLT view of `line`, or `None` if its
+    /// column's table applies. Expired entries are dropped lazily.
     pub(crate) fn stale_presence(
         &mut self,
         txn: TxnId,
@@ -761,7 +762,7 @@ mod tests {
             inj.stale_presence(t, 3, &line, SimTime::from_nanos(50)),
             None
         );
-        // At/after expiry the authoritative replica applies again.
+        // At/after expiry the column's table applies again.
         assert_eq!(
             inj.stale_presence(t, 2, &line, SimTime::from_nanos(100)),
             None

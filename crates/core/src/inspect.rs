@@ -123,8 +123,7 @@ pub fn dump(m: &Machine) -> String {
 
     let _ = writeln!(out, "modified line tables:");
     for col in 0..n {
-        let node = NodeId::new(col); // row 0 replica is representative
-        let entries = m.controller(node).mlt.len();
+        let entries = m.mlt(col).len();
         let _ = writeln!(out, "  col{col}: {entries} entries");
     }
 

@@ -32,8 +32,8 @@
 //! * [`config`] — machine shape, timing parameters and protocol options.
 //! * [`proto`] — the bus-operation vocabulary of Appendix A.
 //! * [`bus`] — a FIFO-arbitrated broadcast bus.
-//! * [`node`] — per-node controller state (snooping cache, MLT replica,
-//!   outstanding transaction).
+//! * [`node`] — per-node controller state (snooping cache, outstanding
+//!   transaction).
 //! * [`machine`] — the machine itself: event loop plus the protocol
 //!   procedures.
 //! * [`driver`] — closed-loop synthetic workload driving ([`SyntheticSpec`]).

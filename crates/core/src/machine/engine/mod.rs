@@ -393,7 +393,7 @@ pub(crate) fn arena_downgrade_reserved(m: &mut Machine, idx: usize, line: LineAd
         debug_assert_eq!(cl.mode, LineMode::Reserved);
         cl.mode = LineMode::Shared;
     }
-    m.sharers_incr(line);
+    m.sharers_incr(line, m.controllers[idx].node());
     m.arena_excl.remove(&line);
 }
 

@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use std::iter::StepBy;
 use std::ops::Range;
 
-use multicube_mem::{LineAddr, LineGeometry, LineMap, LineVersion, MemoryBank};
+use multicube_mem::{LineAddr, LineGeometry, LineMap, LineVersion, MemoryBank, ModifiedLineTable};
 use multicube_sim::{DeterministicRng, EventQueue, SimDuration, SimTime};
 use multicube_topology::NodeId;
 
@@ -128,16 +128,17 @@ pub(crate) struct TxnInfo {
 /// protocol events touch several of them for the same line, so each event
 /// paid several hash lookups. One entry per line makes that a single
 /// lookup. Entries are created on first touch and never removed — absent
-/// fields read as their defaults (no owner, zero sharers, `INITIAL`
+/// fields read as their defaults (no owner, no sharers, `INITIAL`
 /// version, zero sync word), exactly like a missing map entry did.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineEntry {
     /// Which cache (if any) holds the line modified.
     owner: Option<NodeId>,
     /// Position in [`Machine::owned_list`] while `owner` is `Some`.
-    owned_pos: usize,
-    /// Number of caches holding the line shared.
-    sharers: u32,
+    owned_pos: u32,
+    /// The caches holding the line shared, in ascending node order. Purge
+    /// sweeps visit exactly these instead of probing every bus member.
+    sharers: Vec<NodeId>,
     /// Number of nodes with an outstanding transaction on the line — the
     /// index behind [`Machine::line_has_inflight_interest`], kept
     /// consistent by [`Machine::set_outstanding`] /
@@ -185,6 +186,11 @@ pub struct Machine {
     /// Buses: slots `0..n` are row buses, `n..2n` are column buses.
     pub(crate) buses: Vec<Bus>,
     pub(crate) controllers: Vec<Controller>,
+    /// One modified line table per column. The paper's per-controller
+    /// copies are identical (§3), so one table stands for all `n`; the
+    /// per-controller stale views of the MLT-delay fault live in the
+    /// fault injector.
+    pub(crate) mlts: Vec<ModifiedLineTable>,
     /// One memory bank per column.
     pub(crate) memories: Vec<MemoryBank>,
     pub(crate) rng: DeterministicRng,
@@ -247,9 +253,11 @@ impl Machine {
                     grid.col_of(node),
                     config.snoop_cache(),
                     config.processor_cache(),
-                    config.mlt_capacity(),
                 )
             })
+            .collect();
+        let mlts = (0..n)
+            .map(|_| ModifiedLineTable::new(config.mlt_capacity()))
             .collect();
         let memories = (0..n).map(|_| MemoryBank::new()).collect();
         let faults = FaultInjector::new(
@@ -265,6 +273,7 @@ impl Machine {
             events: EventQueue::new(),
             buses,
             controllers,
+            mlts,
             memories,
             rng: DeterministicRng::seed(seed),
             txn_seq: 0,
@@ -387,6 +396,11 @@ impl Machine {
     /// The controller of `node` (inspection/testing).
     pub fn controller(&self, node: NodeId) -> &Controller {
         &self.controllers[node.as_usize()]
+    }
+
+    /// The modified line table of column `col`.
+    pub fn mlt(&self, col: u32) -> &ModifiedLineTable {
+        &self.mlts[col as usize]
     }
 
     /// The memory bank of column `col`.
@@ -771,6 +785,25 @@ impl Machine {
         (col as usize..n * n).step_by(n)
     }
 
+    /// Node indices on bus `slot`, ascending.
+    pub(crate) fn bus_nodes(&self, slot: usize) -> StepBy<Range<usize>> {
+        if slot < self.n as usize {
+            self.row_nodes(self.slot_row(slot)).step_by(1)
+        } else {
+            self.col_nodes(self.slot_col(slot))
+        }
+    }
+
+    /// Whether node index `idx` sits on bus `slot`.
+    pub(crate) fn on_bus(&self, slot: usize, idx: usize) -> bool {
+        let n = self.n as usize;
+        if slot < n {
+            idx / n == slot
+        } else {
+            idx % n == slot - n
+        }
+    }
+
     /// The cache in column `col` holding `line` modified. Read from the
     /// owner registry, which is exact, instead of probing the column's `n`
     /// caches; the probe survives as a debug-build oracle.
@@ -809,7 +842,7 @@ impl Machine {
     }
 
     pub(crate) fn registry_set_owner(&mut self, line: LineAddr, node: NodeId) {
-        let pos = self.owned_list.len();
+        let pos = u32::try_from(self.owned_list.len()).expect("owned lines fit in u32");
         let e = self.lines.entry(line).or_default();
         if e.owner.replace(node).is_none() {
             e.owned_pos = pos;
@@ -824,7 +857,7 @@ impl Machine {
         if e.owner.take().is_none() {
             return;
         }
-        let pos = e.owned_pos;
+        let pos = e.owned_pos as usize;
         let last = self.owned_list.len() - 1;
         self.owned_list.swap(pos, last);
         self.owned_list.pop();
@@ -833,7 +866,7 @@ impl Machine {
             self.lines
                 .get_mut(&moved)
                 .expect("owned line has a registry entry")
-                .owned_pos = pos;
+                .owned_pos = pos as u32;
         }
     }
 
@@ -849,44 +882,76 @@ impl Machine {
             .filter_map(|(l, e)| e.owner.map(|n| (*l, n)))
     }
 
-    /// All lines with a nonzero sharer count (line, count).
-    pub(crate) fn registry_sharers(&self) -> impl Iterator<Item = (LineAddr, u32)> + '_ {
+    /// All lines with at least one sharer, with their sharer lists.
+    pub(crate) fn registry_sharers(&self) -> impl Iterator<Item = (LineAddr, &[NodeId])> + '_ {
         self.lines
             .iter()
-            .filter(|(_, e)| e.sharers > 0)
-            .map(|(l, e)| (*l, e.sharers))
+            .filter(|(_, e)| !e.sharers.is_empty())
+            .map(|(l, e)| (*l, e.sharers.as_slice()))
     }
 
-    fn sharers_incr(&mut self, line: LineAddr) {
-        self.line_entry(line).sharers += 1;
-    }
-
-    fn sharers_decr(&mut self, line: LineAddr) {
-        match self.lines.get_mut(&line) {
-            Some(e) if e.sharers > 0 => e.sharers -= 1,
-            _ => debug_assert!(false, "sharer count underflow for {line:?}"),
+    fn sharers_incr(&mut self, line: LineAddr, node: NodeId) {
+        let sharers = &mut self.line_entry(line).sharers;
+        match sharers.binary_search(&node) {
+            Ok(_) => debug_assert!(false, "{node} is already a sharer of {line:?}"),
+            Err(pos) => sharers.insert(pos, node),
         }
+    }
+
+    fn sharers_decr(&mut self, line: LineAddr, node: NodeId) {
+        let listed = self.lines.get_mut(&line).and_then(|e| {
+            let pos = e.sharers.binary_search(&node).ok()?;
+            e.sharers.remove(pos);
+            // Entries live for the whole run and most lines are shared only
+            // for a while, so an emptied list gives its buffer back.
+            if e.sharers.is_empty() {
+                e.sharers = Vec::new();
+            }
+            Some(())
+        });
+        debug_assert!(listed.is_some(), "{node} is not a sharer of {line:?}");
+    }
+
+    /// The caches holding `line` shared, in ascending node order.
+    pub(crate) fn sharers(&self, line: LineAddr) -> &[NodeId] {
+        self.lines.get(&line).map_or(&[], |e| &e.sharers)
     }
 
     /// Number of caches holding `line` shared.
     pub(crate) fn sharer_count(&self, line: LineAddr) -> u32 {
-        self.lines.get(&line).map(|e| e.sharers).unwrap_or(0)
+        self.sharers(line).len() as u32
     }
 
-    /// Whether no cache holds `line` shared, from the registry's exact
-    /// count: a purge sweep over `members` would then find nothing to
-    /// invalidate. Debug builds probe the members to confirm it.
-    pub(crate) fn no_sharers(
-        &self,
-        line: LineAddr,
-        mut members: impl Iterator<Item = usize>,
-    ) -> bool {
-        let none = self.sharer_count(line) == 0;
+    /// Invalidates the shared copies of `line` on bus `slot`, except
+    /// `except`'s, counting each as an invalidation. The registry lists a
+    /// line's sharers exactly, so only the listed caches on the bus are
+    /// visited, in ascending node order, not all `n` members. Debug builds
+    /// sweep every member to confirm that no shared copy is left.
+    pub(crate) fn purge_sharers(&mut self, slot: usize, line: LineAddr, except: NodeId) {
+        let mut from = NodeId::new(0);
+        loop {
+            let listed = self.sharers(line);
+            let Some(node) = listed[listed.partition_point(|&s| s < from)..]
+                .iter()
+                .copied()
+                .find(|&s| s != except && self.on_bus(slot, s.as_usize()))
+            else {
+                break;
+            };
+            let prior = self.clear_line(node.as_usize(), line);
+            debug_assert_eq!(
+                prior,
+                Some(LineMode::Shared),
+                "{node} is listed as a sharer of {line:?}"
+            );
+            self.metrics.invalidations.incr();
+            from = NodeId::new(node.index() + 1);
+        }
         debug_assert!(
-            !none || members.all(|i| self.controllers[i].mode_of(&line) != Some(LineMode::Shared)),
-            "sharer count is zero but a cache holds {line:?} shared"
+            self.bus_nodes(slot).all(|i| i == except.as_usize()
+                || self.controllers[i].mode_of(&line) != Some(LineMode::Shared)),
+            "sharer list missed a shared copy of {line:?} on bus {slot}"
         );
-        none
     }
 
     /// Whether any node other than `except` has an outstanding transaction
@@ -962,7 +1027,7 @@ impl Machine {
         let prior = self.controllers[node_idx].mode_of(&line);
         // Registry out-transitions for the prior mode.
         match prior {
-            Some(LineMode::Shared) => self.sharers_decr(line),
+            Some(LineMode::Shared) => self.sharers_decr(line, node),
             Some(LineMode::Modified) => self.registry_clear_owner(line),
             _ => {}
         }
@@ -976,7 +1041,7 @@ impl Machine {
                 ev.line
             );
             if ev.meta.mode == LineMode::Shared {
-                self.sharers_decr(ev.line);
+                self.sharers_decr(ev.line, node);
             }
             self.controllers[node_idx].note_recent(ev.line);
             if let Some(l1) = self.controllers[node_idx].proc_cache.as_mut() {
@@ -985,7 +1050,7 @@ impl Machine {
         }
         self.controllers[node_idx].forget_recent(&line);
         match mode {
-            LineMode::Shared => self.sharers_incr(line),
+            LineMode::Shared => self.sharers_incr(line, node),
             LineMode::Modified => self.registry_set_owner(line, node),
             LineMode::Reserved => {}
         }
@@ -996,7 +1061,7 @@ impl Machine {
     pub(crate) fn clear_line(&mut self, node_idx: usize, line: LineAddr) -> Option<LineMode> {
         let prior = self.controllers[node_idx].purge(&line)?;
         match prior.mode {
-            LineMode::Shared => self.sharers_decr(line),
+            LineMode::Shared => self.sharers_decr(line, self.controllers[node_idx].node()),
             LineMode::Modified => self.registry_clear_owner(line),
             LineMode::Reserved => {}
         }
@@ -1010,7 +1075,7 @@ impl Machine {
             debug_assert_eq!(cl.mode, LineMode::Modified);
             cl.mode = LineMode::Shared;
         }
-        self.sharers_incr(line);
+        self.sharers_incr(line, self.controllers[node_idx].node());
     }
 
     /// Mints the version for a new write to `line` and commits it.
@@ -1580,28 +1645,47 @@ mod tests {
         let line = LineAddr::new(6);
         m.submit(NodeId::new(1), Request::read(line)).unwrap();
         m.advance().unwrap();
-        assert_eq!(m.sharer_count(line), 1);
+        assert_eq!(m.sharers(line), [NodeId::new(1)]);
         m.check_coherence().unwrap();
         crate::check::check_midflight(&m).unwrap();
 
-        m.line_entry(line).sharers = 0;
-        let expected = CoherenceViolation::SharerCountMismatch {
+        m.line_entry(line).sharers.clear();
+        let expected = CoherenceViolation::SharerSetMismatch {
             line,
-            registry: 0,
-            caches: 1,
+            registry: vec![],
+            caches: vec![NodeId::new(1)],
         };
         assert_eq!(m.check_coherence(), Err(expected.clone()));
         assert_eq!(crate::check::check_midflight(&m), Err(expected));
 
-        m.line_entry(line).sharers = 3;
+        let three: Vec<NodeId> = (0..3).map(NodeId::new).collect();
+        m.line_entry(line).sharers = three.clone();
         assert_eq!(
             m.check_coherence(),
-            Err(CoherenceViolation::SharerCountMismatch {
+            Err(CoherenceViolation::SharerSetMismatch {
                 line,
-                registry: 3,
-                caches: 1,
+                registry: three,
+                caches: vec![NodeId::new(1)],
             })
         );
+    }
+
+    #[test]
+    fn checker_reports_a_wrong_sharer_of_the_right_count() {
+        // A count-only check passes this registry: it lists one sharer, and
+        // one cache holds the line shared, but it names the wrong cache.
+        let mut m = machine(2);
+        let line = LineAddr::new(6);
+        m.submit(NodeId::new(1), Request::read(line)).unwrap();
+        m.advance().unwrap();
+        m.line_entry(line).sharers = vec![NodeId::new(2)];
+        let expected = CoherenceViolation::SharerSetMismatch {
+            line,
+            registry: vec![NodeId::new(2)],
+            caches: vec![NodeId::new(1)],
+        };
+        assert_eq!(m.check_coherence(), Err(expected.clone()));
+        assert_eq!(crate::check::check_midflight(&m), Err(expected));
     }
 
     #[test]

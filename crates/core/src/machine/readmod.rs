@@ -7,7 +7,6 @@
 
 use crate::machine::Machine;
 use crate::metrics::Served;
-use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind};
 
 impl Machine {
@@ -50,7 +49,7 @@ impl Machine {
             self.reissue_row_request(&op);
             return;
         }
-        if !self.mlt_remove_all(col, &op.line) {
+        if !self.mlt_remove(col, &op.line) {
             self.reissue_row_request(&op);
             return;
         }
@@ -159,7 +158,9 @@ impl Machine {
     /// controller on the home column purges its copy and relays a purge
     /// along its own row; the controller on the originator's row carries
     /// the data with it. The originator (if it lives on the home column)
-    /// installs directly.
+    /// installs directly. Only the registry's sharers and owner in the
+    /// column hold a copy, so only they are purged; the relays still go
+    /// out on all `n` rows.
     pub(crate) fn on_readmod_col_reply_purge(&mut self, slot: usize, op: BusOp) {
         let col = self.slot_col(slot);
         self.verify_carried(&op);
@@ -174,6 +175,22 @@ impl Machine {
             || self.line_has_inflight_interest(op.line, op.originator);
         let members = self.col_nodes(col);
         self.poison_readers(members.clone(), op.line, op.originator);
+        // Purging before the relays and the delivery is safe: it touches
+        // only other nodes' copies of this line, and neither schedules nor
+        // traces.
+        self.purge_sharers(slot, op.line, op.originator);
+        if let Some(holder) = self
+            .modified_holder_in(col, op.line)
+            .filter(|&h| h != op.originator.as_usize())
+        {
+            self.clear_line(holder, op.line);
+        }
+        debug_assert!(
+            members.clone().all(|i| i == op.originator.as_usize()
+                || self.controllers[i].mode_of(&op.line).is_none()),
+            "a copy of {:?} survived the column purge",
+            op.line
+        );
         for idx in members {
             let node = self.controllers[idx].node();
             let r = self.controllers[idx].row();
@@ -189,23 +206,17 @@ impl Machine {
                     self.emit(dst, purge, 0);
                 }
                 self.install_and_finish(op.originator, op.txn, op.data, true, true);
-            } else {
-                if self.clear_line(idx, op.line) == Some(LineMode::Shared) {
-                    self.metrics.invalidations.incr();
-                }
-                if r == o_row {
-                    let fwd =
-                        BusOp::new(OpKind::ReadModRowReplyPurge, op.line, op.originator, op.txn)
-                            .with_data(data)
-                            .with_allocate(op.allocate);
-                    let dst = self.row_slot(r);
-                    self.emit(dst, fwd, 0);
-                } else if fanout_needed {
-                    let purge = BusOp::new(OpKind::ReadModRowPurge, op.line, op.originator, op.txn)
-                        .with_allocate(op.allocate);
-                    let dst = self.row_slot(r);
-                    self.emit(dst, purge, 0);
-                }
+            } else if r == o_row {
+                let fwd = BusOp::new(OpKind::ReadModRowReplyPurge, op.line, op.originator, op.txn)
+                    .with_data(data)
+                    .with_allocate(op.allocate);
+                let dst = self.row_slot(r);
+                self.emit(dst, fwd, 0);
+            } else if fanout_needed {
+                let purge = BusOp::new(OpKind::ReadModRowPurge, op.line, op.originator, op.txn)
+                    .with_allocate(op.allocate);
+                let dst = self.row_slot(r);
+                self.emit(dst, purge, 0);
             }
         }
     }
@@ -217,26 +228,14 @@ impl Machine {
         debug_assert_eq!(row, self.origin_row(&op));
         self.verify_carried(&op);
         let o_col = self.origin_col(&op);
-        let members = self.row_nodes(row);
-        self.poison_readers(members.clone(), op.line, op.originator);
+        self.poison_readers(self.row_nodes(row), op.line, op.originator);
         // Purging before the delivery is safe: it touches only other
         // nodes' copies of this line, and neither schedules nor traces.
-        if !self.no_sharers(op.line, members.clone()) {
-            for idx in members {
-                // The formal protocol exempts home-column caches ("the home
-                // column data cache has already been purged"), but with
-                // snarfing a home-column node can re-acquire a stale copy
-                // *between* the column purge and this row purge — so we
-                // purge unconditionally; re-purging an invalid line is a
-                // no-op.
-                if idx != op.originator.as_usize()
-                    && self.controllers[idx].mode_of(&op.line) == Some(LineMode::Shared)
-                {
-                    self.clear_line(idx, op.line);
-                    self.metrics.invalidations.incr();
-                }
-            }
-        }
+        // The formal protocol exempts home-column caches ("the home column
+        // data cache has already been purged"), but with snarfing a
+        // home-column node can re-acquire a stale copy *between* the
+        // column purge and this row purge — so they are purged too.
+        self.purge_sharers(slot, op.line, op.originator);
         let ins = BusOp::new(OpKind::ReadModColInsert, op.line, op.originator, op.txn)
             .with_allocate(op.allocate);
         let dst = self.col_slot(o_col);
@@ -245,25 +244,13 @@ impl Machine {
     }
 
     /// `READMOD (ROW, PURGE)`: invalidate shared copies along one row.
+    /// Home-column caches are purged again deliberately (see
+    /// `on_readmod_row_reply_purge`): a snarfed copy may have appeared
+    /// after the column purge.
     pub(crate) fn on_readmod_row_purge(&mut self, slot: usize, op: BusOp) {
         let row = self.slot_row(slot);
-        let members = self.row_nodes(row);
-        self.poison_readers(members.clone(), op.line, op.originator);
-        if self.no_sharers(op.line, members.clone()) {
-            return;
-        }
-        for idx in members {
-            if self.controllers[idx].node() == op.originator {
-                continue;
-            }
-            // Home-column caches are purged again deliberately (see
-            // `on_readmod_row_reply_purge`): a snarfed copy may have
-            // appeared after the column purge.
-            if self.controllers[idx].mode_of(&op.line) == Some(LineMode::Shared) {
-                self.clear_line(idx, op.line);
-                self.metrics.invalidations.incr();
-            }
-        }
+        self.poison_readers(self.row_nodes(row), op.line, op.originator);
+        self.purge_sharers(slot, op.line, op.originator);
     }
 
     /// `READMOD (COLUMN, REPLY, INSERT)`: final delivery up the
@@ -273,13 +260,13 @@ impl Machine {
         debug_assert_eq!(col, self.origin_col(&op));
         self.verify_carried(&op);
         self.install_and_finish(op.originator, op.txn, op.data, true, true);
-        self.mlt_insert_all(col, &op);
+        self.mlt_insert(col, &op);
     }
 
     /// `READMOD (COLUMN, INSERT)`: MLT insertion broadcast after the data
     /// was delivered on a row bus.
     pub(crate) fn on_readmod_col_insert(&mut self, slot: usize, op: BusOp) {
         let col = self.slot_col(slot);
-        self.mlt_insert_all(col, &op);
+        self.mlt_insert(col, &op);
     }
 }

@@ -1,5 +1,5 @@
 //! READ transaction procedures (Appendix A) plus the shared helpers for
-//! modified-signal polling, MLT replica maintenance and snarfing.
+//! modified-signal polling, MLT maintenance and snarfing.
 
 use multicube_mem::LineAddr;
 
@@ -15,12 +15,13 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Polls the row for the wired-OR *modified signal*: at most one node's
-    /// column MLT contains the line; returns that column. This is the one
-    /// place the machine *observes* MLT replicas, so it is also where the
-    /// injected imperfections surface: blacked-out controllers stay silent,
-    /// replicas with a pending delayed update answer from their stale view,
-    /// and the §3 drop ("a controller can, on occasion, simply discard such
-    /// requests without breaking the protocol") loses the whole signal.
+    /// column MLT contains the line; returns that column. Each row member
+    /// answers from its own column's table, so this is the one place the
+    /// machine *observes* the MLTs, and where the injected imperfections
+    /// surface: blacked-out controllers stay silent, controllers with a
+    /// pending delayed update answer from their stale view, and the §3 drop
+    /// ("a controller can, on occasion, simply discard such requests
+    /// without breaking the protocol") loses the whole signal.
     pub(crate) fn poll_modified_signal(
         &mut self,
         row: u32,
@@ -34,17 +35,18 @@ impl Machine {
             if self.faults.in_blackout(idx, txn, now) {
                 continue;
             }
+            let col = self.controllers[idx].col();
             let present = match self.faults.stale_presence(txn, idx, line, now) {
                 Some(stale) => stale,
-                None => self.controllers[idx].mlt_contains(line),
+                None => self.mlts[col as usize].contains(line),
             };
             if present {
                 debug_assert!(
                     found.is_none() || perturbed,
-                    "two columns claim {line:?} modified — MLT replicas diverged"
+                    "two columns claim {line:?} modified"
                 );
                 if found.is_none() {
-                    found = Some(self.controllers[idx].col());
+                    found = Some(col);
                 }
                 if !cfg!(debug_assertions) && !perturbed {
                     break;
@@ -88,32 +90,24 @@ impl Machine {
         true
     }
 
-    /// Removes the line from every MLT replica of a column; returns whether
-    /// the entry was present ("remove failed" drives race retries).
-    pub(crate) fn mlt_remove_all(&mut self, col: u32, line: &LineAddr) -> bool {
-        let mut removed = None;
-        for idx in self.col_nodes(col) {
-            let r = self.controllers[idx].mlt.remove(line);
-            match removed {
-                None => removed = Some(r),
-                Some(prev) => debug_assert_eq!(prev, r, "MLT replicas diverged"),
-            }
-        }
-        let removed = removed.unwrap_or(false);
+    /// Removes the line from a column's MLT; returns whether the entry was
+    /// present ("remove failed" drives race retries).
+    pub(crate) fn mlt_remove(&mut self, col: u32, line: &LineAddr) -> bool {
+        let removed = self.mlts[col as usize].remove(line);
         if removed {
             let slot = self.col_slot(col);
             self.trace_point(TracePoint::MltRemove, Some(slot), *line, None, None);
-            self.maybe_delay_replica(col, *line, true);
+            self.maybe_delay_view(col, *line, true);
         }
         removed
     }
 
-    /// Rolls the MLT-delay fault after a successful replica update: one
-    /// randomly chosen replica in the column keeps serving its *pre-update*
-    /// view of the line (`stale_present`) to modified-signal polls until
-    /// the delay window closes. The authoritative replicas stay lockstep —
-    /// only the observation is stale.
-    fn maybe_delay_replica(&mut self, col: u32, line: LineAddr, stale_present: bool) {
+    /// Rolls the MLT-delay fault after a successful table update: one
+    /// randomly chosen controller in the column keeps serving its
+    /// *pre-update* view of the line (`stale_present`) to modified-signal
+    /// polls until the delay window closes. The column's table itself is
+    /// current — only that controller's observation is stale.
+    fn maybe_delay_view(&mut self, col: u32, line: LineAddr, stale_present: bool) {
         if !self.faults.roll_mlt_delay() {
             return;
         }
@@ -129,17 +123,15 @@ impl Machine {
         self.trace_point(TracePoint::MltDelay, Some(slot), line, Some(node), None);
     }
 
-    /// Inserts the line into every MLT replica of a column, handling
-    /// overflow: the overflow victim's holder writes it back and marks it
-    /// shared (the Appendix-A `table overflow` path).
-    pub(crate) fn mlt_insert_all(&mut self, col: u32, op: &BusOp) {
+    /// Inserts the line into a column's MLT, handling overflow: the
+    /// overflow victim's holder writes it back and marks it shared (the
+    /// Appendix-A `table overflow` path).
+    pub(crate) fn mlt_insert(&mut self, col: u32, op: &BusOp) {
         use multicube_mem::MltInsert;
-        let mut overflow: Option<LineAddr> = None;
-        for idx in self.col_nodes(col) {
-            if let MltInsert::Overflow(v) = self.controllers[idx].mlt.insert(op.line) {
-                overflow = Some(v);
-            }
-        }
+        let overflow = match self.mlts[col as usize].insert(op.line) {
+            MltInsert::Overflow(v) => Some(v),
+            MltInsert::Inserted => None,
+        };
         let slot = self.col_slot(col);
         self.trace_point(
             TracePoint::MltInsert,
@@ -148,7 +140,7 @@ impl Machine {
             Some(op.originator),
             Some(op.txn),
         );
-        self.maybe_delay_replica(col, op.line, false);
+        self.maybe_delay_view(col, op.line, false);
         let Some(victim) = overflow else { return };
         self.metrics.mlt_overflows.incr();
         let Some(h_idx) = self.modified_holder_in(col, victim) else {
@@ -317,7 +309,7 @@ impl Machine {
             self.reissue_row_request(&op);
             return;
         }
-        if !self.mlt_remove_all(col, &op.line) {
+        if !self.mlt_remove(col, &op.line) {
             // "if (remove failed) then if (row match) then READ (ROW, REQUEST)"
             self.reissue_row_request(&op);
             return;

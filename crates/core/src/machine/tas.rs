@@ -58,7 +58,7 @@ impl Machine {
             // arbitrates exactly as in READ-MOD: a failed remove means the
             // request retries from the row bus — and crucially the word is
             // only set once the transfer is assured.
-            if !self.mlt_remove_all(col, &op.line) {
+            if !self.mlt_remove(col, &op.line) {
                 self.reissue_row_request(&op);
                 return;
             }

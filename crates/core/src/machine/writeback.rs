@@ -13,7 +13,7 @@ impl Machine {
     /// blocked processor request continues.
     pub(crate) fn on_writeback_col_remove(&mut self, slot: usize, op: BusOp) {
         let col = self.slot_col(slot);
-        let removed = self.mlt_remove_all(col, &op.line);
+        let removed = self.mlt_remove(col, &op.line);
         let idx = op.originator.as_usize();
         debug_assert_eq!(self.controllers[idx].col(), col);
 

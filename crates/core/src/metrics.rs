@@ -109,7 +109,7 @@ pub struct MachineMetrics {
     pub duplicated_ops: Counter,
     /// Memory requests transiently NACKed by failure injection.
     pub memory_nacks: Counter,
-    /// MLT membership changes that left a replica transiently stale.
+    /// MLT membership changes that left a controller's view transiently stale.
     pub mlt_delays: Counter,
     /// Controller blackout windows opened by failure injection.
     pub blackouts: Counter,

@@ -1,7 +1,7 @@
-//! Per-node controller state: the snooping cache, the modified-line-table
-//! replica, and the node's outstanding transaction.
+//! Per-node controller state: the snooping cache and the node's
+//! outstanding transaction.
 
-use multicube_mem::{CacheGeometry, LineAddr, LineVersion, ModifiedLineTable, SetAssocCache};
+use multicube_mem::{CacheGeometry, LineAddr, LineVersion, SetAssocCache};
 use multicube_sim::SimTime;
 use multicube_topology::NodeId;
 use std::collections::VecDeque;
@@ -68,11 +68,12 @@ pub struct Outstanding {
     pub victim: Option<LineAddr>,
 }
 
-/// Per-node controller: snooping cache, MLT replica, outstanding request.
+/// Per-node controller: snooping cache and outstanding request.
 ///
 /// The controller is a passive state container; the protocol procedures in
 /// [`crate::machine`] mutate it. Public accessors exist for tests and
-/// debugging.
+/// debugging. The column's modified line table is held by the machine
+/// ([`crate::Machine::mlt`]).
 #[derive(Debug)]
 pub struct Controller {
     node: NodeId,
@@ -84,8 +85,6 @@ pub struct Controller {
     /// snooping cache, kept consistent by write-through (§2). `None` when
     /// the L1 level is not modelled.
     pub(crate) proc_cache: Option<SetAssocCache<()>>,
-    /// This node's replica of its column's modified line table.
-    pub(crate) mlt: ModifiedLineTable,
     /// Recently evicted/purged lines, eligible for snarfing.
     pub(crate) recent: VecDeque<LineAddr>,
     /// The single outstanding processor transaction.
@@ -107,7 +106,6 @@ impl Controller {
         col: u32,
         cache_geometry: CacheGeometry,
         proc_geometry: Option<CacheGeometry>,
-        mlt_capacity: usize,
     ) -> Self {
         Controller {
             node,
@@ -115,7 +113,6 @@ impl Controller {
             col,
             cache: SetAssocCache::new(cache_geometry),
             proc_cache: proc_geometry.map(SetAssocCache::new),
-            mlt: ModifiedLineTable::new(mlt_capacity),
             recent: VecDeque::new(),
             outstanding: None,
             completed: 0,
@@ -146,12 +143,6 @@ impl Controller {
     /// The line's cached contents, if resident.
     pub fn data_of(&self, line: &LineAddr) -> Option<LineVersion> {
         self.cache.peek(line).map(|l| l.data)
-    }
-
-    /// Whether this node's column MLT replica records the line as modified
-    /// somewhere in this column.
-    pub fn mlt_contains(&self, line: &LineAddr) -> bool {
-        self.mlt.contains(line)
     }
 
     /// The outstanding transaction, if any.
@@ -258,7 +249,7 @@ mod tests {
     use super::*;
 
     fn controller() -> Controller {
-        Controller::new(NodeId::new(5), 1, 1, CacheGeometry::new(2, 2), None, 8)
+        Controller::new(NodeId::new(5), 1, 1, CacheGeometry::new(2, 2), None)
     }
 
     fn line(i: u64) -> LineAddr {

@@ -50,9 +50,9 @@ pub enum TracePoint {
     Retry,
     /// An outstanding READ was poisoned by a purge sweeping past its line.
     Poison,
-    /// The line was inserted into a column's modified-line-table replicas.
+    /// The line was inserted into a column's modified line table.
     MltInsert,
-    /// The line was removed from a column's modified-line-table replicas.
+    /// The line was removed from a column's modified line table.
     MltRemove,
     /// A modified signal was dropped by failure injection.
     SignalDrop,
@@ -66,7 +66,8 @@ pub enum TracePoint {
     /// A controller blackout window opened (the originator field names the
     /// blacked-out node).
     FaultBlackout,
-    /// An MLT membership change left one replica transiently stale.
+    /// An MLT membership change left one controller's view transiently
+    /// stale.
     MltDelay,
     /// The livelock watchdog tripped on a transaction over its retry/age
     /// budget (escalation mode only; fail-fast panics instead).

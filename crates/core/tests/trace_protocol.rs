@@ -73,7 +73,7 @@ fn remote_modified_read_follows_the_appendix_a_chain() {
         events
             .iter()
             .any(|e| e.point == TracePoint::MltRemove && e.line == line),
-        "the column MLT replicas must drop the line"
+        "the column MLT must drop the line"
     );
 }
 

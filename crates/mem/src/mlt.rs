@@ -28,17 +28,18 @@ pub enum MltInsert {
 ///
 /// Implemented as a FIFO-replacement cache of addresses: the paper leaves
 /// the replacement policy open, and FIFO matches its "hardware queues"
-/// simplicity argument. Every controller in a column holds an identical
-/// replica; the protocol keeps replicas in sync by snooping column-bus
-/// INSERT/REMOVE operations.
+/// simplicity argument. In the paper every controller in a column holds an
+/// identical copy, kept in step by snooping column-bus INSERT/REMOVE
+/// operations; since the copies never differ, one table can stand for a
+/// whole column.
 ///
 /// Membership ([`contains`](Self::contains)) and
-/// [`remove`](Self::remove) — the per-bus-operation hot path, executed by
-/// every replica in a column — are O(1) through a hash index; the FIFO
-/// arrival order needed for overflow eviction lives in a queue of
-/// stamp-tagged entries with *lazy deletion*: `remove` only drops the
-/// index entry, and the dead queue slot is skipped at eviction time (and
-/// swept out wholesale once dead slots dominate). The stamp makes a
+/// [`remove`](Self::remove) — the per-bus-operation hot path — are O(1)
+/// through a hash index; the FIFO arrival order needed for overflow
+/// eviction lives in a queue of stamp-tagged entries with *lazy
+/// deletion*: `remove` only drops the index entry, and the dead queue slot
+/// is skipped at eviction time (and swept out wholesale once dead slots
+/// dominate). The stamp makes a
 /// remove-then-reinsert safe — the reinserted line gets a fresh stamp, so
 /// its stale old slot can never be mistaken for the live one.
 ///
@@ -70,9 +71,9 @@ pub struct ModifiedLineTable {
     stamp: u64,
 }
 
-/// Replica equality is *logical*: same capacity and same live entries in
+/// Table equality is *logical*: same capacity and same live entries in
 /// the same FIFO order. Dead queue slots and stamp values are storage
-/// artifacts — two replicas that saw the same INSERT/REMOVE stream must
+/// artifacts — two tables that saw the same INSERT/REMOVE stream must
 /// compare equal even if their compaction histories differ.
 impl PartialEq for ModifiedLineTable {
     fn eq(&self, other: &Self) -> bool {

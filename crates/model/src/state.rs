@@ -318,18 +318,21 @@ impl CoherenceView for StateView<'_> {
             .collect()
     }
 
-    fn registry_sharers(&self) -> Vec<(LineAddr, u32)> {
+    fn registry_sharers(&self) -> Vec<(LineAddr, Vec<NodeId>)> {
         // Derived from the modes, like the owner: the model has no separate
-        // count that could drift.
+        // list that could drift.
         self.state
             .lines
             .iter()
             .enumerate()
             .map(|(l, ls)| {
-                let count = ls.mode.iter().filter(|m| **m == Mode::S).count() as u32;
-                (LineAddr::new(l as u64), count)
+                let nodes: Vec<NodeId> = (0..NODES)
+                    .filter(|&i| ls.mode[i] == Mode::S)
+                    .map(|i| NodeId::new(i as u32))
+                    .collect();
+                (LineAddr::new(l as u64), nodes)
             })
-            .filter(|(_, count)| *count > 0)
+            .filter(|(_, nodes)| !nodes.is_empty())
             .collect()
     }
 
