@@ -25,14 +25,16 @@ use crate::simfig::PointFailure;
 /// Identifies the JSON layout; bump when the schema changes shape.
 /// v2 added the `cube` section (the parallel-DES n³ scaling study); v3
 /// added per-leg full-mode timing records; v4 replaced the legs with one
-/// parallel timing per point, with its round and message counts.
-pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v4";
+/// parallel timing per point, with its round and message counts; v5
+/// stamps the study's `mode`: `"full"` for the committed study, `"quick"`
+/// for any smaller one.
+pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v5";
 
 /// The harness namespace folded into every point seed.
 const NAMESPACE: &str = "scaling";
 
 /// Study parameters: which machines, which operating points.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingStudyConfig {
     /// Grid sides to sweep (`n` ⇒ `n²` processors).
     pub ns: Vec<u32>,
@@ -172,7 +174,7 @@ pub fn run_scaling_study(pool: &Pool, config: &ScalingStudyConfig) -> ScalingStu
 /// Parameters of the parallel-DES cube study: full k = 3 Multicubes of
 /// `side` planes × `side`² processors each, executed through the
 /// conservative plane-sharded scheduler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CubeStudyConfig {
     /// Cube sides to sweep (`n` ⇒ `n³` processors).
     pub sides: Vec<u32>,
@@ -233,6 +235,18 @@ impl CubeStudyConfig {
         // on as a smoke check, the big full-mode cubes turn it off.
         cfg.check = !self.measure;
         cfg
+    }
+}
+
+/// The `mode` a scaling report records: `"full"` for the committed study
+/// ([`ScalingStudyConfig::full`] with a measured [`CubeStudyConfig::full`]
+/// cube at any worker count), `"quick"` for any smaller one.
+fn scaling_mode(config: &ScalingStudyConfig, cube: Option<&CubeStudyConfig>) -> &'static str {
+    let full_cube = cube.is_some_and(|c| *c == CubeStudyConfig::full(c.workers));
+    if *config == ScalingStudyConfig::full() && full_cube {
+        "full"
+    } else {
+        "quick"
     }
 }
 
@@ -510,6 +524,8 @@ pub fn render_scaling_json(study: &ScalingStudy, cube: Option<&CubeStudy>) -> St
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{SCALING_SCHEMA}\",");
+    let mode = scaling_mode(&study.config, cube.map(|c| &c.config));
+    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
     let _ = writeln!(out, "  \"seed\": {},", study.config.seed);
     let _ = writeln!(out, "  \"txns_per_node\": {},", study.config.txns_per_node);
     let ns: Vec<String> = study.config.ns.iter().map(|n| n.to_string()).collect();
@@ -599,9 +615,9 @@ pub fn render_scaling_json(study: &ScalingStudy, cube: Option<&CubeStudy>) -> St
 }
 
 /// Validates that `text` looks like a scaling report this module wrote:
-/// the schema marker, one point per configured `(n, rate)` pair, no
-/// recorded failures, and — when `cube` is given — one fingerprinted cube
-/// point per configured side.
+/// the schema marker, the configuration's mode, one point per
+/// configured `(n, rate)` pair, no recorded failures, and — when `cube` is
+/// given — one fingerprinted cube point per configured side.
 ///
 /// # Errors
 ///
@@ -613,6 +629,10 @@ pub fn validate_scaling_report(
 ) -> Result<(), String> {
     if !text.contains(&format!("\"schema\": \"{SCALING_SCHEMA}\"")) {
         return Err(format!("missing schema marker {SCALING_SCHEMA}"));
+    }
+    let mode = scaling_mode(config, cube);
+    if !text.contains(&format!("\"mode\": \"{mode}\"")) {
+        return Err(format!("expected a {mode}-mode report"));
     }
     let expected = config.ns.len() * config.rates.len();
     let got = text.matches("\"efficiency\":").count();
@@ -712,6 +732,7 @@ mod tests {
         let study = run_scaling_study(&Pool::serial(), &cfg);
         let json = render_scaling_json(&study, None);
         validate_scaling_report(&json, &cfg, None).unwrap();
+        assert!(json.contains("\"mode\": \"quick\""));
         let wrong = ScalingStudyConfig {
             ns: vec![2, 4, 8],
             ..cfg
@@ -797,6 +818,46 @@ mod tests {
             ..cfg.clone()
         };
         assert!(validate_scaling_report(&json, &tiny(), Some(&quick)).is_err());
+    }
+
+    #[test]
+    fn only_the_committed_study_is_full_mode() {
+        let full = ScalingStudyConfig::full();
+        assert_eq!(scaling_mode(&full, Some(&CubeStudyConfig::full(2))), "full");
+        assert_eq!(scaling_mode(&full, Some(&CubeStudyConfig::full(7))), "full");
+        assert_eq!(scaling_mode(&full, None), "quick");
+        assert_eq!(
+            scaling_mode(&full, Some(&CubeStudyConfig::quick(2))),
+            "quick"
+        );
+        let fewer = ScalingStudyConfig {
+            txns_per_node: 10,
+            ..full.clone()
+        };
+        assert_eq!(
+            scaling_mode(&fewer, Some(&CubeStudyConfig::full(2))),
+            "quick"
+        );
+        assert_eq!(
+            scaling_mode(
+                &ScalingStudyConfig::quick(),
+                Some(&CubeStudyConfig::quick(2))
+            ),
+            "quick"
+        );
+        // A quick report does not pass for the full study, nor a report
+        // stamped full for a smaller one.
+        let json = render_scaling_json(&run_scaling_study(&Pool::serial(), &tiny()), None);
+        let full_cube = CubeStudyConfig::full(2);
+        assert_eq!(
+            validate_scaling_report(&json, &full, Some(&full_cube)),
+            Err("expected a full-mode report".to_string())
+        );
+        let stamped = json.replace("\"mode\": \"quick\"", "\"mode\": \"full\"");
+        assert_eq!(
+            validate_scaling_report(&stamped, &tiny(), None),
+            Err("expected a quick-mode report".to_string())
+        );
     }
 
     #[test]

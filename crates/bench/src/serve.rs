@@ -27,8 +27,10 @@ use std::fmt::Write as _;
 
 use crate::simfig::PointFailure;
 
-/// Schema marker for the `BENCH_serve.json` artifact.
-pub const SERVE_SCHEMA: &str = "multicube-bench-serve/v1";
+/// Schema marker for the `BENCH_serve.json` artifact. v2 stamps the
+/// study's `mode`: `"full"` for the committed operating point, `"quick"`
+/// for any smaller one.
+pub const SERVE_SCHEMA: &str = "multicube-bench-serve/v2";
 
 /// The serving-tier applications, in report order.
 pub const SERVE_APPS: [&str; 3] = ["oltp", "web-session", "producer-consumer"];
@@ -65,6 +67,17 @@ impl ServeConfig {
             requests_per_node: 60,
             chunk_records: 128,
             seed: 0x5EED,
+        }
+    }
+
+    /// The `mode` a report of this study records: `"full"` for the
+    /// committed operating point ([`ServeConfig::full`]), `"quick"` for any
+    /// smaller one.
+    fn mode(&self) -> &'static str {
+        if *self == ServeConfig::full() {
+            "full"
+        } else {
+            "quick"
         }
     }
 
@@ -321,6 +334,7 @@ pub fn render_serve_json(study: &ServeStudy) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": \"{SERVE_SCHEMA}\",");
+    let _ = writeln!(out, "  \"mode\": \"{}\",", study.config.mode());
     let _ = writeln!(out, "  \"seed\": {},", study.config.seed);
     let _ = writeln!(out, "  \"n\": {},", study.config.n);
     let _ = writeln!(
@@ -384,8 +398,9 @@ pub fn render_serve_json(study: &ServeStudy) -> String {
 }
 
 /// Validates that `text` looks like a serve report this module wrote:
-/// the schema marker, one row per `(app, policy)` pair each completing
-/// the full per-job quota, both policies present, no failures.
+/// the schema marker, the configuration's mode, one row
+/// per `(app, policy)` pair each completing the full per-job quota, both
+/// policies present, no failures.
 ///
 /// # Errors
 ///
@@ -393,6 +408,10 @@ pub fn render_serve_json(study: &ServeStudy) -> String {
 pub fn validate_serve_report(text: &str, config: &ServeConfig) -> Result<(), String> {
     if !text.contains(&format!("\"schema\": \"{SERVE_SCHEMA}\"")) {
         return Err(format!("missing schema marker {SERVE_SCHEMA}"));
+    }
+    let mode = config.mode();
+    if !text.contains(&format!("\"mode\": \"{mode}\"")) {
+        return Err(format!("expected a {mode}-mode report"));
     }
     let expected = SERVE_APPS.len() * Arbitration::all().len();
     let got = text.matches("\"app\":").count();
@@ -491,6 +510,15 @@ mod tests {
         assert!(validate_serve_report("{}", &cfg).is_err());
         let broken = json.replace("\"failures\": 0", "\"failures\": 1");
         assert!(validate_serve_report(&broken, &cfg).is_err());
+        // The mode is stamped, and only the committed point is full mode.
+        assert!(json.contains("\"mode\": \"quick\""));
+        assert_eq!(ServeConfig::full().mode(), "full");
+        assert_eq!(ServeConfig::quick().mode(), "quick");
+        let stamped = json.replace("\"mode\": \"quick\"", "\"mode\": \"full\"");
+        assert_eq!(
+            validate_serve_report(&stamped, &cfg),
+            Err("expected a quick-mode report".to_string())
+        );
         let text = render_serve("serve", &study);
         assert!(text.contains("fcfs") && text.contains("round-robin"));
         assert!(!text.contains("NaN"), "{text}");

@@ -39,12 +39,20 @@ fn scaling_report_is_the_full_study_at_the_current_schema() {
         Some(&CubeStudyConfig::full(2)),
     )
     .unwrap();
+    assert!(
+        text.contains("\"mode\": \"full\""),
+        "BENCH_scaling.json must come from a full-mode study"
+    );
 }
 
 #[test]
 fn serve_report_is_the_full_study() {
     let text = artifact("BENCH_serve.json");
     validate_serve_report(&text, &ServeConfig::full()).unwrap();
+    assert!(
+        text.contains("\"mode\": \"full\""),
+        "BENCH_serve.json must come from a full-mode study"
+    );
 }
 
 #[test]

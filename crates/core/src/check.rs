@@ -11,8 +11,9 @@
 //!    holds the latest committed write; shared copies hold it too.
 //! 5. **MLT consistency** — every column's replicas agree and contain
 //!    exactly the lines held modified within that column.
-//! 6. **Registry consistency** — the machine's owner registry matches the
-//!    caches (internal sanity for the workload generator).
+//! 6. **Registry consistency** — the machine's owner registry and sharer
+//!    lists match the caches, and its record of which column's MLT lists
+//!    each line matches the tables.
 //! 7. **Escalation hygiene** — no watchdog escalation survives quiescence;
 //!    an escalated transaction that never finished means the fault-free
 //!    retry failed to make progress.
@@ -92,6 +93,19 @@ pub trait CoherenceView {
     /// lists in ascending order (lines with no sharers are omitted).
     fn registry_sharers(&self) -> Vec<(LineAddr, Vec<NodeId>)>;
 
+    /// Every line the registry records as listed in a column's modified
+    /// line table, with that column. The default reads the tables
+    /// themselves, for views that keep no such record.
+    fn registry_mlt_cols(&self) -> Vec<(LineAddr, u32)> {
+        (0..self.side())
+            .flat_map(|col| {
+                self.mlt_lines(NodeId::new(col))
+                    .into_iter()
+                    .map(move |line| (line, col))
+            })
+            .collect()
+    }
+
     /// The arena engines' exclusive-clean (`E`) side table.
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)>;
 
@@ -167,6 +181,10 @@ impl CoherenceView for Machine {
         Machine::registry_sharers(self)
             .map(|(line, nodes)| (line, nodes.to_vec()))
             .collect()
+    }
+
+    fn registry_mlt_cols(&self) -> Vec<(LineAddr, u32)> {
+        Machine::registry_mlt_cols(self).collect()
     }
 
     fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
@@ -252,6 +270,17 @@ pub enum CoherenceViolation {
         /// The nodes actually holding the line shared, ascending.
         caches: Vec<NodeId>,
     },
+    /// The registry's record of which column's modified line table lists a
+    /// line differs from the tables. The unperturbed modified-signal poll
+    /// answers from that record, so a wrong one misroutes requests.
+    MltColumnMismatch {
+        /// The line concerned.
+        line: LineAddr,
+        /// The column the registry records.
+        registry: Option<u32>,
+        /// The columns whose tables list the line, ascending.
+        tables: Vec<u32>,
+    },
     /// A watchdog escalation outlived its transaction: at quiescence every
     /// escalated transaction must have completed (and been cleared), so a
     /// leftover entry means the escalation path failed to make progress.
@@ -309,6 +338,15 @@ impl fmt::Display for CoherenceViolation {
             } => write!(
                 f,
                 "line {line:?}: registry lists sharers {registry:?} but {caches:?} hold it shared"
+            ),
+            CoherenceViolation::MltColumnMismatch {
+                line,
+                registry,
+                tables,
+            } => write!(
+                f,
+                "line {line:?}: registry records MLT column {registry:?} but the tables of \
+                 columns {tables:?} list it"
             ),
             CoherenceViolation::EscalationLeak { txn } => {
                 write!(f, "{txn} still escalated at quiescence")
@@ -374,8 +412,9 @@ fn known_lines(v: &dyn CoherenceView, g: &Gathered) -> Vec<LineAddr> {
 }
 
 /// Registry sanity, both directions: every cache owner is registered,
-/// every registry entry is backed by a modified copy, and the per-line
-/// sharer list names exactly the caches holding shared copies.
+/// every registry entry is backed by a modified copy, the per-line sharer
+/// list names exactly the caches holding shared copies, and the recorded
+/// MLT column names exactly the tables listing the line.
 fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceViolation> {
     let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
     owned_lines.sort_unstable_by_key(|l| l.index());
@@ -416,6 +455,29 @@ fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceVi
                 line,
                 registry: registry.to_vec(),
                 caches: caches.to_vec(),
+            });
+        }
+    }
+    let mut tables: LineMap<Vec<u32>> = LineMap::default();
+    for col in 0..v.side() {
+        for line in v.mlt_lines(NodeId::new(col)) {
+            tables.entry(line).or_default().push(col);
+        }
+    }
+    let recorded: LineMap<u32> = v.registry_mlt_cols().into_iter().collect();
+    let mut listed_lines: Vec<LineAddr> = tables.keys().chain(recorded.keys()).copied().collect();
+    listed_lines.sort_unstable_by_key(|l| l.index());
+    listed_lines.dedup();
+    for line in listed_lines {
+        // Columns are pushed in ascending order, so the slices compare as
+        // sets.
+        let listed = tables.get(&line).map_or(&[][..], Vec::as_slice);
+        let registry = recorded.get(&line).copied();
+        if listed != registry.as_slice() {
+            return Err(CoherenceViolation::MltColumnMismatch {
+                line,
+                registry,
+                tables: listed.to_vec(),
             });
         }
     }

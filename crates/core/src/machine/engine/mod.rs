@@ -104,11 +104,12 @@ pub(crate) struct ArenaOps {
     pub miss: fn(RequestKind) -> OpKind,
 }
 
-/// The request kind behind a transaction (defensive default: `Write`).
+/// The request kind behind a live transaction (defensive default in
+/// release builds: `Write`).
 pub(crate) fn arena_txn_kind(m: &Machine, txn: TxnId) -> RequestKind {
-    m.txn_info(txn)
-        .map(|i| i.kind)
-        .unwrap_or(RequestKind::Write)
+    let info = m.txn_info(txn);
+    debug_assert!(info.is_some(), "{txn} is not live");
+    info.map(|i| i.kind).unwrap_or(RequestKind::Write)
 }
 
 /// Starts an arena transaction: local hit, shared-copy upgrade, dirty

@@ -117,8 +117,6 @@ pub(crate) struct TxnInfo {
     pub poisoned: bool,
     /// Fill the processor cache on completion (word-level accesses).
     pub fill_l1: bool,
-    /// The transaction has completed.
-    pub done: bool,
 }
 
 /// Consolidated per-line protocol registry entry.
@@ -144,6 +142,10 @@ pub(crate) struct LineEntry {
     /// consistent by [`Machine::set_outstanding`] /
     /// [`Machine::clear_outstanding`].
     inflight: u32,
+    /// The column whose modified line table lists the line. At most one
+    /// does (§3), so this answers the unperturbed modified-signal poll
+    /// without asking every row member.
+    mlt_col: Option<u32>,
     /// Latest committed write (value-integrity checking).
     committed: LineVersion,
     /// The designated synchronization word of the line (§4).
@@ -196,9 +198,12 @@ pub struct Machine {
     pub(crate) rng: DeterministicRng,
     txn_seq: u64,
     version_seq: u64,
-    /// Per-transaction bookkeeping: a slab indexed by `TxnId - 1` (ids are
-    /// the dense 1-based issue sequence minted by [`Machine::new_txn`]).
-    txns: Vec<TxnInfo>,
+    /// Bookkeeping of the live transactions: a power-of-two ring indexed
+    /// by `id & (len - 1)`, each entry tagged with its id. Ids are the
+    /// dense 1-based issue sequence minted by [`Machine::new_txn`], so the
+    /// ring only has to span the ids of the transactions still in flight;
+    /// a finished transaction's slot is free.
+    txns: Vec<Option<(TxnId, TxnInfo)>>,
     /// The per-line protocol registry (see [`LineEntry`]).
     lines: LineMap<LineEntry>,
     /// Sampling support: all currently owned lines.
@@ -875,6 +880,30 @@ impl Machine {
         self.lines.get(&line).and_then(|e| e.owner)
     }
 
+    /// The column whose modified line table lists `line`, per the registry.
+    pub(crate) fn registry_mlt_col(&self, line: LineAddr) -> Option<u32> {
+        self.lines.get(&line).and_then(|e| e.mlt_col)
+    }
+
+    /// Every line the registry records in a column's table, with the column.
+    pub(crate) fn registry_mlt_cols(&self) -> impl Iterator<Item = (LineAddr, u32)> + '_ {
+        self.lines
+            .iter()
+            .filter_map(|(l, e)| e.mlt_col.map(|col| (*l, col)))
+    }
+
+    /// Records which column's table lists `line` (`None`: no table does).
+    /// A line is listed in at most one column.
+    pub(crate) fn set_registry_mlt_col(&mut self, line: LineAddr, col: Option<u32>) {
+        let e = self.line_entry(line);
+        debug_assert!(
+            col.is_none() || e.mlt_col.is_none_or(|listed| Some(listed) == col),
+            "{line:?} is listed in the MLTs of columns {:?} and {col:?}",
+            e.mlt_col
+        );
+        e.mlt_col = col;
+    }
+
     /// All registry entries (line, owner).
     pub(crate) fn registry_entries(&self) -> impl Iterator<Item = (LineAddr, NodeId)> + '_ {
         self.lines
@@ -1094,7 +1123,9 @@ impl Machine {
         // Under requested-word-first / pieces modes, the originator's write
         // may already have committed before the full block finishes its
         // final bus operation; the carried (pre-write) data is then
-        // legitimately older than the committed version.
+        // legitimately older than the committed version. Once the write has
+        // finished it is absent here and the check below runs, which older
+        // data passes: only `next_version` advances the committed version.
         if let Some(info) = self.txn_info(op.txn) {
             if info.installed && info.kind != crate::driver::RequestKind::Read {
                 return;
@@ -1232,10 +1263,7 @@ impl Machine {
         if !self.originator_on_bus(slot, op) {
             return;
         }
-        let Some(info) = self.txn_info(op.txn) else {
-            return;
-        };
-        if info.done {
+        if self.txn_info(op.txn).is_none() {
             return;
         }
         let t = self.config.timing();
@@ -1252,10 +1280,8 @@ impl Machine {
         if !op.kind.completes_originator() || !self.originator_on_bus(slot, op) {
             return;
         }
-        if let Some(info) = self.txn_info(op.txn) {
-            if !info.done {
-                self.install_and_finish(op.originator, op.txn, op.data, true, false);
-            }
+        if self.txn_info(op.txn).is_some() {
+            self.install_and_finish(op.originator, op.txn, op.data, true, false);
         }
     }
 
@@ -1304,7 +1330,7 @@ impl Machine {
         let Some(info) = self.txn_info(txn) else {
             return;
         };
-        if info.done || self.faults.is_escalated(txn) {
+        if self.faults.is_escalated(txn) {
             return;
         }
         let age_ns = self.now().saturating_since(info.start).as_nanos();
@@ -1381,7 +1407,7 @@ impl Machine {
             }
             let txn = out.txn;
             if let Some(info) = self.txn_info_mut(txn) {
-                if !info.done && !info.installed {
+                if !info.installed {
                     info.poisoned = true;
                     self.trace_point(TracePoint::Poison, None, line, Some(node), Some(txn));
                 }
@@ -1396,12 +1422,15 @@ impl Machine {
     pub(crate) fn new_txn(&mut self, node: NodeId, req: Request) -> TxnId {
         self.txn_seq += 1;
         let txn = TxnId(self.txn_seq);
-        debug_assert_eq!(
-            self.txns.len() as u64 + 1,
-            self.txn_seq,
-            "txn slab out of step with the id sequence"
-        );
-        self.txns.push(TxnInfo {
+        while self
+            .txns
+            .get(self.txn_slot(txn))
+            .is_none_or(Option::is_some)
+        {
+            self.grow_txns();
+        }
+        let slot = self.txn_slot(txn);
+        let info = TxnInfo {
             node,
             kind: req.kind,
             line: req.line,
@@ -1415,26 +1444,46 @@ impl Machine {
             installed: false,
             poisoned: false,
             fill_l1: false,
-            done: false,
-        });
+        };
+        self.txns[slot] = Some((txn, info));
         txn
     }
 
-    /// Bookkeeping for `txn`; `None` for ids this machine never minted.
-    ///
-    /// Ids are the dense 1-based issue sequence, so the slab index is
-    /// `id - 1`; the `checked_sub` keeps a foreign `TxnId(0)` (tests build
-    /// arbitrary ids) from underflowing.
+    /// The ring slot `txn` maps to (out of range while the ring is empty).
     #[inline]
-    pub(crate) fn txn_info(&self, txn: TxnId) -> Option<&TxnInfo> {
-        self.txns.get(txn.0.checked_sub(1)? as usize)
+    fn txn_slot(&self, txn: TxnId) -> usize {
+        txn.0 as usize & self.txns.len().wrapping_sub(1)
     }
 
-    /// Mutable access to `txn`'s bookkeeping.
+    /// Doubles the transaction ring, re-seating every live entry. Live ids
+    /// that differ modulo the old length differ modulo the new one too.
+    fn grow_txns(&mut self) {
+        let len = (self.txns.len() * 2).max(1);
+        let old = std::mem::replace(&mut self.txns, vec![None; len]);
+        for (txn, info) in old.into_iter().flatten() {
+            let slot = self.txn_slot(txn);
+            self.txns[slot] = Some((txn, info));
+        }
+    }
+
+    /// Bookkeeping for `txn`; `None` unless it is live (minted by this
+    /// machine and not yet finished).
+    #[inline]
+    pub(crate) fn txn_info(&self, txn: TxnId) -> Option<&TxnInfo> {
+        match self.txns.get(self.txn_slot(txn))? {
+            Some((id, info)) if *id == txn => Some(info),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to `txn`'s bookkeeping while it is live.
     #[inline]
     pub(crate) fn txn_info_mut(&mut self, txn: TxnId) -> Option<&mut TxnInfo> {
-        let idx = txn.0.checked_sub(1)?;
-        self.txns.get_mut(idx as usize)
+        let slot = self.txn_slot(txn);
+        match self.txns.get_mut(slot)? {
+            Some((id, info)) if *id == txn => Some(info),
+            _ => None,
+        }
     }
 
     /// Whether `txn` is still the node's outstanding transaction in the
@@ -1467,10 +1516,8 @@ impl Machine {
         if !self.txn_outstanding(node, txn) {
             return;
         }
+        // An outstanding transaction has not finished, so it is live.
         let info = self.txn_info(txn).expect("txn info").clone();
-        if info.done {
-            return;
-        }
         if info.poisoned {
             if is_final {
                 if let Some(i) = self.txn_info_mut(txn) {
@@ -1508,30 +1555,27 @@ impl Machine {
     }
 
     /// Marks the transaction complete: metrics, completion record,
-    /// synthetic-workload follow-up.
+    /// synthetic-workload follow-up. Its ring slot is freed, so from here
+    /// on [`Self::txn_info`] reads it as absent.
     pub(crate) fn finish_txn(&mut self, node: NodeId, txn: TxnId, success: bool) {
         let now = self.now();
         let out = self.clear_outstanding(node.as_usize());
         debug_assert!(out.map(|o| o.txn == txn).unwrap_or(false));
         self.controllers[node.as_usize()].completed += 1;
 
-        let (latency, kind, line, fill_l1) = {
-            let info = self.txn_info_mut(txn).expect("txn info");
-            info.done = true;
-            // saturating_since, matching the watchdog's age computation: a
-            // transaction finishing at its own start instant (zero-latency
-            // local path) must report age 0, never wrap.
-            (
-                now.saturating_since(info.start),
-                info.kind,
-                info.line,
-                info.fill_l1,
-            )
+        let slot = self.txn_slot(txn);
+        let info = match self.txns[slot].take() {
+            Some((id, info)) if id == txn => info,
+            _ => panic!("{txn} finished but is not live"),
         };
-        if fill_l1 {
+        // saturating_since, matching the watchdog's age computation: a
+        // transaction finishing at its own start instant (zero-latency
+        // local path) must report age 0, never wrap.
+        let latency = now.saturating_since(info.start);
+        let (kind, line) = (info.kind, info.line);
+        if info.fill_l1 {
             self.controllers[node.as_usize()].l1_fill(line);
         }
-        let info = self.txn_info(txn).expect("txn info").clone();
         self.metrics.bucket(kind, info.served, success).record(
             latency.as_nanos(),
             info.bus_ops,
@@ -1686,6 +1730,82 @@ mod tests {
         };
         assert_eq!(m.check_coherence(), Err(expected.clone()));
         assert_eq!(crate::check::check_midflight(&m), Err(expected));
+    }
+
+    #[test]
+    fn checker_reports_a_wrong_mlt_column() {
+        let mut m = machine(2);
+        let line = LineAddr::new(6);
+        // Node 1 sits in column 1, whose table lists the line it writes
+        // once the insertion behind the row delivery has crossed the bus.
+        m.submit(NodeId::new(1), Request::write(line)).unwrap();
+        m.run_to_quiescence();
+        assert_eq!(m.registry_mlt_col(line), Some(1));
+        m.check_coherence().unwrap();
+
+        m.line_entry(line).mlt_col = Some(0);
+        let expected = CoherenceViolation::MltColumnMismatch {
+            line,
+            registry: Some(0),
+            tables: vec![1],
+        };
+        assert_eq!(m.check_coherence(), Err(expected.clone()));
+        assert_eq!(crate::check::check_midflight(&m), Err(expected));
+
+        // A column recorded for a line no table lists is caught too.
+        m.line_entry(line).mlt_col = Some(1);
+        let shared = LineAddr::new(7);
+        m.submit(NodeId::new(0), Request::read(shared)).unwrap();
+        m.run_to_quiescence();
+        m.check_coherence().unwrap();
+        m.line_entry(shared).mlt_col = Some(0);
+        assert_eq!(
+            m.check_coherence(),
+            Err(CoherenceViolation::MltColumnMismatch {
+                line: shared,
+                registry: Some(0),
+                tables: vec![],
+            })
+        );
+    }
+
+    #[test]
+    fn the_transaction_ring_holds_only_live_transactions() {
+        // Every node issues back to back, so four transactions are live at
+        // once and their ids drift apart as they race for lines.
+        let mut m = machine(2);
+        let request = |i: u64| {
+            if i.is_multiple_of(3) {
+                Request::write(LineAddr::new(i % 5))
+            } else {
+                Request::read(LineAddr::new(i % 7))
+            }
+        };
+        for node in 0..4 {
+            m.submit(NodeId::new(node), request(u64::from(node)))
+                .unwrap();
+        }
+        let mut max_live = 0;
+        for i in 4..20_000 {
+            let done = m.advance().expect("a transaction completes");
+            assert!(
+                m.txn_info(done.txn).is_none(),
+                "a finished id reads as absent"
+            );
+            let txn = m.submit(done.node, request(i)).unwrap();
+            assert!(m.txn_info(txn).is_some(), "a submitted transaction is live");
+            max_live = max_live.max(m.txns.iter().flatten().count());
+        }
+        m.run_to_quiescence();
+        assert_eq!(max_live, 4);
+        assert!(
+            m.txns.len() <= 64,
+            "the ring grew to {} slots",
+            m.txns.len()
+        );
+        assert!(m.txns.iter().all(Option::is_none));
+        assert!(m.txn_info(TxnId(0)).is_none() && m.txn_info(TxnId(20_000)).is_none());
+        m.check_coherence().unwrap();
     }
 
     #[test]

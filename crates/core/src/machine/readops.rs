@@ -22,15 +22,50 @@ impl Machine {
     /// pending delayed update answer from their stale view, and the §3 drop
     /// ("a controller can, on occasion, simply discard such requests
     /// without breaking the protocol") loses the whole signal.
+    ///
+    /// Without an active fault plan every member answers from its column's
+    /// current table, so the signal names the one column listing the line,
+    /// which the registry records: the poll is one lookup, and debug
+    /// builds walk the row to confirm it.
     pub(crate) fn poll_modified_signal(
         &mut self,
         row: u32,
         line: &LineAddr,
         txn: crate::proto::TxnId,
     ) -> Option<u32> {
+        let found = if self.faults.plan().is_active() {
+            self.walk_modified_signal(row, line, txn)
+        } else {
+            let col = self.registry_mlt_col(*line);
+            debug_assert_eq!(
+                col,
+                self.row_nodes(row)
+                    .map(|idx| self.controllers[idx].col())
+                    .find(|&c| self.mlts[c as usize].contains(line)),
+                "registry's MLT column for {line:?} diverged from row {row}'s poll"
+            );
+            col
+        };
+        if found.is_some() && self.faults.drop_signal(txn) {
+            self.metrics.dropped_signals.incr();
+            let slot = self.row_slot(row);
+            self.trace_point(TracePoint::SignalDrop, Some(slot), *line, None, None);
+            return None;
+        }
+        found
+    }
+
+    /// The perturbed poll: asks each row member in turn, skipping
+    /// blacked-out ones and letting a member with a stale view answer from
+    /// it. Every member is asked, so each expired stale view is swept.
+    fn walk_modified_signal(
+        &mut self,
+        row: u32,
+        line: &LineAddr,
+        txn: crate::proto::TxnId,
+    ) -> Option<u32> {
         let now = self.now();
-        let mut found: Option<u32> = None;
-        let perturbed = self.faults.plan().is_active();
+        let mut found = None;
         for idx in self.row_nodes(row) {
             if self.faults.in_blackout(idx, txn, now) {
                 continue;
@@ -40,24 +75,9 @@ impl Machine {
                 Some(stale) => stale,
                 None => self.mlts[col as usize].contains(line),
             };
-            if present {
-                debug_assert!(
-                    found.is_none() || perturbed,
-                    "two columns claim {line:?} modified"
-                );
-                if found.is_none() {
-                    found = Some(col);
-                }
-                if !cfg!(debug_assertions) && !perturbed {
-                    break;
-                }
+            if present && found.is_none() {
+                found = Some(col);
             }
-        }
-        if found.is_some() && self.faults.drop_signal(txn) {
-            self.metrics.dropped_signals.incr();
-            let slot = self.row_slot(row);
-            self.trace_point(TracePoint::SignalDrop, Some(slot), *line, None, None);
-            return None;
         }
         found
     }
@@ -95,6 +115,8 @@ impl Machine {
     pub(crate) fn mlt_remove(&mut self, col: u32, line: &LineAddr) -> bool {
         let removed = self.mlts[col as usize].remove(line);
         if removed {
+            debug_assert_eq!(self.registry_mlt_col(*line), Some(col));
+            self.set_registry_mlt_col(*line, None);
             let slot = self.col_slot(col);
             self.trace_point(TracePoint::MltRemove, Some(slot), *line, None, None);
             self.maybe_delay_view(col, *line, true);
@@ -132,6 +154,10 @@ impl Machine {
             MltInsert::Overflow(v) => Some(v),
             MltInsert::Inserted => None,
         };
+        if let Some(victim) = overflow {
+            self.set_registry_mlt_col(victim, None);
+        }
+        self.set_registry_mlt_col(op.line, Some(col));
         let slot = self.col_slot(col);
         self.trace_point(
             TracePoint::MltInsert,
@@ -177,8 +203,8 @@ impl Machine {
     pub(crate) fn reissue_row_request(&mut self, op: &BusOp) {
         // A lost-op reissue can race the transaction's own completion (a
         // duplicate or late path may have finished it): never retry a
-        // transaction that is done or unknown.
-        if self.txn_info(op.txn).map(|i| i.done).unwrap_or(true) {
+        // transaction that is not live.
+        if self.txn_info(op.txn).is_none() {
             return;
         }
         self.note_retry(op.txn);

@@ -49,7 +49,7 @@ impl Machine {
     /// their own traffic via [`Machine::advance_until`].
     pub(crate) fn begin_synthetic(&mut self, spec: &SyntheticSpec, txns_per_node: u64) {
         assert!(
-            !self.events_pending() && self.txns.is_empty(),
+            !self.events_pending() && self.txn_seq == 0,
             "run_synthetic requires a fresh machine"
         );
         let nn = (self.n * self.n) as usize;

@@ -19,8 +19,9 @@ use multicube_topology::NodeId;
 pub struct TxnId(pub u64);
 
 /// A deterministic fast-hash map keyed by [`TxnId`] (see
-/// `multicube_sim::hash`). The machine's own bookkeeping uses a dense slab
-/// instead; this alias is for sparse transaction-keyed side tables.
+/// `multicube_sim::hash`). The machine's own bookkeeping uses a ring of
+/// live transactions indexed by id instead; this alias is for sparse
+/// transaction-keyed side tables.
 pub type TxnMap<V> = multicube_sim::FxHashMap<TxnId, V>;
 
 /// A deterministic fast-hash set of [`TxnId`]s.

@@ -25,10 +25,16 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if either parameter is zero.
+    /// Panics if either parameter is zero, or if `sets` exceeds
+    /// `u16::MAX` (the set directory numbers sets' blocks in 16 bits).
     pub fn new(sets: u32, ways: u32) -> Self {
         assert!(sets > 0, "cache needs at least one set");
         assert!(ways > 0, "cache needs at least one way");
+        assert!(
+            sets <= u32::from(u16::MAX),
+            "cache has {sets} sets; the set directory supports at most {}",
+            u16::MAX
+        );
         CacheGeometry { sets, ways }
     }
 
@@ -94,12 +100,17 @@ type Slot<M> = Option<Way<M>>;
 /// "invalid" — the protocol never stores an explicit invalid mode.
 ///
 /// Storage is one slot arena per cache. A set owns a block of `ways`
-/// consecutive slots, allocated on its first insertion; a set that was
-/// never written costs only its 4-byte block number. The arena is a list
-/// of segments of 4, 8, 16, ... up to 64 blocks, each allocated once at its
-/// final size, so growth never copies or frees slots. Within a block the
-/// resident ways form a prefix, kept in insertion order with swap-removal,
-/// so iteration order matches a per-set vector exactly.
+/// consecutive slots, allocated on its first insertion. A two-level sparse
+/// directory finds a set's block: one entry per page of 64 sets, and a
+/// page of block numbers allocated on the first insertion into any of its
+/// sets. A cache of 1,024 sets costs nothing until its first insertion,
+/// then 32 bytes of directory plus 128 bytes per page it has written, so a
+/// cache that saw a handful of sets costs a few hundred bytes, not one
+/// entry per set. The arena is a list of segments of 4, 8, 16, ... up to
+/// 64 blocks, each allocated once at its final size, so growth never
+/// copies or frees slots. Within a block the resident ways form a prefix,
+/// kept in insertion order with swap-removal, so iteration order matches a
+/// per-set vector exactly.
 ///
 /// # Example
 ///
@@ -117,8 +128,15 @@ type Slot<M> = Option<Way<M>>;
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     geometry: CacheGeometry,
-    /// Per set: 0 if never written, else 1 + the number of its block.
-    blocks: Vec<u32>,
+    /// The set directory, then its pages, in one vector, allocated on the
+    /// first insertion (empty until then), so a machine built on one thread
+    /// and run on another allocates and grows it on the running thread
+    /// only. The first `sets.div_ceil(PAGE_SETS)` entries hold, per page of
+    /// sets, 0 if no set of the page was ever written, else 1 + the page's
+    /// number. Page `p` is the [`PAGE_SETS`] entries after the directory's
+    /// end at offset `p * PAGE_SETS`; each holds, per set, 0 if never
+    /// written, else 1 + the number of its block.
+    index: Vec<u16>,
     /// The slot arena, in segments (see [`segment_of`]).
     segments: Vec<Vec<Slot<M>>>,
     /// Blocks allocated so far.
@@ -132,7 +150,7 @@ impl<M> SetAssocCache<M> {
     pub fn new(geometry: CacheGeometry) -> Self {
         SetAssocCache {
             geometry,
-            blocks: vec![0; geometry.sets() as usize],
+            index: Vec::new(),
             segments: Vec::new(),
             allocated: 0,
             clock: 0,
@@ -160,13 +178,19 @@ impl<M> SetAssocCache<M> {
         NonZeroU64::new(self.clock).expect("clock starts at 1")
     }
 
+    /// Position in `index` of `set`'s block number, if its page exists.
+    #[inline]
+    fn block_entry(&self, set: usize) -> Option<usize> {
+        let page = self.index.get(set / PAGE_SETS)?.checked_sub(1)? as usize;
+        Some(directory_len(self.geometry) + page * PAGE_SETS + set % PAGE_SETS)
+    }
+
     /// Segment index and slot offset of a set's block, if the set was
     /// ever written.
     #[inline]
     fn locate(&self, set: usize) -> Option<(usize, usize)> {
-        let block = self.blocks[set].checked_sub(1)? as usize;
-        let (segment, first) = segment_of(block);
-        Some((segment, (block - first) * self.geometry.ways() as usize))
+        let block = self.index[self.block_entry(set)?].checked_sub(1)?;
+        Some(block_slots(block as usize, self.geometry.ways() as usize))
     }
 
     /// The slots of `line`'s set (empty if the set was never written).
@@ -189,24 +213,41 @@ impl<M> SetAssocCache<M> {
         }
     }
 
-    /// The slots of `line`'s set, allocating its block on first use. A new
-    /// segment is sized once, capped at the sets still without a block.
+    /// The slots of `line`'s set, allocating its page and block on first
+    /// use. A new segment is sized once, capped at the sets still without
+    /// a block.
     fn set_ways_alloc(&mut self, line: &LineAddr) -> &mut [Slot<M>] {
         let set = self.geometry.set_of(*line);
-        if self.blocks[set] == 0 {
+        let entry = match self.block_entry(set) {
+            Some(entry) => entry,
+            None => {
+                if self.index.is_empty() {
+                    let directory = directory_len(self.geometry);
+                    self.index.reserve_exact(directory + PAGE_SETS);
+                    self.index.resize(directory, 0);
+                }
+                let page = (self.index.len() - directory_len(self.geometry)) / PAGE_SETS;
+                self.index[set / PAGE_SETS] = page as u16 + 1;
+                self.index.resize(self.index.len() + PAGE_SETS, 0);
+                self.block_entry(set).expect("page just allocated")
+            }
+        };
+        if self.index[entry] == 0 {
             let ways = self.geometry.ways() as usize;
             let block = self.allocated;
             let (segment, _) = segment_of(block);
             if segment == self.segments.len() {
-                let blocks = (MIN_SEGMENT_BLOCKS << segment)
+                let blocks = (MIN_SEGMENT_BLOCKS << segment.min(DOUBLING_SEGMENTS))
                     .min(MAX_SEGMENT_BLOCKS)
-                    .min(self.blocks.len() - block);
+                    .min(self.geometry.sets() as usize - block);
                 self.segments.push(Vec::with_capacity(blocks * ways));
             }
             let slots = &mut self.segments[segment];
             slots.resize_with(slots.len() + ways, || None);
             self.allocated += 1;
-            self.blocks[set] = block as u32 + 1;
+            // Blocks number sets, and `CacheGeometry::new` caps the set
+            // count at `u16::MAX`, so `block + 1` fits.
+            self.index[entry] = block as u16 + 1;
         }
         self.set_ways_mut(line)
     }
@@ -306,8 +347,8 @@ impl<M> SetAssocCache<M> {
     /// Iterates over all resident `(line, meta)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
         let ways = self.geometry.ways() as usize;
-        (0..self.blocks.len())
-            .filter_map(move |set| self.locate(set))
+        written_blocks(&self.index, self.geometry)
+            .map(move |block| block_slots(block, ways))
             .flat_map(move |(segment, off)| resident(&self.segments[segment][off..off + ways]))
             .map(|w| (w.line, &w.meta))
     }
@@ -316,10 +357,8 @@ impl<M> SetAssocCache<M> {
     pub fn drain(&mut self) -> Vec<(LineAddr, M)> {
         let ways = self.geometry.ways() as usize;
         let mut out = Vec::with_capacity(self.len);
-        for set in 0..self.blocks.len() {
-            let Some((segment, off)) = self.locate(set) else {
-                continue;
-            };
+        for block in written_blocks(&self.index, self.geometry) {
+            let (segment, off) = block_slots(block, ways);
             for slot in &mut self.segments[segment][off..off + ways] {
                 let Some(w) = slot.take() else { break };
                 out.push((w.line, w.meta));
@@ -338,6 +377,37 @@ impl<M> SetAssocCache<M> {
     }
 }
 
+/// Sets per page of the set directory.
+const PAGE_SETS: usize = 64;
+
+/// Entries of the set directory proper: one per page of sets.
+#[inline]
+fn directory_len(geometry: CacheGeometry) -> usize {
+    (geometry.sets() as usize).div_ceil(PAGE_SETS)
+}
+
+/// The blocks of a cache's written sets, in ascending set order: only
+/// allocated pages are visited.
+fn written_blocks(index: &[u16], geometry: CacheGeometry) -> impl Iterator<Item = usize> + '_ {
+    // An unwritten cache has not allocated its directory yet.
+    let (directory, pages) = index.split_at(directory_len(geometry).min(index.len()));
+    directory
+        .iter()
+        .filter_map(|&page| page.checked_sub(1))
+        .flat_map(move |page| {
+            let first = page as usize * PAGE_SETS;
+            &pages[first..first + PAGE_SETS]
+        })
+        .filter_map(|&block| block.checked_sub(1).map(usize::from))
+}
+
+/// Segment index and slot offset of block `block` of `ways` slots.
+#[inline]
+fn block_slots(block: usize, ways: usize) -> (usize, usize) {
+    let (segment, first) = segment_of(block);
+    (segment, (block - first) * ways)
+}
+
 /// Blocks in the first arena segment: enough for the handful of sets a
 /// lightly used cache touches, in one allocation.
 const MIN_SEGMENT_BLOCKS: usize = 4;
@@ -349,6 +419,9 @@ const MAX_SEGMENT_BLOCKS: usize = 64;
 /// Blocks held by the doubling segments, `MIN..=MAX` blocks each.
 const DOUBLING_BLOCKS: usize = 2 * MAX_SEGMENT_BLOCKS - MIN_SEGMENT_BLOCKS;
 
+/// Doublings from the first segment's size to the largest's.
+const DOUBLING_SEGMENTS: usize = (MAX_SEGMENT_BLOCKS / MIN_SEGMENT_BLOCKS).ilog2() as usize;
+
 /// The arena segment holding block `block`, and the segment's first block.
 /// Segment `k` holds `MIN_SEGMENT_BLOCKS << k` blocks up to
 /// [`MAX_SEGMENT_BLOCKS`]; every later segment holds that many.
@@ -359,8 +432,10 @@ fn segment_of(block: usize) -> (usize, usize) {
         (segment, MIN_SEGMENT_BLOCKS * ((1 << segment) - 1))
     } else {
         let past = (block - DOUBLING_BLOCKS) / MAX_SEGMENT_BLOCKS;
-        let doubling = (MAX_SEGMENT_BLOCKS / MIN_SEGMENT_BLOCKS).ilog2() as usize + 1;
-        (doubling + past, DOUBLING_BLOCKS + past * MAX_SEGMENT_BLOCKS)
+        (
+            DOUBLING_SEGMENTS + 1 + past,
+            DOUBLING_BLOCKS + past * MAX_SEGMENT_BLOCKS,
+        )
     }
 }
 
@@ -522,13 +597,21 @@ mod tests {
         assert_eq!(size_of::<Slot<(u8, u64)>>(), size_of::<Way<(u8, u64)>>());
     }
 
+    /// Directory pages a cache has allocated.
+    fn pages<M>(c: &SetAssocCache<M>) -> usize {
+        c.index.len().saturating_sub(directory_len(c.geometry)) / PAGE_SETS
+    }
+
     #[test]
     fn untouched_sets_allocate_nothing() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
+        assert_eq!(pages(&c), 0);
+        assert_eq!(c.index.capacity(), 0, "the directory waits for a write");
         assert!(c.peek(&line(5)).is_none());
         assert!(c.victim_for(&line(5)).is_none());
         assert!(c.remove(&line(5)).is_none());
         assert!(c.segments.is_empty());
+        assert_eq!(pages(&c), 0);
         c.insert(line(5), 5);
         c.insert(line(5 + 1024), 6);
         assert_eq!(c.allocated, 1);
@@ -541,6 +624,63 @@ mod tests {
             c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
             [5, 1029, 6, 7]
         );
+    }
+
+    #[test]
+    fn pages_are_allocated_on_first_write_to_any_of_their_sets() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
+        // Sets 3, 900, 70, 64 and 1023 lie in pages 0, 14, 1, 1 and 15.
+        for (k, set) in [3u64, 900, 70, 64, 1023].into_iter().enumerate() {
+            c.insert(line(set), k as u32);
+            c.insert(line(set + 1024), k as u32);
+        }
+        assert_eq!(pages(&c), 4);
+        assert_eq!(c.allocated, 5);
+        // Ascending set order, whatever the order of first writes.
+        assert_eq!(
+            c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
+            [3, 1027, 64, 1088, 70, 1094, 900, 1924, 1023, 2047]
+        );
+        let drained: Vec<u64> = c.drain().into_iter().map(|(l, _)| l.index()).collect();
+        assert_eq!(
+            drained,
+            [3, 1027, 64, 1088, 70, 1094, 900, 1924, 1023, 2047]
+        );
+        assert!(c.is_empty() && c.iter().next().is_none());
+    }
+
+    #[test]
+    fn a_partial_last_page_covers_the_remaining_sets() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(65, 1));
+        c.insert(line(64), 64);
+        assert_eq!(c.index.len(), 2 + PAGE_SETS);
+        assert_eq!(pages(&c), 1);
+        c.insert(line(0), 0);
+        assert_eq!(pages(&c), 2);
+        assert_eq!(c.insert(line(129), 129).map(|e| e.line), Some(line(64)));
+        assert_eq!(
+            c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
+            [0, 129]
+        );
+    }
+
+    #[test]
+    fn the_largest_geometry_numbers_every_block() {
+        let sets = u64::from(u16::MAX);
+        let mut c: SetAssocCache<u64> = SetAssocCache::new(CacheGeometry::new(sets as u32, 1));
+        for set in (0..sets).rev() {
+            c.insert(line(set), set);
+        }
+        assert_eq!(c.allocated, sets as usize);
+        assert_eq!(pages(&c), 1024);
+        assert!((0..sets).all(|set| c.peek(&line(set)) == Some(&set)));
+        assert!(c.iter().map(|(l, _)| l.index()).eq(0..sets));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65535")]
+    fn sets_beyond_the_directory_limit_panic() {
+        let _ = CacheGeometry::new(65_536, 1);
     }
 
     #[test]

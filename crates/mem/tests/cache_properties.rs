@@ -192,6 +192,17 @@ proptest! {
         run_differential(1024, 4, ops);
     }
 
+    /// Set counts that span several 64-set directory pages and end in a
+    /// partial page, mapped by modulo rather than a mask.
+    #[test]
+    fn arena_matches_vec_of_vecs_paged(
+        ops in diff_ops(4 * 130),
+        sets in prop_oneof![Just(65u32), Just(100), Just(130)],
+        ways in 1u32..4,
+    ) {
+        run_differential(sets, ways, ops);
+    }
+
     /// Tiny geometries, where every insert past the first few evicts.
     #[test]
     fn arena_matches_vec_of_vecs_tiny(
