@@ -13,15 +13,15 @@
 //!             1024-processor scaling study (writes BENCH_scaling.json;
 //!             override the path with --scaling-out)
 //!   sync      E-4.1: lock traffic, spinning vs distributed queue
-//!   baseline  E-1.1: single-bus multi vs Multicube
+//!   baseline  E-1.1: single-bus write-once multi vs Multicube
 //!   ablations A-1..A-3: MLT sizing, signal-drop robustness, snarfing
 //!   faults    A-2+: composite fault sweep — latency/retries vs fault rate
 //!   kdim      E-6.1: the k-dimensional Multicube model (§6 future work)
 //!   telemetry per-bus utilization/queueing + per-class latency histograms
 //!             and resilience counters (retries, backoff, watchdog)
-//!   shootout  protocol shootout — Multicube vs single-bus MESI vs Dragon
-//!             on identical seeded workloads (writes BENCH_shootout.csv;
-//!             override the path with --shootout-out)
+//!   shootout  protocol shootout — Multicube vs single-bus MESI, Dragon
+//!             and write-once on identical seeded workloads (writes
+//!             BENCH_shootout.csv; override the path with --shootout-out)
 //!   serve     S-3: the trace-driven serving tier — production-shaped
 //!             streams replayed from chunked v2 traces under FCFS vs
 //!             round-robin arbitration, 10^7+ transactions in full mode
@@ -467,7 +467,7 @@ fn telemetry(opts: &Options) {
     }
 }
 
-/// The protocol shootout: all three engines on identical seeded
+/// The protocol shootout: all four engines on identical seeded
 /// workloads, written as `BENCH_shootout.csv` alongside the printed
 /// table (see `multicube_bench::shootout` for the methodology).
 fn shootout(opts: &Options) {
@@ -477,7 +477,7 @@ fn shootout(opts: &Options) {
         "{}",
         render_shootout(
             &format!(
-                "Shootout: Multicube grid vs single-bus MESI vs single-bus Dragon \
+                "Shootout: Multicube grid vs single-bus MESI, Dragon and write-once \
                  (n = {n}, identical workloads per rate)"
             ),
             &s

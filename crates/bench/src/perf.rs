@@ -162,8 +162,7 @@ fn measure(
 
 /// The `machine_1k_transactions` kernel: 1000 mixed read/write requests
 /// round-robined over a 4×4 grid, then drained to quiescence. This is the
-/// headline number optimization PRs are judged against (same body as the
-/// criterion `machine_1k_transactions` bench).
+/// headline number optimization PRs are judged against.
 ///
 /// Deliberately NOT scaled down in quick mode: this is the kernel the CI
 /// regression guard compares against the committed full-mode report, and

@@ -1,9 +1,9 @@
-//! The protocol shootout: Multicube vs single-bus MESI vs single-bus
-//! Dragon on *identical* workloads.
+//! The protocol shootout: Multicube vs single-bus MESI, Dragon and
+//! write-once on *identical* workloads.
 //!
 //! Every engine runs the same `(grid side, rate)` matrix, and — the key
 //! methodological point — each `(n, rate)` cell derives its seed from the
-//! sweep stream *without* folding in the engine label. The three engines
+//! sweep stream *without* folding in the engine label. The four engines
 //! therefore replay byte-identical request streams (same lines, same
 //! kinds, same think times), so every difference in the measured columns
 //! is attributable to the protocol, not to workload noise.
@@ -25,7 +25,7 @@ use crate::simfig::{PointFailure, SweepConfig};
 /// One engine's measurements at one `(n, rate)` operating point.
 #[derive(Debug, Clone)]
 pub struct ShootoutRow {
-    /// Engine label (`multicube`, `mesi`, `dragon`).
+    /// Engine label (`multicube`, `mesi`, `dragon`, `writeonce`).
     pub engine: &'static str,
     /// Grid side (the machine has `n * n` processors).
     pub n: u32,
@@ -66,7 +66,7 @@ pub fn shootout_point_seed(sweep: &SweepConfig, n: u32, index: usize) -> u64 {
     sweep.point_seed(stream_id("shootout", &format!("n={n}")), index)
 }
 
-/// Runs all three engines across the sweep's rates on an `n x n` grid.
+/// Runs every engine across the sweep's rates on an `n x n` grid.
 /// Each machine's quiescent state is verified against its own engine's
 /// coherence invariants; a violation poisons only that point.
 pub fn run_shootout(pool: &Pool, n: u32, sweep: &SweepConfig) -> Shootout {
@@ -179,19 +179,17 @@ mod tests {
         }
     }
 
-    /// Three engines x two rates, rows grouped by engine, and the same
+    /// Four engines x two rates, rows grouped by engine, and the same
     /// seed at the same rate index across all engines (the identical-
     /// workload guarantee).
     #[test]
     fn shootout_runs_all_engines_on_identical_seeds() {
         let s = run_shootout(&Pool::serial(), 4, &tiny());
         assert!(s.failures.is_empty(), "{:?}", s.failures);
-        assert_eq!(s.rows.len(), 6);
+        assert_eq!(s.rows.len(), 8);
         let engines: Vec<&str> = s.rows.iter().map(|r| r.engine).collect();
-        assert_eq!(
-            engines,
-            ["multicube", "multicube", "mesi", "mesi", "dragon", "dragon"]
-        );
+        let labels = ["multicube", "mesi", "dragon", "writeonce"];
+        assert_eq!(engines, labels.map(|l| [l, l]).concat());
         for i in 0..2 {
             let seeds: Vec<u64> = s
                 .rows
@@ -199,7 +197,7 @@ mod tests {
                 .filter(|r| r.rate_per_ms == tiny().rates[i])
                 .map(|r| r.seed)
                 .collect();
-            assert_eq!(seeds.len(), 3);
+            assert_eq!(seeds.len(), 4);
             assert!(
                 seeds.windows(2).all(|w| w[0] == w[1]),
                 "engines must share the point seed"
@@ -242,6 +240,7 @@ mod tests {
         assert!(text.contains("multicube"));
         assert!(text.contains("mesi"));
         assert!(text.contains("dragon"));
+        assert!(text.contains("writeonce"));
         assert!(!text.contains("NaN"), "{text}");
     }
 }

@@ -3,9 +3,8 @@
 //! comparison (E-1.1) — plus ASCII rendering helpers.
 
 use multicube::{
-    FaultPlan, Machine, MachineConfig, Request, RequestKind, RetryPolicy, SyntheticSpec,
+    EngineKind, FaultPlan, Machine, MachineConfig, Request, RequestKind, RetryPolicy, SyntheticSpec,
 };
-use multicube_baseline::SingleBusMulti;
 use multicube_mem::LineAddr;
 use multicube_mva::FigureSeries;
 use multicube_sim::pool::Pool;
@@ -217,23 +216,24 @@ pub struct BaselineRow {
     pub multicube_efficiency: f64,
 }
 
-/// Compares the single-bus multi against the Multicube at matched
+/// Compares the single-bus multi — Goodman's write-once on one bus, the
+/// [`EngineKind::WriteOnce`] engine — against the Multicube at matched
 /// processor counts and request rate (E-1.1).
 pub fn baseline_rows(rate_per_ms: f64, txns: u64) -> Vec<BaselineRow> {
+    let spec = SyntheticSpec::default().with_request_rate_per_ms(rate_per_ms);
     [2u32, 4, 6, 8, 12, 16]
         .iter()
         .map(|&side| {
-            let processors = side * side;
-            let spec = SyntheticSpec::default().with_request_rate_per_ms(rate_per_ms);
-            let mut multi = SingleBusMulti::new(processors, 17);
-            let multi_report = multi.run_synthetic(&spec, txns);
-            let mut cube = Machine::new(MachineConfig::grid(side).unwrap(), 17).unwrap();
-            let cube_report = cube.run_synthetic(&spec, txns);
+            let run = |engine| {
+                let config = MachineConfig::grid(side).unwrap().with_engine(engine);
+                Machine::new(config, 17).unwrap().run_synthetic(&spec, txns)
+            };
+            let multi = run(EngineKind::WriteOnce);
             BaselineRow {
-                processors,
-                multi_efficiency: multi_report.efficiency,
-                multi_utilization: multi_report.bus_utilization,
-                multicube_efficiency: cube_report.efficiency,
+                processors: side * side,
+                multi_efficiency: multi.efficiency,
+                multi_utilization: multi.buses[0].utilization,
+                multicube_efficiency: run(EngineKind::Multicube).efficiency,
             }
         })
         .collect()
@@ -402,6 +402,17 @@ mod tests {
         // far behind the grid.
         assert!(small.multi_efficiency > 0.5);
         assert!(large.multicube_efficiency > large.multi_efficiency + 0.2);
+
+        // The single bus saturates: its efficiency falls from 4 to 16 to 64
+        // processors (rows 0, 1 and 3) while its utilization grows.
+        assert_eq!(rows[3].processors, 64);
+        let eff: Vec<f64> = rows.iter().map(|r| r.multi_efficiency).collect();
+        assert!(eff[0] > eff[1] && eff[1] > eff[3], "{eff:?}");
+        assert!(rows[1].multi_utilization > rows[0].multi_utilization);
+        // Light load leaves 4 processors near-ideal; at 40 req/ms, 64
+        // processors offer one bus about four times its capacity.
+        assert!(baseline_rows(0.5, 25)[0].multi_efficiency > 0.9);
+        assert!(baseline_rows(40.0, 25)[3].multi_efficiency < 0.5);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!    retry failed to make progress.
 //!
 //! [`check`] verifies the default Multicube engine. The single-bus arena
-//! engines have their own quiescent invariants — [`check_mesi`] and
+//! engines have their own quiescent invariants — [`check_mesi`] (which
+//! write-once shares: its Reserved state is MESI's `E`) and
 //! [`check_dragon`] — sharing the vocabulary above but differing on what
 //! "dirty" means (Dragon's shared-modified state keeps memory stale while
 //! copies are shared) and skipping the MLT, which only the Multicube
@@ -634,11 +635,11 @@ fn check_mlt_replicas(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
     Ok(())
 }
 
-/// Quiescent invariants of the single-bus MESI engine: single writer, a
-/// modified (`M`) or exclusive-clean (`E`) copy excludes all others,
-/// memory's valid bit is clear iff an `M` copy exists, every resident
-/// copy holds the latest committed version, and the `E` side table
-/// matches the caches.
+/// Quiescent invariants of the single-bus MESI and write-once engines:
+/// single writer, a modified (`M`, Dirty) or exclusive-clean (`E`,
+/// Reserved) copy excludes all others, memory's valid bit is clear iff
+/// an `M` copy exists, every resident copy holds the latest committed
+/// version, and the `E` side table matches the caches.
 ///
 /// # Errors
 ///
@@ -672,6 +673,7 @@ pub fn check_engine(kind: EngineKind, v: &dyn CoherenceView) -> Result<(), Coher
         EngineKind::Multicube => check(v),
         EngineKind::Mesi => check_mesi(v),
         EngineKind::Dragon => check_dragon(v),
+        EngineKind::WriteOnce => check_mesi(v),
     }
 }
 
@@ -721,7 +723,7 @@ pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> 
     Ok(())
 }
 
-/// Shared invariant walk for the two arena engines. `update_based`
+/// Shared invariant walk for the arena engines. `update_based`
 /// selects Dragon's dirty-shared (`Sm`) semantics.
 fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), CoherenceViolation> {
     let n = v.side();

@@ -73,7 +73,7 @@ pub enum LatencyMode {
 ///
 /// The default [`EngineKind::Multicube`] engine implements the paper's
 /// Appendix-A protocol over the two-dimensional grid of row and column
-/// buses. The two rival engines model classic single-bus snooping
+/// buses. The three rival engines model classic single-bus snooping
 /// protocols on bus 0 only, so the Multicube's bus hierarchy becomes the
 /// experimental variable in a shootout (`figures -- shootout`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -85,6 +85,9 @@ pub enum EngineKind {
     Mesi,
     /// Write-update Dragon on a single shared snooping bus.
     Dragon,
+    /// Goodman's write-once on a single shared snooping bus: the
+    /// single-bus *multi* the Multicube generalizes.
+    WriteOnce,
 }
 
 impl EngineKind {
@@ -94,12 +97,19 @@ impl EngineKind {
             EngineKind::Multicube => "multicube",
             EngineKind::Mesi => "mesi",
             EngineKind::Dragon => "dragon",
+            EngineKind::WriteOnce => "writeonce",
         }
     }
 
+    /// The engine whose [`EngineKind::name`] is `name`, if any.
+    pub fn from_name(name: &str) -> Option<EngineKind> {
+        EngineKind::all().into_iter().find(|e| e.name() == name)
+    }
+
     /// All engines, in shootout order.
-    pub fn all() -> [EngineKind; 3] {
-        [EngineKind::Multicube, EngineKind::Mesi, EngineKind::Dragon]
+    pub fn all() -> [EngineKind; 4] {
+        use EngineKind::*;
+        [Multicube, Mesi, Dragon, WriteOnce]
     }
 }
 
@@ -240,10 +250,11 @@ impl MachineConfig {
     }
 
     /// Selects the coherence-protocol engine (default
-    /// [`EngineKind::Multicube`]). The single-bus engines ignore the grid's
-    /// column buses and the Multicube-specific knobs (MLT capacity,
-    /// snarfing, broadcast filter, latency modes beyond store-and-forward
-    /// occupancy, and the Multicube fault vocabulary).
+    /// [`EngineKind::Multicube`]). The single-bus engines put all `n * n`
+    /// processors on row bus 0 and ignore the other buses and the
+    /// Multicube-specific knobs (MLT capacity, snarfing, broadcast
+    /// filter, latency modes beyond store-and-forward occupancy, and the
+    /// Multicube fault vocabulary).
     #[must_use]
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
@@ -548,7 +559,15 @@ mod tests {
         let c = c.with_engine(EngineKind::Dragon);
         assert_eq!(c.engine(), EngineKind::Dragon);
         assert_eq!(EngineKind::Mesi.name(), "mesi");
-        assert_eq!(EngineKind::all().len(), 3);
+        assert_eq!(EngineKind::all().len(), 4);
+    }
+
+    #[test]
+    fn engine_names_parse_back() {
+        for e in EngineKind::all() {
+            assert_eq!(EngineKind::from_name(e.name()), Some(e));
+        }
+        assert_eq!(EngineKind::from_name("moesi"), None);
     }
 
     #[test]
@@ -596,7 +615,7 @@ mod tests {
 
     #[test]
     fn arena_engines_reject_active_fault_plans() {
-        for engine in [EngineKind::Mesi, EngineKind::Dragon] {
+        for engine in [EngineKind::Mesi, EngineKind::Dragon, EngineKind::WriteOnce] {
             let c = MachineConfig::grid(4)
                 .unwrap()
                 .with_engine(engine)

@@ -26,7 +26,7 @@ use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind, TxnId};
 
 use super::{
-    arena_downgrade_reserved, arena_issue_miss, arena_local_done, arena_on_writeback,
+    arena_issue_miss, arena_local_done, arena_memory_supply, arena_on_writeback,
     arena_start_request, arena_txn_kind, ArenaOps, ProtocolEngine, ARENA_SLOT,
 };
 
@@ -87,8 +87,7 @@ fn on_bus_read(m: &mut Machine, op: &BusOp) {
     }
     let kind = arena_txn_kind(m, op.txn);
     let home = m.home_column(line) as usize;
-    let data;
-    if let Some(owner) = m.registry_owner(line) {
+    let data = if let Some(owner) = m.registry_owner(line) {
         debug_assert_ne!(owner, o_node, "a dirty owner reads locally");
         let w_idx = owner.as_usize();
         let held = m.controllers[w_idx]
@@ -99,23 +98,15 @@ fn on_bus_read(m: &mut Machine, op: &BusOp) {
         m.downgrade_to_shared(w_idx, line);
         m.arena_sm.insert(line, owner);
         m.note_served(op.txn, Served::RemoteModified);
-        data = held;
+        held
     } else if let Some(&sm) = m.arena_sm.get(&line) {
-        data = m.controllers[sm.as_usize()]
-            .data_of(&line)
-            .expect("shared-modified line is resident");
         m.note_served(op.txn, Served::RemoteModified);
+        m.controllers[sm.as_usize()]
+            .data_of(&line)
+            .expect("shared-modified line is resident")
     } else {
-        if let Some(&e) = m.arena_excl.get(&line) {
-            if e != o_node {
-                arena_downgrade_reserved(m, e.as_usize(), line);
-            }
-        }
-        data = m.memories[home]
-            .read_valid(&line)
-            .unwrap_or_else(|| m.committed_version(line));
-        m.note_served(op.txn, Served::Memory);
-    }
+        arena_memory_supply(m, op)
+    };
     let copies = m.sharer_count(line);
     match kind {
         RequestKind::Read => {

@@ -24,13 +24,13 @@ use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind, TxnId};
 
 use super::{
-    arena_downgrade_reserved, arena_local_done, arena_on_writeback, arena_purge_remote,
+    arena_local_done, arena_memory_supply, arena_on_writeback, arena_purge_remote,
     arena_start_request, arena_txn_kind, ArenaOps, ProtocolEngine, ARENA_SLOT,
 };
 
 /// The MESI arena vocabulary: invalidating upgrades, exclusive misses for
 /// writes.
-const MESI_OPS: ArenaOps = ArenaOps {
+pub(super) const MESI_OPS: ArenaOps = ArenaOps {
     upgrade: OpKind::BusUpgrade,
     miss: |kind| match kind {
         RequestKind::Read => OpKind::BusRead,
@@ -55,7 +55,7 @@ impl ProtocolEngine for MesiEngine {
 
     fn on_op(&self, m: &mut Machine, _slot: usize, op: BusOp) {
         match op.kind {
-            OpKind::BusRead => on_bus_read(m, &op),
+            OpKind::BusRead => on_bus_read(m, &op, true),
             OpKind::BusReadExclusive => on_bus_read_exclusive(m, &op),
             OpKind::BusUpgrade => on_bus_upgrade(m, &op),
             OpKind::BusWriteback => arena_on_writeback(m, &MESI_OPS, &op),
@@ -75,38 +75,30 @@ impl ProtocolEngine for MesiEngine {
 /// `BusRead`: fetch a readable copy. A dirty owner supplies the block and
 /// downgrades to `S` (memory snarfs the flush); an `E` holder downgrades
 /// to `S`; otherwise memory supplies. The requester installs `S` if any
-/// other copy remains, else `E`.
-fn on_bus_read(m: &mut Machine, op: &BusOp) {
+/// other copy remains, else `E` when `exclusive_when_alone` (MESI; a
+/// write-once read always installs `S`).
+pub(super) fn on_bus_read(m: &mut Machine, op: &BusOp, exclusive_when_alone: bool) {
     let line = op.line;
     let o_node = op.originator;
     if !m.txn_outstanding(o_node, op.txn) {
         return;
     }
-    let home = m.home_column(line) as usize;
-    let data;
-    if let Some(owner) = m.registry_owner(line) {
+    let data = if let Some(owner) = m.registry_owner(line) {
         debug_assert_ne!(owner, o_node, "a dirty owner reads locally");
         let w_idx = owner.as_usize();
         let held = m.controllers[w_idx]
             .data_of(&line)
             .expect("modified line is resident");
         m.downgrade_to_shared(w_idx, line);
+        let home = m.home_column(line) as usize;
         m.memories[home].write(line, held);
         m.note_served(op.txn, Served::RemoteModified);
-        data = held;
+        held
     } else {
-        if let Some(&e) = m.arena_excl.get(&line) {
-            if e != o_node {
-                arena_downgrade_reserved(m, e.as_usize(), line);
-            }
-        }
-        data = m.memories[home]
-            .read_valid(&line)
-            .unwrap_or_else(|| m.committed_version(line));
-        m.note_served(op.txn, Served::Memory);
-    }
+        arena_memory_supply(m, op)
+    };
     let o_idx = o_node.as_usize();
-    if m.sharer_count(line) > 0 {
+    if m.sharer_count(line) > 0 || !exclusive_when_alone {
         m.set_line(o_idx, line, LineMode::Shared, data);
     } else {
         m.set_line(o_idx, line, LineMode::Reserved, data);
@@ -116,70 +108,67 @@ fn on_bus_read(m: &mut Machine, op: &BusOp) {
 }
 
 /// `BusReadExclusive`: fetch ownership, invalidating every other copy.
-/// For TAS the synchronization word is tested first; a taken word fails
-/// the transaction without disturbing any copy.
-fn on_bus_read_exclusive(m: &mut Machine, op: &BusOp) {
-    let line = op.line;
-    let o_node = op.originator;
-    if !m.txn_outstanding(o_node, op.txn) {
+pub(super) fn on_bus_read_exclusive(m: &mut Machine, op: &BusOp) {
+    if !m.txn_outstanding(op.originator, op.txn) {
         return;
     }
-    let kind = arena_txn_kind(m, op.txn);
-    let served = if m.registry_owner(line).is_some() {
+    let served = if m.registry_owner(op.line).is_some() {
         Served::RemoteModified
     } else {
         Served::Memory
     };
-    if kind == RequestKind::TestAndSet && m.sync_word(line) != 0 {
-        m.note_served(op.txn, served);
-        m.finish_txn(o_node, op.txn, false);
-        return;
-    }
-    arena_purge_remote(m, line, o_node);
-    let home = m.home_column(line) as usize;
-    let v = m.next_version(line);
-    m.set_line(o_node.as_usize(), line, LineMode::Modified, v);
-    m.memories[home].mark_invalid(&line);
-    if kind == RequestKind::TestAndSet {
-        m.line_entry(line).sync_word = 1;
-    }
-    m.note_served(op.txn, served);
-    m.finish_txn(o_node, op.txn, true);
+    commit_write(m, op, served);
 }
 
-/// `BusUpgrade`: ownership for a copy we already hold shared. If a rival
-/// writer invalidated our copy while the upgrade sat in the bus queue,
-/// the upgrade lost the race and restarts as a full `BusReadExclusive`
-/// (the invalidation freed our set slot, so the re-fetch installs without
-/// a victim).
-fn on_bus_upgrade(m: &mut Machine, op: &BusOp) {
-    let line = op.line;
-    let o_node = op.originator;
-    let o_idx = o_node.as_usize();
+/// `BusUpgrade` (and write-once's `BusWriteThrough`): ownership for a copy
+/// we already hold shared. If a rival writer invalidated our copy while
+/// the upgrade sat in the bus queue, the upgrade lost the race and
+/// restarts as a full `BusReadExclusive` (the invalidation freed our set
+/// slot, so the re-fetch installs without a victim).
+pub(super) fn on_bus_upgrade(m: &mut Machine, op: &BusOp) {
+    let (line, o_node) = (op.line, op.originator);
     if !m.txn_outstanding(o_node, op.txn) {
         return;
     }
-    let kind = arena_txn_kind(m, op.txn);
-    if m.controllers[o_idx].mode_of(&line) != Some(LineMode::Shared) {
+    if m.controllers[o_node.as_usize()].mode_of(&line) != Some(LineMode::Shared) {
         m.note_retry(op.txn);
+        let kind = arena_txn_kind(m, op.txn);
         let req = BusOp::new(OpKind::BusReadExclusive, line, o_node, op.txn)
             .with_allocate(kind == RequestKind::Allocate);
         m.emit(ARENA_SLOT, req, 0);
         return;
     }
+    commit_write(m, op, Served::Memory);
+}
+
+/// The write a read-exclusive or upgrade won the bus for. For TAS the
+/// synchronization word is tested first; a taken word fails the
+/// transaction without disturbing any copy. Otherwise every other copy
+/// is purged and the writer ends `M` with memory stale — or, after
+/// write-once's `BusWriteThrough`, the sole clean (`E`, Reserved) holder
+/// with the word written through to memory.
+fn commit_write(m: &mut Machine, op: &BusOp, served: Served) {
+    let (line, o_node) = (op.line, op.originator);
+    let o_idx = o_node.as_usize();
+    let kind = arena_txn_kind(m, op.txn);
+    m.note_served(op.txn, served);
     if kind == RequestKind::TestAndSet && m.sync_word(line) != 0 {
-        m.note_served(op.txn, Served::Memory);
         m.finish_txn(o_node, op.txn, false);
         return;
     }
     arena_purge_remote(m, line, o_node);
     let home = m.home_column(line) as usize;
     let v = m.next_version(line);
-    m.set_line(o_idx, line, LineMode::Modified, v);
-    m.memories[home].mark_invalid(&line);
+    if op.kind == OpKind::BusWriteThrough {
+        m.set_line(o_idx, line, LineMode::Reserved, v);
+        m.arena_excl.insert(line, o_node);
+        m.memories[home].write(line, v);
+    } else {
+        m.set_line(o_idx, line, LineMode::Modified, v);
+        m.memories[home].mark_invalid(&line);
+    }
     if kind == RequestKind::TestAndSet {
         m.line_entry(line).sync_word = 1;
     }
-    m.note_served(op.txn, Served::Memory);
     m.finish_txn(o_node, op.txn, true);
 }

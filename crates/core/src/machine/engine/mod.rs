@@ -9,7 +9,7 @@
 //! protocol: how a request starts (local, upgrade or miss), what each bus
 //! operation does when it completes, and which quiescent invariants hold.
 //!
-//! Three engines exist:
+//! Four engines exist:
 //!
 //! * [`MulticubeEngine`] — the paper's Appendix-A snooping write-invalidate
 //!   protocol over the two-dimensional grid of row and column buses (the
@@ -17,8 +17,10 @@
 //! * [`MesiEngine`] — classic write-invalidate MESI on a *single* shared
 //!   snooping bus (row bus 0).
 //! * [`DragonEngine`] — write-update Dragon on the same single bus.
+//! * [`WriteOnceEngine`] — Goodman's write-once \[Good83\] on the same
+//!   single bus: the single-bus *multi* the Multicube generalizes.
 //!
-//! The two single-bus engines (the *arena*) model every coherence action
+//! The three single-bus engines (the *arena*) model every coherence action
 //! as one atomic bus transaction whose occupancy includes the supplier's
 //! access latency — the classic un-pipelined snooping bus whose saturation
 //! motivates the Multicube's bus hierarchy. The shared arena scaffolding
@@ -28,8 +30,9 @@
 pub(crate) mod dragon;
 pub(crate) mod mesi;
 pub(crate) mod multicube;
+pub(crate) mod writeonce;
 
-use multicube_mem::LineAddr;
+use multicube_mem::{LineAddr, LineVersion};
 use multicube_topology::NodeId;
 
 use crate::check::{CoherenceView, CoherenceViolation};
@@ -43,6 +46,7 @@ use crate::proto::{BusOp, OpKind, TxnId};
 pub use dragon::DragonEngine;
 pub use mesi::MesiEngine;
 pub use multicube::MulticubeEngine;
+pub use writeonce::WriteOnceEngine;
 
 /// A pluggable coherence protocol.
 ///
@@ -86,6 +90,7 @@ pub(crate) fn engine_for(kind: EngineKind) -> &'static dyn ProtocolEngine {
         EngineKind::Multicube => &MulticubeEngine,
         EngineKind::Mesi => &MesiEngine,
         EngineKind::Dragon => &DragonEngine,
+        EngineKind::WriteOnce => &WriteOnceEngine,
     }
 }
 
@@ -387,15 +392,26 @@ pub(crate) fn arena_drop_clean(m: &mut Machine, idx: usize, line: LineAddr) {
     }
 }
 
-/// Downgrades an exclusive-clean (`E`, Reserved) copy to shared: a remote
-/// read observed it on the bus. Memory is already current.
-pub(crate) fn arena_downgrade_reserved(m: &mut Machine, idx: usize, line: LineAddr) {
-    if let Some(cl) = m.controllers[idx].cache.peek_mut(&line) {
-        debug_assert_eq!(cl.mode, LineMode::Reserved);
-        cl.mode = LineMode::Shared;
+/// Memory supplies a read of `op.line` to `op.originator`. An
+/// exclusive-clean (`E`, Reserved) holder observes the read on the bus
+/// and downgrades to shared; memory is already current.
+pub(crate) fn arena_memory_supply(m: &mut Machine, op: &BusOp) -> LineVersion {
+    let line = op.line;
+    if let Some(&e) = m.arena_excl.get(&line) {
+        if e != op.originator {
+            if let Some(cl) = m.controllers[e.as_usize()].cache.peek_mut(&line) {
+                debug_assert_eq!(cl.mode, LineMode::Reserved);
+                cl.mode = LineMode::Shared;
+            }
+            m.sharers_incr(line, e);
+            m.arena_excl.remove(&line);
+        }
     }
-    m.sharers_incr(line, m.controllers[idx].node());
-    m.arena_excl.remove(&line);
+    m.note_served(op.txn, Served::Memory);
+    let home = m.home_column(line) as usize;
+    m.memories[home]
+        .read_valid(&line)
+        .unwrap_or_else(|| m.committed_version(line))
 }
 
 /// Silent `E → M` upgrade: a write to an exclusive-clean copy needs no

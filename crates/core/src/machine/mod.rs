@@ -224,9 +224,8 @@ pub struct Machine {
     trace: TraceSink,
     /// Fault-injection decision engine (inert under the default plan).
     pub(crate) faults: FaultInjector,
-    /// Single-bus arena state (MESI/Dragon engines): which node holds each
-    /// line in Dragon's shared-modified (`Sm`) state. Empty under the
-    /// Multicube engine.
+    /// Single-bus arena state: which node holds each line in Dragon's
+    /// shared-modified (`Sm`) state. Empty under every other engine.
     pub(crate) arena_sm: LineMap<NodeId>,
     /// Which node holds each line exclusive-clean (`E`, [`LineMode::
     /// Reserved`]) under a single-bus engine; the registry does not track
@@ -740,7 +739,8 @@ impl Machine {
             TasColRequestMemory => self.on_tas_col_request_memory(slot, op),
             TasRowFail => self.on_tas_row_fail(slot, op),
             TasColFail => self.on_tas_col_fail(slot, op),
-            BusRead | BusReadExclusive | BusUpgrade | BusWriteback | BusUpdate => {
+            BusRead | BusReadExclusive | BusUpgrade | BusWriteback | BusUpdate
+            | BusWriteThrough => {
                 unreachable!("arena op {} dispatched on the Multicube engine", op.kind)
             }
         }
@@ -1236,15 +1236,16 @@ impl Machine {
             // held from the address phase through the supplier's access to
             // the data transfer: address + access + block for reads /
             // ownership fetches / write-backs, address + one word for a
-            // Dragon update, address only for a MESI upgrade. That bus
-            // hold during the access is exactly the single-bus saturation
-            // the Multicube's split row/column transactions avoid.
-            // Everything else is address-only.
+            // Dragon update or a write-once write-through, address only
+            // for a MESI upgrade. That bus hold during the access is
+            // exactly the single-bus saturation the Multicube's split
+            // row/column transactions avoid. Everything else is
+            // address-only.
             match op.kind {
                 OpKind::BusRead | OpKind::BusReadExclusive | OpKind::BusWriteback => {
                     t.memory_latency_ns + t.data_op_ns(self.config.block_words())
                 }
-                OpKind::BusUpdate => t.addr_op_ns + t.word_ns,
+                OpKind::BusUpdate | OpKind::BusWriteThrough => t.addr_op_ns + t.word_ns,
                 _ => t.addr_op_ns,
             }
         }

@@ -119,11 +119,11 @@ pub enum OpKind {
 
     // ---- Single-bus arena vocabulary (rival protocol engines) ----
     //
-    // The MESI and Dragon engines model classic single-bus snooping: every
-    // coherence action is one atomic transaction on bus 0, so each op kind
-    // below carries the whole snoop (supply, purge or update) at dispatch.
-    // None of them are Appendix-A operations; the Multicube engine never
-    // emits them.
+    // The MESI, Dragon and write-once engines model classic single-bus
+    // snooping: every coherence action is one atomic transaction on bus 0,
+    // so each op kind below carries the whole snoop (supply, purge or
+    // update) at dispatch. None of them are Appendix-A operations; the
+    // Multicube engine never emits them.
     /// Single-bus read: memory or the dirty owner supplies the block.
     BusRead,
     /// Single-bus read-for-ownership: supplies the block and invalidates
@@ -137,6 +137,9 @@ pub enum OpKind {
     /// Write-update broadcast of one word to every cached copy
     /// (Dragon `BusUpd`).
     BusUpdate,
+    /// Write-once's first write to a copy held shared: one word written
+    /// through to memory, invalidating every other copy.
+    BusWriteThrough,
 }
 
 impl OpKind {
@@ -147,7 +150,7 @@ impl OpKind {
             ReadRowRequest | ReadRowReply | ReadRowReplyUpdate | ReadModRowRequest
             | ReadModRowReply | ReadModRowReplyPurge | ReadModRowPurge | WritebackRowUpdate
             | TasRowRequest | TasRowFail | BusRead | BusReadExclusive | BusUpgrade
-            | BusWriteback | BusUpdate => OpClass::Row,
+            | BusWriteback | BusUpdate | BusWriteThrough => OpClass::Row,
             ReadColRequestRemove
             | ReadColRequestMemory
             | ReadColReplyUpdate
@@ -262,6 +265,7 @@ impl OpKind {
             BusUpgrade => "BUS(UPGRADE)",
             BusWriteback => "BUS(WB)",
             BusUpdate => "BUS(UPD)",
+            BusWriteThrough => "BUS(WT)",
         }
     }
 }
@@ -418,6 +422,7 @@ mod tests {
             BusUpgrade,
             BusWriteback,
             BusUpdate,
+            BusWriteThrough,
         ];
         for kind in all {
             assert!(!kind.name().is_empty());
@@ -505,6 +510,7 @@ mod tests {
             BusUpgrade,
             BusWriteback,
             BusUpdate,
+            BusWriteThrough,
         ] {
             assert!(!kind.is_request(), "{kind} must never be lost/duplicated");
         }

@@ -7,8 +7,8 @@
 
 use multicube::trace::{TracePoint, TraceSink};
 use multicube::{
-    EngineKind, LineMode, Machine, MachineConfig, OpKind, Request, SyntheticSpec, Timing, Watchdog,
-    WatchdogAction,
+    CoherenceView, EngineKind, LineMode, Machine, MachineConfig, OpKind, Request, SyntheticSpec,
+    Timing, Watchdog, WatchdogAction,
 };
 use multicube_mem::LineAddr;
 
@@ -82,7 +82,7 @@ fn single_writer_holds_under_contention_for_every_engine() {
 /// give identical reports, different seeds diverge.
 #[test]
 fn arena_engines_are_deterministic() {
-    for engine in [EngineKind::Mesi, EngineKind::Dragon] {
+    for engine in [EngineKind::Mesi, EngineKind::Dragon, EngineKind::WriteOnce] {
         let run = |seed: u64| {
             let config = MachineConfig::grid(4).unwrap().with_engine(engine);
             let mut m = Machine::new(config, seed).unwrap();
@@ -118,10 +118,10 @@ fn race_timing() -> Timing {
 
 /// Drives one fault-free contention race that must end in a retry under
 /// `engine`: node `a` starts a local cache access, node `b`'s bus
-/// transaction snoops the line away mid-access (Multicube and MESI purge
-/// it, Dragon downgrades the exclusive-clean copy), and `a`'s local
-/// completion restarts over the bus — recording the retry the watchdog
-/// judges. Returns the machine and the completion count.
+/// transaction snoops the line away mid-access (Multicube, MESI and
+/// write-once purge it, Dragon downgrades the exclusive-clean copy), and
+/// `a`'s local completion restarts over the bus — recording the retry the
+/// watchdog judges. Returns the machine and the completion count.
 fn run_contended(engine: EngineKind, watchdog: Watchdog) -> (Machine, usize) {
     let config = MachineConfig::grid(4)
         .unwrap()
@@ -133,20 +133,21 @@ fn run_contended(engine: EngineKind, watchdog: Watchdog) -> (Machine, usize) {
     let a = m.config().topology().node(0, 0);
     let b = m.config().topology().node(1, 1);
 
-    // Setup: `a` alone holds the line — Shared under Multicube (reads
-    // install shared copies), exclusive-clean under the arena engines.
+    // Setup: `a` alone holds the line — Shared under Multicube and
+    // write-once, exclusive-clean under MESI and Dragon.
     m.submit(a, Request::read(line)).unwrap();
     m.run_to_quiescence();
 
     // The race: `a`'s access is a local hit that waits out the slow
     // cache; `b`'s bus transaction lands long before it completes.
+    let (read, write) = (Request::read(line), Request::write(line));
     let (a_req, b_req) = match engine {
         // `b`'s write invalidates `a`'s shared copy out from under the
         // local read.
-        EngineKind::Multicube => (Request::read(line), Request::write(line)),
+        EngineKind::Multicube | EngineKind::WriteOnce => (read, write),
         // `b`'s read downgrades `a`'s E copy out from under the local
         // (would-be silent) write upgrade.
-        EngineKind::Mesi | EngineKind::Dragon => (Request::write(line), Request::read(line)),
+        EngineKind::Mesi | EngineKind::Dragon => (write, read),
     };
     m.submit(a, a_req).unwrap();
     m.submit(b, b_req).unwrap();
@@ -223,7 +224,7 @@ fn dragon_fail_fast_watchdog_panics_on_contention() {
 #[test]
 fn arena_engines_refuse_active_fault_plans_at_construction() {
     use multicube::{FaultConfigError, FaultPlan, MachineConfigError};
-    for engine in [EngineKind::Mesi, EngineKind::Dragon] {
+    for engine in [EngineKind::Mesi, EngineKind::Dragon, EngineKind::WriteOnce] {
         let config = MachineConfig::grid(4)
             .unwrap()
             .with_engine(engine)
@@ -433,4 +434,65 @@ fn dragon_read_of_modified_line_creates_a_shared_modified_supplier() {
     m.submit(owner, Request::writeback(line)).unwrap();
     quiesce(&mut m);
     m.check_coherence().expect("coherent after writeback");
+}
+
+// ---------------------------------------------------------------------
+// Write-once chains
+// ---------------------------------------------------------------------
+
+/// One line through every write-once state. A lone read miss installs
+/// Valid (`Shared`), never Reserved. The first write to a shared copy is
+/// one `BusWriteThrough`: it purges the other copies, writes the word
+/// through so memory stays valid with the new version, and leaves the
+/// writer Reserved. The second write is bus-free and ends Dirty
+/// (`Modified`) with memory invalid. Reads hit locally in all three valid
+/// states, and a dirty holder supplies a read miss in one bus transaction
+/// and drops to Valid while memory takes the block.
+#[test]
+fn writeonce_line_walks_valid_reserved_dirty_and_back() {
+    let mut m = grid4(EngineKind::WriteOnce);
+    let line = LineAddr::new(23);
+    let a = m.config().topology().node(0, 3);
+    let b = m.config().topology().node(2, 1);
+    let (read, write) = (Request::read(line), Request::write(line));
+    m.set_trace_sink(TraceSink::ring(1024));
+
+    m.submit(a, read).unwrap();
+    quiesce(&mut m);
+    assert_eq!(m.controller(a).mode_of(&line), Some(LineMode::Shared));
+    for node in [b, a] {
+        m.submit(node, read).unwrap();
+        quiesce(&mut m);
+    }
+    assert_eq!(completed_ops(&m, line), [OpKind::BusRead, OpKind::BusRead]);
+
+    let invalidations_before = m.metrics().invalidations.get();
+    m.submit(a, write).unwrap();
+    quiesce(&mut m);
+    assert_eq!(completed_ops(&m, line)[2..], [OpKind::BusWriteThrough]);
+    assert_eq!(m.controller(a).mode_of(&line), Some(LineMode::Reserved));
+    assert_eq!(m.controller(b).mode_of(&line), None, "b was invalidated");
+    assert_eq!(m.metrics().invalidations.get(), invalidations_before + 1);
+    assert!(m.memory_valid(line));
+    assert_eq!(m.memory_data(line), m.committed_version(line));
+    m.check_coherence().expect("coherent");
+
+    // A read, the second write and another read are all bus-free; the
+    // write leaves memory stale.
+    for req in [read, write, read] {
+        m.submit(a, req).unwrap();
+        quiesce(&mut m);
+    }
+    assert_eq!(completed_ops(&m, line).len(), 3);
+    assert_eq!(m.controller(a).mode_of(&line), Some(LineMode::Modified));
+    assert!(!m.memory_valid(line));
+
+    m.submit(b, read).unwrap();
+    quiesce(&mut m);
+    assert_eq!(completed_ops(&m, line)[3..], [OpKind::BusRead]);
+    assert_eq!(m.controller(a).mode_of(&line), Some(LineMode::Shared));
+    assert_eq!(m.controller(b).mode_of(&line), Some(LineMode::Shared));
+    assert!(m.memory_valid(line));
+    assert_eq!(m.memory_data(line), m.committed_version(line));
+    m.check_coherence().expect("coherent");
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! model check [--engine E] [--lines N] [--txns N] [--budget N]
 //!     Exhaustively explore the protocol state space and print a
-//!     state-count table (all three engines unless --engine is given).
+//!     state-count table (all four engines unless --engine is given).
 //!
 //! model xval [--engine E] [--lines N] [--txns N] [--budget N]
 //!     Cross-validate the simulator against the model: every request
@@ -47,12 +47,9 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         let mut value = |name: &str| argv.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
             "--engine" => {
-                args.engine = Some(match value("--engine")?.as_str() {
-                    "multicube" => EngineKind::Multicube,
-                    "mesi" => EngineKind::Mesi,
-                    "dragon" => EngineKind::Dragon,
-                    other => return Err(format!("unknown engine `{other}`")),
-                });
+                let name = value("--engine")?;
+                args.engine =
+                    Some(EngineKind::from_name(&name).ok_or(format!("unknown engine `{name}`"))?);
             }
             "--lines" => {
                 args.lines = value("--lines")?

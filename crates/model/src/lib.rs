@@ -4,11 +4,11 @@
 //! interleavings — whichever orders its timing model and seeds produce.
 //! This crate *enumerates* them: a guarded-action model of the paper's
 //! Appendix-A protocol (and, through the same `ProtocolEngine` seam, the
-//! MESI and Dragon rivals) small enough that breadth-first search visits
-//! **every** reachable state of a 2×2 machine with a handful of lines
-//! and transactions, including schedules containing dropped modified
-//! signals, stale MLT replicas, lost/duplicated operations and memory
-//! NACKs from the simulator's five fault classes.
+//! MESI, Dragon and write-once rivals) small enough that breadth-first
+//! search visits **every** reachable state of a 2×2 machine with a
+//! handful of lines and transactions, including schedules containing
+//! dropped modified signals, stale MLT replicas, lost/duplicated
+//! operations and memory NACKs from the simulator's five fault classes.
 //!
 //! Three guarantees come out:
 //!

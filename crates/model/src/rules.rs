@@ -1,5 +1,5 @@
-//! Protocol rule sets: the Appendix-A Multicube protocol, MESI and
-//! Dragon, each as a family of guarded atomic transitions.
+//! Protocol rule sets: the Appendix-A Multicube protocol, MESI, Dragon
+//! and write-once, each as a family of guarded atomic transitions.
 //!
 //! Three rule shapes exist:
 //!
@@ -225,6 +225,27 @@ fn serve_dragon(s: &State, slot: usize, refresh_remote: bool) -> State {
     t
 }
 
+/// Write-once service: MESI's, except that a read installs shared even
+/// when no other copy exists, and the first write to a shared copy
+/// writes through — memory takes the word and stays valid, and the
+/// writer is left reserved (`E`) instead of modified.
+fn serve_writeonce(s: &State, slot: usize, purge_sharers: bool) -> State {
+    let (node, write, line) = pending(s, slot).expect("guard admits only pending slots");
+    let from = s.lines[line].mode[node];
+    let mut t = serve_mesi(s, slot, purge_sharers);
+    let ls = &mut t.lines[line];
+    match (write, from) {
+        (true, Mode::S) => {
+            ls.mode[node] = Mode::E;
+            ls.mem_valid = true;
+            ls.mem_data = ls.committed;
+        }
+        (false, Mode::I) => ls.mode[node] = Mode::S,
+        _ => {}
+    }
+    t
+}
+
 /// Dispatch to the engine's service semantics. `faithful` is false for
 /// the deliberately broken variants used by counterexample tests.
 fn serve(engine: EngineKind, s: &State, slot: usize, faithful: bool) -> State {
@@ -232,6 +253,7 @@ fn serve(engine: EngineKind, s: &State, slot: usize, faithful: bool) -> State {
         EngineKind::Multicube => serve_multicube(s, slot, faithful),
         EngineKind::Mesi => serve_mesi(s, slot, faithful),
         EngineKind::Dragon => serve_dragon(s, slot, faithful),
+        EngineKind::WriteOnce => serve_writeonce(s, slot, faithful),
     }
 }
 

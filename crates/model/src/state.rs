@@ -69,7 +69,8 @@ impl ModelConfig {
 pub enum Mode {
     /// Invalid / not resident.
     I,
-    /// Shared (read-only in Multicube/MESI; writable-with-update in Dragon).
+    /// Shared (read-only in Multicube, MESI and write-once;
+    /// writable-with-update in Dragon).
     S,
     /// Modified (dirty, sole copy).
     M,

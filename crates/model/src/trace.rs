@@ -58,12 +58,11 @@ pub fn parse_schedule(text: &str) -> Result<(ModelConfig, bool, Schedule), Strin
         let err = |msg: &str| format!("line {}: {msg}", lineno + 1);
         match key {
             "engine" => {
-                engine = Some(match words.next() {
-                    Some("multicube") => EngineKind::Multicube,
-                    Some("mesi") => EngineKind::Mesi,
-                    Some("dragon") => EngineKind::Dragon,
-                    other => return Err(err(&format!("unknown engine {other:?}"))),
-                });
+                let name = words.next();
+                engine = Some(
+                    name.and_then(EngineKind::from_name)
+                        .ok_or_else(|| err(&format!("unknown engine {name:?}")))?,
+                );
             }
             "lines" => {
                 lines_n = Some(

@@ -19,9 +19,11 @@ fn exhaustive_exploration_is_coherent_with_pinned_state_counts() {
         (EngineKind::Multicube, 1, 2, 1, 237usize),
         (EngineKind::Mesi, 1, 2, 0, 119),
         (EngineKind::Dragon, 1, 2, 0, 131),
+        (EngineKind::WriteOnce, 1, 2, 0, 123),
         (EngineKind::Multicube, 2, 2, 1, 953),
         (EngineKind::Mesi, 2, 2, 0, 477),
         (EngineKind::Dragon, 2, 2, 0, 501),
+        (EngineKind::WriteOnce, 2, 2, 0, 485),
     ];
     for (engine, lines, txns, budget, states) in expect {
         let cfg = ModelConfig::new(engine, lines, txns, budget);

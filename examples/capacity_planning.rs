@@ -9,8 +9,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use multicube_suite::baseline::SingleBusMulti;
-use multicube_suite::machine::{Machine, MachineConfig, SyntheticSpec};
+use multicube_suite::machine::{EngineKind, Machine, MachineConfig, SyntheticSpec};
 use multicube_suite::mva::{solve, ModelParams};
 
 fn main() {
@@ -47,7 +46,8 @@ fn main() {
     let check_n = 16u32;
     let model = solve(&ModelParams::figure2(check_n), rate);
     let spec = SyntheticSpec::default().with_request_rate_per_ms(rate);
-    let mut machine = Machine::new(MachineConfig::grid(check_n).unwrap(), 11).unwrap();
+    let config = MachineConfig::grid(check_n).unwrap();
+    let mut machine = Machine::new(config.clone(), 11).unwrap();
     let sim = machine.run_synthetic(&spec, 60);
     println!();
     println!(
@@ -55,13 +55,14 @@ fn main() {
         model.efficiency, sim.efficiency
     );
 
-    // And what a single bus would do with the same processors.
+    // And what a single write-once bus would do with the same processors.
     let procs = check_n * check_n;
-    let mut multi = SingleBusMulti::new(procs, 11);
+    let single_bus = config.with_engine(EngineKind::WriteOnce);
+    let mut multi = Machine::new(single_bus, 11).unwrap();
     let multi_report = multi.run_synthetic(&spec, 60);
     println!(
         "A single-bus multi with {procs} processors at the same rate: efficiency {:.4} (bus {:.0}% busy)",
         multi_report.efficiency,
-        multi_report.bus_utilization * 100.0
+        multi_report.buses[0].utilization * 100.0
     );
 }

@@ -15,7 +15,9 @@
 //! The workspace contains:
 //!
 //! * [`machine`] — the event-driven machine simulator with the
-//!   complete Appendix-A protocol,
+//!   complete Appendix-A protocol, plus the single-bus MESI, Dragon and
+//!   write-once engines (write-once on one bus is the *multi* baseline:
+//!   `MachineConfig::grid(side)?.with_engine(EngineKind::WriteOnce)`),
 //! * [`topology`] — the general `N = n^k` Multicube topology and the §6
 //!   scaling formulas,
 //! * [`mem`] — the cache, modified-line-table and memory-bank substrates,
@@ -23,7 +25,6 @@
 //!   distributed queue lock, barrier),
 //! * [`workload`] — application-flavoured request generators,
 //! * [`mva`] — the analytical mean-value model behind Figures 2–4,
-//! * [`baseline`] — the single-bus multi with write-once coherence,
 //! * `multicube-bench` — the harness regenerating every figure and table
 //!   (`cargo run --release -p multicube-bench --bin figures -- all`).
 //!
@@ -81,9 +82,4 @@ pub mod workload {
 /// The analytical mean-value model (crate `multicube-mva`).
 pub mod mva {
     pub use multicube_mva::*;
-}
-
-/// The single-bus multi baseline (crate `multicube-baseline`).
-pub mod baseline {
-    pub use multicube_baseline::*;
 }

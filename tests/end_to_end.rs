@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the machine, synchronization layer,
-//! workloads, analytical model and baseline working together.
+//! workloads, analytical model and single-bus baseline working together.
 
-use multicube_suite::baseline::SingleBusMulti;
-use multicube_suite::machine::{Machine, MachineConfig, Request, SyntheticSpec};
+use multicube_suite::machine::{EngineKind, Machine, MachineConfig, Request, SyntheticSpec};
 use multicube_suite::mem::LineAddr;
 use multicube_suite::mva::{solve, ModelParams};
 use multicube_suite::sync::{Barrier, LockExperiment, QueueLock, SpinLock};
@@ -76,9 +75,11 @@ fn locks_and_barriers_compose_on_one_machine_family() {
 #[test]
 fn multicube_beats_single_bus_at_scale() {
     let spec = SyntheticSpec::default().with_request_rate_per_ms(10.0);
-    let mut multi = SingleBusMulti::new(144, 9);
+    let grid = MachineConfig::grid(12).unwrap();
+    let single_bus = grid.clone().with_engine(EngineKind::WriteOnce);
+    let mut multi = Machine::new(single_bus, 9).unwrap();
     let multi_eff = multi.run_synthetic(&spec, 30).efficiency;
-    let mut cube = Machine::new(MachineConfig::grid(12).unwrap(), 9).unwrap();
+    let mut cube = Machine::new(grid, 9).unwrap();
     let cube_eff = cube.run_synthetic(&spec, 30).efficiency;
     assert!(
         cube_eff > multi_eff + 0.2,
