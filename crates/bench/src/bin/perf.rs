@@ -18,8 +18,7 @@
 use std::process::ExitCode;
 
 use multicube_bench::perf::{
-    check_regression_guard, extract_kernel_medians, render_json, run_all, validate_report,
-    PerfConfig,
+    check_regression_guard, extract_kernel_stats, render_json, run_all, validate_report, PerfConfig,
 };
 
 /// The kernels the CI regression guard watches: the serial machine core
@@ -66,13 +65,13 @@ fn main() -> ExitCode {
     let baseline = match &baseline_path {
         Some(p) => match std::fs::read_to_string(p) {
             Ok(text) => {
-                let medians = extract_kernel_medians(&text);
-                if medians.is_empty() {
+                let stats = extract_kernel_stats(&text);
+                if stats.is_empty() {
                     eprintln!("perf: no kernel medians found in baseline {p}");
                     return ExitCode::FAILURE;
                 }
                 baseline_text = Some(text);
-                Some(medians)
+                Some(stats)
             }
             Err(e) => {
                 eprintln!("perf: cannot read baseline {p}: {e}");
@@ -100,11 +99,11 @@ fn main() -> ExitCode {
     for r in &results {
         let speedup = baseline
             .as_deref()
-            .and_then(|b| b.iter().find(|(n, _)| n == r.name))
-            .map(|(_, base)| {
+            .and_then(|b| b.iter().find(|k| k.name == r.name))
+            .map(|base| {
                 format!(
                     " ({:.2}x vs baseline)",
-                    *base as f64 / r.median_ns.max(1) as f64
+                    base.median_ns as f64 / r.median_ns.max(1) as f64
                 )
             })
             .unwrap_or_default();

@@ -389,40 +389,6 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
     (results, failures)
 }
 
-/// A `(kernel name, median_ns)` pair extracted from a previous report.
-pub type BaselineEntry = (String, u64);
-
-/// Extracts `(name, median_ns)` pairs from a previous `BENCH_core.json`.
-///
-/// The scanner only relies on the `"name"` / `"median_ns"` keys this
-/// module itself emits, so it round-trips any report the harness wrote.
-pub fn extract_kernel_medians(text: &str) -> Vec<BaselineEntry> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"name\"") {
-        rest = &rest[pos + "\"name\"".len()..];
-        let Some(q0) = rest.find('"') else { break };
-        let Some(q1) = rest[q0 + 1..].find('"') else {
-            break;
-        };
-        let name = rest[q0 + 1..q0 + 1 + q1].to_string();
-        let Some(mpos) = rest.find("\"median_ns\"") else {
-            break;
-        };
-        let tail = &rest[mpos + "\"median_ns\"".len()..];
-        let digits: String = tail
-            .chars()
-            .skip_while(|c| *c == ':' || c.is_whitespace())
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        if let Ok(v) = digits.parse::<u64>() {
-            out.push((name, v));
-        }
-        rest = tail;
-    }
-    out
-}
-
 /// Summary statistics of one kernel from a written report, as read back
 /// by [`extract_kernel_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -450,6 +416,11 @@ fn scan_u64_field(block: &str, key: &str) -> Option<u64> {
 
 /// Extracts per-kernel summary stats from a previous report, tolerating
 /// reports from before `work_units` existed (the field reads as zero).
+/// Each kernel's fields are read from its own block only, up to the next
+/// `"name"` key; a kernel without a `median_ns` is left out.
+///
+/// The scanner only relies on the keys this module itself emits, so it
+/// round-trips any report the harness wrote.
 pub fn extract_kernel_stats(text: &str) -> Vec<KernelStat> {
     let mut out = Vec::new();
     let mut rest = text;
@@ -524,13 +495,13 @@ pub fn check_regression_guard(
     }
 }
 
-/// Renders the report as JSON. `baseline` entries (from
-/// [`extract_kernel_medians`] on a previous report) are embedded together
+/// Renders the report as JSON. `baseline` medians (from
+/// [`extract_kernel_stats`] on a previous report) are embedded together
 /// with the speedup of each matching kernel.
 pub fn render_json(
     cfg: &PerfConfig,
     results: &[KernelResult],
-    baseline: Option<&[BaselineEntry]>,
+    baseline: Option<&[KernelStat]>,
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -559,8 +530,9 @@ pub fn render_json(
         let _ = writeln!(out, "      \"outliers\": {},", r.outliers);
         let _ = writeln!(out, "      \"min_ns\": {},", r.min_ns);
         let _ = writeln!(out, "      \"max_ns\": {},", r.max_ns);
-        if let Some(base) =
-            baseline.and_then(|b| b.iter().find(|(n, _)| n == r.name).map(|(_, m)| *m))
+        if let Some(base) = baseline
+            .and_then(|b| b.iter().find(|k| k.name == r.name))
+            .map(|k| k.median_ns)
         {
             let _ = writeln!(out, "      \"baseline_median_ns\": {base},");
             if r.median_ns > 0 {
@@ -622,7 +594,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
     if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
         return Err(format!("missing schema marker {SCHEMA}"));
     }
-    let medians = extract_kernel_medians(text);
+    let stats = extract_kernel_stats(text);
     for required in [
         "machine_1k_transactions",
         "synthetic_sweep",
@@ -631,9 +603,13 @@ pub fn validate_report(text: &str) -> Result<(), String> {
         "cube_pdes_events",
         "cube_pdes_events_parallel",
     ] {
-        match medians.iter().find(|(n, _)| n == required) {
+        match stats
+            .iter()
+            .find(|k| k.name == required)
+            .map(|k| k.median_ns)
+        {
             None => return Err(format!("missing kernel {required}")),
-            Some((_, 0)) => return Err(format!("kernel {required} has zero median")),
+            Some(0) => return Err(format!("kernel {required} has zero median")),
             Some(_) => {}
         }
     }
@@ -707,12 +683,10 @@ mod tests {
         assert_eq!(results.len(), 6);
         let json = render_json(&cfg, &results, None);
         validate_report(&json).unwrap();
-        let medians = extract_kernel_medians(&json);
-        assert_eq!(medians.len(), 6);
-        assert_eq!(medians[0].0, "machine_1k_transactions");
-        assert_eq!(medians[0].1, results[0].median_ns);
         let stats = extract_kernel_stats(&json);
         assert_eq!(stats.len(), 6);
+        assert_eq!(stats[0].name, "machine_1k_transactions");
+        assert_eq!(stats[0].median_ns, results[0].median_ns);
         // The guard kernels run their full workloads even in quick mode,
         // so CI guard comparisons are like-for-like.
         assert_eq!(stats[0].work_units, 1_000);
@@ -730,7 +704,11 @@ mod tests {
     fn baseline_is_embedded_with_speedup() {
         let cfg = PerfConfig::quick();
         let results = vec![result("machine_1k_transactions", 300, 100)];
-        let base = vec![("machine_1k_transactions".to_string(), 200u64)];
+        let base = vec![KernelStat {
+            name: "machine_1k_transactions".to_string(),
+            median_ns: 200,
+            work_units: 1_000,
+        }];
         let json = render_json(&cfg, &results, Some(&base));
         assert!(json.contains("\"baseline_median_ns\": 200"));
         assert!(json.contains("\"speedup_vs_baseline\": 2.0000"));
@@ -755,6 +733,17 @@ mod tests {
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].median_ns, 274_279);
         assert_eq!(stats[0].work_units, 0);
+    }
+
+    #[test]
+    fn stats_extractor_keeps_each_median_with_its_own_kernel() {
+        // A kernel without a median must not borrow the next kernel's.
+        let text = r#"{"kernels": [{"name": "a", "mad_ns": 1}, {"name": "b", "median_ns": 5}]}"#;
+        let pairs: Vec<(String, u64)> = extract_kernel_stats(text)
+            .into_iter()
+            .map(|k| (k.name, k.median_ns))
+            .collect();
+        assert_eq!(pairs, [("b".to_string(), 5)]);
     }
 
     #[test]
@@ -800,5 +789,32 @@ mod tests {
         assert!(validate_report("{}").is_err());
         let no_kernels = format!("{{\"schema\": \"{SCHEMA}\"}}");
         assert!(validate_report(&no_kernels).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_required_kernel_without_a_median() {
+        // An unrequired kernel right after the median-less one: its median
+        // must not stand in for the missing one.
+        let cfg = PerfConfig::quick();
+        let results: Vec<KernelResult> = [
+            "machine_1k_transactions",
+            "extra",
+            "synthetic_sweep",
+            "faulted_run",
+            "queue_churn",
+            "cube_pdes_events",
+            "cube_pdes_events_parallel",
+        ]
+        .into_iter()
+        .map(|name| result(name, 10, 100))
+        .collect();
+        let json = render_json(&cfg, &results, None);
+        validate_report(&json).unwrap();
+        let without = json.replacen("\"median_ns\": 100,", "", 1);
+        assert_ne!(without, json);
+        assert_eq!(
+            validate_report(&without),
+            Err("missing kernel machine_1k_transactions".to_string())
+        );
     }
 }

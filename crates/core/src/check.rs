@@ -9,8 +9,8 @@
 //!    holds the line modified.
 //! 4. **Value integrity** — the modified copy (or memory, if unmodified)
 //!    holds the latest committed write; shared copies hold it too.
-//! 5. **MLT consistency** — every column's replicas agree and contain
-//!    exactly the lines held modified within that column.
+//! 5. **MLT consistency** — every column's table contains exactly the
+//!    lines held modified within that column.
 //! 6. **Registry consistency** — the machine's owner registry and sharer
 //!    lists match the caches, and its record of which column's MLT lists
 //!    each line matches the tables.
@@ -65,9 +65,9 @@ pub trait CoherenceView {
     /// level is not modelled.
     fn l1_lines(&self, node: NodeId) -> Vec<LineAddr>;
 
-    /// The contents of the modified line table `node` consults: its
-    /// column's. Order is not significant (compared as sets).
-    fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr>;
+    /// The contents of column `col`'s modified line table. Order is not
+    /// significant (compared as sets).
+    fn mlt_lines(&self, col: u32) -> Vec<LineAddr>;
 
     /// The home column of `line`.
     fn home_column(&self, line: LineAddr) -> u32;
@@ -99,11 +99,7 @@ pub trait CoherenceView {
     /// themselves, for views that keep no such record.
     fn registry_mlt_cols(&self) -> Vec<(LineAddr, u32)> {
         (0..self.side())
-            .flat_map(|col| {
-                self.mlt_lines(NodeId::new(col))
-                    .into_iter()
-                    .map(move |line| (line, col))
-            })
+            .flat_map(|col| self.mlt_lines(col).into_iter().map(move |line| (line, col)))
             .collect()
     }
 
@@ -138,11 +134,8 @@ impl CoherenceView for Machine {
             .unwrap_or_default()
     }
 
-    fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr> {
-        self.mlt(self.controller(node).col())
-            .iter()
-            .copied()
-            .collect()
+    fn mlt_lines(&self, col: u32) -> Vec<LineAddr> {
+        self.mlt(col).iter().copied().collect()
     }
 
     fn home_column(&self, line: LineAddr) -> u32 {
@@ -237,8 +230,8 @@ pub enum CoherenceViolation {
         /// Description of the stale holder.
         holder: String,
     },
-    /// MLT replicas within a column disagree, or the table content does
-    /// not match the modified lines actually held in the column.
+    /// A column's MLT does not match the modified lines actually held in
+    /// the column, or an arena engine populated an MLT.
     MltInconsistent {
         /// The column concerned.
         col: u32,
@@ -461,7 +454,7 @@ fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceVi
     }
     let mut tables: LineMap<Vec<u32>> = LineMap::default();
     for col in 0..v.side() {
-        for line in v.mlt_lines(NodeId::new(col)) {
+        for line in v.mlt_lines(col) {
             tables.entry(line).or_default().push(col);
         }
     }
@@ -571,12 +564,9 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
         }
     }
 
-    // 5. MLT replicas agree and match reality per column.
-    check_mlt_replicas(v)?;
+    // 5. Each column's MLT matches the column's modified lines.
     for col in 0..n {
-        let mut table: Vec<LineAddr> = v.mlt_lines(NodeId::new(col));
-        table.sort_unstable_by_key(|l| l.index());
-        let table: LineSet = table.into_iter().collect();
+        let table: LineSet = v.mlt_lines(col).into_iter().collect();
         let actual: LineSet = g
             .owners
             .iter()
@@ -606,32 +596,6 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
         return Err(CoherenceViolation::EscalationLeak { txn });
     }
 
-    Ok(())
-}
-
-/// MLT replica agreement: within each column every node's replica holds
-/// the same set of lines.
-fn check_mlt_replicas(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    let n = v.side();
-    for col in 0..n {
-        let mut reference: Option<Vec<LineAddr>> = None;
-        for row in 0..n {
-            let node = NodeId::new(row * n + col);
-            let mut entries = v.mlt_lines(node);
-            entries.sort_unstable_by_key(|l| l.index());
-            match &reference {
-                None => reference = Some(entries),
-                Some(r) => {
-                    if *r != entries {
-                        return Err(CoherenceViolation::MltInconsistent {
-                            col,
-                            detail: format!("replica at {node} diverges"),
-                        });
-                    }
-                }
-            }
-        }
-    }
     Ok(())
 }
 
@@ -679,14 +643,12 @@ pub fn check_engine(kind: EngineKind, v: &dyn CoherenceView) -> Result<(), Coher
 
 /// The invariant subset that holds at *every* event boundary, not only at
 /// quiescence: the registry mirrors the caches (both directions), L1 is a
-/// strict subset of L2, no structure holds a version newer than the
-/// committed one, and MLT replicas within a column agree. Transiently-
-/// violable invariants (single writer during an invalidation chain, the
-/// valid bit during a memory bounce, MLT-vs-cache equality while a column
-/// op is in flight) are deliberately excluded.
+/// strict subset of L2, and no structure holds a version newer than the
+/// committed one. Transiently-violable invariants (single writer during an
+/// invalidation chain, the valid bit during a memory bounce, MLT-vs-cache
+/// equality while a column op is in flight) are deliberately excluded.
 ///
-/// Engine-independent: arena engines keep the MLT empty, so replica
-/// agreement holds trivially.
+/// Engine-independent.
 ///
 /// # Errors
 ///
@@ -696,7 +658,6 @@ pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> 
     let g = gather(v)?;
     check_registry(v, &g)?;
     check_l1_subset(v)?;
-    check_mlt_replicas(v)?;
     // No structure may hold a version from the future.
     for node_idx in 0..(n * n) {
         let node = NodeId::new(node_idx);
@@ -867,13 +828,12 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
     }
 
     // The MLT is a Multicube structure; arena engines must leave every
-    // replica empty.
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        if let Some(&line) = v.mlt_lines(node).first() {
+    // column's table empty.
+    for col in 0..n {
+        if let Some(&line) = v.mlt_lines(col).first() {
             return Err(CoherenceViolation::MltInconsistent {
-                col: node.index() % n,
-                detail: format!("arena engine populated the MLT at {node} with {line:?}"),
+                col,
+                detail: format!("arena engine populated the MLT with {line:?}"),
             });
         }
     }

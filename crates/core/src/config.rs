@@ -8,6 +8,11 @@ use multicube_topology::{Grid, TopologyError};
 use crate::bus::Arbitration;
 use crate::fault::{FaultConfigError, FaultPlan, RetryPolicy, Watchdog};
 
+/// Processor-cache (L1) hit latency in nanoseconds: a request the SRAM
+/// processor cache satisfies completes this long after issue, without
+/// touching a bus.
+pub const PROCESSOR_LATENCY_NS: u64 = 10;
+
 /// Bus and memory timing parameters, all in nanoseconds.
 ///
 /// Defaults are the paper's Figure 2 parameters: "The data is transferred
@@ -187,8 +192,6 @@ pub struct MachineConfig {
     /// Geometry of the first-level (SRAM) processor cache; `None` disables
     /// the L1 model (all accesses go to the snooping cache).
     processor_cache: Option<CacheGeometry>,
-    /// Processor-cache hit latency (ns).
-    processor_latency_ns: u64,
     mlt_capacity: usize,
     latency_mode: LatencyMode,
     snarfing: bool,
@@ -234,7 +237,6 @@ impl MachineConfig {
             // traditional goal of minimizing memory latency": small and
             // fast relative to the big DRAM snooping cache.
             processor_cache: Some(CacheGeometry::new(64, 2)),
-            processor_latency_ns: 10,
             mlt_capacity: 4096,
             latency_mode: LatencyMode::StoreAndForward,
             snarfing: false,
@@ -286,13 +288,6 @@ impl MachineConfig {
     #[must_use]
     pub fn with_processor_cache(mut self, geometry: Option<CacheGeometry>) -> Self {
         self.processor_cache = geometry;
-        self
-    }
-
-    /// Sets the processor-cache hit latency in nanoseconds.
-    #[must_use]
-    pub fn with_processor_latency_ns(mut self, ns: u64) -> Self {
-        self.processor_latency_ns = ns;
         self
     }
 
@@ -454,11 +449,6 @@ impl MachineConfig {
     /// Processor-cache geometry, if the L1 level is modelled.
     pub fn processor_cache(&self) -> Option<CacheGeometry> {
         self.processor_cache
-    }
-
-    /// Processor-cache hit latency (ns).
-    pub fn processor_latency_ns(&self) -> u64 {
-        self.processor_latency_ns
     }
 
     /// Modified-line-table capacity.

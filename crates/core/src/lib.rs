@@ -42,7 +42,8 @@
 //! * [`fault`] — fault injection ([`FaultPlan`]), retry backoff
 //!   ([`RetryPolicy`]) and the livelock watchdog ([`Watchdog`]).
 //! * [`trace`] — structured bus-operation tracing ([`TraceSink`] chosen at
-//!   [`Machine::new`]; `MULTICUBE_TRACE=1` selects the stderr sink).
+//!   [`Machine::new`]; `MULTICUBE_TRACE=1` streams JSONL events to
+//!   standard error).
 //! * [`inspect`] — human-readable state dumps (pair with the
 //!   `MULTICUBE_TRACE=1` per-operation trace for debugging).
 
@@ -70,4 +71,4 @@ pub use metrics::{BusReport, MachineMetrics, RunReport, TxnStats};
 pub use node::LineMode;
 pub use pdes::{run_cube, CubeConfig, CubeReport, DepthStats, PlaneReport, RemoteKind};
 pub use proto::{BusOp, OpClass, OpFault, OpKind, TxnId};
-pub use trace::{TraceEvent, TraceFormat, TracePoint, TraceSink};
+pub use trace::{TraceEvent, TracePoint, TraceSink};

@@ -25,7 +25,7 @@ use multicube_topology::NodeId;
 
 use crate::bus::Bus;
 use crate::check::CoherenceViolation;
-use crate::config::{LatencyMode, MachineConfig, MachineConfigError};
+use crate::config::{LatencyMode, MachineConfig, MachineConfigError, PROCESSOR_LATENCY_NS};
 use crate::driver::{Request, RequestKind, SyntheticSpec};
 use crate::fault::{FaultInjector, WatchdogAction};
 use crate::metrics::{MachineMetrics, RunReport, Served};
@@ -510,8 +510,8 @@ impl Machine {
                 victim: None,
             };
             self.set_outstanding(node.as_usize(), out);
-            let delay = self.config.processor_latency_ns();
-            self.events.schedule_after(delay, Event::LocalDone { node });
+            self.events
+                .schedule_after(PROCESSOR_LATENCY_NS, Event::LocalDone { node });
             return Ok(txn);
         }
         let txn = self.start_request(node, Request::new(kind, line));

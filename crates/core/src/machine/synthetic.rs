@@ -232,7 +232,6 @@ impl Machine {
         }
 
         let elapsed_ms = now.as_millis_f64();
-        let bus_txns = self.metrics.bus_transactions();
         let achieved = if elapsed_ms > 0.0 {
             self.metrics.total_transactions() as f64 / (nn as f64 * elapsed_ms)
         } else {
@@ -248,7 +247,6 @@ impl Machine {
         ] {
             lat.merge(&s.latency_ns);
         }
-        let _ = bus_txns;
 
         RunReport {
             processors: (nn as u32),

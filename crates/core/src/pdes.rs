@@ -43,7 +43,7 @@ use crate::config::{EngineKind, MachineConfig};
 use crate::driver::SyntheticSpec;
 use crate::machine::Machine;
 use crate::metrics::RunReport;
-use crate::trace::{TraceFormat, TraceSink};
+use crate::trace::TraceSink;
 
 /// One depth-bus hop: the minimum cross-plane latency, and therefore the
 /// conservative lookahead.
@@ -802,7 +802,7 @@ fn build_machine(cfg: &CubeConfig, plane: usize) -> (Machine, Option<SharedBuf>)
     let mut machine = Machine::new(mconfig, mseed).expect("valid machine config");
     let trace = cfg.capture_trace.then(SharedBuf::default);
     if let Some(buf) = &trace {
-        machine.set_trace_sink(TraceSink::writer(Box::new(buf.clone()), TraceFormat::Jsonl));
+        machine.set_trace_sink(TraceSink::writer(Box::new(buf.clone())));
     }
     machine.begin_synthetic(&cfg.spec, cfg.txns_per_node);
     (machine, trace)

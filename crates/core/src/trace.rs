@@ -4,11 +4,10 @@
 //! [`TraceEvent`] and delivered to a [`TraceSink`] chosen once at
 //! [`crate::Machine::new`]. The default sink is [`TraceSink::Disabled`],
 //! which costs one enum-discriminant test per potential event and never
-//! allocates; setting the `MULTICUBE_TRACE` environment variable when the
-//! machine is constructed selects [`TraceSink::Stderr`], which preserves
-//! the historical human-readable per-operation line. Tests use the bounded
-//! [`TraceSink::ring`] buffer, and [`TraceSink::writer`] streams JSONL or
-//! CSV records for offline analysis.
+//! allocates. Tests use the bounded [`TraceSink::ring`] buffer, and
+//! [`TraceSink::writer`] streams one JSON object per event (JSONL) for
+//! offline analysis; setting the `MULTICUBE_TRACE` environment variable
+//! when the machine is constructed selects that writer on standard error.
 //!
 //! # Example
 //!
@@ -75,7 +74,7 @@ pub enum TracePoint {
 }
 
 impl TracePoint {
-    /// Stable lowercase name, used by the JSONL/CSV writers.
+    /// Stable lowercase name, used by the JSONL writer.
     pub fn name(self) -> &'static str {
         match self {
             TracePoint::OpStart => "op-start",
@@ -122,15 +121,6 @@ pub struct TraceEvent {
     pub data: Option<LineVersion>,
 }
 
-/// Output format of [`TraceSink::writer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceFormat {
-    /// One JSON object per line.
-    Jsonl,
-    /// Comma-separated values with a header row.
-    Csv,
-}
-
 /// Destination for trace events, chosen once per machine.
 #[derive(Default)]
 pub enum TraceSink {
@@ -138,9 +128,6 @@ pub enum TraceSink {
     /// potential event; no [`TraceEvent`] is even constructed.
     #[default]
     Disabled,
-    /// Human-readable lines on standard error (the historical
-    /// `MULTICUBE_TRACE` output).
-    Stderr,
     /// A bounded in-memory buffer keeping the most recent events.
     RingBuffer {
         /// Most recent events, oldest first.
@@ -148,42 +135,34 @@ pub enum TraceSink {
         /// Maximum number of retained events.
         capacity: usize,
     },
-    /// Structured records streamed to a writer.
-    Writer {
-        /// The output stream.
-        out: Box<dyn Write + Send>,
-        /// Record format.
-        format: TraceFormat,
-    },
+    /// JSONL records streamed to a writer.
+    Writer(Box<dyn Write + Send>),
 }
 
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TraceSink::Disabled => write!(f, "TraceSink::Disabled"),
-            TraceSink::Stderr => write!(f, "TraceSink::Stderr"),
             TraceSink::RingBuffer { buf, capacity } => f
                 .debug_struct("TraceSink::RingBuffer")
                 .field("len", &buf.len())
                 .field("capacity", capacity)
                 .finish(),
-            TraceSink::Writer { format, .. } => f
-                .debug_struct("TraceSink::Writer")
-                .field("format", format)
-                .finish_non_exhaustive(),
+            TraceSink::Writer(_) => write!(f, "TraceSink::Writer"),
         }
     }
 }
 
 impl TraceSink {
-    /// The sink selected by the environment: [`TraceSink::Stderr`] when
-    /// `MULTICUBE_TRACE` is set, [`TraceSink::Disabled`] otherwise.
+    /// The sink selected by the environment: a [`TraceSink::writer`] on
+    /// standard error when `MULTICUBE_TRACE` is set,
+    /// [`TraceSink::Disabled`] otherwise.
     ///
     /// Consulted exactly once, at [`crate::Machine::new`] — never in the
     /// per-operation dispatch path.
     pub fn from_env() -> Self {
         if std::env::var_os("MULTICUBE_TRACE").is_some() {
-            TraceSink::Stderr
+            TraceSink::writer(Box::new(std::io::stderr()))
         } else {
             TraceSink::Disabled
         }
@@ -197,12 +176,9 @@ impl TraceSink {
         }
     }
 
-    /// A streaming writer sink. The CSV header row is emitted immediately.
-    pub fn writer(mut out: Box<dyn Write + Send>, format: TraceFormat) -> Self {
-        if format == TraceFormat::Csv {
-            let _ = writeln!(out, "at_ns,point,bus,kind,line,originator,txn,piece,data");
-        }
-        TraceSink::Writer { out, format }
+    /// A sink writing one JSON object per event to `out`.
+    pub fn writer(out: Box<dyn Write + Send>) -> Self {
+        TraceSink::Writer(out)
     }
 
     /// Whether events should be constructed at all.
@@ -215,22 +191,14 @@ impl TraceSink {
     pub fn record(&mut self, ev: TraceEvent) {
         match self {
             TraceSink::Disabled => {}
-            // Legacy parity: the historical trace printed one line per
-            // *completed* operation; start events would double the output.
-            TraceSink::Stderr if ev.point == TracePoint::OpStart => {}
-            TraceSink::Stderr => eprintln!("{}", render_stderr(&ev)),
             TraceSink::RingBuffer { buf, capacity } => {
                 if buf.len() == *capacity {
                     buf.pop_front();
                 }
                 buf.push_back(ev);
             }
-            TraceSink::Writer { out, format } => {
-                let line = match format {
-                    TraceFormat::Jsonl => render_jsonl(&ev),
-                    TraceFormat::Csv => render_csv(&ev),
-                };
-                let _ = writeln!(out, "{line}");
+            TraceSink::Writer(out) => {
+                let _ = writeln!(out, "{}", render_jsonl(&ev));
             }
         }
     }
@@ -255,36 +223,6 @@ impl TraceSink {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// The historical `MULTICUBE_TRACE` line for operation events, with the
-/// decision points appended in the same spirit.
-fn render_stderr(ev: &TraceEvent) -> String {
-    match ev.point {
-        TracePoint::OpComplete => format!(
-            "[{}] {} {} {:?} orig={} {} data={:?}",
-            ev.at,
-            opt(ev.bus),
-            ev.kind.map(|k| k.name()).unwrap_or("?"),
-            ev.line,
-            opt(ev.originator),
-            opt(ev.txn),
-            ev.data,
-        ),
-        _ => format!(
-            "[{}] {} {} {:?} orig={} {}",
-            ev.at,
-            opt(ev.bus),
-            ev.point.name(),
-            ev.line,
-            opt(ev.originator),
-            opt(ev.txn),
-        ),
-    }
-}
-
-fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-    v.map(|x| x.to_string()).unwrap_or_else(|| "-".to_string())
 }
 
 fn json_str_or_null<T: std::fmt::Display>(v: Option<T>) -> String {
@@ -313,27 +251,6 @@ fn render_jsonl(ev: &TraceEvent) -> String {
         ev.data
             .map(|d| d.stamp().to_string())
             .unwrap_or_else(|| "null".into()),
-    )
-}
-
-fn render_csv(ev: &TraceEvent) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{},{}",
-        ev.at.as_nanos(),
-        ev.point.name(),
-        opt(ev.bus),
-        ev.kind.map(|k| k.name()).unwrap_or("-"),
-        ev.line.index(),
-        opt(ev.originator),
-        ev.txn
-            .map(|t| t.0.to_string())
-            .unwrap_or_else(|| "-".into()),
-        ev.piece
-            .map(|p| format!("{}/{}", p.index, p.of))
-            .unwrap_or_else(|| "-".into()),
-        ev.data
-            .map(|d| d.stamp().to_string())
-            .unwrap_or_else(|| "-".into()),
     )
 }
 
@@ -390,44 +307,5 @@ mod tests {
         assert!(line.contains("\"txn\":9"));
         assert!(line.contains("\"piece\":null"));
         assert!(line.contains("\"data\":null"));
-    }
-
-    #[test]
-    fn csv_writer_emits_header_and_rows() {
-        let buf: Vec<u8> = Vec::new();
-        let shared = std::sync::Arc::new(std::sync::Mutex::new(buf));
-
-        struct Tee(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl Write for Tee {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let mut sink = TraceSink::writer(Box::new(Tee(shared.clone())), TraceFormat::Csv);
-        sink.record(event(3, TracePoint::Retry));
-        let text = String::from_utf8(shared.lock().unwrap().clone()).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "at_ns,point,bus,kind,line,originator,txn,piece,data"
-        );
-        assert_eq!(
-            lines.next().unwrap(),
-            "3,retry,row2,READ(ROW,REQ),64,P5,9,-,-"
-        );
-    }
-
-    #[test]
-    fn stderr_format_matches_legacy_trace_line() {
-        let line = render_stderr(&event(11, TracePoint::OpComplete));
-        assert_eq!(
-            line,
-            "[11ns] row2 READ(ROW,REQ) L0x40 orig=P5 txn9 data=None"
-        );
     }
 }

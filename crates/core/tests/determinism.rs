@@ -11,7 +11,7 @@
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use multicube::trace::{TraceFormat, TraceSink};
+use multicube::trace::TraceSink;
 use multicube::{Machine, MachineConfig, Request, SyntheticSpec};
 use multicube_mem::LineAddr;
 use multicube_topology::NodeId;
@@ -33,7 +33,7 @@ impl Write for SharedBuf {
 fn traced_machine(seed: u64) -> (Machine, SharedBuf) {
     let mut m = Machine::new(MachineConfig::grid(4).unwrap(), seed).unwrap();
     let buf = SharedBuf::default();
-    m.set_trace_sink(TraceSink::writer(Box::new(buf.clone()), TraceFormat::Jsonl));
+    m.set_trace_sink(TraceSink::writer(Box::new(buf.clone())));
     (m, buf)
 }
 

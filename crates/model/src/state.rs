@@ -12,7 +12,7 @@
 //! transition, not a chain of bus events), every reachable state is
 //! quiescent-shaped, and the *simulator's own* quiescent invariants from
 //! [`multicube::check`] judge it through the [`CoherenceView`] trait.
-//! Derived structures — the owner registry, the per-column MLT replicas,
+//! Derived structures — the owner registry, the per-column MLTs,
 //! the arena side tables — are computed from cache modes on demand, so
 //! they are consistent by construction; the invariants still exercise
 //! the protocol-semantic constraints (single writer, valid bit, value
@@ -229,10 +229,6 @@ impl StateView<'_> {
     fn line(&self, line: LineAddr) -> &LineState {
         &self.state.lines[line.index() as usize]
     }
-
-    fn node_col(node: NodeId) -> u32 {
-        node.index() % SIDE as u32
-    }
 }
 
 impl CoherenceView for StateView<'_> {
@@ -263,15 +259,13 @@ impl CoherenceView for StateView<'_> {
         Vec::new()
     }
 
-    fn mlt_lines(&self, node: NodeId) -> Vec<LineAddr> {
+    fn mlt_lines(&self, col: u32) -> Vec<LineAddr> {
         // The MLT is a Multicube structure; arena engines leave it empty.
-        // Replicas are derived from ownership, so within a column both
-        // rows see the same set — the replica-agreement invariant then
-        // checks the *semantic* property that the set matches the caches.
+        // The model keeps no table of its own: a column's table is the set
+        // of lines owned by a node in that column.
         if self.cfg.engine != EngineKind::Multicube {
             return Vec::new();
         }
-        let col = Self::node_col(node);
         self.state
             .lines
             .iter()

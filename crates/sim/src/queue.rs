@@ -268,18 +268,6 @@ impl<E> EventQueue<E> {
     pub fn max_len(&self) -> usize {
         self.max_len
     }
-
-    /// Total number of events ever scheduled (alias of
-    /// [`EventQueue::scheduled`]).
-    pub fn scheduled_count(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Total number of events delivered (alias of
-    /// [`EventQueue::delivered`]).
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
-    }
 }
 
 impl<E> core::fmt::Debug for EventQueue<E> {
@@ -353,9 +341,7 @@ mod tests {
         q.schedule_after(2, ());
         q.pop();
         assert_eq!(q.scheduled(), 2);
-        assert_eq!(q.scheduled_count(), 2);
         assert_eq!(q.delivered(), 1);
-        assert_eq!(q.delivered_count(), 1);
         assert_eq!(q.len(), 1);
         assert_eq!(q.max_len(), 2);
         assert!(!q.is_empty());

@@ -16,13 +16,13 @@
 //! * [`Search`] — mostly-private state-space expansion with occasional
 //!   reads of a shared transposition table and contended lock probes.
 //!
-//! [`Trace`] records any workload's request stream to a compact binary
-//! format and replays it bit-identically — the answer to the paper's
-//! complaint that "very little data has been published on the memory
-//! reference behavior of parallel programs". The chunked v2 format
-//! ([`TraceV2Writer`]/[`TraceV2Reader`]) streams 10⁷+-record traces and
-//! replays from any chunk boundary; [`WebSession`] adds front-end cache
-//! traffic (Zipf-popular content) to the serving-tier workload set.
+//! [`TraceRecorder`] records any workload's request stream to a compact
+//! chunked binary format ([`TraceV2Writer`]) and [`TraceV2Reader`] replays
+//! it bit-identically — the answer to the paper's complaint that "very
+//! little data has been published on the memory reference behavior of
+//! parallel programs". The format streams 10⁷+-record traces and replays
+//! from any chunk boundary; [`WebSession`] adds front-end cache traffic
+//! (Zipf-popular content) to the serving-tier workload set.
 //!
 //! # Example
 //!
@@ -43,6 +43,5 @@ pub mod trace;
 pub use apps::{HotSpot, Oltp, PhasedNumeric, ProducerConsumer, Search, WebSession};
 pub use runner::{Workload, WorkloadReport, WorkloadRunner};
 pub use trace::{
-    StreamingPlayer, Trace, TraceDecodeError, TraceEncodeError, TracePlayer, TraceRecord,
-    TraceRecorder, TraceV2Reader, TraceV2Writer,
+    StreamingPlayer, TraceDecodeError, TraceRecord, TraceRecorder, TraceV2Reader, TraceV2Writer,
 };

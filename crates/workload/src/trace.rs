@@ -2,28 +2,20 @@
 //!
 //! The paper laments that "very little data has been published on the
 //! memory reference behavior of parallel programs"; a reproducible trace
-//! format is the tooling answer. A [`Trace`] captures the exact request
-//! stream a workload generated (per node, with think delays), can be
-//! serialized to a compact binary format, and replays as a [`Workload`] —
-//! so an interesting run can be archived and re-examined under different
-//! machine configurations.
+//! format is the tooling answer. A [`TraceRecorder`] captures the exact
+//! request stream a workload generated (per node, with think delays) into
+//! a [`TraceV2Writer`], and a [`TraceV2Reader`] replays it as a
+//! [`Workload`] — so an interesting run can be archived and re-examined
+//! under different machine configurations.
 //!
-//! Two wire formats live side by side:
-//!
-//! * **v1** (`MCUBTRC1`): a flat header + record list with a `u32` record
-//!   count. Kept decodable forever; [`Trace::to_bytes`] refuses (rather
-//!   than silently truncates) streams beyond `u32::MAX` records.
-//! * **v2** (`MCUBTRC2`): the serving-tier format — a `u64` record count
-//!   and the stream split into chunks, each carrying a per-node table of
-//!   how many records of that node precede the chunk. A
-//!   [`TraceV2Reader`] can therefore start replay at *any chunk
-//!   boundary* with correct per-node positions, and its
-//!   [`StreamingPlayer`] decodes chunks lazily instead of materializing
-//!   a 10⁷-record trace up front. [`TraceV2Writer`] streams records out
-//!   without knowing the total in advance.
-//!
-//! Both formats share the 21-byte big-endian record encoding
-//! (`u32` node, `u64` delay, `u8` kind, `u64` line).
+//! The wire format (`MCUBTRC2`) carries a `u64` record count and splits
+//! the stream into chunks, each with a per-node table of how many records
+//! of that node precede the chunk. A [`TraceV2Reader`] can therefore start
+//! replay at *any chunk boundary* with correct per-node positions, and its
+//! [`StreamingPlayer`] decodes chunks lazily instead of materializing a
+//! 10⁷-record trace up front. [`TraceV2Writer`] streams records out
+//! without knowing the total in advance. Each record is 21 big-endian
+//! bytes (`u32` node, `u64` delay, `u8` kind, `u64` line).
 
 use multicube::{Request, RequestKind};
 use multicube_mem::LineAddr;
@@ -75,48 +67,24 @@ fn decode_kind(code: u8) -> Option<RequestKind> {
     })
 }
 
-/// Error from encoding a trace to the v1 binary format.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEncodeError {
-    /// The stream has more records than the v1 `u32` count can carry;
-    /// use the v2 format ([`Trace::to_bytes_v2`]) instead.
-    TooManyRecords {
-        /// The actual record count.
-        count: usize,
-    },
-}
-
-impl core::fmt::Display for TraceEncodeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            TraceEncodeError::TooManyRecords { count } => write!(
-                f,
-                "{count} records exceed the v1 u32 record count; use the v2 format"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for TraceEncodeError {}
-
 /// Error from decoding a binary trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceDecodeError {
-    /// The buffer does not start with a known trace magic.
+    /// The buffer does not start with the trace magic.
     BadMagic,
     /// The buffer ended mid-record or mid-header.
     Truncated,
     /// A record carried an unknown request-kind code.
     BadKind(u8),
-    /// A v2 record named a node outside the header's node count.
+    /// A record named a node outside the header's node count.
     BadNode(u32),
-    /// A v2 chunk's per-node offset table disagrees with the records
+    /// A chunk's per-node offset table disagrees with the records
     /// preceding it.
     BadOffsets {
         /// The inconsistent chunk.
         chunk: u32,
     },
-    /// The v2 header counts disagree with the buffer (record total or
+    /// The header counts disagree with the buffer (record total or
     /// trailing bytes).
     BadCount,
 }
@@ -138,19 +106,12 @@ impl core::fmt::Display for TraceDecodeError {
 
 impl std::error::Error for TraceDecodeError {}
 
-const MAGIC: &[u8; 8] = b"MCUBTRC1";
-const MAGIC_V2: &[u8; 8] = b"MCUBTRC2";
-/// Bytes of one encoded record (both formats).
+const MAGIC: &[u8; 8] = b"MCUBTRC2";
+/// Bytes of one encoded record.
 const RECORD_BYTES: usize = 21;
-/// Bytes of the fixed v2 file header (magic, u64 total, u32 nodes,
-/// u32 chunks).
-const V2_HEADER_BYTES: usize = 8 + 8 + 4 + 4;
-
-/// The v1 record count: `u32`, so streams beyond `u32::MAX` records must
-/// refuse rather than silently wrap.
-fn v1_count(len: usize) -> Result<u32, TraceEncodeError> {
-    u32::try_from(len).map_err(|_| TraceEncodeError::TooManyRecords { count: len })
-}
+/// Bytes of the fixed file header (magic, u64 total, u32 nodes, u32
+/// chunks).
+const HEADER_BYTES: usize = 8 + 8 + 4 + 4;
 
 /// A bounds-checked big-endian reader over a byte slice.
 struct Cursor<'a> {
@@ -202,165 +163,43 @@ fn put_record(buf: &mut Vec<u8>, r: &TraceRecord) {
     buf.extend_from_slice(&r.line.to_be_bytes());
 }
 
-/// A recorded request stream.
+/// Records the requests another workload produces into a
+/// [`TraceV2Writer`].
 ///
 /// # Example
 ///
 /// ```
 /// use multicube::{Machine, MachineConfig};
-/// use multicube_workload::{Oltp, Trace, WorkloadRunner};
+/// use multicube_workload::{Oltp, TraceRecorder, TraceV2Reader, TraceV2Writer, WorkloadRunner};
 ///
 /// // Record an OLTP run...
 /// let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 3).unwrap();
-/// let mut recorder = Trace::recording(Oltp::new(8));
+/// let mut recorder = TraceRecorder::new(Oltp::new(8), TraceV2Writer::new(4, 16));
 /// WorkloadRunner::new(10).run(&mut m, &mut recorder);
-/// let trace = recorder.into_trace();
+/// let bytes = recorder.finish();
 ///
-/// // ...serialize, deserialize, and replay it bit-identically.
-/// let bytes = trace.to_bytes().unwrap();
-/// let replayed = Trace::from_bytes(&bytes).unwrap();
-/// assert_eq!(trace, replayed);
-///
+/// // ...then validate and replay it.
+/// let reader = TraceV2Reader::new(&bytes).unwrap();
+/// assert_eq!(reader.record_count(), 40);
 /// let mut m2 = Machine::new(MachineConfig::grid(2).unwrap(), 3).unwrap();
-/// let report = WorkloadRunner::new(10).run(&mut m2, &mut replayed.player());
+/// let report = WorkloadRunner::new(10).run(&mut m2, &mut reader.player());
 /// assert_eq!(report.requests_completed, 40);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct Trace {
-    records: Vec<TraceRecord>,
-}
-
-impl Trace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Wraps a workload in a recorder that captures everything it emits.
-    pub fn recording<W: Workload>(inner: W) -> TraceRecorder<W> {
-        TraceRecorder {
-            inner,
-            trace: Trace::new(),
-        }
-    }
-
-    /// Appends a record.
-    pub fn push(&mut self, node: NodeId, delay_ns: u64, request: Request) {
-        self.records.push(TraceRecord {
-            node: node.index(),
-            delay_ns,
-            kind: encode_kind(request.kind),
-            line: request.line.index(),
-        });
-    }
-
-    /// Number of recorded requests.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Iterates over the records in recording order.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Serializes to the v1 binary format (big-endian fields).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceEncodeError::TooManyRecords`] when the stream exceeds the v1
-    /// `u32` record count; such traces need [`Trace::to_bytes_v2`].
-    pub fn to_bytes(&self) -> Result<Vec<u8>, TraceEncodeError> {
-        let count = v1_count(self.records.len())?;
-        let mut buf = Vec::with_capacity(8 + 4 + self.records.len() * RECORD_BYTES);
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&count.to_be_bytes());
-        for r in &self.records {
-            put_record(&mut buf, r);
-        }
-        Ok(buf)
-    }
-
-    /// Serializes to the chunked v2 binary format with `chunk_records`
-    /// records per chunk. The node count is taken from the highest node
-    /// index present.
-    pub fn to_bytes_v2(&self, chunk_records: usize) -> Vec<u8> {
-        let nodes = self.records.iter().map(|r| r.node + 1).max().unwrap_or(0);
-        let mut w = TraceV2Writer::new(nodes, chunk_records);
-        for r in &self.records {
-            w.push_record(*r);
-        }
-        w.finish()
-    }
-
-    /// Deserializes from either binary format (dispatching on the magic).
-    ///
-    /// # Errors
-    ///
-    /// See [`TraceDecodeError`].
-    pub fn from_bytes(data: &[u8]) -> Result<Self, TraceDecodeError> {
-        if data.len() >= 8 && &data[..8] == MAGIC_V2 {
-            return TraceV2Reader::new(data)?.read_all();
-        }
-        if data.len() < 12 || &data[..8] != MAGIC {
-            return Err(TraceDecodeError::BadMagic);
-        }
-        let mut cursor = Cursor { data, position: 8 };
-        let count = cursor.get_u32().expect("length checked above") as usize;
-        let mut records = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            let r = cursor.get_record().ok_or(TraceDecodeError::Truncated)?;
-            decode_kind(r.kind).ok_or(TraceDecodeError::BadKind(r.kind))?;
-            records.push(r);
-        }
-        Ok(Trace { records })
-    }
-
-    /// A replaying [`Workload`] over this trace: each node receives its
-    /// own recorded requests in order. The player borrows the records and
-    /// builds a per-node position index once, so construction is one pass
-    /// and every [`Workload::next`] call is O(1) — no per-call rescan and
-    /// no clone of the record vector.
-    pub fn player(&self) -> TracePlayer<'_> {
-        assert!(
-            self.records.len() <= u32::MAX as usize,
-            "in-memory player indexes at most u32::MAX records; use the v2 streaming player"
-        );
-        let mut index: Vec<Vec<u32>> = Vec::new();
-        for (pos, r) in self.records.iter().enumerate() {
-            let node = r.node as usize;
-            if index.len() <= node {
-                index.resize_with(node + 1, Vec::new);
-            }
-            index[node].push(pos as u32);
-        }
-        let cursor = vec![0; index.len()];
-        TracePlayer {
-            records: &self.records,
-            index,
-            cursor,
-            served: 0,
-        }
-    }
-}
-
-/// Records the requests another workload produces (see
-/// [`Trace::recording`]).
 #[derive(Debug)]
 pub struct TraceRecorder<W> {
     inner: W,
-    trace: Trace,
+    writer: TraceV2Writer,
 }
 
 impl<W> TraceRecorder<W> {
-    /// Finishes recording and returns the trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
+    /// Wraps `inner`, appending everything it emits to `writer`.
+    pub fn new(inner: W, writer: TraceV2Writer) -> Self {
+        TraceRecorder { inner, writer }
+    }
+
+    /// Finishes recording and returns the encoded trace.
+    pub fn finish(self) -> Vec<u8> {
+        self.writer.finish()
     }
 }
 
@@ -371,59 +210,12 @@ impl<W: Workload> Workload for TraceRecorder<W> {
 
     fn next(&mut self, node: NodeId, rng: &mut DeterministicRng) -> Option<(u64, Request)> {
         let (delay, req) = self.inner.next(node, rng)?;
-        self.trace.push(node, delay, req);
+        self.writer.push(node, delay, req);
         Some((delay, req))
     }
 }
 
-/// Replays a [`Trace`] as a [`Workload`].
-///
-/// Borrows the trace's records; a per-node index of record positions is
-/// built once at [`Trace::player`], so each `next` call touches exactly
-/// one record.
-#[derive(Debug, Clone)]
-pub struct TracePlayer<'a> {
-    records: &'a [TraceRecord],
-    /// Per-node record positions, in recording order.
-    index: Vec<Vec<u32>>,
-    /// Per-node position into `index`.
-    cursor: Vec<usize>,
-    served: u64,
-}
-
-impl TracePlayer<'_> {
-    /// Requests handed out so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Requests still to be handed out (over all nodes).
-    pub fn remaining(&self) -> u64 {
-        self.index
-            .iter()
-            .zip(&self.cursor)
-            .map(|(list, &c)| (list.len() - c) as u64)
-            .sum()
-    }
-}
-
-impl Workload for TracePlayer<'_> {
-    fn name(&self) -> &'static str {
-        "trace-replay"
-    }
-
-    fn next(&mut self, node: NodeId, _rng: &mut DeterministicRng) -> Option<(u64, Request)> {
-        let idx = node.as_usize();
-        let list = self.index.get(idx)?;
-        let pos = *list.get(self.cursor[idx])?;
-        self.cursor[idx] += 1;
-        self.served += 1;
-        let r = &self.records[pos as usize];
-        Some((r.delay_ns, r.request()))
-    }
-}
-
-/// Streaming writer for the chunked v2 format.
+/// Streaming writer for the chunked trace format.
 ///
 /// Records are appended one at a time and flushed as chunks of
 /// `chunk_records`; the totals in the file header are patched in by
@@ -436,7 +228,7 @@ impl Workload for TracePlayer<'_> {
 /// use multicube::Request;
 /// use multicube_mem::LineAddr;
 /// use multicube_topology::NodeId;
-/// use multicube_workload::{Trace, TraceV2Reader, TraceV2Writer};
+/// use multicube_workload::{TraceV2Reader, TraceV2Writer};
 ///
 /// let mut w = TraceV2Writer::new(2, 3); // 2 nodes, 3 records per chunk
 /// for i in 0..8 {
@@ -447,7 +239,7 @@ impl Workload for TracePlayer<'_> {
 /// let reader = TraceV2Reader::new(&bytes).unwrap();
 /// assert_eq!(reader.record_count(), 8);
 /// assert_eq!(reader.chunk_count(), 3); // 3 + 3 + 2
-/// assert_eq!(Trace::from_bytes(&bytes).unwrap().len(), 8);
+/// assert_eq!(reader.read_all().len(), 8);
 /// ```
 #[derive(Debug)]
 pub struct TraceV2Writer {
@@ -468,7 +260,7 @@ impl TraceV2Writer {
     /// `chunk_records` records (clamped to at least 1).
     pub fn new(nodes: u32, chunk_records: usize) -> Self {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V2);
+        buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&0u64.to_be_bytes()); // total, patched at finish
         buf.extend_from_slice(&nodes.to_be_bytes());
         buf.extend_from_slice(&0u32.to_be_bytes()); // chunks, patched at finish
@@ -489,22 +281,18 @@ impl TraceV2Writer {
     ///
     /// Panics if `node` is outside the writer's node count.
     pub fn push(&mut self, node: NodeId, delay_ns: u64, request: Request) {
-        self.push_record(TraceRecord {
+        assert!(
+            node.index() < self.nodes,
+            "record node {} outside writer node count {}",
+            node.index(),
+            self.nodes
+        );
+        self.open.push(TraceRecord {
             node: node.index(),
             delay_ns,
             kind: encode_kind(request.kind),
             line: request.line.index(),
         });
-    }
-
-    fn push_record(&mut self, r: TraceRecord) {
-        assert!(
-            r.node < self.nodes,
-            "record node {} outside writer node count {}",
-            r.node,
-            self.nodes
-        );
-        self.open.push(r);
         self.total += 1;
         if self.open.len() >= self.chunk_capacity {
             self.flush_chunk();
@@ -542,7 +330,7 @@ impl TraceV2Writer {
     }
 }
 
-/// Streaming reader for the chunked v2 format.
+/// Streaming reader for the chunked trace format.
 ///
 /// Construction makes one validating pass over the buffer (structure,
 /// kinds, node bounds, and every chunk's offset table) without
@@ -570,10 +358,10 @@ impl<'a> TraceV2Reader<'a> {
     /// fails with [`TraceDecodeError::BadMagic`] or
     /// [`TraceDecodeError::Truncated`].
     pub fn new(data: &'a [u8]) -> Result<Self, TraceDecodeError> {
-        if data.len() < 8 || &data[..8] != MAGIC_V2 {
+        if data.len() < 8 || &data[..8] != MAGIC {
             return Err(TraceDecodeError::BadMagic);
         }
-        if data.len() < V2_HEADER_BYTES {
+        if data.len() < HEADER_BYTES {
             return Err(TraceDecodeError::Truncated);
         }
         let mut c = Cursor { data, position: 8 };
@@ -676,18 +464,13 @@ impl<'a> TraceV2Reader<'a> {
             .collect()
     }
 
-    /// Decodes the whole trace into memory.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible after construction; kept fallible for parity
-    /// with [`Trace::from_bytes`].
-    pub fn read_all(&self) -> Result<Trace, TraceDecodeError> {
+    /// Decodes the whole trace into memory, in recording order.
+    pub fn read_all(&self) -> Vec<TraceRecord> {
         let mut records = Vec::with_capacity(self.total.min(1 << 20) as usize);
         for chunk in 0..self.chunk_count() {
             records.extend(self.chunk_records(chunk));
         }
-        Ok(Trace { records })
+        records
     }
 
     /// A streaming player over the whole trace.
@@ -724,7 +507,7 @@ impl<'a> TraceV2Reader<'a> {
     }
 }
 
-/// Replays a v2 trace as a [`Workload`], decoding chunks lazily.
+/// Replays a trace as a [`Workload`], decoding chunks lazily.
 ///
 /// Only the records a node has not yet consumed from already-decoded
 /// chunks are buffered, so memory tracks per-node skew rather than trace
@@ -791,94 +574,69 @@ mod tests {
     use crate::runner::WorkloadRunner;
     use multicube::{Machine, MachineConfig};
 
+    /// `count` records over `nodes` nodes: record `i` goes to node
+    /// `i % nodes` with delay `i * 10`, line `i` and every kind in turn.
+    fn records(count: u64, nodes: u32) -> Vec<TraceRecord> {
+        (0..count)
+            .map(|i| TraceRecord {
+                node: (i % u64::from(nodes)) as u32,
+                delay_ns: i * 10,
+                kind: (i % 5) as u8,
+                line: i,
+            })
+            .collect()
+    }
+
+    fn encode(records: &[TraceRecord], nodes: u32, chunk_records: usize) -> Vec<u8> {
+        let mut w = TraceV2Writer::new(nodes, chunk_records);
+        for r in records {
+            w.push(NodeId::new(r.node), r.delay_ns, r.request());
+        }
+        w.finish()
+    }
+
     #[test]
     fn roundtrip_binary_format() {
-        let mut t = Trace::new();
-        t.push(NodeId::new(3), 1000, Request::read(LineAddr::new(7)));
-        t.push(
-            NodeId::new(1),
-            2000,
-            Request::new(RequestKind::TestAndSet, LineAddr::new(9)),
-        );
-        let bytes = t.to_bytes().unwrap();
-        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
-    }
-
-    #[test]
-    fn roundtrip_v2_format() {
-        let mut t = Trace::new();
-        for i in 0..100u64 {
-            t.push(
-                NodeId::new((i % 7) as u32),
-                i * 10,
-                Request::read(LineAddr::new(i)),
-            );
-        }
+        let recs = records(100, 7);
         for chunk_records in [1, 3, 64, 1000] {
-            let bytes = t.to_bytes_v2(chunk_records);
-            assert_eq!(Trace::from_bytes(&bytes).unwrap(), t, "{chunk_records}");
+            let bytes = encode(&recs, 7, chunk_records);
+            let reader = TraceV2Reader::new(&bytes).unwrap();
+            assert_eq!(reader.read_all(), recs, "{chunk_records}");
         }
-    }
-
-    #[test]
-    fn v1_count_refuses_overflow() {
-        assert_eq!(v1_count(0), Ok(0));
-        assert_eq!(v1_count(u32::MAX as usize), Ok(u32::MAX));
-        // A 2^32-record stream is ~90 GB, so the guard is exercised on the
-        // factored count check rather than a materialized trace.
-        assert_eq!(
-            v1_count(u32::MAX as usize + 1),
-            Err(TraceEncodeError::TooManyRecords {
-                count: u32::MAX as usize + 1
-            })
-        );
     }
 
     #[test]
     fn decode_rejects_garbage() {
         assert_eq!(
-            Trace::from_bytes(b"notatrace"),
-            Err(TraceDecodeError::BadMagic)
+            TraceV2Reader::new(b"notatrace").unwrap_err(),
+            TraceDecodeError::BadMagic
         );
-        let mut bytes = Trace::new().to_bytes().unwrap();
-        bytes[8..12].copy_from_slice(&5u32.to_be_bytes()); // claim 5 records
-        assert_eq!(Trace::from_bytes(&bytes), Err(TraceDecodeError::Truncated));
+        let mut bytes = TraceV2Writer::new(2, 4).finish();
+        bytes[20..24].copy_from_slice(&1u32.to_be_bytes()); // claim a chunk
+        assert_eq!(
+            TraceV2Reader::new(&bytes).unwrap_err(),
+            TraceDecodeError::Truncated
+        );
     }
 
     #[test]
     fn decode_rejects_unknown_kind() {
-        let mut t = Trace::new();
-        t.push(NodeId::new(0), 0, Request::read(LineAddr::new(0)));
-        let mut bytes = t.to_bytes().unwrap();
-        bytes[8 + 4 + 12] = 99; // corrupt the kind byte
+        let mut bytes = encode(&records(1, 1), 1, 4);
+        // Header, then the chunk's length and one-node offset table, then
+        // the record's node and delay precede its kind byte.
+        bytes[HEADER_BYTES + 8 + 8 + 12] = 99;
         assert_eq!(
-            Trace::from_bytes(&bytes),
-            Err(TraceDecodeError::BadKind(99))
+            TraceV2Reader::new(&bytes).unwrap_err(),
+            TraceDecodeError::BadKind(99)
         );
     }
 
     #[test]
-    fn v2_decode_rejects_corruption() {
-        let mut t = Trace::new();
-        for i in 0..10u64 {
-            t.push(
-                NodeId::new((i % 2) as u32),
-                5,
-                Request::read(LineAddr::new(i)),
-            );
-        }
-        let good = t.to_bytes_v2(4);
-
-        // Corrupt kind byte of the first record (first chunk, 2 nodes).
-        let first_record = V2_HEADER_BYTES + 8 + 2 * 8;
-        let mut bytes = good.clone();
-        bytes[first_record + 12] = 77;
-        assert_eq!(
-            TraceV2Reader::new(&bytes).unwrap_err(),
-            TraceDecodeError::BadKind(77)
-        );
+    fn decode_rejects_corruption() {
+        let good = encode(&records(10, 2), 2, 4);
 
         // Record naming a node beyond the header's node count.
+        let first_record = HEADER_BYTES + 8 + 2 * 8;
         let mut bytes = good.clone();
         bytes[first_record..first_record + 4].copy_from_slice(&9u32.to_be_bytes());
         assert_eq!(
@@ -887,7 +645,7 @@ mod tests {
         );
 
         // Second chunk's offset table disagreeing with the records.
-        let second_chunk = V2_HEADER_BYTES + 8 + 2 * 8 + 4 * RECORD_BYTES;
+        let second_chunk = HEADER_BYTES + 8 + 2 * 8 + 4 * RECORD_BYTES;
         let mut bytes = good.clone();
         bytes[second_chunk + 8..second_chunk + 16].copy_from_slice(&41u64.to_be_bytes());
         assert_eq!(
@@ -912,73 +670,66 @@ mod tests {
         );
     }
 
+    /// Records a 2×2 OLTP run of `per_node` requests per node.
+    fn record_oltp(per_node: u64) -> (crate::WorkloadReport, Vec<u8>) {
+        let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
+        let mut rec = TraceRecorder::new(Oltp::new(8), TraceV2Writer::new(4, 16));
+        let report = WorkloadRunner::new(per_node).run(&mut m, &mut rec);
+        (report, rec.finish())
+    }
+
     #[test]
     fn record_then_replay_gives_identical_machine_behaviour() {
-        let run_recorded = || {
-            let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
-            let mut rec = Trace::recording(Oltp::new(8));
-            let report = WorkloadRunner::new(25).run(&mut m, &mut rec);
-            (rec.into_trace(), report.bus_ops, report.requests_completed)
-        };
-        let (trace, ops, completed) = run_recorded();
-
-        let mut m2 = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
-        let replay = WorkloadRunner::new(25).run(&mut m2, &mut trace.player());
-        assert_eq!(replay.requests_completed, completed);
-        assert_eq!(replay.bus_ops, ops, "replay must be bit-identical");
-
-        // The v2 streaming player replays the same stream bit-identically.
-        let bytes = trace.to_bytes_v2(16);
+        let (live, bytes) = record_oltp(25);
         let reader = TraceV2Reader::new(&bytes).unwrap();
-        let mut m3 = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
-        let streamed = WorkloadRunner::new(25).run(&mut m3, &mut reader.player());
-        assert_eq!(streamed.requests_completed, completed);
-        assert_eq!(streamed.bus_ops, ops, "v2 replay must be bit-identical");
+        assert_eq!(reader.record_count(), live.requests_completed);
+
+        let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
+        let replay = WorkloadRunner::new(25).run(&mut m, &mut reader.player());
+        assert_eq!(replay.requests_completed, live.requests_completed);
+        assert_eq!(replay.elapsed, live.elapsed);
+        assert_eq!(replay.kind_counts, live.kind_counts);
+        assert_eq!(replay.bus_ops, live.bus_ops);
+        assert_eq!(
+            replay.efficiency.to_bits(),
+            live.efficiency.to_bits(),
+            "replay must be bit-identical"
+        );
     }
 
     #[test]
     fn replay_on_different_machine_config_is_valid() {
-        let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
-        let mut rec = Trace::recording(Oltp::new(8));
-        WorkloadRunner::new(15).run(&mut m, &mut rec);
-        let trace = rec.into_trace();
+        let (_, bytes) = record_oltp(15);
+        let reader = TraceV2Reader::new(&bytes).unwrap();
 
         // Same trace, different block size: still coherent and complete.
         let config = MachineConfig::grid(2).unwrap().with_block_words(64);
-        let mut m2 = Machine::new(config, 99).unwrap();
-        let report = WorkloadRunner::new(15).run(&mut m2, &mut trace.player());
+        let mut m = Machine::new(config, 99).unwrap();
+        let report = WorkloadRunner::new(15).run(&mut m, &mut reader.player());
         assert_eq!(report.requests_completed, 60);
     }
 
     #[test]
     fn player_exhausts_cleanly() {
-        let mut t = Trace::new();
-        t.push(NodeId::new(0), 10, Request::read(LineAddr::new(1)));
-        let mut p = t.player();
+        let bytes = encode(&records(1, 1), 1, 4);
+        let reader = TraceV2Reader::new(&bytes).unwrap();
+        let mut p = reader.player();
         let mut rng = DeterministicRng::seed(1);
         assert!(p.next(NodeId::new(0), &mut rng).is_some());
         assert!(p.next(NodeId::new(0), &mut rng).is_none());
         assert!(p.next(NodeId::new(1), &mut rng).is_none());
         assert_eq!(p.served(), 1);
-        assert_eq!(p.remaining(), 0);
     }
 
     #[test]
     fn streaming_player_resumes_from_any_chunk_boundary() {
-        let mut t = Trace::new();
-        for i in 0..50u64 {
-            t.push(
-                NodeId::new((i % 3) as u32),
-                i,
-                Request::read(LineAddr::new(i)),
-            );
-        }
-        let bytes = t.to_bytes_v2(7);
+        let recs = records(50, 3);
+        let bytes = encode(&recs, 3, 7);
         let reader = TraceV2Reader::new(&bytes).unwrap();
 
         // Per-node tails from a full replay.
         let full_tail = |node: u32, skip: usize| -> Vec<u64> {
-            t.iter()
+            recs.iter()
                 .filter(|r| r.node == node)
                 .skip(skip)
                 .map(|r| r.delay_ns)

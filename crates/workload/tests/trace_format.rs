@@ -1,5 +1,5 @@
-//! Trace-format robustness: proptest round-trips over both binary
-//! formats, a truncation sweep proving every prefix of a valid buffer
+//! Trace-format robustness: proptest round-trips over the chunked binary
+//! format, a truncation sweep proving every prefix of a valid buffer
 //! decodes to an error (never a panic), and the replay-cost pin — a
 //! 4×4-node replay touches each record exactly once.
 
@@ -7,7 +7,10 @@ use multicube::{Machine, MachineConfig, Request, RequestKind};
 use multicube_mem::LineAddr;
 use multicube_sim::DeterministicRng;
 use multicube_topology::NodeId;
-use multicube_workload::{Trace, TraceDecodeError, TraceV2Reader, Workload, WorkloadRunner};
+use multicube_workload::{
+    TraceDecodeError, TraceRecord, TraceRecorder, TraceV2Reader, TraceV2Writer, Workload,
+    WorkloadRunner,
+};
 use proptest::prelude::*;
 
 fn kind_of(code: u8) -> RequestKind {
@@ -20,51 +23,49 @@ fn kind_of(code: u8) -> RequestKind {
     }
 }
 
-/// A random record stream: (node, delay, kind code, line).
-fn records(max_len: usize) -> impl Strategy<Value = Vec<(u32, u64, u8, u64)>> {
-    prop::collection::vec((0u32..64, any::<u64>(), 0u8..5, any::<u64>()), 0..max_len)
+/// A random record stream over 64 nodes.
+fn records(max_len: usize) -> impl Strategy<Value = Vec<TraceRecord>> {
+    prop::collection::vec(
+        (0u32..64, any::<u64>(), 0u8..5, any::<u64>()).prop_map(|(node, delay_ns, kind, line)| {
+            TraceRecord {
+                node,
+                delay_ns,
+                kind,
+                line,
+            }
+        }),
+        0..max_len,
+    )
 }
 
-fn build(records: &[(u32, u64, u8, u64)]) -> Trace {
-    let mut t = Trace::new();
-    for &(node, delay, kind, line) in records {
-        t.push(
-            NodeId::new(node),
-            delay,
-            Request::new(kind_of(kind), LineAddr::new(line)),
+fn encode(records: &[TraceRecord], nodes: u32, chunk_records: usize) -> Vec<u8> {
+    let mut w = TraceV2Writer::new(nodes, chunk_records);
+    for r in records {
+        w.push(
+            NodeId::new(r.node),
+            r.delay_ns,
+            Request::new(kind_of(r.kind), LineAddr::new(r.line)),
         );
     }
-    t
+    w.finish()
 }
 
 proptest! {
-    /// v1: any record stream survives encode/decode bit-identically.
+    /// Any record stream survives the chunked encoding at any chunk size.
     #[test]
-    fn v1_roundtrip(recs in records(200)) {
-        let trace = build(&recs);
-        let bytes = trace.to_bytes().expect("well under the u32 count");
-        prop_assert_eq!(Trace::from_bytes(&bytes).expect("own encoding"), trace);
-    }
-
-    /// v2: any record stream survives the chunked encoding at any chunk
-    /// size, through both the one-shot and the streaming reader.
-    #[test]
-    fn v2_roundtrip(recs in records(200), chunk in 1usize..50) {
-        let trace = build(&recs);
-        let bytes = trace.to_bytes_v2(chunk);
-        prop_assert_eq!(Trace::from_bytes(&bytes).expect("own encoding"), trace.clone());
+    fn roundtrip(recs in records(200), chunk in 1usize..50) {
+        let bytes = encode(&recs, 64, chunk);
         let reader = TraceV2Reader::new(&bytes).expect("own encoding");
-        prop_assert_eq!(reader.record_count(), trace.len() as u64);
-        prop_assert_eq!(reader.read_all().expect("validated"), trace.clone());
+        prop_assert_eq!(reader.record_count(), recs.len() as u64);
+        prop_assert_eq!(reader.read_all(), recs.clone());
         // The offset tables account for every record of every node.
         let per_node: u64 = reader.node_record_counts().iter().sum();
-        prop_assert_eq!(per_node, trace.len() as u64);
+        prop_assert_eq!(per_node, recs.len() as u64);
     }
 
     /// Decoding never panics on arbitrary bytes — worst case is an error.
     #[test]
     fn decode_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
-        let _ = Trace::from_bytes(&bytes);
         let _ = TraceV2Reader::new(&bytes);
     }
 }
@@ -72,79 +73,67 @@ proptest! {
 /// Every strict prefix of a valid buffer decodes to `BadMagic` or
 /// `Truncated` — never a panic, and never a silently short trace.
 #[test]
-fn truncation_sweep_both_formats() {
-    let mut t = Trace::new();
-    for i in 0..40u64 {
-        t.push(
-            NodeId::new((i % 5) as u32),
-            i * 7,
-            Request::new(kind_of((i % 5) as u8), LineAddr::new(i * 13)),
-        );
-    }
-    let v1 = t.to_bytes().unwrap();
-    let v2 = t.to_bytes_v2(9);
+fn truncation_sweep() {
+    let recs: Vec<TraceRecord> = (0..40u64)
+        .map(|i| TraceRecord {
+            node: (i % 5) as u32,
+            delay_ns: i * 7,
+            kind: (i % 5) as u8,
+            line: i * 13,
+        })
+        .collect();
+    let bytes = encode(&recs, 5, 9);
 
-    for (label, bytes) in [("v1", &v1), ("v2", &v2)] {
-        for len in 0..bytes.len() {
-            let err = Trace::from_bytes(&bytes[..len])
-                .expect_err(&format!("{label} prefix of {len} bytes must not decode"));
-            assert!(
-                matches!(
-                    err,
-                    TraceDecodeError::BadMagic | TraceDecodeError::Truncated
-                ),
-                "{label} prefix of {len} bytes: unexpected error {err:?}"
-            );
-        }
-        // The full buffer still decodes.
-        assert_eq!(Trace::from_bytes(bytes).unwrap(), t, "{label}");
-    }
-
-    // The streaming reader agrees on every v2 prefix.
-    for len in 0..v2.len() {
-        let err = TraceV2Reader::new(&v2[..len]).expect_err("prefix must not validate");
+    for len in 0..bytes.len() {
+        let err = TraceV2Reader::new(&bytes[..len])
+            .expect_err(&format!("prefix of {len} bytes must not decode"));
         assert!(
             matches!(
                 err,
                 TraceDecodeError::BadMagic | TraceDecodeError::Truncated
             ),
-            "v2 reader prefix of {len} bytes: unexpected error {err:?}"
+            "prefix of {len} bytes: unexpected error {err:?}"
         );
     }
+    // The full buffer still decodes.
+    assert_eq!(TraceV2Reader::new(&bytes).unwrap().read_all(), recs);
 }
 
 /// The replay-cost pin: a 16-node (4×4) replay hands out each record
-/// exactly once — the per-node index makes every `next` call O(1), so
-/// the delivered streams partition the trace with nothing scanned twice
-/// or skipped.
+/// exactly once — the delivered streams partition the trace with nothing
+/// decoded twice or skipped.
 #[test]
 fn four_by_four_replay_touches_each_record_exactly_once() {
     const NODES: u32 = 16;
-    let mut t = Trace::new();
+    let mut w = TraceV2Writer::new(NODES, 7);
+    let mut recs = Vec::new();
     // An uneven interleave: node k gets 10 + k records, tagged by a
     // unique (delay, line) pair so deliveries are attributable.
     let mut serial = 0u64;
     for round in 0..26u64 {
         for node in 0..NODES {
             if round < 10 + node as u64 {
-                t.push(
+                w.push(
                     NodeId::new(node),
                     1_000 + serial,
                     Request::read(LineAddr::new(serial)),
                 );
+                recs.push((node, 1_000 + serial, serial));
                 serial += 1;
             }
         }
     }
+    let bytes = w.finish();
+    let reader = TraceV2Reader::new(&bytes).unwrap();
 
-    let mut player = t.player();
+    let mut player = reader.player();
     let mut rng = DeterministicRng::seed(3);
     let mut delivered = 0u64;
     for node in 0..NODES {
-        let expected: Vec<(u64, u64)> = t
+        let expected: Vec<(u64, u64)> = recs
             .iter()
-            .filter(|r| r.node == node)
-            .map(|r| (r.delay_ns, r.line))
+            .filter(|r| r.0 == node)
+            .map(|r| (r.1, r.2))
             .collect();
         let mut got = Vec::new();
         while let Some((delay, req)) = player.next(NodeId::new(node), &mut rng) {
@@ -156,11 +145,12 @@ fn four_by_four_replay_touches_each_record_exactly_once() {
             "node {node} must replay its own records in order"
         );
     }
-    assert_eq!(delivered, t.len() as u64, "every record delivered");
-    assert_eq!(player.served(), t.len() as u64);
-    assert_eq!(player.remaining(), 0, "nothing left behind");
+    assert_eq!(delivered, reader.record_count(), "every record delivered");
+    assert_eq!(player.served(), reader.record_count());
     // Exhausted nodes stay exhausted; out-of-range nodes get nothing.
-    assert!(player.next(NodeId::new(0), &mut rng).is_none());
+    for node in 0..NODES {
+        assert!(player.next(NodeId::new(node), &mut rng).is_none());
+    }
     assert!(player.next(NodeId::new(99), &mut rng).is_none());
 }
 
@@ -169,15 +159,18 @@ fn four_by_four_replay_touches_each_record_exactly_once() {
 #[test]
 fn four_by_four_machine_replay_completes_every_record() {
     let mut m = Machine::new(MachineConfig::grid(4).unwrap(), 21).unwrap();
-    let mut rec = Trace::recording(multicube_workload::Oltp::new(32));
+    let mut rec = TraceRecorder::new(
+        multicube_workload::Oltp::new(32),
+        TraceV2Writer::new(16, 64),
+    );
     let original = WorkloadRunner::new(30).run(&mut m, &mut rec);
-    let trace = rec.into_trace();
-    assert_eq!(trace.len() as u64, original.requests_completed);
+    let bytes = rec.finish();
+    let reader = TraceV2Reader::new(&bytes).unwrap();
+    assert_eq!(reader.record_count(), original.requests_completed);
 
     let mut m2 = Machine::new(MachineConfig::grid(4).unwrap(), 21).unwrap();
-    let mut player = trace.player();
+    let mut player = reader.player();
     let replay = WorkloadRunner::new(30).run(&mut m2, &mut player);
-    assert_eq!(replay.requests_completed, trace.len() as u64);
-    assert_eq!(player.served(), trace.len() as u64);
-    assert_eq!(player.remaining(), 0);
+    assert_eq!(replay.requests_completed, reader.record_count());
+    assert_eq!(player.served(), reader.record_count());
 }

@@ -9,14 +9,14 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
 
-use multicube::trace::{TraceFormat, TraceSink};
+use multicube::trace::TraceSink;
 use multicube::{Machine, MachineConfig, Request, SyntheticSpec};
 use multicube_mem::LineAddr;
 use multicube_topology::NodeId;
 
 fn sink_to(path: &Path) -> TraceSink {
     let f = BufWriter::new(File::create(path).expect("create trace file"));
-    TraceSink::writer(Box::new(f), TraceFormat::Jsonl)
+    TraceSink::writer(Box::new(f))
 }
 
 /// Serial traffic: one outstanding transaction at a time, mixed kinds.

@@ -8,18 +8,20 @@
 //! ```
 
 use multicube_suite::machine::{Machine, MachineConfig};
-use multicube_suite::workload::{Oltp, Trace, WorkloadRunner};
+use multicube_suite::workload::{
+    Oltp, TraceRecorder, TraceV2Reader, TraceV2Writer, WorkloadRunner,
+};
 
 fn main() {
-    // Record a 4x4 OLTP run.
+    // Record a 4x4 OLTP run, 256 records per chunk.
     let mut machine = Machine::new(MachineConfig::grid(4).unwrap(), 7).unwrap();
-    let mut recorder = Trace::recording(Oltp::new(64));
+    let mut recorder = TraceRecorder::new(Oltp::new(64), TraceV2Writer::new(16, 256));
     let original = WorkloadRunner::new(100).run(&mut machine, &mut recorder);
-    let trace = recorder.into_trace();
-    let bytes = trace.to_bytes().expect("fits the v1 u32 record count");
+    let bytes = recorder.finish();
+    let trace = TraceV2Reader::new(&bytes).expect("valid trace");
     println!(
         "recorded {} requests ({} bytes serialized); original run: efficiency {:.4}, {:.2} ops/request",
-        trace.len(),
+        trace.record_count(),
         bytes.len(),
         original.efficiency,
         original.ops_per_request
@@ -28,7 +30,6 @@ fn main() {
     // Replay the very same reference stream under different block sizes —
     // the Figure 4 experiment, but on a real (recorded) workload instead
     // of the statistical model.
-    let restored = Trace::from_bytes(&bytes).expect("valid trace");
     println!();
     println!(
         "{:>12} {:>12} {:>14} {:>14}",
@@ -37,7 +38,7 @@ fn main() {
     for block in [4u32, 16, 64] {
         let config = MachineConfig::grid(4).unwrap().with_block_words(block);
         let mut m = Machine::new(config, 7).unwrap();
-        let report = WorkloadRunner::new(100).run(&mut m, &mut restored.player());
+        let report = WorkloadRunner::new(100).run(&mut m, &mut trace.player());
         println!(
             "{:>12} {:>12.4} {:>14.2} {:>14.0}",
             block,
