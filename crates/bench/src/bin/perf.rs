@@ -13,7 +13,8 @@
 //! `cube_pdes_events_parallel`) regresses more than
 //! `MULTICUBE_PERF_GUARD_PCT` percent (default 25) against the baseline,
 //! comparing per work unit so `--quick` runs measure against full-mode
-//! baselines.
+//! baselines. A set threshold that is not a finite number above 0 fails
+//! the guarded run before any kernel runs.
 
 use std::process::ExitCode;
 
@@ -30,6 +31,21 @@ const GUARD_KERNELS: [&str; 3] = [
     "cube_pdes_events",
     "cube_pdes_events_parallel",
 ];
+
+/// The environment variable holding the guard's regression threshold.
+const GUARD_PCT_ENV: &str = "MULTICUBE_PERF_GUARD_PCT";
+
+/// Parses a [`GUARD_PCT_ENV`] value: 25 when unset, the percentage when
+/// set to a finite number above 0, and the offending text otherwise.
+fn parse_guard_pct(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else {
+        return Ok(25.0);
+    };
+    match raw.trim().parse::<f64>() {
+        Ok(pct) if pct.is_finite() && pct > 0.0 => Ok(pct),
+        _ => Err(raw.to_string()),
+    }
+}
 
 fn main() -> ExitCode {
     let mut quick = false;
@@ -60,6 +76,18 @@ fn main() -> ExitCode {
     if guard_enabled && baseline_path.is_none() {
         return usage("--guard needs --baseline");
     }
+    let guard_pct = if guard_enabled {
+        let raw = std::env::var_os(GUARD_PCT_ENV).map(|v| v.to_string_lossy().into_owned());
+        match parse_guard_pct(raw.as_deref()) {
+            Ok(pct) => Some(pct),
+            Err(bad) => {
+                eprintln!("perf: {GUARD_PCT_ENV} must be a finite number above 0, got {bad:?}");
+                return ExitCode::FAILURE;
+            }
+        }
+    } else {
+        None
+    };
 
     let mut baseline_text = None;
     let baseline = match &baseline_path {
@@ -134,11 +162,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if guard_enabled {
-        let threshold = std::env::var("MULTICUBE_PERF_GUARD_PCT")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(25.0);
+    if let Some(threshold) = guard_pct {
         let base_text = baseline_text.as_deref().expect("guard requires baseline");
         for kernel in GUARD_KERNELS {
             match check_regression_guard(&json, base_text, kernel, threshold) {
@@ -156,4 +180,19 @@ fn main() -> ExitCode {
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perf: {msg}\nusage: perf [--quick] [--out PATH] [--baseline PATH] [--guard]");
     ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_guard_pct;
+
+    #[test]
+    fn guard_threshold_is_a_finite_positive_percentage() {
+        assert_eq!(parse_guard_pct(None), Ok(25.0));
+        assert_eq!(parse_guard_pct(Some("25")), Ok(25.0));
+        assert_eq!(parse_guard_pct(Some(" 7.5 ")), Ok(7.5));
+        for bad in ["", "25%", "O25", "0", "-5", "NaN", "inf", "-inf"] {
+            assert_eq!(parse_guard_pct(Some(bad)), Err(bad.to_string()), "{bad:?}");
+        }
+    }
 }

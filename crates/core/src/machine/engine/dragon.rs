@@ -15,25 +15,21 @@
 //! (neither `M` nor `Sm`). A write miss with other copies present is the
 //! classic two-op sequence `BusRead` + `BusUpdate`.
 
-use multicube_topology::NodeId;
-
 use crate::check::{self, CoherenceView, CoherenceViolation};
 use crate::config::EngineKind;
-use crate::driver::{Request, RequestKind};
+use crate::driver::RequestKind;
 use crate::machine::Machine;
 use crate::metrics::Served;
 use crate::node::LineMode;
-use crate::proto::{BusOp, OpKind, TxnId};
+use crate::proto::{BusOp, OpKind};
 
 use super::{
-    arena_issue_miss, arena_local_done, arena_memory_supply, arena_on_writeback,
-    arena_start_request, arena_txn_kind, ArenaOps, ProtocolEngine, ARENA_SLOT,
+    arena_memory_supply, arena_on_writeback, arena_txn_kind, mesi, ProtocolEngine, Vocabulary,
 };
 
-/// The Dragon arena vocabulary: updating "upgrades", every miss starts as
-/// a `BusRead`.
-const DRAGON_OPS: ArenaOps = ArenaOps {
-    upgrade: OpKind::BusUpdate,
+/// The Dragon vocabulary: updating "upgrades", and every miss starts as a
+/// `BusRead`; flushes and the single bus as in MESI.
+pub(super) const VOCABULARY: Vocabulary = Vocabulary {
     miss: |kind| match kind {
         RequestKind::Read
         | RequestKind::Write
@@ -41,6 +37,8 @@ const DRAGON_OPS: ArenaOps = ArenaOps {
         | RequestKind::TestAndSet => OpKind::BusRead,
         RequestKind::Writeback => unreachable!("writebacks use BusWriteback"),
     },
+    upgrade: |_| OpKind::BusUpdate,
+    ..mesi::VOCABULARY
 };
 
 /// Write-update Dragon on a single snooping bus.
@@ -51,21 +49,13 @@ impl ProtocolEngine for DragonEngine {
         EngineKind::Dragon
     }
 
-    fn start_request(&self, m: &mut Machine, node: NodeId, req: Request) -> TxnId {
-        arena_start_request(m, &DRAGON_OPS, node, req)
-    }
-
     fn on_op(&self, m: &mut Machine, _slot: usize, op: BusOp) {
         match op.kind {
             OpKind::BusRead => on_bus_read(m, &op),
             OpKind::BusUpdate => on_bus_update(m, &op),
-            OpKind::BusWriteback => arena_on_writeback(m, &DRAGON_OPS, &op),
+            OpKind::BusWriteback => arena_on_writeback(m, &op),
             other => unreachable!("op {} dispatched on the Dragon engine", other.name()),
         }
-    }
-
-    fn on_local_done(&self, m: &mut Machine, node: NodeId) {
-        arena_local_done(m, &DRAGON_OPS, node);
     }
 
     fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
@@ -139,9 +129,7 @@ fn on_bus_read(m: &mut Machine, op: &BusOp) {
                 // Copies exist: install shared, then broadcast the write.
                 // The transaction completes when the BusUpdate dispatches.
                 m.set_line(o_idx, line, LineMode::Shared, data);
-                let upd = BusOp::new(OpKind::BusUpdate, line, o_node, op.txn)
-                    .with_allocate(kind == RequestKind::Allocate);
-                m.emit(ARENA_SLOT, upd, 0);
+                m.issue_request(o_node, op.txn, m.vocab.upgrade);
             }
         }
         RequestKind::Writeback => unreachable!("writebacks use BusWriteback"),
@@ -164,7 +152,7 @@ fn on_bus_update(m: &mut Machine, op: &BusOp) {
         // Defensive: our copy vanished while the update queued (only we
         // can evict it, so this should not occur) — restart as a miss.
         m.note_retry(op.txn);
-        arena_issue_miss(m, &DRAGON_OPS, o_node, op.txn);
+        m.issue_request(o_node, op.txn, m.vocab.miss);
         return;
     }
     // An update off the upgrade path has not crossed the bus before now;

@@ -13,25 +13,22 @@
 //! and `BusWriteback` (dirty flush). A write to an `E` copy upgrades to
 //! `M` silently — MESI's advantage over MSI.
 
-use multicube_topology::NodeId;
-
 use crate::check::{self, CoherenceView, CoherenceViolation};
 use crate::config::EngineKind;
-use crate::driver::{Request, RequestKind};
+use crate::driver::RequestKind;
 use crate::machine::Machine;
 use crate::metrics::Served;
 use crate::node::LineMode;
-use crate::proto::{BusOp, OpKind, TxnId};
+use crate::proto::{BusOp, OpKind};
 
 use super::{
-    arena_local_done, arena_memory_supply, arena_on_writeback, arena_purge_remote,
-    arena_start_request, arena_txn_kind, ArenaOps, ProtocolEngine, ARENA_SLOT,
+    arena_memory_supply, arena_on_writeback, arena_purge_remote, arena_txn_kind, ProtocolEngine,
+    Vocabulary,
 };
 
-/// The MESI arena vocabulary: invalidating upgrades, exclusive misses for
-/// writes.
-pub(super) const MESI_OPS: ArenaOps = ArenaOps {
-    upgrade: OpKind::BusUpgrade,
+/// The MESI vocabulary on the single bus: invalidating upgrades,
+/// exclusive misses for writes, and `E` as the exclusive-clean copy.
+pub(super) const VOCABULARY: Vocabulary = Vocabulary {
     miss: |kind| match kind {
         RequestKind::Read => OpKind::BusRead,
         RequestKind::Write | RequestKind::Allocate | RequestKind::TestAndSet => {
@@ -39,6 +36,10 @@ pub(super) const MESI_OPS: ArenaOps = ArenaOps {
         }
         RequestKind::Writeback => unreachable!("writebacks use BusWriteback"),
     },
+    upgrade: |_| OpKind::BusUpgrade,
+    flush: OpKind::BusWriteback,
+    single_bus: true,
+    reserved_is_exclusive: true,
 };
 
 /// Write-invalidate MESI on a single snooping bus.
@@ -49,22 +50,14 @@ impl ProtocolEngine for MesiEngine {
         EngineKind::Mesi
     }
 
-    fn start_request(&self, m: &mut Machine, node: NodeId, req: Request) -> TxnId {
-        arena_start_request(m, &MESI_OPS, node, req)
-    }
-
     fn on_op(&self, m: &mut Machine, _slot: usize, op: BusOp) {
         match op.kind {
             OpKind::BusRead => on_bus_read(m, &op, true),
             OpKind::BusReadExclusive => on_bus_read_exclusive(m, &op),
             OpKind::BusUpgrade => on_bus_upgrade(m, &op),
-            OpKind::BusWriteback => arena_on_writeback(m, &MESI_OPS, &op),
+            OpKind::BusWriteback => arena_on_writeback(m, &op),
             other => unreachable!("op {} dispatched on the MESI engine", other.name()),
         }
-    }
-
-    fn on_local_done(&self, m: &mut Machine, node: NodeId) {
-        arena_local_done(m, &MESI_OPS, node);
     }
 
     fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
@@ -132,10 +125,7 @@ pub(super) fn on_bus_upgrade(m: &mut Machine, op: &BusOp) {
     }
     if m.controllers[o_node.as_usize()].mode_of(&line) != Some(LineMode::Shared) {
         m.note_retry(op.txn);
-        let kind = arena_txn_kind(m, op.txn);
-        let req = BusOp::new(OpKind::BusReadExclusive, line, o_node, op.txn)
-            .with_allocate(kind == RequestKind::Allocate);
-        m.emit(ARENA_SLOT, req, 0);
+        m.issue_request(o_node, op.txn, m.vocab.miss);
         return;
     }
     commit_write(m, op, Served::Memory);

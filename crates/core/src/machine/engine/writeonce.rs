@@ -16,21 +16,18 @@
 //! the silent Reserved → Dirty upgrade. Write misses, write-backs and the
 //! quiescent invariants are MESI's.
 
-use multicube_topology::NodeId;
-
 use crate::check::{self, CoherenceView, CoherenceViolation};
 use crate::config::EngineKind;
-use crate::driver::Request;
 use crate::machine::Machine;
-use crate::proto::{BusOp, OpKind, TxnId};
+use crate::proto::{BusOp, OpKind};
 
-use super::mesi::{on_bus_read, on_bus_read_exclusive, on_bus_upgrade, MESI_OPS};
-use super::{arena_local_done, arena_on_writeback, arena_start_request, ArenaOps, ProtocolEngine};
+use super::mesi::{self, on_bus_read, on_bus_read_exclusive, on_bus_upgrade};
+use super::{arena_on_writeback, ProtocolEngine, Vocabulary};
 
-/// The write-once arena vocabulary: write-through upgrades, MESI's misses.
-const WRITE_ONCE_OPS: ArenaOps = ArenaOps {
-    upgrade: OpKind::BusWriteThrough,
-    miss: MESI_OPS.miss,
+/// The write-once vocabulary: write-through upgrades, the rest MESI's.
+pub(super) const VOCABULARY: Vocabulary = Vocabulary {
+    upgrade: |_| OpKind::BusWriteThrough,
+    ..mesi::VOCABULARY
 };
 
 /// Goodman's write-once protocol on a single snooping bus.
@@ -41,22 +38,14 @@ impl ProtocolEngine for WriteOnceEngine {
         EngineKind::WriteOnce
     }
 
-    fn start_request(&self, m: &mut Machine, node: NodeId, req: Request) -> TxnId {
-        arena_start_request(m, &WRITE_ONCE_OPS, node, req)
-    }
-
     fn on_op(&self, m: &mut Machine, _slot: usize, op: BusOp) {
         match op.kind {
             OpKind::BusRead => on_bus_read(m, &op, false),
             OpKind::BusReadExclusive => on_bus_read_exclusive(m, &op),
             OpKind::BusWriteThrough => on_bus_upgrade(m, &op),
-            OpKind::BusWriteback => arena_on_writeback(m, &WRITE_ONCE_OPS, &op),
+            OpKind::BusWriteback => arena_on_writeback(m, &op),
             other => unreachable!("op {} dispatched on the write-once engine", other.name()),
         }
-    }
-
-    fn on_local_done(&self, m: &mut Machine, node: NodeId) {
-        arena_local_done(m, &WRITE_ONCE_OPS, node);
     }
 
     fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {

@@ -29,7 +29,7 @@ use crate::config::{LatencyMode, MachineConfig, MachineConfigError, PROCESSOR_LA
 use crate::driver::{Request, RequestKind, SyntheticSpec};
 use crate::fault::{FaultInjector, WatchdogAction};
 use crate::metrics::{MachineMetrics, RunReport, Served};
-use crate::node::{Controller, LineMode, Outstanding};
+use crate::node::{Controller, LineMode};
 use crate::proto::{BusOp, OpClass, OpFault, OpKind, Piece, TxnId};
 use crate::trace::{TraceEvent, TracePoint, TraceSink};
 
@@ -95,13 +95,26 @@ pub(crate) enum Event {
     },
 }
 
-/// Per-transaction bookkeeping (instrumentation plus idempotence guards).
+/// Why a live transaction is waiting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TxnPhase {
+    /// A local (bus-free) cache access is absorbing its latency.
+    Local,
+    /// Waiting for the flush of the dirty `victim` to `continue`.
+    VictimWriteback { victim: LineAddr },
+    /// The bus request has been issued; waiting for the reply.
+    Requested,
+}
+
+/// The one record of a live transaction: what it asks for, where it
+/// stands, and its instrumentation and idempotence guards.
 #[derive(Debug, Clone)]
 pub(crate) struct TxnInfo {
     pub node: NodeId,
     pub kind: RequestKind,
     pub line: LineAddr,
     pub start: SimTime,
+    pub phase: TxnPhase,
     pub bus_ops: u32,
     pub row_ops: u32,
     pub col_ops: u32,
@@ -139,8 +152,7 @@ pub(crate) struct LineEntry {
     sharers: Vec<NodeId>,
     /// Number of nodes with an outstanding transaction on the line — the
     /// index behind [`Machine::line_has_inflight_interest`], kept
-    /// consistent by [`Machine::set_outstanding`] /
-    /// [`Machine::clear_outstanding`].
+    /// consistent by [`Machine::new_txn`] / [`Machine::finish_txn`].
     inflight: u32,
     /// The column whose modified line table lists the line. At most one
     /// does (§3), so this answers the unperturbed modified-signal poll
@@ -224,6 +236,8 @@ pub struct Machine {
     trace: TraceSink,
     /// Fault-injection decision engine (inert under the default plan).
     pub(crate) faults: FaultInjector,
+    /// The configured engine's processor-side bus vocabulary.
+    pub(crate) vocab: &'static engine::Vocabulary,
     /// Single-bus arena state: which node holds each line in Dragon's
     /// shared-modified (`Sm`) state. Empty under every other engine.
     pub(crate) arena_sm: LineMap<NodeId>,
@@ -293,6 +307,7 @@ impl Machine {
             synthetic: None,
             trace: TraceSink::from_env(),
             faults,
+            vocab: engine::vocabulary(config.engine()),
             arena_sm: LineMap::default(),
             arena_excl: LineMap::default(),
             config,
@@ -499,17 +514,6 @@ impl Machine {
             self.metrics.l1_hits.incr();
             // Touch the snooping-cache copy for LRU realism.
             self.controllers[node.as_usize()].cache.get(&line);
-            let out = crate::node::Outstanding {
-                txn,
-                kind,
-                line,
-                issued_at: self.now(),
-                phase: crate::node::TxnPhase::Local,
-                retries: 0,
-                bus_ops: 0,
-                victim: None,
-            };
-            self.set_outstanding(node.as_usize(), out);
             self.events
                 .schedule_after(PROCESSOR_LATENCY_NS, Event::LocalDone { node });
             return Ok(txn);
@@ -993,8 +997,9 @@ impl Machine {
         let interested = self.inflight_elsewhere(line, except);
         #[cfg(debug_assertions)]
         {
-            let scanned = self.controllers.iter().any(|c| {
-                c.node() != except && c.outstanding().map(|o| o.line == line).unwrap_or(false)
+            let scanned = (0..self.controllers.len()).any(|idx| {
+                self.controllers[idx].node() != except
+                    && self.outstanding_info(idx).is_some_and(|o| o.line == line)
             });
             debug_assert_eq!(
                 interested, scanned,
@@ -1008,34 +1013,10 @@ impl Machine {
     /// its debug-build scan of every controller.
     fn inflight_elsewhere(&self, line: LineAddr, except: NodeId) -> bool {
         let count = self.lines.get(&line).map(|e| e.inflight).unwrap_or(0);
-        let except_holds = self.controllers[except.as_usize()]
-            .outstanding()
+        let except_holds = self
+            .outstanding_info(except.as_usize())
             .is_some_and(|o| o.line == line);
         count > u32::from(except_holds)
-    }
-
-    /// Installs a node's outstanding transaction, maintaining the
-    /// line-keyed in-flight-interest index. The node must be idle.
-    pub(crate) fn set_outstanding(&mut self, idx: usize, out: Outstanding) {
-        debug_assert!(
-            self.controllers[idx].outstanding.is_none(),
-            "node already has an outstanding transaction"
-        );
-        self.line_entry(out.line).inflight += 1;
-        self.controllers[idx].outstanding = Some(out);
-    }
-
-    /// Removes and returns a node's outstanding transaction, maintaining
-    /// the line-keyed in-flight-interest index.
-    pub(crate) fn clear_outstanding(&mut self, idx: usize) -> Option<Outstanding> {
-        let out = self.controllers[idx].outstanding.take();
-        if let Some(o) = &out {
-            match self.lines.get_mut(&o.line) {
-                Some(e) if e.inflight > 0 => e.inflight -= 1,
-                _ => debug_assert!(false, "missing inflight-interest entry"),
-            }
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -1311,15 +1292,6 @@ impl Machine {
             let (line, node) = (info.line, info.node);
             self.trace_point(TracePoint::Retry, None, line, Some(node), Some(txn));
         }
-        if let Some(out) = self
-            .txn_info(txn)
-            .map(|i| i.node)
-            .and_then(|node| self.controllers[node.as_usize()].outstanding.as_mut())
-        {
-            if out.txn == txn {
-                out.retries += 1;
-            }
-        }
         self.watchdog_check(txn);
     }
 
@@ -1385,9 +1357,7 @@ impl Machine {
         if !self.inflight_elsewhere(line, except) {
             debug_assert!(
                 members.clone().all(|idx| idx == except.as_usize()
-                    || self.controllers[idx]
-                        .outstanding()
-                        .is_none_or(|o| o.line != line)),
+                    || self.outstanding_info(idx).is_none_or(|o| o.line != line)),
                 "inflight index missed a request on {line:?}"
             );
             return;
@@ -1397,22 +1367,21 @@ impl Machine {
             if node == except {
                 continue;
             }
-            let Some(out) = self.controllers[idx].outstanding() else {
+            let Some(txn) = self.controllers[idx].outstanding() else {
                 continue;
             };
-            if out.line != line
-                || out.kind != RequestKind::Read
-                || out.phase != crate::node::TxnPhase::Requested
+            let Some(info) = self.txn_info_mut(txn) else {
+                continue;
+            };
+            if info.line != line
+                || info.kind != RequestKind::Read
+                || info.phase != TxnPhase::Requested
+                || info.installed
             {
                 continue;
             }
-            let txn = out.txn;
-            if let Some(info) = self.txn_info_mut(txn) {
-                if !info.installed {
-                    info.poisoned = true;
-                    self.trace_point(TracePoint::Poison, None, line, Some(node), Some(txn));
-                }
-            }
+            info.poisoned = true;
+            self.trace_point(TracePoint::Poison, None, line, Some(node), Some(txn));
         }
     }
 
@@ -1420,7 +1389,14 @@ impl Machine {
     // Transaction bookkeeping
     // ------------------------------------------------------------------
 
+    /// Mints a transaction for `node`'s request and makes it the node's
+    /// outstanding one, in the local phase. The node must be idle.
     pub(crate) fn new_txn(&mut self, node: NodeId, req: Request) -> TxnId {
+        let idx = node.as_usize();
+        debug_assert!(
+            self.controllers[idx].outstanding.is_none(),
+            "node already has an outstanding transaction"
+        );
         self.txn_seq += 1;
         let txn = TxnId(self.txn_seq);
         while self
@@ -1436,6 +1412,7 @@ impl Machine {
             kind: req.kind,
             line: req.line,
             start: self.now(),
+            phase: TxnPhase::Local,
             bus_ops: 0,
             row_ops: 0,
             col_ops: 0,
@@ -1447,6 +1424,8 @@ impl Machine {
             fill_l1: false,
         };
         self.txns[slot] = Some((txn, info));
+        self.line_entry(req.line).inflight += 1;
+        self.controllers[idx].outstanding = Some(txn);
         txn
     }
 
@@ -1487,13 +1466,21 @@ impl Machine {
         }
     }
 
-    /// Whether `txn` is still the node's outstanding transaction in the
-    /// requested phase.
+    /// Moves the live `txn` to `phase`.
+    pub(crate) fn set_phase(&mut self, txn: TxnId, phase: TxnPhase) {
+        if let Some(info) = self.txn_info_mut(txn) {
+            info.phase = phase;
+        }
+    }
+
+    /// The record of node `idx`'s outstanding transaction, if any.
+    pub(crate) fn outstanding_info(&self, idx: usize) -> Option<&TxnInfo> {
+        self.txn_info(self.controllers[idx].outstanding()?)
+    }
+
+    /// Whether `txn` is still the node's outstanding transaction.
     pub(crate) fn txn_outstanding(&self, node: NodeId, txn: TxnId) -> bool {
-        self.controllers[node.as_usize()]
-            .outstanding()
-            .map(|o| o.txn == txn)
-            .unwrap_or(false)
+        self.controllers[node.as_usize()].outstanding() == Some(txn)
     }
 
     /// Installs the reply data into the originator's cache (idempotent) and
@@ -1525,7 +1512,7 @@ impl Machine {
                     i.poisoned = false;
                 }
                 self.note_retry(txn);
-                self.issue_row_request(node, txn);
+                self.issue_request(node, txn, self.vocab.miss);
             }
             return;
         }
@@ -1560,15 +1547,18 @@ impl Machine {
     /// on [`Self::txn_info`] reads it as absent.
     pub(crate) fn finish_txn(&mut self, node: NodeId, txn: TxnId, success: bool) {
         let now = self.now();
-        let out = self.clear_outstanding(node.as_usize());
-        debug_assert!(out.map(|o| o.txn == txn).unwrap_or(false));
-        self.controllers[node.as_usize()].completed += 1;
+        let out = self.controllers[node.as_usize()].outstanding.take();
+        debug_assert_eq!(out, Some(txn));
 
         let slot = self.txn_slot(txn);
         let info = match self.txns[slot].take() {
             Some((id, info)) if id == txn => info,
             _ => panic!("{txn} finished but is not live"),
         };
+        match self.lines.get_mut(&info.line) {
+            Some(e) if e.inflight > 0 => e.inflight -= 1,
+            _ => debug_assert!(false, "missing inflight-interest entry"),
+        }
         // saturating_since, matching the watchdog's age computation: a
         // transaction finishing at its own start instant (zero-latency
         // local path) must report age 0, never wrap.

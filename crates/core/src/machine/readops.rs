@@ -3,7 +3,7 @@
 
 use multicube_mem::LineAddr;
 
-use crate::machine::Machine;
+use crate::machine::{Machine, TxnPhase};
 use crate::metrics::Served;
 use crate::node::LineMode;
 use crate::proto::{BusOp, OpClass, OpKind};
@@ -211,13 +211,10 @@ impl Machine {
         let Some((kind, retries)) = self.txn_info(op.txn).map(|i| (i.kind, i.retries)) else {
             return;
         };
-        use crate::driver::RequestKind::*;
-        let op_kind = match kind {
-            Read => OpKind::ReadRowRequest,
-            Write | Allocate => OpKind::ReadModRowRequest,
-            TestAndSet => OpKind::TasRowRequest,
-            Writeback => return,
-        };
+        if kind == crate::driver::RequestKind::Writeback {
+            return;
+        }
+        let op_kind = super::engine::multicube::row_request(kind);
         // Bounded exponential backoff: spaced retries keep a contended or
         // faulted line from saturating the row bus with bounces.
         let delay = self.faults.retry_delay_ns(retries);
@@ -275,11 +272,15 @@ impl Machine {
             if self.faults.in_blackout(idx, op.txn, now) {
                 continue;
             }
-            if self.controllers[idx].recently_held(&op.line)
-                && self.controllers[idx].can_snarf(&op.line)
-            {
+            if !self.controllers[idx].recently_held(&op.line) {
+                continue;
+            }
+            let requested = self
+                .outstanding_info(idx)
+                .filter(|o| o.phase == TxnPhase::Requested)
+                .map(|o| o.line);
+            if self.controllers[idx].can_snarf(&op.line, requested) {
                 self.set_line(idx, op.line, LineMode::Shared, data);
-                self.controllers[idx].snarfs += 1;
                 self.metrics.snarfs.incr();
             }
         }

@@ -1,16 +1,15 @@
 //! WRITE-BACK transaction procedures (Appendix A).
 
-use crate::driver::RequestKind;
 use crate::machine::Machine;
-use crate::metrics::Served;
-use crate::node::{LineMode, TxnPhase};
+use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind};
 
 impl Machine {
-    /// `WRITEBACK (COLUMN, REMOVE)`: delete the MLT entry first so that an
-    /// outstanding request cannot chase a line that has already gone to
-    /// memory; then (on success) the initiator writes the line back and the
-    /// blocked processor request continues.
+    /// `WRITEBACK (COLUMN, REMOVE)`, the Multicube's flush: delete the MLT
+    /// entry first so that an outstanding request cannot chase a line that
+    /// has already gone to memory; then (on success) the initiator writes
+    /// the line back, and the blocked processor request continues through
+    /// the shared [`Machine::flush_done`].
     pub(crate) fn on_writeback_col_remove(&mut self, slot: usize, op: BusOp) {
         let col = self.slot_col(slot);
         let removed = self.mlt_remove(col, &op.line);
@@ -46,38 +45,7 @@ impl Machine {
             }
         }
         // "in either case signal the processor request to continue".
-        self.writeback_continue(op);
-    }
-
-    /// The `continue request` signal: resume the victim-blocked transaction
-    /// or complete a standalone WRITE-BACK.
-    fn writeback_continue(&mut self, op: BusOp) {
-        let node = op.originator;
-        let idx = node.as_usize();
-        let Some(out) = self.controllers[idx].outstanding else {
-            return;
-        };
-        match out.phase {
-            TxnPhase::VictimWriteback if out.txn == op.txn => {
-                // "wait for continue; mark line invalid" — evict the victim
-                // (now shared, or already taken by a racing request).
-                if let Some(victim) = out.victim {
-                    self.clear_line(idx, victim);
-                }
-                if let Some(o) = self.controllers[idx].outstanding.as_mut() {
-                    o.phase = TxnPhase::Requested;
-                    o.victim = None;
-                }
-                self.issue_row_request(node, op.txn);
-            }
-            TxnPhase::Requested if out.txn == op.txn && out.kind == RequestKind::Writeback => {
-                // Standalone write-back: "mark line shared" already done by
-                // the remove handler; the transaction is complete.
-                self.note_served(op.txn, Served::Memory);
-                self.finish_txn(node, op.txn, true);
-            }
-            _ => {}
-        }
+        self.flush_done(&op);
     }
 
     /// `WRITEBACK (ROW, UPDATE)`: the home-column controller forwards the

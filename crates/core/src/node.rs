@@ -2,11 +2,9 @@
 //! outstanding transaction.
 
 use multicube_mem::{CacheGeometry, LineAddr, LineVersion, SetAssocCache};
-use multicube_sim::SimTime;
 use multicube_topology::NodeId;
 use std::collections::VecDeque;
 
-use crate::driver::RequestKind;
 use crate::proto::TxnId;
 
 /// The local mode of a line in a snooping cache.
@@ -34,46 +32,12 @@ pub struct CacheLine {
     pub data: LineVersion,
 }
 
-/// Why a transaction is waiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxnPhase {
-    /// A local (bus-free) cache access is absorbing its latency.
-    Local,
-    /// Waiting for the victim's WRITEBACK (COLUMN, REMOVE) to `continue`.
-    VictimWriteback,
-    /// The row-bus request has been issued; waiting for the reply.
-    Requested,
-}
-
-/// The node's single outstanding transaction ("Requests are assumed to be
-/// non-overlapping", Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outstanding {
-    /// Instrumentation id.
-    pub txn: TxnId,
-    /// What the processor asked for.
-    pub kind: RequestKind,
-    /// The line concerned.
-    pub line: LineAddr,
-    /// When the processor issued the request.
-    pub issued_at: SimTime,
-    /// Current phase.
-    pub phase: TxnPhase,
-    /// Row-bus request retransmissions (race losses, signal drops).
-    pub retries: u32,
-    /// Bus operations attributed to this transaction so far.
-    pub bus_ops: u32,
-    /// The modified victim being written back in the
-    /// [`TxnPhase::VictimWriteback`] phase.
-    pub victim: Option<LineAddr>,
-}
-
 /// Per-node controller: snooping cache and outstanding request.
 ///
 /// The controller is a passive state container; the protocol procedures in
 /// [`crate::machine`] mutate it. Public accessors exist for tests and
-/// debugging. The column's modified line table is held by the machine
-/// ([`crate::Machine::mlt`]).
+/// debugging. The column's modified line table ([`crate::Machine::mlt`])
+/// and the record of the outstanding transaction are held by the machine.
 #[derive(Debug)]
 pub struct Controller {
     node: NodeId,
@@ -87,12 +51,9 @@ pub struct Controller {
     pub(crate) proc_cache: Option<SetAssocCache<()>>,
     /// Recently evicted/purged lines, eligible for snarfing.
     pub(crate) recent: VecDeque<LineAddr>,
-    /// The single outstanding processor transaction.
-    pub(crate) outstanding: Option<Outstanding>,
-    /// Completed transactions by this node.
-    pub(crate) completed: u64,
-    /// Lines snarfed off snooped buses.
-    pub(crate) snarfs: u64,
+    /// The single outstanding processor transaction ("Requests are
+    /// assumed to be non-overlapping", Figure 2).
+    pub(crate) outstanding: Option<TxnId>,
 }
 
 /// Maximum length of the snarf-recency list.
@@ -115,8 +76,6 @@ impl Controller {
             proc_cache: proc_geometry.map(SetAssocCache::new),
             recent: VecDeque::new(),
             outstanding: None,
-            completed: 0,
-            snarfs: 0,
         }
     }
 
@@ -146,18 +105,8 @@ impl Controller {
     }
 
     /// The outstanding transaction, if any.
-    pub fn outstanding(&self) -> Option<&Outstanding> {
-        self.outstanding.as_ref()
-    }
-
-    /// Transactions completed by this node.
-    pub fn completed_count(&self) -> u64 {
-        self.completed
-    }
-
-    /// Lines snarfed by this node.
-    pub fn snarf_count(&self) -> u64 {
-        self.snarfs
+    pub fn outstanding(&self) -> Option<TxnId> {
+        self.outstanding
     }
 
     /// Records an eviction/purge for snarf-recency tracking.
@@ -221,9 +170,9 @@ impl Controller {
     }
 
     /// Whether a snarfed line could be inserted without evicting anything,
-    /// and without consuming the way reserved for an outstanding miss that
-    /// maps to the same set.
-    pub(crate) fn can_snarf(&self, line: &LineAddr) -> bool {
+    /// and without consuming the way reserved for `requested`, the line of
+    /// an outstanding bus request, when it maps to the same set.
+    pub(crate) fn can_snarf(&self, line: &LineAddr, requested: Option<LineAddr>) -> bool {
         if self.cache.contains(line) {
             return false;
         }
@@ -231,12 +180,9 @@ impl Controller {
             return false; // would evict
         }
         // Don't consume the way reserved for the outstanding miss.
-        if let Some(out) = &self.outstanding {
+        if let Some(req) = requested {
             let sets = self.cache.geometry().sets() as u64;
-            if out.phase == TxnPhase::Requested
-                && !self.cache.contains(&out.line)
-                && out.line.index() % sets == line.index() % sets
-            {
+            if !self.cache.contains(&req) && req.index() % sets == line.index() % sets {
                 return false;
             }
         }
@@ -263,7 +209,6 @@ mod tests {
         assert_eq!((c.row(), c.col()), (1, 1));
         assert_eq!(c.mode_of(&line(0)), None);
         assert!(c.outstanding().is_none());
-        assert_eq!(c.completed_count(), 0);
     }
 
     #[test]
@@ -316,24 +261,16 @@ mod tests {
                 },
             );
         }
-        assert!(!c.can_snarf(&line(4))); // set 0 full
-        assert!(c.can_snarf(&line(1))); // set 1 has room
-        assert!(!c.can_snarf(&line(0))); // already resident
+        assert!(!c.can_snarf(&line(4), None)); // set 0 full
+        assert!(c.can_snarf(&line(1), None)); // set 1 has room
+        assert!(!c.can_snarf(&line(0), None)); // already resident
     }
 
     #[test]
     fn can_snarf_respects_reservation() {
         let mut c = controller();
-        c.outstanding = Some(Outstanding {
-            txn: TxnId(1),
-            kind: RequestKind::Read,
-            line: line(1), // set 1
-            issued_at: SimTime::ZERO,
-            phase: TxnPhase::Requested,
-            retries: 0,
-            bus_ops: 0,
-            victim: None,
-        });
+        // An outstanding request for line 1 (set 1).
+        let requested = Some(line(1));
         // Set 1 is empty (two free ways), but one is reserved: a same-set
         // snarf of a *different* line is still fine (two ways); fill one.
         c.cache.insert(
@@ -344,8 +281,9 @@ mod tests {
             },
         );
         // Now set 1 has one free way, reserved for line 1.
-        assert!(!c.can_snarf(&line(5)));
+        assert!(!c.can_snarf(&line(5), requested));
+        assert!(c.can_snarf(&line(5), None));
         // Set 0 unaffected.
-        assert!(c.can_snarf(&line(4)));
+        assert!(c.can_snarf(&line(4), requested));
     }
 }

@@ -81,15 +81,9 @@ pub fn solve_k(params: &ModelParams, k: u8, offered_rate_per_ms: f64) -> KdimSol
     let per_bus_demand_per_txn = (pt_demand + bc_demand) * big_n / buses / big_n;
     // (the N's cancel; kept explicit for clarity of derivation)
     let per_bus_ops_per_txn = (2.0 * h + p_bc * bc_ops) * big_n / buses / big_n;
-    let mean_service = if per_bus_ops_per_txn > 0.0 {
-        per_bus_demand_per_txn / per_bus_ops_per_txn
-    } else {
-        a
-    };
     // Second moment of a two-point service mix (short a, long d).
     let frac_data = h / (2.0 * h + p_bc * bc_ops);
     let m2 = frac_data * d * d + (1.0 - frac_data) * a * a;
-    let _ = mean_service;
 
     // Fixed point by bisection (monotone, as in the 2-D solver).
     const CAP: f64 = 0.999_9;
@@ -102,26 +96,7 @@ pub fn solve_k(params: &ModelParams, k: u8, offered_rate_per_ms: f64) -> KdimSol
         // wait; one device access.
         2.0 * h * (w + a) + h * (d - a) + l
     };
-    let mut lo = f(0.0).min(z);
-    let mut hi = lo.max(1.0);
-    let mut guard = 0;
-    while f(hi) > hi && guard < 200 {
-        hi *= 2.0;
-        guard += 1;
-    }
-    let mut response = hi;
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) > mid {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        response = 0.5 * (lo + hi);
-        if hi - lo < 1e-9 * (1.0 + response) {
-            break;
-        }
-    }
+    let (response, _) = crate::model::fixed_point(f(0.0).min(z), f);
 
     let lambda = 1.0 / (z + response);
     KdimSolution {

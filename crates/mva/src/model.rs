@@ -81,15 +81,13 @@ impl OpMix {
         self.entries.iter().map(|(_, w)| w).sum()
     }
 
-    /// First and second moments of the service time of a random operation.
-    fn moments(&self) -> (f64, f64) {
+    /// Second moment of the service time of a random operation.
+    fn second_moment(&self) -> f64 {
         let ops = self.ops();
         if ops == 0.0 {
-            return (0.0, 0.0);
+            return 0.0;
         }
-        let m1 = self.demand() / ops;
-        let m2 = self.entries.iter().map(|(t, w)| t * t * w).sum::<f64>() / ops;
-        (m1, m2)
+        self.entries.iter().map(|(t, w)| t * t * w).sum::<f64>() / ops
     }
 }
 
@@ -140,9 +138,7 @@ fn mixes(p: &ModelParams) -> (OpMix, OpMix) {
     let u = p.p_unmodified;
     let i = p.p_invalidation;
 
-    let p_ru = (1.0 - w) * u;
     let p_rm = (1.0 - w) * (1.0 - u);
-    let p_wm = w * (1.0 - u);
     let p_wui = w * u * i;
     let p_wuc = w * u * (1.0 - i);
 
@@ -179,10 +175,39 @@ fn mixes(p: &ModelParams) -> (OpMix, OpMix) {
     col.push(a, p_wui + p_wuc);
     // READ-MOD to modified data posts nothing extra (the insert rides on
     // the reply); READs to unmodified nothing extra.
-    let _ = p_ru;
-    let _ = p_wm;
 
     (row, col)
+}
+
+/// The root of `f(r) = r` at or above `lo`, for a decreasing `f` (so
+/// `f(r) - r` is strictly decreasing and the root unique), and the
+/// iterations taken to find it. Bisection is unconditionally stable,
+/// unlike damped iteration, which oscillates deep in saturation (e.g.
+/// 64-word blocks at high rates). The bracket's upper end doubles from
+/// `max(lo, 1)` until `f(hi) <= hi`; then at most 200 halvings narrow it
+/// to a relative width of 1e-9.
+pub(crate) fn fixed_point(mut lo: f64, f: impl Fn(f64) -> f64) -> (f64, u32) {
+    let mut hi = lo.max(1.0);
+    let mut iterations = 0u32;
+    while f(hi) > hi && iterations < 200 {
+        hi *= 2.0;
+        iterations += 1;
+    }
+    let mut root = hi;
+    for _ in 0..200 {
+        iterations += 1;
+        let mid = 0.5 * (lo + hi);
+        if f(mid) > mid {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+        root = 0.5 * (lo + hi);
+        if hi - lo < 1e-9 * (1.0 + root) {
+            break;
+        }
+    }
+    (root, iterations)
 }
 
 /// Solves the model at an offered request rate (requests per millisecond
@@ -201,18 +226,15 @@ pub fn solve(p: &ModelParams, offered_rate_per_ms: f64) -> ModelSolution {
     let a = p.addr_op();
     let base_response = 2.0 * a + leg1 + leg2 + p.device_latency_ns;
 
-    let (row_m1, row_m2) = row.moments();
-    let (col_m1, col_m2) = col.moments();
+    let row_m2 = row.second_moment();
+    let col_m2 = col.second_moment();
     let row_ops = row.ops();
     let col_ops = col.ops();
     let row_demand = row.demand();
     let col_demand = col.demand();
 
-    // The fixed point R = f(R) has f strictly decreasing in R (a longer
-    // response lowers the achieved rate, hence utilization, hence waits),
-    // so g(R) = f(R) - R is strictly decreasing and has a unique root.
-    // Bisection is unconditionally stable, unlike damped iteration, which
-    // oscillates deep in saturation (e.g. 64-word blocks at high rates).
+    // A longer response lowers the achieved rate, hence utilization,
+    // hence waits: f is decreasing, as `fixed_point` needs.
     const CAP: f64 = 0.999_9;
     let f = |response: f64| -> f64 {
         let lambda = 1.0 / (z + response);
@@ -224,30 +246,7 @@ pub fn solve(p: &ModelParams, offered_rate_per_ms: f64) -> ModelSolution {
         let w_col = arr_col * col_m2 / (2.0 * (1.0 - rho_col));
         base_response + 2.0 * (w_row + w_col)
     };
-    let _ = (row_m1, col_m1);
-
-    let mut lo = base_response;
-    let mut hi = base_response.max(1.0);
-    let mut iterations = 0u32;
-    // Grow hi until g(hi) <= 0.
-    while f(hi) > hi && iterations < 200 {
-        hi *= 2.0;
-        iterations += 1;
-    }
-    let mut response = hi;
-    for _ in 0..200 {
-        iterations += 1;
-        let mid = 0.5 * (lo + hi);
-        if f(mid) > mid {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        response = 0.5 * (lo + hi);
-        if hi - lo < 1e-9 * (1.0 + response) {
-            break;
-        }
-    }
+    let (response, iterations) = fixed_point(base_response, f);
 
     let lambda = 1.0 / (z + response);
     let rho_row = (n * lambda * row_demand).min(CAP);
@@ -445,9 +444,9 @@ pub fn single_bus_efficiency(p: &ModelParams, processors: u32, offered_rate_per_
     let s = p.device_latency_ns + p.data_op(); // bus held through the access
     let n = processors as f64;
 
-    // Closed interactive system, one queueing centre: solve the
-    // fixed point R = f(R) by bisection, with the M/M/1-like correction
-    // bounded by the response-time law R >= N*s - z at saturation.
+    // Closed interactive system, one queueing centre: the fixed point
+    // R = f(R), with the M/M/1-like correction bounded by the
+    // response-time law R >= N*s - z at saturation.
     const CAP: f64 = 0.999_9;
     let f = |r: f64| -> f64 {
         let lambda = 1.0 / (z + r);
@@ -456,26 +455,7 @@ pub fn single_bus_efficiency(p: &ModelParams, processors: u32, offered_rate_per_
         let queue = (rho / (1.0 - rho)).min(n - 1.0);
         s * (1.0 + queue)
     };
-    let mut lo = s;
-    let mut hi = s.max(1.0);
-    let mut guard = 0;
-    while f(hi) > hi && guard < 200 {
-        hi *= 2.0;
-        guard += 1;
-    }
-    let mut r = hi;
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) > mid {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        r = 0.5 * (lo + hi);
-        if hi - lo < 1e-9 * (1.0 + r) {
-            break;
-        }
-    }
+    let (r, _) = fixed_point(s, f);
     z / (z + r)
 }
 

@@ -529,268 +529,14 @@ fn run_parallel<S: ShardModel>(
 
 #[cfg(test)]
 mod tests {
+    //! The example and property tests on a ping/ack shard model live in
+    //! `tests/pdes.rs`.
+
     use super::*;
-    use crate::rng::DeterministicRng;
-    use std::collections::BTreeMap;
-
-    const LOOKAHEAD: u64 = 10;
-    const ACK_DELAY: u64 = 5;
-    /// High bit marks an acknowledgement payload (acks are not re-acked,
-    /// or the ping-pong would never terminate).
-    const ACK_BIT: u64 = 1 << 63;
-
-    /// What a toy shard does when one of its scheduled instants fires.
-    /// (Autonomous work lives in `next_auto`, not in this queue.)
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum ToyEv {
-        /// A delivered cross-shard message (src, seq, payload).
-        Inbound(usize, u64, u64),
-        /// A scheduled acknowledgement send (dst, payload).
-        AckSend(usize, u64),
-    }
-
-    /// A deterministic toy shard: a schedule of autonomous events, each of
-    /// which may message a random peer; inbound messages are acknowledged
-    /// after a fixed local delay. Everything observed is folded into
-    /// `digest` in processing order, which is what the determinism tests
-    /// compare across worker counts.
-    struct ToyShard {
-        id: usize,
-        peers: usize,
-        rng: DeterministicRng,
-        send_chance: f64,
-        /// Keyed `(time, class, content key)`: same-instant ordering comes
-        /// from the event's identity, never from insertion order, so it
-        /// cannot depend on which round delivered an event.
-        pending: BTreeMap<(SimTime, u8, u64), ToyEv>,
-        remaining_auto: u32,
-        next_auto: Option<SimTime>,
-        auto_gap: u64,
-        processed_max: SimTime,
-        digest: u64,
-        processed: u64,
-    }
-
-    impl ToyShard {
-        fn new(
-            id: usize,
-            peers: usize,
-            seed: u64,
-            autos: u32,
-            auto_gap: u64,
-            send_chance: f64,
-        ) -> Self {
-            ToyShard {
-                id,
-                peers,
-                rng: DeterministicRng::seed(seed ^ (id as u64).wrapping_mul(0x9E37)),
-                send_chance,
-                pending: BTreeMap::new(),
-                remaining_auto: autos,
-                next_auto: (autos > 0).then(|| SimTime::from_nanos(1 + id as u64)),
-                auto_gap,
-                processed_max: SimTime::ZERO,
-                digest: 0,
-                processed: 0,
-            }
-        }
-
-        fn schedule(&mut self, at: SimTime, class: u8, key: u64, ev: ToyEv) {
-            let clobbered = self.pending.insert((at, class, key), ev);
-            assert!(clobbered.is_none(), "content key collision at {at}");
-        }
-
-        fn fold(&mut self, at: SimTime, tag: u64, a: u64, b: u64) {
-            for v in [at.as_nanos(), tag, a, b] {
-                self.digest = self
-                    .digest
-                    .rotate_left(13)
-                    .wrapping_mul(0x100000001B3)
-                    .wrapping_add(v);
-            }
-            self.processed += 1;
-        }
-    }
-
-    impl ShardModel for ToyShard {
-        type Msg = u64;
-
-        fn next_time(&self) -> Option<SimTime> {
-            let pending = self.pending.keys().next().map(|&(t, _, _)| t);
-            match (pending, self.next_auto) {
-                (Some(p), Some(a)) => Some(p.min(a)),
-                (p, a) => p.or(a),
-            }
-        }
-
-        fn earliest_send(&self) -> Option<SimTime> {
-            let mut bound: Option<SimTime> = None;
-            let mut fold = |t: SimTime| {
-                if bound.is_none_or(|b| t < b) {
-                    bound = Some(t);
-                }
-            };
-            if let Some(a) = self.next_auto {
-                fold(a + SimDuration::from_nanos(LOOKAHEAD));
-            }
-            for (&(t, _, _), ev) in &self.pending {
-                match ev {
-                    ToyEv::AckSend(..) => fold(t + SimDuration::from_nanos(LOOKAHEAD)),
-                    ToyEv::Inbound(..) => fold(t + SimDuration::from_nanos(ACK_DELAY + LOOKAHEAD)),
-                }
-            }
-            bound
-        }
-
-        fn min_turnaround(&self) -> SimDuration {
-            SimDuration::from_nanos(ACK_DELAY + LOOKAHEAD)
-        }
-
-        fn advance(&mut self, horizon: SimTime, inbox: Vec<Arrival<u64>>, out: &mut Outbox<u64>) {
-            for a in inbox {
-                // The property under test: conservative synchronization
-                // never delivers a cross-shard op into this shard's past.
-                assert!(
-                    a.at >= self.processed_max,
-                    "shard {}: arrival at {} but already processed through {}",
-                    self.id,
-                    a.at,
-                    self.processed_max
-                );
-                self.schedule(
-                    a.at,
-                    1,
-                    ((a.src as u64) << 32) | a.seq,
-                    ToyEv::Inbound(a.src, a.seq, a.msg),
-                );
-            }
-            loop {
-                let next_pending = self.pending.keys().next().copied();
-                let auto_first = match (self.next_auto, next_pending) {
-                    (Some(a), Some((p, _, _))) => a < p,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if auto_first {
-                    let at = self.next_auto.unwrap();
-                    if at >= horizon {
-                        break;
-                    }
-                    self.processed_max = at;
-                    self.remaining_auto -= 1;
-                    self.next_auto = (self.remaining_auto > 0)
-                        .then(|| at + SimDuration::from_nanos(1 + self.rng.below(self.auto_gap)));
-                    self.fold(at, 0, self.id as u64, self.remaining_auto as u64);
-                    if self.peers > 1 && self.rng.chance(self.send_chance) {
-                        let dst = self.rng.below_excluding(self.peers as u64, self.id as u64);
-                        let delay = LOOKAHEAD + self.rng.below(40);
-                        let payload = self.rng.next_u64() & !ACK_BIT;
-                        out.send(dst as usize, at + SimDuration::from_nanos(delay), payload);
-                    }
-                    continue;
-                }
-                let Some(key @ (at, _, _)) = next_pending else {
-                    break;
-                };
-                if at >= horizon {
-                    break;
-                }
-                let ev = self.pending.remove(&key).unwrap();
-                self.processed_max = at;
-                match ev {
-                    ToyEv::Inbound(src, seq, payload) => {
-                        self.fold(at, 1, ((src as u64) << 32) | seq, payload);
-                        if payload & ACK_BIT == 0 {
-                            self.schedule(
-                                at + SimDuration::from_nanos(ACK_DELAY),
-                                2,
-                                ((src as u64) << 32) | seq,
-                                ToyEv::AckSend(src, payload | ACK_BIT),
-                            );
-                        }
-                    }
-                    ToyEv::AckSend(dst, payload) => {
-                        self.fold(at, 2, dst as u64, payload);
-                        if dst != self.id {
-                            out.send(dst, at + SimDuration::from_nanos(LOOKAHEAD), payload);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn make_shards(n: usize, seed: u64, autos: u32) -> Vec<ToyShard> {
-        (0..n)
-            .map(|id| ToyShard::new(id, n, seed, autos, 30, 0.6))
-            .collect()
-    }
-
-    fn digests(shards: &[ToyShard]) -> Vec<(u64, u64)> {
-        shards.iter().map(|s| (s.digest, s.processed)).collect()
-    }
-
-    fn lookahead() -> SimDuration {
-        SimDuration::from_nanos(LOOKAHEAD)
-    }
-
-    #[test]
-    fn every_worker_count_matches_the_serial_reference() {
-        for n in [1usize, 2, 3, 5, 8] {
-            let mut reference = make_shards(n, 99, 40);
-            let ref_stats = run(&PdesConfig::serial(lookahead()), &mut reference);
-            for workers in [2usize, 3, 16] {
-                let mut shards = make_shards(n, 99, 40);
-                let stats = run(&PdesConfig::parallel(workers, lookahead()), &mut shards);
-                assert_eq!(
-                    digests(&shards),
-                    digests(&reference),
-                    "n={n} workers={workers}"
-                );
-                // Round structure is a pure function of published bounds:
-                // identical to the serial run.
-                assert_eq!(stats, ref_stats, "n={n} workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_shard_drains_and_acks_balance() {
-        let mut shards = make_shards(4, 7, 25);
-        let stats = run(&PdesConfig::parallel(4, lookahead()), &mut shards);
-        for s in &shards {
-            assert!(s.pending.is_empty(), "shard {} left work pending", s.id);
-            assert_eq!(s.remaining_auto, 0);
-            // 25 autos processed, plus one Inbound + one AckSend per
-            // received message.
-            assert!(s.processed >= 25);
-        }
-        // Every inbound message produced an ack (except acks themselves),
-        // so messages split evenly into originals and replies.
-        assert!(stats.messages > 0);
-        assert_eq!(stats.messages % 2, 0);
-    }
-
-    #[test]
-    fn single_shard_runs_in_one_round() {
-        let mut shards = make_shards(1, 3, 50);
-        let stats = run(&PdesConfig::serial(lookahead()), &mut shards);
-        assert_eq!(stats.rounds, 1, "no neighbours, no horizon, one drain");
-        assert_eq!(stats.messages, 0);
-        assert_eq!(shards[0].processed, 50);
-    }
-
-    #[test]
-    fn empty_shard_list_is_a_noop() {
-        let stats = run(
-            &PdesConfig::serial(lookahead()),
-            &mut Vec::<ToyShard>::new(),
-        );
-        assert_eq!(stats, PdesStats::default());
-    }
 
     #[test]
     fn a_shard_panic_propagates_from_worker_threads() {
+        const LOOKAHEAD: u64 = 10;
         struct Bomb;
         impl ShardModel for Bomb {
             type Msg = ();
@@ -808,28 +554,12 @@ mod tests {
             }
         }
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run(&PdesConfig::parallel(2, lookahead()), &mut [Bomb, Bomb])
+            let lookahead = SimDuration::from_nanos(LOOKAHEAD);
+            run(&PdesConfig::parallel(2, lookahead), &mut [Bomb, Bomb])
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
         assert!(msg.contains("boom in a shard"), "{msg}");
-    }
-
-    #[test]
-    fn zero_lookahead_is_rejected() {
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run(
-                &PdesConfig::serial(SimDuration::ZERO),
-                &mut make_shards(2, 1, 1),
-            )
-        }))
-        .unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(msg.contains("positive lookahead"), "{msg}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Property tests for the conservative parallel scheduler: across random
-//! lookahead-respecting workloads, (1) a cross-domain op is never
-//! delivered into a neighbour shard's past — the shard itself asserts
-//! every arrival is at or after the latest instant it has processed — and
-//! (2) every parallel worker count reproduces the serial run bit for bit.
+//! Tests of the conservative parallel scheduler on a ping/ack shard
+//! model: across fixed and random lookahead-respecting workloads, (1) a
+//! cross-domain op is never delivered into a neighbour shard's past — the
+//! shard itself asserts every arrival is at or after the latest instant
+//! it has processed — and (2) every parallel worker count reproduces the
+//! serial run bit for bit.
 
 use std::collections::BTreeMap;
 
@@ -210,6 +211,74 @@ fn execute(w: Workload, workers: usize) -> (Vec<(u64, u64)>, (u64, u64)) {
     );
     let out: Vec<(u64, u64)> = shards.iter().map(|s| (s.digest, s.processed)).collect();
     (out, (stats.rounds, stats.messages))
+}
+
+/// The fixed workload of the scheduler's example-based tests.
+fn fixed(shards: usize, autos: u32, seed: u64) -> Workload {
+    Workload {
+        shards,
+        autos,
+        auto_gap: 30,
+        send_chance: 0.6,
+        lookahead: 10,
+        ack_delay: 5,
+        seed,
+    }
+}
+
+#[test]
+fn every_worker_count_matches_the_serial_reference() {
+    for shards in [1usize, 2, 3, 5, 8] {
+        let w = fixed(shards, 40, 99);
+        let reference = execute(w, 1);
+        for workers in [2usize, 3, 16] {
+            // Outcomes, and the round structure, which is a pure function
+            // of the published bounds.
+            assert_eq!(
+                execute(w, workers),
+                reference,
+                "{shards} shards, {workers} workers"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_shard_drains_and_acks_balance() {
+    // `execute` itself asserts that every shard drained.
+    let (outcomes, (_, messages)) = execute(fixed(4, 25, 7), 4);
+    for (id, &(_, processed)) in outcomes.iter().enumerate() {
+        // 25 autos, plus one inbound and one ack send per received
+        // message.
+        assert!(processed >= 25, "shard {id} processed {processed}");
+    }
+    // Every original message is acknowledged once, and acks are not.
+    assert!(messages > 0);
+    assert_eq!(messages % 2, 0);
+}
+
+#[test]
+fn single_shard_runs_in_one_round() {
+    let (outcomes, stats) = execute(fixed(1, 50, 3), 1);
+    assert_eq!(stats, (1, 0), "no neighbours, no horizon, one drain");
+    assert_eq!(outcomes[0].1, 50);
+}
+
+#[test]
+fn empty_shard_list_is_a_noop() {
+    assert_eq!(execute(fixed(0, 1, 1), 2), (Vec::new(), (0, 0)));
+}
+
+#[test]
+#[should_panic(expected = "positive lookahead")]
+fn zero_lookahead_is_rejected() {
+    execute(
+        Workload {
+            lookahead: 0,
+            ..fixed(2, 1, 1)
+        },
+        1,
+    );
 }
 
 proptest! {

@@ -356,7 +356,9 @@ impl<'a> TraceV2Reader<'a> {
     ///
     /// See [`TraceDecodeError`]. Every strict prefix of a valid buffer
     /// fails with [`TraceDecodeError::BadMagic`] or
-    /// [`TraceDecodeError::Truncated`].
+    /// [`TraceDecodeError::Truncated`], and so does a header whose chunk
+    /// and node counts need more bytes than the buffer holds; nothing is
+    /// allocated for those counts until the buffer backs them.
     pub fn new(data: &'a [u8]) -> Result<Self, TraceDecodeError> {
         if data.len() < 8 || &data[..8] != MAGIC {
             return Err(TraceDecodeError::BadMagic);
@@ -368,8 +370,15 @@ impl<'a> TraceV2Reader<'a> {
         let total = c.get_u64().expect("header length checked");
         let nodes = c.get_u32().expect("header length checked");
         let chunk_count = c.get_u32().expect("header length checked");
+        // Each chunk opens with its length and a `nodes`-long offset table.
+        let table_bytes = 8 * (1 + u128::from(nodes));
+        if u128::from(chunk_count) * table_bytes > c.remaining() as u128 {
+            return Err(TraceDecodeError::Truncated);
+        }
         let mut chunk_starts = Vec::with_capacity(chunk_count as usize);
-        let mut running = vec![0u64; nodes as usize];
+        // Per-node counts only where a chunk's offset table backs them.
+        let tracked = if chunk_count == 0 { 0 } else { nodes as usize };
+        let mut running = vec![0u64; tracked];
         let mut seen = 0u64;
         for chunk in 0..chunk_count {
             chunk_starts.push(c.position);
@@ -422,7 +431,8 @@ impl<'a> TraceV2Reader<'a> {
         self.data.len()
     }
 
-    /// Per-node record counts over the whole trace.
+    /// Per-node record counts over the whole trace (empty for a trace
+    /// with no chunks).
     pub fn node_record_counts(&self) -> &[u64] {
         &self.per_node_totals
     }
@@ -499,7 +509,7 @@ impl<'a> TraceV2Reader<'a> {
         };
         StreamingPlayer {
             reader: self.clone(),
-            pending: (0..self.nodes).map(|_| VecDeque::new()).collect(),
+            pending: vec![VecDeque::new(); self.per_node_totals.len()],
             next_chunk: chunk,
             start_offsets,
             served: 0,
@@ -530,7 +540,8 @@ impl StreamingPlayer<'_> {
     }
 
     /// Per-node counts of records that precede this player's start chunk
-    /// (all zero for a replay from the beginning).
+    /// (all zero for a replay from the beginning, and empty for a trace
+    /// with no chunks).
     pub fn start_offsets(&self) -> &[u64] {
         &self.start_offsets
     }

@@ -64,9 +64,64 @@ proptest! {
     }
 
     /// Decoding never panics on arbitrary bytes — worst case is an error.
+    /// Behind a valid magic and header, whatever counts the header
+    /// declares, a buffer that decodes also replays.
     #[test]
-    fn decode_arbitrary_bytes_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
+    fn decode_arbitrary_bytes_never_panics(
+        bytes in prop::collection::vec(any::<u8>(), 0..300),
+        total in prop_oneof![0u64..4, any::<u64>()],
+        nodes in prop_oneof![0u32..4, any::<u32>()],
+        chunks in prop_oneof![0u32..4, any::<u32>()],
+    ) {
         let _ = TraceV2Reader::new(&bytes);
+        let framed = [header(total, nodes, chunks), bytes].concat();
+        if let Ok(reader) = TraceV2Reader::new(&framed) {
+            let mut player = reader.player();
+            let mut rng = DeterministicRng::seed(1);
+            for node in 0..reader.node_count().min(8) {
+                while player.next(NodeId::new(node), &mut rng).is_some() {}
+            }
+        }
+    }
+}
+
+/// A trace header: magic, record total, node count and chunk count.
+fn header(total: u64, nodes: u32, chunks: u32) -> Vec<u8> {
+    [
+        &b"MCUBTRC2"[..],
+        &total.to_be_bytes(),
+        &nodes.to_be_bytes(),
+        &chunks.to_be_bytes(),
+    ]
+    .concat()
+}
+
+/// Node and chunk counts the buffer cannot hold are `Truncated` before
+/// anything is allocated for them: each chunk needs `8 × (1 + nodes)`
+/// header bytes.
+#[test]
+fn header_counts_beyond_the_buffer_are_truncated() {
+    for (nodes, chunks) in [(1, u32::MAX), (u32::MAX, 1)] {
+        assert_eq!(
+            TraceV2Reader::new(&header(0, nodes, chunks)).unwrap_err(),
+            TraceDecodeError::Truncated,
+            "{nodes} nodes, {chunks} chunks"
+        );
+    }
+}
+
+/// A trace with no chunks is valid for any node count, and neither the
+/// reader nor its player allocates per-node storage for it.
+#[test]
+fn empty_trace_declares_any_node_count() {
+    let bytes = header(0, u32::MAX, 0);
+    let reader = TraceV2Reader::new(&bytes).unwrap();
+    assert_eq!(reader.node_count(), u32::MAX);
+    assert_eq!(reader.record_count(), 0);
+    let mut player = reader.player();
+    let mut rng = DeterministicRng::seed(1);
+    for node in [0, 1, u32::MAX - 1] {
+        assert!(player.next(NodeId::new(node), &mut rng).is_none());
     }
 }
 
