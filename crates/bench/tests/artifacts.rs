@@ -1,15 +1,16 @@
 //! The committed `BENCH_*` artifacts must match the code and the mode
 //! that produced them: full mode, the current schema, and — for the
-//! deterministic shootout — the exact bytes a fresh run writes. A
-//! quick-mode or schema-stale artifact fails here instead of silently
-//! misdescribing the code.
+//! deterministic shootout and the deterministic fields of the n = 8
+//! cube — what a fresh run produces. A quick-mode, schema-stale or
+//! outdated artifact fails here instead of silently misdescribing the
+//! code.
 
 use std::path::PathBuf;
 
 use multicube_bench::perf::validate_report;
 use multicube_bench::{
-    run_shootout, validate_scaling_report, validate_serve_report, write_shootout_csv,
-    CubeStudyConfig, Pool, ScalingStudyConfig, ServeConfig, SweepConfig,
+    run_cube_study, run_shootout, validate_scaling_report, validate_serve_report,
+    write_shootout_csv, CubeStudyConfig, Pool, ScalingStudyConfig, ServeConfig, SweepConfig,
 };
 
 /// Reads a committed artifact from the workspace root.
@@ -43,6 +44,50 @@ fn scaling_report_is_the_full_study_at_the_current_schema() {
         text.contains("\"mode\": \"full\""),
         "BENCH_scaling.json must come from a full-mode study"
     );
+}
+
+/// The fields of the committed cube point of `side` in
+/// `BENCH_scaling.json`, as `(name, value as written)`.
+fn committed_cube_point(text: &str, side: u32) -> Vec<(String, String)> {
+    let start = text
+        .find(&format!("\"side\": {side},"))
+        .unwrap_or_else(|| panic!("BENCH_scaling.json has no cube point of side {side}"));
+    let end = start + text[start..].find('}').expect("the point's object closes");
+    text[start..end]
+        .lines()
+        .filter_map(|line| {
+            let (name, value) = line.trim().trim_end_matches(',').split_once(": ")?;
+            Some((name.trim_matches('"').to_string(), value.to_string()))
+        })
+        .collect()
+}
+
+#[test]
+fn scaling_report_cube_n8_matches_a_fresh_run() {
+    let study = run_cube_study(&CubeStudyConfig {
+        sides: vec![8],
+        ..CubeStudyConfig::full(2)
+    });
+    let fresh = &study.points[0];
+    let timing = fresh
+        .timing
+        .as_ref()
+        .expect("the full study times its points");
+    let committed = committed_cube_point(&artifact("BENCH_scaling.json"), 8);
+    for (name, value) in [
+        ("fingerprint", format!("\"{}\"", fresh.fingerprint)),
+        ("events", fresh.events.to_string()),
+        ("remote_ops", fresh.remote_ops.to_string()),
+        ("rounds", timing.rounds.to_string()),
+        ("messages", timing.messages.to_string()),
+    ] {
+        let written = committed.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+        assert_eq!(
+            written,
+            Some(&value),
+            "BENCH_scaling.json cube n = 8 `{name}` differs from a fresh run"
+        );
+    }
 }
 
 #[test]

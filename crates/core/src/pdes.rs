@@ -9,8 +9,8 @@
 //! own full [`Machine`] — the complete Appendix A protocol, its own event
 //! wheel, its own deterministic RNG stream — and running the planes as
 //! the shards of a conservative parallel DES ([`multicube_sim::pdes`]).
-//! Only the depth buses cross shards, so the lookahead is one depth-bus
-//! hop ([`HOP_NS`]).
+//! Only the depth buses cross shards, so the scheduler's lookahead is one
+//! depth-bus hop ([`HOP_NS`]).
 //!
 //! Cross-plane traffic models the §4 uncached-remote access pattern as a
 //! four-hop pipeline through per-column [`ColumnCell`]s: a requester
@@ -23,21 +23,43 @@
 //! uncached — all depth-traffic state lives in the column cells, never in
 //! the plane's machine.
 //!
+//! What bounds a round: every depth-bus send is known long before it
+//! happens, and the model sends each as soon as it is known, so a run
+//! takes four rounds at any side instead of one per depth hop. A
+//! column's generator is open loop with its own RNG stream, so the cell
+//! draws its whole schedule (issue time, home plane, line, kind) at
+//! construction and every plane sends all its requests on its first
+//! [`ShardModel::advance`], in the first round; an issue then only
+//! records the op. A plane's second advance therefore holds every
+//! request it will serve. A column's memory port serves in acceptance
+//! order, so the plane runs each port over its requests there: each op
+//! takes effect on the column's words when the port accepts it, and the
+//! reply leaves at once, stamped with its delivery instant. Arrival at
+//! the port, service completion and the reply's exit onto the depth bus
+//! keep their events, but those only fold into the digests; no event
+//! sends. The third round delivers the replies under a horizon the
+//! scheduler still draws one turnaround ([`SERVICE_NS`] + [`HOP_NS`])
+//! past the earliest of them, since it cannot know that replies are
+//! answered by nothing, and the fourth runs every plane to the end.
+//!
 //! Determinism: every machine seed and per-column traffic stream derives
 //! from the cube seed by [`split_seed`], the scheduler delivers
-//! cross-shard messages in `(time, source shard, sequence)` order, and
-//! every cell keys same-instant events on the *operation's identity*
-//! `(origin plane, origin column, op sequence)` — never on insertion
-//! order — so the event order cannot depend on which round delivered a
-//! message. A cube run is therefore byte-identical — per-plane machine
-//! traces included — at every worker count, which
+//! cross-shard messages in `(time, source shard, sequence)` order, and a
+//! plane keys same-instant events on the *operation's identity*
+//! `(origin plane, origin column, op sequence)`, then the column — never
+//! on insertion order — so the event order cannot depend on which round
+//! delivered a message. A cube run is therefore byte-identical —
+//! per-plane machine traces included — at every worker count, which
 //! `crates/core/tests/pdes_determinism.rs` pins.
 
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use multicube_sim::pdes::{self, Arrival, Outbox, PdesConfig, PdesStats, ShardModel};
-use multicube_sim::{split_seed, stream_id, DeterministicRng, FxHashMap, SimDuration, SimTime};
+use multicube_sim::{
+    split_seed, stream_id, DeterministicRng, FxHashMap, Pool, SimDuration, SimTime,
+};
 
 use crate::config::{EngineKind, MachineConfig};
 use crate::driver::SyntheticSpec;
@@ -78,10 +100,11 @@ impl RemoteKind {
     }
 }
 
-/// A message on a depth or grid bus. Every variant carries the issuing
-/// operation's full identity `(origin_plane, origin_col, op_seq)`: the
-/// receiving cell keys the induced event on it, which is what makes the
-/// event order content-addressed.
+/// A message on a depth bus, the only traffic between planes. Both
+/// variants carry the issuing operation's identity `(origin_plane,
+/// origin_col, op_seq)` — a reply's origin plane is the plane it is sent
+/// to: the receiving plane keys the induced event on it, which is what
+/// makes the event order content-addressed.
 #[derive(Debug, Clone, Copy)]
 pub enum DepthMsg {
     /// A remote op crossing the depth bus to its home plane (lands at the
@@ -93,24 +116,6 @@ pub enum DepthMsg {
         line: u64,
         kind: RemoteKind,
     },
-    /// The op transiting the home plane's row bus to the line's home
-    /// column.
-    RequestTransit {
-        origin_plane: u32,
-        origin_col: u32,
-        op_seq: u64,
-        line: u64,
-        kind: RemoteKind,
-    },
-    /// The reply transiting the home plane's row bus back to the origin
-    /// column's image.
-    ReplyTransit {
-        origin_plane: u32,
-        origin_col: u32,
-        op_seq: u64,
-        value: u64,
-        success: bool,
-    },
     /// The reply crossing the depth bus back to the origin.
     Reply {
         origin_col: u32,
@@ -120,52 +125,34 @@ pub enum DepthMsg {
     },
 }
 
-/// Internal events of one column cell, ordered by `(time, class, op key)`
-/// — the class keeps arrivals ahead of issues at equal instants, and the
-/// op key (the operation's identity) fixes same-instant order by content.
+/// Internal events of a plane's column cells. The plane keys each on
+/// `(time, class, op key, column)`: the class keeps arrivals ahead of
+/// issues at equal instants, the op key (the operation's identity, shared
+/// by all of one op's events) fixes same-instant order by content, and
+/// the lowest column wins what ties remain.
 #[derive(Debug, Clone, Copy)]
 enum CellEv {
-    /// The open-loop generator fires: issue one remote op.
+    /// The open-loop generator issues an op, whose request is already on
+    /// its way: record it.
     Issue,
     /// A request landed off the depth bus at the origin's column image on
     /// the home plane.
-    Entry {
-        origin_plane: u32,
-        op_seq: u64,
-        line: u64,
-        kind: RemoteKind,
-    },
+    Entry { line: u64, kind: RemoteKind },
     /// A forwarded request reached the line's home column.
-    PortArrival {
-        origin_plane: u32,
-        origin_col: u32,
-        op_seq: u64,
-        line: u64,
-        kind: RemoteKind,
-    },
-    /// The memory port finishes servicing (perform the op, start the
-    /// reply on its way).
+    PortArrival { line: u64 },
+    /// The memory port finishes servicing. The op took effect when the
+    /// port accepted it, and its reply has left.
     ServiceDone {
-        origin_plane: u32,
-        origin_col: u32,
-        op_seq: u64,
         line: u64,
         kind: RemoteKind,
-    },
-    /// A reply reached the origin column's image on the home plane,
-    /// about to cross the depth bus.
-    Exit {
-        origin_plane: u32,
-        op_seq: u64,
         value: u64,
         success: bool,
     },
+    /// A reply reached the origin column's image on the home plane and
+    /// enters the depth bus.
+    Exit { value: u64 },
     /// A reply arrived back at the requesting cell.
-    ReplyArrival {
-        op_seq: u64,
-        value: u64,
-        success: bool,
-    },
+    ReplyArrival { value: u64, success: bool },
 }
 
 /// Message-driven events; at equal instants these run before issues.
@@ -175,9 +162,43 @@ const CLASS_ISSUE: u8 = 1;
 
 /// The content key of an operation: its issuing cell and sequence number.
 /// `side <= 128` and `op_seq` stays far below `2^48`, so the packing is
-/// collision-free.
+/// collision-free and [`op_id`] inverts it.
 fn op_key(origin_plane: u32, origin_col: u32, op_seq: u64) -> u64 {
     ((origin_plane as u64) << 56) | ((origin_col as u64) << 48) | op_seq
+}
+
+/// `(origin_plane, origin_col, op_seq)` of an op key.
+fn op_id(key: u64) -> (u32, u32, u64) {
+    (
+        (key >> 56) as u32,
+        ((key >> 48) & 0xFF) as u32,
+        key & ((1 << 48) - 1),
+    )
+}
+
+/// Performs `kind` on `line`'s word and returns the reply: the word's old
+/// value and whether the op succeeded (only a TEST-AND-SET of a held lock
+/// fails).
+fn apply(words: &mut FxHashMap<u64, u64>, line: u64, kind: RemoteKind) -> (u64, bool) {
+    match kind {
+        RemoteKind::Read => (words.get(&line).copied().unwrap_or(0), true),
+        RemoteKind::TestAndSet => {
+            let word = words.entry(line).or_insert(0);
+            let old = *word;
+            if old & 1 == 0 {
+                *word |= 1;
+            }
+            (old, old & 1 == 0)
+        }
+        RemoteKind::Clear => {
+            let word = words.entry(line).or_insert(0);
+            let old = *word;
+            // Drop the lock bit, bump the release epoch: later READs
+            // observe the history of releases.
+            *word = (old & !1).wrapping_add(2);
+            (old, true)
+        }
+    }
 }
 
 /// Aggregate depth-traffic statistics (all integers, so the quick-mode
@@ -223,28 +244,33 @@ impl Write for SharedBuf {
     }
 }
 
+/// One op of a column's open-loop schedule.
+#[derive(Debug, Clone, Copy)]
+struct RemoteOp {
+    /// Issue instant.
+    at: SimTime,
+    home_plane: u32,
+    line: u64,
+    kind: RemoteKind,
+}
+
 /// One column-bus domain of one plane: the open-loop remote-traffic
-/// generator for that column's processors, the column's memory module
-/// (the words remote ops target), and its FIFO memory port. All
-/// depth-traffic state lives here — never in the plane's [`Machine`].
+/// schedule of that column's processors, the column's memory module (the
+/// words remote ops target), and its FIFO memory port. All depth-traffic
+/// state lives here — never in the plane's [`Machine`].
 struct ColumnCell {
-    plane: usize,
-    col: usize,
-    side: usize,
-    rng: DeterministicRng,
-    pending: std::collections::BTreeMap<(SimTime, u8, u64), CellEv>,
-    /// Remote ops the generator has yet to issue.
-    issues_left: u64,
-    /// Next op sequence number this cell issues.
-    op_seq: u64,
-    remote_gap_ns: f64,
-    remote_lines: u64,
+    /// The generator's whole schedule, in issue order; an op's index is
+    /// its sequence number.
+    ops: Vec<RemoteOp>,
     /// When the FIFO memory port next frees up.
     port_free_at: SimTime,
     /// This column's memory words: bit 0 is the TAS lock, the bits above
     /// count CLEAR releases. Only lines with `line % side == col` live
-    /// here.
+    /// here. Ops take effect at acceptance.
     words: FxHashMap<u64, u64>,
+    /// Debug builds only: the words with each op applied again at its
+    /// service instant — the oracle for the value fixed at acceptance.
+    shadow: FxHashMap<u64, u64>,
     /// In-flight remote ops this cell issued: op_seq -> issue time.
     outstanding: FxHashMap<u64, SimTime>,
     stats: DepthStats,
@@ -253,14 +279,52 @@ struct ColumnCell {
 }
 
 impl ColumnCell {
-    fn schedule(&mut self, at: SimTime, class: u8, key: u64, ev: CellEv) {
-        let clobbered = self.pending.insert((at, class, key), ev);
+    /// Draws the column's whole schedule from its own RNG stream, which
+    /// depends only on `(plane, col)`. The draw order — the first gap,
+    /// then each op's home plane, line and kind followed by the gap to
+    /// the next op — is part of every cube fingerprint.
+    fn new(cfg: &CubeConfig, plane: usize, col: usize) -> Self {
+        let side = u64::from(cfg.side);
+        let count = cfg.remote_ops / side + u64::from((col as u64) < cfg.remote_ops % side);
+        let mut rng = DeterministicRng::seed(split_seed(
+            cfg.seed,
+            stream_id("pdes", "depth"),
+            plane as u64 * side + col as u64,
+        ));
+        let mut at = 0u64;
+        let ops = (0..count)
+            .map(|_| {
+                let gap = rng.exponential(cfg.remote_gap_ns).max(0.0) as u64;
+                at = at.saturating_add(gap).saturating_add(1);
+                let home_plane = rng.below_excluding(side, plane as u64) as u32;
+                let line = rng.below(cfg.remote_lines);
+                let kind = match rng.below(10) {
+                    0..=5 => RemoteKind::Read,
+                    6..=8 => RemoteKind::TestAndSet,
+                    _ => RemoteKind::Clear,
+                };
+                RemoteOp {
+                    at: SimTime::from_nanos(at),
+                    home_plane,
+                    line,
+                    kind,
+                }
+            })
+            .collect();
         assert!(
-            clobbered.is_none(),
-            "cell ({}, {}): event key collision at {at}",
-            self.plane,
-            self.col
+            at <= u64::MAX / 2,
+            "remote_gap_ns = {} schedules remote issues past the end of simulated time",
+            cfg.remote_gap_ns
         );
+        ColumnCell {
+            ops,
+            port_free_at: SimTime::ZERO,
+            words: FxHashMap::default(),
+            shadow: FxHashMap::default(),
+            outstanding: FxHashMap::default(),
+            stats: DepthStats::default(),
+            digest: 0,
+        }
     }
 
     fn fold(&mut self, at: SimTime, vals: [u64; 3]) {
@@ -272,336 +336,298 @@ impl ColumnCell {
                 .wrapping_add(v);
         }
     }
-
-    /// The line's home column on any plane.
-    fn home_col(&self, line: u64) -> usize {
-        (line % self.side as u64) as usize
-    }
-
-    fn enqueue_port(
-        &mut self,
-        at: SimTime,
-        origin_plane: u32,
-        origin_col: u32,
-        op_seq: u64,
-        line: u64,
-        kind: RemoteKind,
-    ) {
-        let start = self.port_free_at.max(at);
-        let done = start + SimDuration::from_nanos(SERVICE_NS);
-        self.port_free_at = done;
-        self.schedule(
-            done,
-            CLASS_MSG,
-            op_key(origin_plane, origin_col, op_seq),
-            CellEv::ServiceDone {
-                origin_plane,
-                origin_col,
-                op_seq,
-                line,
-                kind,
-            },
-        );
-    }
-
-    /// Handles one cell event at instant `at`. Emitted messages are
-    /// addressed to a plane (the message itself names the column); the
-    /// owning shard decides whether each is a local schedule or a
-    /// cross-plane send.
-    fn handle(&mut self, at: SimTime, ev: CellEv, emit: &mut impl FnMut(usize, SimTime, DepthMsg)) {
-        match ev {
-            CellEv::Issue => {
-                let home_plane = self
-                    .rng
-                    .below_excluding(self.side as u64, self.plane as u64)
-                    as usize;
-                let line = self.rng.below(self.remote_lines);
-                let kind = match self.rng.below(10) {
-                    0..=5 => RemoteKind::Read,
-                    6..=8 => RemoteKind::TestAndSet,
-                    _ => RemoteKind::Clear,
-                };
-                let op_seq = self.op_seq;
-                self.op_seq += 1;
-                self.stats.issued += 1;
-                self.outstanding.insert(op_seq, at);
-                self.fold(at, [0, op_seq, (home_plane as u64) << 32 | line]);
-                emit(
-                    home_plane,
-                    at + SimDuration::from_nanos(HOP_NS),
-                    DepthMsg::Request {
-                        origin_plane: self.plane as u32,
-                        origin_col: self.col as u32,
-                        op_seq,
-                        line,
-                        kind,
-                    },
-                );
-                self.issues_left -= 1;
-                if self.issues_left > 0 {
-                    let gap = 1 + self.rng.exponential(self.remote_gap_ns).max(0.0) as u64;
-                    self.schedule(
-                        at + SimDuration::from_nanos(gap),
-                        CLASS_ISSUE,
-                        op_key(self.plane as u32, self.col as u32, self.op_seq),
-                        CellEv::Issue,
-                    );
-                }
-            }
-            CellEv::Entry {
-                origin_plane,
-                op_seq,
-                line,
-                kind,
-            } => {
-                self.fold(at, [1, (origin_plane as u64) << 32 | op_seq, line]);
-                let home = self.home_col(line);
-                if home == self.col {
-                    // Landed directly on the home column: straight to the
-                    // memory port.
-                    self.enqueue_port(at, origin_plane, self.col as u32, op_seq, line, kind);
-                } else {
-                    emit(
-                        self.plane,
-                        at + SimDuration::from_nanos(GRID_HOP_NS),
-                        DepthMsg::RequestTransit {
-                            origin_plane,
-                            origin_col: self.col as u32,
-                            op_seq,
-                            line,
-                            kind,
-                        },
-                    );
-                }
-            }
-            CellEv::PortArrival {
-                origin_plane,
-                origin_col,
-                op_seq,
-                line,
-                kind,
-            } => {
-                self.fold(at, [5, (origin_plane as u64) << 32 | op_seq, line]);
-                self.enqueue_port(at, origin_plane, origin_col, op_seq, line, kind);
-            }
-            CellEv::ServiceDone {
-                origin_plane,
-                origin_col,
-                op_seq,
-                line,
-                kind,
-            } => {
-                let (value, success) = match kind {
-                    RemoteKind::Read => (self.words.get(&line).copied().unwrap_or(0), true),
-                    RemoteKind::TestAndSet => {
-                        let word = self.words.entry(line).or_insert(0);
-                        let old = *word;
-                        if old & 1 == 0 {
-                            *word |= 1;
-                        }
-                        (old, old & 1 == 0)
-                    }
-                    RemoteKind::Clear => {
-                        let word = self.words.entry(line).or_insert(0);
-                        let old = *word;
-                        // Drop the lock bit, bump the release epoch: later
-                        // READs observe the history of releases.
-                        *word = (old & !1).wrapping_add(2);
-                        (old, true)
-                    }
-                };
-                self.stats.serviced += 1;
-                self.fold(at, [2, kind.code() << 32 | op_seq, value]);
-                if origin_col as usize == self.col {
-                    emit(
-                        origin_plane as usize,
-                        at + SimDuration::from_nanos(HOP_NS),
-                        DepthMsg::Reply {
-                            origin_col,
-                            op_seq,
-                            value,
-                            success,
-                        },
-                    );
-                } else {
-                    emit(
-                        self.plane,
-                        at + SimDuration::from_nanos(GRID_HOP_NS),
-                        DepthMsg::ReplyTransit {
-                            origin_plane,
-                            origin_col,
-                            op_seq,
-                            value,
-                            success,
-                        },
-                    );
-                }
-            }
-            CellEv::Exit {
-                origin_plane,
-                op_seq,
-                value,
-                success,
-            } => {
-                self.fold(at, [4, op_seq, value]);
-                emit(
-                    origin_plane as usize,
-                    at + SimDuration::from_nanos(HOP_NS),
-                    DepthMsg::Reply {
-                        origin_col: self.col as u32,
-                        op_seq,
-                        value,
-                        success,
-                    },
-                );
-            }
-            CellEv::ReplyArrival {
-                op_seq,
-                value,
-                success,
-            } => {
-                let issued = self
-                    .outstanding
-                    .remove(&op_seq)
-                    .expect("reply to an op never issued");
-                let latency = (at - issued).as_nanos();
-                self.stats.replies += 1;
-                self.stats.tas_won += success as u64;
-                self.stats.latency_total_ns += latency;
-                self.stats.latency_max_ns = self.stats.latency_max_ns.max(latency);
-                self.fold(at, [3, op_seq, value]);
-            }
-        }
-    }
-
-    /// Lower bound on the delivery time of the first *depth-bus* (that
-    /// is, cross-plane) message this pending event can cause. Grid-bus
-    /// transits stay inside the plane, so an op still on its way to or
-    /// from the home column is bounded by the reply that finally crosses
-    /// the depth bus. `None` for terminal events.
-    fn send_bound(&self, t: SimTime, ev: &CellEv) -> Option<SimTime> {
-        let ns = |d| t + SimDuration::from_nanos(d);
-        match ev {
-            CellEv::Issue | CellEv::Exit { .. } => Some(ns(HOP_NS)),
-            CellEv::Entry { line, .. } => Some(if self.home_col(*line) == self.col {
-                ns(SERVICE_NS + HOP_NS)
-            } else {
-                ns(GRID_HOP_NS + SERVICE_NS + GRID_HOP_NS + HOP_NS)
-            }),
-            CellEv::PortArrival { origin_col, .. } | CellEv::ServiceDone { origin_col, .. } => {
-                let service = match ev {
-                    CellEv::PortArrival { .. } => SERVICE_NS,
-                    _ => 0,
-                };
-                let transit = if *origin_col as usize == self.col {
-                    0
-                } else {
-                    GRID_HOP_NS
-                };
-                Some(ns(service + transit + HOP_NS))
-            }
-            CellEv::ReplyArrival { .. } => None,
-        }
-    }
 }
 
-/// Decodes a bus message into the destination column and the cell event
-/// it schedules there. Used identically for cross-plane deliveries and
-/// in-plane forwarding, so both construct the same event with the same
-/// content key.
-fn decode(msg: DepthMsg, side: usize) -> (usize, u8, u64, CellEv) {
-    match msg {
-        DepthMsg::Request {
-            origin_plane,
-            origin_col,
-            op_seq,
-            line,
-            kind,
-        } => (
-            origin_col as usize,
-            CLASS_MSG,
-            op_key(origin_plane, origin_col, op_seq),
-            CellEv::Entry {
-                origin_plane,
-                op_seq,
-                line,
-                kind,
-            },
-        ),
-        DepthMsg::RequestTransit {
-            origin_plane,
-            origin_col,
-            op_seq,
-            line,
-            kind,
-        } => (
-            (line % side as u64) as usize,
-            CLASS_MSG,
-            op_key(origin_plane, origin_col, op_seq),
-            CellEv::PortArrival {
-                origin_plane,
-                origin_col,
-                op_seq,
-                line,
-                kind,
-            },
-        ),
-        DepthMsg::ReplyTransit {
-            origin_plane,
-            origin_col,
-            op_seq,
-            value,
-            success,
-        } => (
-            origin_col as usize,
-            CLASS_MSG,
-            op_key(origin_plane, origin_col, op_seq),
-            CellEv::Exit {
-                origin_plane,
-                op_seq,
-                value,
-                success,
-            },
-        ),
-        DepthMsg::Reply {
-            origin_col,
-            op_seq,
-            value,
-            success,
-        } => (
-            origin_col as usize,
-            CLASS_MSG,
-            // The reply terminates at the issuing cell, whose plane is
-            // the destination shard's plane — the key is completed there.
-            op_seq,
-            CellEv::ReplyArrival {
-                op_seq,
-                value,
-                success,
-            },
-        ),
-    }
+/// Which of its depth-bus sends a plane makes on its next advance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sends {
+    /// Every request of the run, on the first advance.
+    Requests,
+    /// Every reply of the run, on the second advance: every plane sent
+    /// all its requests on its first advance, in the first round, so the
+    /// inbox of a plane's second advance holds every request it will
+    /// ever serve.
+    Replies,
+    /// Nothing more: every send has gone.
+    Done,
 }
 
-/// One shard of the cube: a whole plane, its machine and its `n` cells.
+/// One shard of the cube: a whole plane, its machine, its `n` cells and
+/// their pending events.
 struct CubeShard {
     side: usize,
     plane: usize,
     machine: Machine,
     /// This plane's cells in column order.
     cells: Vec<ColumnCell>,
+    /// Every cell's pending events, keyed `(time, class, op key,
+    /// column)`.
+    pending: BTreeMap<(SimTime, u8, u64, u32), CellEv>,
+    /// What the next advance sends.
+    sends: Sends,
     trace: Option<SharedBuf>,
 }
 
 impl CubeShard {
-    fn deliver(&mut self, at: SimTime, msg: DepthMsg) {
-        let (col, class, mut key, ev) = decode(msg, self.side);
-        if let CellEv::ReplyArrival { op_seq, .. } = ev {
-            // Complete the op key with the issuing cell's identity (this
-            // cell — replies come home).
-            key = op_key(self.plane as u32, col as u32, op_seq);
+    /// Builds the plane's machine and cells and schedules every issue.
+    fn new(cfg: &CubeConfig, plane: usize) -> Self {
+        let side = cfg.side as usize;
+        let (machine, trace) = build_machine(cfg, plane);
+        let cells: Vec<ColumnCell> = (0..side)
+            .map(|col| ColumnCell::new(cfg, plane, col))
+            .collect();
+        let mut pending = BTreeMap::new();
+        for (col, cell) in cells.iter().enumerate() {
+            for (op_seq, op) in cell.ops.iter().enumerate() {
+                let key = op_key(plane as u32, col as u32, op_seq as u64);
+                pending.insert((op.at, CLASS_ISSUE, key, col as u32), CellEv::Issue);
+            }
         }
-        self.cells[col].schedule(at, class, key, ev);
+        CubeShard {
+            side,
+            plane,
+            machine,
+            cells,
+            pending,
+            sends: Sends::Requests,
+            trace,
+        }
+    }
+
+    /// The line's home column on any plane.
+    fn home_col(&self, line: u64) -> usize {
+        (line % self.side as u64) as usize
+    }
+
+    fn schedule(&mut self, at: SimTime, class: u8, key: u64, col: usize, ev: CellEv) {
+        let clobbered = self.pending.insert((at, class, key, col as u32), ev);
+        assert!(
+            clobbered.is_none(),
+            "cell ({}, {col}): event key collision at {at}",
+            self.plane
+        );
+    }
+
+    /// Sends every cell's requests: each delivery instant is its issue
+    /// instant plus the depth hop, fixed since construction.
+    fn send_requests(&mut self, out: &mut Outbox<DepthMsg>) {
+        for (col, cell) in self.cells.iter().enumerate() {
+            for (op_seq, op) in cell.ops.iter().enumerate() {
+                out.send(
+                    op.home_plane as usize,
+                    op.at + SimDuration::from_nanos(HOP_NS),
+                    DepthMsg::Request {
+                        origin_plane: self.plane as u32,
+                        origin_col: col as u32,
+                        op_seq: op_seq as u64,
+                        line: op.line,
+                        kind: op.kind,
+                    },
+                );
+            }
+        }
+        self.sends = Sends::Replies;
+    }
+
+    /// Runs every column's memory port over the requests this plane
+    /// holds, which are all it will serve, and sends every reply.
+    ///
+    /// A request that lands on its line's home column arrives at the port
+    /// at once; one that lands elsewhere crosses the row bus first. Each
+    /// port accepts its requests in the order their arrival events run —
+    /// by instant, then op key — and serves them FIFO, so an op takes
+    /// effect on the column's words when the port accepts it, and its
+    /// reply leaves now, stamped with its delivery: one service after the
+    /// port frees up, plus the row-bus transit back to the column the
+    /// request entered at, plus the depth hop. Arrival at the port,
+    /// service completion and exit onto the depth bus keep their events,
+    /// for the digests.
+    fn send_replies(&mut self, out: &mut Outbox<DepthMsg>) {
+        let grid = SimDuration::from_nanos(GRID_HOP_NS);
+        let mut arrivals: Vec<(usize, SimTime, u64, u64, RemoteKind)> = self
+            .pending
+            .iter()
+            .filter_map(|(&(t, _, key, col), ev)| match *ev {
+                CellEv::Entry { line, kind } => {
+                    let home = self.home_col(line);
+                    let at = if home == col as usize { t } else { t + grid };
+                    Some((home, at, key, line, kind))
+                }
+                _ => None,
+            })
+            .collect();
+        arrivals.sort_unstable_by_key(|&(home, at, key, ..)| (home, at, key));
+        for (home, at, key, line, kind) in arrivals {
+            // A request enters at its origin column's image.
+            let (origin_plane, origin_col, op_seq) = op_id(key);
+            let forwarded = origin_col as usize != home;
+            if forwarded {
+                self.schedule(at, CLASS_MSG, key, home, CellEv::PortArrival { line });
+            }
+            let cell = &mut self.cells[home];
+            let done = cell.port_free_at.max(at) + SimDuration::from_nanos(SERVICE_NS);
+            cell.port_free_at = done;
+            let (value, success) = apply(&mut cell.words, line, kind);
+            self.schedule(
+                done,
+                CLASS_MSG,
+                key,
+                home,
+                CellEv::ServiceDone {
+                    line,
+                    kind,
+                    value,
+                    success,
+                },
+            );
+            let mut exit = done;
+            if forwarded {
+                exit = done + grid;
+                self.schedule(
+                    exit,
+                    CLASS_MSG,
+                    key,
+                    origin_col as usize,
+                    CellEv::Exit { value },
+                );
+            }
+            out.send(
+                origin_plane as usize,
+                exit + SimDuration::from_nanos(HOP_NS),
+                DepthMsg::Reply {
+                    origin_col,
+                    op_seq,
+                    value,
+                    success,
+                },
+            );
+        }
+        self.sends = Sends::Done;
+    }
+
+    /// Schedules the event a depth-bus message induces where it lands.
+    fn deliver(&mut self, at: SimTime, msg: DepthMsg) {
+        let (key, col, ev) = match msg {
+            DepthMsg::Request {
+                origin_plane,
+                origin_col,
+                op_seq,
+                line,
+                kind,
+            } => {
+                assert!(
+                    self.sends != Sends::Done,
+                    "plane {} received a request after it sent its replies",
+                    self.plane
+                );
+                (
+                    op_key(origin_plane, origin_col, op_seq),
+                    origin_col,
+                    CellEv::Entry { line, kind },
+                )
+            }
+            // A reply comes home to its issuing cell, on this plane.
+            DepthMsg::Reply {
+                origin_col,
+                op_seq,
+                value,
+                success,
+            } => (
+                op_key(self.plane as u32, origin_col, op_seq),
+                origin_col,
+                CellEv::ReplyArrival { value, success },
+            ),
+        };
+        self.schedule(at, CLASS_MSG, key, col as usize, ev);
+    }
+
+    /// Handles one event of column `col` at instant `at`. Events send
+    /// nothing: every send left on the first two advances.
+    fn handle(&mut self, at: SimTime, key: u64, col: usize, ev: CellEv) {
+        let (origin_plane, _, op_seq) = op_id(key);
+        let cell = &mut self.cells[col];
+        match ev {
+            CellEv::Issue => {
+                let op = cell.ops[op_seq as usize];
+                cell.stats.issued += 1;
+                cell.outstanding.insert(op_seq, at);
+                cell.fold(at, [0, op_seq, u64::from(op.home_plane) << 32 | op.line]);
+            }
+            CellEv::Entry { line, .. } => {
+                cell.fold(at, [1, u64::from(origin_plane) << 32 | op_seq, line]);
+            }
+            CellEv::PortArrival { line } => {
+                cell.fold(at, [5, u64::from(origin_plane) << 32 | op_seq, line]);
+            }
+            CellEv::ServiceDone {
+                line,
+                kind,
+                value,
+                success,
+            } => {
+                cell.stats.serviced += 1;
+                cell.fold(at, [2, kind.code() << 32 | op_seq, value]);
+                if cfg!(debug_assertions) {
+                    // Services finish in acceptance order, so performing
+                    // the op here must reproduce the reply already sent.
+                    let served = apply(&mut cell.shadow, line, kind);
+                    debug_assert_eq!(
+                        served,
+                        (value, success),
+                        "cell ({}, {col}): op {key:#x} served a different value than it was accepted with",
+                        self.plane
+                    );
+                }
+            }
+            CellEv::Exit { value } => cell.fold(at, [4, op_seq, value]),
+            CellEv::ReplyArrival { value, success } => {
+                let issued = cell
+                    .outstanding
+                    .remove(&op_seq)
+                    .expect("reply to an op never issued");
+                let latency = (at - issued).as_nanos();
+                cell.stats.replies += 1;
+                cell.stats.tas_won += success as u64;
+                cell.stats.latency_total_ns += latency;
+                cell.stats.latency_max_ns = cell.stats.latency_max_ns.max(latency);
+                cell.fold(at, [3, op_seq, value]);
+            }
+        }
+    }
+
+    /// Checks that the plane drained, then assembles its report: the
+    /// cells' statistics and digests, the machine's (checked) run report
+    /// and its trace hash.
+    fn report(mut self) -> PlaneReport {
+        let plane = self.plane;
+        assert!(
+            self.pending.is_empty(),
+            "plane {plane} finished with pending depth events"
+        );
+        let mut depth = DepthStats::default();
+        let mut depth_digest = 0u64;
+        for (col, cell) in self.cells.iter().enumerate() {
+            assert!(
+                cell.outstanding.is_empty(),
+                "cell ({plane}, {col}) finished with unanswered remote ops"
+            );
+            depth.merge(&cell.stats);
+            depth_digest = depth_digest
+                .rotate_left(13)
+                .wrapping_mul(0x100000001B3)
+                .wrapping_add(cell.digest);
+        }
+        let run = self.machine.finish_synthetic();
+        let trace_md5 = self
+            .trace
+            .as_ref()
+            .map(|buf| multicube_sim::md5_hex(&buf.0.lock().expect("no trace writer panicked")));
+        PlaneReport {
+            run,
+            depth,
+            depth_digest,
+            trace_md5,
+        }
     }
 }
 
@@ -609,28 +635,35 @@ impl ShardModel for CubeShard {
     type Msg = DepthMsg;
 
     fn next_time(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = self.machine.next_event_time();
-        for cell in &self.cells {
-            if let Some(&(t, _, _)) = cell.pending.keys().next() {
-                if next.is_none_or(|n| t < n) {
-                    next = Some(t);
-                }
-            }
+        // The requests are due at once: the first advance, in the first
+        // round, sends them.
+        if self.sends == Sends::Requests {
+            return Some(SimTime::ZERO);
         }
-        next
+        let machine = self.machine.next_event_time();
+        let cells = self.pending.first_key_value().map(|(&(t, ..), _)| t);
+        match (machine, cells) {
+            (Some(m), Some(c)) => Some(m.min(c)),
+            (m, c) => m.or(c),
+        }
     }
 
     fn earliest_send(&self) -> Option<SimTime> {
         // Machine events are plane-internal: they never send over a depth
-        // bus and so never constrain the neighbours.
-        self.cells
-            .iter()
-            .flat_map(|cell| {
-                cell.pending
-                    .iter()
-                    .filter_map(move |(&(t, _, _), ev)| cell.send_bound(t, ev))
-            })
-            .min()
+        // bus and so never constrain the neighbours. Before the first
+        // advance the earliest send is some cell's first request. After
+        // it the plane's only sends are the replies to requests still in
+        // its inbox, which the scheduler bounds by their arrivals and
+        // `min_turnaround`.
+        match self.sends {
+            Sends::Requests => self
+                .cells
+                .iter()
+                .filter_map(|cell| cell.ops.first())
+                .map(|op| op.at + SimDuration::from_nanos(HOP_NS))
+                .min(),
+            Sends::Replies | Sends::Done => None,
+        }
     }
 
     fn min_turnaround(&self) -> SimDuration {
@@ -648,38 +681,23 @@ impl ShardModel for CubeShard {
         for a in inbox {
             self.deliver(a.at, a.msg);
         }
-        let mut emits: Vec<(usize, SimTime, DepthMsg)> = Vec::new();
+        match self.sends {
+            Sends::Requests => self.send_requests(out),
+            Sends::Replies => self.send_replies(out),
+            Sends::Done => {}
+        }
         loop {
-            // The earliest pending cell event across this plane's cells;
-            // keys are content-addressed, so the winner is
-            // iteration-order-independent.
-            let mut best: Option<(usize, (SimTime, u8, u64))> = None;
-            for (ci, cell) in self.cells.iter().enumerate() {
-                if let Some(&k) = cell.pending.keys().next() {
-                    if best.is_none_or(|(_, bk)| k < bk) {
-                        best = Some((ci, k));
-                    }
-                }
-            }
             // Drain machine events strictly below the next cell event (or
             // the horizon), then the cell event itself — so at equal
             // instants depth traffic runs first: a fixed, documented
             // order.
-            let bound = best.map_or(horizon, |(_, (t, _, _))| horizon.min(t));
+            let next = self.pending.first_key_value().map(|(&k, _)| k);
+            let bound = next.map_or(horizon, |(t, ..)| horizon.min(t));
             self.machine.advance_until(bound);
-            match best {
-                Some((ci, key @ (t, _, _))) if t < horizon => {
-                    let ev = self.cells[ci].pending.remove(&key).unwrap();
-                    self.cells[ci].handle(t, ev, &mut |plane, at, msg| {
-                        emits.push((plane, at, msg));
-                    });
-                    for (plane, at, msg) in emits.drain(..) {
-                        if plane == self.plane {
-                            self.deliver(at, msg);
-                        } else {
-                            out.send(plane, at, msg);
-                        }
-                    }
+            match next {
+                Some((t, _, key, col)) if t < horizon => {
+                    let (_, ev) = self.pending.pop_first().expect("the first event");
+                    self.handle(t, key, col as usize, ev);
                 }
                 _ => break,
             }
@@ -701,10 +719,11 @@ pub struct CubeConfig {
     /// Open-loop remote (cross-plane) ops each plane issues, split across
     /// its `n` column generators.
     pub remote_ops: u64,
-    /// Mean gap between a column generator's remote issues (ns).
+    /// Mean gap between a column generator's remote issues (ns): finite
+    /// and at least 0.
     pub remote_gap_ns: f64,
     /// Remote ops target lines `0..remote_lines`; a line's home column is
-    /// `line % n`.
+    /// `line % n`. At least 1 when `remote_ops` is not 0.
     pub remote_lines: u64,
     /// Master seed; every machine and per-column traffic stream derives
     /// from it by [`split_seed`].
@@ -734,6 +753,21 @@ impl CubeConfig {
             check: true,
             capture_trace: false,
         }
+    }
+
+    /// Rejects a configuration the cube cannot run, naming the field.
+    fn validate(&self) {
+        assert!(self.side >= 2, "a cube needs side >= 2");
+        assert!(
+            self.remote_gap_ns.is_finite() && self.remote_gap_ns >= 0.0,
+            "remote_gap_ns must be a finite number of nanoseconds >= 0, got {}",
+            self.remote_gap_ns
+        );
+        assert!(
+            self.remote_lines > 0 || self.remote_ops == 0,
+            "remote_lines must be at least 1 when remote_ops is {}",
+            self.remote_ops
+        );
     }
 }
 
@@ -808,112 +842,48 @@ fn build_machine(cfg: &CubeConfig, plane: usize) -> (Machine, Option<SharedBuf>)
     (machine, trace)
 }
 
-/// Builds one column cell and schedules its first issue. The per-cell RNG
-/// stream and issue budget depend only on `(plane, col)`.
-fn build_cell(cfg: &CubeConfig, plane: usize, col: usize) -> ColumnCell {
-    let side = cfg.side as usize;
-    let per_col =
-        cfg.remote_ops / side as u64 + u64::from((col as u64) < cfg.remote_ops % side as u64);
-    let mut cell = ColumnCell {
-        plane,
-        col,
-        side,
-        rng: DeterministicRng::seed(split_seed(
-            cfg.seed,
-            stream_id("pdes", "depth"),
-            (plane * side + col) as u64,
-        )),
-        pending: std::collections::BTreeMap::new(),
-        issues_left: per_col,
-        op_seq: 0,
-        remote_gap_ns: cfg.remote_gap_ns,
-        remote_lines: cfg.remote_lines,
-        port_free_at: SimTime::ZERO,
-        words: FxHashMap::default(),
-        outstanding: FxHashMap::default(),
-        stats: DepthStats::default(),
-        digest: 0,
-    };
-    if cell.issues_left > 0 && side > 1 {
-        let first = 1 + cell.rng.exponential(cfg.remote_gap_ns).max(0.0) as u64;
-        cell.schedule(
-            SimTime::from_nanos(first),
-            CLASS_ISSUE,
-            op_key(plane as u32, col as u32, 0),
-            CellEv::Issue,
-        );
-    } else {
-        cell.issues_left = 0;
-    }
-    cell
-}
-
 /// Builds the shards and runs the cube to quiescence.
 ///
 /// # Panics
 ///
-/// Panics on an invalid side (< 2), on a coherence violation when
-/// checking is on, and propagates any shard panic.
+/// Panics on an invalid configuration (a side under 2, a `remote_gap_ns`
+/// that is negative, NaN or infinite, or no `remote_lines` for the remote
+/// ops to target), on a coherence violation when checking is on, and
+/// propagates any shard panic.
 pub fn run_cube(cfg: &CubeConfig) -> CubeReport {
-    assert!(cfg.side >= 2, "a cube needs side >= 2");
-    let side = cfg.side as usize;
-    let mut shards: Vec<CubeShard> = (0..side)
-        .map(|plane| {
-            let (machine, trace) = build_machine(cfg, plane);
-            CubeShard {
-                side,
-                plane,
-                machine,
-                cells: (0..side).map(|col| build_cell(cfg, plane, col)).collect(),
-                trace,
-            }
-        })
+    cfg.validate();
+    let mut shards: Vec<CubeShard> = (0..cfg.side as usize)
+        .map(|plane| CubeShard::new(cfg, plane))
         .collect();
 
     let pdes_cfg = PdesConfig::parallel(cfg.workers, SimDuration::from_nanos(HOP_NS));
     let stats = pdes::run(&pdes_cfg, &mut shards);
 
-    let mut events_delivered = 0u64;
-    let planes: Vec<PlaneReport> = shards
-        .into_iter()
-        .map(|mut shard| {
-            let plane = shard.plane;
-            let mut depth = DepthStats::default();
-            let mut depth_digest = 0u64;
-            for cell in &shard.cells {
-                assert!(
-                    cell.outstanding.is_empty(),
-                    "cell ({plane}, {}) finished with unanswered remote ops",
-                    cell.col
-                );
-                assert!(cell.pending.is_empty());
-                depth.merge(&cell.stats);
-                depth_digest = depth_digest
-                    .rotate_left(13)
-                    .wrapping_mul(0x100000001B3)
-                    .wrapping_add(cell.digest);
-            }
-            let run = shard.machine.finish_synthetic();
-            events_delivered += run.events_delivered;
-            let trace_md5 = shard
-                .trace
-                .as_ref()
-                .map(|buf| multicube_sim::md5_hex(&buf.0.lock().unwrap()));
-            PlaneReport {
-                run,
-                depth,
-                depth_digest,
-                trace_md5,
-            }
+    // Reporting a plane runs its coherence check and hashes its trace,
+    // and dropping it frees its machine; both grow with the plane, so the
+    // workers share them. Each takes one contiguous run of planes, as the
+    // scheduler chunks them: interleaving planes across threads made the
+    // frees slower than freeing all planes on one thread.
+    let workers = cfg.workers.clamp(1, shards.len());
+    let chunk = shards.len().div_ceil(workers);
+    let mut rest = shards.into_iter();
+    let runs: Vec<Vec<CubeShard>> = (0..workers)
+        .map(|_| rest.by_ref().take(chunk).collect())
+        .collect();
+    let planes: Vec<PlaneReport> = Pool::new(workers)
+        .map(runs, |_, run| {
+            run.into_iter().map(CubeShard::report).collect::<Vec<_>>()
         })
+        .into_iter()
+        .flat_map(|r| r.unwrap_or_else(|p| panic!("{}", p.message)))
         .collect();
 
     CubeReport {
         side: cfg.side,
-        processors: (cfg.side as u64).pow(3),
+        processors: u64::from(cfg.side).pow(3),
+        events_delivered: planes.iter().map(|p| p.run.events_delivered).sum(),
         planes,
         pdes: stats,
-        events_delivered,
     }
 }
 
@@ -957,6 +927,65 @@ mod tests {
         for workers in [2usize, 3, 8] {
             let fp = run_cube(&small_cfg(workers)).fingerprint();
             assert_eq!(fp, reference, "workers={workers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "remote_lines must be at least 1")]
+    fn remote_ops_without_remote_lines_are_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.remote_lines = 0;
+        run_cube(&cfg);
+    }
+
+    #[test]
+    fn no_remote_lines_are_needed_without_remote_ops() {
+        let mut cfg = small_cfg(1);
+        cfg.remote_lines = 0;
+        cfg.remote_ops = 0;
+        let report = run_cube(&cfg);
+        assert!(report
+            .planes
+            .iter()
+            .all(|p| p.depth == DepthStats::default()));
+    }
+
+    #[test]
+    #[should_panic(expected = "remote_gap_ns must be a finite number")]
+    fn a_negative_remote_gap_is_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.remote_gap_ns = -1.0;
+        run_cube(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "remote_gap_ns must be a finite number")]
+    fn a_nan_remote_gap_is_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.remote_gap_ns = f64::NAN;
+        run_cube(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "remote_gap_ns must be a finite number")]
+    fn an_infinite_remote_gap_is_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.remote_gap_ns = f64::INFINITY;
+        run_cube(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of simulated time")]
+    fn a_remote_gap_beyond_the_clock_is_rejected() {
+        let mut cfg = small_cfg(1);
+        cfg.remote_gap_ns = 1e300;
+        run_cube(&cfg);
+    }
+
+    #[test]
+    fn op_keys_round_trip() {
+        for (plane, col, seq) in [(0, 0, 0), (3, 2, 17), (127, 127, (1 << 48) - 1)] {
+            assert_eq!(op_id(op_key(plane, col, seq)), (plane, col, seq));
         }
     }
 

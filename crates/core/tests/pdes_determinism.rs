@@ -1,11 +1,14 @@
 //! Differential determinism suite for the parallel cube: the serial
 //! (1-worker) execution is the reference, and every parallel worker count
 //! must reproduce it byte for byte — per-plane machine traces,
-//! depth-event digests, and the aggregate fingerprint — across all three
-//! coherence engines.
+//! depth-event digests, and the aggregate fingerprint — across all four
+//! coherence engines. Pinned fingerprints hold the reference itself to
+//! its history, and a pinned round count holds the scheduler to the
+//! lookahead the cube gives it.
 
 use multicube::pdes::{run_cube, CubeConfig, CubeReport};
 use multicube::EngineKind;
+use multicube_sim::{split_seed, stream_id};
 
 fn cfg(engine: EngineKind, workers: usize, capture: bool) -> CubeConfig {
     let mut cfg = CubeConfig::new(4);
@@ -85,4 +88,54 @@ fn scheduler_round_structure_is_worker_invariant() {
         assert_eq!(parallel.pdes, serial.pdes, "workers={workers}");
         assert_eq!(parallel.events_delivered, serial.events_delivered);
     }
+}
+
+/// `fingerprint()` of the suite's traced cube per engine. Any change to
+/// the depth traffic's event order or values, or to a plane's machine
+/// trace, moves them.
+const SUITE_FINGERPRINTS: [(EngineKind, &str); 4] = [
+    (EngineKind::Multicube, "93125b51a8a48e2faf553844e5ac6e95"),
+    (EngineKind::Mesi, "a79dd09c39e3cadc6aa4d96fae5d9874"),
+    (EngineKind::Dragon, "66adc173e59cdc665511cfae8cdcafc1"),
+    (EngineKind::WriteOnce, "d5de839717becca8b21ab20977d455e1"),
+];
+
+#[test]
+fn every_engine_keeps_its_cube_fingerprint() {
+    for (engine, pin) in SUITE_FINGERPRINTS {
+        for workers in worker_counts() {
+            let fp = run_cube(&cfg(engine, workers, true)).fingerprint();
+            assert_eq!(fp, pin, "{engine:?} at {workers} workers");
+        }
+    }
+}
+
+/// The n = 8 cube of the scaling study (`figures -- scaling`, committed
+/// in `BENCH_scaling.json`), on 2 workers.
+fn scaling_n8() -> CubeConfig {
+    let mut cfg = CubeConfig::new(8);
+    cfg.txns_per_node = 4;
+    cfg.remote_ops = 256;
+    cfg.remote_gap_ns = 250.0;
+    cfg.seed = split_seed(0x5EED, stream_id("scaling", "cube"), 8);
+    cfg.workers = 2;
+    cfg.check = false;
+    cfg
+}
+
+#[test]
+fn scaling_study_n8_keeps_its_fingerprint_and_rounds() {
+    let report = run_cube(&scaling_n8());
+    assert_eq!(report.fingerprint(), "8a9bb1265dcc3c65dc8b0afed9deb75c");
+    assert_eq!((report.pdes.rounds, report.pdes.messages), (4, 4_096));
+}
+
+#[test]
+fn lookahead_keeps_the_round_count() {
+    // Every request leaves in the first round and every reply in the
+    // second; the third delivers the replies and the fourth runs the
+    // planes out, so a lookahead regression adds rounds here first. The
+    // messages are one request and one reply per remote op.
+    let stats = run_cube(&cfg(EngineKind::Multicube, 1, false)).pdes;
+    assert_eq!((stats.rounds, stats.messages), (4, 2 * 4 * 40));
 }

@@ -281,6 +281,99 @@ fn zero_lookahead_is_rejected() {
     );
 }
 
+/// How a [`Liar`] breaks the model contract.
+#[derive(Debug, Clone, Copy)]
+enum Lie {
+    /// Sends a message one nanosecond under the earliest send it
+    /// published.
+    SendsEarly,
+    /// Publishes an earliest send under `next_time + lookahead`.
+    BoundUnderLookahead,
+    /// Claims a turnaround under the lookahead.
+    QuickTurnaround,
+}
+
+/// Lookahead of the [`Liar`] runs.
+const LIAR_LOOKAHEAD: u64 = 10;
+/// The one event of a [`Liar`].
+const LIAR_EVENT: u64 = 5;
+
+/// One of two shards whose single event at [`LIAR_EVENT`] sends one
+/// lookahead-respecting message to the other, and which tells one lie
+/// about it.
+struct Liar {
+    id: usize,
+    lie: Lie,
+    done: bool,
+}
+
+impl ShardModel for Liar {
+    type Msg = ();
+
+    fn next_time(&self) -> Option<SimTime> {
+        (!self.done).then_some(SimTime::from_nanos(LIAR_EVENT))
+    }
+
+    fn earliest_send(&self) -> Option<SimTime> {
+        let honest = LIAR_EVENT + LIAR_LOOKAHEAD;
+        let published = match self.lie {
+            Lie::SendsEarly => honest + 1,
+            Lie::BoundUnderLookahead => honest - 1,
+            Lie::QuickTurnaround => honest,
+        };
+        (!self.done).then_some(SimTime::from_nanos(published))
+    }
+
+    fn min_turnaround(&self) -> SimDuration {
+        match self.lie {
+            Lie::QuickTurnaround => SimDuration::from_nanos(LIAR_LOOKAHEAD - 1),
+            _ => SimDuration::from_nanos(LIAR_LOOKAHEAD),
+        }
+    }
+
+    fn advance(&mut self, horizon: SimTime, _: Vec<Arrival<()>>, out: &mut Outbox<()>) {
+        if !self.done && SimTime::from_nanos(LIAR_EVENT) < horizon {
+            self.done = true;
+            out.send(
+                1 - self.id,
+                SimTime::from_nanos(LIAR_EVENT + LIAR_LOOKAHEAD),
+                (),
+            );
+        }
+    }
+}
+
+/// Runs two liars serially; the scheduler must reject the lie.
+fn run_liars(lie: Lie) {
+    let mut shards = [0, 1].map(|id| Liar {
+        id,
+        lie,
+        done: false,
+    });
+    run(
+        &PdesConfig::serial(SimDuration::from_nanos(LIAR_LOOKAHEAD)),
+        &mut shards,
+    );
+}
+
+#[test]
+#[should_panic(expected = "below its published earliest-send bound")]
+fn a_send_below_the_published_bound_is_rejected() {
+    run_liars(Lie::SendsEarly);
+}
+
+#[test]
+#[should_panic(expected = "under next_time")]
+fn an_earliest_send_under_next_time_plus_lookahead_is_rejected() {
+    run_liars(Lie::BoundUnderLookahead);
+}
+
+#[test]
+#[should_panic(expected = "under the lookahead")]
+fn a_turnaround_under_the_lookahead_is_rejected() {
+    run_liars(Lie::QuickTurnaround);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
