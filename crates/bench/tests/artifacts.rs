@@ -1,17 +1,19 @@
 //! The committed `BENCH_*` artifacts must match the code and the mode
 //! that produced them: full mode, the current schema, and — for the
-//! deterministic shootout and the deterministic fields of the n = 8
-//! cube — what a fresh run produces. A quick-mode, schema-stale or
-//! outdated artifact fails here instead of silently misdescribing the
-//! code.
+//! deterministic shootout, the deterministic fields of the n = 8 cube
+//! and the serving tier's trace sizes — what a fresh run produces. A
+//! quick-mode, schema-stale or outdated artifact fails here instead of
+//! silently misdescribing the code.
 
 use std::path::PathBuf;
 
 use multicube_bench::perf::validate_report;
 use multicube_bench::{
-    run_cube_study, run_shootout, validate_scaling_report, validate_serve_report,
-    write_shootout_csv, CubeStudyConfig, Pool, ScalingStudyConfig, ServeConfig, SweepConfig,
+    run_cube_study, run_shootout, serve_app_seed, synthesize_serve_trace, validate_scaling_report,
+    validate_serve_report, write_shootout_csv, CubeStudyConfig, Pool, ScalingStudyConfig,
+    ServeConfig, SweepConfig, SERVE_APPS,
 };
+use multicube_workload::TraceV2Reader;
 
 /// Reads a committed artifact from the workspace root.
 fn artifact(name: &str) -> String {
@@ -98,6 +100,53 @@ fn serve_report_is_the_full_study() {
         text.contains("\"mode\": \"full\""),
         "BENCH_serve.json must come from a full-mode study"
     );
+}
+
+/// `(app, trace_chunks, trace_bytes)` of each row of `BENCH_serve.json`,
+/// values as written.
+fn committed_serve_traces(text: &str) -> Vec<(String, String, String)> {
+    let mut rows = Vec::new();
+    let (mut app, mut chunks) = (None, None);
+    for line in text.lines() {
+        let Some((name, value)) = line.trim().trim_end_matches(',').split_once(": ") else {
+            continue;
+        };
+        match name.trim_matches('"') {
+            "app" => app = Some(value.trim_matches('"').to_string()),
+            "trace_chunks" => chunks = Some(value.to_string()),
+            "trace_bytes" => rows.push((
+                app.clone().expect("a row names its app before its trace"),
+                chunks.take().expect("trace_chunks precedes trace_bytes"),
+                value.to_string(),
+            )),
+            _ => {}
+        }
+    }
+    rows
+}
+
+/// The trace sizes in `BENCH_serve.json` come from the current trace
+/// codec: a codec change that leaves the artifact stale fails here.
+#[test]
+fn serve_report_trace_sizes_match_a_fresh_synthesis() {
+    let config = ServeConfig::full();
+    let committed = committed_serve_traces(&artifact("BENCH_serve.json"));
+    for app in SERVE_APPS {
+        let bytes = synthesize_serve_trace(&config, app, serve_app_seed(&config, app));
+        let reader = TraceV2Reader::new(&bytes).expect("own encoding");
+        let rows: Vec<_> = committed.iter().filter(|(a, _, _)| a == app).collect();
+        assert!(!rows.is_empty(), "BENCH_serve.json has no {app} row");
+        for (_, chunks, size) in rows {
+            assert_eq!(
+                (chunks.as_str(), size.as_str()),
+                (
+                    reader.chunk_count().to_string().as_str(),
+                    reader.byte_len().to_string().as_str()
+                ),
+                "BENCH_serve.json {app} `trace_chunks`, `trace_bytes` differ from a fresh trace"
+            );
+        }
+    }
 }
 
 #[test]

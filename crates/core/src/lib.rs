@@ -43,7 +43,8 @@
 //!   ([`RetryPolicy`]) and the livelock watchdog ([`Watchdog`]).
 //! * [`trace`] — structured bus-operation tracing ([`TraceSink`] chosen at
 //!   [`Machine::new`]; `MULTICUBE_TRACE=1` streams JSONL events to
-//!   standard error).
+//!   standard error, unset or `0` leaves it off, and any other value
+//!   panics).
 //! * [`inspect`] — human-readable state dumps (pair with the
 //!   `MULTICUBE_TRACE=1` per-operation trace for debugging).
 

@@ -6,8 +6,9 @@
 //! which costs one enum-discriminant test per potential event and never
 //! allocates. Tests use the bounded [`TraceSink::ring`] buffer, and
 //! [`TraceSink::writer`] streams one JSON object per event (JSONL) for
-//! offline analysis; setting the `MULTICUBE_TRACE` environment variable
-//! when the machine is constructed selects that writer on standard error.
+//! offline analysis; `MULTICUBE_TRACE=1` when the machine is constructed
+//! selects that writer on standard error. Unset or `0` leaves tracing
+//! off, and any other value panics.
 //!
 //! # Example
 //!
@@ -153,18 +154,46 @@ impl std::fmt::Debug for TraceSink {
     }
 }
 
+/// Environment variable that turns the JSONL trace on standard error on.
+const TRACE_ENV: &str = "MULTICUBE_TRACE";
+
+/// Parses a [`TRACE_ENV`] value: off when unset or `0`, on when `1`, and
+/// the offending text otherwise.
+fn parse_trace_env(raw: Option<&str>) -> Result<bool, String> {
+    let Some(raw) = raw else {
+        return Ok(false);
+    };
+    match raw.trim() {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err(raw.to_string()),
+    }
+}
+
 impl TraceSink {
     /// The sink selected by the environment: a [`TraceSink::writer`] on
-    /// standard error when `MULTICUBE_TRACE` is set,
-    /// [`TraceSink::Disabled`] otherwise.
+    /// standard error when `MULTICUBE_TRACE` is `1`,
+    /// [`TraceSink::Disabled`] when it is unset or `0`.
     ///
     /// Consulted exactly once, at [`crate::Machine::new`] — never in the
     /// per-operation dispatch path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `MULTICUBE_TRACE` is set to anything else, naming the
+    /// variable and the value.
     pub fn from_env() -> Self {
-        if std::env::var_os("MULTICUBE_TRACE").is_some() {
-            TraceSink::writer(Box::new(std::io::stderr()))
-        } else {
-            TraceSink::Disabled
+        let raw = std::env::var_os(TRACE_ENV).map(|v| v.to_string_lossy().into_owned());
+        TraceSink::from_override(raw.as_deref())
+    }
+
+    /// [`TraceSink::from_env`] with the variable's value passed
+    /// explicitly (testable without touching process-global state).
+    fn from_override(raw: Option<&str>) -> Self {
+        match parse_trace_env(raw) {
+            Ok(true) => TraceSink::writer(Box::new(std::io::stderr())),
+            Ok(false) => TraceSink::Disabled,
+            Err(bad) => panic!("{TRACE_ENV} must be 0 or 1, got {bad:?}"),
         }
     }
 
@@ -270,6 +299,28 @@ mod tests {
             piece: None,
             data: None,
         }
+    }
+
+    #[test]
+    fn trace_env_parses_strictly() {
+        assert_eq!(parse_trace_env(None), Ok(false));
+        assert_eq!(parse_trace_env(Some("0")), Ok(false));
+        assert_eq!(parse_trace_env(Some("1")), Ok(true));
+        assert_eq!(parse_trace_env(Some(" 1 ")), Ok(true));
+        for bad in ["", "2", "01", "yes", "true", "off"] {
+            assert_eq!(parse_trace_env(Some(bad)), Err(bad.to_string()), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_garbled_trace_override_panics_with_the_offending_value() {
+        let err = std::panic::catch_unwind(|| TraceSink::from_override(Some("yes"))).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("yes"), "{msg}");
+        assert!(msg.contains(TRACE_ENV), "{msg}");
+        assert!(!TraceSink::from_override(None).is_enabled());
+        assert!(!TraceSink::from_override(Some("0")).is_enabled());
+        assert!(TraceSink::from_override(Some("1")).is_enabled());
     }
 
     #[test]

@@ -8,14 +8,26 @@
 //! [`Workload`] — so an interesting run can be archived and re-examined
 //! under different machine configurations.
 //!
-//! The wire format (`MCUBTRC2`) carries a `u64` record count and splits
-//! the stream into chunks, each with a per-node table of how many records
-//! of that node precede the chunk. A [`TraceV2Reader`] can therefore start
-//! replay at *any chunk boundary* with correct per-node positions, and its
-//! [`StreamingPlayer`] decodes chunks lazily instead of materializing a
-//! 10⁷-record trace up front. [`TraceV2Writer`] streams records out
-//! without knowing the total in advance. Each record is 21 big-endian
-//! bytes (`u32` node, `u64` delay, `u8` kind, `u64` line).
+//! The wire format (`MCUBTRC3`) opens with a 24-byte header: the magic, a
+//! `u64` record count, a `u32` node count and a `u32` chunk count. The
+//! stream follows in chunks, and each chunk opens with a table of its
+//! `u64` record count and, per node, the `u64` count of that node's
+//! records preceding the chunk. A [`TraceV2Reader`] can therefore start
+//! replay at *any chunk boundary* with correct per-node positions, and
+//! its [`StreamingPlayer`] decodes chunks lazily instead of materializing
+//! a 10⁷-record trace up front. [`TraceV2Writer`] streams records out
+//! without knowing the total in advance. Header and tables are
+//! fixed-width big-endian, so a header's counts say how many bytes they
+//! need (`8 × (1 + nodes)` per chunk) before the reader allocates for
+//! them.
+//!
+//! A record is its node, think delay (ns) and line as unsigned LEB128
+//! varints (seven bits a byte, low group first, the high bit set on every
+//! byte but the last), with the request-kind byte between delay and line.
+//! The serving tier's records take about 6 bytes each. Only the canonical
+//! varint of a value of the field's width (`u32` node, `u64` delay and
+//! line) decodes: an overlong, overflowing or zero-padded one is
+//! [`TraceDecodeError::BadVarint`].
 
 use multicube::{Request, RequestKind};
 use multicube_mem::LineAddr;
@@ -74,6 +86,10 @@ pub enum TraceDecodeError {
     BadMagic,
     /// The buffer ended mid-record or mid-header.
     Truncated,
+    /// A record field is not the canonical varint of a value of its width
+    /// (`u32` node, `u64` delay and line): more bytes than the width
+    /// needs, bits beyond it, or a zero last byte after the first.
+    BadVarint,
     /// A record carried an unknown request-kind code.
     BadKind(u8),
     /// A record named a node outside the header's node count.
@@ -94,6 +110,9 @@ impl core::fmt::Display for TraceDecodeError {
         match self {
             TraceDecodeError::BadMagic => write!(f, "not a multicube trace"),
             TraceDecodeError::Truncated => write!(f, "trace truncated mid-record"),
+            TraceDecodeError::BadVarint => {
+                write!(f, "record field is not a canonical varint of its width")
+            }
             TraceDecodeError::BadKind(k) => write!(f, "unknown request kind code {k}"),
             TraceDecodeError::BadNode(n) => write!(f, "record names node {n} beyond the header"),
             TraceDecodeError::BadOffsets { chunk } => {
@@ -106,14 +125,101 @@ impl core::fmt::Display for TraceDecodeError {
 
 impl std::error::Error for TraceDecodeError {}
 
-const MAGIC: &[u8; 8] = b"MCUBTRC2";
-/// Bytes of one encoded record.
-const RECORD_BYTES: usize = 21;
+const MAGIC: &[u8; 8] = b"MCUBTRC3";
 /// Bytes of the fixed file header (magic, u64 total, u32 nodes, u32
 /// chunks).
 const HEADER_BYTES: usize = 8 + 8 + 4 + 4;
+/// Bytes of the longest record: a 5-byte node, a 10-byte delay, the kind
+/// byte and a 10-byte line.
+const MAX_RECORD_BYTES: usize = 5 + 10 + 1 + 10;
+/// The high bit of every byte of a word: set on a varint's continuation
+/// bytes.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
 
-/// A bounds-checked big-endian reader over a byte slice.
+/// Writes `value` as an unsigned LEB128 varint into `out` at `at` and
+/// returns where it ends.
+fn put_varint(out: &mut [u8; MAX_RECORD_BYTES], mut at: usize, mut value: u64) -> usize {
+    while value >= 0x80 {
+        out[at] = value as u8 | 0x80;
+        value >>= 7;
+        at += 1;
+    }
+    out[at] = value as u8;
+    at + 1
+}
+
+fn put_record(buf: &mut Vec<u8>, r: &TraceRecord) {
+    let mut out = [0; MAX_RECORD_BYTES];
+    let at = put_varint(&mut out, 0, u64::from(r.node));
+    let at = put_varint(&mut out, at, r.delay_ns);
+    out[at] = r.kind;
+    let end = put_varint(&mut out, at + 1, r.line);
+    buf.extend_from_slice(&out[..end]);
+}
+
+/// Bits `0..end` of a word (`1 <= end <= 64`).
+fn low_bits(end: u32) -> u64 {
+    u64::MAX >> (64 - end)
+}
+
+/// The value of the varint in bits `start..end` of `word`: its bytes'
+/// low seven bits, packed low group first.
+fn varint_in_word(word: u64, start: u32, end: u32) -> u64 {
+    let v = ((word & low_bits(end)) >> start) & !HIGH_BITS;
+    let v = (v & 0x007f_007f_007f_007f) | ((v >> 1) & 0x3f80_3f80_3f80_3f80);
+    let v = (v & 0x0000_3fff_0000_3fff) | ((v >> 2) & 0x0fff_c000_0fff_c000);
+    (v & 0x0000_0000_0fff_ffff) | ((v >> 4) & 0x00ff_ffff_f000_0000)
+}
+
+/// Decodes the record at the start of `word` (eight buffer bytes, read
+/// little-endian so byte `i` is bits `8i..8i + 8`) and its length in
+/// bytes, when the record is well formed and fits in the word. `None`
+/// sends the caller to [`record_bytewise`], which decodes every record
+/// and names what is wrong with a malformed one.
+///
+/// Every varint ends at the first byte with its high bit clear, and so
+/// does the kind byte, whose codes are below 0x80. The record is
+/// therefore the bytes up to the fourth such stop byte, and the stops
+/// come from bit operations on the whole word: no branch or bounds
+/// check per byte. A record of at most eight bytes holds no overlong or
+/// `u64`-overflowing varint, so what is left to check is a zero-padded
+/// varint and a node beyond `u32`.
+#[inline(always)]
+fn record_in_word(word: u64) -> Option<(TraceRecord, usize)> {
+    let stops = !word & HIGH_BITS;
+    let after_node = stops & stops.wrapping_sub(1);
+    let after_delay = after_node & after_node.wrapping_sub(1);
+    let after_kind = after_delay & after_delay.wrapping_sub(1);
+    if after_kind == 0 {
+        return None;
+    }
+    // Bit positions just past the node, delay, kind and line bytes.
+    let node_end = stops.trailing_zeros() + 1;
+    let delay_end = after_node.trailing_zeros() + 1;
+    let kind_end = after_delay.trailing_zeros() + 1;
+    let line_end = after_kind.trailing_zeros() + 1;
+    // The kind is one byte; a longer "kind" is a code of 0x80 or more.
+    if kind_end != delay_end + 8 {
+        return None;
+    }
+    // A zero byte after a continuation byte ends a zero-padded varint.
+    let zero = !(((word & !HIGH_BITS) + !HIGH_BITS) | word) & HIGH_BITS;
+    if zero & ((word & HIGH_BITS) << 8) & low_bits(line_end) != 0 {
+        return None;
+    }
+    let node = u32::try_from(varint_in_word(word, 0, node_end)).ok()?;
+    let record = TraceRecord {
+        node,
+        delay_ns: varint_in_word(word, node_end, delay_end),
+        kind: (word >> delay_end) as u8,
+        line: varint_in_word(word, kind_end, line_end),
+    };
+    // The line ends in byte `tz / 8`: a shift and an add are all that
+    // the next record's load waits for.
+    Some((record, after_kind.trailing_zeros() as usize / 8 + 1))
+}
+
+/// A bounds-checked reader over a byte slice.
 struct Cursor<'a> {
     data: &'a [u8],
     position: usize,
@@ -142,25 +248,61 @@ impl Cursor<'_> {
         self.take::<8>().map(u64::from_be_bytes)
     }
 
-    /// Reads one 21-byte record without validating its fields.
-    fn get_record(&mut self) -> Option<TraceRecord> {
-        if self.remaining() < RECORD_BYTES {
-            return None;
+    /// Reads the canonical varint of a `bits`-wide field: at most as many
+    /// bytes as the width needs, no bits beyond it, and no zero last byte
+    /// after the first.
+    fn get_varint(&mut self, bits: u32) -> Result<u64, TraceDecodeError> {
+        let mut value = 0u128;
+        for shift in (0..bits).step_by(7) {
+            let byte = self.get_u8().ok_or(TraceDecodeError::Truncated)?;
+            value |= u128::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                if (byte == 0 && shift > 0) || value >> bits != 0 {
+                    return Err(TraceDecodeError::BadVarint);
+                }
+                return Ok(value as u64);
+            }
         }
-        Some(TraceRecord {
-            node: self.get_u32().expect("length checked"),
-            delay_ns: self.get_u64().expect("length checked"),
-            kind: self.get_u8().expect("length checked"),
-            line: self.get_u64().expect("length checked"),
-        })
+        Err(TraceDecodeError::BadVarint)
+    }
+
+    /// Reads one record, checking that its varints are canonical but not
+    /// its node or kind.
+    #[inline(always)]
+    fn get_record(&mut self) -> Result<TraceRecord, TraceDecodeError> {
+        let word = self
+            .data
+            .get(self.position..self.position + 8)
+            .and_then(|bytes| {
+                record_in_word(u64::from_le_bytes(bytes.try_into().expect("eight bytes")))
+            });
+        let (record, len) = match word {
+            Some(decoded) => decoded,
+            None => record_bytewise(&self.data[self.position..])?,
+        };
+        self.position += len;
+        Ok(record)
     }
 }
 
-fn put_record(buf: &mut Vec<u8>, r: &TraceRecord) {
-    buf.extend_from_slice(&r.node.to_be_bytes());
-    buf.extend_from_slice(&r.delay_ns.to_be_bytes());
-    buf.push(r.kind);
-    buf.extend_from_slice(&r.line.to_be_bytes());
+/// Decodes the record at the start of `bytes` a byte at a time, returning
+/// it with its length: the records [`record_in_word`] declines, and those
+/// in the last few bytes of the buffer. It takes a slice, not the
+/// cursor, so that the validating loop's cursor stays in registers.
+#[cold]
+#[inline(never)]
+fn record_bytewise(bytes: &[u8]) -> Result<(TraceRecord, usize), TraceDecodeError> {
+    let mut c = Cursor {
+        data: bytes,
+        position: 0,
+    };
+    let record = TraceRecord {
+        node: c.get_varint(32)? as u32,
+        delay_ns: c.get_varint(64)?,
+        kind: c.get_u8().ok_or(TraceDecodeError::Truncated)?,
+        line: c.get_varint(64)?,
+    };
+    Ok((record, c.position))
 }
 
 /// Records the requests another workload produces into a
@@ -217,8 +359,9 @@ impl<W: Workload> Workload for TraceRecorder<W> {
 
 /// Streaming writer for the chunked trace format.
 ///
-/// Records are appended one at a time and flushed as chunks of
-/// `chunk_records`; the totals in the file header are patched in by
+/// Records are encoded straight into the output as they arrive, in
+/// chunks of `chunk_records`; each chunk's record count is patched in
+/// when it closes and the totals in the file header by
 /// [`TraceV2Writer::finish`], so the caller never needs to know the
 /// stream length in advance.
 ///
@@ -246,17 +389,19 @@ pub struct TraceV2Writer {
     buf: Vec<u8>,
     nodes: u32,
     chunk_capacity: usize,
-    /// Records of the currently open chunk.
-    open: Vec<TraceRecord>,
-    /// Per-node record counts over all *flushed* chunks — the offset
-    /// table of the next chunk to be written.
-    flushed_per_node: Vec<u64>,
+    /// Byte offset of the open chunk's record count.
+    open_at: usize,
+    /// Records in the open chunk; 0 when no chunk is open.
+    open_records: usize,
+    /// Per-node record counts so far: the offset table of a chunk that
+    /// opens now.
+    per_node: Vec<u64>,
     total: u64,
     chunks: u32,
 }
 
 impl TraceV2Writer {
-    /// A writer for a machine of `nodes` nodes, flushing every
+    /// A writer for a machine of `nodes` nodes, closing a chunk every
     /// `chunk_records` records (clamped to at least 1).
     pub fn new(nodes: u32, chunk_records: usize) -> Self {
         let mut buf = Vec::new();
@@ -268,8 +413,9 @@ impl TraceV2Writer {
             buf,
             nodes,
             chunk_capacity: chunk_records.max(1),
-            open: Vec::new(),
-            flushed_per_node: vec![0; nodes as usize],
+            open_at: 0,
+            open_records: 0,
+            per_node: vec![0; nodes as usize],
             total: 0,
             chunks: 0,
         }
@@ -287,15 +433,27 @@ impl TraceV2Writer {
             node.index(),
             self.nodes
         );
-        self.open.push(TraceRecord {
-            node: node.index(),
-            delay_ns,
-            kind: encode_kind(request.kind),
-            line: request.line.index(),
-        });
+        if self.open_records == 0 {
+            self.open_at = self.buf.len();
+            self.buf.extend_from_slice(&0u64.to_be_bytes()); // patched at close
+            for &count in &self.per_node {
+                self.buf.extend_from_slice(&count.to_be_bytes());
+            }
+        }
+        put_record(
+            &mut self.buf,
+            &TraceRecord {
+                node: node.index(),
+                delay_ns,
+                kind: encode_kind(request.kind),
+                line: request.line.index(),
+            },
+        );
+        self.per_node[node.as_usize()] += 1;
+        self.open_records += 1;
         self.total += 1;
-        if self.open.len() >= self.chunk_capacity {
-            self.flush_chunk();
+        if self.open_records == self.chunk_capacity {
+            self.close_chunk();
         }
     }
 
@@ -304,25 +462,18 @@ impl TraceV2Writer {
         self.total
     }
 
-    fn flush_chunk(&mut self) {
-        self.buf
-            .extend_from_slice(&(self.open.len() as u64).to_be_bytes());
-        for &count in &self.flushed_per_node {
-            self.buf.extend_from_slice(&count.to_be_bytes());
-        }
-        for r in &self.open {
-            self.flushed_per_node[r.node as usize] += 1;
-            put_record(&mut self.buf, r);
-        }
-        self.open.clear();
+    fn close_chunk(&mut self) {
+        let count = (self.open_records as u64).to_be_bytes();
+        self.buf[self.open_at..self.open_at + 8].copy_from_slice(&count);
+        self.open_records = 0;
         self.chunks += 1;
     }
 
-    /// Flushes the final partial chunk, patches the header totals, and
+    /// Closes the final partial chunk, patches the header totals, and
     /// returns the encoded bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        if !self.open.is_empty() {
-            self.flush_chunk();
+        if self.open_records > 0 {
+            self.close_chunk();
         }
         self.buf[8..16].copy_from_slice(&self.total.to_be_bytes());
         self.buf[20..24].copy_from_slice(&self.chunks.to_be_bytes());
@@ -333,7 +484,7 @@ impl TraceV2Writer {
 /// Streaming reader for the chunked trace format.
 ///
 /// Construction makes one validating pass over the buffer (structure,
-/// kinds, node bounds, and every chunk's offset table) without
+/// varints, kinds, node bounds, and every chunk's offset table) without
 /// materializing records; afterwards chunks decode on demand. Because
 /// each chunk header carries the per-node count of records preceding it,
 /// replay can start at any chunk boundary with correct per-node
@@ -390,7 +541,7 @@ impl<'a> TraceV2Reader<'a> {
                 }
             }
             for _ in 0..len {
-                let r = c.get_record().ok_or(TraceDecodeError::Truncated)?;
+                let r = c.get_record()?;
                 if r.node >= nodes {
                     return Err(TraceDecodeError::BadNode(r.node));
                 }
@@ -455,30 +606,35 @@ impl<'a> TraceV2Reader<'a> {
             .collect()
     }
 
+    /// Hands each record of chunk `chunk` to `f`, in recording order.
+    fn decode_chunk(&self, chunk: u32, mut f: impl FnMut(TraceRecord)) {
+        let mut c = Cursor {
+            data: self.data,
+            position: self.chunk_starts[chunk as usize],
+        };
+        let len = c.get_u64().expect("validated at construction");
+        c.position += 8 * self.nodes as usize;
+        for _ in 0..len {
+            f(c.get_record().expect("validated at construction"));
+        }
+    }
+
     /// Decodes chunk `chunk` into records (recording order).
     ///
     /// # Panics
     ///
     /// Panics if `chunk` is out of range.
     pub fn chunk_records(&self, chunk: u32) -> Vec<TraceRecord> {
-        let mut c = Cursor {
-            data: self.data,
-            position: self.chunk_starts[chunk as usize],
-        };
-        let len = c.get_u64().expect("validated at construction");
-        for _ in 0..self.nodes {
-            c.get_u64().expect("validated at construction");
-        }
-        (0..len)
-            .map(|_| c.get_record().expect("validated at construction"))
-            .collect()
+        let mut records = Vec::new();
+        self.decode_chunk(chunk, |r| records.push(r));
+        records
     }
 
     /// Decodes the whole trace into memory, in recording order.
     pub fn read_all(&self) -> Vec<TraceRecord> {
         let mut records = Vec::with_capacity(self.total.min(1 << 20) as usize);
         for chunk in 0..self.chunk_count() {
-            records.extend(self.chunk_records(chunk));
+            self.decode_chunk(chunk, |r| records.push(r));
         }
         records
     }
@@ -546,12 +702,16 @@ impl StreamingPlayer<'_> {
         &self.start_offsets
     }
 
+    /// Decodes the next chunk into the per-node queues. Out of line, so
+    /// that [`Workload::next`], which calls it about once per chunk,
+    /// stays a small function for the calls that only pop a queue.
+    #[cold]
+    #[inline(never)]
     fn load_chunk(&mut self) {
-        let records = self.reader.chunk_records(self.next_chunk);
+        let pending = &mut self.pending;
+        self.reader
+            .decode_chunk(self.next_chunk, |r| pending[r.node as usize].push_back(r));
         self.next_chunk += 1;
-        for r in records {
-            self.pending[r.node as usize].push_back(r);
-        }
     }
 }
 
@@ -577,7 +737,6 @@ impl Workload for StreamingPlayer<'_> {
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,33 +789,79 @@ mod tests {
         );
     }
 
+    /// The encoder's bytes for `value`.
+    fn varint(value: u64) -> Vec<u8> {
+        let mut out = [0; MAX_RECORD_BYTES];
+        let end = put_varint(&mut out, 0, value);
+        out[..end].to_vec()
+    }
+
+    /// The encoder's bytes for `r`.
+    fn record_bytes(r: &TraceRecord) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_record(&mut buf, r);
+        buf
+    }
+
+    /// Byte offset of the first record of a trace's first chunk.
+    fn first_record(nodes: u32) -> usize {
+        HEADER_BYTES + 8 * (1 + nodes as usize)
+    }
+
+    /// A one-chunk trace over one node whose records are `records`,
+    /// byte for byte.
+    fn raw_trace(records: &[&[u8]]) -> Vec<u8> {
+        let count = records.len() as u64;
+        let mut bytes = TraceV2Writer::new(1, 1).finish();
+        bytes[8..16].copy_from_slice(&count.to_be_bytes());
+        bytes[20..24].copy_from_slice(&1u32.to_be_bytes());
+        bytes.extend_from_slice(&count.to_be_bytes());
+        bytes.extend_from_slice(&0u64.to_be_bytes());
+        bytes.extend(records.concat());
+        bytes
+    }
+
     #[test]
     fn decode_rejects_unknown_kind() {
-        let mut bytes = encode(&records(1, 1), 1, 4);
-        // Header, then the chunk's length and one-node offset table, then
-        // the record's node and delay precede its kind byte.
-        bytes[HEADER_BYTES + 8 + 8 + 12] = 99;
+        let recs = records(1, 1);
+        let mut bytes = encode(&recs, 1, 4);
+        // The record's node and delay precede its kind byte.
+        let kind_at = first_record(1) + varint(0).len() + varint(recs[0].delay_ns).len();
+        bytes[kind_at] = 99;
         assert_eq!(
             TraceV2Reader::new(&bytes).unwrap_err(),
             TraceDecodeError::BadKind(99)
+        );
+        // A code with its high bit set reads as the kind too, not as a
+        // varint continuation.
+        bytes[kind_at] = 0x85;
+        assert_eq!(
+            TraceV2Reader::new(&bytes).unwrap_err(),
+            TraceDecodeError::BadKind(0x85)
         );
     }
 
     #[test]
     fn decode_rejects_corruption() {
-        let good = encode(&records(10, 2), 2, 4);
+        let recs = records(10, 2);
+        let good = encode(&recs, 2, 4);
 
         // Record naming a node beyond the header's node count.
-        let first_record = HEADER_BYTES + 8 + 2 * 8;
+        let first = first_record(2);
+        let node = varint(u64::from(recs[0].node)).len();
         let mut bytes = good.clone();
-        bytes[first_record..first_record + 4].copy_from_slice(&9u32.to_be_bytes());
+        bytes.splice(first..first + node, varint(9));
         assert_eq!(
             TraceV2Reader::new(&bytes).unwrap_err(),
             TraceDecodeError::BadNode(9)
         );
 
         // Second chunk's offset table disagreeing with the records.
-        let second_chunk = HEADER_BYTES + 8 + 2 * 8 + 4 * RECORD_BYTES;
+        let second_chunk = first
+            + recs[..4]
+                .iter()
+                .map(|r| record_bytes(r).len())
+                .sum::<usize>();
         let mut bytes = good.clone();
         bytes[second_chunk + 8..second_chunk + 16].copy_from_slice(&41u64.to_be_bytes());
         assert_eq!(
@@ -679,6 +884,132 @@ mod tests {
             TraceV2Reader::new(&bytes).unwrap_err(),
             TraceDecodeError::BadCount
         );
+    }
+
+    #[test]
+    fn varints_are_little_endian_seven_bit_groups() {
+        assert_eq!(varint(0), [0]);
+        assert_eq!(varint(127), [0x7f]);
+        assert_eq!(varint(128), [0x80, 0x01]);
+        assert_eq!(varint(5_999), [0xef, 0x2e]);
+        assert_eq!(varint(1 << 21), [0x80, 0x80, 0x80, 0x01]);
+        assert_eq!(varint(u64::MAX), [&[0xff; 9][..], &[0x01]].concat());
+        // Node 3, delay 300, kind 1 (write), line 5: five bytes.
+        let r = TraceRecord {
+            node: 3,
+            delay_ns: 300,
+            kind: 1,
+            line: 5,
+        };
+        assert_eq!(record_bytes(&r), [0x03, 0xac, 0x02, 0x01, 0x05]);
+    }
+
+    /// A malformed record fails alone, where it is decoded a byte at a
+    /// time, and followed by valid records, where the word path sees it
+    /// first.
+    fn assert_rejected(what: &str, record: &[u8], expected: TraceDecodeError) {
+        let valid: &[u8] = &[0, 0, 0, 0];
+        for records in [&[record][..], &[record, valid, valid]] {
+            assert_eq!(
+                TraceV2Reader::new(&raw_trace(records)).unwrap_err(),
+                expected,
+                "{what} in {} records",
+                records.len()
+            );
+        }
+    }
+
+    #[test]
+    fn decode_rejects_malformed_varints() {
+        let zero: &[u8] = &[0];
+        let padded: &[u8] = &[0x80, 0x00];
+        let overlong: &[u8] = &[&[0x80; 10][..], &[0x00]].concat();
+        let overflowing: &[u8] = &[&[0xff; 9][..], &[0x02]].concat();
+        let cases: [(&str, Vec<u8>); 9] = [
+            ("overlong delay", [zero, overlong, zero, zero].concat()),
+            ("overlong line", [zero, zero, zero, overlong].concat()),
+            ("delay beyond u64", [zero, overflowing, zero, zero].concat()),
+            ("line beyond u64", [zero, zero, zero, overflowing].concat()),
+            ("zero-padded node", [padded, zero, zero, zero].concat()),
+            ("zero-padded delay", [zero, padded, zero, zero].concat()),
+            ("zero-padded line", [zero, zero, zero, padded].concat()),
+            (
+                "node 2^32",
+                [&[0x80, 0x80, 0x80, 0x80, 0x10][..], zero, zero, zero].concat(),
+            ),
+            (
+                "six-byte node",
+                [&[0x80, 0x80, 0x80, 0x80, 0x80, 0x00][..], zero, zero, zero].concat(),
+            ),
+        ];
+        for (what, record) in cases {
+            assert_rejected(what, &record, TraceDecodeError::BadVarint);
+        }
+        // The widest node is a valid varint but beyond the header.
+        let widest = [&[0xff, 0xff, 0xff, 0xff, 0x0f][..], zero, zero, zero].concat();
+        assert_rejected(
+            "node u32::MAX",
+            &widest,
+            TraceDecodeError::BadNode(u32::MAX),
+        );
+        // A record cut inside a varint is truncated, not malformed.
+        let cut = raw_trace(&[&[0x00, 0x80]]);
+        assert_eq!(
+            TraceV2Reader::new(&cut).unwrap_err(),
+            TraceDecodeError::Truncated
+        );
+    }
+
+    #[test]
+    fn extreme_field_values_round_trip() {
+        let recs: Vec<TraceRecord> = [0, 1, 127, 128, 16_383, 16_384, u64::MAX - 1, u64::MAX]
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| TraceRecord {
+                node: [0, 127, 128, 299][i % 4],
+                delay_ns: v,
+                kind: (i % 5) as u8,
+                line: u64::MAX - v,
+            })
+            .collect();
+        for chunk_records in [1, 3, 100] {
+            let bytes = encode(&recs, 300, chunk_records);
+            let reader = TraceV2Reader::new(&bytes).unwrap();
+            assert_eq!(reader.read_all(), recs, "{chunk_records}");
+        }
+    }
+
+    /// The word path decodes exactly what the byte path decodes, and
+    /// declines only records that the byte path rejects, that run past
+    /// the word, or whose kind byte has its high bit set.
+    #[test]
+    fn word_path_agrees_with_the_byte_path() {
+        let mut rng = DeterministicRng::seed(0x7ace);
+        let mut decoded = 0;
+        for _ in 0..200_000 {
+            // Bytes biased toward the interesting ones: zeros, small
+            // kind-like codes, continuation bytes and padding.
+            let bytes: [u8; 8] = std::array::from_fn(|_| match rng.below(6) {
+                0 => 0,
+                1 => rng.below(6) as u8,
+                2 => 0x80,
+                3 => 0x80 | rng.below(0x80) as u8,
+                _ => rng.below(0x80) as u8,
+            });
+            let fast = record_in_word(u64::from_le_bytes(bytes));
+            let slow = record_bytewise(&bytes);
+            match fast {
+                Some(decoded_word) => {
+                    assert_eq!(slow, Ok(decoded_word), "{bytes:02x?}");
+                    decoded += 1;
+                }
+                None => assert!(
+                    slow.as_ref().map_or(true, |(r, _)| r.kind >= 0x80),
+                    "{bytes:02x?}: byte path decoded {slow:?}"
+                ),
+            }
+        }
+        assert!(decoded > 10_000, "only {decoded} words decoded");
     }
 
     /// Records a 2×2 OLTP run of `per_node` requests per node.

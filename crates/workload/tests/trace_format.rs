@@ -1,7 +1,8 @@
 //! Trace-format robustness: proptest round-trips over the chunked binary
-//! format, a truncation sweep proving every prefix of a valid buffer
-//! decodes to an error (never a panic), and the replay-cost pin — a
-//! 4×4-node replay touches each record exactly once.
+//! format, arbitrary and mutated buffers that decode to an error (never
+//! a panic), a truncation sweep proving every prefix of a valid buffer
+//! does too, and the replay-cost pin — a 4×4-node replay touches each
+//! record exactly once.
 
 use multicube::{Machine, MachineConfig, Request, RequestKind};
 use multicube_mem::LineAddr;
@@ -23,16 +24,23 @@ fn kind_of(code: u8) -> RequestKind {
     }
 }
 
-/// A random record stream over 64 nodes.
+/// Nodes of the random record streams: enough for two-byte node varints.
+const NODES: u32 = 160;
+
+/// A field value: mostly the one- to three-byte varints of real traces,
+/// which fit the reader's word path, and sometimes any `u64`.
+fn field() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..128, 0u64..1 << 21, any::<u64>(), Just(u64::MAX)]
+}
+
+/// A random record stream over [`NODES`] nodes.
 fn records(max_len: usize) -> impl Strategy<Value = Vec<TraceRecord>> {
     prop::collection::vec(
-        (0u32..64, any::<u64>(), 0u8..5, any::<u64>()).prop_map(|(node, delay_ns, kind, line)| {
-            TraceRecord {
-                node,
-                delay_ns,
-                kind,
-                line,
-            }
+        (0..NODES, field(), 0u8..5, field()).prop_map(|(node, delay_ns, kind, line)| TraceRecord {
+            node,
+            delay_ns,
+            kind,
+            line,
         }),
         0..max_len,
     )
@@ -54,7 +62,7 @@ proptest! {
     /// Any record stream survives the chunked encoding at any chunk size.
     #[test]
     fn roundtrip(recs in records(200), chunk in 1usize..50) {
-        let bytes = encode(&recs, 64, chunk);
+        let bytes = encode(&recs, NODES, chunk);
         let reader = TraceV2Reader::new(&bytes).expect("own encoding");
         prop_assert_eq!(reader.record_count(), recs.len() as u64);
         prop_assert_eq!(reader.read_all(), recs.clone());
@@ -83,12 +91,42 @@ proptest! {
             }
         }
     }
+
+    /// A valid trace with some bytes overwritten decodes to an error or
+    /// to a trace that replays every record it declares: the varint
+    /// decoder never panics on damaged records.
+    #[test]
+    fn decode_mutated_trace_never_panics(
+        recs in records(60),
+        chunk in 1usize..20,
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+    ) {
+        // Four nodes keep the offset tables short, so most edits land in
+        // records.
+        let folded: Vec<TraceRecord> = recs
+            .iter()
+            .map(|r| TraceRecord { node: r.node % 4, ..*r })
+            .collect();
+        let mut bytes = encode(&folded, 4, chunk);
+        for (at, value) in edits {
+            let len = bytes.len();
+            bytes[at % len] = value;
+        }
+        if let Ok(reader) = TraceV2Reader::new(&bytes) {
+            let mut player = reader.player();
+            let mut rng = DeterministicRng::seed(1);
+            for node in 0..reader.node_count() {
+                while player.next(NodeId::new(node), &mut rng).is_some() {}
+            }
+            prop_assert_eq!(player.served(), reader.record_count());
+        }
+    }
 }
 
 /// A trace header: magic, record total, node count and chunk count.
 fn header(total: u64, nodes: u32, chunks: u32) -> Vec<u8> {
     [
-        &b"MCUBTRC2"[..],
+        &b"MCUBTRC3"[..],
         &total.to_be_bytes(),
         &nodes.to_be_bytes(),
         &chunks.to_be_bytes(),
@@ -123,6 +161,24 @@ fn empty_trace_declares_any_node_count() {
     for node in [0, 1, u32::MAX - 1] {
         assert!(player.next(NodeId::new(node), &mut rng).is_none());
     }
+}
+
+/// A buffer in the earlier fixed-width record format (`MCUBTRC2`) is not
+/// a trace of this format.
+#[test]
+fn earlier_format_is_bad_magic() {
+    let recs = [TraceRecord {
+        node: 0,
+        delay_ns: 1_000,
+        kind: 0,
+        line: 7,
+    }];
+    let mut bytes = encode(&recs, 1, 4);
+    bytes[..8].copy_from_slice(b"MCUBTRC2");
+    assert_eq!(
+        TraceV2Reader::new(&bytes).unwrap_err(),
+        TraceDecodeError::BadMagic
+    );
 }
 
 /// Every strict prefix of a valid buffer decodes to `BadMagic` or
