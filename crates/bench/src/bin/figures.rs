@@ -253,9 +253,9 @@ fn scaling_formulas() {
 }
 
 /// The measured scaling study: the full n ∈ {8,16,24,32} (64–1024
-/// processor) grid efficiency + utilization sweep, plus the parallel-DES
-/// cube study (n³ = 512–32768 processors through the plane-sharded
-/// conservative scheduler), written together as `BENCH_scaling.json`
+/// processor) grid efficiency + utilization sweep, plus the cube study
+/// (n³ = 512–32768 processors, the planes run in parallel after two
+/// depth-traffic exchanges), written together as `BENCH_scaling.json`
 /// alongside the printed tables. Quick mode records only deterministic
 /// cube fields, so the artifact is byte-identical at every worker count
 /// — the CI pool-determinism job diffs exactly that.

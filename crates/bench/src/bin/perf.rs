@@ -23,8 +23,8 @@ use multicube_bench::perf::{
 };
 
 /// The kernels the CI regression guard watches: the serial machine core
-/// and the conservative-parallel scheduler's events/sec kernels — both
-/// the serial reference path and the plane-sharded parallel path.
+/// and the cube's events/sec kernels — both the serial reference path
+/// and the planes on two workers.
 /// A baseline predating a kernel is skipped gracefully for that kernel.
 const GUARD_KERNELS: [&str; 3] = [
     "machine_1k_transactions",

@@ -271,20 +271,20 @@ fn kernel_queue_churn(quick: bool) -> u64 {
 
 /// Machine events one `cube_pdes_events` pass delivers — measured once
 /// and fixed (the run is deterministic), so per-unit guard comparisons
-/// are events-based: the kernel's figure of merit is events per second
-/// through the conservative parallel scheduler.
+/// are events-based: the kernel's figure of merit is machine events per
+/// second of a whole cube run.
 pub const CUBE_PDES_EVENTS: u64 = 14_033;
 
 /// The `cube_pdes_events` kernels: a 4-plane cube (4^3 = 64 processors)
 /// with synthetic workloads per plane and cross-plane depth traffic,
-/// executed through the conservative parallel scheduler. At one worker
-/// (`cube_pdes_events`) this is the serial reference path, free of
-/// thread-scheduling noise, measuring the PDES machinery itself (rounds,
-/// horizon computation, message routing) on top of the machine cores. At
-/// two workers (`cube_pdes_events_parallel`) it adds the parallel
-/// executor's round barriers and slot hand-off; the run is byte-identical
-/// by construction, so the two kernels' per-unit numbers are directly
-/// comparable.
+/// through [`multicube::run_cube`]. At one worker (`cube_pdes_events`)
+/// this is the serial reference path, free of thread-scheduling noise,
+/// measuring the depth traffic's two message exchanges and each plane's
+/// event fold on top of the machine cores. At two workers
+/// (`cube_pdes_events_parallel`) the planes run on two threads, two
+/// each; the run is byte-identical by construction, so the two kernels'
+/// per-unit numbers are directly comparable. The names predate the
+/// exchange design and stay because the CI guard keys on them.
 ///
 /// NOT scaled down in quick mode, for the same reason as
 /// `kernel_machine_1k`: both kernels are CI-guarded per work unit against
@@ -355,14 +355,14 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
         ),
         (
             "cube_pdes_events",
-            "4-plane cube (64 processors) through the conservative parallel \
-             scheduler, serial reference execution; units are machine events",
+            "4-plane cube (64 processors): two depth-traffic exchanges, then \
+             the planes on 1 worker, the serial reference; units are machine events",
             CUBE_PDES_EVENTS,
             Box::new(|| kernel_cube_pdes(1)),
         ),
         (
             "cube_pdes_events_parallel",
-            "the same cube through 4 plane shards on 2 workers; units are \
+            "the same cube with its 4 planes on 2 workers; units are \
              machine events",
             CUBE_PDES_EVENTS,
             Box::new(|| kernel_cube_pdes(2)),
@@ -717,8 +717,8 @@ mod tests {
     #[test]
     fn cube_kernel_work_units_match_its_deterministic_delivery() {
         // The cube run is fully deterministic, so the kernel's work-unit
-        // count can be pinned: a drift here means the PDES schedule (and
-        // therefore every committed fingerprint) changed. The parallel
+        // count can be pinned: a drift here means the planes' machine
+        // runs (and therefore every committed fingerprint) changed. The parallel
         // kernel delivers the identical count — execution strategy never
         // changes what is simulated.
         assert_eq!(kernel_cube_pdes(1), CUBE_PDES_EVENTS);

@@ -23,12 +23,13 @@ use std::time::Instant;
 use crate::simfig::PointFailure;
 
 /// Identifies the JSON layout; bump when the schema changes shape.
-/// v2 added the `cube` section (the parallel-DES n³ scaling study); v3
-/// added per-leg full-mode timing records; v4 replaced the legs with one
+/// v2 added the `cube` section (the parallel n³ scaling study); v3 added
+/// per-leg full-mode timing records; v4 replaced the legs with one
 /// parallel timing per point, with its round and message counts; v5
 /// stamps the study's `mode`: `"full"` for the committed study, `"quick"`
-/// for any smaller one.
-pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v5";
+/// for any smaller one; v6 drops the round and message counts, which
+/// are a constant and twice `remote_ops`.
+pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v6";
 
 /// The harness namespace folded into every point seed.
 const NAMESPACE: &str = "scaling";
@@ -171,9 +172,9 @@ pub fn run_scaling_study(pool: &Pool, config: &ScalingStudyConfig) -> ScalingStu
     }
 }
 
-/// Parameters of the parallel-DES cube study: full k = 3 Multicubes of
-/// `side` planes × `side`² processors each, executed through the
-/// conservative plane-sharded scheduler.
+/// Parameters of the cube study: full k = 3 Multicubes of `side` planes
+/// × `side`² processors each, the planes run in parallel
+/// ([`run_cube`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CubeStudyConfig {
     /// Cube sides to sweep (`n` ⇒ `n³` processors).
@@ -271,13 +272,9 @@ pub struct CubeTiming {
     pub speedup: f64,
     /// Machine events per second, parallel execution.
     pub events_per_sec: f64,
-    /// Conservative-scheduler rounds.
-    pub rounds: u64,
-    /// Cross-plane messages routed.
-    pub messages: u64,
 }
 
-/// One measured cube of the parallel-DES study. All fields except
+/// One measured cube of the cube study. All fields except
 /// `timing` are deterministic functions of the configuration — and
 /// independent of the worker count, which is what lets CI byte-diff the
 /// quick artifact across worker counts.
@@ -311,8 +308,8 @@ pub struct CubeStudy {
     pub points: Vec<CubePoint>,
 }
 
-/// Runs the cube study. The scheduler parallelizes internally (across
-/// shards), so points run one at a time rather than on the pool — the
+/// Runs the cube study. [`run_cube`] parallelizes internally (across
+/// planes), so points run one at a time rather than on the pool — the
 /// timed runs must not compete with sibling points for cores.
 ///
 /// Every point executes serially first (the reference), then reruns at
@@ -358,8 +355,6 @@ pub fn run_cube_study(config: &CubeStudyConfig) -> CubeStudy {
                     parallel_ms,
                     speedup: serial_ms / parallel_ms.max(f64::MIN_POSITIVE),
                     events_per_sec: parallel.events_delivered as f64 / (parallel_ms / 1e3),
-                    rounds: parallel.pdes.rounds,
-                    messages: parallel.pdes.messages,
                 })
             } else {
                 if workers > 1 {
@@ -404,7 +399,7 @@ pub fn render_cube_study(study: &CubeStudy) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "== Cube scaling study (parallel DES): n = {} ==",
+        "== Cube scaling study (planes in parallel): n = {} ==",
         study
             .config
             .sides
@@ -434,22 +429,14 @@ pub fn render_cube_study(study: &CubeStudy) -> String {
     if study.points.iter().any(|p| p.timing.is_some()) {
         let _ = writeln!(
             out,
-            "{:>4} {:>7} {:>10} {:>11} {:>8} {:>12} {:>12} {:>7} {:>7}",
-            "n",
-            "workers",
-            "serial ms",
-            "parallel ms",
-            "speedup",
-            "ev/s serial",
-            "ev/s par",
-            "rounds",
-            "msgs"
+            "{:>4} {:>7} {:>10} {:>11} {:>8} {:>12} {:>12}",
+            "n", "workers", "serial ms", "parallel ms", "speedup", "ev/s serial", "ev/s par"
         );
         for p in &study.points {
             if let Some(t) = &p.timing {
                 let _ = writeln!(
                     out,
-                    "{:>4} {:>7} {:>10.1} {:>11.1} {:>8.2} {:>12.0} {:>12.0} {:>7} {:>7}  (host threads: {})",
+                    "{:>4} {:>7} {:>10.1} {:>11.1} {:>8.2} {:>12.0} {:>12.0}  (host threads: {})",
                     p.side,
                     t.workers,
                     t.serial_ms,
@@ -457,8 +444,6 @@ pub fn render_cube_study(study: &CubeStudy) -> String {
                     t.speedup,
                     t.events_per_sec_serial,
                     t.events_per_sec,
-                    t.rounds,
-                    t.messages,
                     t.host_parallelism
                 );
             }
@@ -593,9 +578,7 @@ pub fn render_scaling_json(study: &ScalingStudy, cube: Option<&CubeStudy>) -> St
                 let _ = writeln!(out, "        \"workers\": {},", t.workers);
                 let _ = writeln!(out, "        \"parallel_ms\": {:.3},", t.parallel_ms);
                 let _ = writeln!(out, "        \"speedup\": {:.4},", t.speedup);
-                let _ = writeln!(out, "        \"events_per_sec\": {:.0},", t.events_per_sec);
-                let _ = writeln!(out, "        \"rounds\": {},", t.rounds);
-                let _ = writeln!(out, "        \"messages\": {}", t.messages);
+                let _ = writeln!(out, "        \"events_per_sec\": {:.0}", t.events_per_sec);
             } else {
                 let _ = writeln!(out, "        \"fingerprint\": \"{}\"", p.fingerprint);
             }
@@ -805,12 +788,10 @@ mod tests {
         assert!(t.serial_ms > 0.0 && t.events_per_sec_serial > 0.0);
         assert_eq!(t.workers, 2);
         assert!(t.parallel_ms > 0.0 && t.speedup > 0.0 && t.events_per_sec > 0.0);
-        assert!(t.rounds > 0 && t.messages > 0);
         let json = render_scaling_json(&run_scaling_study(&Pool::serial(), &tiny()), Some(&cube));
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"host_parallelism\""));
         assert!(json.contains("\"parallel_ms\""));
-        assert!(json.contains("\"rounds\""));
         validate_scaling_report(&json, &tiny(), Some(&cfg)).unwrap();
         // A quick config rejects the measured report, and vice versa.
         let quick = CubeStudyConfig {

@@ -134,11 +134,11 @@ fn scaling_study_json_is_byte_identical_across_worker_counts() {
     assert_eq!(md5_hex(jsons[0].as_bytes()), md5_hex(jsons[2].as_bytes()));
 }
 
-/// The parallel-DES differential, artifact level: every engine's cube run
-/// must produce byte-identical per-plane machine traces at 1 worker
-/// (serial reference), 2 workers, and the environment-default worker
-/// count — the same comparison the CI `pool-determinism` job performs
-/// across processes.
+/// The cube's worker-count differential, artifact level: every engine's
+/// cube run must produce byte-identical per-plane machine traces at 1
+/// worker (serial reference), 2 workers, and the environment-default
+/// worker count — the same comparison the CI `pool-determinism` job
+/// performs across processes.
 #[test]
 fn cube_traces_are_byte_identical_across_worker_counts_and_engines() {
     for engine in EngineKind::all() {

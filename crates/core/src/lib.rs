@@ -70,6 +70,8 @@ pub use machine::engine::ProtocolEngine;
 pub use machine::{Completion, Machine, SubmitError};
 pub use metrics::{BusReport, MachineMetrics, RunReport, TxnStats};
 pub use node::LineMode;
-pub use pdes::{run_cube, CubeConfig, CubeReport, DepthStats, PlaneReport, RemoteKind};
+pub use pdes::{
+    run_cube, CubeConfig, CubeReport, DepthStats, ExchangeStats, PlaneReport, RemoteKind,
+};
 pub use proto::{BusOp, OpClass, OpFault, OpKind, TxnId};
 pub use trace::{TraceEvent, TracePoint, TraceSink};

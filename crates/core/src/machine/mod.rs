@@ -26,9 +26,9 @@ use multicube_topology::NodeId;
 use crate::bus::Bus;
 use crate::check::CoherenceViolation;
 use crate::config::{LatencyMode, MachineConfig, MachineConfigError, PROCESSOR_LATENCY_NS};
-use crate::driver::{Request, RequestKind, SyntheticSpec};
+use crate::driver::{Request, RequestKind};
 use crate::fault::{FaultInjector, WatchdogAction};
-use crate::metrics::{MachineMetrics, RunReport, Served};
+use crate::metrics::{MachineMetrics, Served};
 use crate::node::{Controller, LineMode};
 use crate::proto::{BusOp, OpClass, OpFault, OpKind, Piece, TxnId};
 use crate::trace::{TraceEvent, TracePoint, TraceSink};
@@ -558,27 +558,6 @@ impl Machine {
         self.batch_pos < self.batch.len() || !self.events.is_empty()
     }
 
-    /// The instant of the earliest pending event — the current batch (all
-    /// due *now*) first, then the wheel. `None` at quiescence.
-    #[inline]
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        if self.batch_pos < self.batch.len() {
-            return Some(self.now());
-        }
-        self.events.peek_time()
-    }
-
-    /// Processes every pending event strictly before `horizon`, in exactly
-    /// the order a free-running drain would deliver them, then stops. The
-    /// conservative parallel driver uses this to advance one plane of the
-    /// cube up to its safe horizon.
-    pub fn advance_until(&mut self, horizon: SimTime) {
-        while self.next_event_time().is_some_and(|t| t < horizon) {
-            let ev = self.next_event().expect("event due before horizon");
-            self.handle(ev);
-        }
-    }
-
     /// Processes events until a transaction completes, returning it;
     /// `None` when the machine goes quiescent first.
     pub fn advance(&mut self) -> Option<Completion> {
@@ -611,14 +590,6 @@ impl Machine {
     /// The first violated invariant.
     pub fn check_coherence(&self) -> Result<(), CoherenceViolation> {
         engine::engine_for(self.config.engine()).check(self)
-    }
-
-    /// Runs the closed-loop synthetic workload: every processor issues
-    /// `txns_per_node` blocking requests drawn from `spec`, separated by
-    /// exponential think times. Returns the run report; panics on a
-    /// coherence violation when checking is enabled.
-    pub fn run_synthetic(&mut self, spec: &SyntheticSpec, txns_per_node: u64) -> RunReport {
-        self.run_synthetic_inner(spec, txns_per_node)
     }
 
     // ------------------------------------------------------------------

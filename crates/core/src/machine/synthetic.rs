@@ -30,24 +30,11 @@ pub(crate) struct SyntheticState {
 }
 
 impl Machine {
-    pub(crate) fn run_synthetic_inner(
-        &mut self,
-        spec: &SyntheticSpec,
-        txns_per_node: u64,
-    ) -> RunReport {
-        self.begin_synthetic(spec, txns_per_node);
-        while let Some(ev) = self.next_event() {
-            self.handle(ev);
-        }
-        self.finish_synthetic()
-    }
-
-    /// Installs the synthetic workload on a fresh machine and schedules
-    /// every node's first issue — the setup half of
-    /// [`Machine::run_synthetic`], split out so external drivers (the
-    /// parallel cube simulation) can interleave the event drain with
-    /// their own traffic via [`Machine::advance_until`].
-    pub(crate) fn begin_synthetic(&mut self, spec: &SyntheticSpec, txns_per_node: u64) {
+    /// Runs the closed-loop synthetic workload: every processor issues
+    /// `txns_per_node` blocking requests drawn from `spec`, separated by
+    /// exponential think times. Returns the run report; panics on a
+    /// coherence violation when checking is enabled.
+    pub fn run_synthetic(&mut self, spec: &SyntheticSpec, txns_per_node: u64) -> RunReport {
         assert!(
             !self.events_pending() && self.txn_seq == 0,
             "run_synthetic requires a fresh machine"
@@ -62,12 +49,9 @@ impl Machine {
         for idx in 0..nn {
             self.schedule_next_issue(idx);
         }
-    }
-
-    /// The teardown half of [`Machine::run_synthetic`]: verifies
-    /// coherence (when checking is enabled) and assembles the report.
-    /// Call at quiescence after [`Machine::begin_synthetic`].
-    pub(crate) fn finish_synthetic(&mut self) -> RunReport {
+        while let Some(ev) = self.next_event() {
+            self.handle(ev);
+        }
         if self.config.checking() {
             self.check_coherence()
                 .expect("coherence violated at end of synthetic run");

@@ -1,10 +1,10 @@
-//! Differential determinism suite for the parallel cube: the serial
-//! (1-worker) execution is the reference, and every parallel worker count
-//! must reproduce it byte for byte — per-plane machine traces,
-//! depth-event digests, and the aggregate fingerprint — across all four
-//! coherence engines. Pinned fingerprints hold the reference itself to
-//! its history, and a pinned round count holds the scheduler to the
-//! lookahead the cube gives it.
+//! Differential determinism suite for the cube: the serial (1-worker)
+//! execution is the reference, and every parallel worker count must
+//! reproduce it byte for byte — per-plane machine traces, depth-event
+//! digests, and the aggregate fingerprint — across all four coherence
+//! engines. Pinned fingerprints hold the reference itself to its history,
+//! and pinned exchange and message counts hold the depth traffic's
+//! routing.
 
 use multicube::pdes::{run_cube, CubeConfig, CubeReport};
 use multicube::EngineKind;
@@ -79,9 +79,7 @@ fn distinct_seeds_give_distinct_runs() {
 }
 
 #[test]
-fn scheduler_round_structure_is_worker_invariant() {
-    // Round structure is a pure function of the published bounds, never
-    // of the worker count.
+fn routing_and_event_counts_are_worker_invariant() {
     let serial = run_cube(&cfg(EngineKind::Multicube, 1, false));
     for workers in worker_counts() {
         let parallel = run_cube(&cfg(EngineKind::Multicube, workers, false));
@@ -127,15 +125,13 @@ fn scaling_n8() -> CubeConfig {
 fn scaling_study_n8_keeps_its_fingerprint_and_rounds() {
     let report = run_cube(&scaling_n8());
     assert_eq!(report.fingerprint(), "8a9bb1265dcc3c65dc8b0afed9deb75c");
-    assert_eq!((report.pdes.rounds, report.pdes.messages), (4, 4_096));
+    assert_eq!((report.pdes.rounds, report.pdes.messages), (2, 4_096));
 }
 
 #[test]
-fn lookahead_keeps_the_round_count() {
-    // Every request leaves in the first round and every reply in the
-    // second; the third delivers the replies and the fourth runs the
-    // planes out, so a lookahead regression adds rounds here first. The
-    // messages are one request and one reply per remote op.
+fn depth_traffic_takes_two_exchanges() {
+    // The requests go out in one exchange and the replies come back in
+    // the other: one request and one reply per remote op.
     let stats = run_cube(&cfg(EngineKind::Multicube, 1, false)).pdes;
-    assert_eq!((stats.rounds, stats.messages), (4, 2 * 4 * 40));
+    assert_eq!((stats.rounds, stats.messages), (2, 2 * 4 * 40));
 }

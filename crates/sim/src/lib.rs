@@ -6,7 +6,7 @@
 //! deterministic random-number source ([`rng`]) with seed splitting for
 //! sweep matrices ([`split_seed`]), and a bounded worker pool with
 //! deterministic job ordering and panic containment ([`pool`]) that every
-//! sweep harness fans out through.
+//! sweep harness, and the k = 3 cube's planes, fan out through.
 //!
 //! The kernel is deliberately *typed*: the machine model owns an event enum
 //! and dispatches it itself, instead of the kernel invoking boxed callbacks.
@@ -34,7 +34,6 @@
 
 pub mod digest;
 pub mod hash;
-pub mod pdes;
 pub mod pool;
 pub mod queue;
 pub mod rng;
@@ -44,7 +43,6 @@ pub mod wheel;
 
 pub use digest::md5_hex;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use pdes::{Arrival, Outbox, PdesConfig, PdesStats, ShardModel};
 pub use pool::{JobId, JobPanic, Pool};
 pub use queue::{EventQueue, HeapQueue, QueueImpl};
 pub use rng::{split_seed, stream_id, DeterministicRng};
