@@ -4,7 +4,7 @@
 //! a per-line valid bit, so controllers "may simply discard" modified-signal
 //! duties and racing requests bounce off memory and retry. This module turns
 //! that claim into a testable surface. A [`FaultPlan`] describes *which*
-//! adversarial faults to inject and at what rates; a [`FaultInjector`]
+//! adversarial faults to inject and at what rates; a `FaultInjector`
 //! (owned by the machine, driven by its own deterministic RNG stream) makes
 //! the per-event decisions; a [`RetryPolicy`] adds bounded exponential
 //! backoff to the bounce path; and a [`Watchdog`] detects transactions whose

@@ -8,7 +8,7 @@
 //! processor side of every transaction (`machine::start`): the start,
 //! the victim reservation, the local-access completion with its restart,
 //! and the continuation after a flush. The engine owns the protocol: the
-//! bus operations that processor side issues (its [`Vocabulary`]), what
+//! bus operations that processor side issues (its `Vocabulary`), what
 //! each bus operation does when it completes (the snoops), and which
 //! quiescent invariants hold.
 //!

@@ -230,6 +230,8 @@ pub struct Machine {
     batch_pos: usize,
     /// Events delivered so far (drives the `check_every` cadence).
     delivered: u64,
+    /// Completions awaiting [`Machine::advance`]; a synthetic run queues
+    /// none.
     completions: VecDeque<Completion>,
     pub(crate) synthetic: Option<SyntheticState>,
     /// Structured trace destination, chosen once at construction.
@@ -1513,9 +1515,12 @@ impl Machine {
         self.finish_txn(node, txn, success);
     }
 
-    /// Marks the transaction complete: metrics, completion record,
-    /// synthetic-workload follow-up. Its ring slot is freed, so from here
-    /// on [`Self::txn_info`] reads it as absent.
+    /// Marks the transaction complete: metrics, then the synthetic
+    /// workload's follow-up during [`Self::run_synthetic`] or a
+    /// [`Completion`] record for [`Self::advance`] otherwise (a synthetic
+    /// run reports through its `RunReport`, so nothing would read one).
+    /// Its ring slot is freed, so from here on [`Self::txn_info`] reads it
+    /// as absent.
     pub(crate) fn finish_txn(&mut self, node: NodeId, txn: TxnId, success: bool) {
         let now = self.now();
         let out = self.controllers[node.as_usize()].outstanding.take();
@@ -1547,16 +1552,19 @@ impl Machine {
             info.backoff_ns,
         );
         self.faults.finish(txn);
-        self.completions.push_back(Completion {
-            node,
-            txn,
-            kind,
-            line,
-            success,
-            latency,
-            at: now,
-        });
-        self.on_synthetic_completion(node, latency);
+        if self.synthetic.is_some() {
+            self.on_synthetic_completion(node, latency);
+        } else {
+            self.completions.push_back(Completion {
+                node,
+                txn,
+                kind,
+                line,
+                success,
+                latency,
+                at: now,
+            });
+        }
     }
 }
 
@@ -1643,6 +1651,14 @@ mod tests {
         assert_eq!(done.kind, RequestKind::Writeback);
         assert_eq!(done.latency.as_nanos(), 0);
         assert_eq!(done.at, SimTime::ZERO);
+    }
+
+    #[test]
+    fn a_synthetic_run_leaves_no_completions_to_advance() {
+        let mut m = machine(2);
+        let report = m.run_synthetic(&crate::driver::SyntheticSpec::default(), 5);
+        assert_eq!(report.transactions_completed, 4 * 5);
+        assert_eq!(m.advance(), None);
     }
 
     #[test]

@@ -83,14 +83,12 @@ impl Machine {
         );
     }
 
-    /// Hook called by [`Machine::finish_txn`].
+    /// Hook called by [`Machine::finish_txn`] for each completion of a
+    /// synthetic run.
     pub(crate) fn on_synthetic_completion(&mut self, node: NodeId, latency: SimDuration) {
         let idx = node.as_usize();
-        if let Some(st) = self.synthetic.as_mut() {
-            st.blocked_ns[idx] += latency.as_nanos() as f64;
-        } else {
-            return;
-        }
+        let st = self.synthetic.as_mut().expect("a synthetic run is active");
+        st.blocked_ns[idx] += latency.as_nanos() as f64;
         self.schedule_next_issue(idx);
     }
 

@@ -29,8 +29,11 @@
 //! the column's words when the port accepts it, and the second exchange
 //! routes its reply back to the origin plane, stamped with its delivery
 //! instant. Then every plane runs on one worker: it builds the plane's
-//! machine, runs its closed-loop workload, folds the plane's depth events
-//! into its column digests, reports and frees the machine.
+//! machine, runs its closed-loop workload and frees the machine, then
+//! builds the plane's depth events — its columns' issues, redrawn from
+//! their streams, the requests it served and the replies it received —
+//! and folds them into its column digests. Only the routed requests and
+//! replies are held across planes.
 //!
 //! A closed-loop depth model, with processors blocking on remote ops,
 //! would couple the planes' machines, and would need a parallel scheduler
@@ -254,21 +257,71 @@ fn schedule(cfg: &CubeConfig, plane: usize, col: usize) -> Vec<RemoteOp> {
     ops
 }
 
-/// A request as it lands on its home plane, at the origin's column image.
+/// A request as it lands on its home plane, at the origin's column image,
+/// and how that plane's memory port served it.
 #[derive(Debug, Clone, Copy)]
 struct Request {
     at: SimTime,
     op: OpId,
     line: u64,
     kind: RemoteKind,
+    /// When the port finished serving it; [`serve`] fills this and the
+    /// two fields below.
+    done: SimTime,
+    /// The word's value when the port accepted the op.
+    value: u64,
+    /// Whether the op succeeded (only a TEST-AND-SET of a held lock
+    /// fails).
+    success: bool,
+}
+
+impl Request {
+    /// The line's home column, where its memory port is.
+    fn home(&self, side: u64) -> u32 {
+        (self.line % side) as u32
+    }
+
+    /// Whether the request entered away from its home column, so it and
+    /// its reply cross the row bus.
+    fn forwarded(&self, side: u64) -> bool {
+        self.home(side) != self.op.col
+    }
+
+    /// When the request reaches its memory port.
+    fn at_port(&self, side: u64) -> SimTime {
+        if self.forwarded(side) {
+            self.at + SimDuration::from_nanos(GRID_HOP_NS)
+        } else {
+            self.at
+        }
+    }
+
+    /// When the reply leaves on the depth bus, back at the column the
+    /// request entered at.
+    fn exit(&self, side: u64) -> SimTime {
+        if self.forwarded(side) {
+            self.done + SimDuration::from_nanos(GRID_HOP_NS)
+        } else {
+            self.done
+        }
+    }
+}
+
+/// A reply as it arrives back at its requesting cell.
+#[derive(Debug, Clone, Copy)]
+struct Reply {
+    at: SimTime,
+    op: OpId,
+    value: u64,
+    success: bool,
 }
 
 /// One plane's depth events, in no particular order until its fold.
 type Events = Vec<(EventKey, CellEv)>;
 
-/// Runs every memory port of `plane` over `requests`, which are all the
-/// plane will serve, and routes the replies: records each op's events on
-/// this plane and its reply's arrival on the origin plane.
+/// Runs every memory port of one plane over `requests`, which are all the
+/// plane will serve: records in each request how it was served, and routes
+/// its reply to `replies[origin plane]`.
 ///
 /// A request that lands on its line's home column arrives at the port at
 /// once; one that lands elsewhere crosses the row bus first. Each port
@@ -277,53 +330,72 @@ type Events = Vec<(EventKey, CellEv)>;
 /// port accepts it. Its reply leaves one service after the port frees up,
 /// crosses the row bus back to the column the request entered at, and
 /// arrives one depth hop later.
-fn serve(plane: usize, side: u64, requests: &[Request], events: &mut [Events]) {
-    let grid = SimDuration::from_nanos(GRID_HOP_NS);
-    let mut arrivals: Vec<(u32, SimTime, Request)> = requests
-        .iter()
-        .map(|&r| {
-            let home = (r.line % side) as u32;
-            let at = if home == r.op.col { r.at } else { r.at + grid };
-            (home, at, r)
-        })
-        .collect();
-    arrivals.sort_unstable_by_key(|&(home, at, r)| (home, at, r.op));
+fn serve(side: u64, requests: &mut [Request], replies: &mut [Vec<Reply>]) {
+    requests.sort_unstable_by_key(|r| (r.home(side), r.at_port(side), r.op));
     let mut free_at = vec![SimTime::ZERO; side as usize];
     let mut words: Vec<FxHashMap<u64, u64>> = vec![FxHashMap::default(); side as usize];
-    for (home, at, Request { op, line, kind, .. }) in arrivals {
-        let here = &mut events[plane];
-        let forwarded = op.col != home;
-        if forwarded {
-            here.push(((at, CLASS_MSG, op, home), CellEv::PortArrival { line }));
-        }
-        let port = home as usize;
-        let done = free_at[port].max(at) + SimDuration::from_nanos(SERVICE_NS);
-        free_at[port] = done;
-        let (value, success) = apply(&mut words[port], line, kind);
-        here.push((
-            (done, CLASS_MSG, op, home),
-            CellEv::ServiceDone {
-                line,
-                kind,
-                value,
-                success,
-            },
-        ));
-        let mut exit = done;
-        if forwarded {
-            exit = done + grid;
-            here.push(((exit, CLASS_MSG, op, op.col), CellEv::Exit { value }));
-        }
-        events[op.plane as usize].push((
-            (
-                exit + SimDuration::from_nanos(HOP_NS),
-                CLASS_MSG,
-                op,
-                op.col,
-            ),
-            CellEv::ReplyArrival { value, success },
-        ));
+    for r in requests {
+        let port = r.home(side) as usize;
+        r.done = free_at[port].max(r.at_port(side)) + SimDuration::from_nanos(SERVICE_NS);
+        free_at[port] = r.done;
+        (r.value, r.success) = apply(&mut words[port], r.line, r.kind);
+        replies[r.op.plane as usize].push(Reply {
+            at: r.exit(side) + SimDuration::from_nanos(HOP_NS),
+            op: r.op,
+            value: r.value,
+            success: r.success,
+        });
     }
+}
+
+/// Builds `plane`'s depth events: its columns' issues, redrawn from their
+/// schedules; the entry and service of every request it served; and the
+/// arrival of every reply to its own ops.
+fn depth_events(cfg: &CubeConfig, plane: usize, requests: &[Request], replies: &[Reply]) -> Events {
+    let side = u64::from(cfg.side);
+    let forwarded = requests.iter().filter(|r| r.forwarded(side)).count();
+    let mut events = Vec::with_capacity(
+        cfg.remote_ops as usize + 2 * (requests.len() + forwarded) + replies.len(),
+    );
+    for col in 0..cfg.side {
+        for (seq, op) in schedule(cfg, plane, col as usize).into_iter().enumerate() {
+            let id = OpId {
+                plane: plane as u32,
+                col,
+                seq: seq as u64,
+            };
+            let issue = CellEv::Issue {
+                home_plane: op.home_plane,
+                line: op.line,
+            };
+            events.push(((op.at, CLASS_ISSUE, id, col), issue));
+        }
+    }
+    for r in requests {
+        let (op, line, home) = (r.op, r.line, r.home(side));
+        events.push(((r.at, CLASS_MSG, op, op.col), CellEv::Entry { line }));
+        let service = CellEv::ServiceDone {
+            line,
+            kind: r.kind,
+            value: r.value,
+            success: r.success,
+        };
+        events.push(((r.done, CLASS_MSG, op, home), service));
+        if r.forwarded(side) {
+            let arrival = CellEv::PortArrival { line };
+            events.push(((r.at_port(side), CLASS_MSG, op, home), arrival));
+            let exit = CellEv::Exit { value: r.value };
+            events.push(((r.exit(side), CLASS_MSG, op, op.col), exit));
+        }
+    }
+    for reply in replies {
+        let arrival = CellEv::ReplyArrival {
+            value: reply.value,
+            success: reply.success,
+        };
+        events.push(((reply.at, CLASS_MSG, reply.op, reply.op.col), arrival));
+    }
+    events
 }
 
 /// One column-bus domain of one plane as its depth events fold: the
@@ -529,9 +601,15 @@ impl CubeReport {
 }
 
 /// Runs one plane on the calling worker: builds its machine, runs the
-/// closed-loop workload, folds the plane's depth events into its cells in
-/// key order and reports. The machine is freed here too.
-fn run_plane(cfg: &CubeConfig, plane: usize, mut events: Events) -> PlaneReport {
+/// closed-loop workload and frees the machine, then builds the plane's
+/// depth events from the requests it served and the replies it received,
+/// folds them into its cells in key order and reports.
+fn run_plane(
+    cfg: &CubeConfig,
+    plane: usize,
+    requests: &[Request],
+    replies: &[Reply],
+) -> PlaneReport {
     let mconfig = MachineConfig::grid(cfg.side)
         .expect("valid grid side")
         .with_engine(cfg.engine)
@@ -543,9 +621,11 @@ fn run_plane(cfg: &CubeConfig, plane: usize, mut events: Events) -> PlaneReport 
         machine.set_trace_sink(TraceSink::writer(Box::new(buf.clone())));
     }
     let run = machine.run_synthetic(&cfg.spec, cfg.txns_per_node);
+    drop(machine);
     let trace_md5 =
         trace.map(|buf| multicube_sim::md5_hex(&buf.0.lock().expect("no trace writer panicked")));
 
+    let mut events = depth_events(cfg, plane, requests, replies);
     events.sort_unstable_by_key(|&(key, _)| key);
     if let Some(pair) = events.windows(2).find(|pair| pair[0].0 == pair[1].0) {
         let (at, _, op, col) = pair[0].0;
@@ -588,7 +668,6 @@ fn run_plane(cfg: &CubeConfig, plane: usize, mut events: Events) -> PlaneReport 
 pub fn run_cube(cfg: &CubeConfig) -> CubeReport {
     cfg.validate();
     let side = cfg.side as usize;
-    let mut events: Vec<Events> = vec![Vec::new(); side];
 
     // Exchange 1: every request to its home plane, one depth hop after
     // its issue.
@@ -596,50 +675,49 @@ pub fn run_cube(cfg: &CubeConfig) -> CubeReport {
     for plane in 0..side {
         for col in 0..side {
             for (seq, op) in schedule(cfg, plane, col).into_iter().enumerate() {
-                let id = OpId {
-                    plane: plane as u32,
-                    col: col as u32,
-                    seq: seq as u64,
-                };
-                let issue = CellEv::Issue {
-                    home_plane: op.home_plane,
-                    line: op.line,
-                };
-                events[plane].push(((op.at, CLASS_ISSUE, id, id.col), issue));
-                let at = op.at + SimDuration::from_nanos(HOP_NS);
-                let entry = CellEv::Entry { line: op.line };
-                events[op.home_plane as usize].push(((at, CLASS_MSG, id, id.col), entry));
                 requests[op.home_plane as usize].push(Request {
-                    at,
-                    op: id,
+                    at: op.at + SimDuration::from_nanos(HOP_NS),
+                    op: OpId {
+                        plane: plane as u32,
+                        col: col as u32,
+                        seq: seq as u64,
+                    },
                     line: op.line,
                     kind: op.kind,
+                    done: SimTime::ZERO,
+                    value: 0,
+                    success: false,
                 });
             }
         }
     }
 
     // Exchange 2: each plane's ports serve its requests, and every reply
-    // goes back to its origin plane.
-    for (plane, requests) in requests.iter().enumerate() {
-        serve(plane, u64::from(cfg.side), requests, &mut events);
+    // goes back to its origin plane, which gets one per op it issued.
+    let mut replies: Vec<Vec<Reply>> = (0..side)
+        .map(|_| Vec::with_capacity(cfg.remote_ops as usize))
+        .collect();
+    for requests in &mut requests {
+        requests.shrink_to_fit();
+        serve(u64::from(cfg.side), requests, &mut replies);
     }
     let remote_ops: usize = requests.iter().map(Vec::len).sum();
 
     // Each worker takes one contiguous run of planes and builds, runs,
     // reports and frees each on its own thread: freeing a machine on
     // another thread than the one that built it, or interleaving planes
-    // across threads, made the frees slower.
+    // across threads, made the frees slower. A plane's depth events are
+    // built there too, so only the routed messages are held centrally.
     let workers = cfg.workers.clamp(1, side);
     let chunk = side.div_ceil(workers);
-    let mut rest = events.into_iter().enumerate();
-    let runs: Vec<Vec<(usize, Events)>> = (0..workers)
+    let mut rest = requests.into_iter().zip(replies).enumerate();
+    let runs: Vec<Vec<_>> = (0..workers)
         .map(|_| rest.by_ref().take(chunk).collect())
         .collect();
     let planes: Vec<PlaneReport> = Pool::new(workers)
         .map(runs, |_, run| {
             run.into_iter()
-                .map(|(plane, events)| run_plane(cfg, plane, events))
+                .map(|(plane, (requests, replies))| run_plane(cfg, plane, &requests, &replies))
                 .collect::<Vec<_>>()
         })
         .into_iter()

@@ -26,13 +26,13 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics if either parameter is zero, or if `sets` exceeds
-    /// `u16::MAX` (the set directory numbers sets' blocks in 16 bits).
+    /// `u16::MAX` (a resident way records its set in 16 bits).
     pub fn new(sets: u32, ways: u32) -> Self {
         assert!(sets > 0, "cache needs at least one set");
         assert!(ways > 0, "cache needs at least one way");
         assert!(
             sets <= u32::from(u16::MAX),
-            "cache has {sets} sets; the set directory supports at most {}",
+            "cache has {sets} sets; a way records its set in 16 bits, so at most {}",
             u16::MAX
         );
         CacheGeometry { sets, ways }
@@ -59,14 +59,15 @@ impl CacheGeometry {
     }
 
     /// The set a line maps to: a mask when `sets` is a power of two (every
-    /// configured geometry), the general modulo otherwise.
+    /// configured geometry), the general modulo otherwise. It fits in 16
+    /// bits because `new` caps the set count.
     #[inline]
-    fn set_of(self, line: LineAddr) -> usize {
+    fn set_of(self, line: LineAddr) -> u16 {
         let sets = u64::from(self.sets);
         if sets.is_power_of_two() {
-            (line.index() & (sets - 1)) as usize
+            (line.index() & (sets - 1)) as u16
         } else {
-            (line.index() % sets) as usize
+            (line.index() % sets) as u16
         }
     }
 }
@@ -80,7 +81,7 @@ pub struct Evicted<M> {
     pub meta: M,
 }
 
-/// One way of one set.
+/// One resident way.
 #[derive(Debug, Clone)]
 struct Way<M> {
     line: LineAddr,
@@ -88,29 +89,33 @@ struct Way<M> {
     /// Last-touch stamp for LRU within the set. Stamps start at 1, so the
     /// zero niche lets an empty [`Slot`] cost no space.
     touched: NonZeroU64,
+    /// The line's set, which fixes its home bucket.
+    set: u16,
+    /// The way's place in its set: a set's ways hold `0..used`, in
+    /// insertion order with swap-removal, as a per-set vector would.
+    pos: u32,
 }
 
-/// One arena slot: a resident way, or `None` for a free one.
+/// One table bucket: a resident way, or `None` for a free one.
 type Slot<M> = Option<Way<M>>;
 
 /// A set-associative cache mapping [`LineAddr`] to per-line metadata `M`,
 /// with LRU replacement within each set.
 ///
-/// Lookups, insertions and removals are O(ways). Absence of a line means
-/// "invalid" — the protocol never stores an explicit invalid mode.
+/// Lookups, insertions and removals scan one probe run, so they cost
+/// O(ways) at the table's load. Absence of a line means "invalid" — the
+/// protocol never stores an explicit invalid mode.
 ///
-/// Storage is one slot arena per cache. A set owns a block of `ways`
-/// consecutive slots, allocated on its first insertion. A two-level sparse
-/// directory finds a set's block: one entry per page of 64 sets, and a
-/// page of block numbers allocated on the first insertion into any of its
-/// sets. A cache of 1,024 sets costs nothing until its first insertion,
-/// then 32 bytes of directory plus 128 bytes per page it has written, so a
-/// cache that saw a handful of sets costs a few hundred bytes, not one
-/// entry per set. The arena is a list of segments of 4, 8, 16, ... up to
-/// 64 blocks, each allocated once at its final size, so growth never
-/// copies or frees slots. Within a block the resident ways form a prefix,
-/// kept in insertion order with swap-removal, so iteration order matches a
-/// per-set vector exactly.
+/// Storage is one open-addressing table of resident ways per cache, sized
+/// by the lines it holds, not by its geometry. A way lives in the probe
+/// run that starts at its set's home bucket, so all ways of a set share
+/// one run, and a full set evicts the least recently touched member of
+/// it. The table is allocated on the first insertion (a cache that was
+/// never written costs nothing), doubles to stay at most half full, and
+/// deletes by backward shift, so no tombstones build up. Each way records
+/// its position in its set, so iteration runs in ascending set order and,
+/// within a set, in insertion order with swap-removal: exactly the order
+/// of a per-set vector.
 ///
 /// # Example
 ///
@@ -128,21 +133,26 @@ type Slot<M> = Option<Way<M>>;
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     geometry: CacheGeometry,
-    /// The set directory, then its pages, in one vector, allocated on the
-    /// first insertion (empty until then), so a machine built on one thread
-    /// and run on another allocates and grows it on the running thread
-    /// only. The first `sets.div_ceil(PAGE_SETS)` entries hold, per page of
-    /// sets, 0 if no set of the page was ever written, else 1 + the page's
-    /// number. Page `p` is the [`PAGE_SETS`] entries after the directory's
-    /// end at offset `p * PAGE_SETS`; each holds, per set, 0 if never
-    /// written, else 1 + the number of its block.
-    index: Vec<u16>,
-    /// The slot arena, in segments (see [`segment_of`]).
-    segments: Vec<Vec<Slot<M>>>,
-    /// Blocks allocated so far.
-    allocated: usize,
+    /// The resident ways, open-addressed with linear probing from each
+    /// set's [`home`] bucket. Empty until the first insertion, so a
+    /// machine built on one thread and run on another allocates it on the
+    /// running thread only; after that a power of two of at least
+    /// [`MIN_BUCKETS`] buckets, at least twice `len`.
+    table: Vec<Slot<M>>,
     clock: u64,
     len: usize,
+}
+
+/// What one pass over a set's probe run finds.
+struct Census {
+    /// The bucket of the line looked for, if it is resident.
+    found: Option<usize>,
+    /// Resident ways of the set.
+    used: u32,
+    /// The set's least recently touched way: its stamp and bucket.
+    lru: (u64, usize),
+    /// The set's way at the highest position: its position and bucket.
+    last: (u32, usize),
 }
 
 impl<M> SetAssocCache<M> {
@@ -150,9 +160,7 @@ impl<M> SetAssocCache<M> {
     pub fn new(geometry: CacheGeometry) -> Self {
         SetAssocCache {
             geometry,
-            index: Vec::new(),
-            segments: Vec::new(),
-            allocated: 0,
+            table: Vec::new(),
             clock: 0,
             len: 0,
         }
@@ -178,85 +186,64 @@ impl<M> SetAssocCache<M> {
         NonZeroU64::new(self.clock).expect("clock starts at 1")
     }
 
-    /// Position in `index` of `set`'s block number, if its page exists.
+    /// The occupied buckets of `set`'s probe run, from its home bucket up
+    /// to the first free one (nothing in an unwritten cache).
     #[inline]
-    fn block_entry(&self, set: usize) -> Option<usize> {
-        let page = self.index.get(set / PAGE_SETS)?.checked_sub(1)? as usize;
-        Some(directory_len(self.geometry) + page * PAGE_SETS + set % PAGE_SETS)
-    }
-
-    /// Segment index and slot offset of a set's block, if the set was
-    /// ever written.
-    #[inline]
-    fn locate(&self, set: usize) -> Option<(usize, usize)> {
-        let block = self.index[self.block_entry(set)?].checked_sub(1)?;
-        Some(block_slots(block as usize, self.geometry.ways() as usize))
-    }
-
-    /// The slots of `line`'s set (empty if the set was never written).
-    #[inline]
-    fn set_ways(&self, line: &LineAddr) -> &[Slot<M>] {
-        let ways = self.geometry.ways() as usize;
-        match self.locate(self.geometry.set_of(*line)) {
-            Some((segment, off)) => &self.segments[segment][off..off + ways],
-            None => &[],
-        }
-    }
-
-    /// Mutable slots of `line`'s set (empty if the set was never written).
-    #[inline]
-    fn set_ways_mut(&mut self, line: &LineAddr) -> &mut [Slot<M>] {
-        let ways = self.geometry.ways() as usize;
-        match self.locate(self.geometry.set_of(*line)) {
-            Some((segment, off)) => &mut self.segments[segment][off..off + ways],
-            None => &mut [],
-        }
-    }
-
-    /// The slots of `line`'s set, allocating its page and block on first
-    /// use. A new segment is sized once, capped at the sets still without
-    /// a block.
-    fn set_ways_alloc(&mut self, line: &LineAddr) -> &mut [Slot<M>] {
-        let set = self.geometry.set_of(*line);
-        let entry = match self.block_entry(set) {
-            Some(entry) => entry,
-            None => {
-                if self.index.is_empty() {
-                    let directory = directory_len(self.geometry);
-                    self.index.reserve_exact(directory + PAGE_SETS);
-                    self.index.resize(directory, 0);
-                }
-                let page = (self.index.len() - directory_len(self.geometry)) / PAGE_SETS;
-                self.index[set / PAGE_SETS] = page as u16 + 1;
-                self.index.resize(self.index.len() + PAGE_SETS, 0);
-                self.block_entry(set).expect("page just allocated")
-            }
+    fn run(&self, set: u16) -> impl Iterator<Item = (usize, &Way<M>)> {
+        let mask = self.table.len().wrapping_sub(1);
+        let start = match self.table.len() {
+            0 => 0,
+            buckets => home(set, buckets),
         };
-        if self.index[entry] == 0 {
-            let ways = self.geometry.ways() as usize;
-            let block = self.allocated;
-            let (segment, _) = segment_of(block);
-            if segment == self.segments.len() {
-                let blocks = (MIN_SEGMENT_BLOCKS << segment.min(DOUBLING_SEGMENTS))
-                    .min(MAX_SEGMENT_BLOCKS)
-                    .min(self.geometry.sets() as usize - block);
-                self.segments.push(Vec::with_capacity(blocks * ways));
+        (start..).map_while(move |i| {
+            let i = i & mask;
+            self.table.get(i)?.as_ref().map(|way| (i, way))
+        })
+    }
+
+    /// The bucket holding `line`, if it is resident.
+    #[inline]
+    fn find(&self, line: &LineAddr) -> Option<usize> {
+        self.run(self.geometry.set_of(*line))
+            .find(|(_, way)| way.line == *line)
+            .map(|(i, _)| i)
+    }
+
+    /// Takes a census of `line`'s set in one pass over its probe run.
+    fn census(&self, line: &LineAddr) -> Census {
+        let set = self.geometry.set_of(*line);
+        let mut census = Census {
+            found: None,
+            used: 0,
+            lru: (u64::MAX, 0),
+            last: (0, 0),
+        };
+        for (i, way) in self.run(set).filter(|(_, way)| way.set == set) {
+            if way.line == *line {
+                census.found = Some(i);
             }
-            let slots = &mut self.segments[segment];
-            slots.resize_with(slots.len() + ways, || None);
-            self.allocated += 1;
-            // Blocks number sets, and `CacheGeometry::new` caps the set
-            // count at `u16::MAX`, so `block + 1` fits.
-            self.index[entry] = block as u16 + 1;
+            census.used += 1;
+            if way.touched.get() < census.lru.0 {
+                census.lru = (way.touched.get(), i);
+            }
+            if way.pos >= census.last.0 {
+                census.last = (way.pos, i);
+            }
         }
-        self.set_ways_mut(line)
+        census
+    }
+
+    fn way(&self, bucket: usize) -> &Way<M> {
+        self.table[bucket].as_ref().expect("bucket is occupied")
+    }
+
+    fn way_mut(&mut self, bucket: usize) -> &mut Way<M> {
+        self.table[bucket].as_mut().expect("bucket is occupied")
     }
 
     /// Looks up a line without affecting recency (a *snoop*, not an access).
     pub fn peek(&self, line: &LineAddr) -> Option<&M> {
-        resident(self.set_ways(line))
-            .find(|w| w.line == *line)
-            .map(|w| &w.meta)
+        self.find(line).map(|i| &self.way(i).meta)
     }
 
     /// Looks up a line, updating LRU recency (a processor-side access).
@@ -267,21 +254,20 @@ impl<M> SetAssocCache<M> {
     /// Mutable lookup, updating LRU recency.
     pub fn get_mut(&mut self, line: &LineAddr) -> Option<&mut M> {
         let stamp = self.tick();
-        let way = resident_mut(self.set_ways_mut(line)).find(|w| w.line == *line)?;
+        let way = self.way_mut(self.find(line)?);
         way.touched = stamp;
         Some(&mut way.meta)
     }
 
     /// Mutable lookup without touching recency (snoop-side state change).
     pub fn peek_mut(&mut self, line: &LineAddr) -> Option<&mut M> {
-        resident_mut(self.set_ways_mut(line))
-            .find(|w| w.line == *line)
-            .map(|w| &mut w.meta)
+        let i = self.find(line)?;
+        Some(&mut self.way_mut(i).meta)
     }
 
     /// Whether the line is resident.
     pub fn contains(&self, line: &LineAddr) -> bool {
-        self.peek(line).is_some()
+        self.find(line).is_some()
     }
 
     /// Inserts or updates a line, returning the evicted victim if the set
@@ -290,28 +276,40 @@ impl<M> SetAssocCache<M> {
     /// The victim is the least recently used way of the line's set.
     pub fn insert(&mut self, line: LineAddr, meta: M) -> Option<Evicted<M>> {
         let touched = self.tick();
-        let set = self.set_ways_alloc(&line);
-        let used = resident(set).count();
-        if let Some(way) = resident_mut(set).find(|w| w.line == line) {
+        let census = self.census(&line);
+        if let Some(i) = census.found {
+            let way = self.way_mut(i);
             way.meta = meta;
             way.touched = touched;
             return None;
         }
+        let set = self.geometry.set_of(line);
+        let has_room = census.used < self.geometry.ways();
+        // The new way goes last in its set. A full set first loses its
+        // victim: the last way takes the victim's position (a vector's
+        // swap-remove, then push).
+        let pos = if has_room { census.used } else { census.last.0 };
         let way = Way {
             line,
             meta,
             touched,
+            set,
+            pos,
         };
-        if used < set.len() {
-            set[used] = Some(way);
+        if has_room {
+            self.grow_for_one_more();
+            let free = self.free_bucket(set);
+            self.table[free] = Some(way);
             self.len += 1;
             return None;
         }
-        // Full set: the last way moves into the victim's slot and the new
-        // line takes the last one (a vector's swap-remove, then push).
-        let last = used - 1;
-        set.swap(lru_index(set), last);
-        let victim = set[last].replace(way).expect("full set is nonempty");
+        // The new line shares the victim's home bucket, so it takes the
+        // victim's bucket.
+        let victim_bucket = census.lru.1;
+        self.way_mut(census.last.1).pos = self.way(victim_bucket).pos;
+        let victim = self.table[victim_bucket]
+            .replace(way)
+            .expect("full set is nonempty");
         Some(Evicted {
             line: victim.line,
             meta: victim.meta,
@@ -322,50 +320,85 @@ impl<M> SetAssocCache<M> {
     /// way of the target set, or `None` if there is a free way or the line
     /// is already resident.
     pub fn victim_for(&self, line: &LineAddr) -> Option<(LineAddr, &M)> {
-        let set = self.set_ways(line);
-        if resident(set).any(|w| w.line == *line) {
+        let census = self.census(line);
+        if census.found.is_some() || census.used < self.geometry.ways() {
             return None;
         }
-        if resident(set).count() < self.geometry.ways() as usize {
-            return None;
-        }
-        let victim = set[lru_index(set)].as_ref()?;
+        let victim = self.way(census.lru.1);
         Some((victim.line, &victim.meta))
     }
 
     /// Removes a line, returning its metadata if it was resident.
     pub fn remove(&mut self, line: &LineAddr) -> Option<M> {
-        let set = self.set_ways_mut(line);
-        let pos = resident(set).position(|w| w.line == *line)?;
-        let last = resident(set).count() - 1;
-        set.swap(pos, last);
-        let way = set[last].take().expect("resident way");
+        let census = self.census(line);
+        let bucket = census.found?;
+        // The set's last way moves into the removed way's position.
+        self.way_mut(census.last.1).pos = self.way(bucket).pos;
         self.len -= 1;
-        Some(way.meta)
+        Some(self.take(bucket).meta)
     }
 
-    /// Iterates over all resident `(line, meta)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
-        let ways = self.geometry.ways() as usize;
-        written_blocks(&self.index, self.geometry)
-            .map(move |block| block_slots(block, ways))
-            .flat_map(move |(segment, off)| resident(&self.segments[segment][off..off + ways]))
-            .map(|w| (w.line, &w.meta))
-    }
-
-    /// Drains the cache, returning all resident lines.
-    pub fn drain(&mut self) -> Vec<(LineAddr, M)> {
-        let ways = self.geometry.ways() as usize;
-        let mut out = Vec::with_capacity(self.len);
-        for block in written_blocks(&self.index, self.geometry) {
-            let (segment, off) = block_slots(block, ways);
-            for slot in &mut self.segments[segment][off..off + ways] {
-                let Some(w) = slot.take() else { break };
-                out.push((w.line, w.meta));
+    /// Empties `hole` and shifts the rest of its run back, so every way
+    /// stays reachable from its home bucket with no free bucket between.
+    fn take(&mut self, mut hole: usize) -> Way<M> {
+        let way = self.table[hole].take().expect("bucket is occupied");
+        let buckets = self.table.len();
+        let mask = buckets - 1;
+        let mut i = (hole + 1) & mask;
+        while let Some(next) = &self.table[i] {
+            // `next` may fill the hole if the hole lies between its home
+            // bucket and `i`, cyclically.
+            if i.wrapping_sub(home(next.set, buckets)) & mask >= i.wrapping_sub(hole) & mask {
+                self.table.swap(hole, i);
+                hole = i;
             }
+            i = (i + 1) & mask;
         }
+        way
+    }
+
+    /// The first free bucket of `set`'s probe run.
+    fn free_bucket(&self, set: u16) -> usize {
+        let mask = self.table.len() - 1;
+        let mut i = home(set, self.table.len());
+        while self.table[i].is_some() {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Doubles the table (allocating it on first use) if one more way
+    /// would fill more than half of it, re-placing every way.
+    fn grow_for_one_more(&mut self) {
+        if 2 * (self.len + 1) <= self.table.len() {
+            return;
+        }
+        let buckets = (2 * self.table.len()).max(MIN_BUCKETS);
+        let old = std::mem::replace(&mut self.table, (0..buckets).map(|_| None).collect());
+        for way in old.into_iter().flatten() {
+            let free = self.free_bucket(way.set);
+            self.table[free] = Some(way);
+        }
+    }
+
+    /// Iterates over all resident `(line, meta)` pairs in ascending set
+    /// order and, within a set, in insertion order with swap-removal.
+    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
+        let mut ways: Vec<&Way<M>> = self.table.iter().flatten().collect();
+        ways.sort_unstable_by_key(|way| (way.set, way.pos));
+        ways.into_iter().map(|way| (way.line, &way.meta))
+    }
+
+    /// Drains the cache in [`Self::iter`]'s order, returning all resident
+    /// lines; the table is freed.
+    pub fn drain(&mut self) -> Vec<(LineAddr, M)> {
+        let mut ways: Vec<Way<M>> = std::mem::take(&mut self.table)
+            .into_iter()
+            .flatten()
+            .collect();
+        ways.sort_unstable_by_key(|way| (way.set, way.pos));
         self.len = 0;
-        out
+        ways.into_iter().map(|way| (way.line, way.meta)).collect()
     }
 
     /// Collects the resident lines into a map (for invariant checking).
@@ -377,88 +410,15 @@ impl<M> SetAssocCache<M> {
     }
 }
 
-/// Sets per page of the set directory.
-const PAGE_SETS: usize = 64;
+/// Buckets of a newly allocated table: room for four ways.
+const MIN_BUCKETS: usize = 8;
 
-/// Entries of the set directory proper: one per page of sets.
+/// The home bucket of `set` in a table of `buckets` buckets, a power of
+/// two: the top bits of a Fibonacci hash, which spreads neighbouring sets
+/// apart so their runs do not merge.
 #[inline]
-fn directory_len(geometry: CacheGeometry) -> usize {
-    (geometry.sets() as usize).div_ceil(PAGE_SETS)
-}
-
-/// The blocks of a cache's written sets, in ascending set order: only
-/// allocated pages are visited.
-fn written_blocks(index: &[u16], geometry: CacheGeometry) -> impl Iterator<Item = usize> + '_ {
-    // An unwritten cache has not allocated its directory yet.
-    let (directory, pages) = index.split_at(directory_len(geometry).min(index.len()));
-    directory
-        .iter()
-        .filter_map(|&page| page.checked_sub(1))
-        .flat_map(move |page| {
-            let first = page as usize * PAGE_SETS;
-            &pages[first..first + PAGE_SETS]
-        })
-        .filter_map(|&block| block.checked_sub(1).map(usize::from))
-}
-
-/// Segment index and slot offset of block `block` of `ways` slots.
-#[inline]
-fn block_slots(block: usize, ways: usize) -> (usize, usize) {
-    let (segment, first) = segment_of(block);
-    (segment, (block - first) * ways)
-}
-
-/// Blocks in the first arena segment: enough for the handful of sets a
-/// lightly used cache touches, in one allocation.
-const MIN_SEGMENT_BLOCKS: usize = 4;
-
-/// Blocks in the largest arena segment. Segments double up to this size
-/// and stay there, so a cache wastes at most one partly filled segment.
-const MAX_SEGMENT_BLOCKS: usize = 64;
-
-/// Blocks held by the doubling segments, `MIN..=MAX` blocks each.
-const DOUBLING_BLOCKS: usize = 2 * MAX_SEGMENT_BLOCKS - MIN_SEGMENT_BLOCKS;
-
-/// Doublings from the first segment's size to the largest's.
-const DOUBLING_SEGMENTS: usize = (MAX_SEGMENT_BLOCKS / MIN_SEGMENT_BLOCKS).ilog2() as usize;
-
-/// The arena segment holding block `block`, and the segment's first block.
-/// Segment `k` holds `MIN_SEGMENT_BLOCKS << k` blocks up to
-/// [`MAX_SEGMENT_BLOCKS`]; every later segment holds that many.
-#[inline]
-fn segment_of(block: usize) -> (usize, usize) {
-    if block < DOUBLING_BLOCKS {
-        let segment = (block / MIN_SEGMENT_BLOCKS + 1).ilog2() as usize;
-        (segment, MIN_SEGMENT_BLOCKS * ((1 << segment) - 1))
-    } else {
-        let past = (block - DOUBLING_BLOCKS) / MAX_SEGMENT_BLOCKS;
-        (
-            DOUBLING_SEGMENTS + 1 + past,
-            DOUBLING_BLOCKS + past * MAX_SEGMENT_BLOCKS,
-        )
-    }
-}
-
-/// The resident prefix of a set's slots.
-#[inline]
-fn resident<M>(set: &[Slot<M>]) -> impl Iterator<Item = &Way<M>> {
-    set.iter().map_while(Option::as_ref)
-}
-
-/// The resident prefix of a set's slots, mutably.
-#[inline]
-fn resident_mut<M>(set: &mut [Slot<M>]) -> impl Iterator<Item = &mut Way<M>> {
-    set.iter_mut().map_while(Option::as_mut)
-}
-
-/// Position of the least recently used way of a nonempty set. Stamps are
-/// unique, so the victim is too.
-fn lru_index<M>(set: &[Slot<M>]) -> usize {
-    resident(set)
-        .enumerate()
-        .min_by_key(|(_, w)| w.touched)
-        .map(|(i, _)| i)
-        .expect("full set is nonempty")
+fn home(set: u16, buckets: usize) -> usize {
+    (u64::from(set).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - buckets.trailing_zeros())) as usize
 }
 
 #[cfg(test)]
@@ -592,87 +552,83 @@ mod tests {
     #[test]
     fn slots_are_no_larger_than_ways() {
         use core::mem::size_of;
-        assert_eq!(size_of::<Slot<()>>(), 16);
+        assert_eq!(size_of::<Slot<()>>(), 24);
         assert_eq!(size_of::<Slot<u32>>(), size_of::<Way<u32>>());
         assert_eq!(size_of::<Slot<(u8, u64)>>(), size_of::<Way<(u8, u64)>>());
-    }
-
-    /// Directory pages a cache has allocated.
-    fn pages<M>(c: &SetAssocCache<M>) -> usize {
-        c.index.len().saturating_sub(directory_len(c.geometry)) / PAGE_SETS
     }
 
     #[test]
     fn untouched_sets_allocate_nothing() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
-        assert_eq!(pages(&c), 0);
-        assert_eq!(c.index.capacity(), 0, "the directory waits for a write");
         assert!(c.peek(&line(5)).is_none());
+        assert!(c.get(&line(5)).is_none());
+        assert!(c.peek_mut(&line(5)).is_none());
         assert!(c.victim_for(&line(5)).is_none());
         assert!(c.remove(&line(5)).is_none());
-        assert!(c.segments.is_empty());
-        assert_eq!(pages(&c), 0);
+        assert!(c.iter().next().is_none());
+        assert_eq!(c.table.capacity(), 0, "the table waits for a write");
+        // Four lines in three of the 1,024 sets fit the smallest table.
         c.insert(line(5), 5);
         c.insert(line(5 + 1024), 6);
-        assert_eq!(c.allocated, 1);
         c.insert(line(6), 7);
         c.insert(line(7), 8);
-        assert_eq!(c.allocated, 3);
-        let sizes: Vec<usize> = c.segments.iter().map(Vec::capacity).collect();
-        assert_eq!(sizes, [16]);
+        assert_eq!(c.table.capacity(), MIN_BUCKETS);
+        c.drain();
+        assert_eq!(c.table.capacity(), 0, "draining frees the table");
+    }
+
+    #[test]
+    fn iteration_runs_in_ascending_set_order() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
+        c.insert(line(5), 5);
+        c.insert(line(5 + 1024), 6);
+        c.insert(line(6), 7);
+        c.insert(line(7), 8);
         assert_eq!(
             c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
             [5, 1029, 6, 7]
         );
-    }
 
-    #[test]
-    fn pages_are_allocated_on_first_write_to_any_of_their_sets() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
-        // Sets 3, 900, 70, 64 and 1023 lie in pages 0, 14, 1, 1 and 15.
         for (k, set) in [3u64, 900, 70, 64, 1023].into_iter().enumerate() {
             c.insert(line(set), k as u32);
             c.insert(line(set + 1024), k as u32);
         }
-        assert_eq!(pages(&c), 4);
-        assert_eq!(c.allocated, 5);
-        // Ascending set order, whatever the order of first writes.
+        let expected = [3, 1027, 64, 1088, 70, 1094, 900, 1924, 1023, 2047];
         assert_eq!(
             c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
-            [3, 1027, 64, 1088, 70, 1094, 900, 1924, 1023, 2047]
+            expected
         );
         let drained: Vec<u64> = c.drain().into_iter().map(|(l, _)| l.index()).collect();
-        assert_eq!(
-            drained,
-            [3, 1027, 64, 1088, 70, 1094, 900, 1924, 1023, 2047]
-        );
+        assert_eq!(drained, expected);
         assert!(c.is_empty() && c.iter().next().is_none());
-    }
 
-    #[test]
-    fn a_partial_last_page_covers_the_remaining_sets() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(65, 1));
-        c.insert(line(64), 64);
-        assert_eq!(c.index.len(), 2 + PAGE_SETS);
-        assert_eq!(pages(&c), 1);
+        // Within a set: insertion order, with swap-removal and eviction
+        // into the victim's position.
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(65, 4));
+        for l in [64, 129, 194, 259] {
+            c.insert(line(l), 0);
+        }
+        c.remove(&line(129));
+        c.insert(line(324), 0);
+        c.get(&line(64));
+        c.get(&line(194));
+        assert_eq!(c.insert(line(389), 0).map(|e| e.line), Some(line(259)));
         c.insert(line(0), 0);
-        assert_eq!(pages(&c), 2);
-        assert_eq!(c.insert(line(129), 129).map(|e| e.line), Some(line(64)));
         assert_eq!(
             c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
-            [0, 129]
+            [0, 64, 324, 194, 389]
         );
     }
 
     #[test]
-    fn the_largest_geometry_numbers_every_block() {
+    fn a_u16_max_set_cache_holds_a_line_in_every_set() {
         let sets = u64::from(u16::MAX);
         let mut c: SetAssocCache<u64> = SetAssocCache::new(CacheGeometry::new(sets as u32, 1));
         for set in (0..sets).rev() {
-            c.insert(line(set), set);
+            assert!(c.insert(line(set), set).is_none());
         }
-        assert_eq!(c.allocated, sets as usize);
-        assert_eq!(pages(&c), 1024);
+        assert_eq!(c.len(), sets as usize);
         assert!((0..sets).all(|set| c.peek(&line(set)) == Some(&set)));
         assert!(c.iter().map(|(l, _)| l.index()).eq(0..sets));
     }
@@ -684,33 +640,25 @@ mod tests {
     }
 
     #[test]
-    fn segments_double_then_stay_flat() {
-        let starts: Vec<(usize, usize)> = [0, 3, 4, 11, 12, 123, 124, 187, 188, 1023]
-            .into_iter()
-            .map(segment_of)
-            .collect();
-        assert_eq!(
-            starts,
-            [
-                (0, 0),
-                (0, 0),
-                (1, 4),
-                (1, 4),
-                (2, 12),
-                (4, 60),
-                (5, 124),
-                (5, 124),
-                (6, 188),
-                (19, 1020)
-            ]
-        );
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(200, 1));
-        for i in 0..200 {
-            c.insert(line(i), 0);
+    fn a_thousand_lines_in_distinct_sets_take_at_most_2048_buckets() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
+        for i in 0..1000 {
+            assert!(c.insert(line(i), i as u32).is_none());
         }
-        let sizes: Vec<usize> = c.segments.iter().map(Vec::len).collect();
-        assert_eq!(sizes, [4, 8, 16, 32, 64, 64, 12]);
-        assert_eq!(c.iter().count(), 200);
+        assert!(c.table.len() <= 2048, "{} buckets", c.table.len());
+        assert!((0..1000).all(|i| c.peek(&line(i)) == Some(&(i as u32))));
+    }
+
+    #[test]
+    fn wrap_sets_home_at_both_ends_of_small_tables() {
+        // `crates/mem/tests/cache_properties.rs` folds its wrap-around
+        // lockstep test onto sets 0, 3, 8 and 21 of a 64-set cache, whose
+        // runs must cross the end of every table it grows through.
+        let homes: Vec<[usize; 4]> = [8, 16, 32]
+            .into_iter()
+            .map(|buckets| [0, 3, 8, 21].map(|set| home(set, buckets)))
+            .collect();
+        assert_eq!(homes, [[0, 6, 7, 7], [0, 13, 15, 15], [0, 27, 30, 31]]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
 }
 
 /// The retired `Vec<Vec<Way>>` cache layout, kept as the differential
-/// oracle for the slot-arena [`SetAssocCache`]: every set is its own
+/// oracle for the open-addressing [`SetAssocCache`]: every set is its own
 /// vector, insertion pushes, removal swap-removes, and the victim is the
 /// way with the smallest last-touch stamp.
 struct VecOfVecsCache {
@@ -134,7 +134,7 @@ fn diff_ops(lines: u64) -> impl Strategy<Value = Vec<DiffOp>> {
     )
 }
 
-/// Drives the arena cache and the retired layout in lockstep, asserting
+/// Drives the cache and the retired layout in lockstep, asserting
 /// identical evictions, lookups, victims, lengths and iteration order.
 fn run_differential(sets: u32, ways: u32, ops: Vec<DiffOp>) {
     let mut cache: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(sets, ways));
@@ -192,8 +192,8 @@ proptest! {
         run_differential(1024, 4, ops);
     }
 
-    /// Set counts that span several 64-set directory pages and end in a
-    /// partial page, mapped by modulo rather than a mask.
+    /// Set counts that are not powers of two, mapped by modulo rather
+    /// than a mask.
     #[test]
     fn arena_matches_vec_of_vecs_paged(
         ops in diff_ops(4 * 130),
@@ -210,6 +210,33 @@ proptest! {
         geometry in prop_oneof![Just((1u32, 1u32)), Just((2, 2)), Just((3, 2)), Just((1, 3))],
     ) {
         run_differential(geometry.0, geometry.1, ops);
+    }
+
+    /// A fully-associative cache: all 16 ways share one set, so every way
+    /// lives in the one probe run of set 0.
+    #[test]
+    fn table_matches_vec_of_vecs_fully_associative(ops in diff_ops(24)) {
+        run_differential(1, 16, ops);
+    }
+
+    /// Probe runs that wrap past the table's last bucket. The stream is
+    /// folded onto sets 3, 8 and 21 of a 64 x 3 cache, whose homes are the
+    /// last three buckets of a table of 8, 16 or 32 buckets or near them,
+    /// and onto set 0, whose home is the first; at most 12 lines are
+    /// resident, so the table never grows past 32 buckets. Removals and
+    /// evictions then shift ways back across the wrap, past set 0's own
+    /// ways.
+    #[test]
+    fn table_matches_vec_of_vecs_across_the_wrap(ops in diff_ops(20)) {
+        let fold = |l: u64| [0, 3, 8, 21][(l % 4) as usize] + 64 * (l / 4);
+        let ops = ops.into_iter().map(|op| match op {
+            DiffOp::Insert(l, m) => DiffOp::Insert(fold(l), m),
+            DiffOp::Get(l) => DiffOp::Get(fold(l)),
+            DiffOp::Peek(l) => DiffOp::Peek(fold(l)),
+            DiffOp::Remove(l) => DiffOp::Remove(fold(l)),
+            DiffOp::VictimFor(l) => DiffOp::VictimFor(fold(l)),
+        }).collect();
+        run_differential(64, 3, ops);
     }
 
     /// The cache never exceeds its capacity and set residency never exceeds

@@ -2,7 +2,7 @@
 //!
 //! [`EventQueue`] is the public face: a stable discrete-event scheduler
 //! with an embedded monotonic clock. Since the timing-wheel rewrite it is
-//! backed by [`TimingWheel`](crate::wheel::TimingWheel) — O(1)
+//! backed by [`TimingWheel`] — O(1)
 //! schedule/pop with structural same-instant FIFO — while the original
 //! `BinaryHeap` implementation survives as [`HeapQueue`], the
 //! differential-testing oracle behind the shared [`QueueImpl`] seam

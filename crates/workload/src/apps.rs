@@ -141,7 +141,7 @@ impl Workload for ProducerConsumer {
 ///
 /// Private accesses model a sweep over the node's subgrid: each phase
 /// works a small hot window of private lines and the window slides by
-/// [`Self::WINDOW_STRIDE`] per phase, so consecutive phases overlap and
+/// `Self::WINDOW_STRIDE` per phase, so consecutive phases overlap and
 /// most private accesses hit lines fetched a phase or two earlier.
 #[derive(Debug)]
 pub struct PhasedNumeric {
