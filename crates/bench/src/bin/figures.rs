@@ -1,7 +1,7 @@
 //! Regenerates the paper's figures and tables.
 //!
 //! ```text
-//! figures [command] [--quick] [--txns N]
+//! figures [command] [--quick] [--txns N] [--csv DIR] [--out DIR]
 //!
 //! commands:
 //!   fig2      Figure 2: efficiency vs processors per row (model + sim)
@@ -10,8 +10,7 @@
 //!   latency   E-5.1: §5 latency-reduction techniques
 //!   costs     T-6.1: bus operations per transaction class
 //!   scaling   T-6.2: §6 Multicube scaling formulas + the measured
-//!             1024-processor scaling study (writes BENCH_scaling.json;
-//!             override the path with --scaling-out)
+//!             1024-processor scaling study (writes BENCH_scaling.json)
 //!   sync      E-4.1: lock traffic, spinning vs distributed queue
 //!   baseline  E-1.1: single-bus write-once multi vs Multicube
 //!   ablations A-1..A-3: MLT sizing, signal-drop robustness, snarfing
@@ -21,15 +20,21 @@
 //!             and resilience counters (retries, backoff, watchdog)
 //!   shootout  protocol shootout — Multicube vs single-bus MESI, Dragon
 //!             and write-once on identical seeded workloads (writes
-//!             BENCH_shootout.csv; override the path with --shootout-out)
+//!             BENCH_shootout.csv)
 //!   serve     S-3: the trace-driven serving tier — production-shaped
 //!             streams replayed from chunked v2 traces under FCFS vs
 //!             round-robin arbitration, 10^7+ transactions in full mode
-//!             (writes BENCH_serve.json; override with --serve-out)
+//!             (writes BENCH_serve.json)
 //!   model     T-7.1: exhaustive model-checker state counts per engine +
 //!             simulator-subset cross-validation (--quick = push gate
 //!             config, default = nightly soak config)
 //!   all       everything above
+//!
+//! options:
+//!   --quick   smaller sweeps, each command under about a minute
+//!   --txns N  transactions per processor for the sweeps that take it
+//!   --csv DIR also write each figure's CSV into DIR
+//!   --out DIR write the BENCH_* artifacts into DIR (default: .)
 //! ```
 
 use multicube_bench::{
@@ -38,8 +43,9 @@ use multicube_bench::{
     render_scaling_json, render_scaling_study, render_series, render_series_utilization,
     render_serve, render_serve_json, render_shootout, robustness_rows, run_cube_study,
     run_scaling_study, run_serve, run_shootout, scaling_rows, series_view, sim_figure2,
-    sim_figure3, sim_figure4, sim_latency_modes, snarf_rows, sync_rows, validate_serve_report,
-    CubeStudyConfig, Pool, ScalingStudyConfig, ServeConfig, SimSeries, SweepConfig,
+    sim_figure3, sim_figure4, sim_latency_modes, snarf_rows, sync_rows, validate_scaling_report,
+    validate_serve_report, CubeStudyConfig, Pool, ScalingStudyConfig, ServeConfig, SimSeries,
+    SweepConfig,
 };
 use multicube_mva::figures as mva;
 
@@ -48,12 +54,8 @@ struct Options {
     txns: Option<u64>,
     /// Directory to additionally write per-figure CSV files into.
     csv: Option<std::path::PathBuf>,
-    /// Where the scaling study writes its JSON artifact.
-    scaling_out: std::path::PathBuf,
-    /// Where the protocol shootout writes its CSV artifact.
-    shootout_out: std::path::PathBuf,
-    /// Where the serving-tier study writes its JSON artifact.
-    serve_out: std::path::PathBuf,
+    /// Directory the `BENCH_*` artifacts are written into.
+    out: std::path::PathBuf,
     /// The worker pool every sweep fans out through
     /// (MULTICUBE_POOL_WORKERS overrides the worker count).
     pool: Pool,
@@ -67,6 +69,12 @@ impl Options {
             multicube_bench::write_series_csv(&path, series).expect("write csv");
             eprintln!("wrote {}", path.display());
         }
+    }
+
+    /// The path of the artifact `name` in the output directory.
+    fn artifact(&self, name: &str) -> std::path::PathBuf {
+        std::fs::create_dir_all(&self.out).expect("create output dir");
+        self.out.join(name)
     }
 
     /// Prints any contained sweep-point failures for a figure (a panicked
@@ -278,8 +286,10 @@ fn scaling_study(opts: &Options) {
     let cube = run_cube_study(&cube_cfg);
     println!("{}", render_cube_study(&cube));
     let json = render_scaling_json(&study, Some(&cube));
-    std::fs::write(&opts.scaling_out, &json).expect("write scaling json");
-    eprintln!("wrote {}", opts.scaling_out.display());
+    validate_scaling_report(&json, &cfg, Some(&cube_cfg)).expect("scaling report validates");
+    let path = opts.artifact("BENCH_scaling.json");
+    std::fs::write(&path, &json).expect("write scaling json");
+    eprintln!("wrote {}", path.display());
 }
 
 fn sync(opts: &Options) {
@@ -486,8 +496,9 @@ fn shootout(opts: &Options) {
     for f in &s.failures {
         eprintln!("!! shootout point failed: {f}");
     }
-    multicube_bench::write_shootout_csv(&opts.shootout_out, &s.rows).expect("write shootout csv");
-    eprintln!("wrote {}", opts.shootout_out.display());
+    let path = opts.artifact("BENCH_shootout.csv");
+    multicube_bench::write_shootout_csv(&path, &s.rows).expect("write shootout csv");
+    eprintln!("wrote {}", path.display());
     if let Some(dir) = &opts.csv {
         std::fs::create_dir_all(dir).expect("create csv dir");
         let path = dir.join("shootout.csv");
@@ -522,8 +533,9 @@ fn serve(opts: &Options) {
     );
     let json = render_serve_json(&study);
     validate_serve_report(&json, &cfg).expect("serve report validates");
-    std::fs::write(&opts.serve_out, &json).expect("write serve json");
-    eprintln!("wrote {}", opts.serve_out.display());
+    let path = opts.artifact("BENCH_serve.json");
+    std::fs::write(&path, &json).expect("write serve json");
+    eprintln!("wrote {}", path.display());
     if let Some(dir) = &opts.csv {
         std::fs::create_dir_all(dir).expect("create csv dir");
         let path = dir.join("serve.csv");
@@ -579,9 +591,7 @@ fn main() {
         quick: false,
         txns: None,
         csv: None,
-        scaling_out: std::path::PathBuf::from("BENCH_scaling.json"),
-        shootout_out: std::path::PathBuf::from("BENCH_shootout.csv"),
-        serve_out: std::path::PathBuf::from("BENCH_serve.json"),
+        out: std::path::PathBuf::from("."),
         pool: Pool::from_env(),
     };
     let mut it = args.iter().peekable();
@@ -598,23 +608,11 @@ fn main() {
                 opts.csv = it.next().map(std::path::PathBuf::from);
                 assert!(opts.csv.is_some(), "--csv needs a directory");
             }
-            "--scaling-out" => {
-                opts.scaling_out = it
+            "--out" => {
+                opts.out = it
                     .next()
                     .map(std::path::PathBuf::from)
-                    .expect("--scaling-out needs a path");
-            }
-            "--shootout-out" => {
-                opts.shootout_out = it
-                    .next()
-                    .map(std::path::PathBuf::from)
-                    .expect("--shootout-out needs a path");
-            }
-            "--serve-out" => {
-                opts.serve_out = it
-                    .next()
-                    .map(std::path::PathBuf::from)
-                    .expect("--serve-out needs a path");
+                    .expect("--out needs a directory");
             }
             c if !c.starts_with('-') => command = c.to_string(),
             other => panic!("unknown flag {other}"),

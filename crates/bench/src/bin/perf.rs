@@ -18,8 +18,9 @@
 
 use std::process::ExitCode;
 
+use multicube_bench::json;
 use multicube_bench::perf::{
-    check_regression_guard, extract_kernel_stats, render_json, run_all, validate_report, PerfConfig,
+    check_regression_guard, kernel_stats, render_json, run_all, validate_report, PerfConfig,
 };
 
 /// The kernels the CI regression guard watches: the serial machine core
@@ -89,18 +90,19 @@ fn main() -> ExitCode {
         None
     };
 
-    let mut baseline_text = None;
     let baseline = match &baseline_path {
         Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => {
-                let stats = extract_kernel_stats(&text);
-                if stats.is_empty() {
-                    eprintln!("perf: no kernel medians found in baseline {p}");
+            Ok(text) => match json::parse(&text).and_then(|report| kernel_stats(&report)) {
+                Ok(stats) if !stats.is_empty() => Some(stats),
+                Ok(_) => {
+                    eprintln!("perf: no kernels in baseline {p}");
                     return ExitCode::FAILURE;
                 }
-                baseline_text = Some(text);
-                Some(stats)
-            }
+                Err(e) => {
+                    eprintln!("perf: baseline {p} is not a perf report: {e}");
+                    return ExitCode::FAILURE;
+                }
+            },
             Err(e) => {
                 eprintln!("perf: cannot read baseline {p}: {e}");
                 return ExitCode::FAILURE;
@@ -145,7 +147,7 @@ fn main() -> ExitCode {
     // surviving kernels' numbers are good), but fail the run — partial
     // reports must never validate as committed numbers.
     if failures.is_empty() {
-        if let Err(e) = validate_report(&json) {
+        if let Err(e) = validate_report(&json, &cfg) {
             eprintln!("perf: internal error, generated report fails validation: {e}");
             return ExitCode::FAILURE;
         }
@@ -163,9 +165,12 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if let Some(threshold) = guard_pct {
-        let base_text = baseline_text.as_deref().expect("guard requires baseline");
+        let base = baseline.as_deref().expect("guard requires baseline");
+        let current = json::parse(&json)
+            .and_then(|report| kernel_stats(&report))
+            .expect("the report validated above");
         for kernel in GUARD_KERNELS {
-            match check_regression_guard(&json, base_text, kernel, threshold) {
+            match check_regression_guard(&current, base, kernel, threshold) {
                 Ok(msg) => eprintln!("perf: {msg}"),
                 Err(msg) => {
                     eprintln!("perf: REGRESSION: {msg}");

@@ -14,6 +14,7 @@
 //! [`perf`].
 
 pub mod csv;
+pub mod json;
 pub mod perf;
 pub mod scaling;
 pub mod serve;

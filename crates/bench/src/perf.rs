@@ -24,7 +24,6 @@
 //! `--quick` shrinks warmup/repeats for CI smoke runs; the numbers are
 //! noisier but the schema is identical.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use multicube::{FaultPlan, Machine, MachineConfig, Request, SyntheticSpec};
@@ -32,6 +31,8 @@ use multicube_mem::LineAddr;
 use multicube_sim::pool::Pool;
 use multicube_sim::{DeterministicRng, EventQueue};
 use multicube_topology::NodeId;
+
+use crate::json::{self, Value};
 
 /// Identifies the JSON layout; bump when the schema changes shape.
 pub const SCHEMA: &str = "multicube-bench-core/v1";
@@ -317,6 +318,60 @@ impl std::fmt::Display for KernelFailure {
     }
 }
 
+/// One timed kernel. `units` and `body` take the quick-mode flag.
+struct Kernel {
+    /// Stable name; baselines and the CI guard key on it.
+    name: &'static str,
+    /// What one pass simulates, for the reader of the JSON.
+    work: &'static str,
+    /// Work units one pass performs.
+    units: fn(bool) -> u64,
+    /// One pass.
+    body: fn(bool) -> u64,
+}
+
+/// Every kernel, in report order; [`validate_report`] requires each one.
+const KERNELS: [Kernel; 6] = [
+    Kernel {
+        name: "machine_1k_transactions",
+        work: "1000 mixed read/write transactions on a 4x4 grid, drained to quiescence",
+        units: |_| 1_000,
+        body: kernel_machine_1k,
+    },
+    Kernel {
+        name: "synthetic_sweep",
+        work: "closed-loop Figure-2 workload at 10 and 25 req/ms/proc on a 4x4 grid",
+        units: |quick| 2 * 16 * if quick { 10 } else { 40 },
+        body: kernel_synthetic_sweep,
+    },
+    Kernel {
+        name: "faulted_run",
+        work: "synthetic workload under a composite fault plan (drop/loss/dup/nack)",
+        units: |quick| 16 * if quick { 10 } else { 30 },
+        body: kernel_faulted_run,
+    },
+    Kernel {
+        name: "queue_churn",
+        work: "event-queue schedule/pop churn over the machine's delay mix",
+        units: queue_churn_ops,
+        body: kernel_queue_churn,
+    },
+    Kernel {
+        name: "cube_pdes_events",
+        work: "4-plane cube (64 processors): two depth-traffic exchanges, then \
+               the planes on 1 worker, the serial reference; units are machine events",
+        units: |_| CUBE_PDES_EVENTS,
+        body: |_| kernel_cube_pdes(1),
+    },
+    Kernel {
+        name: "cube_pdes_events_parallel",
+        work: "the same cube with its 4 planes on 2 workers; units are \
+               machine events",
+        units: |_| CUBE_PDES_EVENTS,
+        body: |_| kernel_cube_pdes(2),
+    },
+];
+
 /// Runs every kernel and collects the results, in kernel order.
 ///
 /// Kernels run as jobs on a **serial** pool: wall-clock timing forbids
@@ -327,61 +382,19 @@ impl std::fmt::Display for KernelFailure {
 /// measure and report.
 pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
     let quick = cfg.quick;
-    type Body = Box<dyn FnMut() -> u64 + Send>;
-    let kernels: Vec<(&'static str, &'static str, u64, Body)> = vec![
-        (
-            "machine_1k_transactions",
-            "1000 mixed read/write transactions on a 4x4 grid, drained to quiescence",
-            1_000,
-            Box::new(move || kernel_machine_1k(quick)),
-        ),
-        (
-            "synthetic_sweep",
-            "closed-loop Figure-2 workload at 10 and 25 req/ms/proc on a 4x4 grid",
-            2 * 16 * if quick { 10 } else { 40 },
-            Box::new(move || kernel_synthetic_sweep(quick)),
-        ),
-        (
-            "faulted_run",
-            "synthetic workload under a composite fault plan (drop/loss/dup/nack)",
-            16 * if quick { 10 } else { 30 },
-            Box::new(move || kernel_faulted_run(quick)),
-        ),
-        (
-            "queue_churn",
-            "event-queue schedule/pop churn over the machine's delay mix",
-            queue_churn_ops(quick),
-            Box::new(move || kernel_queue_churn(quick)),
-        ),
-        (
-            "cube_pdes_events",
-            "4-plane cube (64 processors): two depth-traffic exchanges, then \
-             the planes on 1 worker, the serial reference; units are machine events",
-            CUBE_PDES_EVENTS,
-            Box::new(|| kernel_cube_pdes(1)),
-        ),
-        (
-            "cube_pdes_events_parallel",
-            "the same cube with its 4 planes on 2 workers; units are \
-             machine events",
-            CUBE_PDES_EVENTS,
-            Box::new(|| kernel_cube_pdes(2)),
-        ),
-    ];
-    let names: Vec<&'static str> = kernels.iter().map(|(name, _, _, _)| *name).collect();
     let outcomes = Pool::serial().run(
-        kernels
-            .into_iter()
-            .map(|(name, work, units, body)| move |_id| measure(cfg, name, work, units, body))
+        KERNELS
+            .iter()
+            .map(|k| move |_id| measure(cfg, k.name, k.work, (k.units)(quick), || (k.body)(quick)))
             .collect::<Vec<_>>(),
     );
     let mut results = Vec::new();
     let mut failures = Vec::new();
-    for (name, outcome) in names.into_iter().zip(outcomes) {
+    for (k, outcome) in KERNELS.iter().zip(outcomes) {
         match outcome {
             Ok(r) => results.push(r),
             Err(panic) => failures.push(KernelFailure {
-                name,
+                name: k.name,
                 message: panic.message,
             }),
         }
@@ -389,104 +402,77 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
     (results, failures)
 }
 
-/// Summary statistics of one kernel from a written report, as read back
-/// by [`extract_kernel_stats`].
+/// One kernel of a written report, as read back by [`kernel_stats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelStat {
     /// Kernel name.
     pub name: String,
     /// Median wall-clock time per pass (ns).
     pub median_ns: u64,
-    /// Work units per pass; `0` for reports written before the field
-    /// existed.
+    /// Work units per pass.
     pub work_units: u64,
 }
 
-/// Scans one `u64` JSON field out of a kernel block.
-fn scan_u64_field(block: &str, key: &str) -> Option<u64> {
-    let pos = block.find(key)?;
-    let tail = &block[pos + key.len()..];
-    let digits: String = tail
-        .chars()
-        .skip_while(|c| *c == ':' || c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Extracts per-kernel summary stats from a previous report, tolerating
-/// reports from before `work_units` existed (the field reads as zero).
-/// Each kernel's fields are read from its own block only, up to the next
-/// `"name"` key; a kernel without a `median_ns` is left out.
-///
-/// The scanner only relies on the keys this module itself emits, so it
-/// round-trips any report the harness wrote.
-pub fn extract_kernel_stats(text: &str) -> Vec<KernelStat> {
-    let mut out = Vec::new();
-    let mut rest = text;
-    while let Some(pos) = rest.find("\"name\"") {
-        rest = &rest[pos + "\"name\"".len()..];
-        let Some(q0) = rest.find('"') else { break };
-        let Some(q1) = rest[q0 + 1..].find('"') else {
-            break;
-        };
-        let name = rest[q0 + 1..q0 + 1 + q1].to_string();
-        let block = &rest[..rest.find("\"name\"").unwrap_or(rest.len())];
-        if let Some(median_ns) = scan_u64_field(block, "\"median_ns\"") {
-            out.push(KernelStat {
-                name,
-                median_ns,
-                work_units: scan_u64_field(block, "\"work_units\"").unwrap_or(0),
-            });
-        }
-    }
-    out
-}
-
-/// The soft CI perf-regression guard: compares `kernel`'s median between
-/// two reports and fails when the current one is more than
-/// `threshold_pct` percent slower.
-///
-/// Quick and full reports run different kernel sizes, so when both
-/// reports carry `work_units` the comparison is per work unit; raw
-/// medians are compared otherwise. A baseline without the kernel passes
-/// with a note — the guard is soft, it must not block the first report
-/// that introduces a kernel.
+/// Reads each kernel's name, median and work units out of a parsed report.
 ///
 /// # Errors
 ///
-/// A description of the regression (or of a malformed current report).
+/// A report without a `kernels` array, or a kernel missing one of the
+/// three fields.
+pub fn kernel_stats(report: &Value) -> Result<Vec<KernelStat>, String> {
+    report
+        .array_field("kernels")?
+        .iter()
+        .map(|k| {
+            let name = k.str_field("name")?;
+            let field = |key| k.u64_field(key).map_err(|e| format!("kernel {name}: {e}"));
+            Ok(KernelStat {
+                name: name.to_string(),
+                median_ns: field("median_ns")?,
+                work_units: field("work_units")?,
+            })
+        })
+        .collect()
+}
+
+/// The soft CI perf-regression guard: compares `kernel`'s median per work
+/// unit between two reports and fails when the current one is more than
+/// `threshold_pct` percent slower. Comparing per unit lets a quick run
+/// measure against a full-mode baseline. A baseline without the kernel
+/// passes with a note — the guard is soft, it must not block the first
+/// report that introduces a kernel.
+///
+/// # Errors
+///
+/// A description of the regression, or of a kernel missing from `current`
+/// or without work.
 pub fn check_regression_guard(
-    current_json: &str,
-    baseline_json: &str,
+    current: &[KernelStat],
+    baseline: &[KernelStat],
     kernel: &str,
     threshold_pct: f64,
 ) -> Result<String, String> {
-    let current = extract_kernel_stats(current_json);
     let cur = current
         .iter()
         .find(|k| k.name == kernel)
         .ok_or_else(|| format!("kernel {kernel} missing from current report"))?;
-    let baseline = extract_kernel_stats(baseline_json);
     let Some(base) = baseline.iter().find(|k| k.name == kernel) else {
         return Ok(format!("guard: baseline has no kernel {kernel}; skipping"));
     };
-    if base.median_ns == 0 {
-        return Err(format!("baseline kernel {kernel} has zero median"));
-    }
-    let per_unit = cur.work_units > 0 && base.work_units > 0;
-    let (cur_v, base_v, unit) = if per_unit {
-        (
-            cur.median_ns as f64 / cur.work_units as f64,
-            base.median_ns as f64 / base.work_units as f64,
-            "ns/unit",
-        )
-    } else {
-        (cur.median_ns as f64, base.median_ns as f64, "ns")
+    let per_unit = |k: &KernelStat, report: &str| {
+        if k.median_ns == 0 || k.work_units == 0 {
+            Err(format!(
+                "{report} kernel {kernel} has a zero median or no work units"
+            ))
+        } else {
+            Ok(k.median_ns as f64 / k.work_units as f64)
+        }
     };
+    let cur_v = per_unit(cur, "current")?;
+    let base_v = per_unit(base, "baseline")?;
     let delta_pct = (cur_v - base_v) / base_v * 100.0;
     let msg = format!(
-        "guard: {kernel} {cur_v:.1} {unit} vs baseline {base_v:.1} {unit} ({delta_pct:+.1}%)"
+        "guard: {kernel} {cur_v:.1} ns/unit vs baseline {base_v:.1} ns/unit ({delta_pct:+.1}%)"
     );
     if delta_pct > threshold_pct {
         Err(format!("{msg} exceeds the +{threshold_pct:.0}% threshold"))
@@ -495,121 +481,80 @@ pub fn check_regression_guard(
     }
 }
 
-/// Renders the report as JSON. `baseline` medians (from
-/// [`extract_kernel_stats`] on a previous report) are embedded together
-/// with the speedup of each matching kernel.
+/// The `mode` a report of `cfg` records.
+fn mode(cfg: &PerfConfig) -> &'static str {
+    if cfg.quick {
+        "quick"
+    } else {
+        "full"
+    }
+}
+
+/// Renders the report as JSON. `baseline` medians (from [`kernel_stats`]
+/// on a previous report) are embedded together with the speedup of each
+/// matching kernel.
 pub fn render_json(
     cfg: &PerfConfig,
     results: &[KernelResult],
     baseline: Option<&[KernelStat]>,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(
-        out,
-        "  \"mode\": \"{}\",",
-        if cfg.quick { "quick" } else { "full" }
-    );
-    let _ = writeln!(
-        out,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    );
-    let _ = writeln!(out, "  \"warmup\": {},", cfg.warmup);
-    let _ = writeln!(out, "  \"repeats\": {},", cfg.repeats);
-    out.push_str("  \"kernels\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(out, "      \"work\": \"{}\",", r.work);
-        let _ = writeln!(out, "      \"work_units\": {},", r.work_units);
-        let _ = writeln!(out, "      \"median_ns\": {},", r.median_ns);
-        let _ = writeln!(out, "      \"mad_ns\": {},", r.mad_ns);
-        let _ = writeln!(out, "      \"p90_ns\": {},", r.p90_ns);
-        let _ = writeln!(out, "      \"outliers\": {},", r.outliers);
-        let _ = writeln!(out, "      \"min_ns\": {},", r.min_ns);
-        let _ = writeln!(out, "      \"max_ns\": {},", r.max_ns);
-        if let Some(base) = baseline
-            .and_then(|b| b.iter().find(|k| k.name == r.name))
-            .map(|k| k.median_ns)
-        {
-            let _ = writeln!(out, "      \"baseline_median_ns\": {base},");
+    let kernels = results.iter().map(|r| {
+        let mut members = vec![
+            ("name", r.name.into()),
+            ("work", r.work.into()),
+            ("work_units", r.work_units.into()),
+            ("median_ns", r.median_ns.into()),
+            ("mad_ns", r.mad_ns.into()),
+            ("p90_ns", r.p90_ns.into()),
+            ("outliers", r.outliers.into()),
+            ("min_ns", r.min_ns.into()),
+            ("max_ns", r.max_ns.into()),
+        ];
+        if let Some(base) = baseline.and_then(|b| b.iter().find(|k| k.name == r.name)) {
+            members.push(("baseline_median_ns", base.median_ns.into()));
             if r.median_ns > 0 {
-                let _ = writeln!(
-                    out,
-                    "      \"speedup_vs_baseline\": {:.4},",
-                    base as f64 / r.median_ns as f64
-                );
+                let speedup = base.median_ns as f64 / r.median_ns as f64;
+                members.push(("speedup_vs_baseline", Value::fixed(speedup, 4)));
             }
         }
-        let samples: Vec<String> = r.samples_ns.iter().map(|s| s.to_string()).collect();
-        let _ = writeln!(out, "      \"samples_ns\": [{}]", samples.join(", "));
-        out.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+        members.push(("samples_ns", r.samples_ns.iter().copied().collect()));
+        json::obj(members)
+    });
+    json::obj([
+        ("schema", SCHEMA.into()),
+        ("mode", mode(cfg).into()),
+        (
+            "host_parallelism",
+            std::thread::available_parallelism()
+                .map_or(1, std::num::NonZero::get)
+                .into(),
+        ),
+        ("warmup", cfg.warmup.into()),
+        ("repeats", cfg.repeats.into()),
+        ("kernels", Value::Arr(kernels.collect())),
+    ])
+    .pretty()
 }
 
-/// Validates that `text` looks like a report this harness wrote: balanced
-/// JSON brackets, the schema marker, and at least the three core kernels
-/// with nonzero medians.
+/// Validates that `text` is a report this harness wrote under `cfg`: the
+/// schema and mode, and every kernel [`run_all`] runs with a nonzero
+/// median and work-unit count.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first problem found.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let mut depth_obj = 0i64;
-    let mut depth_arr = 0i64;
-    let mut in_str = false;
-    let mut prev = '\0';
-    for c in text.chars() {
-        if in_str {
-            if c == '"' && prev != '\\' {
-                in_str = false;
+pub fn validate_report(text: &str, cfg: &PerfConfig) -> Result<(), String> {
+    let report = json::parse_artifact(text, SCHEMA, mode(cfg))?;
+    let stats = kernel_stats(&report)?;
+    for kernel in &KERNELS {
+        match stats.iter().find(|k| k.name == kernel.name) {
+            None => return Err(format!("missing kernel {}", kernel.name)),
+            Some(k) if k.median_ns == 0 || k.work_units == 0 => {
+                return Err(format!(
+                    "kernel {} has a zero median or no work units",
+                    k.name
+                ))
             }
-        } else {
-            match c {
-                '"' => in_str = true,
-                '{' => depth_obj += 1,
-                '}' => depth_obj -= 1,
-                '[' => depth_arr += 1,
-                ']' => depth_arr -= 1,
-                _ => {}
-            }
-            if depth_obj < 0 || depth_arr < 0 {
-                return Err("unbalanced brackets".into());
-            }
-        }
-        prev = c;
-    }
-    if depth_obj != 0 || depth_arr != 0 || in_str {
-        return Err("unterminated JSON structure".into());
-    }
-    if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("missing schema marker {SCHEMA}"));
-    }
-    let stats = extract_kernel_stats(text);
-    for required in [
-        "machine_1k_transactions",
-        "synthetic_sweep",
-        "faulted_run",
-        "queue_churn",
-        "cube_pdes_events",
-        "cube_pdes_events_parallel",
-    ] {
-        match stats
-            .iter()
-            .find(|k| k.name == required)
-            .map(|k| k.median_ns)
-        {
-            None => return Err(format!("missing kernel {required}")),
-            Some(0) => return Err(format!("kernel {required} has zero median")),
             Some(_) => {}
         }
     }
@@ -671,6 +616,11 @@ mod tests {
         assert_eq!(outliers, 1);
     }
 
+    /// The stats of a rendered report, read back through the codec.
+    fn stats_of(json: &str) -> Vec<KernelStat> {
+        kernel_stats(&json::parse(json).unwrap()).unwrap()
+    }
+
     #[test]
     fn quick_report_roundtrips_and_validates() {
         let cfg = PerfConfig {
@@ -682,8 +632,12 @@ mod tests {
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(results.len(), 6);
         let json = render_json(&cfg, &results, None);
-        validate_report(&json).unwrap();
-        let stats = extract_kernel_stats(&json);
+        validate_report(&json, &cfg).unwrap();
+        assert_eq!(
+            validate_report(&json, &PerfConfig::full()),
+            Err("expected a full-mode report".to_string())
+        );
+        let stats = stats_of(&json);
         assert_eq!(stats.len(), 6);
         assert_eq!(stats[0].name, "machine_1k_transactions");
         assert_eq!(stats[0].median_ns, results[0].median_ns);
@@ -695,9 +649,14 @@ mod tests {
         assert_eq!(stats[4].work_units, CUBE_PDES_EVENTS);
         assert_eq!(stats[5].name, "cube_pdes_events_parallel");
         assert_eq!(stats[5].work_units, CUBE_PDES_EVENTS);
-        assert!(json.contains("\"p90_ns\""));
-        assert!(json.contains("\"outliers\""));
-        assert!(json.contains("\"host_parallelism\": "));
+        let report = json::parse(&json).unwrap();
+        let kernel = &report.array_field("kernels").unwrap()[0];
+        assert_eq!(kernel.u64_field("p90_ns"), Ok(results[0].p90_ns));
+        assert_eq!(
+            kernel.u64_field("outliers"),
+            Ok(u64::from(results[0].outliers))
+        );
+        assert!(report.u64_field("host_parallelism").unwrap() >= 1);
     }
 
     #[test]
@@ -726,24 +685,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_extractor_tolerates_reports_without_work_units() {
-        let old = r#"{"kernels": [{"name": "machine_1k_transactions",
-            "median_ns": 274279, "mad_ns": 5}]}"#;
-        let stats = extract_kernel_stats(old);
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].median_ns, 274_279);
-        assert_eq!(stats[0].work_units, 0);
-    }
-
-    #[test]
     fn stats_extractor_keeps_each_median_with_its_own_kernel() {
         // A kernel without a median must not borrow the next kernel's.
-        let text = r#"{"kernels": [{"name": "a", "mad_ns": 1}, {"name": "b", "median_ns": 5}]}"#;
-        let pairs: Vec<(String, u64)> = extract_kernel_stats(text)
-            .into_iter()
-            .map(|k| (k.name, k.median_ns))
-            .collect();
-        assert_eq!(pairs, [("b".to_string(), 5)]);
+        let text = r#"{"kernels": [{"name": "a", "work_units": 1, "mad_ns": 1},
+            {"name": "b", "work_units": 1, "median_ns": 5}]}"#;
+        assert_eq!(
+            kernel_stats(&json::parse(text).unwrap()),
+            Err("kernel a: missing `median_ns`".to_string())
+        );
     }
 
     #[test]
@@ -751,50 +700,86 @@ mod tests {
         let cfg = PerfConfig::quick();
         // Per-unit: current is 300 units at 120 ns vs baseline 1000 units
         // at 300 ns — 0.4 vs 0.3 ns/unit, a +33% regression.
-        let current = render_json(&cfg, &[result("machine_1k_transactions", 300, 120)], None);
-        let baseline = render_json(
+        let current = stats_of(&render_json(
+            &cfg,
+            &[result("machine_1k_transactions", 300, 120)],
+            None,
+        ));
+        let baseline = stats_of(&render_json(
             &PerfConfig::full(),
             &[result("machine_1k_transactions", 1_000, 300)],
             None,
-        );
+        ));
         let err = check_regression_guard(&current, &baseline, "machine_1k_transactions", 25.0)
             .unwrap_err();
         assert!(err.contains("exceeds"), "{err}");
         // A faster run passes.
-        let fast = render_json(&cfg, &[result("machine_1k_transactions", 300, 60)], None);
+        let fast = stats_of(&render_json(
+            &cfg,
+            &[result("machine_1k_transactions", 300, 60)],
+            None,
+        ));
         let msg =
             check_regression_guard(&fast, &baseline, "machine_1k_transactions", 25.0).unwrap();
         assert!(msg.contains("ns/unit"), "{msg}");
         // Threshold is inclusive-of-anything-at-or-below: +33% passes a 40% bar.
         check_regression_guard(&current, &baseline, "machine_1k_transactions", 40.0).unwrap();
-    }
-
-    #[test]
-    fn guard_falls_back_to_raw_medians_without_work_units() {
-        let old_baseline =
-            r#"{"kernels": [{"name": "machine_1k_transactions", "median_ns": 100}]}"#;
-        let cfg = PerfConfig::quick();
-        let current = render_json(&cfg, &[result("machine_1k_transactions", 300, 200)], None);
-        let err = check_regression_guard(&current, old_baseline, "machine_1k_transactions", 25.0)
-            .unwrap_err();
-        assert!(err.contains("ns vs baseline"), "{err}");
-        // An unknown kernel in the baseline is a soft pass.
-        let msg = check_regression_guard(&current, "{}", "machine_1k_transactions", 25.0).unwrap();
+        // A baseline without the kernel is a soft pass.
+        let msg = check_regression_guard(&current, &[], "machine_1k_transactions", 25.0).unwrap();
         assert!(msg.contains("skipping"), "{msg}");
     }
 
     #[test]
+    fn guard_rejects_reports_without_work_units() {
+        // There is no raw-median fallback: a report that does not carry
+        // `work_units` cannot be read, and a kernel without work fails the
+        // guard on either side.
+        let no_units = r#"{"kernels": [{"name": "machine_1k_transactions", "median_ns": 100}]}"#;
+        assert_eq!(
+            kernel_stats(&json::parse(no_units).unwrap()),
+            Err("kernel machine_1k_transactions: missing `work_units`".to_string())
+        );
+        let cfg = PerfConfig::quick();
+        let busy = stats_of(&render_json(
+            &cfg,
+            &[result("machine_1k_transactions", 300, 120)],
+            None,
+        ));
+        let idle = stats_of(&render_json(
+            &cfg,
+            &[result("machine_1k_transactions", 0, 100)],
+            None,
+        ));
+        assert_eq!(
+            check_regression_guard(&busy, &idle, "machine_1k_transactions", 25.0),
+            Err(
+                "baseline kernel machine_1k_transactions has a zero median or no work units"
+                    .to_string()
+            )
+        );
+        assert_eq!(
+            check_regression_guard(&idle, &busy, "machine_1k_transactions", 25.0),
+            Err(
+                "current kernel machine_1k_transactions has a zero median or no work units"
+                    .to_string()
+            )
+        );
+    }
+
+    #[test]
     fn validate_rejects_garbage() {
-        assert!(validate_report("{").is_err());
-        assert!(validate_report("{}").is_err());
-        let no_kernels = format!("{{\"schema\": \"{SCHEMA}\"}}");
-        assert!(validate_report(&no_kernels).is_err());
+        let cfg = PerfConfig::quick();
+        assert!(validate_report("{", &cfg).is_err());
+        assert!(validate_report("{}", &cfg).is_err());
+        let no_kernels = format!("{{\"schema\": \"{SCHEMA}\", \"mode\": \"quick\"}}");
+        assert_eq!(
+            validate_report(&no_kernels, &cfg),
+            Err("missing `kernels`".to_string())
+        );
     }
 
     #[test]
     fn validate_rejects_a_required_kernel_without_a_median() {
-        // An unrequired kernel right after the median-less one: its median
-        // must not stand in for the missing one.
         let cfg = PerfConfig::quick();
         let results: Vec<KernelResult> = [
             "machine_1k_transactions",
@@ -809,12 +794,22 @@ mod tests {
         .map(|name| result(name, 10, 100))
         .collect();
         let json = render_json(&cfg, &results, None);
-        validate_report(&json).unwrap();
+        validate_report(&json, &cfg).unwrap();
         let without = json.replacen("\"median_ns\": 100,", "", 1);
         assert_ne!(without, json);
         assert_eq!(
-            validate_report(&without),
-            Err("missing kernel machine_1k_transactions".to_string())
+            validate_report(&without, &cfg),
+            Err("kernel machine_1k_transactions: missing `median_ns`".to_string())
+        );
+        let zero = json.replacen("\"median_ns\": 100,", "\"median_ns\": 0,", 1);
+        assert_eq!(
+            validate_report(&zero, &cfg),
+            Err("kernel machine_1k_transactions has a zero median or no work units".to_string())
+        );
+        let dropped = render_json(&cfg, &results[..6], None);
+        assert_eq!(
+            validate_report(&dropped, &cfg),
+            Err("missing kernel cube_pdes_events_parallel".to_string())
         );
     }
 }

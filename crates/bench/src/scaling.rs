@@ -20,6 +20,7 @@ use multicube_sim::{split_seed, stream_id};
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::json::{self, Value};
 use crate::simfig::PointFailure;
 
 /// Identifies the JSON layout; bump when the schema changes shape.
@@ -501,106 +502,94 @@ pub fn render_scaling_study(study: &ScalingStudy) -> String {
     out
 }
 
+/// The timing fields of a measured cube point, in written order.
+const TIMING_KEYS: [&str; 7] = [
+    "host_parallelism",
+    "serial_ms",
+    "events_per_sec_serial",
+    "workers",
+    "parallel_ms",
+    "speedup",
+    "events_per_sec",
+];
+
 /// Renders the study as the `BENCH_scaling.json` artifact. `cube`, when
 /// present, is emitted as a `"cube"` section after the grid points; its
 /// timing fields appear only for full-mode (measured) studies, keeping
 /// quick-mode output free of host-dependent bytes.
 pub fn render_scaling_json(study: &ScalingStudy, cube: Option<&CubeStudy>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{SCALING_SCHEMA}\",");
-    let mode = scaling_mode(&study.config, cube.map(|c| &c.config));
-    let _ = writeln!(out, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(out, "  \"seed\": {},", study.config.seed);
-    let _ = writeln!(out, "  \"txns_per_node\": {},", study.config.txns_per_node);
-    let ns: Vec<String> = study.config.ns.iter().map(|n| n.to_string()).collect();
-    let _ = writeln!(out, "  \"ns\": [{}],", ns.join(", "));
-    let rates: Vec<String> = study.config.rates.iter().map(|r| r.to_string()).collect();
-    let _ = writeln!(out, "  \"rates_per_ms\": [{}],", rates.join(", "));
-    let _ = writeln!(out, "  \"failures\": {},", study.failures.len());
-    out.push_str("  \"points\": [\n");
-    for (i, p) in study.points.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"n\": {},", p.n);
-        let _ = writeln!(out, "      \"processors\": {},", p.processors);
-        let _ = writeln!(out, "      \"rate_per_ms\": {},", p.rate_per_ms);
-        let _ = writeln!(out, "      \"seed\": {},", p.seed);
-        let _ = writeln!(out, "      \"efficiency\": {:.6},", p.efficiency);
-        let _ = writeln!(
-            out,
-            "      \"effective_processors\": {:.2},",
-            p.effective_processors
-        );
-        let _ = writeln!(out, "      \"rho_row\": {:.6},", p.rho_row);
-        let _ = writeln!(out, "      \"rho_col\": {:.6},", p.rho_col);
-        let _ = writeln!(out, "      \"ops_per_txn\": {:.4},", p.ops_per_txn);
-        let _ = writeln!(out, "      \"completed\": {}", p.completed);
-        out.push_str(if i + 1 == study.points.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
+    let points = study.points.iter().map(|p| {
+        json::obj([
+            ("n", p.n.into()),
+            ("processors", p.processors.into()),
+            ("rate_per_ms", p.rate_per_ms.into()),
+            ("seed", p.seed.into()),
+            ("efficiency", Value::fixed(p.efficiency, 6)),
+            (
+                "effective_processors",
+                Value::fixed(p.effective_processors, 2),
+            ),
+            ("rho_row", Value::fixed(p.rho_row, 6)),
+            ("rho_col", Value::fixed(p.rho_col, 6)),
+            ("ops_per_txn", Value::fixed(p.ops_per_txn, 4)),
+            ("completed", p.completed.into()),
+        ])
+    });
+    let config = &study.config;
+    let mut report = vec![
+        ("schema", SCALING_SCHEMA.into()),
+        ("mode", scaling_mode(config, cube.map(|c| &c.config)).into()),
+        ("seed", config.seed.into()),
+        ("txns_per_node", config.txns_per_node.into()),
+        ("ns", config.ns.iter().copied().collect()),
+        ("rates_per_ms", config.rates.iter().copied().collect()),
+        ("failures", study.failures.len().into()),
+        ("points", Value::Arr(points.collect())),
+    ];
     if let Some(cube) = cube {
-        out.push_str("  ],\n");
-        out.push_str("  \"cube\": {\n");
-        let _ = writeln!(out, "    \"seed\": {},", cube.config.seed);
-        let _ = writeln!(out, "    \"txns_per_node\": {},", cube.config.txns_per_node);
-        let _ = writeln!(
-            out,
-            "    \"remote_ops_per_plane\": {},",
-            cube.config.remote_ops
-        );
-        let sides: Vec<String> = cube.config.sides.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(out, "    \"sides\": [{}],", sides.join(", "));
-        out.push_str("    \"points\": [\n");
-        for (i, p) in cube.points.iter().enumerate() {
-            out.push_str("      {\n");
-            let _ = writeln!(out, "        \"side\": {},", p.side);
-            let _ = writeln!(out, "        \"processors\": {},", p.processors);
-            let _ = writeln!(out, "        \"transactions\": {},", p.transactions);
-            let _ = writeln!(out, "        \"remote_ops\": {},", p.remote_ops);
-            let _ = writeln!(out, "        \"events\": {},", p.events);
-            let _ = writeln!(
-                out,
-                "        \"mean_efficiency\": {:.6},",
-                p.mean_efficiency
-            );
+        let points = cube.points.iter().map(|p| {
+            let mut members = vec![
+                ("side", p.side.into()),
+                ("processors", p.processors.into()),
+                ("transactions", p.transactions.into()),
+                ("remote_ops", p.remote_ops.into()),
+                ("events", p.events.into()),
+                ("mean_efficiency", Value::fixed(p.mean_efficiency, 6)),
+                ("fingerprint", p.fingerprint.as_str().into()),
+            ];
             if let Some(t) = &p.timing {
-                let _ = writeln!(out, "        \"fingerprint\": \"{}\",", p.fingerprint);
-                let _ = writeln!(out, "        \"host_parallelism\": {},", t.host_parallelism);
-                let _ = writeln!(out, "        \"serial_ms\": {:.3},", t.serial_ms);
-                let _ = writeln!(
-                    out,
-                    "        \"events_per_sec_serial\": {:.0},",
-                    t.events_per_sec_serial
-                );
-                let _ = writeln!(out, "        \"workers\": {},", t.workers);
-                let _ = writeln!(out, "        \"parallel_ms\": {:.3},", t.parallel_ms);
-                let _ = writeln!(out, "        \"speedup\": {:.4},", t.speedup);
-                let _ = writeln!(out, "        \"events_per_sec\": {:.0}", t.events_per_sec);
-            } else {
-                let _ = writeln!(out, "        \"fingerprint\": \"{}\"", p.fingerprint);
+                let values = [
+                    t.host_parallelism.into(),
+                    Value::fixed(t.serial_ms, 3),
+                    Value::fixed(t.events_per_sec_serial, 0),
+                    t.workers.into(),
+                    Value::fixed(t.parallel_ms, 3),
+                    Value::fixed(t.speedup, 4),
+                    Value::fixed(t.events_per_sec, 0),
+                ];
+                members.extend(TIMING_KEYS.into_iter().zip(values));
             }
-            out.push_str(if i + 1 == cube.points.len() {
-                "      }\n"
-            } else {
-                "      },\n"
-            });
-        }
-        out.push_str("    ]\n");
-        out.push_str("  }\n");
-    } else {
-        out.push_str("  ]\n");
+            json::obj(members)
+        });
+        report.push((
+            "cube",
+            json::obj([
+                ("seed", cube.config.seed.into()),
+                ("txns_per_node", cube.config.txns_per_node.into()),
+                ("remote_ops_per_plane", cube.config.remote_ops.into()),
+                ("sides", cube.config.sides.iter().copied().collect()),
+                ("points", Value::Arr(points.collect())),
+            ]),
+        ));
     }
-    out.push_str("}\n");
-    out
+    json::obj(report).pretty()
 }
 
-/// Validates that `text` looks like a scaling report this module wrote:
-/// the schema marker, the configuration's mode, one point per
-/// configured `(n, rate)` pair, no recorded failures, and — when `cube` is
-/// given — one fingerprinted cube point per configured side.
+/// Validates that `text` is a scaling report this module wrote for
+/// `config` and `cube`: the schema and mode, no recorded failures, the
+/// `(n, rate_per_ms)` points of `ns × rates` in order, and — when `cube`
+/// is given — a fingerprinted cube point per configured side, in order,
+/// with timing fields exactly when the cube study measures.
 ///
 /// # Errors
 ///
@@ -610,54 +599,53 @@ pub fn validate_scaling_report(
     config: &ScalingStudyConfig,
     cube: Option<&CubeStudyConfig>,
 ) -> Result<(), String> {
-    if !text.contains(&format!("\"schema\": \"{SCALING_SCHEMA}\"")) {
-        return Err(format!("missing schema marker {SCALING_SCHEMA}"));
-    }
-    let mode = scaling_mode(config, cube);
-    if !text.contains(&format!("\"mode\": \"{mode}\"")) {
-        return Err(format!("expected a {mode}-mode report"));
-    }
-    let expected = config.ns.len() * config.rates.len();
-    let got = text.matches("\"efficiency\":").count();
-    if got != expected {
-        return Err(format!("expected {expected} points, found {got}"));
-    }
-    if !text.contains("\"failures\": 0") {
+    let report = json::parse_artifact(text, SCALING_SCHEMA, scaling_mode(config, cube))?;
+    if report.u64_field("failures")? != 0 {
         return Err("report records contained point failures".to_string());
     }
-    for n in &config.ns {
-        if !text.contains(&format!("\"n\": {n},")) {
-            return Err(format!("missing grid side n={n}"));
+    let points = report
+        .array_field("points")?
+        .iter()
+        .map(|p| Ok((p.u64_field("n")?, p.f64_field("rate_per_ms")?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let expected: Vec<(u64, f64)> = config
+        .ns
+        .iter()
+        .flat_map(|&n| config.rates.iter().map(move |&r| (u64::from(n), r)))
+        .collect();
+    if points != expected {
+        return Err(format!(
+            "expected (n, rate) points {expected:?}, found {points:?}"
+        ));
+    }
+    match (cube, report.get("cube")) {
+        (None, None) => Ok(()),
+        (None, Some(_)) => Err("unexpected cube section".to_string()),
+        (Some(_), None) => Err("missing cube section".to_string()),
+        (Some(cube), Some(section)) => {
+            let points = section.array_field("points")?;
+            let sides = points
+                .iter()
+                .map(|p| p.u64_field("side"))
+                .collect::<Result<Vec<_>, String>>()?;
+            let expected: Vec<u64> = cube.sides.iter().map(|&s| u64::from(s)).collect();
+            if sides != expected {
+                return Err(format!("expected cube sides {expected:?}, found {sides:?}"));
+            }
+            for (p, side) in points.iter().zip(sides) {
+                p.str_field("fingerprint")
+                    .map_err(|e| format!("cube side {side}: {e}"))?;
+                for key in TIMING_KEYS {
+                    if p.get(key).is_some() != cube.measure {
+                        return Err(format!(
+                            "cube side {side}: `{key}` must be recorded exactly when the study measures"
+                        ));
+                    }
+                }
+            }
+            Ok(())
         }
     }
-    if let Some(cube) = cube {
-        let expected = cube.sides.len();
-        let got = text.matches("\"fingerprint\":").count();
-        if got != expected {
-            return Err(format!("expected {expected} cube points, found {got}"));
-        }
-        for side in &cube.sides {
-            if !text.contains(&format!("\"side\": {side},")) {
-                return Err(format!("missing cube side {side}"));
-            }
-        }
-        let timed = text.matches("\"parallel_ms\":").count();
-        if cube.measure {
-            if timed != expected {
-                return Err(format!(
-                    "expected {expected} parallel timings, found {timed}"
-                ));
-            }
-            if !text.contains("\"host_parallelism\":") {
-                return Err("measured cube study must record host_parallelism".to_string());
-            }
-        } else if timed != 0 {
-            return Err("quick cube study must not record timings".to_string());
-        }
-    } else if text.contains("\"cube\":") {
-        return Err("unexpected cube section".to_string());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -722,6 +710,12 @@ mod tests {
         };
         assert!(validate_scaling_report(&json, &wrong, None).is_err());
         assert!(validate_scaling_report("{}", &tiny(), None).is_err());
+        // `figures` validates before it writes, so a failed point fails it.
+        let failed = json.replace("\"failures\": 0", "\"failures\": 1");
+        assert_eq!(
+            validate_scaling_report(&failed, &tiny(), None),
+            Err("report records contained point failures".to_string())
+        );
     }
 
     fn tiny_cube() -> CubeStudyConfig {

@@ -25,6 +25,7 @@ use multicube_workload::{
 };
 use std::fmt::Write as _;
 
+use crate::json::{self, Value};
 use crate::simfig::PointFailure;
 
 /// Schema marker for the `BENCH_serve.json` artifact. v2 stamps the
@@ -331,106 +332,80 @@ pub fn render_serve(title: &str, study: &ServeStudy) -> String {
 /// a deterministic function of `(config, seed)` — there are no
 /// wall-clock bytes, so the artifact is identical at any worker count.
 pub fn render_serve_json(study: &ServeStudy) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{SERVE_SCHEMA}\",");
-    let _ = writeln!(out, "  \"mode\": \"{}\",", study.config.mode());
-    let _ = writeln!(out, "  \"seed\": {},", study.config.seed);
-    let _ = writeln!(out, "  \"n\": {},", study.config.n);
-    let _ = writeln!(
-        out,
-        "  \"requests_per_node\": {},",
-        study.config.requests_per_node
-    );
-    let _ = writeln!(out, "  \"chunk_records\": {},", study.config.chunk_records);
-    let _ = writeln!(
-        out,
-        "  \"total_transactions\": {},",
-        study.config.total_transactions()
-    );
-    let _ = writeln!(out, "  \"failures\": {},", study.failures.len());
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in study.rows.iter().enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(out, "      \"app\": \"{}\",", r.app);
-        let _ = writeln!(out, "      \"policy\": \"{}\",", r.policy);
-        let _ = writeln!(out, "      \"seed\": {},", r.seed);
-        let _ = writeln!(out, "      \"requests\": {},", r.requests);
-        let _ = writeln!(out, "      \"trace_records\": {},", r.trace_records);
-        let _ = writeln!(out, "      \"trace_chunks\": {},", r.trace_chunks);
-        let _ = writeln!(out, "      \"trace_bytes\": {},", r.trace_bytes);
-        let _ = writeln!(out, "      \"elapsed_ms\": {:.6},", r.elapsed_ms);
-        let _ = writeln!(
-            out,
-            "      \"throughput_per_ms\": {:.4},",
-            r.throughput_per_ms
-        );
-        let _ = writeln!(out, "      \"efficiency\": {:.6},", r.efficiency);
-        let _ = writeln!(out, "      \"ops_per_request\": {:.4},", r.ops_per_request);
-        let _ = writeln!(out, "      \"mean_latency_ns\": {:.2},", r.mean_latency_ns);
-        let _ = writeln!(out, "      \"p50_ns\": {},", r.p50_ns);
-        let _ = writeln!(out, "      \"p90_ns\": {},", r.p90_ns);
-        let _ = writeln!(out, "      \"p99_ns\": {},", r.p99_ns);
-        let _ = writeln!(out, "      \"p999_ns\": {},", r.p999_ns);
-        let _ = writeln!(out, "      \"max_latency_ns\": {:.0},", r.max_latency_ns);
-        let kinds: Vec<String> = r.kind_counts.iter().map(|k| k.to_string()).collect();
-        let _ = writeln!(out, "      \"kind_counts\": [{}],", kinds.join(", "));
-        let _ = writeln!(
-            out,
-            "      \"node_mean_min_ns\": {:.2},",
-            r.node_mean_min_ns
-        );
-        let _ = writeln!(
-            out,
-            "      \"node_mean_max_ns\": {:.2},",
-            r.node_mean_max_ns
-        );
-        let _ = writeln!(out, "      \"jain_fairness\": {:.6}", r.jain_fairness);
-        out.push_str(if i + 1 == study.rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let rows = study.rows.iter().map(|r| {
+        json::obj([
+            ("app", r.app.into()),
+            ("policy", r.policy.into()),
+            ("seed", r.seed.into()),
+            ("requests", r.requests.into()),
+            ("trace_records", r.trace_records.into()),
+            ("trace_chunks", r.trace_chunks.into()),
+            ("trace_bytes", r.trace_bytes.into()),
+            ("elapsed_ms", Value::fixed(r.elapsed_ms, 6)),
+            ("throughput_per_ms", Value::fixed(r.throughput_per_ms, 4)),
+            ("efficiency", Value::fixed(r.efficiency, 6)),
+            ("ops_per_request", Value::fixed(r.ops_per_request, 4)),
+            ("mean_latency_ns", Value::fixed(r.mean_latency_ns, 2)),
+            ("p50_ns", r.p50_ns.into()),
+            ("p90_ns", r.p90_ns.into()),
+            ("p99_ns", r.p99_ns.into()),
+            ("p999_ns", r.p999_ns.into()),
+            ("max_latency_ns", Value::fixed(r.max_latency_ns, 0)),
+            ("kind_counts", r.kind_counts.into_iter().collect()),
+            ("node_mean_min_ns", Value::fixed(r.node_mean_min_ns, 2)),
+            ("node_mean_max_ns", Value::fixed(r.node_mean_max_ns, 2)),
+            ("jain_fairness", Value::fixed(r.jain_fairness, 6)),
+        ])
+    });
+    let config = &study.config;
+    json::obj([
+        ("schema", SERVE_SCHEMA.into()),
+        ("mode", config.mode().into()),
+        ("seed", config.seed.into()),
+        ("n", config.n.into()),
+        ("requests_per_node", config.requests_per_node.into()),
+        ("chunk_records", config.chunk_records.into()),
+        ("total_transactions", config.total_transactions().into()),
+        ("failures", study.failures.len().into()),
+        ("rows", Value::Arr(rows.collect())),
+    ])
+    .pretty()
 }
 
-/// Validates that `text` looks like a serve report this module wrote:
-/// the schema marker, the configuration's mode, one row
-/// per `(app, policy)` pair each completing the full per-job quota, both
-/// policies present, no failures.
+/// Validates that `text` is a serve report this module wrote for
+/// `config`: the schema and mode, no failures, one row per
+/// `(app, policy)` pair of [`SERVE_APPS`] × [`Arbitration::all`] in
+/// order, and every row completing the full per-job quota.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first problem found.
 pub fn validate_serve_report(text: &str, config: &ServeConfig) -> Result<(), String> {
-    if !text.contains(&format!("\"schema\": \"{SERVE_SCHEMA}\"")) {
-        return Err(format!("missing schema marker {SERVE_SCHEMA}"));
-    }
-    let mode = config.mode();
-    if !text.contains(&format!("\"mode\": \"{mode}\"")) {
-        return Err(format!("expected a {mode}-mode report"));
-    }
-    let expected = SERVE_APPS.len() * Arbitration::all().len();
-    let got = text.matches("\"app\":").count();
-    if got != expected {
-        return Err(format!("expected {expected} rows, found {got}"));
-    }
-    if !text.contains("\"failures\": 0") {
+    let report = json::parse_artifact(text, SERVE_SCHEMA, config.mode())?;
+    if report.u64_field("failures")? != 0 {
         return Err("report records contained job failures".to_string());
     }
-    for policy in Arbitration::all() {
-        let marker = format!("\"policy\": \"{}\"", policy.name());
-        if text.matches(&marker).count() != SERVE_APPS.len() {
-            return Err(format!("missing {} rows", policy.name()));
-        }
+    let rows = report.array_field("rows")?;
+    let jobs = rows
+        .iter()
+        .map(|r| Ok((r.str_field("app")?, r.str_field("policy")?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    let expected: Vec<(&str, &str)> = SERVE_APPS
+        .into_iter()
+        .flat_map(|app| Arbitration::all().into_iter().map(move |p| (app, p.name())))
+        .collect();
+    if jobs != expected {
+        return Err(format!(
+            "expected (app, policy) rows {expected:?}, found {jobs:?}"
+        ));
     }
     let quota = config.n as u64 * config.n as u64 * config.requests_per_node;
-    let full = format!("\"requests\": {quota},");
-    if text.matches(&full).count() != expected {
-        return Err(format!("not every row completed the {quota}-request quota"));
+    for (r, (app, policy)) in rows.iter().zip(jobs) {
+        if r.u64_field("requests")? != quota {
+            return Err(format!(
+                "{app}/{policy} did not complete the {quota}-request quota"
+            ));
+        }
     }
     Ok(())
 }

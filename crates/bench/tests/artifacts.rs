@@ -7,7 +7,8 @@
 
 use std::path::PathBuf;
 
-use multicube_bench::perf::validate_report;
+use multicube_bench::json::{self, Value};
+use multicube_bench::perf::{validate_report, PerfConfig};
 use multicube_bench::{
     run_cube_study, run_shootout, serve_app_seed, synthesize_serve_trace, validate_scaling_report,
     validate_serve_report, write_shootout_csv, CubeStudyConfig, Pool, ScalingStudyConfig,
@@ -23,45 +24,23 @@ fn artifact(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+/// The committed scaling report against the full study's configuration.
+fn validate_full_scaling(text: &str) -> Result<(), String> {
+    validate_scaling_report(
+        text,
+        &ScalingStudyConfig::full(),
+        Some(&CubeStudyConfig::full(2)),
+    )
+}
+
 #[test]
 fn core_report_is_a_full_mode_run() {
-    let text = artifact("BENCH_core.json");
-    validate_report(&text).unwrap();
-    assert!(
-        text.contains("\"mode\": \"full\""),
-        "BENCH_core.json must come from a full-mode perf run"
-    );
+    validate_report(&artifact("BENCH_core.json"), &PerfConfig::full()).unwrap();
 }
 
 #[test]
 fn scaling_report_is_the_full_study_at_the_current_schema() {
-    let text = artifact("BENCH_scaling.json");
-    validate_scaling_report(
-        &text,
-        &ScalingStudyConfig::full(),
-        Some(&CubeStudyConfig::full(2)),
-    )
-    .unwrap();
-    assert!(
-        text.contains("\"mode\": \"full\""),
-        "BENCH_scaling.json must come from a full-mode study"
-    );
-}
-
-/// The fields of the committed cube point of `side` in
-/// `BENCH_scaling.json`, as `(name, value as written)`.
-fn committed_cube_point(text: &str, side: u32) -> Vec<(String, String)> {
-    let start = text
-        .find(&format!("\"side\": {side},"))
-        .unwrap_or_else(|| panic!("BENCH_scaling.json has no cube point of side {side}"));
-    let end = start + text[start..].find('}').expect("the point's object closes");
-    text[start..end]
-        .lines()
-        .filter_map(|line| {
-            let (name, value) = line.trim().trim_end_matches(',').split_once(": ")?;
-            Some((name.trim_matches('"').to_string(), value.to_string()))
-        })
-        .collect()
+    validate_full_scaling(&artifact("BENCH_scaling.json")).unwrap();
 }
 
 #[test]
@@ -71,52 +50,32 @@ fn scaling_report_cube_n8_matches_a_fresh_run() {
         ..CubeStudyConfig::full(2)
     });
     let fresh = &study.points[0];
-    let committed = committed_cube_point(&artifact("BENCH_scaling.json"), 8);
-    for (name, value) in [
-        ("fingerprint", format!("\"{}\"", fresh.fingerprint)),
-        ("events", fresh.events.to_string()),
-        ("remote_ops", fresh.remote_ops.to_string()),
-    ] {
-        let written = committed.iter().find(|(n, _)| n == name).map(|(_, v)| v);
-        assert_eq!(
-            written,
-            Some(&value),
-            "BENCH_scaling.json cube n = 8 `{name}` differs from a fresh run"
-        );
-    }
+    let report = json::parse(&artifact("BENCH_scaling.json")).unwrap();
+    let committed = report
+        .field("cube")
+        .and_then(|cube| cube.array_field("points"))
+        .unwrap()
+        .iter()
+        .find(|p| p.u64_field("side") == Ok(8))
+        .expect("BENCH_scaling.json has a cube point of side 8");
+    assert_eq!(
+        (
+            committed.str_field("fingerprint"),
+            committed.u64_field("events"),
+            committed.u64_field("remote_ops"),
+        ),
+        (
+            Ok(fresh.fingerprint.as_str()),
+            Ok(fresh.events),
+            Ok(fresh.remote_ops)
+        ),
+        "BENCH_scaling.json cube n = 8 `fingerprint`, `events`, `remote_ops` differ from a fresh run"
+    );
 }
 
 #[test]
 fn serve_report_is_the_full_study() {
-    let text = artifact("BENCH_serve.json");
-    validate_serve_report(&text, &ServeConfig::full()).unwrap();
-    assert!(
-        text.contains("\"mode\": \"full\""),
-        "BENCH_serve.json must come from a full-mode study"
-    );
-}
-
-/// `(app, trace_chunks, trace_bytes)` of each row of `BENCH_serve.json`,
-/// values as written.
-fn committed_serve_traces(text: &str) -> Vec<(String, String, String)> {
-    let mut rows = Vec::new();
-    let (mut app, mut chunks) = (None, None);
-    for line in text.lines() {
-        let Some((name, value)) = line.trim().trim_end_matches(',').split_once(": ") else {
-            continue;
-        };
-        match name.trim_matches('"') {
-            "app" => app = Some(value.trim_matches('"').to_string()),
-            "trace_chunks" => chunks = Some(value.to_string()),
-            "trace_bytes" => rows.push((
-                app.clone().expect("a row names its app before its trace"),
-                chunks.take().expect("trace_chunks precedes trace_bytes"),
-                value.to_string(),
-            )),
-            _ => {}
-        }
-    }
-    rows
+    validate_serve_report(&artifact("BENCH_serve.json"), &ServeConfig::full()).unwrap();
 }
 
 /// The trace sizes in `BENCH_serve.json` come from the current trace
@@ -124,23 +83,71 @@ fn committed_serve_traces(text: &str) -> Vec<(String, String, String)> {
 #[test]
 fn serve_report_trace_sizes_match_a_fresh_synthesis() {
     let config = ServeConfig::full();
-    let committed = committed_serve_traces(&artifact("BENCH_serve.json"));
+    let report = json::parse(&artifact("BENCH_serve.json")).unwrap();
+    let rows = report.array_field("rows").unwrap();
     for app in SERVE_APPS {
         let bytes = synthesize_serve_trace(&config, app, serve_app_seed(&config, app));
         let reader = TraceV2Reader::new(&bytes).expect("own encoding");
-        let rows: Vec<_> = committed.iter().filter(|(a, _, _)| a == app).collect();
-        assert!(!rows.is_empty(), "BENCH_serve.json has no {app} row");
-        for (_, chunks, size) in rows {
+        let committed: Vec<&Value> = rows
+            .iter()
+            .filter(|r| r.str_field("app") == Ok(app))
+            .collect();
+        assert!(!committed.is_empty(), "BENCH_serve.json has no {app} row");
+        for row in committed {
             assert_eq!(
-                (chunks.as_str(), size.as_str()),
+                (row.u64_field("trace_chunks"), row.u64_field("trace_bytes")),
                 (
-                    reader.chunk_count().to_string().as_str(),
-                    reader.byte_len().to_string().as_str()
+                    Ok(u64::from(reader.chunk_count())),
+                    Ok(reader.byte_len() as u64)
                 ),
                 "BENCH_serve.json {app} `trace_chunks`, `trace_bytes` differ from a fresh trace"
             );
         }
     }
+}
+
+/// The codec owns the artifacts' layout: each committed file parses and
+/// reprints byte for byte.
+#[test]
+fn committed_json_artifacts_reprint_byte_for_byte() {
+    for name in ["BENCH_core.json", "BENCH_scaling.json", "BENCH_serve.json"] {
+        let text = artifact(name);
+        let reprinted = json::parse(&text)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .pretty();
+        assert!(reprinted == text, "{name} does not reprint byte for byte");
+    }
+}
+
+/// Damage that keeps every substring a count-based check looks for still
+/// fails validation.
+#[test]
+fn corrupted_artifacts_fail_validation() {
+    let core = artifact("BENCH_core.json");
+    let scaling = artifact("BENCH_scaling.json");
+    let serve = artifact("BENCH_serve.json");
+    let changed = |from: &str, to: String| {
+        assert_ne!(from, to, "the corruption changes the file");
+        to
+    };
+    let truncated = |text: &str| text[..text.len() - 3].to_string();
+
+    let no_commas = changed(&core, core.replace(",\n", ""));
+    assert!(validate_report(&no_commas, &PerfConfig::full()).is_err());
+
+    let relabelled_rate = changed(
+        &scaling,
+        scaling.replace("\"rate_per_ms\": 30,", "\"rate_per_ms\": 2,"),
+    );
+    assert!(validate_full_scaling(&relabelled_rate).is_err());
+    assert!(validate_full_scaling(&truncated(&scaling)).is_err());
+
+    let relabelled_app = changed(
+        &serve,
+        serve.replace("\"app\": \"oltp\"", "\"app\": \"web-session\""),
+    );
+    assert!(validate_serve_report(&relabelled_app, &ServeConfig::full()).is_err());
+    assert!(validate_serve_report(&truncated(&serve), &ServeConfig::full()).is_err());
 }
 
 #[test]

@@ -173,7 +173,9 @@ pub struct DepthStats {
     pub serviced: u64,
     /// Replies received.
     pub replies: u64,
-    /// TEST-AND-SET attempts that won the word.
+    /// Replies that succeeded: every READ and CLEAR, and every
+    /// TEST-AND-SET that found the lock free. The name stays, because
+    /// [`CubeReport::fingerprint`] hashes the field names.
     pub tas_won: u64,
     /// Total round-trip latency over all replies (ns).
     pub latency_total_ns: u64,
