@@ -5,33 +5,28 @@
 //! ```
 //!
 //! Runs the core kernels (see `multicube_bench::perf`) with warmup and
-//! repeats, and writes median/MAD/p90 results as JSON (default
-//! `BENCH_core.json` in the current directory). `--baseline` embeds a
-//! previous report's medians and the speedup against them. `--guard`
-//! additionally fails the run when a guarded kernel
+//! repeats, each timed pass bracketed by the host-speed calibration
+//! kernel, and writes median/MAD/p90 results and the calibrated medians as
+//! JSON (default `BENCH_core.json` in the current directory). `--baseline`
+//! embeds a previous report's medians and the speedup against them.
+//! `--guard` additionally fails the run when a guarded kernel
 //! (`machine_1k_transactions`, `cube_pdes_events` or
 //! `cube_pdes_events_parallel`) regresses more than
-//! `MULTICUBE_PERF_GUARD_PCT` percent (default 25) against the baseline,
-//! comparing per work unit so `--quick` runs measure against full-mode
-//! baselines. A set threshold that is not a finite number above 0 fails
-//! the guarded run before any kernel runs.
+//! `MULTICUBE_PERF_GUARD_PCT` percent (default 25) against the baseline.
+//! It compares the fastest calibrated pass per work unit, so `--quick`
+//! runs measure against full-mode baselines and a slow host against a
+//! fast one; the two-worker cube is compared as a ratio to the one-worker
+//! cube. A set
+//! threshold that is not a finite number above 0 fails the guarded run
+//! before any kernel runs.
 
 use std::process::ExitCode;
 
 use multicube_bench::json;
 use multicube_bench::perf::{
     check_regression_guard, kernel_stats, render_json, run_all, validate_report, PerfConfig,
+    GUARD_KERNELS,
 };
-
-/// The kernels the CI regression guard watches: the serial machine core
-/// and the cube's events/sec kernels — both the serial reference path
-/// and the planes on two workers.
-/// A baseline predating a kernel is skipped gracefully for that kernel.
-const GUARD_KERNELS: [&str; 3] = [
-    "machine_1k_transactions",
-    "cube_pdes_events",
-    "cube_pdes_events_parallel",
-];
 
 /// The environment variable holding the guard's regression threshold.
 const GUARD_PCT_ENV: &str = "MULTICUBE_PERF_GUARD_PCT";
@@ -133,13 +128,21 @@ fn main() -> ExitCode {
             .map(|base| {
                 format!(
                     " ({:.2}x vs baseline)",
-                    base.median_ns as f64 / r.median_ns.max(1) as f64
+                    base.calibrated_min_ns as f64 / r.calibrated_min_ns.max(1) as f64
                 )
             })
             .unwrap_or_default();
         eprintln!(
-            "  {:<28} median {:>12} ns  mad {:>10} ns  p90 {:>12} ns  outliers {}{}",
-            r.name, r.median_ns, r.mad_ns, r.p90_ns, r.outliers, speedup
+            "  {:<28} median {:>12} ns  mad {:>10} ns  p90 {:>12} ns  outliers {}  \
+             calibrated median {:>12} ns  min {:>12} ns{}",
+            r.name,
+            r.median_ns,
+            r.mad_ns,
+            r.p90_ns,
+            r.outliers,
+            r.calibrated_median_ns,
+            r.calibrated_min_ns,
+            speedup
         );
     }
     let json = render_json(&cfg, &results, baseline.as_deref());

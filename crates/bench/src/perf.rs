@@ -23,11 +23,21 @@
 //!
 //! `--quick` shrinks warmup/repeats for CI smoke runs; the numbers are
 //! noisier but the schema is identical.
+//!
+//! The host's speed drifts, on shared virtual machines by up to ~1.8x, so
+//! raw times judge the host as much as the code. Every timed pass is
+//! therefore bracketed by the fixed arithmetic kernel of
+//! [`multicube_sim::calibrate`], and each sample is also reported scaled to
+//! the reference host's speed (`calibrated_samples_ns`). The regression
+//! guard compares the fastest calibrated sample of each kernel: slowdowns
+//! from other tenants of the host come in bursts that lengthen some passes
+//! and never shorten one.
 
 use std::time::Instant;
 
 use multicube::{FaultPlan, Machine, MachineConfig, Request, SyntheticSpec};
 use multicube_mem::LineAddr;
+use multicube_sim::calibrate;
 use multicube_sim::pool::Pool;
 use multicube_sim::{DeterministicRng, EventQueue};
 use multicube_topology::NodeId;
@@ -35,7 +45,28 @@ use multicube_topology::NodeId;
 use crate::json::{self, Value};
 
 /// Identifies the JSON layout; bump when the schema changes shape.
-pub const SCHEMA: &str = "multicube-bench-core/v1";
+pub const SCHEMA: &str = "multicube-bench-core/v2";
+
+/// Iterations of each calibration bracket: about 6 ms on the reference
+/// host, long enough to read the host's speed, short beside the passes.
+pub const CALIBRATION_ITERATIONS: u64 = calibrate::ITERATIONS / 25;
+
+/// The kernels the CI regression guard watches: the serial machine core
+/// and the cube's events/sec kernels, the serial reference path and the
+/// planes on two workers.
+pub const GUARD_KERNELS: [&str; 3] = [
+    "machine_1k_transactions",
+    "cube_pdes_events",
+    "cube_pdes_events_parallel",
+];
+
+/// The kernel a guarded kernel is judged relative to, if any. The two-worker
+/// cube runs on two CPUs, which one-thread calibration does not measure,
+/// so it is judged as a ratio to the one-worker cube of the same report:
+/// that kernel saw the same host.
+fn guard_reference(kernel: &str) -> Option<&'static str> {
+    (kernel == "cube_pdes_events_parallel").then_some("cube_pdes_events")
+}
 
 /// Harness configuration: how many passes to run per kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,6 +113,16 @@ pub struct KernelResult {
     pub work_units: u64,
     /// All timed samples, in pass order.
     pub samples_ns: Vec<u64>,
+    /// For each sample, the faster of the calibration brackets either side
+    /// of it.
+    pub calibration_ns: Vec<u64>,
+    /// Each sample scaled to the reference host's speed, as its bracket
+    /// measured it.
+    pub calibrated_samples_ns: Vec<u64>,
+    /// Median of `calibrated_samples_ns`.
+    pub calibrated_median_ns: u64,
+    /// Smallest of `calibrated_samples_ns`: what the guard compares.
+    pub calibrated_min_ns: u64,
     /// Median of `samples_ns`.
     pub median_ns: u64,
     /// Median absolute deviation of `samples_ns`.
@@ -120,25 +161,34 @@ fn p90(sorted: &[u64]) -> u64 {
     sorted[(9 * n).div_ceil(10) - 1]
 }
 
-/// Runs one kernel body under the configured warmup/repeat discipline.
-fn measure(
-    cfg: &PerfConfig,
-    name: &'static str,
-    work: &'static str,
-    work_units: u64,
-    mut body: impl FnMut() -> u64,
+/// One calibration bracket's wall time (ns).
+fn calibration_ns() -> u64 {
+    (calibrate::seconds(CALIBRATION_ITERATIONS, 1) * 1e9).round() as u64
+}
+
+/// `sample_ns` scaled to the reference host's speed, as a calibration
+/// bracket of `bracket_ns` measured it.
+fn calibrated(sample_ns: u64, bracket_ns: u64) -> u64 {
+    let bracket_s = bracket_ns as f64 * 1e-9;
+    let speed = calibrate::speed(CALIBRATION_ITERATIONS, bracket_s, bracket_s);
+    (sample_ns as f64 * speed).round() as u64
+}
+
+/// Summarizes one kernel's timed passes and the bracket each was scaled
+/// by.
+fn summarize(
+    kernel: &Kernel,
+    quick: bool,
+    samples_ns: Vec<u64>,
+    calibration_ns: Vec<u64>,
 ) -> KernelResult {
-    let mut guard = 0u64;
-    for _ in 0..cfg.warmup {
-        guard = guard.wrapping_add(body());
-    }
-    let mut samples_ns = Vec::with_capacity(cfg.repeats as usize);
-    for _ in 0..cfg.repeats {
-        let start = Instant::now();
-        guard = guard.wrapping_add(body());
-        samples_ns.push(start.elapsed().as_nanos() as u64);
-    }
-    std::hint::black_box(guard);
+    let calibrated_samples_ns: Vec<u64> = samples_ns
+        .iter()
+        .zip(&calibration_ns)
+        .map(|(&sample, &bracket)| calibrated(sample, bracket))
+        .collect();
+    let mut sorted_calibrated = calibrated_samples_ns.clone();
+    sorted_calibrated.sort_unstable();
     let mut sorted = samples_ns.clone();
     sorted.sort_unstable();
     let med = median(&sorted);
@@ -148,9 +198,9 @@ fn measure(
     let cutoff = med.saturating_add(5 * mad);
     let outliers = samples_ns.iter().filter(|&&s| s > cutoff).count() as u32;
     KernelResult {
-        name,
-        work,
-        work_units,
+        name: kernel.name,
+        work: kernel.work,
+        work_units: (kernel.units)(quick),
         median_ns: med,
         mad_ns: mad,
         p90_ns: p90(&sorted),
@@ -158,6 +208,10 @@ fn measure(
         min_ns: sorted.first().copied().unwrap_or(0),
         max_ns: sorted.last().copied().unwrap_or(0),
         samples_ns,
+        calibration_ns,
+        calibrated_median_ns: median(&sorted_calibrated),
+        calibrated_min_ns: sorted_calibrated.first().copied().unwrap_or(0),
+        calibrated_samples_ns,
     }
 }
 
@@ -374,28 +428,70 @@ const KERNELS: [Kernel; 6] = [
 
 /// Runs every kernel and collects the results, in kernel order.
 ///
-/// Kernels run as jobs on a **serial** pool: wall-clock timing forbids
+/// After each kernel's warmup, the timed passes run in rounds of one pass
+/// per kernel, so every kernel's samples spread over the whole run: other
+/// tenants of a shared host slow it in bursts of a second or so, and a
+/// kernel whose passes all fell into one would read slow. Each timed pass
+/// follows an untimed pass of the same kernel, since the calibration
+/// bracket's arithmetic loop leaves caches and branch predictors cold for
+/// the simulator, and a bracket runs after each timed pass. A pass is
+/// scaled by the faster of the brackets either side of it: a bracket the
+/// host preempts reads slow, never fast.
+///
+/// Passes run as jobs on a **serial** pool: wall-clock timing forbids
 /// concurrency (parallel passes would contend for the cores being
-/// measured), so the pool contributes its other two guarantees — stable
-/// result ordering and per-kernel panic containment. A kernel that
-/// panics becomes a [`KernelFailure`]; the remaining kernels still
-/// measure and report.
+/// measured), so the pool contributes its panic containment. A kernel that
+/// panics becomes a [`KernelFailure`] and runs no more passes; the
+/// remaining kernels still measure and report.
 pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
     let quick = cfg.quick;
-    let outcomes = Pool::serial().run(
-        KERNELS
-            .iter()
-            .map(|k| move |_id| measure(cfg, k.name, k.work, (k.units)(quick), || (k.body)(quick)))
-            .collect::<Vec<_>>(),
-    );
+    let pool = Pool::serial();
+    let contained = |job: &(dyn Fn() -> u64 + Sync)| {
+        pool.run(vec![|_| job()])
+            .pop()
+            .expect("one job, one outcome")
+            .map_err(|panic| panic.message)
+    };
+    let mut failed: Vec<Option<String>> = vec![None; KERNELS.len()];
+    let mut samples: Vec<(Vec<u64>, Vec<u64>)> = vec![Default::default(); KERNELS.len()];
+    for (k, failure) in KERNELS.iter().zip(&mut failed) {
+        let warmup = || (0..cfg.warmup).fold(0u64, |acc, _| acc.wrapping_add((k.body)(quick)));
+        *failure = contained(&warmup).err();
+    }
+    let mut before = calibration_ns();
+    for _ in 0..cfg.repeats {
+        for ((k, failure), (samples_ns, calibration)) in
+            KERNELS.iter().zip(&mut failed).zip(&mut samples)
+        {
+            if failure.is_some() {
+                continue;
+            }
+            let timed = || {
+                std::hint::black_box((k.body)(quick));
+                let start = Instant::now();
+                std::hint::black_box((k.body)(quick));
+                start.elapsed().as_nanos() as u64
+            };
+            let outcome = contained(&timed);
+            let after = calibration_ns();
+            match outcome {
+                Ok(ns) => {
+                    samples_ns.push(ns);
+                    calibration.push(before.min(after));
+                }
+                Err(message) => *failure = Some(message),
+            }
+            before = after;
+        }
+    }
     let mut results = Vec::new();
     let mut failures = Vec::new();
-    for (k, outcome) in KERNELS.iter().zip(outcomes) {
-        match outcome {
-            Ok(r) => results.push(r),
-            Err(panic) => failures.push(KernelFailure {
+    for ((k, failure), (samples_ns, calibration)) in KERNELS.iter().zip(failed).zip(samples) {
+        match failure {
+            None => results.push(summarize(k, quick, samples_ns, calibration)),
+            Some(message) => failures.push(KernelFailure {
                 name: k.name,
-                message: panic.message,
+                message,
             }),
         }
     }
@@ -411,14 +507,17 @@ pub struct KernelStat {
     pub median_ns: u64,
     /// Work units per pass.
     pub work_units: u64,
+    /// Fastest pass, in time on the reference host (ns).
+    pub calibrated_min_ns: u64,
 }
 
-/// Reads each kernel's name, median and work units out of a parsed report.
+/// Reads each kernel's name, median, fastest calibrated pass and work
+/// units out of a parsed report.
 ///
 /// # Errors
 ///
 /// A report without a `kernels` array, or a kernel missing one of the
-/// three fields.
+/// four fields.
 pub fn kernel_stats(report: &Value) -> Result<Vec<KernelStat>, String> {
     report
         .array_field("kernels")?
@@ -430,17 +529,23 @@ pub fn kernel_stats(report: &Value) -> Result<Vec<KernelStat>, String> {
                 name: name.to_string(),
                 median_ns: field("median_ns")?,
                 work_units: field("work_units")?,
+                calibrated_min_ns: field("calibrated_min_ns")?,
             })
         })
         .collect()
 }
 
-/// The soft CI perf-regression guard: compares `kernel`'s median per work
-/// unit between two reports and fails when the current one is more than
-/// `threshold_pct` percent slower. Comparing per unit lets a quick run
-/// measure against a full-mode baseline. A baseline without the kernel
-/// passes with a note — the guard is soft, it must not block the first
-/// report that introduces a kernel.
+/// The soft CI perf-regression guard: compares `kernel`'s fastest
+/// calibrated pass per work unit between two reports and fails when the
+/// current one is more than `threshold_pct` percent slower. Comparing per
+/// unit lets a quick run measure against a full-mode baseline, comparing
+/// calibrated times lets a run on a slow host measure against one made on
+/// a fast host, and comparing the fastest pass sets aside the bursts in
+/// which other tenants slow the host's memory more than its arithmetic.
+/// A kernel with a reference (the two-worker cube) is compared as the
+/// ratio of its per-unit time to the reference's. A baseline without the
+/// kernel passes with a note — the guard is soft, it must not block the
+/// first report that introduces a kernel.
 ///
 /// # Errors
 ///
@@ -452,33 +557,57 @@ pub fn check_regression_guard(
     kernel: &str,
     threshold_pct: f64,
 ) -> Result<String, String> {
-    let cur = current
-        .iter()
-        .find(|k| k.name == kernel)
-        .ok_or_else(|| format!("kernel {kernel} missing from current report"))?;
-    let Some(base) = baseline.iter().find(|k| k.name == kernel) else {
-        return Ok(format!("guard: baseline has no kernel {kernel}; skipping"));
-    };
+    let find = |stats: &[KernelStat], name: &str| stats.iter().find(|k| k.name == name).cloned();
+    let skip = |name: &str| Ok(format!("guard: baseline has no kernel {name}; skipping"));
     let per_unit = |k: &KernelStat, report: &str| {
-        if k.median_ns == 0 || k.work_units == 0 {
+        if k.calibrated_min_ns == 0 || k.work_units == 0 {
             Err(format!(
-                "{report} kernel {kernel} has a zero median or no work units"
+                "{report} kernel {} has a zero median or no work units",
+                k.name
             ))
         } else {
-            Ok(k.median_ns as f64 / k.work_units as f64)
+            Ok(k.calibrated_min_ns as f64 / k.work_units as f64)
         }
     };
-    let cur_v = per_unit(cur, "current")?;
-    let base_v = per_unit(base, "baseline")?;
+    let cur = find(current, kernel)
+        .ok_or_else(|| format!("kernel {kernel} missing from current report"))?;
+    let Some(base) = find(baseline, kernel) else {
+        return skip(kernel);
+    };
+    let (cur_v, base_v, unit) = match guard_reference(kernel) {
+        None => (
+            per_unit(&cur, "current")?,
+            per_unit(&base, "baseline")?,
+            "calibrated ns/unit".to_string(),
+        ),
+        Some(reference) => {
+            let cur_ref = find(current, reference)
+                .ok_or_else(|| format!("kernel {reference} missing from current report"))?;
+            let Some(base_ref) = find(baseline, reference) else {
+                return skip(reference);
+            };
+            (
+                per_unit(&cur, "current")? / per_unit(&cur_ref, "current")?,
+                per_unit(&base, "baseline")? / per_unit(&base_ref, "baseline")?,
+                format!("x {reference}"),
+            )
+        }
+    };
     let delta_pct = (cur_v - base_v) / base_v * 100.0;
     let msg = format!(
-        "guard: {kernel} {cur_v:.1} ns/unit vs baseline {base_v:.1} ns/unit ({delta_pct:+.1}%)"
+        "guard: {kernel} {cur_v:.3} {unit} vs baseline {base_v:.3} {unit} ({delta_pct:+.1}%)"
     );
     if delta_pct > threshold_pct {
         Err(format!("{msg} exceeds the +{threshold_pct:.0}% threshold"))
     } else {
         Ok(msg)
     }
+}
+
+/// What one calibration bracket takes on the reference host (ns).
+fn calibrated_reference_ns() -> u64 {
+    (calibrate::REFERENCE_S * 1e9 * CALIBRATION_ITERATIONS as f64 / calibrate::ITERATIONS as f64)
+        .round() as u64
 }
 
 /// The `mode` a report of `cfg` records.
@@ -509,15 +638,23 @@ pub fn render_json(
             ("outliers", r.outliers.into()),
             ("min_ns", r.min_ns.into()),
             ("max_ns", r.max_ns.into()),
+            ("calibrated_median_ns", r.calibrated_median_ns.into()),
+            ("calibrated_min_ns", r.calibrated_min_ns.into()),
         ];
         if let Some(base) = baseline.and_then(|b| b.iter().find(|k| k.name == r.name)) {
             members.push(("baseline_median_ns", base.median_ns.into()));
-            if r.median_ns > 0 {
-                let speedup = base.median_ns as f64 / r.median_ns as f64;
+            members.push(("baseline_calibrated_min_ns", base.calibrated_min_ns.into()));
+            if r.calibrated_min_ns > 0 {
+                let speedup = base.calibrated_min_ns as f64 / r.calibrated_min_ns as f64;
                 members.push(("speedup_vs_baseline", Value::fixed(speedup, 4)));
             }
         }
         members.push(("samples_ns", r.samples_ns.iter().copied().collect()));
+        members.push(("calibration_ns", r.calibration_ns.iter().copied().collect()));
+        members.push((
+            "calibrated_samples_ns",
+            r.calibrated_samples_ns.iter().copied().collect(),
+        ));
         json::obj(members)
     });
     json::obj([
@@ -531,6 +668,8 @@ pub fn render_json(
         ),
         ("warmup", cfg.warmup.into()),
         ("repeats", cfg.repeats.into()),
+        ("calibration_iterations", CALIBRATION_ITERATIONS.into()),
+        ("calibration_reference_ns", calibrated_reference_ns().into()),
         ("kernels", Value::Arr(kernels.collect())),
     ])
     .pretty()
@@ -549,7 +688,7 @@ pub fn validate_report(text: &str, cfg: &PerfConfig) -> Result<(), String> {
     for kernel in &KERNELS {
         match stats.iter().find(|k| k.name == kernel.name) {
             None => return Err(format!("missing kernel {}", kernel.name)),
-            Some(k) if k.median_ns == 0 || k.work_units == 0 => {
+            Some(k) if k.median_ns == 0 || k.calibrated_min_ns == 0 || k.work_units == 0 => {
                 return Err(format!(
                     "kernel {} has a zero median or no work units",
                     k.name
@@ -565,12 +704,17 @@ pub fn validate_report(text: &str, cfg: &PerfConfig) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// A result measured on a host at the reference speed.
     fn result(name: &'static str, work_units: u64, median_ns: u64) -> KernelResult {
         KernelResult {
             name,
             work: "w",
             work_units,
             samples_ns: vec![median_ns, median_ns],
+            calibration_ns: vec![calibrated_reference_ns(); 2],
+            calibrated_samples_ns: vec![median_ns, median_ns],
+            calibrated_median_ns: median_ns,
+            calibrated_min_ns: median_ns,
             median_ns,
             mad_ns: 0,
             p90_ns: median_ns,
@@ -667,6 +811,7 @@ mod tests {
             name: "machine_1k_transactions".to_string(),
             median_ns: 200,
             work_units: 1_000,
+            calibrated_min_ns: 200,
         }];
         let json = render_json(&cfg, &results, Some(&base));
         assert!(json.contains("\"baseline_median_ns\": 200"));

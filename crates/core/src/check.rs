@@ -35,10 +35,31 @@
 //! [`check_midflight`] is the subset of these invariants that holds at
 //! *every* event boundary, not only at quiescence — see
 //! [`MachineConfig::with_check_every`](crate::MachineConfig::with_check_every).
+//!
+//! # One pass over the caches
+//!
+//! A check reads each cache once, through the view's visitors, into one
+//! flat record of the resident copies sorted by (line, node): 16 bytes a
+//! copy, with the copy's data version already compared against the
+//! committed one. A second, smaller record holds every modified line
+//! table entry sorted by (line, column). Every invariant is then a walk
+//! over those two records; the registry, the side tables and memory are
+//! visited once each and looked up in the records by binary search. No
+//! per-line map is built and nothing is cloned, so a passing check
+//! allocates the two records and three per-column counters.
+//!
+//! Violations are reported in line-address order, and those found per
+//! node (a second writer, an L1 line missing from L2, a copy newer than
+//! the committed version) at the lowest node first, whatever order a view
+//! lists its contents in. Two reports keep the original checker's
+//! dependence on that order: the first memory line holding an uncommitted
+//! version ([`check_midflight`]) and the line named when an arena engine
+//! finds a modified line table populated are the first the view visits.
 
 use core::fmt;
+use core::ops::Range;
 
-use multicube_mem::{LineAddr, LineMap, LineSet, LineVersion};
+use multicube_mem::{LineAddr, LineVersion};
 use multicube_topology::NodeId;
 
 use crate::config::EngineKind;
@@ -52,22 +73,31 @@ use crate::proto::TxnId;
 /// canonical states (crate `multicube-model`).
 ///
 /// Nodes are indexed `0..side()*side()` in row-major order; memory is
-/// interleaved by home column as in the paper.
+/// interleaved by home column as in the paper. The `for_each_*` visitors
+/// call their closure once per item, in any order, and list a line at
+/// most once per cache, table or list (the default
+/// [`for_each_registry_mlt_col`](CoherenceView::for_each_registry_mlt_col)
+/// lists a line once per table holding it): the checker reads a view's
+/// contents as sets.
 pub trait CoherenceView {
     /// The grid side `n` (the machine has `n * n` nodes).
     fn side(&self) -> u32;
 
-    /// Every line resident in `node`'s snooping cache, with its mode and
-    /// the data version it holds. Order is not significant.
-    fn resident(&self, node: NodeId) -> Vec<(LineAddr, LineMode, LineVersion)>;
+    /// How many lines `node`'s snooping cache holds. The checker sizes its
+    /// record of resident copies by it, so a wrong answer costs memory,
+    /// not correctness.
+    fn resident_len(&self, node: NodeId) -> usize;
 
-    /// Lines held by `node`'s processor (L1) cache; empty when the L1
-    /// level is not modelled.
-    fn l1_lines(&self, node: NodeId) -> Vec<LineAddr>;
+    /// Visits every line resident in `node`'s snooping cache, with its
+    /// mode and the data version it holds.
+    fn for_each_resident(&self, node: NodeId, f: &mut dyn FnMut(LineAddr, LineMode, LineVersion));
 
-    /// The contents of column `col`'s modified line table. Order is not
-    /// significant (compared as sets).
-    fn mlt_lines(&self, col: u32) -> Vec<LineAddr>;
+    /// Visits the lines held by `node`'s processor (L1) cache; none when
+    /// the L1 level is not modelled.
+    fn for_each_l1_line(&self, node: NodeId, f: &mut dyn FnMut(LineAddr));
+
+    /// Visits the contents of column `col`'s modified line table.
+    fn for_each_mlt_line(&self, col: u32, f: &mut dyn FnMut(LineAddr));
 
     /// The home column of `line`.
     fn home_column(&self, line: LineAddr) -> u32;
@@ -78,8 +108,8 @@ pub trait CoherenceView {
     /// Memory's stored data version for `line` (regardless of validity).
     fn memory_data(&self, line: LineAddr) -> LineVersion;
 
-    /// Every line memory has ever stored (union over all columns).
-    fn memory_lines(&self) -> Vec<LineAddr>;
+    /// Visits every line memory has ever stored (union over all columns).
+    fn for_each_memory_line(&self, f: &mut dyn FnMut(LineAddr));
 
     /// The latest committed write version of `line`.
     fn committed_version(&self, line: LineAddr) -> LineVersion;
@@ -87,27 +117,28 @@ pub trait CoherenceView {
     /// The owner registry's entry for `line`.
     fn registry_owner(&self, line: LineAddr) -> Option<NodeId>;
 
-    /// All owner-registry entries.
-    fn registry_entries(&self) -> Vec<(LineAddr, NodeId)>;
+    /// Visits every owner-registry entry.
+    fn for_each_registry_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId));
 
-    /// Every line the registry lists shared copies of, with the nodes it
-    /// lists in ascending order (lines with no sharers are omitted).
-    fn registry_sharers(&self) -> Vec<(LineAddr, Vec<NodeId>)>;
+    /// Visits every line the registry lists shared copies of, with the
+    /// nodes it lists in ascending order (lines with no sharers may be
+    /// omitted).
+    fn for_each_registry_sharers(&self, f: &mut dyn FnMut(LineAddr, &[NodeId]));
 
-    /// Every line the registry records as listed in a column's modified
-    /// line table, with that column. The default reads the tables
+    /// Visits every line the registry records as listed in a column's
+    /// modified line table, with that column. The default reads the tables
     /// themselves, for views that keep no such record.
-    fn registry_mlt_cols(&self) -> Vec<(LineAddr, u32)> {
-        (0..self.side())
-            .flat_map(|col| self.mlt_lines(col).into_iter().map(move |line| (line, col)))
-            .collect()
+    fn for_each_registry_mlt_col(&self, f: &mut dyn FnMut(LineAddr, u32)) {
+        for col in 0..self.side() {
+            self.for_each_mlt_line(col, &mut |line| f(line, col));
+        }
     }
 
-    /// The arena engines' exclusive-clean (`E`) side table.
-    fn excl_entries(&self) -> Vec<(LineAddr, NodeId)>;
+    /// Visits the arena engines' exclusive-clean (`E`) side table.
+    fn for_each_excl_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId));
 
-    /// The Dragon engine's shared-modified (`Sm`) side table.
-    fn sm_entries(&self) -> Vec<(LineAddr, NodeId)>;
+    /// Visits the Dragon engine's shared-modified (`Sm`) side table.
+    fn for_each_sm_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId));
 
     /// A transaction still under watchdog escalation, if any.
     fn escalated(&self) -> Option<TxnId>;
@@ -118,24 +149,28 @@ impl CoherenceView for Machine {
         Machine::side(self)
     }
 
-    fn resident(&self, node: NodeId) -> Vec<(LineAddr, LineMode, LineVersion)> {
-        self.controller(node)
-            .cache
-            .iter()
-            .map(|(line, cl)| (line, cl.mode, cl.data))
-            .collect()
+    fn resident_len(&self, node: NodeId) -> usize {
+        self.controller(node).cache.len()
     }
 
-    fn l1_lines(&self, node: NodeId) -> Vec<LineAddr> {
-        self.controller(node)
-            .proc_cache
-            .as_ref()
-            .map(|l1| l1.iter().map(|(line, ())| line).collect())
-            .unwrap_or_default()
+    fn for_each_resident(&self, node: NodeId, f: &mut dyn FnMut(LineAddr, LineMode, LineVersion)) {
+        for (line, cl) in self.controller(node).cache.iter() {
+            f(line, cl.mode, cl.data);
+        }
     }
 
-    fn mlt_lines(&self, col: u32) -> Vec<LineAddr> {
-        self.mlt(col).iter().copied().collect()
+    fn for_each_l1_line(&self, node: NodeId, f: &mut dyn FnMut(LineAddr)) {
+        if let Some(l1) = &self.controller(node).proc_cache {
+            for (line, ()) in l1.iter() {
+                f(line);
+            }
+        }
+    }
+
+    fn for_each_mlt_line(&self, col: u32, f: &mut dyn FnMut(LineAddr)) {
+        for &line in self.mlt(col).iter() {
+            f(line);
+        }
     }
 
     fn home_column(&self, line: LineAddr) -> u32 {
@@ -151,12 +186,12 @@ impl CoherenceView for Machine {
         self.memory(Machine::home_column(self, line)).peek(&line)
     }
 
-    fn memory_lines(&self) -> Vec<LineAddr> {
-        let mut out = Vec::new();
+    fn for_each_memory_line(&self, f: &mut dyn FnMut(LineAddr)) {
         for col in 0..Machine::side(self) {
-            out.extend(self.memory(col).touched_lines().map(|(l, _, _)| l));
+            for (line, _, _) in self.memory(col).touched_lines() {
+                f(line);
+            }
         }
-        out
     }
 
     fn committed_version(&self, line: LineAddr) -> LineVersion {
@@ -167,26 +202,34 @@ impl CoherenceView for Machine {
         Machine::registry_owner(self, line)
     }
 
-    fn registry_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        Machine::registry_entries(self).collect()
+    fn for_each_registry_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId)) {
+        for (line, node) in Machine::registry_entries(self) {
+            f(line, node);
+        }
     }
 
-    fn registry_sharers(&self) -> Vec<(LineAddr, Vec<NodeId>)> {
-        Machine::registry_sharers(self)
-            .map(|(line, nodes)| (line, nodes.to_vec()))
-            .collect()
+    fn for_each_registry_sharers(&self, f: &mut dyn FnMut(LineAddr, &[NodeId])) {
+        for (line, nodes) in Machine::registry_sharers(self) {
+            f(line, nodes);
+        }
     }
 
-    fn registry_mlt_cols(&self) -> Vec<(LineAddr, u32)> {
-        Machine::registry_mlt_cols(self).collect()
+    fn for_each_registry_mlt_col(&self, f: &mut dyn FnMut(LineAddr, u32)) {
+        for (line, col) in Machine::registry_mlt_cols(self) {
+            f(line, col);
+        }
     }
 
-    fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.arena_excl.iter().map(|(l, n)| (*l, *n)).collect()
+    fn for_each_excl_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId)) {
+        for (&line, &node) in &self.arena_excl {
+            f(line, node);
+        }
     }
 
-    fn sm_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.arena_sm.iter().map(|(l, n)| (*l, *n)).collect()
+    fn for_each_sm_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId)) {
+        for (&line, &node) in &self.arena_sm {
+            f(line, node);
+        }
     }
 
     fn escalated(&self) -> Option<TxnId> {
@@ -351,150 +394,344 @@ impl fmt::Display for CoherenceViolation {
 
 impl std::error::Error for CoherenceViolation {}
 
-/// Per-line residency gathered in one pass over every node's cache.
-#[derive(Default)]
-struct Gathered {
-    owners: LineMap<NodeId>,
-    sharers: LineMap<Vec<NodeId>>,
-    reserved: LineMap<Vec<NodeId>>,
-    held: LineMap<Vec<(NodeId, LineVersion)>>,
+/// Flags of a [`Held`] copy. The first two compare the copy's data with
+/// the line's committed version when it is recorded; the rest are set on
+/// the first copy of a line, by a walk over a registry or side table that
+/// found the line listed as the caches hold it.
+const CURRENT: u8 = 1 << 0;
+const FUTURE: u8 = 1 << 1;
+const SHARERS_LISTED: u8 = 1 << 2;
+const EXCL_LISTED: u8 = 1 << 3;
+const SM_LISTED: u8 = 1 << 4;
+
+/// One resident copy, as the check pass records it.
+#[derive(Clone, Copy)]
+struct Held {
+    line: LineAddr,
+    node: NodeId,
+    mode: LineMode,
+    flags: u8,
 }
 
-impl Gathered {
-    /// The data version `node` holds for `line`, if resident.
-    fn version_at(&self, node: NodeId, line: LineAddr) -> Option<LineVersion> {
-        self.held
-            .get(&line)
-            .and_then(|v| v.iter().find(|(n, _)| *n == node))
-            .map(|(_, d)| *d)
+impl Held {
+    fn is(&self, mode: LineMode) -> bool {
+        self.mode == mode
+    }
+
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
     }
 }
 
-/// Walks every cache once, detecting multiple writers on the way.
-fn gather(v: &dyn CoherenceView) -> Result<Gathered, CoherenceViolation> {
-    let n = v.side();
-    let mut g = Gathered::default();
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        for (line, mode, data) in v.resident(node) {
-            g.held.entry(line).or_default().push((node, data));
-            match mode {
-                LineMode::Modified => {
-                    if let Some(prev) = g.owners.insert(line, node) {
-                        return Err(CoherenceViolation::MultipleWriters {
-                            line,
-                            nodes: (prev, node),
-                        });
-                    }
-                }
-                LineMode::Shared => g.sharers.entry(line).or_default().push(node),
-                LineMode::Reserved => g.reserved.entry(line).or_default().push(node),
+/// The copies of one line, in node order.
+type Copies = [Held];
+
+/// The first copy held in `mode`, and the second.
+fn holders(copies: &Copies, mode: LineMode) -> (Option<&Held>, Option<&Held>) {
+    let mut it = copies.iter().filter(move |h| h.is(mode));
+    (it.next(), it.next())
+}
+
+/// The nodes holding the line in `mode`, ascending.
+fn nodes_in(copies: &Copies, mode: LineMode) -> impl Iterator<Item = NodeId> + '_ {
+    copies.iter().filter(move |h| h.is(mode)).map(|h| h.node)
+}
+
+/// Every resident copy of every cache, sorted by (line, node).
+struct Residency {
+    held: Vec<Held>,
+}
+
+impl Residency {
+    /// Reads every cache once.
+    fn gather(v: &dyn CoherenceView) -> Self {
+        let nodes = v.side() * v.side();
+        let total = (0..nodes).map(|i| v.resident_len(NodeId::new(i))).sum();
+        let mut held = Vec::with_capacity(total);
+        for i in 0..nodes {
+            let node = NodeId::new(i);
+            v.for_each_resident(node, &mut |line, mode, data| {
+                let latest = v.committed_version(line);
+                let flags = match data.cmp(&latest) {
+                    core::cmp::Ordering::Equal => CURRENT,
+                    core::cmp::Ordering::Greater => FUTURE,
+                    core::cmp::Ordering::Less => 0,
+                };
+                held.push(Held {
+                    line,
+                    node,
+                    mode,
+                    flags,
+                });
+            });
+        }
+        held.sort_unstable_by_key(|h| (h.line, h.node));
+        Residency { held }
+    }
+
+    /// Each resident line's copies, in line order.
+    fn lines(&self) -> impl Iterator<Item = &Copies> {
+        self.held.chunk_by(|a, b| a.line == b.line)
+    }
+
+    /// Where `line`'s copies sit in the record (empty if none).
+    fn range(&self, line: LineAddr) -> Range<usize> {
+        line_range(&self.held, line, |h| h.line)
+    }
+
+    /// `line`'s copies.
+    fn of(&self, line: LineAddr) -> &Copies {
+        &self.held[self.range(line)]
+    }
+
+    /// Marks the first copy in `range`, one line's copies, with `flag`.
+    fn mark(&mut self, range: Range<usize>, flag: u8) {
+        self.held[range.start].flags |= flag;
+    }
+
+    /// Whether `node` holds `line`.
+    fn holds(&self, node: NodeId, line: LineAddr) -> bool {
+        self.of(line).iter().any(|h| h.node == node)
+    }
+}
+
+/// One modified line table entry, as the check pass records it.
+#[derive(Clone, Copy)]
+struct Listed {
+    line: LineAddr,
+    col: u32,
+    /// On a line's first entry: the column the registry records for the
+    /// line, the last one visited if several are.
+    recorded: Option<u32>,
+}
+
+/// Every modified line table entry, sorted by (line, column).
+struct Tables {
+    entries: Vec<Listed>,
+}
+
+impl Tables {
+    /// Reads every table twice: once to size the record, once to fill it.
+    fn gather(v: &dyn CoherenceView) -> Self {
+        let mut len = 0;
+        for col in 0..v.side() {
+            v.for_each_mlt_line(col, &mut |_| len += 1);
+        }
+        let mut entries = Vec::with_capacity(len);
+        for col in 0..v.side() {
+            v.for_each_mlt_line(col, &mut |line| {
+                entries.push(Listed {
+                    line,
+                    col,
+                    recorded: None,
+                });
+            });
+        }
+        entries.sort_unstable_by_key(|e| (e.line, e.col));
+        Tables { entries }
+    }
+
+    fn range(&self, line: LineAddr) -> Range<usize> {
+        line_range(&self.entries, line, |e| e.line)
+    }
+
+    /// The columns whose tables list `line`, ascending.
+    fn columns(&self, line: LineAddr) -> Vec<u32> {
+        self.entries[self.range(line)]
+            .iter()
+            .map(|e| e.col)
+            .collect()
+    }
+}
+
+/// Where `line`'s items sit in `items`, a slice sorted by line.
+fn line_range<T>(items: &[T], line: LineAddr, line_of: fn(&T) -> LineAddr) -> Range<usize> {
+    let start = items.partition_point(|x| line_of(x) < line);
+    start..start + items[start..].partition_point(|x| line_of(x) == line)
+}
+
+/// Whichever of two findings names the lower line; `a` on a tie.
+fn lower<T>(a: Option<(LineAddr, T)>, b: Option<(LineAddr, T)>) -> Option<(LineAddr, T)> {
+    match (a, b) {
+        (Some(a), Some(b)) if b.0 < a.0 => Some(b),
+        (None, b) => b,
+        (a, _) => a,
+    }
+}
+
+/// Keeps `found` at the finding with the lowest line: the first of equals.
+fn keep_lowest<T>(found: &mut Option<(LineAddr, T)>, line: LineAddr, what: T) {
+    *found = lower(found.take(), Some((line, what)));
+}
+
+/// The data version `node` holds for `line`, read back from its cache for
+/// a report.
+fn version_at(v: &dyn CoherenceView, node: NodeId, line: LineAddr) -> Option<LineVersion> {
+    let mut found = None;
+    v.for_each_resident(node, &mut |l, _, data| {
+        if l == line {
+            found = Some(data);
+        }
+    });
+    found
+}
+
+/// Single writer. Of several lines held modified twice, the one reported
+/// is the one whose second writer has the lowest index (then the lowest
+/// address), with its first two writers.
+fn check_single_writer(r: &Residency) -> Result<(), CoherenceViolation> {
+    let mut found: Option<(NodeId, LineAddr, NodeId)> = None;
+    for copies in r.lines() {
+        if let (Some(first), Some(second)) = holders(copies, LineMode::Modified) {
+            if found.is_none_or(|(n, _, _)| second.node < n) {
+                found = Some((second.node, first.line, first.node));
             }
         }
     }
-    Ok(g)
+    match found {
+        Some((second, line, first)) => Err(CoherenceViolation::MultipleWriters {
+            line,
+            nodes: (first, second),
+        }),
+        None => Ok(()),
+    }
 }
 
-/// Lines known to any structure, in stable address order.
-fn known_lines(v: &dyn CoherenceView, g: &Gathered) -> Vec<LineAddr> {
-    let mut lines: LineSet = LineSet::default();
-    lines.extend(g.held.keys().copied());
-    lines.extend(v.memory_lines());
-    let mut lines: Vec<LineAddr> = lines.into_iter().collect();
-    lines.sort_unstable_by_key(|l| l.index());
-    lines
+/// Judges every line any structure knows — the resident ones and every
+/// line memory has stored — with `judge`, and reports the violation at the
+/// lowest address.
+fn check_known_lines(
+    v: &dyn CoherenceView,
+    r: &Residency,
+    judge: impl Fn(LineAddr, &Copies) -> Result<(), CoherenceViolation>,
+) -> Result<(), CoherenceViolation> {
+    let mut found = r.lines().find_map(|copies| {
+        judge(copies[0].line, copies)
+            .err()
+            .map(|e| (copies[0].line, e))
+    });
+    v.for_each_memory_line(&mut |line| {
+        let before = found.as_ref().is_none_or(|(l, _)| line < *l);
+        if before && r.of(line).is_empty() {
+            if let Err(e) = judge(line, &[]) {
+                found = Some((line, e));
+            }
+        }
+    });
+    found.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// Registry sanity, both directions: every cache owner is registered,
 /// every registry entry is backed by a modified copy, the per-line sharer
 /// list names exactly the caches holding shared copies, and the recorded
 /// MLT column names exactly the tables listing the line.
-fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceViolation> {
-    let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
-    owned_lines.sort_unstable_by_key(|l| l.index());
-    for &line in &owned_lines {
-        let node = g.owners[&line];
-        if v.registry_owner(line) != Some(node) {
-            return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!("cache owner {node} not in registry"),
-            });
+fn check_registry(
+    v: &dyn CoherenceView,
+    r: &mut Residency,
+    t: &mut Tables,
+) -> Result<(), CoherenceViolation> {
+    for copies in r.lines() {
+        if let (Some(owner), _) = holders(copies, LineMode::Modified) {
+            if v.registry_owner(owner.line) != Some(owner.node) {
+                return Err(CoherenceViolation::RegistryMismatch {
+                    line: owner.line,
+                    detail: format!("cache owner {} not in registry", owner.node),
+                });
+            }
         }
     }
-    // Smallest offending address, not whichever the hash order yields
-    // first: stray-registry-entry reports must be stable run to run.
-    if let Some((line, node)) = v
-        .registry_entries()
-        .into_iter()
-        .filter(|(l, _)| !g.owners.contains_key(l))
-        .min_by_key(|(l, _)| l.index())
-    {
+    let mut stray = None;
+    v.for_each_registry_entry(&mut |line, node| {
+        if holders(r.of(line), LineMode::Modified).0.is_none() {
+            keep_lowest(&mut stray, line, node);
+        }
+    });
+    if let Some((line, node)) = stray {
         return Err(CoherenceViolation::RegistryMismatch {
             line,
             detail: format!("registry claims {node} but no cache holds it modified"),
         });
     }
-    let registered: LineMap<Vec<NodeId>> = v.registry_sharers().into_iter().collect();
-    let mut shared_lines: Vec<LineAddr> =
-        g.sharers.keys().chain(registered.keys()).copied().collect();
-    shared_lines.sort_unstable_by_key(|l| l.index());
-    shared_lines.dedup();
-    for line in shared_lines {
-        // `gather` visits nodes in ascending order, so both lists are
-        // sorted and equal exactly when the sets are.
-        let caches = g.sharers.get(&line).map_or(&[][..], Vec::as_slice);
-        let registry = registered.get(&line).map_or(&[][..], Vec::as_slice);
-        if caches != registry {
-            return Err(CoherenceViolation::SharerSetMismatch {
-                line,
-                registry: registry.to_vec(),
-                caches: caches.to_vec(),
-            });
+
+    // Compare every listed line with its shared copies, marking those that
+    // agree; a line with shared copies left unmarked is not listed at all.
+    let mut wrong = None;
+    v.for_each_registry_sharers(&mut |line, listed| {
+        let range = r.range(line);
+        if nodes_in(&r.held[range.clone()], LineMode::Shared).eq(listed.iter().copied()) {
+            if !listed.is_empty() {
+                r.mark(range, SHARERS_LISTED);
+            }
+        } else {
+            keep_lowest(&mut wrong, line, listed.to_vec());
         }
+    });
+    let unlisted = r
+        .lines()
+        .find(|c| holders(c, LineMode::Shared).0.is_some() && !c[0].has(SHARERS_LISTED))
+        .map(|c| (c[0].line, Vec::new()));
+    if let Some((line, registry)) = lower(wrong, unlisted) {
+        return Err(CoherenceViolation::SharerSetMismatch {
+            line,
+            registry,
+            caches: nodes_in(r.of(line), LineMode::Shared).collect(),
+        });
     }
-    let mut tables: LineMap<Vec<u32>> = LineMap::default();
-    for col in 0..v.side() {
-        for line in v.mlt_lines(col) {
-            tables.entry(line).or_default().push(col);
+
+    // The recorded MLT column names exactly the tables listing the line.
+    // A view deriving the record from the tables visits a line listed
+    // twice twice; the last visit stands.
+    let mut unlisted: Option<(LineAddr, Option<u32>)> = None;
+    v.for_each_registry_mlt_col(&mut |line, col| {
+        let range = t.range(line);
+        if range.is_empty() {
+            if unlisted.is_none_or(|(l, _)| line <= l) {
+                unlisted = Some((line, Some(col)));
+            }
+        } else {
+            t.entries[range.start].recorded = Some(col);
         }
+    });
+    let wrong = t
+        .entries
+        .chunk_by(|a, b| a.line == b.line)
+        .find(|e| e.len() > 1 || e[0].recorded != Some(e[0].col))
+        .map(|e| (e[0].line, e[0].recorded));
+    if let Some((line, registry)) = lower(wrong, unlisted) {
+        return Err(CoherenceViolation::MltColumnMismatch {
+            line,
+            registry,
+            tables: t.columns(line),
+        });
     }
-    let recorded: LineMap<u32> = v.registry_mlt_cols().into_iter().collect();
-    let mut listed_lines: Vec<LineAddr> = tables.keys().chain(recorded.keys()).copied().collect();
-    listed_lines.sort_unstable_by_key(|l| l.index());
-    listed_lines.dedup();
-    for line in listed_lines {
-        // Columns are pushed in ascending order, so the slices compare as
-        // sets.
-        let listed = tables.get(&line).map_or(&[][..], Vec::as_slice);
-        let registry = recorded.get(&line).copied();
-        if listed != registry.as_slice() {
-            return Err(CoherenceViolation::MltColumnMismatch {
-                line,
-                registry,
-                tables: listed.to_vec(),
-            });
+    Ok(())
+}
+
+/// The §2 strict-subset property: every L1 line is present in L2. Reports
+/// the lowest node's lowest missing line.
+fn check_l1_subset(v: &dyn CoherenceView, r: &Residency) -> Result<(), CoherenceViolation> {
+    let n = v.side();
+    for node_idx in 0..(n * n) {
+        let node = NodeId::new(node_idx);
+        let mut missing = None;
+        v.for_each_l1_line(node, &mut |line| {
+            if !r.holds(node, line) {
+                keep_lowest(&mut missing, line, ());
+            }
+        });
+        if let Some((line, ())) = missing {
+            return Err(CoherenceViolation::SubsetViolation { node, line });
         }
     }
     Ok(())
 }
 
-/// The §2 strict-subset property: every L1 line is present in L2.
-fn check_l1_subset(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    let n = v.side();
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        let l1 = v.l1_lines(node);
-        if l1.is_empty() {
-            continue;
-        }
-        let l2: LineSet = v.resident(node).into_iter().map(|(l, _, _)| l).collect();
-        for line in l1 {
-            if !l2.contains(&line) {
-                return Err(CoherenceViolation::SubsetViolation { node, line });
-            }
-        }
+/// No leaked watchdog escalations.
+fn check_escalation(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
+    match v.escalated() {
+        Some(txn) => Err(CoherenceViolation::EscalationLeak { txn }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Runs all invariant checks against a quiescent Multicube machine (or
@@ -505,30 +742,27 @@ fn check_l1_subset(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
 /// The first violation found.
 pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
     let n = v.side();
-    let g = gather(v)?;
-
-    // Violations below are found by walking hash maps; report them in
-    // line-address order so a given failure names the same line on every
-    // run, whatever the hasher.
-    let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
-    owned_lines.sort_unstable_by_key(|l| l.index());
+    let mut r = Residency::gather(v);
+    check_single_writer(&r)?;
 
     // 2. Modified excludes shared.
-    for &line in &owned_lines {
-        let owner = g.owners[&line];
-        if let Some(&sharer) = g.sharers.get(&line).and_then(|s| s.first()) {
-            return Err(CoherenceViolation::ModifiedWithSharers {
-                line,
-                owner,
-                sharer,
-            });
+    for copies in r.lines() {
+        if let (Some(owner), _) = holders(copies, LineMode::Modified) {
+            if let (Some(sharer), _) = holders(copies, LineMode::Shared) {
+                return Err(CoherenceViolation::ModifiedWithSharers {
+                    line: owner.line,
+                    owner: owner.node,
+                    sharer: sharer.node,
+                });
+            }
         }
     }
 
     // 3+4. Valid bit and value integrity over every line any structure knows.
-    for line in known_lines(v, &g) {
+    check_known_lines(v, &r, |line, copies| {
         let memory_valid = v.memory_valid(line);
-        let has_owner = g.owners.contains_key(&line);
+        let (owner, _) = holders(copies, LineMode::Modified);
+        let has_owner = owner.is_some();
         if memory_valid == has_owner {
             return Err(CoherenceViolation::ValidBitMismatch {
                 line,
@@ -537,12 +771,12 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
             });
         }
         let latest = v.committed_version(line);
-        if let Some(&owner) = g.owners.get(&line) {
-            let held = g.version_at(owner, line);
-            if held != Some(latest) {
+        if let Some(owner) = owner {
+            if !owner.has(CURRENT) {
+                let held = version_at(v, owner.node, line);
                 return Err(CoherenceViolation::StaleValue {
                     line,
-                    holder: format!("owner {owner} holds {held:?}, expected {latest:?}"),
+                    holder: format!("owner {} holds {held:?}, expected {latest:?}", owner.node),
                 });
             }
         } else {
@@ -552,51 +786,58 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
                     holder: format!("memory column {}", v.home_column(line)),
                 });
             }
-            for sharer in g.sharers.get(&line).into_iter().flatten() {
-                let held = g.version_at(*sharer, line);
-                if held != Some(latest) {
-                    return Err(CoherenceViolation::StaleValue {
-                        line,
-                        holder: format!("sharer {sharer} holds {held:?}, expected {latest:?}"),
-                    });
-                }
+            if let Some(sharer) = copies
+                .iter()
+                .find(|h| h.is(LineMode::Shared) && !h.has(CURRENT))
+            {
+                let held = version_at(v, sharer.node, line);
+                return Err(CoherenceViolation::StaleValue {
+                    line,
+                    holder: format!("sharer {} holds {held:?}, expected {latest:?}", sharer.node),
+                });
             }
         }
-    }
+        Ok(())
+    })?;
 
-    // 5. Each column's MLT matches the column's modified lines.
-    for col in 0..n {
-        let table: LineSet = v.mlt_lines(col).into_iter().collect();
-        let actual: LineSet = g
-            .owners
-            .iter()
-            .filter(|(_, node)| node.index() % n == col)
-            .map(|(line, _)| *line)
-            .collect();
-        if table != actual {
+    // 5. Each column's MLT matches the column's modified lines: it lists
+    // as many lines as the column holds modified, and none held elsewhere.
+    let mut t = Tables::gather(v);
+    let cols = n as usize;
+    let mut owned = vec![0usize; cols];
+    for copies in r.lines() {
+        if let (Some(owner), _) = holders(copies, LineMode::Modified) {
+            owned[owner.node.as_usize() % cols] += 1;
+        }
+    }
+    let mut listed = vec![0usize; cols];
+    let mut stray = vec![false; cols];
+    for e in &t.entries {
+        let col = e.col as usize;
+        listed[col] += 1;
+        let owner = holders(r.of(e.line), LineMode::Modified).0;
+        stray[col] |= owner.is_none_or(|o| o.node.as_usize() % cols != col);
+    }
+    for col in 0..cols {
+        if stray[col] || listed[col] != owned[col] {
             return Err(CoherenceViolation::MltInconsistent {
-                col,
+                col: col as u32,
                 detail: format!(
                     "table has {} entries, column holds {} modified lines",
-                    table.len(),
-                    actual.len()
+                    listed[col], owned[col]
                 ),
             });
         }
     }
 
     // 6. Processor-cache subset property (§2).
-    check_l1_subset(v)?;
+    check_l1_subset(v, &r)?;
 
     // 7. Registry sanity.
-    check_registry(v, &g)?;
+    check_registry(v, &mut r, &mut t)?;
 
     // 8. No leaked watchdog escalations.
-    if let Some(txn) = v.escalated() {
-        return Err(CoherenceViolation::EscalationLeak { txn });
-    }
-
-    Ok(())
+    check_escalation(v)
 }
 
 /// Quiescent invariants of the single-bus MESI and write-once engines:
@@ -654,32 +895,38 @@ pub fn check_engine(kind: EngineKind, v: &dyn CoherenceView) -> Result<(), Coher
 ///
 /// The first violation found.
 pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    let n = v.side();
-    let g = gather(v)?;
-    check_registry(v, &g)?;
-    check_l1_subset(v)?;
-    // No structure may hold a version from the future.
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        for (line, _, data) in v.resident(node) {
-            if data > v.committed_version(line) {
-                return Err(CoherenceViolation::StaleValue {
-                    line,
-                    holder: format!("{node} holds uncommitted version {data:?}"),
-                });
-            }
-        }
+    let mut r = Residency::gather(v);
+    check_single_writer(&r)?;
+    check_registry(v, &mut r, &mut Tables::gather(v))?;
+    check_l1_subset(v, &r)?;
+    // No structure may hold a version from the future: the lowest node's
+    // lowest such line, then the first such line memory visits.
+    if let Some(h) = r
+        .held
+        .iter()
+        .filter(|h| h.has(FUTURE))
+        .min_by_key(|h| (h.node, h.line))
+    {
+        let data = version_at(v, h.node, h.line).expect("a recorded copy is resident");
+        return Err(CoherenceViolation::StaleValue {
+            line: h.line,
+            holder: format!("{} holds uncommitted version {data:?}", h.node),
+        });
     }
-    for line in v.memory_lines() {
-        if v.memory_data(line) > v.committed_version(line) {
-            return Err(CoherenceViolation::StaleValue {
-                line,
-                holder: format!(
-                    "memory column {} holds uncommitted version",
-                    v.home_column(line)
-                ),
-            });
+    let mut future = None;
+    v.for_each_memory_line(&mut |line| {
+        if future.is_none() && v.memory_data(line) > v.committed_version(line) {
+            future = Some(line);
         }
+    });
+    if let Some(line) = future {
+        return Err(CoherenceViolation::StaleValue {
+            line,
+            holder: format!(
+                "memory column {} holds uncommitted version",
+                v.home_column(line)
+            ),
+        });
     }
     Ok(())
 }
@@ -688,70 +935,72 @@ pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> 
 /// selects Dragon's dirty-shared (`Sm`) semantics.
 fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), CoherenceViolation> {
     let n = v.side();
-    let g = gather(v)?;
-
-    // Report in line-address order so failures are stable run to run.
-    let mut owned_lines: Vec<LineAddr> = g.owners.keys().copied().collect();
-    owned_lines.sort_unstable_by_key(|l| l.index());
+    let mut r = Residency::gather(v);
+    check_single_writer(&r)?;
 
     // An M copy is the sole copy.
-    for &line in &owned_lines {
-        let owner = g.owners[&line];
-        if let Some(&sharer) = g.sharers.get(&line).and_then(|s| s.first()) {
+    for copies in r.lines() {
+        let (Some(owner), _) = holders(copies, LineMode::Modified) else {
+            continue;
+        };
+        if let (Some(sharer), _) = holders(copies, LineMode::Shared) {
             return Err(CoherenceViolation::ModifiedWithSharers {
-                line,
-                owner,
-                sharer,
+                line: owner.line,
+                owner: owner.node,
+                sharer: sharer.node,
             });
         }
-        if let Some(&holder) = g.reserved.get(&line).and_then(|r| r.first()) {
+        if let (Some(holder), _) = holders(copies, LineMode::Reserved) {
             return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!("{holder} holds an exclusive-clean copy alongside owner {owner}"),
+                line: owner.line,
+                detail: format!(
+                    "{} holds an exclusive-clean copy alongside owner {}",
+                    holder.node, owner.node
+                ),
             });
         }
     }
 
-    // An E copy is the sole copy, and the side table matches the caches.
-    let excl: LineMap<NodeId> = v.excl_entries().into_iter().collect();
-    let mut reserved_lines: Vec<LineAddr> = g.reserved.keys().copied().collect();
-    reserved_lines.sort_unstable_by_key(|l| l.index());
-    for &line in &reserved_lines {
-        let holders = &g.reserved[&line];
-        if holders.len() > 1 {
-            return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!(
-                    "{} and {} both hold exclusive-clean copies",
-                    holders[0], holders[1]
-                ),
-            });
+    // An E copy is the sole copy, and the side table matches the caches:
+    // mark the lines whose sole E holder the table names, then walk them.
+    let mut stray = None;
+    v.for_each_excl_entry(&mut |line, node| {
+        let range = r.range(line);
+        match holders(&r.held[range.clone()], LineMode::Reserved).0 {
+            None => keep_lowest(&mut stray, line, node),
+            Some(h) if h.node == node => r.mark(range, EXCL_LISTED),
+            Some(_) => {}
         }
-        if let Some(&sharer) = g.sharers.get(&line).and_then(|s| s.first()) {
-            return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!(
-                    "{} holds an exclusive-clean copy alongside sharer {sharer}",
-                    holders[0]
-                ),
-            });
-        }
-        if excl.get(&line) != Some(&holders[0]) {
-            return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!(
-                    "exclusive-clean holder {} missing from the E side table",
-                    holders[0]
-                ),
-            });
-        }
+    });
+    for copies in r.lines() {
+        let (first, second) = holders(copies, LineMode::Reserved);
+        let Some(first) = first else {
+            continue;
+        };
+        let detail = if let Some(second) = second {
+            format!(
+                "{} and {} both hold exclusive-clean copies",
+                first.node, second.node
+            )
+        } else if let (Some(sharer), _) = holders(copies, LineMode::Shared) {
+            format!(
+                "{} holds an exclusive-clean copy alongside sharer {}",
+                first.node, sharer.node
+            )
+        } else if !copies[0].has(EXCL_LISTED) {
+            format!(
+                "exclusive-clean holder {} missing from the E side table",
+                first.node
+            )
+        } else {
+            continue;
+        };
+        return Err(CoherenceViolation::RegistryMismatch {
+            line: first.line,
+            detail,
+        });
     }
-    if let Some((line, node)) = excl
-        .iter()
-        .filter(|(l, _)| !g.reserved.contains_key(l))
-        .map(|(l, n)| (*l, *n))
-        .min_by_key(|(l, _)| l.index())
-    {
+    if let Some((line, node)) = stray {
         return Err(CoherenceViolation::RegistryMismatch {
             line,
             detail: format!("E side table claims {node} but no cache holds it exclusive-clean"),
@@ -760,30 +1009,32 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
 
     // The Sm side table: a Dragon shared-modified holder must be a
     // resident sharer; MESI must never populate it.
-    let sm: LineMap<NodeId> = v.sm_entries().into_iter().collect();
-    let mut sm_lines: Vec<LineAddr> = sm.keys().copied().collect();
-    sm_lines.sort_unstable_by_key(|l| l.index());
-    for &line in &sm_lines {
-        let holder = sm[&line];
-        if !update_based {
-            return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!("Sm side table claims {holder} under a write-invalidate engine"),
-            });
+    let mut wrong = None;
+    v.for_each_sm_entry(&mut |line, holder| {
+        let range = r.range(line);
+        let is_sharer = nodes_in(&r.held[range.clone()], LineMode::Shared).any(|n| n == holder);
+        if update_based && is_sharer {
+            r.mark(range, SM_LISTED);
+        } else {
+            keep_lowest(&mut wrong, line, holder);
         }
-        let is_sharer = g.sharers.get(&line).is_some_and(|s| s.contains(&holder));
-        if !is_sharer {
-            return Err(CoherenceViolation::RegistryMismatch {
-                line,
-                detail: format!("Sm holder {holder} does not hold the line shared"),
-            });
-        }
+    });
+    if let Some((line, holder)) = wrong {
+        let detail = if update_based {
+            format!("Sm holder {holder} does not hold the line shared")
+        } else {
+            format!("Sm side table claims {holder} under a write-invalidate engine")
+        };
+        return Err(CoherenceViolation::RegistryMismatch { line, detail });
     }
 
     // Valid bit and value integrity over every line any structure knows.
-    for line in known_lines(v, &g) {
+    // A listed Sm line has a resident sharer, so a line only memory knows
+    // is never dirty.
+    check_known_lines(v, &r, |line, copies| {
         let memory_valid = v.memory_valid(line);
-        let dirty = g.owners.contains_key(&line) || sm.contains_key(&line);
+        let (owner, _) = holders(copies, LineMode::Modified);
+        let dirty = owner.is_some() || copies.first().is_some_and(|h| h.has(SM_LISTED));
         if memory_valid == dirty {
             return Err(CoherenceViolation::ValidBitMismatch {
                 line,
@@ -801,51 +1052,43 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
         // Every resident copy holds the latest committed version: under
         // MESI because writers are sole holders, under Dragon because
         // updates refresh every copy in place.
-        if let Some(&owner) = g.owners.get(&line) {
-            let held = g.version_at(owner, line);
-            if held != Some(latest) {
-                return Err(CoherenceViolation::StaleValue {
-                    line,
-                    holder: format!("owner {owner} holds {held:?}, expected {latest:?}"),
-                });
-            }
+        if let Some(owner) = owner.filter(|o| !o.has(CURRENT)) {
+            let held = version_at(v, owner.node, line);
+            return Err(CoherenceViolation::StaleValue {
+                line,
+                holder: format!("owner {} holds {held:?}, expected {latest:?}", owner.node),
+            });
         }
-        for holder in g
-            .sharers
-            .get(&line)
-            .into_iter()
-            .flatten()
-            .chain(g.reserved.get(&line).into_iter().flatten())
-        {
-            let held = g.version_at(*holder, line);
-            if held != Some(latest) {
-                return Err(CoherenceViolation::StaleValue {
-                    line,
-                    holder: format!("{holder} holds {held:?}, expected {latest:?}"),
-                });
-            }
+        let shared = copies.iter().filter(|h| h.is(LineMode::Shared));
+        let reserved = copies.iter().filter(|h| h.is(LineMode::Reserved));
+        if let Some(holder) = shared.chain(reserved).find(|h| !h.has(CURRENT)) {
+            let held = version_at(v, holder.node, line);
+            return Err(CoherenceViolation::StaleValue {
+                line,
+                holder: format!("{} holds {held:?}, expected {latest:?}", holder.node),
+            });
         }
-    }
+        Ok(())
+    })?;
 
     // The MLT is a Multicube structure; arena engines must leave every
     // column's table empty.
     for col in 0..n {
-        if let Some(&line) = v.mlt_lines(col).first() {
+        let mut first = None;
+        v.for_each_mlt_line(col, &mut |line| {
+            first.get_or_insert(line);
+        });
+        if let Some(line) = first {
             return Err(CoherenceViolation::MltInconsistent {
                 col,
                 detail: format!("arena engine populated the MLT with {line:?}"),
             });
         }
     }
-    check_l1_subset(v)?;
+    check_l1_subset(v, &r)?;
 
     // Registry sanity (both directions).
-    check_registry(v, &g)?;
+    check_registry(v, &mut r, &mut Tables::gather(v))?;
 
-    // No leaked watchdog escalations.
-    if let Some(txn) = v.escalated() {
-        return Err(CoherenceViolation::EscalationLeak { txn });
-    }
-
-    Ok(())
+    check_escalation(v)
 }

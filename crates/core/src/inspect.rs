@@ -37,14 +37,14 @@ pub fn line_views(v: &dyn CoherenceView) -> Vec<LineView> {
     let mut map: BTreeMap<LineAddr, (Option<NodeId>, Vec<NodeId>)> = BTreeMap::new();
     for idx in 0..(n * n) {
         let node = NodeId::new(idx);
-        for (line, mode, _) in v.resident(node) {
+        v.for_each_resident(node, &mut |line, mode, _| {
             let entry = map.entry(line).or_default();
             match mode {
                 LineMode::Modified => entry.0 = Some(node),
                 LineMode::Shared => entry.1.push(node),
                 LineMode::Reserved => {}
             }
-        }
+        });
     }
     map.into_iter()
         .map(|(line, (owner, mut sharers))| {

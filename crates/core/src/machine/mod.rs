@@ -273,6 +273,7 @@ impl Machine {
                     grid.col_of(node),
                     config.snoop_cache(),
                     config.processor_cache(),
+                    config.snarfing(),
                 )
             })
             .collect();
@@ -1651,6 +1652,22 @@ mod tests {
         assert_eq!(done.kind, RequestKind::Writeback);
         assert_eq!(done.latency.as_nanos(), 0);
         assert_eq!(done.at, SimTime::ZERO);
+    }
+
+    #[test]
+    fn controllers_remember_recent_lines_only_when_snarfing() {
+        for snarfing in [false, true] {
+            let config = MachineConfig::grid(4).unwrap().with_snarfing(snarfing);
+            let mut m = Machine::new(config, 3).unwrap();
+            let spec = crate::driver::SyntheticSpec::default().with_request_rate_per_ms(30.0);
+            m.run_synthetic(&spec, 40);
+            let remembered: usize = m.controllers.iter().map(|c| c.recent.len()).sum();
+            if snarfing {
+                assert!(remembered > 0, "a snarfing run remembers purged lines");
+            } else {
+                assert_eq!(remembered, 0, "nothing reads the list without snarfing");
+            }
+        }
     }
 
     #[test]

@@ -49,8 +49,13 @@ pub struct Controller {
     /// snooping cache, kept consistent by write-through (§2). `None` when
     /// the L1 level is not modelled.
     pub(crate) proc_cache: Option<SetAssocCache<()>>,
-    /// Recently evicted/purged lines, eligible for snarfing.
+    /// Recently evicted/purged lines, eligible for snarfing. Filled only
+    /// when snarfing is on: nothing else reads it.
     pub(crate) recent: VecDeque<LineAddr>,
+    /// Whether the machine snarfs ([`MachineConfig::snarfing`]).
+    ///
+    /// [`MachineConfig::snarfing`]: crate::MachineConfig::snarfing
+    snarfing: bool,
     /// The single outstanding processor transaction ("Requests are
     /// assumed to be non-overlapping", Figure 2).
     pub(crate) outstanding: Option<TxnId>,
@@ -60,13 +65,15 @@ pub struct Controller {
 const RECENT_CAP: usize = 16;
 
 impl Controller {
-    /// Creates a controller for `node` at grid position `(row, col)`.
+    /// Creates a controller for `node` at grid position `(row, col)`. It
+    /// remembers recently held lines only if `snarfing` is on.
     pub fn new(
         node: NodeId,
         row: u32,
         col: u32,
         cache_geometry: CacheGeometry,
         proc_geometry: Option<CacheGeometry>,
+        snarfing: bool,
     ) -> Self {
         Controller {
             node,
@@ -75,6 +82,7 @@ impl Controller {
             cache: SetAssocCache::new(cache_geometry),
             proc_cache: proc_geometry.map(SetAssocCache::new),
             recent: VecDeque::new(),
+            snarfing,
             outstanding: None,
         }
     }
@@ -109,9 +117,10 @@ impl Controller {
         self.outstanding
     }
 
-    /// Records an eviction/purge for snarf-recency tracking.
+    /// Records an eviction/purge for snarf-recency tracking, if snarfing
+    /// is on.
     pub(crate) fn note_recent(&mut self, line: LineAddr) {
-        if self.recent.contains(&line) {
+        if !self.snarfing || self.recent.contains(&line) {
             return;
         }
         if self.recent.len() >= RECENT_CAP {
@@ -129,12 +138,16 @@ impl Controller {
 
     /// Removes a line from the snarf-recency list (it is resident again).
     pub(crate) fn forget_recent(&mut self, line: &LineAddr) {
+        if !self.snarfing {
+            return;
+        }
         if let Some(pos) = self.recent.iter().position(|l| l == line) {
             self.recent.remove(pos);
         }
     }
 
-    /// Marks a resident line invalid (purge), remembering it for snarfing.
+    /// Marks a resident line invalid (purge), remembering it for snarfing
+    /// if snarfing is on.
     /// Returns the line's prior state if it was resident. The processor
     /// cache loses the line too — it is a strict subset of the snooping
     /// cache (§2).
@@ -195,7 +208,7 @@ mod tests {
     use super::*;
 
     fn controller() -> Controller {
-        Controller::new(NodeId::new(5), 1, 1, CacheGeometry::new(2, 2), None)
+        Controller::new(NodeId::new(5), 1, 1, CacheGeometry::new(2, 2), None, true)
     }
 
     fn line(i: u64) -> LineAddr {

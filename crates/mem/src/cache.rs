@@ -113,9 +113,9 @@ type Slot<M> = Option<Way<M>>;
 /// it. The table is allocated on the first insertion (a cache that was
 /// never written costs nothing), doubles to stay at most half full, and
 /// deletes by backward shift, so no tombstones build up. Each way records
-/// its position in its set, so iteration runs in ascending set order and,
-/// within a set, in insertion order with swap-removal: exactly the order
-/// of a per-set vector.
+/// its position in its set, so [`SetAssocCache::drain`] returns lines in
+/// ascending set order and, within a set, in insertion order with
+/// swap-removal: exactly the order of a per-set vector.
 ///
 /// # Example
 ///
@@ -381,16 +381,16 @@ impl<M> SetAssocCache<M> {
         }
     }
 
-    /// Iterates over all resident `(line, meta)` pairs in ascending set
-    /// order and, within a set, in insertion order with swap-removal.
+    /// Iterates over all resident `(line, meta)` pairs in table order,
+    /// which is no particular order. It allocates nothing; [`Self::drain`]
+    /// returns the lines in set order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
-        let mut ways: Vec<&Way<M>> = self.table.iter().flatten().collect();
-        ways.sort_unstable_by_key(|way| (way.set, way.pos));
-        ways.into_iter().map(|way| (way.line, &way.meta))
+        self.table.iter().flatten().map(|way| (way.line, &way.meta))
     }
 
-    /// Drains the cache in [`Self::iter`]'s order, returning all resident
-    /// lines; the table is freed.
+    /// Drains the cache in ascending set order and, within a set, in
+    /// insertion order with swap-removal, returning all resident lines;
+    /// the table is freed.
     pub fn drain(&mut self) -> Vec<(LineAddr, M)> {
         let mut ways: Vec<Way<M>> = std::mem::take(&mut self.table)
             .into_iter()
@@ -577,6 +577,23 @@ mod tests {
         assert_eq!(c.table.capacity(), 0, "draining frees the table");
     }
 
+    /// The lines `drain` returns from a copy of `c`, and a check that
+    /// `iter` visits the same lines.
+    fn set_order<M: Clone>(c: &SetAssocCache<M>) -> Vec<u64> {
+        let drained: Vec<u64> = c
+            .clone()
+            .drain()
+            .into_iter()
+            .map(|(l, _)| l.index())
+            .collect();
+        let mut visited: Vec<u64> = c.iter().map(|(l, _)| l.index()).collect();
+        visited.sort_unstable();
+        let mut sorted = drained.clone();
+        sorted.sort_unstable();
+        assert_eq!(visited, sorted, "iter and drain disagree on the lines");
+        drained
+    }
+
     #[test]
     fn iteration_runs_in_ascending_set_order() {
         let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
@@ -584,10 +601,7 @@ mod tests {
         c.insert(line(5 + 1024), 6);
         c.insert(line(6), 7);
         c.insert(line(7), 8);
-        assert_eq!(
-            c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
-            [5, 1029, 6, 7]
-        );
+        assert_eq!(set_order(&c), [5, 1029, 6, 7]);
 
         let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
         for (k, set) in [3u64, 900, 70, 64, 1023].into_iter().enumerate() {
@@ -595,10 +609,7 @@ mod tests {
             c.insert(line(set + 1024), k as u32);
         }
         let expected = [3, 1027, 64, 1088, 70, 1094, 900, 1924, 1023, 2047];
-        assert_eq!(
-            c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
-            expected
-        );
+        assert_eq!(set_order(&c), expected);
         let drained: Vec<u64> = c.drain().into_iter().map(|(l, _)| l.index()).collect();
         assert_eq!(drained, expected);
         assert!(c.is_empty() && c.iter().next().is_none());
@@ -615,10 +626,7 @@ mod tests {
         c.get(&line(194));
         assert_eq!(c.insert(line(389), 0).map(|e| e.line), Some(line(259)));
         c.insert(line(0), 0);
-        assert_eq!(
-            c.iter().map(|(l, _)| l.index()).collect::<Vec<_>>(),
-            [0, 64, 324, 194, 389]
-        );
+        assert_eq!(set_order(&c), [0, 64, 324, 194, 389]);
     }
 
     #[test]
@@ -630,7 +638,7 @@ mod tests {
         }
         assert_eq!(c.len(), sets as usize);
         assert!((0..sets).all(|set| c.peek(&line(set)) == Some(&set)));
-        assert!(c.iter().map(|(l, _)| l.index()).eq(0..sets));
+        assert!(set_order(&c).into_iter().eq(0..sets));
     }
 
     #[test]

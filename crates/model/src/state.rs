@@ -236,9 +236,17 @@ impl CoherenceView for StateView<'_> {
         SIDE as u32
     }
 
-    fn resident(&self, node: NodeId) -> Vec<(LineAddr, LineMode, LineVersion)> {
+    fn resident_len(&self, node: NodeId) -> usize {
         let i = node.as_usize();
-        let mut out = Vec::new();
+        self.state
+            .lines
+            .iter()
+            .filter(|ls| ls.mode[i] != Mode::I)
+            .count()
+    }
+
+    fn for_each_resident(&self, node: NodeId, f: &mut dyn FnMut(LineAddr, LineMode, LineVersion)) {
+        let i = node.as_usize();
         for (l, ls) in self.state.lines.iter().enumerate() {
             let mode = match ls.mode[i] {
                 Mode::I => continue,
@@ -246,33 +254,28 @@ impl CoherenceView for StateView<'_> {
                 Mode::M => LineMode::Modified,
                 Mode::E => LineMode::Reserved,
             };
-            out.push((
+            f(
                 LineAddr::new(l as u64),
                 mode,
                 LineVersion::new(ls.data[i] as u64),
-            ));
+            );
         }
-        out
     }
 
-    fn l1_lines(&self, _node: NodeId) -> Vec<LineAddr> {
-        Vec::new()
-    }
+    fn for_each_l1_line(&self, _node: NodeId, _f: &mut dyn FnMut(LineAddr)) {}
 
-    fn mlt_lines(&self, col: u32) -> Vec<LineAddr> {
+    fn for_each_mlt_line(&self, col: u32, f: &mut dyn FnMut(LineAddr)) {
         // The MLT is a Multicube structure; arena engines leave it empty.
         // The model keeps no table of its own: a column's table is the set
         // of lines owned by a node in that column.
         if self.cfg.engine != EngineKind::Multicube {
-            return Vec::new();
+            return;
         }
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .filter(|(_, ls)| ls.owner().is_some_and(|o| o as u32 % SIDE as u32 == col))
-            .map(|(l, _)| LineAddr::new(l as u64))
-            .collect()
+        for (l, ls) in self.state.lines.iter().enumerate() {
+            if ls.owner().is_some_and(|o| o as u32 % SIDE as u32 == col) {
+                f(LineAddr::new(l as u64));
+            }
+        }
     }
 
     fn home_column(&self, line: LineAddr) -> u32 {
@@ -287,10 +290,10 @@ impl CoherenceView for StateView<'_> {
         LineVersion::new(self.line(line).mem_data as u64)
     }
 
-    fn memory_lines(&self) -> Vec<LineAddr> {
-        (0..self.state.lines.len() as u64)
-            .map(LineAddr::new)
-            .collect()
+    fn for_each_memory_line(&self, f: &mut dyn FnMut(LineAddr)) {
+        for l in 0..self.state.lines.len() as u64 {
+            f(LineAddr::new(l));
+        }
     }
 
     fn committed_version(&self, line: LineAddr) -> LineVersion {
@@ -301,58 +304,44 @@ impl CoherenceView for StateView<'_> {
         self.line(line).owner().map(|o| NodeId::new(o as u32))
     }
 
-    fn registry_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .filter_map(|(l, ls)| {
-                ls.owner()
-                    .map(|o| (LineAddr::new(l as u64), NodeId::new(o as u32)))
-            })
-            .collect()
+    fn for_each_registry_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId)) {
+        for (l, ls) in self.state.lines.iter().enumerate() {
+            if let Some(o) = ls.owner() {
+                f(LineAddr::new(l as u64), NodeId::new(o as u32));
+            }
+        }
     }
 
-    fn registry_sharers(&self) -> Vec<(LineAddr, Vec<NodeId>)> {
+    fn for_each_registry_sharers(&self, f: &mut dyn FnMut(LineAddr, &[NodeId])) {
         // Derived from the modes, like the owner: the model has no separate
         // list that could drift.
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .map(|(l, ls)| {
-                let nodes: Vec<NodeId> = (0..NODES)
-                    .filter(|&i| ls.mode[i] == Mode::S)
-                    .map(|i| NodeId::new(i as u32))
-                    .collect();
-                (LineAddr::new(l as u64), nodes)
-            })
-            .filter(|(_, nodes)| !nodes.is_empty())
-            .collect()
+        for (l, ls) in self.state.lines.iter().enumerate() {
+            let mut nodes = [NodeId::new(0); NODES];
+            let mut len = 0;
+            for i in (0..NODES).filter(|&i| ls.mode[i] == Mode::S) {
+                nodes[len] = NodeId::new(i as u32);
+                len += 1;
+            }
+            if len > 0 {
+                f(LineAddr::new(l as u64), &nodes[..len]);
+            }
+        }
     }
 
-    fn excl_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .filter_map(|(l, ls)| {
-                ls.excl()
-                    .map(|e| (LineAddr::new(l as u64), NodeId::new(e as u32)))
-            })
-            .collect()
+    fn for_each_excl_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId)) {
+        for (l, ls) in self.state.lines.iter().enumerate() {
+            if let Some(e) = ls.excl() {
+                f(LineAddr::new(l as u64), NodeId::new(e as u32));
+            }
+        }
     }
 
-    fn sm_entries(&self) -> Vec<(LineAddr, NodeId)> {
-        self.state
-            .lines
-            .iter()
-            .enumerate()
-            .filter_map(|(l, ls)| {
-                ls.sm
-                    .map(|s| (LineAddr::new(l as u64), NodeId::new(s as u32)))
-            })
-            .collect()
+    fn for_each_sm_entry(&self, f: &mut dyn FnMut(LineAddr, NodeId)) {
+        for (l, ls) in self.state.lines.iter().enumerate() {
+            if let Some(s) = ls.sm {
+                f(LineAddr::new(l as u64), NodeId::new(s as u32));
+            }
+        }
     }
 
     fn escalated(&self) -> Option<TxnId> {

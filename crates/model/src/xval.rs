@@ -60,22 +60,22 @@ pub fn fingerprint(v: &dyn CoherenceView, lines: u8) -> Fingerprint {
         };
         for node_idx in 0..(NODES as u32) {
             let node = NodeId::new(node_idx);
-            for (resident, mode, _) in v.resident(node) {
+            v.for_each_resident(node, &mut |resident, mode, _| {
                 if resident != line {
-                    continue;
+                    return;
                 }
                 match mode {
                     LineMode::Modified => fp.owner = Some(node_idx as u8),
                     LineMode::Reserved => fp.excl = Some(node_idx as u8),
                     LineMode::Shared => fp.sharers |= 1 << node_idx,
                 }
-            }
+            });
         }
-        fp.sm = v
-            .sm_entries()
-            .into_iter()
-            .find(|(l2, _)| *l2 == line)
-            .map(|(_, n)| n.index() as u8);
+        v.for_each_sm_entry(&mut |l2, n| {
+            if l2 == line {
+                fp.sm = Some(n.index() as u8);
+            }
+        });
         out.push(fp);
     }
     out

@@ -6,7 +6,9 @@
 //! deterministic random-number source ([`rng`]) with seed splitting for
 //! sweep matrices ([`split_seed`]), and a bounded worker pool with
 //! deterministic job ordering and panic containment ([`pool`]) that every
-//! sweep harness, and the k = 3 cube's planes, fan out through.
+//! sweep harness, and the k = 3 cube's planes, fan out through. A fixed
+//! arithmetic kernel ([`calibrate`]) measures the host's speed, so timings
+//! taken at different speeds compare.
 //!
 //! The kernel is deliberately *typed*: the machine model owns an event enum
 //! and dispatches it itself, instead of the kernel invoking boxed callbacks.
@@ -32,6 +34,7 @@
 //! assert!(q.pop().is_none());
 //! ```
 
+pub mod calibrate;
 pub mod digest;
 pub mod hash;
 pub mod pool;
