@@ -41,11 +41,10 @@ use multicube_bench::{
     baseline_rows, costs_table, fault_sweep_rows, mlt_rows, render_bus_telemetry,
     render_class_stats, render_cube_study, render_failures, render_fault_sweep, render_resilience,
     render_scaling_json, render_scaling_study, render_series, render_series_utilization,
-    render_serve, render_serve_json, render_shootout, robustness_rows, run_cube_study,
-    run_scaling_study, run_serve, run_shootout, scaling_rows, series_view, sim_figure2,
-    sim_figure3, sim_figure4, sim_latency_modes, snarf_rows, sync_rows, validate_scaling_report,
-    validate_serve_report, CubeStudyConfig, Pool, ScalingStudyConfig, ServeConfig, SimSeries,
-    SweepConfig,
+    render_serve, render_serve_json, render_shootout, robustness_rows, run_cube_study, run_serve,
+    run_shootout, scaling_rows, series_view, sim_figure2, sim_figure3, sim_figure4,
+    sim_latency_modes, snarf_rows, sync_rows, validate_scaling_report, validate_serve_report,
+    CubeStudyConfig, Pool, ServeConfig, SimSeries, SweepConfig, FIGURE2_SIDES,
 };
 use multicube_mva::figures as mva;
 
@@ -103,7 +102,7 @@ fn grid_sides(opts: &Options) -> Vec<u32> {
     if opts.quick {
         vec![4, 8]
     } else {
-        vec![8, 16, 24, 32]
+        FIGURE2_SIDES.to_vec()
     }
 }
 
@@ -260,24 +259,18 @@ fn scaling_formulas() {
     println!();
 }
 
-/// The measured scaling study: the full n ∈ {8,16,24,32} (64–1024
-/// processor) grid efficiency + utilization sweep, plus the cube study
-/// (n³ = 512–32768 processors, the planes run in parallel after two
+/// The measured scaling study: the simulated Figure 2 — n ∈ {8,16,24,32}
+/// (64–1024 processors) across the figure's rates, on its seeds — with
+/// bus operations and completions per point, plus the cube study (n³ =
+/// 512–32768 processors, the planes run in parallel after two
 /// depth-traffic exchanges), written together as `BENCH_scaling.json`
 /// alongside the printed tables. Quick mode records only deterministic
 /// cube fields, so the artifact is byte-identical at every worker count
 /// — the CI pool-determinism job diffs exactly that.
 fn scaling_study(opts: &Options) {
-    let mut cfg = if opts.quick {
-        ScalingStudyConfig::quick()
-    } else {
-        ScalingStudyConfig::full()
-    };
-    if let Some(t) = opts.txns {
-        cfg.txns_per_node = t;
-    }
-    let study = run_scaling_study(&opts.pool, &cfg);
-    println!("{}", render_scaling_study(&study));
+    let (sides, sweep) = (grid_sides(opts), sweep(opts));
+    let sims = sim_figure2(&opts.pool, &sides, &sweep);
+    println!("{}", render_scaling_study(&sides, &sims));
     let cube_cfg = if opts.quick {
         CubeStudyConfig::quick(opts.pool.workers())
     } else {
@@ -285,8 +278,9 @@ fn scaling_study(opts: &Options) {
     };
     let cube = run_cube_study(&cube_cfg);
     println!("{}", render_cube_study(&cube));
-    let json = render_scaling_json(&study, Some(&cube));
-    validate_scaling_report(&json, &cfg, Some(&cube_cfg)).expect("scaling report validates");
+    let json = render_scaling_json(&sides, &sweep, &sims, Some(&cube));
+    validate_scaling_report(&json, &sides, &sweep, Some(&cube_cfg))
+        .expect("scaling report validates");
     let path = opts.artifact("BENCH_scaling.json");
     std::fs::write(&path, &json).expect("write scaling json");
     eprintln!("wrote {}", path.display());

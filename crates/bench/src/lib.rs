@@ -29,8 +29,7 @@ pub use csv::{
 pub use multicube_sim::pool::Pool;
 pub use scaling::{
     render_cube_study, render_scaling_json, render_scaling_study, run_cube_study,
-    run_scaling_study, validate_scaling_report, CubePoint, CubeStudy, CubeStudyConfig, CubeTiming,
-    ScalingPoint, ScalingStudy, ScalingStudyConfig, SCALING_SCHEMA,
+    validate_scaling_report, CubePoint, CubeStudy, CubeStudyConfig, CubeTiming, SCALING_SCHEMA,
 };
 pub use serve::{
     render_serve, render_serve_json, run_serve, serve_app_seed, synthesize_serve_trace,
@@ -39,7 +38,7 @@ pub use serve::{
 pub use shootout::{render_shootout, run_shootout, shootout_point_seed, Shootout, ShootoutRow};
 pub use simfig::{
     collect_failures, render_failures, series_view, sim_figure2, sim_figure3, sim_figure4,
-    sim_latency_modes, sim_series, PointFailure, SimSeries, SweepConfig,
+    sim_latency_modes, sim_series, PointFailure, PointRun, SimSeries, SweepConfig, FIGURE2_SIDES,
 };
 pub use tables::{
     baseline_rows, costs_table, fault_sweep_rows, fault_sweep_seed, mlt_rows, render_bus_telemetry,

@@ -1,27 +1,28 @@
 //! The 1024-processor scaling study: the paper's headline claim, measured.
 //!
 //! §1 proposes a 32×32 grid of 1024 processors; Figure 2 sweeps n =
-//! 8..32. This module runs the full cross product — every grid side
-//! against every request rate — on the deterministic worker pool,
-//! recording efficiency *and* bus utilization per point, and emits the
-//! results both as a table (`figures -- scaling`) and as a committed JSON
-//! artifact (`BENCH_scaling.json`) so scaling regressions are diffable in
-//! review.
+//! 8..32. The study's grid half *is* the simulated Figure 2
+//! ([`sim_figure2`] over [`FIGURE2_SIDES`] and the default
+//! [`SweepConfig`], on the figure's own seeds): every grid side against
+//! every request rate, with efficiency, bus utilization, bus operations
+//! per transaction and completions per point. Its cube half runs full
+//! k = 3 Multicubes. This module renders both as tables (`figures --
+//! scaling`) and as the committed JSON artifact (`BENCH_scaling.json`),
+//! so scaling regressions are diffable in review.
 //!
-//! Seeds follow the workspace splitting scheme: point seeds derive from
-//! `(study seed, stream_id("scaling", "n=<side>"), rate index)`, so the
-//! study shares no RNG stream with the figure sweeps even at the default
-//! base seed.
+//! Cube seeds derive from `(study seed, stream_id("scaling", "cube"),
+//! side)`.
+//!
+//! [`sim_figure2`]: crate::sim_figure2
 
 use multicube::pdes::{run_cube, CubeConfig};
-use multicube::{Machine, MachineConfig, SyntheticSpec};
-use multicube_sim::pool::Pool;
+use multicube_mva::FigurePoint;
 use multicube_sim::{split_seed, stream_id};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::json::{self, Value};
-use crate::simfig::PointFailure;
+use crate::simfig::{collect_failures, PointRun, SimSeries, SweepConfig, FIGURE2_SIDES};
 
 /// Identifies the JSON layout; bump when the schema changes shape.
 /// v2 added the `cube` section (the parallel n³ scaling study); v3 added
@@ -31,147 +32,6 @@ use crate::simfig::PointFailure;
 /// for any smaller one; v6 drops the round and message counts, which
 /// are a constant and twice `remote_ops`.
 pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v6";
-
-/// The harness namespace folded into every point seed.
-const NAMESPACE: &str = "scaling";
-
-/// Study parameters: which machines, which operating points.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingStudyConfig {
-    /// Grid sides to sweep (`n` ⇒ `n²` processors).
-    pub ns: Vec<u32>,
-    /// Offered request rates (requests/ms/processor) per machine.
-    pub rates: Vec<f64>,
-    /// Blocking requests issued per processor at each point.
-    pub txns_per_node: u64,
-    /// Base RNG seed of the study.
-    pub seed: u64,
-}
-
-impl ScalingStudyConfig {
-    /// The full study: the paper's n ∈ {8, 16, 24, 32} (64 to 1024
-    /// processors) across the Figure 2 rate grid.
-    pub fn full() -> Self {
-        ScalingStudyConfig {
-            ns: vec![8, 16, 24, 32],
-            rates: vec![2.0, 6.0, 10.0, 15.0, 20.0, 25.0, 30.0],
-            txns_per_node: 40,
-            seed: 0x5EED,
-        }
-    }
-
-    /// The CI smoke study: small grids, three rates, few transactions.
-    pub fn quick() -> Self {
-        ScalingStudyConfig {
-            ns: vec![4, 8],
-            rates: vec![2.0, 10.0, 25.0],
-            txns_per_node: 15,
-            seed: 0x5EED,
-        }
-    }
-
-    /// The seed for one `(grid side, rate index)` point of this study.
-    pub fn point_seed(&self, n: u32, index: usize) -> u64 {
-        split_seed(
-            self.seed,
-            stream_id(NAMESPACE, &format!("n={n}")),
-            index as u64,
-        )
-    }
-}
-
-/// One measured operating point of the study.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingPoint {
-    /// Grid side.
-    pub n: u32,
-    /// Total processors (`n²`).
-    pub processors: u32,
-    /// Offered request rate (requests/ms/processor).
-    pub rate_per_ms: f64,
-    /// The derived per-point seed (replay coordinates).
-    pub seed: u64,
-    /// Processor efficiency (think / (think + blocked)).
-    pub efficiency: f64,
-    /// Efficiency × processors: the machine's effective parallelism at
-    /// this operating point — the number the paper's speedup claim is
-    /// about.
-    pub effective_processors: f64,
-    /// Mean row-bus utilization.
-    pub rho_row: f64,
-    /// Mean column-bus utilization.
-    pub rho_col: f64,
-    /// Bus operations per completed transaction.
-    pub ops_per_txn: f64,
-    /// Transactions completed (must equal `processors × txns_per_node`).
-    pub completed: u64,
-}
-
-/// The study's outcome: measured points in `(n, rate)` order plus any
-/// contained per-point failures.
-#[derive(Debug, Clone)]
-pub struct ScalingStudy {
-    /// The configuration the study ran under.
-    pub config: ScalingStudyConfig,
-    /// Measured points, ordered by grid side then rate.
-    pub points: Vec<ScalingPoint>,
-    /// Points that panicked, with replay coordinates.
-    pub failures: Vec<PointFailure>,
-}
-
-/// Runs the study's full `(n, rate)` matrix on the pool.
-pub fn run_scaling_study(pool: &Pool, config: &ScalingStudyConfig) -> ScalingStudy {
-    let jobs: Vec<(u32, usize, f64)> = config
-        .ns
-        .iter()
-        .flat_map(|&n| {
-            config
-                .rates
-                .iter()
-                .enumerate()
-                .map(move |(i, &r)| (n, i, r))
-        })
-        .collect();
-    let txns = config.txns_per_node;
-    let results = pool.map(jobs.clone(), |_, (n, i, rate)| {
-        let seed = config.point_seed(n, i);
-        let machine_config = MachineConfig::grid(n).expect("valid grid side");
-        let spec = SyntheticSpec::default().with_request_rate_per_ms(rate);
-        let mut m = Machine::new(machine_config, seed).expect("valid configuration");
-        let report = m.run_synthetic(&spec, txns);
-        ScalingPoint {
-            n,
-            processors: n * n,
-            rate_per_ms: rate,
-            seed,
-            efficiency: report.efficiency,
-            effective_processors: report.efficiency * f64::from(n * n),
-            rho_row: report.utilization.row_mean,
-            rho_col: report.utilization.col_mean,
-            ops_per_txn: report.ops_per_transaction(),
-            completed: report.transactions_completed,
-        }
-    });
-    let mut points = Vec::new();
-    let mut failures = Vec::new();
-    for ((n, i, rate), result) in jobs.into_iter().zip(results) {
-        match result {
-            Ok(p) => points.push(p),
-            Err(panic) => failures.push(PointFailure {
-                series: format!("n={n}"),
-                index: i,
-                rate_per_ms: rate,
-                seed: config.point_seed(n, i),
-                message: panic.message,
-            }),
-        }
-    }
-    ScalingStudy {
-        config: config.clone(),
-        points,
-        failures,
-    }
-}
 
 /// Parameters of the cube study: full k = 3 Multicubes of `side` planes
 /// × `side`² processors each, the planes run in parallel
@@ -230,7 +90,7 @@ impl CubeStudyConfig {
         cfg.txns_per_node = self.txns_per_node;
         cfg.remote_ops = self.remote_ops;
         cfg.remote_gap_ns = self.remote_gap_ns;
-        cfg.seed = split_seed(self.seed, stream_id(NAMESPACE, "cube"), u64::from(side));
+        cfg.seed = split_seed(self.seed, stream_id("scaling", "cube"), u64::from(side));
         cfg.workers = workers;
         // The per-plane coherence checker is O(lines × nodes) per plane and
         // orthogonal to what this study measures; the quick study keeps it
@@ -241,11 +101,15 @@ impl CubeStudyConfig {
 }
 
 /// The `mode` a scaling report records: `"full"` for the committed study
-/// ([`ScalingStudyConfig::full`] with a measured [`CubeStudyConfig::full`]
-/// cube at any worker count), `"quick"` for any smaller one.
-fn scaling_mode(config: &ScalingStudyConfig, cube: Option<&CubeStudyConfig>) -> &'static str {
+/// (Figure 2's full sweep with a measured [`CubeStudyConfig::full`] cube
+/// at any worker count), `"quick"` for any smaller one.
+fn scaling_mode(
+    sides: &[u32],
+    sweep: &SweepConfig,
+    cube: Option<&CubeStudyConfig>,
+) -> &'static str {
     let full_cube = cube.is_some_and(|c| *c == CubeStudyConfig::full(c.workers));
-    if *config == ScalingStudyConfig::full() && full_cube {
+    if sides == FIGURE2_SIDES && *sweep == SweepConfig::default() && full_cube {
         "full"
     } else {
         "quick"
@@ -453,16 +317,49 @@ pub fn render_cube_study(study: &CubeStudy) -> String {
     out
 }
 
-/// Renders the study as ASCII tables: one efficiency/utilization block per
-/// grid side, then the effective-parallelism summary across sides.
-pub fn render_scaling_study(study: &ScalingStudy) -> String {
+/// One row of the grid table or report: a simulated Figure-2 point with
+/// the side of its machine.
+struct GridRow<'a> {
+    n: u32,
+    point: &'a FigurePoint,
+    run: &'a PointRun,
+}
+
+impl GridRow<'_> {
+    fn processors(&self) -> u32 {
+        self.n * self.n
+    }
+
+    /// Efficiency × processors: the machine's effective parallelism at
+    /// this operating point — the number the paper's speedup claim is
+    /// about.
+    fn effective_processors(&self) -> f64 {
+        self.point.efficiency * f64::from(self.processors())
+    }
+}
+
+/// The grid's rows in `(n, rate)` order: `sims` is `sim_figure2` over
+/// `sides`.
+fn grid_rows<'a>(sides: &'a [u32], sims: &'a [SimSeries]) -> impl Iterator<Item = GridRow<'a>> {
+    sides.iter().zip(sims).flat_map(|(&n, sim)| {
+        sim.series
+            .points
+            .iter()
+            .zip(&sim.runs)
+            .map(move |(point, run)| GridRow { n, point, run })
+    })
+}
+
+/// Renders the grid as an ASCII table: efficiency, effective processors
+/// and bus utilization per point of `sims`, [`sim_figure2`] over `sides`.
+///
+/// [`sim_figure2`]: crate::sim_figure2
+pub fn render_scaling_study(sides: &[u32], sims: &[SimSeries]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "== Scaling study: efficiency and bus utilization, n = {} ==",
-        study
-            .config
-            .ns
+        sides
             .iter()
             .map(|n| n.to_string())
             .collect::<Vec<_>>()
@@ -481,22 +378,22 @@ pub fn render_scaling_study(study: &ScalingStudy) -> String {
         "ops/txn",
         "completed"
     );
-    for p in &study.points {
+    for r in grid_rows(sides, sims) {
         let _ = writeln!(
             out,
             "{:>4} {:>6} {:>8.1} {:>11.4} {:>11.1} {:>8.4} {:>8.4} {:>9.2} {:>10}",
-            p.n,
-            p.processors,
-            p.rate_per_ms,
-            p.efficiency,
-            p.effective_processors,
-            p.rho_row,
-            p.rho_col,
-            p.ops_per_txn,
-            p.completed
+            r.n,
+            r.processors(),
+            r.point.rate_per_ms,
+            r.point.efficiency,
+            r.effective_processors(),
+            r.point.rho_row,
+            r.point.rho_col,
+            r.run.ops_per_txn,
+            r.run.completed
         );
     }
-    for f in &study.failures {
+    for f in collect_failures(sims) {
         let _ = writeln!(out, "!! failed point: {f}");
     }
     out
@@ -513,37 +410,47 @@ const TIMING_KEYS: [&str; 7] = [
     "events_per_sec",
 ];
 
-/// Renders the study as the `BENCH_scaling.json` artifact. `cube`, when
-/// present, is emitted as a `"cube"` section after the grid points; its
-/// timing fields appear only for full-mode (measured) studies, keeping
-/// quick-mode output free of host-dependent bytes.
-pub fn render_scaling_json(study: &ScalingStudy, cube: Option<&CubeStudy>) -> String {
-    let points = study.points.iter().map(|p| {
+/// Renders the study as the `BENCH_scaling.json` artifact: the grid
+/// (`sims`, [`sim_figure2`] over `sides` and `sweep`), then `cube`, when
+/// present, as a `"cube"` section. The cube's timing fields appear only
+/// for full-mode (measured) studies, keeping quick-mode output free of
+/// host-dependent bytes.
+///
+/// [`sim_figure2`]: crate::sim_figure2
+pub fn render_scaling_json(
+    sides: &[u32],
+    sweep: &SweepConfig,
+    sims: &[SimSeries],
+    cube: Option<&CubeStudy>,
+) -> String {
+    let points = grid_rows(sides, sims).map(|r| {
         json::obj([
-            ("n", p.n.into()),
-            ("processors", p.processors.into()),
-            ("rate_per_ms", p.rate_per_ms.into()),
-            ("seed", p.seed.into()),
-            ("efficiency", Value::fixed(p.efficiency, 6)),
+            ("n", r.n.into()),
+            ("processors", r.processors().into()),
+            ("rate_per_ms", r.point.rate_per_ms.into()),
+            ("seed", r.run.seed.into()),
+            ("efficiency", Value::fixed(r.point.efficiency, 6)),
             (
                 "effective_processors",
-                Value::fixed(p.effective_processors, 2),
+                Value::fixed(r.effective_processors(), 2),
             ),
-            ("rho_row", Value::fixed(p.rho_row, 6)),
-            ("rho_col", Value::fixed(p.rho_col, 6)),
-            ("ops_per_txn", Value::fixed(p.ops_per_txn, 4)),
-            ("completed", p.completed.into()),
+            ("rho_row", Value::fixed(r.point.rho_row, 6)),
+            ("rho_col", Value::fixed(r.point.rho_col, 6)),
+            ("ops_per_txn", Value::fixed(r.run.ops_per_txn, 4)),
+            ("completed", r.run.completed.into()),
         ])
     });
-    let config = &study.config;
     let mut report = vec![
         ("schema", SCALING_SCHEMA.into()),
-        ("mode", scaling_mode(config, cube.map(|c| &c.config)).into()),
-        ("seed", config.seed.into()),
-        ("txns_per_node", config.txns_per_node.into()),
-        ("ns", config.ns.iter().copied().collect()),
-        ("rates_per_ms", config.rates.iter().copied().collect()),
-        ("failures", study.failures.len().into()),
+        (
+            "mode",
+            scaling_mode(sides, sweep, cube.map(|c| &c.config)).into(),
+        ),
+        ("seed", sweep.seed.into()),
+        ("txns_per_node", sweep.txns_per_node.into()),
+        ("ns", sides.iter().copied().collect()),
+        ("rates_per_ms", sweep.rates.iter().copied().collect()),
+        ("failures", collect_failures(sims).len().into()),
         ("points", Value::Arr(points.collect())),
     ];
     if let Some(cube) = cube {
@@ -585,21 +492,23 @@ pub fn render_scaling_json(study: &ScalingStudy, cube: Option<&CubeStudy>) -> St
     json::obj(report).pretty()
 }
 
-/// Validates that `text` is a scaling report this module wrote for
-/// `config` and `cube`: the schema and mode, no recorded failures, the
-/// `(n, rate_per_ms)` points of `ns × rates` in order, and — when `cube`
-/// is given — a fingerprinted cube point per configured side, in order,
-/// with timing fields exactly when the cube study measures.
+/// Validates that `text` is a scaling report this module wrote for a grid
+/// of `sides` swept by `sweep`, and `cube`: the schema and mode, no
+/// recorded failures, the `(n, rate_per_ms)` points of `sides × rates` in
+/// order, and — when `cube` is given — a fingerprinted cube point per
+/// configured side, in order, with timing fields exactly when the cube
+/// study measures.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first problem found.
 pub fn validate_scaling_report(
     text: &str,
-    config: &ScalingStudyConfig,
+    sides: &[u32],
+    sweep: &SweepConfig,
     cube: Option<&CubeStudyConfig>,
 ) -> Result<(), String> {
-    let report = json::parse_artifact(text, SCALING_SCHEMA, scaling_mode(config, cube))?;
+    let report = json::parse_artifact(text, SCALING_SCHEMA, scaling_mode(sides, sweep, cube))?;
     if report.u64_field("failures")? != 0 {
         return Err("report records contained point failures".to_string());
     }
@@ -608,10 +517,9 @@ pub fn validate_scaling_report(
         .iter()
         .map(|p| Ok((p.u64_field("n")?, p.f64_field("rate_per_ms")?)))
         .collect::<Result<Vec<_>, String>>()?;
-    let expected: Vec<(u64, f64)> = config
-        .ns
+    let expected: Vec<(u64, f64)> = sides
         .iter()
-        .flat_map(|&n| config.rates.iter().map(move |&r| (u64::from(n), r)))
+        .flat_map(|&n| sweep.rates.iter().map(move |&r| (u64::from(n), r)))
         .collect();
     if points != expected {
         return Err(format!(
@@ -651,69 +559,73 @@ pub fn validate_scaling_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simfig::sim_figure2;
+    use multicube_sim::pool::Pool;
 
-    fn tiny() -> ScalingStudyConfig {
-        ScalingStudyConfig {
-            ns: vec![2, 4],
+    const SIDES: [u32; 2] = [2, 4];
+
+    fn tiny() -> SweepConfig {
+        SweepConfig {
             rates: vec![5.0, 25.0],
             txns_per_node: 8,
             seed: 7,
         }
     }
 
+    fn tiny_grid() -> Vec<SimSeries> {
+        sim_figure2(&Pool::serial(), &SIDES, &tiny())
+    }
+
     #[test]
     fn study_covers_the_full_matrix_in_order() {
-        let study = run_scaling_study(&Pool::serial(), &tiny());
-        assert!(study.failures.is_empty());
-        let shape: Vec<(u32, f64)> = study.points.iter().map(|p| (p.n, p.rate_per_ms)).collect();
+        let sims = tiny_grid();
+        let report = json::parse(&render_scaling_json(&SIDES, &tiny(), &sims, None)).unwrap();
+        let points = report.array_field("points").unwrap();
+        let shape: Vec<(u64, f64)> = points
+            .iter()
+            .map(|p| {
+                (
+                    p.u64_field("n").unwrap(),
+                    p.f64_field("rate_per_ms").unwrap(),
+                )
+            })
+            .collect();
         assert_eq!(shape, vec![(2, 5.0), (2, 25.0), (4, 5.0), (4, 25.0)]);
-        for p in &study.points {
-            assert_eq!(p.completed, u64::from(p.processors) * 8);
-            assert!(p.efficiency > 0.0 && p.efficiency <= 1.0);
+        for (p, (n, i)) in points.iter().zip([(2, 0), (2, 1), (4, 0), (4, 1)]) {
+            let processors = p.u64_field("processors").unwrap();
+            assert_eq!(processors, n * n);
+            assert_eq!(p.u64_field("completed"), Ok(processors * 8));
+            let efficiency = p.f64_field("efficiency").unwrap();
+            assert!(efficiency > 0.0 && efficiency <= 1.0);
+            // The grid runs on Figure 2's own seeds.
             assert_eq!(
-                p.seed,
-                tiny().point_seed(p.n, usize::from(p.rate_per_ms > 5.0))
+                p.u64_field("seed"),
+                Ok(tiny().point_seed(stream_id("fig2", &format!("n={n}")), i))
             );
         }
     }
 
     #[test]
     fn bigger_machines_scale_effective_processors() {
-        let study = run_scaling_study(&Pool::serial(), &tiny());
-        let small = &study.points[0]; // n=2 at 5 req/ms
-        let large = &study.points[2]; // n=4 at 5 req/ms
-        assert!(large.effective_processors > small.effective_processors * 2.0);
-    }
-
-    #[test]
-    fn study_seeds_are_disjoint_from_figure_sweeps() {
-        let cfg = ScalingStudyConfig::full();
-        let sweep = crate::simfig::SweepConfig::default();
-        // Same base seed (0x5EED), same label shape ("n=8"), same index —
-        // different namespace, therefore a different stream.
-        assert_ne!(
-            cfg.point_seed(8, 0),
-            sweep.point_seed(multicube_sim::stream_id("fig2", "n=8"), 0)
-        );
+        let sims = tiny_grid();
+        let rows: Vec<GridRow<'_>> = grid_rows(&SIDES, &sims).collect();
+        let small = &rows[0]; // n=2 at 5 req/ms
+        let large = &rows[2]; // n=4 at 5 req/ms
+        assert!(large.effective_processors() > small.effective_processors() * 2.0);
     }
 
     #[test]
     fn json_roundtrips_and_validates() {
-        let cfg = tiny();
-        let study = run_scaling_study(&Pool::serial(), &cfg);
-        let json = render_scaling_json(&study, None);
-        validate_scaling_report(&json, &cfg, None).unwrap();
+        let sims = tiny_grid();
+        let json = render_scaling_json(&SIDES, &tiny(), &sims, None);
+        validate_scaling_report(&json, &SIDES, &tiny(), None).unwrap();
         assert!(json.contains("\"mode\": \"quick\""));
-        let wrong = ScalingStudyConfig {
-            ns: vec![2, 4, 8],
-            ..cfg
-        };
-        assert!(validate_scaling_report(&json, &wrong, None).is_err());
-        assert!(validate_scaling_report("{}", &tiny(), None).is_err());
+        assert!(validate_scaling_report(&json, &[2, 4, 8], &tiny(), None).is_err());
+        assert!(validate_scaling_report("{}", &SIDES, &tiny(), None).is_err());
         // `figures` validates before it writes, so a failed point fails it.
         let failed = json.replace("\"failures\": 0", "\"failures\": 1");
         assert_eq!(
-            validate_scaling_report(&failed, &tiny(), None),
+            validate_scaling_report(&failed, &SIDES, &tiny(), None),
             Err("report records contained point failures".to_string())
         );
     }
@@ -749,12 +661,11 @@ mod tests {
 
     #[test]
     fn cube_json_is_worker_count_invariant_and_validates() {
-        let cfg = tiny();
-        let study = run_scaling_study(&Pool::serial(), &cfg);
+        let sims = tiny_grid();
         let cube_cfg = tiny_cube();
         let cube = run_cube_study(&cube_cfg);
-        let json = render_scaling_json(&study, Some(&cube));
-        validate_scaling_report(&json, &cfg, Some(&cube_cfg)).unwrap();
+        let json = render_scaling_json(&SIDES, &tiny(), &sims, Some(&cube));
+        validate_scaling_report(&json, &SIDES, &tiny(), Some(&cube_cfg)).unwrap();
         // The cube section must not leak wall-clock bytes in quick mode...
         assert!(!json.contains("\"serial_ms\""));
         assert!(!json.contains("\"workers\""));
@@ -764,12 +675,12 @@ mod tests {
         // MULTICUBE_POOL_WORKERS.
         let mut other = tiny_cube();
         other.workers = 4;
-        let json_other = render_scaling_json(&study, Some(&run_cube_study(&other)));
+        let json_other = render_scaling_json(&SIDES, &tiny(), &sims, Some(&run_cube_study(&other)));
         assert_eq!(json, json_other);
         // A cube-less report no longer validates against a cube config.
-        let plain = render_scaling_json(&study, None);
-        assert!(validate_scaling_report(&plain, &cfg, Some(&cube_cfg)).is_err());
-        assert!(validate_scaling_report(&json, &cfg, None).is_err());
+        let plain = render_scaling_json(&SIDES, &tiny(), &sims, None);
+        assert!(validate_scaling_report(&plain, &SIDES, &tiny(), Some(&cube_cfg)).is_err());
+        assert!(validate_scaling_report(&json, &SIDES, &tiny(), None).is_err());
     }
 
     #[test]
@@ -782,64 +693,75 @@ mod tests {
         assert!(t.serial_ms > 0.0 && t.events_per_sec_serial > 0.0);
         assert_eq!(t.workers, 2);
         assert!(t.parallel_ms > 0.0 && t.speedup > 0.0 && t.events_per_sec > 0.0);
-        let json = render_scaling_json(&run_scaling_study(&Pool::serial(), &tiny()), Some(&cube));
+        let json = render_scaling_json(&SIDES, &tiny(), &tiny_grid(), Some(&cube));
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"host_parallelism\""));
         assert!(json.contains("\"parallel_ms\""));
-        validate_scaling_report(&json, &tiny(), Some(&cfg)).unwrap();
+        validate_scaling_report(&json, &SIDES, &tiny(), Some(&cfg)).unwrap();
         // A quick config rejects the measured report, and vice versa.
         let quick = CubeStudyConfig {
             measure: false,
             ..cfg.clone()
         };
-        assert!(validate_scaling_report(&json, &tiny(), Some(&quick)).is_err());
+        assert!(validate_scaling_report(&json, &SIDES, &tiny(), Some(&quick)).is_err());
     }
 
     #[test]
     fn only_the_committed_study_is_full_mode() {
-        let full = ScalingStudyConfig::full();
-        assert_eq!(scaling_mode(&full, Some(&CubeStudyConfig::full(2))), "full");
-        assert_eq!(scaling_mode(&full, Some(&CubeStudyConfig::full(7))), "full");
-        assert_eq!(scaling_mode(&full, None), "quick");
+        let full = SweepConfig::default();
         assert_eq!(
-            scaling_mode(&full, Some(&CubeStudyConfig::quick(2))),
+            scaling_mode(&FIGURE2_SIDES, &full, Some(&CubeStudyConfig::full(2))),
+            "full"
+        );
+        assert_eq!(
+            scaling_mode(&FIGURE2_SIDES, &full, Some(&CubeStudyConfig::full(7))),
+            "full"
+        );
+        assert_eq!(scaling_mode(&FIGURE2_SIDES, &full, None), "quick");
+        assert_eq!(
+            scaling_mode(&FIGURE2_SIDES, &full, Some(&CubeStudyConfig::quick(2))),
             "quick"
         );
-        let fewer = ScalingStudyConfig {
+        let fewer = SweepConfig {
             txns_per_node: 10,
             ..full.clone()
         };
         assert_eq!(
-            scaling_mode(&fewer, Some(&CubeStudyConfig::full(2))),
+            scaling_mode(&FIGURE2_SIDES, &fewer, Some(&CubeStudyConfig::full(2))),
+            "quick"
+        );
+        assert_eq!(
+            scaling_mode(&[8, 16], &full, Some(&CubeStudyConfig::full(2))),
             "quick"
         );
         assert_eq!(
             scaling_mode(
-                &ScalingStudyConfig::quick(),
+                &[4, 8],
+                &SweepConfig::quick(),
                 Some(&CubeStudyConfig::quick(2))
             ),
             "quick"
         );
         // A quick report does not pass for the full study, nor a report
         // stamped full for a smaller one.
-        let json = render_scaling_json(&run_scaling_study(&Pool::serial(), &tiny()), None);
+        let json = render_scaling_json(&SIDES, &tiny(), &tiny_grid(), None);
         let full_cube = CubeStudyConfig::full(2);
         assert_eq!(
-            validate_scaling_report(&json, &full, Some(&full_cube)),
+            validate_scaling_report(&json, &FIGURE2_SIDES, &full, Some(&full_cube)),
             Err("expected a full-mode report".to_string())
         );
         let stamped = json.replace("\"mode\": \"quick\"", "\"mode\": \"full\"");
         assert_eq!(
-            validate_scaling_report(&stamped, &tiny(), None),
+            validate_scaling_report(&stamped, &SIDES, &tiny(), None),
             Err("expected a quick-mode report".to_string())
         );
     }
 
     #[test]
     fn render_has_a_row_per_point() {
-        let study = run_scaling_study(&Pool::serial(), &tiny());
-        let text = render_scaling_study(&study);
+        let sims = tiny_grid();
+        let text = render_scaling_study(&SIDES, &sims);
         assert!(text.contains("== Scaling study"));
-        assert_eq!(text.lines().count(), 2 + study.points.len());
+        assert_eq!(text.lines().count(), 2 + SIDES.len() * tiny().rates.len());
     }
 }

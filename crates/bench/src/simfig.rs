@@ -20,7 +20,7 @@ use multicube_sim::pool::Pool;
 use multicube_sim::{split_seed, stream_id};
 
 /// Sweep parameters shared by all simulated figures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Offered request rates (requests/ms/processor) to sample.
     pub rates: Vec<f64>,
@@ -83,12 +83,26 @@ impl std::fmt::Display for PointFailure {
     }
 }
 
+/// What the run behind one simulated point recorded beside its
+/// [`FigurePoint`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PointRun {
+    /// The derived per-point seed (replay coordinates).
+    pub seed: u64,
+    /// Bus operations per completed transaction.
+    pub ops_per_txn: f64,
+    /// Transactions completed (processors × transactions per node).
+    pub completed: u64,
+}
+
 /// One simulated series: the measured curve plus any contained per-point
 /// failures (the curve simply skips failed points).
 #[derive(Debug, Clone)]
 pub struct SimSeries {
     /// The measured efficiency/utilization curve.
     pub series: FigureSeries,
+    /// The run behind each point of `series`, in the same order.
+    pub runs: Vec<PointRun>,
     /// Points that panicked, with replay coordinates.
     pub failures: Vec<PointFailure>,
 }
@@ -149,12 +163,18 @@ fn sim_matrix(
         let spec = s.spec_base.clone().with_request_rate_per_ms(rate);
         let mut machine = Machine::new(s.config.clone(), seed).expect("valid configuration");
         let report = machine.run_synthetic(&spec, txns);
-        FigurePoint {
+        let point = FigurePoint {
             rate_per_ms: rate,
             efficiency: report.efficiency,
             rho_row: report.utilization.row_mean,
             rho_col: report.utilization.col_mean,
-        }
+        };
+        let run = PointRun {
+            seed,
+            ops_per_txn: report.ops_per_transaction(),
+            completed: report.transactions_completed,
+        };
+        (point, run)
     });
 
     let per_series = rates.len();
@@ -164,10 +184,14 @@ fn sim_matrix(
         .map(|(s, chunk)| {
             let stream = stream_id(namespace, &s.label);
             let mut points = Vec::with_capacity(per_series);
+            let mut runs = Vec::with_capacity(per_series);
             let mut failures = Vec::new();
             for (i, r) in chunk.iter().enumerate() {
                 match r {
-                    Ok(p) => points.push(*p),
+                    Ok((point, run)) => {
+                        points.push(*point);
+                        runs.push(*run);
+                    }
                     Err(panic) => failures.push(PointFailure {
                         series: s.label.clone(),
                         index: i,
@@ -182,6 +206,7 @@ fn sim_matrix(
                     label: s.label.clone(),
                     points,
                 },
+                runs,
                 failures,
             }
         })
@@ -213,8 +238,12 @@ pub fn sim_series(
         .expect("one series in, one series out")
 }
 
+/// Figure 2's grid sides: n = 8 to 32, 64 to 1024 processors.
+pub const FIGURE2_SIDES: [u32; 4] = [8, 16, 24, 32];
+
 /// Figure 2 (simulated): efficiency vs. request rate for the given grid
-/// sides (paper: 8, 16, 24, 32).
+/// sides (paper: [`FIGURE2_SIDES`]). The scaling study's grid is this
+/// sweep too.
 pub fn sim_figure2(pool: &Pool, ns: &[u32], sweep: &SweepConfig) -> Vec<SimSeries> {
     let specs = ns
         .iter()
@@ -303,6 +332,12 @@ mod tests {
         assert_eq!(pts.len(), 2);
         assert!(pts[0].rate_per_ms < pts[1].rate_per_ms);
         assert!(pts[0].efficiency >= pts[1].efficiency);
+        let stream = stream_id("fig2", "n=4");
+        for (i, run) in series[0].runs.iter().enumerate() {
+            assert_eq!(run.seed, tiny().point_seed(stream, i));
+            assert_eq!(run.completed, 16 * 10);
+            assert!(run.ops_per_txn > 0.0);
+        }
     }
 
     #[test]

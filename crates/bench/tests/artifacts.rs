@@ -1,18 +1,18 @@
 //! The committed `BENCH_*` artifacts must match the code and the mode
 //! that produced them: full mode, the current schema, and — for the
-//! deterministic shootout, the deterministic fields of the n = 8 cube
-//! and the serving tier's trace sizes — what a fresh run produces. A
-//! quick-mode, schema-stale or outdated artifact fails here instead of
-//! silently misdescribing the code.
+//! deterministic shootout, the n = 8 grid points and the deterministic
+//! fields of the n = 8 cube, and the serving tier's trace sizes — what a
+//! fresh run produces. A quick-mode, schema-stale or outdated artifact
+//! fails here instead of silently misdescribing the code.
 
 use std::path::PathBuf;
 
 use multicube_bench::json::{self, Value};
 use multicube_bench::perf::{validate_report, PerfConfig};
 use multicube_bench::{
-    run_cube_study, run_shootout, serve_app_seed, synthesize_serve_trace, validate_scaling_report,
-    validate_serve_report, write_shootout_csv, CubeStudyConfig, Pool, ScalingStudyConfig,
-    ServeConfig, SweepConfig, SERVE_APPS,
+    run_cube_study, run_shootout, serve_app_seed, sim_figure2, synthesize_serve_trace,
+    validate_scaling_report, validate_serve_report, write_shootout_csv, CubeStudyConfig, Pool,
+    ServeConfig, SweepConfig, FIGURE2_SIDES, SERVE_APPS,
 };
 use multicube_workload::TraceV2Reader;
 
@@ -28,7 +28,8 @@ fn artifact(name: &str) -> String {
 fn validate_full_scaling(text: &str) -> Result<(), String> {
     validate_scaling_report(
         text,
-        &ScalingStudyConfig::full(),
+        &FIGURE2_SIDES,
+        &SweepConfig::default(),
         Some(&CubeStudyConfig::full(2)),
     )
 }
@@ -71,6 +72,49 @@ fn scaling_report_cube_n8_matches_a_fresh_run() {
         ),
         "BENCH_scaling.json cube n = 8 `fingerprint`, `events`, `remote_ops` differ from a fresh run"
     );
+}
+
+/// The grid half of `BENCH_scaling.json` is the simulated Figure 2: its
+/// n = 8 points are a fresh Figure-2 sweep's, on the figure's seeds, at
+/// the artifact's decimals.
+#[test]
+fn scaling_report_grid_n8_matches_a_fresh_figure2_sweep() {
+    let sims = sim_figure2(&Pool::new(2), &[8], &SweepConfig::default());
+    assert!(sims[0].failures.is_empty(), "{:?}", sims[0].failures);
+    let report = json::parse(&artifact("BENCH_scaling.json")).unwrap();
+    let committed: Vec<&Value> = report
+        .array_field("points")
+        .unwrap()
+        .iter()
+        .filter(|p| p.u64_field("n") == Ok(8))
+        .collect();
+    let fresh = &sims[0];
+    assert_eq!(committed.len(), fresh.runs.len(), "n = 8 point count");
+    let field = |p: &Value, key: &str| p.field(key).cloned();
+    for ((c, point), run) in committed.iter().zip(&fresh.series.points).zip(&fresh.runs) {
+        assert_eq!(
+            (
+                c.f64_field("rate_per_ms"),
+                c.u64_field("seed"),
+                field(c, "efficiency"),
+                field(c, "rho_row"),
+                field(c, "rho_col"),
+                field(c, "ops_per_txn"),
+                c.u64_field("completed"),
+            ),
+            (
+                Ok(point.rate_per_ms),
+                Ok(run.seed),
+                Ok(Value::fixed(point.efficiency, 6)),
+                Ok(Value::fixed(point.rho_row, 6)),
+                Ok(Value::fixed(point.rho_col, 6)),
+                Ok(Value::fixed(run.ops_per_txn, 4)),
+                Ok(run.completed),
+            ),
+            "BENCH_scaling.json n = 8 point at {} req/ms differs from `sim_figure2`",
+            point.rate_per_ms
+        );
+    }
 }
 
 #[test]

@@ -11,9 +11,9 @@
 use multicube::EngineKind;
 use multicube_bench::{
     fault_sweep_rows, render_fault_sweep, render_scaling_json, render_series,
-    render_series_utilization, run_cube_study, run_scaling_study, series_view, sim_figure2,
-    sim_figure3, sim_figure4, sim_latency_modes, validate_scaling_report, write_fault_sweep_csv,
-    write_series_csv, CubeStudyConfig, Pool, ScalingStudyConfig, SweepConfig,
+    render_series_utilization, run_cube_study, series_view, sim_figure2, sim_figure3, sim_figure4,
+    sim_latency_modes, validate_scaling_report, write_fault_sweep_csv, write_series_csv,
+    CubeStudyConfig, Pool, SweepConfig,
 };
 use multicube_sim::md5_hex;
 
@@ -113,20 +113,21 @@ fn csv_artifacts_are_byte_identical_across_worker_counts() {
 
 #[test]
 fn scaling_study_json_is_byte_identical_across_worker_counts() {
-    let cfg = ScalingStudyConfig::quick();
+    let (sides, sweep) = ([4, 8], SweepConfig::quick());
     let jsons: Vec<String> = pools()
         .iter()
         .map(|pool| {
-            let study = run_scaling_study(pool, &cfg);
-            assert!(study.failures.is_empty());
+            let sims = sim_figure2(pool, &sides, &sweep);
+            assert!(sims.iter().all(|s| s.failures.is_empty()));
             let cube_cfg = CubeStudyConfig::quick(pool.workers());
             let cube = run_cube_study(&cube_cfg);
-            render_scaling_json(&study, Some(&cube))
+            render_scaling_json(&sides, &sweep, &sims, Some(&cube))
         })
         .collect();
     validate_scaling_report(
         &jsons[0],
-        &cfg,
+        &sides,
+        &sweep,
         Some(&CubeStudyConfig::quick(Pool::from_env().workers())),
     )
     .unwrap();

@@ -63,6 +63,7 @@ use multicube_mem::{LineAddr, LineVersion};
 use multicube_topology::NodeId;
 
 use crate::config::EngineKind;
+use crate::machine::engine::Engine;
 use crate::machine::Machine;
 use crate::node::LineMode;
 use crate::proto::TxnId;
@@ -874,12 +875,7 @@ pub fn check_dragon(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
 ///
 /// The first violation found.
 pub fn check_engine(kind: EngineKind, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    match kind {
-        EngineKind::Multicube => check(v),
-        EngineKind::Mesi => check_mesi(v),
-        EngineKind::Dragon => check_dragon(v),
-        EngineKind::WriteOnce => check_mesi(v),
-    }
+    (Engine::of(kind).check)(v)
 }
 
 /// The invariant subset that holds at *every* event boundary, not only at

@@ -7,6 +7,7 @@ use multicube_topology::{Grid, TopologyError};
 
 use crate::bus::Arbitration;
 use crate::fault::{FaultConfigError, FaultPlan, RetryPolicy, Watchdog};
+use crate::machine::engine::Engine;
 
 /// Processor-cache (L1) hit latency in nanoseconds: a request the SRAM
 /// processor cache satisfies completes this long after issue, without
@@ -392,11 +393,10 @@ impl MachineConfig {
         }
         self.faults.validate()?;
         self.retry.validate()?;
-        // The arena engines have no fault handling: their snoop and retry
-        // paths would silently ignore every injected fault, making a
-        // "faulted" run indistinguishable from a clean one. Reject the
-        // combination instead of letting it lie.
-        if self.engine != EngineKind::Multicube && self.faults.is_active() {
+        // An engine without fault handling would silently ignore every
+        // injected fault, making a "faulted" run indistinguishable from a
+        // clean one. Reject the combination instead of letting it lie.
+        if self.faults.is_active() && !Engine::of(self.engine).takes_faults() {
             return Err(MachineConfigError::Fault(
                 FaultConfigError::UnsupportedByEngine {
                     engine: self.engine.name(),

@@ -45,15 +45,12 @@
 //!   [`Machine::new`]; `MULTICUBE_TRACE=1` streams JSONL events to
 //!   standard error, unset or `0` leaves it off, and any other value
 //!   panics).
-//! * [`inspect`] — human-readable state dumps (pair with the
-//!   `MULTICUBE_TRACE=1` per-operation trace for debugging).
 
 pub mod bus;
 pub mod check;
 pub mod config;
 pub mod driver;
 pub mod fault;
-pub mod inspect;
 pub mod machine;
 pub mod metrics;
 pub mod node;
@@ -66,7 +63,6 @@ pub use check::{check_engine, CoherenceView, CoherenceViolation};
 pub use config::{EngineKind, LatencyMode, MachineConfig, MachineConfigError, Timing};
 pub use driver::{Request, RequestKind, SyntheticSpec};
 pub use fault::{FaultConfigError, FaultPlan, RetryPolicy, Watchdog, WatchdogAction};
-pub use machine::engine::ProtocolEngine;
 pub use machine::{Completion, Machine, SubmitError};
 pub use metrics::{BusReport, MachineMetrics, RunReport, TxnStats};
 pub use node::LineMode;

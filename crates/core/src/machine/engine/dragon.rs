@@ -15,21 +15,20 @@
 //! (neither `M` nor `Sm`). A write miss with other copies present is the
 //! classic two-op sequence `BusRead` + `BusUpdate`.
 
-use crate::check::{self, CoherenceView, CoherenceViolation};
-use crate::config::EngineKind;
+use crate::check;
 use crate::driver::RequestKind;
 use crate::machine::Machine;
 use crate::metrics::Served;
 use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind};
 
-use super::{
-    arena_memory_supply, arena_on_writeback, arena_txn_kind, mesi, ProtocolEngine, Vocabulary,
-};
+use super::{arena_memory_supply, arena_on_writeback, arena_txn_kind, mesi, Engine};
 
-/// The Dragon vocabulary: updating "upgrades", and every miss starts as a
-/// `BusRead`; flushes and the single bus as in MESI.
-pub(super) const VOCABULARY: Vocabulary = Vocabulary {
+/// Dragon: updating "upgrades", and every miss starts as a `BusRead`;
+/// flushes and the single bus as in MESI.
+pub(super) const ENGINE: Engine = Engine {
+    on_op,
+    check: check::check_dragon,
     miss: |kind| match kind {
         RequestKind::Read
         | RequestKind::Write
@@ -38,28 +37,16 @@ pub(super) const VOCABULARY: Vocabulary = Vocabulary {
         RequestKind::Writeback => unreachable!("writebacks use BusWriteback"),
     },
     upgrade: |_| OpKind::BusUpdate,
-    ..mesi::VOCABULARY
+    ..mesi::ENGINE
 };
 
-/// Write-update Dragon on a single snooping bus.
-pub struct DragonEngine;
-
-impl ProtocolEngine for DragonEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Dragon
-    }
-
-    fn on_op(&self, m: &mut Machine, _slot: usize, op: BusOp) {
-        match op.kind {
-            OpKind::BusRead => on_bus_read(m, &op),
-            OpKind::BusUpdate => on_bus_update(m, &op),
-            OpKind::BusWriteback => arena_on_writeback(m, &op),
-            other => unreachable!("op {} dispatched on the Dragon engine", other.name()),
-        }
-    }
-
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-        check::check_dragon(v)
+/// Runs the Dragon snoop of a completed bus operation.
+fn on_op(m: &mut Machine, _slot: usize, op: BusOp) {
+    match op.kind {
+        OpKind::BusRead => on_bus_read(m, &op),
+        OpKind::BusUpdate => on_bus_update(m, &op),
+        OpKind::BusWriteback => arena_on_writeback(m, &op),
+        other => unreachable!("op {} dispatched on the Dragon engine", other.name()),
     }
 }
 
@@ -129,7 +116,7 @@ fn on_bus_read(m: &mut Machine, op: &BusOp) {
                 // Copies exist: install shared, then broadcast the write.
                 // The transaction completes when the BusUpdate dispatches.
                 m.set_line(o_idx, line, LineMode::Shared, data);
-                m.issue_request(o_node, op.txn, m.vocab.upgrade);
+                m.issue_request(o_node, op.txn, m.engine.upgrade);
             }
         }
         RequestKind::Writeback => unreachable!("writebacks use BusWriteback"),
@@ -152,7 +139,7 @@ fn on_bus_update(m: &mut Machine, op: &BusOp) {
         // Defensive: our copy vanished while the update queued (only we
         // can evict it, so this should not occur) — restart as a miss.
         m.note_retry(op.txn);
-        m.issue_request(o_node, op.txn, m.vocab.miss);
+        m.issue_request(o_node, op.txn, m.engine.miss);
         return;
     }
     // An update off the upgrade path has not crossed the bus before now;

@@ -13,22 +13,20 @@
 //! and `BusWriteback` (dirty flush). A write to an `E` copy upgrades to
 //! `M` silently — MESI's advantage over MSI.
 
-use crate::check::{self, CoherenceView, CoherenceViolation};
-use crate::config::EngineKind;
+use crate::check;
 use crate::driver::RequestKind;
 use crate::machine::Machine;
 use crate::metrics::Served;
 use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind};
 
-use super::{
-    arena_memory_supply, arena_on_writeback, arena_purge_remote, arena_txn_kind, ProtocolEngine,
-    Vocabulary,
-};
+use super::{arena_memory_supply, arena_on_writeback, arena_purge_remote, arena_txn_kind, Engine};
 
-/// The MESI vocabulary on the single bus: invalidating upgrades,
-/// exclusive misses for writes, and `E` as the exclusive-clean copy.
-pub(super) const VOCABULARY: Vocabulary = Vocabulary {
+/// MESI on the single bus: invalidating upgrades, exclusive misses for
+/// writes, and `E` as the exclusive-clean copy.
+pub(super) const ENGINE: Engine = Engine {
+    on_op,
+    check: check::check_mesi,
     miss: |kind| match kind {
         RequestKind::Read => OpKind::BusRead,
         RequestKind::Write | RequestKind::Allocate | RequestKind::TestAndSet => {
@@ -42,26 +40,14 @@ pub(super) const VOCABULARY: Vocabulary = Vocabulary {
     reserved_is_exclusive: true,
 };
 
-/// Write-invalidate MESI on a single snooping bus.
-pub struct MesiEngine;
-
-impl ProtocolEngine for MesiEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Mesi
-    }
-
-    fn on_op(&self, m: &mut Machine, _slot: usize, op: BusOp) {
-        match op.kind {
-            OpKind::BusRead => on_bus_read(m, &op, true),
-            OpKind::BusReadExclusive => on_bus_read_exclusive(m, &op),
-            OpKind::BusUpgrade => on_bus_upgrade(m, &op),
-            OpKind::BusWriteback => arena_on_writeback(m, &op),
-            other => unreachable!("op {} dispatched on the MESI engine", other.name()),
-        }
-    }
-
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-        check::check_mesi(v)
+/// Runs the MESI snoop of a completed bus operation.
+fn on_op(m: &mut Machine, _slot: usize, op: BusOp) {
+    match op.kind {
+        OpKind::BusRead => on_bus_read(m, &op, true),
+        OpKind::BusReadExclusive => on_bus_read_exclusive(m, &op),
+        OpKind::BusUpgrade => on_bus_upgrade(m, &op),
+        OpKind::BusWriteback => arena_on_writeback(m, &op),
+        other => unreachable!("op {} dispatched on the MESI engine", other.name()),
     }
 }
 
@@ -125,7 +111,7 @@ pub(super) fn on_bus_upgrade(m: &mut Machine, op: &BusOp) {
     }
     if m.controllers[o_node.as_usize()].mode_of(&line) != Some(LineMode::Shared) {
         m.note_retry(op.txn);
-        m.issue_request(o_node, op.txn, m.vocab.miss);
+        m.issue_request(o_node, op.txn, m.engine.miss);
         return;
     }
     commit_write(m, op, Served::Memory);

@@ -1,4 +1,4 @@
-//! The `ProtocolEngine` seam: pluggable coherence protocols.
+//! The coherence engines: one [`Engine`] record per [`EngineKind`].
 //!
 //! A [`Machine`] is constructed over one engine. The machine owns
 //! everything protocol-independent: the event loop, buses and their
@@ -8,20 +8,21 @@
 //! processor side of every transaction (`machine::start`): the start,
 //! the victim reservation, the local-access completion with its restart,
 //! and the continuation after a flush. The engine owns the protocol: the
-//! bus operations that processor side issues (its `Vocabulary`), what
-//! each bus operation does when it completes (the snoops), and which
-//! quiescent invariants hold.
+//! bus operations that processor side issues, what each bus operation
+//! does when it completes (the snoops), and which quiescent invariants
+//! hold. `Machine::new` picks the record once; the model checker reads
+//! the same record's invariants through [`crate::check_engine`].
 //!
 //! Four engines exist:
 //!
-//! * [`MulticubeEngine`] — the paper's Appendix-A snooping write-invalidate
+//! * `multicube` — the paper's Appendix-A snooping write-invalidate
 //!   protocol over the two-dimensional grid of row and column buses (the
 //!   default; its handlers live in the sibling `machine` submodules).
-//! * [`MesiEngine`] — classic write-invalidate MESI on a *single* shared
-//!   snooping bus (row bus 0).
-//! * [`DragonEngine`] — write-update Dragon on the same single bus.
-//! * [`WriteOnceEngine`] — Goodman's write-once \[Good83\] on the same
-//!   single bus: the single-bus *multi* the Multicube generalizes.
+//! * `mesi` — classic write-invalidate MESI on a *single* shared snooping
+//!   bus (row bus 0).
+//! * `dragon` — write-update Dragon on the same single bus.
+//! * `writeonce` — Goodman's write-once \[Good83\] on the same single
+//!   bus: the single-bus *multi* the Multicube generalizes.
 //!
 //! The three single-bus engines (the *arena*) model every coherence action
 //! as one atomic bus transaction whose occupancy includes the supplier's
@@ -45,58 +46,18 @@ use crate::metrics::Served;
 use crate::node::LineMode;
 use crate::proto::{BusOp, OpKind, TxnId};
 
-pub use dragon::DragonEngine;
-pub use mesi::MesiEngine;
-pub use multicube::MulticubeEngine;
-pub use writeonce::WriteOnceEngine;
-
-/// A pluggable coherence protocol.
-///
-/// Engines are stateless unit structs; all mutable state lives on the
-/// [`Machine`] (caches, registry, the arena side-tables). The machine
-/// routes bus-op completions to the engine selected by
-/// [`MachineConfig::with_engine`](crate::MachineConfig::with_engine).
-pub trait ProtocolEngine: Send + Sync {
-    /// The engine's configuration tag.
-    fn kind(&self) -> EngineKind;
-
-    /// A bus operation completed on `slot`: run the snoop actions of every
-    /// agent on that bus.
-    fn on_op(&self, m: &mut Machine, slot: usize, op: BusOp);
-
-    /// The engine's quiescent coherence invariants, run over any
-    /// [`CoherenceView`] (the machine itself, or a model-checker state).
-    ///
-    /// # Errors
-    ///
-    /// The first violated invariant.
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation>;
-}
-
-/// The engine implementing `kind`.
-pub(crate) fn engine_for(kind: EngineKind) -> &'static dyn ProtocolEngine {
-    match kind {
-        EngineKind::Multicube => &MulticubeEngine,
-        EngineKind::Mesi => &MesiEngine,
-        EngineKind::Dragon => &DragonEngine,
-        EngineKind::WriteOnce => &WriteOnceEngine,
-    }
-}
-
-/// The processor-side vocabulary of the engine implementing `kind`.
-pub(crate) fn vocabulary(kind: EngineKind) -> &'static Vocabulary {
-    match kind {
-        EngineKind::Multicube => &multicube::VOCABULARY,
-        EngineKind::Mesi => &mesi::VOCABULARY,
-        EngineKind::Dragon => &dragon::VOCABULARY,
-        EngineKind::WriteOnce => &writeonce::VOCABULARY,
-    }
-}
-
-/// The bus operations an engine's transactions issue from the processor
-/// side, and how the engine reads its cache states there.
+/// One coherence protocol: its snoops, its quiescent invariants, and the
+/// bus operations its transactions issue from the processor side. Each
+/// engine is one `const` of this type; all mutable state lives on the
+/// [`Machine`] (caches, registry, the arena side-tables).
 #[derive(Debug)]
-pub(crate) struct Vocabulary {
+pub(crate) struct Engine {
+    /// A bus operation completed on a bus slot: run the snoop actions of
+    /// every agent on that bus.
+    pub on_op: fn(&mut Machine, usize, BusOp),
+    /// The quiescent coherence invariants, run over any [`CoherenceView`]
+    /// (the machine itself, or a model-checker state).
+    pub check: fn(&dyn CoherenceView) -> Result<(), CoherenceViolation>,
     /// The request for a line the cache cannot serve, by request kind.
     pub miss: fn(RequestKind) -> OpKind,
     /// The request for a write or test-and-set to a copy held shared.
@@ -109,6 +70,25 @@ pub(crate) struct Vocabulary {
     /// [`LineMode::Reserved`] is a writable exclusive-clean copy (MESI's
     /// `E`, write-once's Reserved) rather than the §4 SYNC reservation.
     pub reserved_is_exclusive: bool,
+}
+
+impl Engine {
+    /// The engine implementing `kind`.
+    pub(crate) fn of(kind: EngineKind) -> &'static Engine {
+        match kind {
+            EngineKind::Multicube => &multicube::ENGINE,
+            EngineKind::Mesi => &mesi::ENGINE,
+            EngineKind::Dragon => &dragon::ENGINE,
+            EngineKind::WriteOnce => &writeonce::ENGINE,
+        }
+    }
+
+    /// Whether the engine honours an active fault plan. Only the grid
+    /// protocol has the §3 retry and bounce paths faults exercise; the
+    /// single-bus snoops would ignore every injected fault.
+    pub(crate) fn takes_faults(&self) -> bool {
+        !self.single_bus
+    }
 }
 
 // ----------------------------------------------------------------------

@@ -6,17 +6,19 @@
 //! its kind (an upgrade of a shared copy too), and a flush is
 //! `WRITEBACK (COLUMN, REMOVE)` on the requester's column bus.
 
-use crate::check::{self, CoherenceView, CoherenceViolation};
-use crate::config::EngineKind;
+use crate::check;
 use crate::driver::RequestKind;
 use crate::machine::Machine;
-use crate::proto::{BusOp, OpKind};
+use crate::proto::OpKind;
 
-use super::{ProtocolEngine, Vocabulary};
+use super::Engine;
 
-/// The Multicube vocabulary: row-bus requests and column-bus flushes.
-/// `Reserved` is the §4 SYNC reservation, which serves no access.
-pub(super) const VOCABULARY: Vocabulary = Vocabulary {
+/// The Appendix-A Multicube protocol: row-bus requests and column-bus
+/// flushes on the grid. `Reserved` is the §4 SYNC reservation, which
+/// serves no access.
+pub(super) const ENGINE: Engine = Engine {
+    on_op: Machine::dispatch_multicube,
+    check: check::check,
     miss: row_request,
     upgrade: row_request,
     flush: OpKind::WritebackColRemove,
@@ -32,22 +34,5 @@ pub(crate) fn row_request(kind: RequestKind) -> OpKind {
         RequestKind::Write | RequestKind::Allocate => OpKind::ReadModRowRequest,
         RequestKind::TestAndSet => OpKind::TasRowRequest,
         RequestKind::Writeback => unreachable!("writebacks start on the column bus"),
-    }
-}
-
-/// The Appendix-A Multicube protocol (grid of row and column buses).
-pub struct MulticubeEngine;
-
-impl ProtocolEngine for MulticubeEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Multicube
-    }
-
-    fn on_op(&self, m: &mut Machine, slot: usize, op: BusOp) {
-        m.dispatch_multicube(slot, op);
-    }
-
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-        check::check(v)
     }
 }

@@ -16,39 +16,26 @@
 //! the silent Reserved → Dirty upgrade. Write misses, write-backs and the
 //! quiescent invariants are MESI's.
 
-use crate::check::{self, CoherenceView, CoherenceViolation};
-use crate::config::EngineKind;
 use crate::machine::Machine;
 use crate::proto::{BusOp, OpKind};
 
 use super::mesi::{self, on_bus_read, on_bus_read_exclusive, on_bus_upgrade};
-use super::{arena_on_writeback, ProtocolEngine, Vocabulary};
+use super::{arena_on_writeback, Engine};
 
-/// The write-once vocabulary: write-through upgrades, the rest MESI's.
-pub(super) const VOCABULARY: Vocabulary = Vocabulary {
+/// Write-once: write-through upgrades, the rest MESI's.
+pub(super) const ENGINE: Engine = Engine {
+    on_op,
     upgrade: |_| OpKind::BusWriteThrough,
-    ..mesi::VOCABULARY
+    ..mesi::ENGINE
 };
 
-/// Goodman's write-once protocol on a single snooping bus.
-pub struct WriteOnceEngine;
-
-impl ProtocolEngine for WriteOnceEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::WriteOnce
-    }
-
-    fn on_op(&self, m: &mut Machine, _slot: usize, op: BusOp) {
-        match op.kind {
-            OpKind::BusRead => on_bus_read(m, &op, false),
-            OpKind::BusReadExclusive => on_bus_read_exclusive(m, &op),
-            OpKind::BusWriteThrough => on_bus_upgrade(m, &op),
-            OpKind::BusWriteback => arena_on_writeback(m, &op),
-            other => unreachable!("op {} dispatched on the write-once engine", other.name()),
-        }
-    }
-
-    fn check(&self, v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-        check::check_mesi(v)
+/// Runs the write-once snoop of a completed bus operation.
+fn on_op(m: &mut Machine, _slot: usize, op: BusOp) {
+    match op.kind {
+        OpKind::BusRead => on_bus_read(m, &op, false),
+        OpKind::BusReadExclusive => on_bus_read_exclusive(m, &op),
+        OpKind::BusWriteThrough => on_bus_upgrade(m, &op),
+        OpKind::BusWriteback => arena_on_writeback(m, &op),
+        other => unreachable!("op {} dispatched on the write-once engine", other.name()),
     }
 }

@@ -7,7 +7,7 @@
 //! instants, mirroring the paper's "on a bus operation, all nodes on the
 //! bus ... execute the appropriate procedure".
 
-pub mod engine;
+pub(crate) mod engine;
 mod readmod;
 mod readops;
 mod start;
@@ -32,6 +32,8 @@ use crate::metrics::{MachineMetrics, Served};
 use crate::node::{Controller, LineMode};
 use crate::proto::{BusOp, OpClass, OpFault, OpKind, Piece, TxnId};
 use crate::trace::{TraceEvent, TracePoint, TraceSink};
+
+use engine::Engine;
 
 pub(crate) use synthetic::SyntheticState;
 
@@ -238,8 +240,8 @@ pub struct Machine {
     trace: TraceSink,
     /// Fault-injection decision engine (inert under the default plan).
     pub(crate) faults: FaultInjector,
-    /// The configured engine's processor-side bus vocabulary.
-    pub(crate) vocab: &'static engine::Vocabulary,
+    /// The configured coherence engine, chosen once at construction.
+    pub(crate) engine: &'static Engine,
     /// Single-bus arena state: which node holds each line in Dragon's
     /// shared-modified (`Sm`) state. Empty under every other engine.
     pub(crate) arena_sm: LineMap<NodeId>,
@@ -310,7 +312,7 @@ impl Machine {
             synthetic: None,
             trace: TraceSink::from_env(),
             faults,
-            vocab: engine::vocabulary(config.engine()),
+            engine: Engine::of(config.engine()),
             arena_sm: LineMap::default(),
             arena_excl: LineMap::default(),
             config,
@@ -592,7 +594,7 @@ impl Machine {
     ///
     /// The first violated invariant.
     pub fn check_coherence(&self) -> Result<(), CoherenceViolation> {
-        engine::engine_for(self.config.engine()).check(self)
+        (self.engine.check)(self)
     }
 
     // ------------------------------------------------------------------
@@ -684,7 +686,7 @@ impl Machine {
                 None,
             );
         }
-        engine::engine_for(self.config.engine()).on_op(self, slot, op);
+        (self.engine.on_op)(self, slot, op);
     }
 
     /// The Appendix-A snoop procedures, one handler per formal operation
@@ -1486,7 +1488,7 @@ impl Machine {
                     i.poisoned = false;
                 }
                 self.note_retry(txn);
-                self.issue_request(node, txn, self.vocab.miss);
+                self.issue_request(node, txn, self.engine.miss);
             }
             return;
         }

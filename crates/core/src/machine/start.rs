@@ -6,8 +6,8 @@
 //! row bus request; first reserve space in the data cache (if necessary)
 //! with a WRITEBACK transaction"), and the single-bus engines follow it
 //! too ("a multi is a Multicube for which k = 1"). An engine supplies
-//! only the bus operations this path issues, through its
-//! [`Vocabulary`](super::engine::Vocabulary); what those operations do
+//! only the bus operations this path issues, through the `miss`,
+//! `upgrade` and `flush` entries of its record; what those operations do
 //! when they complete is the engine's own snoop code.
 
 use multicube_mem::LineAddr;
@@ -56,7 +56,7 @@ impl Machine {
             // already resident, so no space is reserved.
             _ if mode == Some(LineMode::Shared) => {
                 self.set_phase(txn, TxnPhase::Requested);
-                self.issue_request(node, txn, self.vocab.upgrade);
+                self.issue_request(node, txn, self.engine.upgrade);
             }
             _ => self.begin_miss(node, txn, req.line),
         }
@@ -69,7 +69,7 @@ impl Machine {
     fn serves_locally(&self, kind: RequestKind, mode: Option<LineMode>) -> bool {
         match mode {
             Some(LineMode::Modified) => true,
-            Some(LineMode::Reserved) => self.vocab.reserved_is_exclusive,
+            Some(LineMode::Reserved) => self.engine.reserved_is_exclusive,
             Some(LineMode::Shared) => kind == RequestKind::Read,
             None => false,
         }
@@ -97,11 +97,11 @@ impl Machine {
             }
         }
         self.set_phase(txn, TxnPhase::Requested);
-        self.issue_request(node, txn, self.vocab.miss);
+        self.issue_request(node, txn, self.engine.miss);
     }
 
     /// Emits the outstanding transaction's bus request, `op_for` its kind
-    /// (the engine's miss or upgrade vocabulary). Also the retransmission
+    /// (the engine's miss or upgrade entry). Also the retransmission
     /// of a poisoned read.
     pub(crate) fn issue_request(
         &mut self,
@@ -120,7 +120,7 @@ impl Machine {
 
     /// Emits the engine's flush of the dirty `line` for `txn`.
     fn emit_flush(&mut self, node: NodeId, line: LineAddr, txn: TxnId) {
-        self.emit_own(BusOp::new(self.vocab.flush, line, node, txn));
+        self.emit_own(BusOp::new(self.engine.flush, line, node, txn));
     }
 
     /// Emits the originator's own operation on its bus: bus 0 under a
@@ -128,7 +128,7 @@ impl Machine {
     fn emit_own(&mut self, op: BusOp) {
         let c = &self.controllers[op.originator.as_usize()];
         let slot = match op.kind.class() {
-            _ if self.vocab.single_bus => 0,
+            _ if self.engine.single_bus => 0,
             OpClass::Row => self.row_slot(c.row()),
             OpClass::Column => self.col_slot(c.col()),
         };
@@ -182,7 +182,7 @@ impl Machine {
             self.note_retry(txn);
             if mode == Some(LineMode::Shared) {
                 self.set_phase(txn, TxnPhase::Requested);
-                self.issue_request(node, txn, self.vocab.upgrade);
+                self.issue_request(node, txn, self.engine.upgrade);
             } else {
                 self.begin_miss(node, txn, line);
             }
@@ -217,7 +217,7 @@ impl Machine {
             (TxnPhase::VictimWriteback { victim }, _) => {
                 self.drop_clean(node.as_usize(), victim);
                 self.set_phase(op.txn, TxnPhase::Requested);
-                self.issue_request(node, op.txn, self.vocab.miss);
+                self.issue_request(node, op.txn, self.engine.miss);
             }
             (TxnPhase::Requested, RequestKind::Writeback) => {
                 self.note_served(op.txn, Served::Memory);

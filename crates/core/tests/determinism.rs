@@ -120,7 +120,7 @@ fn concurrent_traces_are_byte_identical_across_runs() {
     }
 }
 
-/// Pinned pre-`ProtocolEngine` trace fingerprints. The engine seam must
+/// Trace fingerprints pinned before the engine seam existed. The seam must
 /// keep the default Multicube machine byte-identical at fixed seeds:
 /// these digests were captured before the refactor and must never drift.
 /// (The serial workload submits a fixed request sequence and draws no

@@ -1,5 +1,5 @@
-//! Engine conformance: the pluggable `ProtocolEngine` seam must give
-//! every engine the same external contract (requests complete, invariants
+//! Engine conformance: the per-engine record the machine is built over
+//! must give every engine the same external contract (requests complete, invariants
 //! hold, traces are deterministic) while each engine follows its own
 //! per-line state machine. Trace-driven chain tests pin the bus-op
 //! sequences of the arena engines the way `trace_protocol.rs` pins the

@@ -8,7 +8,7 @@
 
 use core::num::NonZeroU64;
 
-use crate::addr::{LineAddr, LineMap};
+use crate::addr::LineAddr;
 
 /// Shape of a set-associative cache.
 ///
@@ -91,9 +91,6 @@ struct Way<M> {
     touched: NonZeroU64,
     /// The line's set, which fixes its home bucket.
     set: u16,
-    /// The way's place in its set: a set's ways hold `0..used`, in
-    /// insertion order with swap-removal, as a per-set vector would.
-    pos: u32,
 }
 
 /// One table bucket: a resident way, or `None` for a free one.
@@ -112,10 +109,7 @@ type Slot<M> = Option<Way<M>>;
 /// one run, and a full set evicts the least recently touched member of
 /// it. The table is allocated on the first insertion (a cache that was
 /// never written costs nothing), doubles to stay at most half full, and
-/// deletes by backward shift, so no tombstones build up. Each way records
-/// its position in its set, so [`SetAssocCache::drain`] returns lines in
-/// ascending set order and, within a set, in insertion order with
-/// swap-removal: exactly the order of a per-set vector.
+/// deletes by backward shift, so no tombstones build up.
 ///
 /// # Example
 ///
@@ -151,8 +145,6 @@ struct Census {
     used: u32,
     /// The set's least recently touched way: its stamp and bucket.
     lru: (u64, usize),
-    /// The set's way at the highest position: its position and bucket.
-    last: (u32, usize),
 }
 
 impl<M> SetAssocCache<M> {
@@ -216,7 +208,6 @@ impl<M> SetAssocCache<M> {
             found: None,
             used: 0,
             lru: (u64::MAX, 0),
-            last: (0, 0),
         };
         for (i, way) in self.run(set).filter(|(_, way)| way.set == set) {
             if way.line == *line {
@@ -225,9 +216,6 @@ impl<M> SetAssocCache<M> {
             census.used += 1;
             if way.touched.get() < census.lru.0 {
                 census.lru = (way.touched.get(), i);
-            }
-            if way.pos >= census.last.0 {
-                census.last = (way.pos, i);
             }
         }
         census
@@ -284,19 +272,13 @@ impl<M> SetAssocCache<M> {
             return None;
         }
         let set = self.geometry.set_of(line);
-        let has_room = census.used < self.geometry.ways();
-        // The new way goes last in its set. A full set first loses its
-        // victim: the last way takes the victim's position (a vector's
-        // swap-remove, then push).
-        let pos = if has_room { census.used } else { census.last.0 };
         let way = Way {
             line,
             meta,
             touched,
             set,
-            pos,
         };
-        if has_room {
+        if census.used < self.geometry.ways() {
             self.grow_for_one_more();
             let free = self.free_bucket(set);
             self.table[free] = Some(way);
@@ -305,9 +287,7 @@ impl<M> SetAssocCache<M> {
         }
         // The new line shares the victim's home bucket, so it takes the
         // victim's bucket.
-        let victim_bucket = census.lru.1;
-        self.way_mut(census.last.1).pos = self.way(victim_bucket).pos;
-        let victim = self.table[victim_bucket]
+        let victim = self.table[census.lru.1]
             .replace(way)
             .expect("full set is nonempty");
         Some(Evicted {
@@ -330,10 +310,7 @@ impl<M> SetAssocCache<M> {
 
     /// Removes a line, returning its metadata if it was resident.
     pub fn remove(&mut self, line: &LineAddr) -> Option<M> {
-        let census = self.census(line);
-        let bucket = census.found?;
-        // The set's last way moves into the removed way's position.
-        self.way_mut(census.last.1).pos = self.way(bucket).pos;
+        let bucket = self.find(line)?;
         self.len -= 1;
         Some(self.take(bucket).meta)
     }
@@ -382,31 +359,9 @@ impl<M> SetAssocCache<M> {
     }
 
     /// Iterates over all resident `(line, meta)` pairs in table order,
-    /// which is no particular order. It allocates nothing; [`Self::drain`]
-    /// returns the lines in set order.
+    /// which is no particular order. It allocates nothing.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &M)> {
         self.table.iter().flatten().map(|way| (way.line, &way.meta))
-    }
-
-    /// Drains the cache in ascending set order and, within a set, in
-    /// insertion order with swap-removal, returning all resident lines;
-    /// the table is freed.
-    pub fn drain(&mut self) -> Vec<(LineAddr, M)> {
-        let mut ways: Vec<Way<M>> = std::mem::take(&mut self.table)
-            .into_iter()
-            .flatten()
-            .collect();
-        ways.sort_unstable_by_key(|way| (way.set, way.pos));
-        self.len = 0;
-        ways.into_iter().map(|way| (way.line, way.meta)).collect()
-    }
-
-    /// Collects the resident lines into a map (for invariant checking).
-    pub fn snapshot(&self) -> LineMap<M>
-    where
-        M: Clone,
-    {
-        self.iter().map(|(l, m)| (l, m.clone())).collect()
     }
 }
 
@@ -525,19 +480,7 @@ mod tests {
             c.insert(line(i), i as u32);
         }
         assert_eq!(c.iter().count(), 10);
-        let snap = c.snapshot();
-        assert_eq!(snap.len(), 10);
-        assert_eq!(snap[&line(7)], 7);
-    }
-
-    #[test]
-    fn drain_empties() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(2, 2));
-        c.insert(line(0), 0);
-        c.insert(line(1), 1);
-        let drained = c.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(c.is_empty());
+        assert!(c.iter().any(|(l, &m)| l == line(7) && m == 7));
     }
 
     #[test]
@@ -573,60 +516,6 @@ mod tests {
         c.insert(line(6), 7);
         c.insert(line(7), 8);
         assert_eq!(c.table.capacity(), MIN_BUCKETS);
-        c.drain();
-        assert_eq!(c.table.capacity(), 0, "draining frees the table");
-    }
-
-    /// The lines `drain` returns from a copy of `c`, and a check that
-    /// `iter` visits the same lines.
-    fn set_order<M: Clone>(c: &SetAssocCache<M>) -> Vec<u64> {
-        let drained: Vec<u64> = c
-            .clone()
-            .drain()
-            .into_iter()
-            .map(|(l, _)| l.index())
-            .collect();
-        let mut visited: Vec<u64> = c.iter().map(|(l, _)| l.index()).collect();
-        visited.sort_unstable();
-        let mut sorted = drained.clone();
-        sorted.sort_unstable();
-        assert_eq!(visited, sorted, "iter and drain disagree on the lines");
-        drained
-    }
-
-    #[test]
-    fn iteration_runs_in_ascending_set_order() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
-        c.insert(line(5), 5);
-        c.insert(line(5 + 1024), 6);
-        c.insert(line(6), 7);
-        c.insert(line(7), 8);
-        assert_eq!(set_order(&c), [5, 1029, 6, 7]);
-
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1024, 4));
-        for (k, set) in [3u64, 900, 70, 64, 1023].into_iter().enumerate() {
-            c.insert(line(set), k as u32);
-            c.insert(line(set + 1024), k as u32);
-        }
-        let expected = [3, 1027, 64, 1088, 70, 1094, 900, 1924, 1023, 2047];
-        assert_eq!(set_order(&c), expected);
-        let drained: Vec<u64> = c.drain().into_iter().map(|(l, _)| l.index()).collect();
-        assert_eq!(drained, expected);
-        assert!(c.is_empty() && c.iter().next().is_none());
-
-        // Within a set: insertion order, with swap-removal and eviction
-        // into the victim's position.
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(65, 4));
-        for l in [64, 129, 194, 259] {
-            c.insert(line(l), 0);
-        }
-        c.remove(&line(129));
-        c.insert(line(324), 0);
-        c.get(&line(64));
-        c.get(&line(194));
-        assert_eq!(c.insert(line(389), 0).map(|e| e.line), Some(line(259)));
-        c.insert(line(0), 0);
-        assert_eq!(set_order(&c), [0, 64, 324, 194, 389]);
     }
 
     #[test]
@@ -638,7 +527,9 @@ mod tests {
         }
         assert_eq!(c.len(), sets as usize);
         assert!((0..sets).all(|set| c.peek(&line(set)) == Some(&set)));
-        assert!(set_order(&c).into_iter().eq(0..sets));
+        let mut resident: Vec<u64> = c.iter().map(|(l, _)| l.index()).collect();
+        resident.sort_unstable();
+        assert!(resident.into_iter().eq(0..sets));
     }
 
     #[test]

@@ -3,19 +3,21 @@
 //! The event-driven simulator in `multicube` *samples* protocol
 //! interleavings — whichever orders its timing model and seeds produce.
 //! This crate *enumerates* them: a guarded-action model of the paper's
-//! Appendix-A protocol (and, through the same `ProtocolEngine` seam, the
-//! MESI, Dragon and write-once rivals) small enough that breadth-first
-//! search visits **every** reachable state of a 2×2 machine with a
-//! handful of lines and transactions, including schedules containing
-//! dropped modified signals, stale MLT replicas, lost/duplicated
-//! operations and memory NACKs from the simulator's five fault classes.
+//! Appendix-A protocol (and of the MESI, Dragon and write-once rivals)
+//! small enough that breadth-first search visits **every** reachable
+//! state of a 2×2 machine with a handful of lines and transactions,
+//! including schedules containing dropped modified signals, stale MLT
+//! replicas, lost/duplicated operations and memory NACKs from the
+//! simulator's five fault classes.
 //!
 //! Three guarantees come out:
 //!
 //! 1. **Invariant coverage** — every explored state is judged by the
-//!    *simulator's own* invariant predicates ([`multicube::check`])
-//!    through the shared [`CoherenceView`] trait; a wrong rule yields a
-//!    minimal replayable counterexample schedule ([`kernel::Schedule`]).
+//!    *simulator's own* invariant predicates: [`multicube::check_engine`]
+//!    runs the `check` of the engine's record, the same function
+//!    `Machine::check_coherence` runs, through the shared
+//!    [`CoherenceView`] trait; a wrong rule yields a minimal replayable
+//!    counterexample schedule ([`kernel::Schedule`]).
 //! 2. **Cross-validation** — [`xval::cross_validate`] drives the real
 //!    [`Machine`](multicube::Machine) over every request schedule the
 //!    model admits and asserts its quiescent fingerprints are a subset

@@ -356,44 +356,6 @@ impl Workload for WebSession {
     }
 }
 
-/// A tunable hot-spot stress workload: a Zipf-skewed shared set with a
-/// configurable write fraction — the knob that moves a machine from the
-/// comfortable Figure 2 regime into invalidation-storm territory.
-#[derive(Debug)]
-pub struct HotSpot {
-    lines: u64,
-    skew: f64,
-    p_write: f64,
-}
-
-impl HotSpot {
-    /// A hot-spot workload over `lines` lines with Zipf skew `skew`
-    /// (in `(0,1)`; higher is hotter) and the given write fraction.
-    pub fn new(lines: u64, skew: f64, p_write: f64) -> Self {
-        HotSpot {
-            lines: lines.max(1),
-            skew: skew.clamp(0.01, 0.99),
-            p_write: p_write.clamp(0.0, 1.0),
-        }
-    }
-}
-
-impl Workload for HotSpot {
-    fn name(&self) -> &'static str {
-        "hot-spot"
-    }
-
-    fn next(&mut self, _node: NodeId, rng: &mut DeterministicRng) -> Option<(u64, Request)> {
-        let think = 5_000 + rng.below(5_000);
-        let line = LineAddr::new(rng.zipf(self.lines, self.skew));
-        Some(if rng.chance(self.p_write) {
-            (think, Request::write(line))
-        } else {
-            (think, Request::read(line))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,19 +413,6 @@ mod tests {
         assert!(m.metrics().invalidations.get() > 0);
         // Session logs append whole lines.
         assert!(report.kind_counts[2] > 0);
-    }
-
-    #[test]
-    fn hot_spot_write_fraction_drives_invalidations() {
-        let run = |p_write: f64| {
-            let mut m = machine();
-            WorkloadRunner::new(80).run(&mut m, &mut HotSpot::new(32, 0.8, p_write));
-            m.metrics().invalidations.get()
-        };
-        let read_only = run(0.0);
-        let write_heavy = run(0.6);
-        assert_eq!(read_only, 0);
-        assert!(write_heavy > 20, "writes must invalidate: {write_heavy}");
     }
 
     #[test]

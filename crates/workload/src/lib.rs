@@ -40,7 +40,7 @@ pub mod apps;
 pub mod runner;
 pub mod trace;
 
-pub use apps::{HotSpot, Oltp, PhasedNumeric, ProducerConsumer, Search, WebSession};
+pub use apps::{Oltp, PhasedNumeric, ProducerConsumer, Search, WebSession};
 pub use runner::{Workload, WorkloadReport, WorkloadRunner};
 pub use trace::{
     StreamingPlayer, TraceDecodeError, TraceRecord, TraceRecorder, TraceV2Reader, TraceV2Writer,
