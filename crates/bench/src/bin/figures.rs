@@ -114,7 +114,13 @@ fn big_side(opts: &Options) -> u32 {
     }
 }
 
-fn fig2(opts: &Options) {
+/// The simulated Figure 2 sweep. `fig2` prints it and the scaling study
+/// records it, so `all` runs it once for both.
+fn figure2_sweep(opts: &Options) -> Vec<SimSeries> {
+    sim_figure2(&opts.pool, &grid_sides(opts), &sweep(opts))
+}
+
+fn fig2(opts: &Options, sims: &[SimSeries]) {
     let model = mva::figure2();
     println!(
         "{}",
@@ -124,11 +130,9 @@ fn fig2(opts: &Options) {
         )
     );
     opts.maybe_csv("fig2_model", &model);
-    let sides = grid_sides(opts);
-    let sims = sim_figure2(&opts.pool, &sides, &sweep(opts));
-    let series = series_view(&sims);
+    let series = series_view(sims);
     println!("{}", render_series("Figure 2 (simulated)", &series));
-    opts.report_failures("Figure 2 (simulated)", &sims);
+    opts.report_failures("Figure 2 (simulated)", sims);
     opts.maybe_csv("fig2_sim", &series);
 }
 
@@ -232,9 +236,9 @@ fn costs(opts: &Options) {
     println!();
 }
 
-fn scaling(opts: &Options) {
+fn scaling(opts: &Options, sims: &[SimSeries]) {
     scaling_formulas();
-    scaling_study(opts);
+    scaling_study(opts, sims);
 }
 
 fn scaling_formulas() {
@@ -259,18 +263,17 @@ fn scaling_formulas() {
     println!();
 }
 
-/// The measured scaling study: the simulated Figure 2 — n ∈ {8,16,24,32}
-/// (64–1024 processors) across the figure's rates, on its seeds — with
-/// bus operations and completions per point, plus the cube study (n³ =
-/// 512–32768 processors, the planes run in parallel after two
+/// The measured scaling study: the simulated Figure 2 `sims` — n ∈
+/// {8,16,24,32} (64–1024 processors) across the figure's rates, on its
+/// seeds — with bus operations and completions per point, plus the cube
+/// study (n³ = 512–32768 processors, the planes run in parallel after two
 /// depth-traffic exchanges), written together as `BENCH_scaling.json`
 /// alongside the printed tables. Quick mode records only deterministic
 /// cube fields, so the artifact is byte-identical at every worker count
 /// — the CI pool-determinism job diffs exactly that.
-fn scaling_study(opts: &Options) {
+fn scaling_study(opts: &Options, sims: &[SimSeries]) {
     let (sides, sweep) = (grid_sides(opts), sweep(opts));
-    let sims = sim_figure2(&opts.pool, &sides, &sweep);
-    println!("{}", render_scaling_study(&sides, &sims));
+    println!("{}", render_scaling_study(&sides, sims));
     let cube_cfg = if opts.quick {
         CubeStudyConfig::quick(opts.pool.workers())
     } else {
@@ -278,7 +281,7 @@ fn scaling_study(opts: &Options) {
     };
     let cube = run_cube_study(&cube_cfg);
     println!("{}", render_cube_study(&cube));
-    let json = render_scaling_json(&sides, &sweep, &sims, Some(&cube));
+    let json = render_scaling_json(&sides, &sweep, sims, Some(&cube));
     validate_scaling_report(&json, &sides, &sweep, Some(&cube_cfg))
         .expect("scaling report validates");
     let path = opts.artifact("BENCH_scaling.json");
@@ -613,12 +616,12 @@ fn main() {
         }
     }
     match command.as_str() {
-        "fig2" => fig2(&opts),
+        "fig2" => fig2(&opts, &figure2_sweep(&opts)),
         "fig3" => fig3(&opts),
         "fig4" => fig4(&opts),
         "latency" => latency(&opts),
         "costs" => costs(&opts),
-        "scaling" => scaling(&opts),
+        "scaling" => scaling(&opts, &figure2_sweep(&opts)),
         "sync" => sync(&opts),
         "baseline" => baseline(&opts),
         "ablations" => ablations(&opts),
@@ -629,12 +632,13 @@ fn main() {
         "serve" => serve(&opts),
         "model" => model(&opts),
         "all" => {
-            fig2(&opts);
+            let figure2 = figure2_sweep(&opts);
+            fig2(&opts, &figure2);
             fig3(&opts);
             fig4(&opts);
             latency(&opts);
             costs(&opts);
-            scaling(&opts);
+            scaling(&opts, &figure2);
             sync(&opts);
             baseline(&opts);
             ablations(&opts);

@@ -16,11 +16,12 @@ use multicube_bench::{
 };
 use multicube_workload::TraceV2Reader;
 
-/// Reads a committed artifact from the workspace root.
+/// Reads a committed artifact from the workspace root. The manifest
+/// directory is read when the test runs, so a test binary reads the
+/// artifacts of the checkout it runs in, not of the one it was built in.
 fn artifact(name: &str) -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(name);
+    let manifest = std::env::var("CARGO_MANIFEST_DIR").expect("cargo sets CARGO_MANIFEST_DIR");
+    let path = PathBuf::from(manifest).join("../..").join(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 

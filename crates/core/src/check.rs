@@ -49,12 +49,12 @@
 //! allocates the two records and three per-column counters.
 //!
 //! Violations are reported in line-address order, and those found per
-//! node (a second writer, an L1 line missing from L2, a copy newer than
-//! the committed version) at the lowest node first, whatever order a view
-//! lists its contents in. Two reports keep the original checker's
-//! dependence on that order: the first memory line holding an uncommitted
-//! version ([`check_midflight`]) and the line named when an arena engine
-//! finds a modified line table populated are the first the view visits.
+//! node (a second writer, a copy newer than the committed version) at
+//! the lowest node first, whatever order a view lists its contents in.
+//! Two reports keep the original checker's dependence on that order: the
+//! first memory line holding an uncommitted version ([`check_midflight`])
+//! and the line named when an arena engine finds a modified line table
+//! populated are the first the view visits.
 
 use core::fmt;
 use core::ops::Range;
@@ -92,10 +92,6 @@ pub trait CoherenceView {
     /// Visits every line resident in `node`'s snooping cache, with its
     /// mode and the data version it holds.
     fn for_each_resident(&self, node: NodeId, f: &mut dyn FnMut(LineAddr, LineMode, LineVersion));
-
-    /// Visits the lines held by `node`'s processor (L1) cache; none when
-    /// the L1 level is not modelled.
-    fn for_each_l1_line(&self, node: NodeId, f: &mut dyn FnMut(LineAddr));
 
     /// Visits the contents of column `col`'s modified line table.
     fn for_each_mlt_line(&self, col: u32, f: &mut dyn FnMut(LineAddr));
@@ -157,14 +153,6 @@ impl CoherenceView for Machine {
     fn for_each_resident(&self, node: NodeId, f: &mut dyn FnMut(LineAddr, LineMode, LineVersion)) {
         for (line, cl) in self.controller(node).cache.iter() {
             f(line, cl.mode, cl.data);
-        }
-    }
-
-    fn for_each_l1_line(&self, node: NodeId, f: &mut dyn FnMut(LineAddr)) {
-        if let Some(l1) = &self.controller(node).proc_cache {
-            for (line, ()) in l1.iter() {
-                f(line);
-            }
         }
     }
 
@@ -282,14 +270,6 @@ pub enum CoherenceViolation {
         /// Description of the mismatch.
         detail: String,
     },
-    /// A processor-cache line is not present in the snooping cache (the
-    /// §2 strict-subset property is violated).
-    SubsetViolation {
-        /// The offending node.
-        node: NodeId,
-        /// The line present in L1 but absent from L2.
-        line: LineAddr,
-    },
     /// The machine's internal owner registry diverged from the caches.
     RegistryMismatch {
         /// The line concerned.
@@ -359,12 +339,6 @@ impl fmt::Display for CoherenceViolation {
             }
             CoherenceViolation::MltInconsistent { col, detail } => {
                 write!(f, "column {col} MLT inconsistent: {detail}")
-            }
-            CoherenceViolation::SubsetViolation { node, line } => {
-                write!(
-                    f,
-                    "{node}: L1 holds {line:?} but the snooping cache does not"
-                )
             }
             CoherenceViolation::RegistryMismatch { line, detail } => {
                 write!(f, "line {line:?} registry mismatch: {detail}")
@@ -488,11 +462,6 @@ impl Residency {
     /// Marks the first copy in `range`, one line's copies, with `flag`.
     fn mark(&mut self, range: Range<usize>, flag: u8) {
         self.held[range.start].flags |= flag;
-    }
-
-    /// Whether `node` holds `line`.
-    fn holds(&self, node: NodeId, line: LineAddr) -> bool {
-        self.of(line).iter().any(|h| h.node == node)
     }
 }
 
@@ -708,25 +677,6 @@ fn check_registry(
     Ok(())
 }
 
-/// The §2 strict-subset property: every L1 line is present in L2. Reports
-/// the lowest node's lowest missing line.
-fn check_l1_subset(v: &dyn CoherenceView, r: &Residency) -> Result<(), CoherenceViolation> {
-    let n = v.side();
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        let mut missing = None;
-        v.for_each_l1_line(node, &mut |line| {
-            if !r.holds(node, line) {
-                keep_lowest(&mut missing, line, ());
-            }
-        });
-        if let Some((line, ())) = missing {
-            return Err(CoherenceViolation::SubsetViolation { node, line });
-        }
-    }
-    Ok(())
-}
-
 /// No leaked watchdog escalations.
 fn check_escalation(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
     match v.escalated() {
@@ -831,13 +781,10 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
         }
     }
 
-    // 6. Processor-cache subset property (§2).
-    check_l1_subset(v, &r)?;
-
-    // 7. Registry sanity.
+    // 6. Registry sanity.
     check_registry(v, &mut r, &mut t)?;
 
-    // 8. No leaked watchdog escalations.
+    // 7. No leaked watchdog escalations.
     check_escalation(v)
 }
 
@@ -879,11 +826,11 @@ pub fn check_engine(kind: EngineKind, v: &dyn CoherenceView) -> Result<(), Coher
 }
 
 /// The invariant subset that holds at *every* event boundary, not only at
-/// quiescence: the registry mirrors the caches (both directions), L1 is a
-/// strict subset of L2, and no structure holds a version newer than the
-/// committed one. Transiently-violable invariants (single writer during an
-/// invalidation chain, the valid bit during a memory bounce, MLT-vs-cache
-/// equality while a column op is in flight) are deliberately excluded.
+/// quiescence: the registry mirrors the caches (both directions), and no
+/// structure holds a version newer than the committed one.
+/// Transiently-violable invariants (single writer during an invalidation
+/// chain, the valid bit during a memory bounce, MLT-vs-cache equality
+/// while a column op is in flight) are deliberately excluded.
 ///
 /// Engine-independent.
 ///
@@ -894,7 +841,6 @@ pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> 
     let mut r = Residency::gather(v);
     check_single_writer(&r)?;
     check_registry(v, &mut r, &mut Tables::gather(v))?;
-    check_l1_subset(v, &r)?;
     // No structure may hold a version from the future: the lowest node's
     // lowest such line, then the first such line memory visits.
     if let Some(h) = r
@@ -1081,7 +1027,6 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
             });
         }
     }
-    check_l1_subset(v, &r)?;
 
     // Registry sanity (both directions).
     check_registry(v, &mut r, &mut Tables::gather(v))?;

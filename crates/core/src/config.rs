@@ -9,11 +9,6 @@ use crate::bus::Arbitration;
 use crate::fault::{FaultConfigError, FaultPlan, RetryPolicy, Watchdog};
 use crate::machine::engine::Engine;
 
-/// Processor-cache (L1) hit latency in nanoseconds: a request the SRAM
-/// processor cache satisfies completes this long after issue, without
-/// touching a bus.
-pub const PROCESSOR_LATENCY_NS: u64 = 10;
-
 /// Bus and memory timing parameters, all in nanoseconds.
 ///
 /// Defaults are the paper's Figure 2 parameters: "The data is transferred
@@ -190,9 +185,6 @@ pub struct MachineConfig {
     timing: Timing,
     block_words: u32,
     snoop_cache: CacheGeometry,
-    /// Geometry of the first-level (SRAM) processor cache; `None` disables
-    /// the L1 model (all accesses go to the snooping cache).
-    processor_cache: Option<CacheGeometry>,
     mlt_capacity: usize,
     latency_mode: LatencyMode,
     snarfing: bool,
@@ -234,10 +226,6 @@ impl MachineConfig {
             // "a very large (minimum size: 64 DRAMs) cache": the snooping
             // cache is big; default 4096 lines of 4-way associativity.
             snoop_cache: CacheGeometry::new(1024, 4),
-            // "a high-performance (SRAM) cache designed with the
-            // traditional goal of minimizing memory latency": small and
-            // fast relative to the big DRAM snooping cache.
-            processor_cache: Some(CacheGeometry::new(64, 2)),
             mlt_capacity: 4096,
             latency_mode: LatencyMode::StoreAndForward,
             snarfing: false,
@@ -282,13 +270,6 @@ impl MachineConfig {
     #[must_use]
     pub fn with_snoop_cache(mut self, geometry: CacheGeometry) -> Self {
         self.snoop_cache = geometry;
-        self
-    }
-
-    /// Sets (or disables, with `None`) the processor-cache geometry.
-    #[must_use]
-    pub fn with_processor_cache(mut self, geometry: Option<CacheGeometry>) -> Self {
-        self.processor_cache = geometry;
         self
     }
 
@@ -444,11 +425,6 @@ impl MachineConfig {
     /// Snooping-cache geometry.
     pub fn snoop_cache(&self) -> CacheGeometry {
         self.snoop_cache
-    }
-
-    /// Processor-cache geometry, if the L1 level is modelled.
-    pub fn processor_cache(&self) -> Option<CacheGeometry> {
-        self.processor_cache
     }
 
     /// Modified-line-table capacity.

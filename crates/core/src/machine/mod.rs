@@ -19,13 +19,13 @@ use std::collections::VecDeque;
 use std::iter::StepBy;
 use std::ops::Range;
 
-use multicube_mem::{LineAddr, LineGeometry, LineMap, LineVersion, MemoryBank, ModifiedLineTable};
+use multicube_mem::{LineAddr, LineMap, LineVersion, MemoryBank, ModifiedLineTable};
 use multicube_sim::{DeterministicRng, EventQueue, SimDuration, SimTime};
 use multicube_topology::NodeId;
 
 use crate::bus::Bus;
 use crate::check::CoherenceViolation;
-use crate::config::{LatencyMode, MachineConfig, MachineConfigError, PROCESSOR_LATENCY_NS};
+use crate::config::{LatencyMode, MachineConfig, MachineConfigError};
 use crate::driver::{Request, RequestKind};
 use crate::fault::{FaultInjector, WatchdogAction};
 use crate::metrics::{MachineMetrics, Served};
@@ -130,8 +130,6 @@ pub(crate) struct TxnInfo {
     /// flight: the reply data is stale and must be discarded and the
     /// request retried (see `poison_readers`).
     pub poisoned: bool,
-    /// Fill the processor cache on completion (word-level accesses).
-    pub fill_l1: bool,
 }
 
 /// Consolidated per-line protocol registry entry.
@@ -196,7 +194,6 @@ pub(crate) struct LineEntry {
 #[derive(Debug)]
 pub struct Machine {
     pub(crate) config: MachineConfig,
-    pub(crate) geom: LineGeometry,
     pub(crate) n: u32,
     pub(crate) events: EventQueue<Event>,
     /// Buses: slots `0..n` are row buses, `n..2n` are column buses.
@@ -258,7 +255,7 @@ impl Machine {
     ///
     /// Returns the configuration's validation error, if any.
     pub fn new(config: MachineConfig, seed: u64) -> Result<Self, MachineConfigError> {
-        let geom = config.validate()?;
+        config.validate()?;
         let grid = config.topology().clone();
         let n = grid.side();
         let buses = (0..n)
@@ -274,7 +271,6 @@ impl Machine {
                     grid.row_of(node),
                     grid.col_of(node),
                     config.snoop_cache(),
-                    config.processor_cache(),
                     config.snarfing(),
                 )
             })
@@ -291,7 +287,6 @@ impl Machine {
             seed,
         );
         Ok(Machine {
-            geom,
             n,
             events: EventQueue::new(),
             buses,
@@ -399,11 +394,6 @@ impl Machine {
         self.n
     }
 
-    /// The word-to-line geometry implied by the block size.
-    pub fn line_geometry(&self) -> multicube_mem::LineGeometry {
-        self.geom
-    }
-
     /// Accumulated metrics.
     pub fn metrics(&self) -> &MachineMetrics {
         &self.metrics
@@ -484,50 +474,6 @@ impl Machine {
             return Err(SubmitError::Busy);
         }
         Ok(self.start_request(node, request))
-    }
-
-    /// Submits a *word-level* access through the two-level cache
-    /// hierarchy (§2): a read that hits the processor cache completes
-    /// after the (small) L1 latency with no snooping-cache involvement;
-    /// everything else goes through the snooping cache and, on a miss, the
-    /// bus protocol. Writes are written through — they always reach the
-    /// snooping cache, which must hold the line modified. The processor
-    /// cache is filled on completion and remains a strict subset of the
-    /// snooping cache.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Busy`] if the node has an outstanding transaction.
-    pub fn submit_word(
-        &mut self,
-        node: NodeId,
-        word: multicube_mem::WordAddr,
-        is_write: bool,
-    ) -> Result<TxnId, SubmitError> {
-        if self.controllers[node.as_usize()].outstanding().is_some() {
-            return Err(SubmitError::Busy);
-        }
-        let line = self.geom.line_of(word);
-        let kind = if is_write {
-            RequestKind::Write
-        } else {
-            RequestKind::Read
-        };
-        // L1 read hit: bus-free, snoop-cache-free.
-        if !is_write && self.controllers[node.as_usize()].l1_contains(&line) {
-            let txn = self.new_txn(node, Request::new(kind, line));
-            self.metrics.l1_hits.incr();
-            // Touch the snooping-cache copy for LRU realism.
-            self.controllers[node.as_usize()].cache.get(&line);
-            self.events
-                .schedule_after(PROCESSOR_LATENCY_NS, Event::LocalDone { node });
-            return Ok(txn);
-        }
-        let txn = self.start_request(node, Request::new(kind, line));
-        if let Some(info) = self.txn_info_mut(txn) {
-            info.fill_l1 = true;
-        }
-        Ok(txn)
     }
 
     /// Schedules a request to be issued at absolute time `at` (must not be
@@ -1030,9 +976,6 @@ impl Machine {
                 self.sharers_decr(ev.line, node);
             }
             self.controllers[node_idx].note_recent(ev.line);
-            if let Some(l1) = self.controllers[node_idx].proc_cache.as_mut() {
-                l1.remove(&ev.line);
-            }
         }
         self.controllers[node_idx].forget_recent(&line);
         match mode {
@@ -1397,7 +1340,6 @@ impl Machine {
             served: Served::Local,
             installed: false,
             poisoned: false,
-            fill_l1: false,
         };
         self.txns[slot] = Some((txn, info));
         self.line_entry(req.line).inflight += 1;
@@ -1543,9 +1485,6 @@ impl Machine {
         // local path) must report age 0, never wrap.
         let latency = now.saturating_since(info.start);
         let (kind, line) = (info.kind, info.line);
-        if info.fill_l1 {
-            self.controllers[node.as_usize()].l1_fill(line);
-        }
         self.metrics.bucket(kind, info.served, success).record(
             latency.as_nanos(),
             info.bus_ops,
@@ -1588,6 +1527,47 @@ mod tests {
         assert_eq!(m.slot_col(6), 2);
         assert!(m.buses[m.row_slot(3)].id().is_row());
         assert!(m.buses[m.col_slot(0)].id().is_column());
+    }
+
+    #[test]
+    fn bus_members_agree_with_on_bus_and_the_grid() {
+        for n in 2..=16u32 {
+            let m = machine(n);
+            let grid = m.config.topology();
+            let (side, nodes) = (n as usize, (n * n) as usize);
+            let mut row_cover = vec![0u32; nodes];
+            let mut col_cover = vec![0u32; nodes];
+            for slot in 0..2 * side {
+                let members: Vec<usize> = m.bus_nodes(slot).collect();
+                let on: Vec<usize> = (0..nodes).filter(|&idx| m.on_bus(slot, idx)).collect();
+                assert_eq!(members.len(), side, "side {n} slot {slot}");
+                assert_eq!(members, on, "side {n} slot {slot}");
+                for idx in members {
+                    let node = NodeId::new(idx as u32);
+                    if slot < side {
+                        row_cover[idx] += 1;
+                        assert_eq!(grid.row_of(node), m.slot_row(slot), "side {n} {node}");
+                    } else {
+                        col_cover[idx] += 1;
+                        assert_eq!(grid.col_of(node), m.slot_col(slot), "side {n} {node}");
+                    }
+                }
+            }
+            assert!(row_cover.iter().all(|&c| c == 1), "side {n}: rows");
+            assert!(col_cover.iter().all(|&c| c == 1), "side {n}: columns");
+            for r in 0..n {
+                for c in 0..n {
+                    let col = m.col_slot(c);
+                    let meet: Vec<usize> = m
+                        .bus_nodes(m.row_slot(r))
+                        .filter(|&idx| m.on_bus(col, idx))
+                        .collect();
+                    let node = m.node_at(r, c);
+                    assert_eq!(meet, [node.as_usize()], "side {n} row {r} col {c}");
+                    assert_eq!((grid.row_of(node), grid.col_of(node)), (r, c));
+                }
+            }
+        }
     }
 
     #[test]

@@ -101,8 +101,6 @@ pub struct MachineMetrics {
     pub dropped_signals: Counter,
     /// Victim write-backs forced by cache replacement.
     pub victim_writebacks: Counter,
-    /// Word accesses satisfied by the processor (L1) cache.
-    pub l1_hits: Counter,
     /// Request ops lost on a bus by failure injection.
     pub lost_ops: Counter,
     /// Spurious duplicate request ops injected.

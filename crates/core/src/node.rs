@@ -45,10 +45,6 @@ pub struct Controller {
     col: u32,
     /// The big DRAM snooping cache. Absence == invalid.
     pub(crate) cache: SetAssocCache<CacheLine>,
-    /// The small SRAM processor cache, tags only: a strict subset of the
-    /// snooping cache, kept consistent by write-through (§2). `None` when
-    /// the L1 level is not modelled.
-    pub(crate) proc_cache: Option<SetAssocCache<()>>,
     /// Recently evicted/purged lines, eligible for snarfing. Filled only
     /// when snarfing is on: nothing else reads it.
     pub(crate) recent: VecDeque<LineAddr>,
@@ -72,7 +68,6 @@ impl Controller {
         row: u32,
         col: u32,
         cache_geometry: CacheGeometry,
-        proc_geometry: Option<CacheGeometry>,
         snarfing: bool,
     ) -> Self {
         Controller {
@@ -80,7 +75,6 @@ impl Controller {
             row,
             col,
             cache: SetAssocCache::new(cache_geometry),
-            proc_cache: proc_geometry.map(SetAssocCache::new),
             recent: VecDeque::new(),
             snarfing,
             outstanding: None,
@@ -147,39 +141,14 @@ impl Controller {
     }
 
     /// Marks a resident line invalid (purge), remembering it for snarfing
-    /// if snarfing is on.
-    /// Returns the line's prior state if it was resident. The processor
-    /// cache loses the line too — it is a strict subset of the snooping
-    /// cache (§2).
+    /// if snarfing is on. Returns the line's prior state if it was
+    /// resident.
     pub(crate) fn purge(&mut self, line: &LineAddr) -> Option<CacheLine> {
         let prior = self.cache.remove(line);
         if prior.is_some() {
             self.note_recent(*line);
         }
-        if let Some(l1) = self.proc_cache.as_mut() {
-            l1.remove(line);
-        }
         prior
-    }
-
-    /// Whether the processor cache holds the line.
-    pub fn l1_contains(&self, line: &LineAddr) -> bool {
-        self.proc_cache
-            .as_ref()
-            .map(|l1| l1.contains(line))
-            .unwrap_or(false)
-    }
-
-    /// Fills the processor cache with a line (after an access); enforces
-    /// the subset property by only filling lines resident in the snooping
-    /// cache.
-    pub(crate) fn l1_fill(&mut self, line: LineAddr) {
-        if !self.cache.contains(&line) {
-            return;
-        }
-        if let Some(l1) = self.proc_cache.as_mut() {
-            l1.insert(line, ());
-        }
     }
 
     /// Whether a snarfed line could be inserted without evicting anything,
@@ -208,7 +177,7 @@ mod tests {
     use super::*;
 
     fn controller() -> Controller {
-        Controller::new(NodeId::new(5), 1, 1, CacheGeometry::new(2, 2), None, true)
+        Controller::new(NodeId::new(5), 1, 1, CacheGeometry::new(2, 2), true)
     }
 
     fn line(i: u64) -> LineAddr {

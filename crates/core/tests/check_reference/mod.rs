@@ -17,7 +17,6 @@ use multicube_topology::NodeId;
 pub trait CoherenceView {
     fn side(&self) -> u32;
     fn resident(&self, node: NodeId) -> Vec<(LineAddr, LineMode, LineVersion)>;
-    fn l1_lines(&self, node: NodeId) -> Vec<LineAddr>;
     fn mlt_lines(&self, col: u32) -> Vec<LineAddr>;
     fn home_column(&self, line: LineAddr) -> u32;
     fn memory_valid(&self, line: LineAddr) -> bool;
@@ -41,12 +40,6 @@ impl<T: multicube::CoherenceView> CoherenceView for T {
     fn resident(&self, node: NodeId) -> Vec<(LineAddr, LineMode, LineVersion)> {
         let mut out = Vec::new();
         self.for_each_resident(node, &mut |line, mode, data| out.push((line, mode, data)));
-        out
-    }
-
-    fn l1_lines(&self, node: NodeId) -> Vec<LineAddr> {
-        let mut out = Vec::new();
-        self.for_each_l1_line(node, &mut |line| out.push(line));
         out
     }
 
@@ -244,25 +237,6 @@ fn check_registry(v: &dyn CoherenceView, g: &Gathered) -> Result<(), CoherenceVi
     Ok(())
 }
 
-/// The §2 strict-subset property: every L1 line is present in L2.
-fn check_l1_subset(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
-    let n = v.side();
-    for node_idx in 0..(n * n) {
-        let node = NodeId::new(node_idx);
-        let l1 = v.l1_lines(node);
-        if l1.is_empty() {
-            continue;
-        }
-        let l2: LineSet = v.resident(node).into_iter().map(|(l, _, _)| l).collect();
-        for line in l1 {
-            if !l2.contains(&line) {
-                return Err(CoherenceViolation::SubsetViolation { node, line });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Runs all invariant checks against a quiescent Multicube machine (or
 /// any other [`CoherenceView`] claiming Multicube semantics).
 ///
@@ -351,13 +325,10 @@ pub fn check(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
         }
     }
 
-    // 6. Processor-cache subset property (§2).
-    check_l1_subset(v)?;
-
-    // 7. Registry sanity.
+    // 6. Registry sanity.
     check_registry(v, &g)?;
 
-    // 8. No leaked watchdog escalations.
+    // 7. No leaked watchdog escalations.
     if let Some(txn) = v.escalated() {
         return Err(CoherenceViolation::EscalationLeak { txn });
     }
@@ -392,11 +363,11 @@ pub fn check_dragon(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> {
 }
 
 /// The invariant subset that holds at *every* event boundary, not only at
-/// quiescence: the registry mirrors the caches (both directions), L1 is a
-/// strict subset of L2, and no structure holds a version newer than the
-/// committed one. Transiently-violable invariants (single writer during an
-/// invalidation chain, the valid bit during a memory bounce, MLT-vs-cache
-/// equality while a column op is in flight) are deliberately excluded.
+/// quiescence: the registry mirrors the caches (both directions), and no
+/// structure holds a version newer than the committed one.
+/// Transiently-violable invariants (single writer during an invalidation
+/// chain, the valid bit during a memory bounce, MLT-vs-cache equality
+/// while a column op is in flight) are deliberately excluded.
 ///
 /// Engine-independent.
 ///
@@ -407,7 +378,6 @@ pub fn check_midflight(v: &dyn CoherenceView) -> Result<(), CoherenceViolation> 
     let n = v.side();
     let g = gather(v)?;
     check_registry(v, &g)?;
-    check_l1_subset(v)?;
     // No structure may hold a version from the future.
     for node_idx in 0..(n * n) {
         let node = NodeId::new(node_idx);
@@ -587,7 +557,6 @@ fn check_arena(v: &dyn CoherenceView, update_based: bool) -> Result<(), Coherenc
             });
         }
     }
-    check_l1_subset(v)?;
 
     // Registry sanity (both directions).
     check_registry(v, &g)?;

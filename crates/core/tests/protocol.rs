@@ -572,111 +572,3 @@ fn broadcast_filter_still_invalidates_real_sharers() {
     }
     m.check_coherence().unwrap();
 }
-
-// ---------------------------------------------------------------------
-// Two-level cache hierarchy (§2)
-// ---------------------------------------------------------------------
-
-#[test]
-fn l1_read_hits_are_fast_and_bus_free() {
-    use multicube_mem::WordAddr;
-    let mut m = machine(4);
-    let node = NodeId::new(0);
-    let word = WordAddr::new(160); // line 10 with 16-word blocks
-
-    // First access: full miss through the bus.
-    m.submit_word(node, word, false).unwrap();
-    let first = m.advance().unwrap();
-    m.run_to_quiescence();
-    assert!(first.latency.as_nanos() > 1000);
-
-    // Second access to the same line: L1 hit, ~processor latency.
-    m.submit_word(node, word, false).unwrap();
-    let second = m.advance().unwrap();
-    assert_eq!(second.latency.as_nanos(), 10);
-    assert_eq!(m.metrics().l1_hits.get(), 1);
-    let (row, col) = m.bus_op_totals();
-    assert_eq!(
-        m.metrics().local_hits.count,
-        1,
-        "L1 hit recorded as a local completion"
-    );
-    // No new bus traffic for the L1 hit.
-    m.run_to_quiescence();
-    let (row2, col2) = m.bus_op_totals();
-    assert_eq!((row, col), (row2, col2));
-    m.check_coherence().unwrap();
-}
-
-#[test]
-fn writes_are_written_through_never_served_by_l1() {
-    use multicube_mem::WordAddr;
-    let mut m = machine(4);
-    let node = NodeId::new(0);
-    let word = WordAddr::new(160);
-
-    m.submit_word(node, word, false).unwrap();
-    m.advance().unwrap();
-    m.run_to_quiescence();
-
-    // A write to the L1-resident line still goes through the snooping
-    // cache (an upgrade transaction here, since the line is shared).
-    m.submit_word(node, word, true).unwrap();
-    let w = m.advance().unwrap();
-    assert!(
-        w.latency.as_nanos() > 100,
-        "write-through cannot be an L1 hit"
-    );
-    m.run_to_quiescence();
-    m.check_coherence().unwrap();
-}
-
-#[test]
-fn invalidation_purges_l1_too() {
-    use multicube_mem::WordAddr;
-    let mut m = machine(4);
-    let reader = NodeId::new(0);
-    let writer = NodeId::new(15);
-    let word = WordAddr::new(160);
-    let line = m.line_geometry().line_of(word);
-
-    m.submit_word(reader, word, false).unwrap();
-    m.advance().unwrap();
-    m.run_to_quiescence();
-    assert!(m.controller(reader).l1_contains(&line));
-
-    // Remote write purges both cache levels at the reader.
-    m.submit(writer, Request::write(line)).unwrap();
-    m.advance().unwrap();
-    m.run_to_quiescence();
-    assert!(!m.controller(reader).l1_contains(&line));
-    assert_eq!(m.controller(reader).mode_of(&line), None);
-
-    // The reader's next access misses in L1 and fetches the new data.
-    m.submit_word(reader, word, false).unwrap();
-    let again = m.advance().unwrap();
-    assert!(again.latency.as_nanos() > 1000);
-    m.run_to_quiescence();
-    assert_eq!(
-        m.controller(reader).data_of(&line),
-        Some(m.committed_version(line))
-    );
-    m.check_coherence().unwrap();
-}
-
-#[test]
-fn disabling_l1_routes_everything_to_the_snooping_cache() {
-    use multicube_mem::WordAddr;
-    let config = MachineConfig::grid(4).unwrap().with_processor_cache(None);
-    let mut m = Machine::new(config, 9).unwrap();
-    let node = NodeId::new(0);
-    let word = WordAddr::new(160);
-    m.submit_word(node, word, false).unwrap();
-    m.advance().unwrap();
-    m.run_to_quiescence();
-    m.submit_word(node, word, false).unwrap();
-    let second = m.advance().unwrap();
-    // Snooping-cache hit latency, not L1 latency.
-    assert_eq!(second.latency.as_nanos(), 750);
-    assert_eq!(m.metrics().l1_hits.get(), 0);
-}

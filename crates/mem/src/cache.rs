@@ -1,10 +1,8 @@
 //! A generic set-associative cache with LRU replacement.
 //!
-//! Both cache levels of the Multicube node are instances of
-//! [`SetAssocCache`]: the small SRAM processor cache stores plain presence
-//! (`M = ()`), while the large DRAM snooping cache stores the protocol's
-//! per-line mode enum. The container is protocol-agnostic: coherence
-//! semantics live in the `multicube` crate.
+//! Each Multicube node's large DRAM snooping cache is a [`SetAssocCache`]
+//! that stores the protocol's per-line mode with every line. The container
+//! is protocol-agnostic: coherence semantics live in the `multicube` crate.
 
 use core::num::NonZeroU64;
 

@@ -5,9 +5,8 @@
 //!
 //! * [`LineAddr`] / [`WordAddr`] / [`LineGeometry`] — typed addresses and
 //!   the word-to-line mapping ([`addr`]).
-//! * [`SetAssocCache`] — a generic set-associative LRU cache used for both
-//!   the small SRAM *processor cache* and the large DRAM *snooping cache*
-//!   ([`cache`]).
+//! * [`SetAssocCache`] — a generic set-associative LRU cache, the large
+//!   DRAM *snooping cache* of every node ([`cache`]).
 //! * [`ModifiedLineTable`] — the per-column table of lines held modified in
 //!   that column, bounded like a cache with an overflow victim ([`mlt`]).
 //! * [`MemoryBank`] — one column's slice of interleaved main memory with

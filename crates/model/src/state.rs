@@ -262,8 +262,6 @@ impl CoherenceView for StateView<'_> {
         }
     }
 
-    fn for_each_l1_line(&self, _node: NodeId, _f: &mut dyn FnMut(LineAddr)) {}
-
     fn for_each_mlt_line(&self, col: u32, f: &mut dyn FnMut(LineAddr)) {
         // The MLT is a Multicube structure; arena engines leave it empty.
         // The model keeps no table of its own: a column's table is the set

@@ -2,9 +2,7 @@
 
 use core::fmt;
 
-use crate::ids::{BusId, BusKind, NodeId};
-
-/// Errors from constructing or querying a topology.
+/// Errors from constructing a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
     /// `n` must be at least 2 (a bus with one node is degenerate).
@@ -28,12 +26,8 @@ impl fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// A general Multicube: `N = n^k` nodes, each on `k` buses, each bus
-/// connecting `n` nodes.
-///
-/// Nodes are addressed by `k` coordinates, each in `[0, n)`; the linear
-/// [`NodeId`] is the row-major packing with coordinate 0 most significant.
-/// A bus along dimension `d` connects the `n` nodes that agree on every
-/// coordinate except `d`.
+/// connecting `n` nodes. It carries the shape and the §6 counts; the
+/// machine simulator addresses its nodes and buses through [`crate::Grid`].
 ///
 /// # Example
 ///
@@ -44,7 +38,7 @@ impl std::error::Error for TopologyError {}
 /// let cube = Multicube::new(4, 3).unwrap();
 /// assert_eq!(cube.num_nodes(), 64);
 /// assert_eq!(cube.num_buses(), 48);
-/// assert_eq!(cube.buses_per_node(), 3);
+/// assert_eq!(cube.dimension(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Multicube {
@@ -95,18 +89,6 @@ impl Multicube {
         self.num_nodes
     }
 
-    /// Buses per node (`k`).
-    #[inline]
-    pub fn buses_per_node(&self) -> u8 {
-        self.k
-    }
-
-    /// Nodes per bus (`n`).
-    #[inline]
-    pub fn nodes_per_bus(&self) -> u32 {
-        self.n
-    }
-
     /// Number of buses along one dimension, `n^(k-1)`.
     #[inline]
     pub fn buses_per_dimension(&self) -> u32 {
@@ -124,160 +106,11 @@ impl Multicube {
     pub fn bandwidth_per_processor(&self) -> f64 {
         self.k as f64 / self.n as f64
     }
-
-    /// The coordinates of `node`, most-significant dimension first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn coords(&self, node: NodeId) -> Vec<u32> {
-        assert!(node.index() < self.num_nodes, "node out of range");
-        let mut rest = node.index();
-        let mut coords = vec![0u32; self.k as usize];
-        for d in (0..self.k as usize).rev() {
-            coords[d] = rest % self.n;
-            rest /= self.n;
-        }
-        coords
-    }
-
-    /// The node at the given coordinates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the number of coordinates differs from `k` or any
-    /// coordinate is `>= n`.
-    pub fn node_at(&self, coords: &[u32]) -> NodeId {
-        assert_eq!(coords.len(), self.k as usize, "wrong coordinate count");
-        let mut idx: u32 = 0;
-        for &c in coords {
-            assert!(c < self.n, "coordinate out of range");
-            idx = idx * self.n + c;
-        }
-        NodeId::new(idx)
-    }
-
-    /// The bus along dimension `dim` passing through `node`.
-    ///
-    /// The bus index linearizes the node's other `k-1` coordinates in
-    /// row-major order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim >= k` or `node` is out of range.
-    pub fn bus_through(&self, dim: u8, node: NodeId) -> BusId {
-        assert!(dim < self.k, "dimension out of range");
-        let coords = self.coords(node);
-        let mut idx: u32 = 0;
-        for (d, &c) in coords.iter().enumerate() {
-            if d != dim as usize {
-                idx = idx * self.n + c;
-            }
-        }
-        BusId::new(BusKind::Dim(dim), idx)
-    }
-
-    /// All `k` buses passing through `node`, one per dimension.
-    pub fn buses_of(&self, node: NodeId) -> Vec<BusId> {
-        (0..self.k).map(|d| self.bus_through(d, node)).collect()
-    }
-
-    /// Iterates over the `n` nodes on `bus`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bus kind is not `Dim(d)` with `d < k`, or its index is
-    /// out of range.
-    pub fn nodes_on_bus(&self, bus: BusId) -> impl Iterator<Item = NodeId> + '_ {
-        let dim = match bus.kind() {
-            BusKind::Dim(d) => d,
-            other => panic!("general multicube buses are Dim(_), got {other}"),
-        };
-        assert!(dim < self.k, "dimension out of range");
-        assert!(bus.index() < self.buses_per_dimension(), "bus out of range");
-
-        // Reconstruct the fixed coordinates from the bus index, leaving a
-        // hole at `dim`, then yield each value of the free coordinate.
-        let mut fixed = vec![0u32; self.k as usize];
-        let mut rest = bus.index();
-        for d in (0..self.k as usize).rev() {
-            if d == dim as usize {
-                continue;
-            }
-            fixed[d] = rest % self.n;
-            rest /= self.n;
-        }
-        let n = self.n;
-        let this = self.clone();
-        (0..n).map(move |c| {
-            let mut coords = fixed.clone();
-            coords[dim as usize] = c;
-            this.node_at(&coords)
-        })
-    }
-
-    /// Iterates over all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.num_nodes).map(NodeId::new)
-    }
-
-    /// Iterates over all buses, dimension-major.
-    pub fn buses(&self) -> impl Iterator<Item = BusId> + '_ {
-        (0..self.k).flat_map(move |d| {
-            (0..self.buses_per_dimension()).map(move |i| BusId::new(BusKind::Dim(d), i))
-        })
-    }
-
-    /// Number of buses two distinct nodes share: 1 if they differ in exactly
-    /// one coordinate, otherwise 0.
-    pub fn shared_buses(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            return self.k as u32;
-        }
-        let (ca, cb) = (self.coords(a), self.coords(b));
-        let differing = ca.iter().zip(&cb).filter(|(x, y)| x != y).count();
-        if differing == 1 {
-            1
-        } else {
-            0
-        }
-    }
-
-    /// Minimum number of bus hops between two nodes: the Hamming distance of
-    /// their coordinate vectors. For `k = 2` this is at most 2, giving the
-    /// paper's "no more than twice the bus operations of a multi".
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        let (ca, cb) = (self.coords(a), self.coords(b));
-        ca.iter().zip(&cb).filter(|(x, y)| x != y).count() as u32
-    }
-
-    /// Dimension-order route from `a` to `b`: the sequence of
-    /// `(bus, next_node)` hops correcting one coordinate at a time in
-    /// increasing dimension order. Empty when `a == b`; its length equals
-    /// [`Multicube::distance`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either node is out of range.
-    pub fn route(&self, a: NodeId, b: NodeId) -> Vec<(BusId, NodeId)> {
-        let target = self.coords(b);
-        let mut here = self.coords(a);
-        let mut hops = Vec::new();
-        for d in 0..self.k {
-            if here[d as usize] != target[d as usize] {
-                let bus = self.bus_through(d, self.node_at(&here));
-                here[d as usize] = target[d as usize];
-                hops.push((bus, self.node_at(&here)));
-            }
-        }
-        hops
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn rejects_degenerate_parameters() {
@@ -292,8 +125,8 @@ mod tests {
         let cube = Multicube::new(4, 3).unwrap();
         assert_eq!(cube.num_nodes(), 64);
         assert_eq!(cube.num_buses(), 48);
-        assert_eq!(cube.nodes_per_bus(), 4);
-        assert_eq!(cube.buses_per_node(), 3);
+        assert_eq!(cube.arity(), 4);
+        assert_eq!(cube.dimension(), 3);
     }
 
     #[test]
@@ -309,97 +142,6 @@ mod tests {
         let multi = Multicube::new(20, 1).unwrap();
         assert_eq!(multi.num_nodes(), 20);
         assert_eq!(multi.num_buses(), 1);
-        assert_eq!(multi.distance(NodeId::new(0), NodeId::new(19)), 1);
-    }
-
-    #[test]
-    fn coords_roundtrip() {
-        let cube = Multicube::new(5, 3).unwrap();
-        for node in cube.nodes() {
-            let coords = cube.coords(node);
-            assert_eq!(cube.node_at(&coords), node);
-        }
-    }
-
-    #[test]
-    fn every_node_is_on_exactly_k_buses() {
-        let cube = Multicube::new(4, 3).unwrap();
-        for node in cube.nodes() {
-            let buses = cube.buses_of(node);
-            assert_eq!(buses.len(), 3);
-            let distinct: HashSet<_> = buses.iter().collect();
-            assert_eq!(distinct.len(), 3);
-            for bus in buses {
-                assert!(cube.nodes_on_bus(bus).any(|m| m == node));
-            }
-        }
-    }
-
-    #[test]
-    fn every_bus_has_exactly_n_nodes_and_membership_is_consistent() {
-        let cube = Multicube::new(3, 3).unwrap();
-        let mut per_node: HashMap<NodeId, u32> = HashMap::new();
-        let mut bus_count = 0;
-        for bus in cube.buses() {
-            bus_count += 1;
-            let members: Vec<_> = cube.nodes_on_bus(bus).collect();
-            assert_eq!(members.len(), 3);
-            for m in members {
-                *per_node.entry(m).or_default() += 1;
-                let dim = match bus.kind() {
-                    BusKind::Dim(d) => d,
-                    _ => unreachable!(),
-                };
-                assert_eq!(cube.bus_through(dim, m), bus);
-            }
-        }
-        assert_eq!(bus_count, cube.num_buses());
-        assert!(per_node.values().all(|&c| c == 3));
-        assert_eq!(per_node.len() as u32, cube.num_nodes());
-    }
-
-    #[test]
-    fn distance_is_hamming_distance() {
-        let cube = Multicube::new(4, 2).unwrap();
-        let a = cube.node_at(&[0, 0]);
-        let same_row = cube.node_at(&[0, 3]);
-        let diagonal = cube.node_at(&[2, 3]);
-        assert_eq!(cube.distance(a, a), 0);
-        assert_eq!(cube.distance(a, same_row), 1);
-        assert_eq!(cube.distance(a, diagonal), 2);
-    }
-
-    #[test]
-    fn route_follows_dimension_order() {
-        let cube = Multicube::new(4, 3).unwrap();
-        let a = cube.node_at(&[0, 1, 2]);
-        let b = cube.node_at(&[3, 1, 0]);
-        let route = cube.route(a, b);
-        assert_eq!(route.len() as u32, cube.distance(a, b));
-        assert_eq!(route.last().unwrap().1, b);
-        // Every hop's bus really connects its endpoints.
-        let mut prev = a;
-        for &(bus, next) in &route {
-            assert!(cube.nodes_on_bus(bus).any(|m| m == prev));
-            assert!(cube.nodes_on_bus(bus).any(|m| m == next));
-            prev = next;
-        }
-    }
-
-    #[test]
-    fn route_to_self_is_empty() {
-        let cube = Multicube::new(3, 2).unwrap();
-        let a = cube.node_at(&[1, 1]);
-        assert!(cube.route(a, a).is_empty());
-    }
-
-    #[test]
-    fn shared_buses_counts() {
-        let cube = Multicube::new(4, 2).unwrap();
-        let a = cube.node_at(&[0, 0]);
-        assert_eq!(cube.shared_buses(a, cube.node_at(&[0, 2])), 1);
-        assert_eq!(cube.shared_buses(a, cube.node_at(&[1, 2])), 0);
-        assert_eq!(cube.shared_buses(a, a), 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The two-dimensional grid used by the Wisconsin Multicube machine.
 
-use crate::cube::{Multicube, TopologyError};
-use crate::ids::{BusId, NodeId};
+use crate::cube::TopologyError;
+use crate::ids::NodeId;
 
 /// An `n x n` grid of processors: the Wisconsin Multicube topology.
 ///
@@ -93,30 +93,6 @@ impl Grid {
         node.index() % self.n
     }
 
-    /// The row bus `node` is attached to.
-    #[inline]
-    pub fn row_bus_of(&self, node: NodeId) -> BusId {
-        BusId::row(self.row_of(node))
-    }
-
-    /// The column bus `node` is attached to.
-    #[inline]
-    pub fn col_bus_of(&self, node: NodeId) -> BusId {
-        BusId::column(self.col_of(node))
-    }
-
-    /// Nodes on row bus `row`, in column order.
-    pub fn row_members(&self, row: u32) -> impl Iterator<Item = NodeId> + '_ {
-        assert!(row < self.n, "row out of range");
-        (0..self.n).map(move |c| self.node(row, c))
-    }
-
-    /// Nodes on column bus `col`, in row order.
-    pub fn col_members(&self, col: u32) -> impl Iterator<Item = NodeId> + '_ {
-        assert!(col < self.n, "column out of range");
-        (0..self.n).map(move |r| self.node(r, col))
-    }
-
     /// Iterates over all nodes in row-major order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.num_nodes()).map(NodeId::new)
@@ -128,18 +104,6 @@ impl Grid {
     #[inline]
     pub fn home_column(&self, line_index: u64) -> u32 {
         (line_index % self.n as u64) as u32
-    }
-
-    /// On row `row`, the controller that fronts the home column of
-    /// `line_index` — the node that accepts requests for unmodified lines.
-    #[inline]
-    pub fn home_column_node(&self, row: u32, line_index: u64) -> NodeId {
-        self.node(row, self.home_column(line_index))
-    }
-
-    /// Views this grid as the equivalent general 2-D [`Multicube`].
-    pub fn to_multicube(&self) -> Multicube {
-        Multicube::new(self.n, 2).expect("grid parameters are valid multicube parameters")
     }
 }
 
@@ -174,30 +138,11 @@ mod tests {
     }
 
     #[test]
-    fn bus_membership_is_consistent() {
-        let grid = Grid::new(5).unwrap();
-        for row in 0..5 {
-            let members: Vec<_> = grid.row_members(row).collect();
-            assert_eq!(members.len(), 5);
-            for m in &members {
-                assert_eq!(grid.row_bus_of(*m), BusId::row(row));
-            }
-        }
-        for col in 0..5 {
-            let members: Vec<_> = grid.col_members(col).collect();
-            assert_eq!(members.len(), 5);
-            for m in &members {
-                assert_eq!(grid.col_bus_of(*m), BusId::column(col));
-            }
-        }
-    }
-
-    #[test]
     fn row_and_column_of_a_node_intersect_only_there() {
         let grid = Grid::new(6).unwrap();
         let node = grid.node(2, 4);
-        let row: HashSet<_> = grid.row_members(2).collect();
-        let col: HashSet<_> = grid.col_members(4).collect();
+        let row: HashSet<_> = (0..6).map(|c| grid.node(2, c)).collect();
+        let col: HashSet<_> = (0..6).map(|r| grid.node(r, 4)).collect();
         let both: Vec<_> = row.intersection(&col).collect();
         assert_eq!(both, vec![&node]);
     }
@@ -213,20 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn home_column_node_is_on_requested_row() {
-        let grid = Grid::new(8).unwrap();
-        let node = grid.home_column_node(3, 21);
-        assert_eq!(grid.row_of(node), 3);
-        assert_eq!(grid.col_of(node), grid.home_column(21));
-    }
-
-    #[test]
     fn matches_general_multicube() {
         let grid = Grid::new(9).unwrap();
-        let cube = grid.to_multicube();
+        let cube = crate::Multicube::new(9, 2).unwrap();
         assert_eq!(cube.num_nodes(), grid.num_nodes());
         assert_eq!(cube.num_buses(), grid.num_buses());
-        // Same linearization: node (r, c) == cube node [r, c].
-        assert_eq!(grid.node(4, 7), cube.node_at(&[4, 7]));
     }
 }

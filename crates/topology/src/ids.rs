@@ -58,10 +58,7 @@ impl From<NodeId> for u32 {
 /// The role a bus plays in the two-dimensional machine.
 ///
 /// In the 2-D Wisconsin Multicube every node sits on one **row** bus and one
-/// **column** bus; main memory hangs off the column buses. In the general
-/// `k`-dimensional topology a bus along dimension `d` is reported as
-/// `Dim(d)`; the 2-D machine uses `Row` for dimension 1 (varying column
-/// coordinate) and `Column` for dimension 0 (varying row coordinate).
+/// **column** bus; main memory hangs off the column buses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BusKind {
     /// A row bus of the 2-D machine (connects the nodes of one row).
@@ -69,8 +66,6 @@ pub enum BusKind {
     /// A column bus of the 2-D machine (connects the nodes of one column;
     /// memory banks attach here).
     Column,
-    /// A bus along dimension `d` of a general `k`-dimensional multicube.
-    Dim(u8),
 }
 
 impl fmt::Display for BusKind {
@@ -78,7 +73,6 @@ impl fmt::Display for BusKind {
         match self {
             BusKind::Row => write!(f, "row"),
             BusKind::Column => write!(f, "col"),
-            BusKind::Dim(d) => write!(f, "dim{d}"),
         }
     }
 }
@@ -104,12 +98,6 @@ pub struct BusId {
 }
 
 impl BusId {
-    /// Bus of the given kind and index.
-    #[inline]
-    pub const fn new(kind: BusKind, index: u32) -> Self {
-        BusId { kind, index }
-    }
-
     /// The row bus of row `row`.
     #[inline]
     pub const fn row(row: u32) -> Self {
@@ -177,8 +165,7 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(BusId::row(0));
         set.insert(BusId::column(0));
-        set.insert(BusId::new(BusKind::Dim(2), 0));
-        assert_eq!(set.len(), 3);
+        assert_eq!(set.len(), 2);
     }
 
     #[test]
@@ -186,7 +173,6 @@ mod tests {
         assert_eq!(NodeId::new(5).to_string(), "P5");
         assert_eq!(BusId::row(2).to_string(), "row2");
         assert_eq!(BusId::column(7).to_string(), "col7");
-        assert_eq!(BusId::new(BusKind::Dim(3), 1).to_string(), "dim31");
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //!
 //! This crate provides:
 //!
-//! * [`Multicube`] — the general topology: node/bus addressing, bus
-//!   membership, and the §6 scaling formulas,
-//! * [`Grid`] — the 2-D specialization used by the machine simulator, with
-//!   row/column vocabulary and the *home column* mapping for interleaved
-//!   main memory.
+//! * [`Multicube`] — the general topology's shape `(n, k)` and its §6
+//!   counts, which the [`scaling`] formulas read,
+//! * [`Grid`] — the 2-D specialization used by the machine simulator: node
+//!   coordinates and the *home column* mapping for interleaved main
+//!   memory.
 //!
 //! # Example
 //!

@@ -1,6 +1,6 @@
 //! Property-based tests of the Multicube topology invariants.
 
-use multicube_topology::{BusKind, Grid, Multicube, NodeId};
+use multicube_topology::{Grid, Multicube};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -16,86 +16,17 @@ fn cube_params() -> impl Strategy<Value = (u32, u8)> {
 
 proptest! {
     #[test]
-    fn node_coordinate_roundtrip((n, k) in cube_params()) {
-        let cube = Multicube::new(n, k).unwrap();
-        for node in cube.nodes() {
-            prop_assert_eq!(cube.node_at(&cube.coords(node)), node);
-        }
-    }
-
-    #[test]
     fn bus_count_formula_holds((n, k) in cube_params()) {
         let cube = Multicube::new(n, k).unwrap();
-        let counted = cube.buses().count() as u32;
-        prop_assert_eq!(counted, cube.num_buses());
-        prop_assert_eq!(counted, k as u32 * n.pow(k as u32 - 1));
-    }
-
-    #[test]
-    fn each_node_lies_on_k_distinct_buses((n, k) in cube_params()) {
-        let cube = Multicube::new(n, k).unwrap();
-        for node in cube.nodes() {
-            let buses: HashSet<_> = cube.buses_of(node).into_iter().collect();
-            prop_assert_eq!(buses.len(), k as usize);
-        }
-    }
-
-    #[test]
-    fn each_bus_carries_n_distinct_nodes((n, k) in cube_params()) {
-        let cube = Multicube::new(n, k).unwrap();
-        for bus in cube.buses() {
-            let members: HashSet<_> = cube.nodes_on_bus(bus).collect();
-            prop_assert_eq!(members.len(), n as usize);
-        }
-    }
-
-    #[test]
-    fn membership_is_symmetric((n, k) in cube_params()) {
-        let cube = Multicube::new(n, k).unwrap();
-        for bus in cube.buses() {
-            let dim = match bus.kind() { BusKind::Dim(d) => d, _ => unreachable!() };
-            for member in cube.nodes_on_bus(bus) {
-                prop_assert_eq!(cube.bus_through(dim, member), bus);
-            }
-        }
-    }
-
-    #[test]
-    fn distinct_nodes_share_at_most_one_bus((n, k) in cube_params()) {
-        let cube = Multicube::new(n, k).unwrap();
-        // Sample pairs rather than all O(N^2).
-        let nodes: Vec<_> = cube.nodes().collect();
-        for (i, &a) in nodes.iter().enumerate().step_by(3) {
-            for &b in nodes.iter().skip(i + 1).step_by(5) {
-                let shared = cube.shared_buses(a, b);
-                prop_assert!(shared <= 1);
-                let buses_a: HashSet<_> = cube.buses_of(a).into_iter().collect();
-                let buses_b: HashSet<_> = cube.buses_of(b).into_iter().collect();
-                prop_assert_eq!(buses_a.intersection(&buses_b).count() as u32, shared);
-            }
-        }
-    }
-
-    #[test]
-    fn distance_never_exceeds_k((n, k) in cube_params()) {
-        let cube = Multicube::new(n, k).unwrap();
-        let nodes: Vec<_> = cube.nodes().collect();
-        for &a in nodes.iter().step_by(7) {
-            for &b in nodes.iter().step_by(11) {
-                prop_assert!(cube.distance(a, b) <= k as u32);
-            }
-        }
+        prop_assert_eq!(cube.num_buses(), k as u32 * n.pow(k as u32 - 1));
     }
 
     #[test]
     fn grid_matches_two_dimensional_cube(n in 2u32..=24) {
         let grid = Grid::new(n).unwrap();
-        let cube = grid.to_multicube();
-        for node in grid.nodes() {
-            let coords = cube.coords(node);
-            prop_assert_eq!(coords[0], grid.row_of(node));
-            prop_assert_eq!(coords[1], grid.col_of(node));
-        }
+        let cube = Multicube::new(n, 2).unwrap();
+        prop_assert_eq!(cube.num_nodes(), grid.num_nodes());
+        prop_assert_eq!(cube.num_buses(), grid.num_buses());
     }
 
     #[test]
@@ -114,15 +45,14 @@ proptest! {
     #[test]
     fn grid_row_and_col_buses_partition_nodes(n in 2u32..=16) {
         let grid = Grid::new(n).unwrap();
-        let mut all_from_rows: HashSet<NodeId> = HashSet::new();
-        for r in 0..n {
-            all_from_rows.extend(grid.row_members(r));
+        let mut rows = vec![0u32; n as usize];
+        let mut cols = vec![0u32; n as usize];
+        let mut places = HashSet::new();
+        for node in grid.nodes() {
+            rows[grid.row_of(node) as usize] += 1;
+            cols[grid.col_of(node) as usize] += 1;
+            prop_assert!(places.insert((grid.row_of(node), grid.col_of(node))));
         }
-        prop_assert_eq!(all_from_rows.len() as u32, grid.num_nodes());
-        let mut all_from_cols: HashSet<NodeId> = HashSet::new();
-        for c in 0..n {
-            all_from_cols.extend(grid.col_members(c));
-        }
-        prop_assert_eq!(all_from_cols, all_from_rows);
+        prop_assert!(rows.iter().chain(&cols).all(|&members| members == n));
     }
 }

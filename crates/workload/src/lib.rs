@@ -20,8 +20,8 @@
 //! chunked binary format ([`TraceV2Writer`]) and [`TraceV2Reader`] replays
 //! it bit-identically — the answer to the paper's complaint that "very
 //! little data has been published on the memory reference behavior of
-//! parallel programs". The format streams 10⁷+-record traces and replays
-//! from any chunk boundary; [`WebSession`] adds front-end cache traffic
+//! parallel programs". The format streams 10⁷+-record traces, decoding
+//! one chunk at a time; [`WebSession`] adds front-end cache traffic
 //! (Zipf-popular content) to the serving-tier workload set.
 //!
 //! # Example

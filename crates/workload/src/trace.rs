@@ -12,14 +12,13 @@
 //! `u64` record count, a `u32` node count and a `u32` chunk count. The
 //! stream follows in chunks, and each chunk opens with a table of its
 //! `u64` record count and, per node, the `u64` count of that node's
-//! records preceding the chunk. A [`TraceV2Reader`] can therefore start
-//! replay at *any chunk boundary* with correct per-node positions, and
-//! its [`StreamingPlayer`] decodes chunks lazily instead of materializing
-//! a 10⁷-record trace up front. [`TraceV2Writer`] streams records out
-//! without knowing the total in advance. Header and tables are
-//! fixed-width big-endian, so a header's counts say how many bytes they
-//! need (`8 × (1 + nodes)` per chunk) before the reader allocates for
-//! them.
+//! records preceding the chunk. A [`TraceV2Reader`] checks every table
+//! against the records before it, and its [`StreamingPlayer`] decodes
+//! chunks lazily instead of materializing a 10⁷-record trace up front.
+//! [`TraceV2Writer`] streams records out without knowing the total in
+//! advance. Header and tables are fixed-width big-endian, so a header's
+//! counts say how many bytes they need (`8 × (1 + nodes)` per chunk)
+//! before the reader allocates for them.
 //!
 //! A record is its node, think delay (ns) and line as unsigned LEB128
 //! varints (seven bits a byte, low group first, the high bit set on every
@@ -485,10 +484,9 @@ impl TraceV2Writer {
 ///
 /// Construction makes one validating pass over the buffer (structure,
 /// varints, kinds, node bounds, and every chunk's offset table) without
-/// materializing records; afterwards chunks decode on demand. Because
-/// each chunk header carries the per-node count of records preceding it,
-/// replay can start at any chunk boundary with correct per-node
-/// positions ([`TraceV2Reader::player_from`]).
+/// materializing records; afterwards chunks decode on demand. Each
+/// chunk's offset table takes `8 × nodes` bytes, so the buffer must back
+/// a header's node count before the reader allocates per-node state.
 #[derive(Debug, Clone)]
 pub struct TraceV2Reader<'a> {
     data: &'a [u8],
@@ -588,24 +586,6 @@ impl<'a> TraceV2Reader<'a> {
         &self.per_node_totals
     }
 
-    /// The per-node counts of records preceding chunk `chunk` — the
-    /// replay cursor positions for a replay starting there. `chunk` may
-    /// equal [`Self::chunk_count`] only when the trace is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is out of range.
-    pub fn chunk_node_offsets(&self, chunk: u32) -> Vec<u64> {
-        let mut c = Cursor {
-            data: self.data,
-            position: self.chunk_starts[chunk as usize],
-        };
-        let _len = c.get_u64().expect("validated at construction");
-        (0..self.nodes)
-            .map(|_| c.get_u64().expect("validated at construction"))
-            .collect()
-    }
-
     /// Hands each record of chunk `chunk` to `f`, in recording order.
     fn decode_chunk(&self, chunk: u32, mut f: impl FnMut(TraceRecord)) {
         let mut c = Cursor {
@@ -619,17 +599,6 @@ impl<'a> TraceV2Reader<'a> {
         }
     }
 
-    /// Decodes chunk `chunk` into records (recording order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` is out of range.
-    pub fn chunk_records(&self, chunk: u32) -> Vec<TraceRecord> {
-        let mut records = Vec::new();
-        self.decode_chunk(chunk, |r| records.push(r));
-        records
-    }
-
     /// Decodes the whole trace into memory, in recording order.
     pub fn read_all(&self) -> Vec<TraceRecord> {
         let mut records = Vec::with_capacity(self.total.min(1 << 20) as usize);
@@ -641,33 +610,10 @@ impl<'a> TraceV2Reader<'a> {
 
     /// A streaming player over the whole trace.
     pub fn player(&self) -> StreamingPlayer<'a> {
-        self.player_from(0)
-    }
-
-    /// A streaming player that starts replay at the boundary of `chunk`:
-    /// per-node positions come from the chunk's offset table, and only
-    /// chunks from `chunk` on are ever decoded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk` exceeds the chunk count.
-    pub fn player_from(&self, chunk: u32) -> StreamingPlayer<'a> {
-        assert!(
-            chunk <= self.chunk_count(),
-            "chunk {chunk} beyond chunk count {}",
-            self.chunk_count()
-        );
-        let start_offsets = if chunk < self.chunk_count() {
-            self.chunk_node_offsets(chunk)
-        } else {
-            // Starting at the end-of-trace boundary: everything precedes.
-            self.per_node_totals.clone()
-        };
         StreamingPlayer {
             reader: self.clone(),
             pending: vec![VecDeque::new(); self.per_node_totals.len()],
-            next_chunk: chunk,
-            start_offsets,
+            next_chunk: 0,
             served: 0,
         }
     }
@@ -684,8 +630,6 @@ pub struct StreamingPlayer<'a> {
     /// Decoded-but-unconsumed records, per node.
     pending: Vec<VecDeque<TraceRecord>>,
     next_chunk: u32,
-    /// Per-node records skipped by starting mid-trace.
-    start_offsets: Vec<u64>,
     served: u64,
 }
 
@@ -693,13 +637,6 @@ impl StreamingPlayer<'_> {
     /// Requests handed out so far.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Per-node counts of records that precede this player's start chunk
-    /// (all zero for a replay from the beginning, and empty for a trace
-    /// with no chunks).
-    pub fn start_offsets(&self) -> &[u64] {
-        &self.start_offsets
     }
 
     /// Decodes the next chunk into the per-node queues. Out of line, so
@@ -1061,38 +998,5 @@ mod tests {
         assert!(p.next(NodeId::new(0), &mut rng).is_none());
         assert!(p.next(NodeId::new(1), &mut rng).is_none());
         assert_eq!(p.served(), 1);
-    }
-
-    #[test]
-    fn streaming_player_resumes_from_any_chunk_boundary() {
-        let recs = records(50, 3);
-        let bytes = encode(&recs, 3, 7);
-        let reader = TraceV2Reader::new(&bytes).unwrap();
-
-        // Per-node tails from a full replay.
-        let full_tail = |node: u32, skip: usize| -> Vec<u64> {
-            recs.iter()
-                .filter(|r| r.node == node)
-                .skip(skip)
-                .map(|r| r.delay_ns)
-                .collect()
-        };
-
-        for chunk in 0..=reader.chunk_count() {
-            let mut p = reader.player_from(chunk);
-            let offsets = p.start_offsets().to_vec();
-            for node in 0..3u32 {
-                let mut got = Vec::new();
-                let mut rng2 = DeterministicRng::seed(2);
-                while let Some((delay, _)) = p.next(NodeId::new(node), &mut rng2) {
-                    got.push(delay);
-                }
-                assert_eq!(
-                    got,
-                    full_tail(node, offsets[node as usize] as usize),
-                    "chunk {chunk} node {node}"
-                );
-            }
-        }
     }
 }
