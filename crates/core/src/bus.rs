@@ -109,11 +109,6 @@ impl Bus {
         self.id
     }
 
-    /// This bus's grant policy.
-    pub fn arbitration(&self) -> Arbitration {
-        self.arbitration
-    }
-
     /// Enqueues `op` with the given bus occupancy in nanoseconds.
     ///
     /// Returns `Some(completion_time)` if the bus was idle and the
@@ -205,23 +200,6 @@ impl Bus {
         self.in_flight.as_ref().map(|(op, _)| op)
     }
 
-    /// The scheduled completion instant of the in-flight operation, i.e.
-    /// the time at which [`Bus::complete`] must be called for it. `None`
-    /// when the bus is idle.
-    pub fn in_flight_completion(&self) -> Option<SimTime> {
-        self.in_flight.as_ref().map(|(_, done)| *done)
-    }
-
-    /// Number of operations waiting behind the in-flight one.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the bus has no work at all.
-    pub fn is_idle(&self) -> bool {
-        self.in_flight.is_none() && self.queue.is_empty()
-    }
-
     /// Total operations ever started on this bus.
     pub fn op_count(&self) -> u64 {
         self.ops.get()
@@ -265,7 +243,7 @@ mod tests {
         let done = bus.enqueue(op(OpKind::ReadRowRequest, 1), 100, SimTime::ZERO);
         assert_eq!(done, Some(SimTime::from_nanos(100)));
         assert!(bus.in_flight().is_some());
-        assert_eq!(bus.queue_len(), 0);
+        assert_eq!(bus.queue_high_water(), 0);
     }
 
     #[test]
@@ -275,7 +253,7 @@ mod tests {
         let first_done = bus.enqueue(op(OpKind::ReadRowRequest, 1), 50, t0).unwrap();
         assert!(bus.enqueue(op(OpKind::ReadRowRequest, 2), 60, t0).is_none());
         assert!(bus.enqueue(op(OpKind::ReadRowRequest, 3), 70, t0).is_none());
-        assert_eq!(bus.queue_len(), 2);
+        assert_eq!(bus.queue_high_water(), 2);
 
         let (f1, next) = bus.complete(first_done);
         assert_eq!(f1.txn, TxnId(1));
@@ -290,7 +268,7 @@ mod tests {
         let (f3, next) = bus.complete(third_done);
         assert_eq!(f3.txn, TxnId(3));
         assert!(next.is_none());
-        assert!(bus.is_idle());
+        assert!(bus.in_flight().is_none());
     }
 
     #[test]
@@ -338,25 +316,6 @@ mod tests {
         assert_eq!(bus.op_count(), 2);
     }
 
-    #[test]
-    fn in_flight_completion_is_the_scheduled_completion_instant() {
-        let mut bus = Bus::new(BusId::row(0));
-        assert_eq!(bus.in_flight_completion(), None);
-        // Op starts at t=10 with 100 ns occupancy: completion is t=110,
-        // not the start instant.
-        let t0 = SimTime::from_nanos(10);
-        let done = bus.enqueue(op(OpKind::ReadRowRequest, 1), 100, t0).unwrap();
-        assert_eq!(bus.in_flight_completion(), Some(done));
-        assert_eq!(done, SimTime::from_nanos(110));
-        // A queued successor starts back-to-back at the predecessor's
-        // completion: its completion is 110 + 60.
-        bus.enqueue(op(OpKind::ReadRowRequest, 2), 60, t0);
-        bus.complete(done);
-        assert_eq!(bus.in_flight_completion(), Some(SimTime::from_nanos(170)));
-        bus.complete(SimTime::from_nanos(170));
-        assert_eq!(bus.in_flight_completion(), None);
-    }
-
     fn op_from(node: u32, seq: u64) -> BusOp {
         BusOp::new(
             OpKind::ReadRowRequest,
@@ -372,7 +331,6 @@ mod tests {
     #[test]
     fn round_robin_rotates_among_requesters() {
         let mut bus = Bus::with_arbitration(BusId::row(0), Arbitration::RoundRobin);
-        assert_eq!(bus.arbitration(), Arbitration::RoundRobin);
         let t0 = SimTime::ZERO;
         let first = bus.enqueue(op_from(0, 1), 10, t0).unwrap();
         // Arrival order behind the in-flight op: 0, 0, 1, 2.
@@ -398,7 +356,6 @@ mod tests {
     #[test]
     fn fcfs_default_serves_arrival_order() {
         let mut bus = Bus::new(BusId::row(0));
-        assert_eq!(bus.arbitration(), Arbitration::Fcfs);
         let t0 = SimTime::ZERO;
         let first = bus.enqueue(op_from(0, 1), 10, t0).unwrap();
         bus.enqueue(op_from(0, 2), 10, t0);

@@ -146,13 +146,6 @@ impl SyntheticSpec {
         self
     }
 
-    /// Sets the probability the target is in global state unmodified.
-    #[must_use]
-    pub fn with_p_unmodified(mut self, p: f64) -> Self {
-        self.p_unmodified = p;
-        self
-    }
-
     /// Sets the invalidation probability for write misses to unmodified
     /// data (the Figure 3 sweep parameter).
     #[must_use]
@@ -161,23 +154,11 @@ impl SyntheticSpec {
         self
     }
 
-    /// Sets the ALLOCATE fraction of writes.
-    #[must_use]
-    pub fn with_p_allocate(mut self, p: f64) -> Self {
-        self.p_allocate = p;
-        self
-    }
-
     /// Sets the shared working-set size in lines.
     #[must_use]
     pub fn with_shared_lines(mut self, lines: u64) -> Self {
         self.shared_lines = lines;
         self
-    }
-
-    /// The offered bus-request rate in requests/ms/processor.
-    pub fn request_rate_per_ms(&self) -> f64 {
-        1_000_000.0 / self.mean_think_ns
     }
 }
 
@@ -206,7 +187,7 @@ mod tests {
     #[test]
     fn rate_roundtrip() {
         let s = SyntheticSpec::default().with_request_rate_per_ms(25.0);
-        assert!((s.request_rate_per_ms() - 25.0).abs() < 1e-9);
+        assert!((1_000_000.0 / s.mean_think_ns - 25.0).abs() < 1e-9);
     }
 
     #[test]
@@ -219,14 +200,10 @@ mod tests {
     fn builders_apply() {
         let s = SyntheticSpec::default()
             .with_p_write(0.5)
-            .with_p_unmodified(0.6)
             .with_p_invalidation(0.4)
-            .with_p_allocate(0.1)
             .with_shared_lines(128);
         assert_eq!(s.p_write, 0.5);
-        assert_eq!(s.p_unmodified, 0.6);
         assert_eq!(s.p_invalidation, 0.4);
-        assert_eq!(s.p_allocate, 0.1);
         assert_eq!(s.shared_lines, 128);
     }
 }

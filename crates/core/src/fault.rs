@@ -261,12 +261,6 @@ impl FaultPlan {
             || self.blackout > 0.0
     }
 
-    /// True if the plan can make MLT replicas *appear* inconsistent (relaxes
-    /// the two-claimant poll assertion, never the end-state checker).
-    pub fn perturbs_mlt(&self) -> bool {
-        self.mlt_delay > 0.0
-    }
-
     /// Validates every knob, returning the first offending one.
     pub fn validate(&self) -> Result<(), FaultConfigError> {
         check_probability("signal_drop", self.signal_drop)?;
@@ -610,7 +604,6 @@ mod tests {
     fn default_plan_is_inert_and_valid() {
         let plan = FaultPlan::default();
         assert!(!plan.is_active());
-        assert!(!plan.perturbs_mlt());
         plan.validate().unwrap();
     }
 

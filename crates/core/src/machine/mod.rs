@@ -1582,6 +1582,15 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_capacity_mlt_is_a_config_error() {
+        let config = MachineConfig::grid(2).unwrap().with_mlt_capacity(0);
+        assert!(matches!(
+            Machine::new(config, 1),
+            Err(MachineConfigError::BadMltCapacity)
+        ));
+    }
+
+    #[test]
     fn registry_owner_list_tracks_inserts_and_removals() {
         let mut m = machine(2);
         for i in 0..4 {

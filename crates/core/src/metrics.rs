@@ -5,7 +5,6 @@ use multicube_sim::SimTime;
 use multicube_topology::BusId;
 
 use crate::driver::RequestKind;
-use crate::proto::OpClass;
 
 /// Where a transaction's data (or decision) ultimately came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -293,14 +292,6 @@ impl core::fmt::Display for RunReport {
     }
 }
 
-/// Classifies an op count into the row/column totals (helper for reports).
-pub fn classify_ops(class: OpClass, row: &mut u64, col: &mut u64) {
-    match class {
-        OpClass::Row => *row += 1,
-        OpClass::Column => *col += 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,15 +394,6 @@ mod tests {
         assert_eq!(ops, 0.0);
         // The Display path exercises the same division.
         assert!(!report.to_string().contains("NaN"));
-    }
-
-    #[test]
-    fn classify_ops_splits() {
-        let (mut r, mut c) = (0u64, 0u64);
-        classify_ops(OpClass::Row, &mut r, &mut c);
-        classify_ops(OpClass::Column, &mut r, &mut c);
-        classify_ops(OpClass::Column, &mut r, &mut c);
-        assert_eq!((r, c), (1, 2));
     }
 }
 

@@ -18,13 +18,9 @@ use multicube_topology::NodeId;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
-/// A deterministic fast-hash map keyed by [`TxnId`] (see
-/// `multicube_sim::hash`). The machine's own bookkeeping uses a ring of
-/// live transactions indexed by id instead; this alias is for sparse
-/// transaction-keyed side tables.
-pub type TxnMap<V> = multicube_sim::FxHashMap<TxnId, V>;
-
-/// A deterministic fast-hash set of [`TxnId`]s.
+/// A deterministic fast-hash set of [`TxnId`]s (see `multicube_sim::hash`).
+/// The machine's own bookkeeping uses a ring of live transactions indexed
+/// by id; this alias is for sparse transaction-keyed side sets.
 pub type TxnSet = multicube_sim::FxHashSet<TxnId>;
 
 impl fmt::Display for TxnId {

@@ -36,11 +36,6 @@ impl CacheGeometry {
         CacheGeometry { sets, ways }
     }
 
-    /// A fully-associative geometry with the given capacity in lines.
-    pub fn fully_associative(capacity: u32) -> Self {
-        CacheGeometry::new(1, capacity)
-    }
-
     /// Number of sets.
     pub fn sets(self) -> u32 {
         self.sets
@@ -483,7 +478,7 @@ mod tests {
 
     #[test]
     fn fully_associative_uses_whole_capacity() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::fully_associative(8));
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::new(1, 8));
         for i in 0..8 {
             assert!(c.insert(line(i * 100), 0).is_none());
         }

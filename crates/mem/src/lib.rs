@@ -3,8 +3,10 @@
 //! The machine's memory system (paper §2–§3) has four kinds of stateful
 //! structures, all provided here as protocol-agnostic containers:
 //!
-//! * [`LineAddr`] / [`WordAddr`] / [`LineGeometry`] — typed addresses and
-//!   the word-to-line mapping ([`addr`]).
+//! * [`LineAddr`] — the typed coherency-line address, with the
+//!   deterministic per-line [`LineMap`] and [`LineSet`] ([`addr`]). The
+//!   protocol moves, tracks and invalidates whole lines, so nothing below
+//!   the line is addressed.
 //! * [`SetAssocCache`] — a generic set-associative LRU cache, the large
 //!   DRAM *snooping cache* of every node ([`cache`]).
 //! * [`ModifiedLineTable`] — the per-column table of lines held modified in
@@ -23,7 +25,7 @@ pub mod cache;
 pub mod memory;
 pub mod mlt;
 
-pub use addr::{LineAddr, LineGeometry, LineMap, LineSet, WordAddr};
+pub use addr::{LineAddr, LineMap, LineSet};
 pub use cache::{CacheGeometry, Evicted, SetAssocCache};
 pub use memory::{LineVersion, MemoryBank};
 pub use mlt::{MltInsert, ModifiedLineTable};

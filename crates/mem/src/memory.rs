@@ -18,8 +18,9 @@ use crate::addr::{LineAddr, LineMap};
 /// ```
 /// use multicube_mem::LineVersion;
 ///
-/// let v = LineVersion::INITIAL.next(7);
+/// let v = LineVersion::new(7);
 /// assert_ne!(v, LineVersion::INITIAL);
+/// assert_eq!(v.stamp(), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineVersion(u64);
@@ -36,12 +37,6 @@ impl LineVersion {
     /// The raw stamp.
     pub const fn stamp(self) -> u64 {
         self.0
-    }
-
-    /// Mints the version produced by write number `write_seq` (1-based).
-    pub const fn next(self, write_seq: u64) -> LineVersion {
-        let _ = self;
-        LineVersion(write_seq)
     }
 }
 
@@ -74,8 +69,6 @@ struct MemLine {
 #[derive(Debug, Clone, Default)]
 pub struct MemoryBank {
     lines: LineMap<MemLine>,
-    reads: u64,
-    writes: u64,
 }
 
 impl MemoryBank {
@@ -97,9 +90,8 @@ impl MemoryBank {
     }
 
     /// Reads the line's contents if the valid bit is set; `None` if the
-    /// memory copy is stale. Counts a memory access either way.
-    pub fn read_valid(&mut self, line: &LineAddr) -> Option<LineVersion> {
-        self.reads += 1;
+    /// memory copy is stale.
+    pub fn read_valid(&self, line: &LineAddr) -> Option<LineVersion> {
         match self.lines.get(line) {
             Some(l) if l.valid => Some(l.data),
             Some(_) => None,
@@ -118,7 +110,6 @@ impl MemoryBank {
     /// Writes the line and sets its valid bit (a memory update:
     /// `write memory line and mark line valid` in Appendix A).
     pub fn write(&mut self, line: LineAddr, data: LineVersion) {
-        self.writes += 1;
         let entry = self.entry(line);
         entry.data = data;
         entry.valid = true;
@@ -128,22 +119,6 @@ impl MemoryBank {
     /// (`mark line invalid` executed by memory in Appendix A).
     pub fn mark_invalid(&mut self, line: &LineAddr) {
         self.entry(*line).valid = false;
-    }
-
-    /// Sets the valid bit without changing data (used when a reply already
-    /// carried the data to memory on the same bus operation).
-    pub fn mark_valid(&mut self, line: &LineAddr) {
-        self.entry(*line).valid = true;
-    }
-
-    /// Total reads served (including stale-read attempts).
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Total writes performed.
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// Iterates over lines that have been touched, with their valid bit.
@@ -162,7 +137,7 @@ mod tests {
 
     #[test]
     fn untouched_lines_are_valid_initial() {
-        let mut bank = MemoryBank::new();
+        let bank = MemoryBank::new();
         assert!(bank.is_valid(&line(42)));
         assert_eq!(bank.read_valid(&line(42)), Some(LineVersion::INITIAL));
     }
@@ -184,30 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn mark_valid_keeps_data() {
-        let mut bank = MemoryBank::new();
-        bank.write(line(2), LineVersion::new(5));
-        bank.mark_invalid(&line(2));
-        bank.mark_valid(&line(2));
-        assert_eq!(bank.read_valid(&line(2)), Some(LineVersion::new(5)));
-    }
-
-    #[test]
     fn peek_ignores_valid_bit() {
         let mut bank = MemoryBank::new();
         bank.write(line(3), LineVersion::new(7));
         bank.mark_invalid(&line(3));
         assert_eq!(bank.peek(&line(3)), LineVersion::new(7));
-    }
-
-    #[test]
-    fn counters_track_accesses() {
-        let mut bank = MemoryBank::new();
-        bank.read_valid(&line(0));
-        bank.write(line(0), LineVersion::new(1));
-        bank.read_valid(&line(0));
-        assert_eq!(bank.read_count(), 2);
-        assert_eq!(bank.write_count(), 1);
     }
 
     #[test]

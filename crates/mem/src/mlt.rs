@@ -71,18 +71,6 @@ pub struct ModifiedLineTable {
     stamp: u64,
 }
 
-/// Table equality is *logical*: same capacity and same live entries in
-/// the same FIFO order. Dead queue slots and stamp values are storage
-/// artifacts — two tables that saw the same INSERT/REMOVE stream must
-/// compare equal even if their compaction histories differ.
-impl PartialEq for ModifiedLineTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.capacity == other.capacity && self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for ModifiedLineTable {}
-
 impl ModifiedLineTable {
     /// Creates a table holding at most `capacity` entries.
     ///
@@ -97,11 +85,6 @@ impl ModifiedLineTable {
             index: LineMap::default(),
             stamp: 0,
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -159,12 +142,6 @@ impl ModifiedLineTable {
             .iter()
             .filter(|(l, s)| self.index.get(l) == Some(s))
             .map(|(l, _)| l)
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.queue.clear();
-        self.index.clear();
     }
 
     /// Pops and returns the oldest *live* entry, discarding any dead slots
@@ -228,30 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn replicas_stay_identical_under_same_ops() {
-        let mut a = ModifiedLineTable::new(4);
-        let mut b = ModifiedLineTable::new(4);
-        let ops: &[(bool, u64)] = &[
-            (true, 1),
-            (true, 2),
-            (false, 1),
-            (true, 3),
-            (true, 4),
-            (true, 5),
-            (true, 6), // overflow
-            (false, 9),
-        ];
-        for &(is_insert, l) in ops {
-            if is_insert {
-                assert_eq!(a.insert(line(l)), b.insert(line(l)));
-            } else {
-                assert_eq!(a.remove(&line(l)), b.remove(&line(l)));
-            }
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn reinsert_after_remove_rejoins_at_the_back() {
         // A remove-then-reinsert must not inherit the line's old FIFO slot:
         // the stale dead slot at the front would otherwise evict line 1 as
@@ -286,35 +239,6 @@ mod tests {
         for l in mlt.iter() {
             assert!(mlt.contains(l));
         }
-    }
-
-    #[test]
-    fn logical_equality_ignores_dead_slots() {
-        // Same INSERT/REMOVE stream, but `a` churns extra entries through
-        // first so its queue carries different dead slots and stamps.
-        let mut a = ModifiedLineTable::new(4);
-        a.insert(line(90));
-        a.insert(line(91));
-        a.remove(&line(90));
-        a.remove(&line(91));
-        let mut b = ModifiedLineTable::new(4);
-        for l in [1u64, 2, 3] {
-            a.insert(line(l));
-            b.insert(line(l));
-        }
-        a.remove(&line(2));
-        b.remove(&line(2));
-        assert_eq!(a, b);
-        b.insert(line(2));
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut mlt = ModifiedLineTable::new(2);
-        mlt.insert(line(1));
-        mlt.clear();
-        assert!(mlt.is_empty());
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Property tests for the memory-hierarchy containers.
 
 use multicube_mem::{
-    CacheGeometry, LineAddr, LineGeometry, LineVersion, MemoryBank, MltInsert, ModifiedLineTable,
-    SetAssocCache, WordAddr,
+    CacheGeometry, LineAddr, LineVersion, MemoryBank, MltInsert, ModifiedLineTable, SetAssocCache,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -326,18 +325,5 @@ proptest! {
         for (line, v) in model {
             prop_assert_eq!(bank.read_valid(&line), Some(v));
         }
-    }
-
-    /// Line geometry: line_of/first_word/word_offset are mutually consistent
-    /// for all block sizes the paper considers.
-    #[test]
-    fn geometry_consistency(addr in any::<u32>(), shift in 0u32..7) {
-        let words = 1u32 << shift; // 1..64
-        let g = LineGeometry::new(words).unwrap();
-        let w = WordAddr::new(addr as u64);
-        let line = g.line_of(w);
-        let off = g.word_offset(w);
-        prop_assert!(off < words);
-        prop_assert_eq!(g.first_word(line).value() + off as u64, w.value());
     }
 }

@@ -251,12 +251,6 @@ impl Pool {
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::from_env()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

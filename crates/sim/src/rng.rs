@@ -98,20 +98,6 @@ impl DeterministicRng {
         }
     }
 
-    /// Derives an independent child stream, e.g. one per processor.
-    ///
-    /// Each `(parent seed, index)` pair yields a distinct, reproducible
-    /// stream; streams with different indices are statistically independent
-    /// for simulation purposes.
-    pub fn child(&mut self, index: u64) -> Self {
-        // Mix the next parent draw with the index via SplitMix64 finalization.
-        let mut z = self.next_u64() ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        DeterministicRng::seed(z)
-    }
-
     /// Next raw 64-bit value (xoshiro256++ step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -127,12 +113,6 @@ impl DeterministicRng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Next raw 32-bit value.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// A uniform value in `[0, 1)` (53 bits of precision).
@@ -233,21 +213,6 @@ mod tests {
         let mut b = DeterministicRng::seed(2);
         let same = (0..16).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 16);
-    }
-
-    #[test]
-    fn child_streams_are_reproducible_and_distinct() {
-        let mut p1 = DeterministicRng::seed(9);
-        let mut p2 = DeterministicRng::seed(9);
-        let mut c0a = p1.child(0);
-        let mut c0b = p2.child(0);
-        assert_eq!(c0a.next_u64(), c0b.next_u64());
-
-        let mut p3 = DeterministicRng::seed(9);
-        let mut c0 = p3.child(0);
-        let mut p4 = DeterministicRng::seed(9);
-        let mut c1 = p4.child(1);
-        assert_ne!(c0.next_u64(), c1.next_u64());
     }
 
     #[test]

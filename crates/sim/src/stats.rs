@@ -52,7 +52,8 @@ impl Counter {
     }
 }
 
-/// Streaming mean / variance / extrema via Welford's online algorithm.
+/// Streaming mean and extrema; the mean is updated incrementally, as in
+/// Welford's online algorithm.
 ///
 /// # Example
 ///
@@ -65,13 +66,12 @@ impl Counter {
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
+/// assert_eq!(s.max(), Some(9.0));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -82,7 +82,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -93,14 +92,8 @@ impl OnlineStats {
         self.count += 1;
         let delta = value - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Records a [`SimDuration`] sample in nanoseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_nanos() as f64);
     }
 
     /// Number of samples recorded.
@@ -114,24 +107,6 @@ impl OnlineStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (divides by `n`), or 0 when `n < 1`.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample standard deviation (divides by `n-1`), or 0 when `n < 2`.
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
         }
     }
 
@@ -156,13 +131,8 @@ impl OnlineStats {
         }
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
+        self.mean += delta * other.count as f64 / total as f64;
         self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -337,14 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn online_stats_mean_and_variance() {
+    fn online_stats_mean_and_extrema() {
         let mut s = OnlineStats::new();
         for v in 1..=5 {
             s.record(v as f64);
         }
         assert_eq!(s.count(), 5);
         assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert!((s.population_variance() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(5.0));
     }
@@ -353,8 +322,8 @@ mod tests {
     fn online_stats_empty_is_safe() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         assert_eq!(s.min(), None);
+        assert_eq!(s.max(), None);
     }
 
     #[test]
@@ -374,7 +343,8 @@ mod tests {
         left.merge(&right);
         assert_eq!(left.count(), all.count());
         assert!((left.mean() - all.mean()).abs() < 1e-9);
-        assert!((left.population_variance() - all.population_variance()).abs() < 1e-9);
+        assert_eq!(left.min(), all.min());
+        assert_eq!(left.max(), all.max());
     }
 
     #[test]

@@ -43,12 +43,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns this instant expressed in (fractional) microseconds.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Returns this instant expressed in (fractional) milliseconds.
     #[inline]
     pub fn as_millis_f64(self) -> f64 {
@@ -93,8 +87,7 @@ impl fmt::Display for SimTime {
 /// use multicube_sim::SimDuration;
 ///
 /// let word = SimDuration::from_nanos(50);
-/// let block = word * 16;
-/// assert_eq!(block.as_nanos(), 800);
+/// assert_eq!((word + word).as_nanos(), 100);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
@@ -109,34 +102,10 @@ impl SimDuration {
         SimDuration(nanos)
     }
 
-    /// Creates a duration of `micros` microseconds.
-    #[inline]
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * 1_000)
-    }
-
-    /// Creates a duration of `millis` milliseconds.
-    #[inline]
-    pub const fn from_millis(millis: u64) -> Self {
-        SimDuration(millis * 1_000_000)
-    }
-
     /// Returns the duration in nanoseconds.
     #[inline]
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Returns the duration as fractional seconds.
-    #[inline]
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
-    /// Checked addition; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        self.0.checked_add(rhs.0).map(SimDuration)
     }
 }
 
@@ -174,13 +143,6 @@ impl Add<u64> for SimTime {
     }
 }
 
-impl AddAssign<SimDuration> for SimTime {
-    #[inline]
-    fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
-    }
-}
-
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     #[inline]
@@ -204,20 +166,6 @@ impl AddAssign<SimDuration> for SimDuration {
     }
 }
 
-impl core::ops::Mul<u64> for SimDuration {
-    type Output = SimDuration;
-    #[inline]
-    fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
-    }
-}
-
-impl core::iter::Sum for SimDuration {
-    fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> Self {
-        SimDuration(iter.map(|d| d.0).sum())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,16 +181,8 @@ mod tests {
 
     #[test]
     fn duration_constructors_scale() {
-        assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
-        assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_nanos(7).as_nanos(), 7);
-    }
-
-    #[test]
-    fn duration_multiplication_models_block_transfer() {
-        // 16-word block at 50 ns per word = 800 ns on the bus.
-        let per_word = SimDuration::from_nanos(50);
-        assert_eq!((per_word * 16).as_nanos(), 800);
+        assert_eq!(SimDuration::ZERO.as_nanos(), 0);
     }
 
     #[test]
@@ -251,12 +191,6 @@ mod tests {
         let b = SimTime::from_nanos(20);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a).as_nanos(), 10);
-    }
-
-    #[test]
-    fn sum_of_durations() {
-        let total: SimDuration = (1..=4).map(SimDuration::from_nanos).sum();
-        assert_eq!(total.as_nanos(), 10);
     }
 
     #[test]
@@ -269,7 +203,5 @@ mod tests {
     fn float_views() {
         let t = SimTime::from_nanos(1_500_000);
         assert!((t.as_millis_f64() - 1.5).abs() < 1e-12);
-        assert!((t.as_micros_f64() - 1_500.0).abs() < 1e-9);
-        assert!((SimDuration::from_millis(500).as_secs_f64() - 0.5).abs() < 1e-12);
     }
 }

@@ -2,9 +2,9 @@
 //! [`EventQueue`](crate::EventQueue).
 //!
 //! The machine's delays are a tiny discrete set (50 ns bus words, 750 ns
-//! cache/memory latencies, 10 ns processor hits) plus exponential think
-//! times — the textbook case for a bucketed wheel instead of a comparison
-//! heap. Three tiers share one slab arena:
+//! cache/memory latencies) plus exponential think times — the textbook
+//! case for a bucketed wheel instead of a comparison heap. Three tiers
+//! share one slab arena:
 //!
 //! - **L0 (near wheel)**: 1024 one-nanosecond buckets covering the current
 //!   1024-ns *page* (`at >> 10 == now >> 10`). Every protocol delay lands

@@ -8,7 +8,13 @@ use multicube_mem::LineAddr;
 use multicube_sim::SimTime;
 use multicube_topology::NodeId;
 
-use crate::lock::{Discipline, FailAction, QueueLock};
+use crate::lock::{Discipline, FailAction};
+
+/// Think time between a node's rounds, in nanoseconds.
+const THINK_NS: u64 = 10_000;
+
+/// The line every node contends for.
+const LOCK_LINE: LineAddr = LineAddr::new(0x10_0000);
 
 /// Results of one lock experiment.
 #[derive(Debug, Clone)]
@@ -72,8 +78,6 @@ enum St {
 pub struct LockExperiment {
     rounds: u64,
     hold_ns: u64,
-    think_ns: u64,
-    lock_line: LineAddr,
 }
 
 impl LockExperiment {
@@ -83,8 +87,6 @@ impl LockExperiment {
         LockExperiment {
             rounds,
             hold_ns: 2_000,
-            think_ns: 10_000,
-            lock_line: LineAddr::new(0x10_0000),
         }
     }
 
@@ -92,20 +94,6 @@ impl LockExperiment {
     #[must_use]
     pub fn with_hold_ns(mut self, ns: u64) -> Self {
         self.hold_ns = ns;
-        self
-    }
-
-    /// Sets the think time between rounds in nanoseconds.
-    #[must_use]
-    pub fn with_think_ns(mut self, ns: u64) -> Self {
-        self.think_ns = ns;
-        self
-    }
-
-    /// Sets the lock's line address.
-    #[must_use]
-    pub fn with_lock_line(mut self, line: LineAddr) -> Self {
-        self.lock_line = line;
         self
     }
 
@@ -137,7 +125,7 @@ impl LockExperiment {
             rounds_left.insert(node, self.rounds);
             machine.submit_at(
                 node,
-                Request::new(RequestKind::TestAndSet, self.lock_line),
+                Request::new(RequestKind::TestAndSet, LOCK_LINE),
                 machine.now() + (i as u64 * 100),
             );
         }
@@ -146,7 +134,7 @@ impl LockExperiment {
 
         while let Some(c) = machine.advance() {
             match c.kind {
-                RequestKind::TestAndSet if c.line == self.lock_line => {
+                RequestKind::TestAndSet if c.line == LOCK_LINE => {
                     if st[&c.node] == St::Thinking {
                         // First attempt of a round.
                         round_started.insert(c.node, c.at);
@@ -182,7 +170,7 @@ impl LockExperiment {
                             FailAction::Respin => {
                                 st.insert(c.node, St::Trying);
                                 machine
-                                    .submit(c.node, tas(self.lock_line))
+                                    .submit(c.node, tas(LOCK_LINE))
                                     .expect("node idle after completion");
                             }
                             FailAction::Enqueue => {
@@ -196,13 +184,13 @@ impl LockExperiment {
                     debug_assert_eq!(holder, Some(c.node));
                     holder = None;
                     // Clear the lock word in our (modified) copy.
-                    let cleared = machine.write_sync_word(c.node, self.lock_line, 0);
+                    let cleared = machine.write_sync_word(c.node, LOCK_LINE, 0);
                     debug_assert!(cleared, "releaser must own the lock line");
                     if let Some(next) = discipline.on_release() {
                         handoff_to = Some(next);
                         st.insert(next, St::Trying);
                         machine
-                            .submit(next, tas(self.lock_line))
+                            .submit(next, tas(LOCK_LINE))
                             .expect("queued node is idle");
                     }
                     // Schedule our own next round (or finish).
@@ -210,7 +198,7 @@ impl LockExperiment {
                     *left -= 1;
                     if *left > 0 {
                         st.insert(c.node, St::Thinking);
-                        machine.submit_at(c.node, tas(self.lock_line), c.at + self.think_ns);
+                        machine.submit_at(c.node, tas(LOCK_LINE), c.at + THINK_NS);
                     } else {
                         st.insert(c.node, St::Done);
                     }
@@ -244,42 +232,36 @@ impl LockExperiment {
     }
 }
 
-impl Default for LockExperiment {
-    fn default() -> Self {
-        LockExperiment::new(4)
-    }
-}
-
-/// FIFO check helper: whether `order` respects queue order per round for
-/// the queue discipline (allowing the initial contention scramble).
-pub fn is_mostly_fifo(report: &LockReport) -> bool {
-    if report.discipline != QueueLock::NAME {
-        return true;
-    }
-    // With handoff stealing rare, each node's k-th acquisition should come
-    // after most (k-1)-th acquisitions; use a weak monotonicity measure.
-    let mut seen: HashMap<NodeId, u64> = HashMap::new();
-    let mut violations = 0usize;
-    let mut last_round = 0u64;
-    for &node in &report.acquisition_order {
-        let r = seen.entry(node).or_insert(0);
-        *r += 1;
-        if *r < last_round {
-            violations += 1;
-        }
-        last_round = last_round.max(*r);
-    }
-    violations * 10 <= report.acquisition_order.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lock::SpinLock;
+    use crate::lock::{QueueLock, SpinLock};
     use multicube::MachineConfig;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::grid(2).unwrap(), 77).unwrap()
+    }
+
+    /// FIFO check helper: whether `order` respects queue order per round for
+    /// the queue discipline (allowing the initial contention scramble).
+    fn is_mostly_fifo(report: &LockReport) -> bool {
+        if report.discipline != QueueLock::NAME {
+            return true;
+        }
+        // With handoff stealing rare, each node's k-th acquisition should come
+        // after most (k-1)-th acquisitions; use a weak monotonicity measure.
+        let mut seen: HashMap<NodeId, u64> = HashMap::new();
+        let mut violations = 0usize;
+        let mut last_round = 0u64;
+        for &node in &report.acquisition_order {
+            let r = seen.entry(node).or_insert(0);
+            *r += 1;
+            if *r < last_round {
+                violations += 1;
+            }
+            last_round = last_round.max(*r);
+        }
+        violations * 10 <= report.acquisition_order.len()
     }
 
     #[test]

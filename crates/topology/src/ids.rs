@@ -49,12 +49,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-impl From<NodeId> for u32 {
-    fn from(id: NodeId) -> u32 {
-        id.0
-    }
-}
-
 /// The role a bus plays in the two-dimensional machine.
 ///
 /// In the 2-D Wisconsin Multicube every node sits on one **row** bus and one
@@ -157,7 +151,6 @@ mod tests {
         let n = NodeId::new(1023);
         assert_eq!(n.index(), 1023);
         assert_eq!(n.as_usize(), 1023);
-        assert_eq!(u32::from(n), 1023);
     }
 
     #[test]

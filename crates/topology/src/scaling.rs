@@ -41,11 +41,6 @@ impl TransactionCostBounds {
             readmod_unmodified_col_ops: 3,
         }
     }
-
-    /// Total bus ops for the broadcast (unmodified READ-MOD) case.
-    pub fn readmod_unmodified_total(&self) -> u32 {
-        self.readmod_unmodified_row_ops + self.readmod_unmodified_col_ops
-    }
 }
 
 /// Scaling figures for a `k`-dimensional Multicube ("T-6.2").
@@ -112,14 +107,6 @@ pub fn mean_path_length(n: u32, k: u8) -> f64 {
     unconditioned * big_n / (big_n - 1.0)
 }
 
-/// Aggregate bus bandwidth in bus-units, `k * n^(k-1)`; the §6 claim is
-/// that this grows "in proportion to the product of the number of
-/// processors and the average path length" divided by n — i.e. bandwidth
-/// per processor tracks path length growth (`k`) for fixed `n`.
-pub fn total_bandwidth(n: u32, k: u8) -> f64 {
-    k as f64 * (n as f64).powi(k as i32 - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +119,6 @@ mod tests {
         assert_eq!(b.readmod_modified, 4);
         assert_eq!(b.readmod_unmodified_row_ops, 33);
         assert_eq!(b.readmod_unmodified_col_ops, 3);
-        assert_eq!(b.readmod_unmodified_total(), 36);
     }
 
     #[test]
@@ -160,7 +146,8 @@ mod tests {
 
     #[test]
     fn bandwidth_per_processor_grows_with_k_for_fixed_n() {
-        let per_proc = |k: u8| total_bandwidth(8, k) / (8f64).powi(k as i32);
+        let per_proc =
+            |k: u8| ScalingReport::for_cube(&Multicube::new(8, k).unwrap()).bandwidth_per_processor;
         assert!(per_proc(3) > per_proc(2));
         assert!((per_proc(2) - 2.0 / 8.0).abs() < 1e-12);
         assert!((per_proc(3) - 3.0 / 8.0).abs() < 1e-12);

@@ -456,11 +456,6 @@ impl TraceV2Writer {
         }
     }
 
-    /// Records written so far.
-    pub fn record_count(&self) -> u64 {
-        self.total
-    }
-
     fn close_chunk(&mut self) {
         let count = (self.open_records as u64).to_be_bytes();
         self.buf[self.open_at..self.open_at + 8].copy_from_slice(&count);
