@@ -36,53 +36,96 @@
 //!   --csv DIR also write each figure's CSV into DIR
 //!   --out DIR write the BENCH_* artifacts into DIR (default: .)
 //! ```
+//!
+//! A simulated point that panics is contained: its figure or table prints
+//! without it and the failure, with its replay coordinates, goes to
+//! stderr. After all output, `figures` exits nonzero if any point failed.
 
+use std::cell::Cell;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+
+use multicube::{MachineConfig, SyntheticSpec};
 use multicube_bench::{
-    baseline_rows, costs_table, fault_sweep_rows, mlt_rows, render_bus_telemetry,
-    render_class_stats, render_cube_study, render_failures, render_fault_sweep, render_resilience,
-    render_scaling_json, render_scaling_study, render_series, render_series_utilization,
-    render_serve, render_serve_json, render_shootout, robustness_rows, run_cube_study, run_serve,
-    run_shootout, scaling_rows, series_view, sim_figure2, sim_figure3, sim_figure4,
-    sim_latency_modes, snarf_rows, sync_rows, validate_scaling_report, validate_serve_report,
-    CubeStudyConfig, Pool, ServeConfig, SimSeries, SweepConfig, FIGURE2_SIDES,
+    baseline_rows, collect_failures, costs_table, fault_sweep_rows, mlt_rows, render_bus_telemetry,
+    render_class_stats, render_cube_study, render_fault_sweep, render_resilience,
+    render_scaling_json, render_scaling_study, render_series, render_serve, render_serve_json,
+    render_shootout, robustness_rows, run_cube_study, run_points, run_serve, run_shootout,
+    scaling_rows, series_view, sim_figure2, sim_figure3, sim_figure4, sim_latency_modes,
+    snarf_rows, sync_rows, validate_scaling_report, validate_serve_report, write_bus_telemetry_csv,
+    write_class_stats_csv, write_fault_sweep_csv, write_series_csv, write_serve_csv,
+    write_shootout_csv, CubeStudyConfig, Measured, PointFailure, Pool, ServeConfig, SimPoint,
+    SimSeries, SweepConfig, FIGURE2_SIDES,
 };
 use multicube_mva::figures as mva;
+use multicube_mva::FigureSeries;
 
 struct Options {
     quick: bool,
     txns: Option<u64>,
     /// Directory to additionally write per-figure CSV files into.
-    csv: Option<std::path::PathBuf>,
+    csv: Option<PathBuf>,
     /// Directory the `BENCH_*` artifacts are written into.
-    out: std::path::PathBuf,
+    out: PathBuf,
     /// The worker pool every sweep fans out through
     /// (MULTICUBE_POOL_WORKERS overrides the worker count).
     pool: Pool,
+    /// Simulated points that failed, over every command run.
+    failed: Cell<usize>,
 }
 
 impl Options {
-    fn maybe_csv(&self, name: &str, series: &[multicube_mva::FigureSeries]) {
+    /// With `--csv`, writes the file `name` into that directory.
+    fn csv_file(&self, name: &str, write: impl FnOnce(&Path) -> std::io::Result<()>) {
         if let Some(dir) = &self.csv {
             std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = dir.join(format!("{name}.csv"));
-            multicube_bench::write_series_csv(&path, series).expect("write csv");
+            let path = dir.join(name);
+            write(&path).expect("write csv");
             eprintln!("wrote {}", path.display());
         }
     }
 
+    /// Prints the efficiency table of `series` and, with `--csv`, writes
+    /// it as `{csv}.csv`.
+    fn figure(&self, title: &str, series: &[FigureSeries], csv: Option<&str>) {
+        println!("{}", render_series(title, series, |p| p.efficiency));
+        if let Some(name) = csv {
+            self.csv_file(&format!("{name}.csv"), |path| {
+                write_series_csv(path, series)
+            });
+        }
+    }
+
+    /// [`Options::figure`] for a simulated figure, after its contained
+    /// failures.
+    fn sim_figure(&self, title: &str, sims: &[SimSeries], csv: Option<&str>) {
+        self.report_failures(title, &collect_failures(sims));
+        self.figure(title, &series_view(sims), csv);
+    }
+
     /// The path of the artifact `name` in the output directory.
-    fn artifact(&self, name: &str) -> std::path::PathBuf {
+    fn artifact(&self, name: &str) -> PathBuf {
         std::fs::create_dir_all(&self.out).expect("create output dir");
         self.out.join(name)
     }
 
-    /// Prints any contained sweep-point failures for a figure (a panicked
-    /// point no longer aborts the figure; it is reported here instead).
-    fn report_failures(&self, title: &str, sims: &[SimSeries]) {
-        let text = render_failures(title, sims);
-        if !text.is_empty() {
-            eprint!("{text}");
+    /// Prints a figure's or table's contained point failures, with their
+    /// replay coordinates, on stderr and counts them towards the exit
+    /// status.
+    fn report_failures(&self, title: &str, failures: &[PointFailure]) {
+        if !failures.is_empty() {
+            eprintln!("!! {title}: {} point(s) failed:", failures.len());
         }
+        for f in failures {
+            eprintln!("!!   {f}");
+        }
+        self.failed.set(self.failed.get() + failures.len());
+    }
+
+    /// Reports `table`'s failures under `title` and returns its rows.
+    fn rows<R>(&self, title: &str, table: Measured<R>) -> Vec<R> {
+        self.report_failures(title, &table.failures);
+        table.rows
     }
 }
 
@@ -121,65 +164,47 @@ fn figure2_sweep(opts: &Options) -> Vec<SimSeries> {
 }
 
 fn fig2(opts: &Options, sims: &[SimSeries]) {
-    let model = mva::figure2();
-    println!(
-        "{}",
-        render_series(
-            "Figure 2 (model): efficiency vs request rate, n = 8/16/24/32",
-            &model
-        )
+    opts.figure(
+        "Figure 2 (model): efficiency vs request rate, n = 8/16/24/32",
+        &mva::figure2(),
+        Some("fig2_model"),
     );
-    opts.maybe_csv("fig2_model", &model);
-    let series = series_view(sims);
-    println!("{}", render_series("Figure 2 (simulated)", &series));
-    opts.report_failures("Figure 2 (simulated)", sims);
-    opts.maybe_csv("fig2_sim", &series);
+    opts.sim_figure("Figure 2 (simulated)", sims, Some("fig2_sim"));
 }
 
 fn fig3(opts: &Options) {
-    let model = mva::figure3();
-    println!(
-        "{}",
-        render_series(
-            "Figure 3 (model): effect of invalidations, 1K processors",
-            &model
-        )
+    opts.figure(
+        "Figure 3 (model): effect of invalidations, 1K processors",
+        &mva::figure3(),
+        Some("fig3_model"),
     );
-    opts.maybe_csv("fig3_model", &model);
     let sims = sim_figure3(
         &opts.pool,
         &[0.1, 0.2, 0.3, 0.4, 0.5],
         big_side(opts),
         &sweep(opts),
     );
-    let series = series_view(&sims);
+    opts.sim_figure(
+        "Figure 3 (simulated, broadcast sharing-filter ablation; the faithful protocol always broadcasts, making all curves coincide)",
+        &sims,
+        None,
+    );
     println!(
         "{}",
         render_series(
-            "Figure 3 (simulated, broadcast sharing-filter ablation; the faithful protocol always broadcasts, making all curves coincide)",
-            &series
-        )
-    );
-    println!(
-        "{}",
-        render_series_utilization(
             "Figure 3 (simulated): row-bus utilization — the invalidation traffic itself",
-            &series
+            &series_view(&sims),
+            |p| p.rho_row
         )
     );
-    opts.report_failures("Figure 3 (simulated)", &sims);
 }
 
 fn fig4(opts: &Options) {
-    let model = mva::figure4();
-    println!(
-        "{}",
-        render_series(
-            "Figure 4 (model): effect of block size, 1K processors",
-            &model
-        )
+    opts.figure(
+        "Figure 4 (model): effect of block size, 1K processors",
+        &mva::figure4(),
+        Some("fig4_model"),
     );
-    opts.maybe_csv("fig4_model", &model);
     println!("Figure 4 sloping dashed line (rate halves as block doubles):");
     for p in mva::figure4_rate_scaled(16.0) {
         println!(
@@ -194,26 +219,17 @@ fn fig4(opts: &Options) {
         big_side(opts),
         &sweep(opts),
     );
-    let series = series_view(&sims);
-    println!("{}", render_series("Figure 4 (simulated)", &series));
-    opts.report_failures("Figure 4 (simulated)", &sims);
-    opts.maybe_csv("fig4_sim", &series);
+    opts.sim_figure("Figure 4 (simulated)", &sims, Some("fig4_sim"));
 }
 
 fn latency(opts: &Options) {
-    println!(
-        "{}",
-        render_series(
-            "E-5.1 (model): latency-reduction techniques",
-            &mva::latency_modes()
-        )
+    opts.figure(
+        "E-5.1 (model): latency-reduction techniques",
+        &mva::latency_modes(),
+        None,
     );
     let sims = sim_latency_modes(&opts.pool, big_side(opts).min(16), &sweep(opts));
-    println!(
-        "{}",
-        render_series("E-5.1 (simulated)", &series_view(&sims))
-    );
-    opts.report_failures("E-5.1 (simulated)", &sims);
+    opts.sim_figure("E-5.1 (simulated)", &sims, None);
 }
 
 fn costs(opts: &Options) {
@@ -321,10 +337,10 @@ fn baseline(opts: &Options) {
         "{:>6} {:>18} {:>14} {:>20}",
         "procs", "multi efficiency", "multi bus util", "multicube efficiency"
     );
-    for row in baseline_rows(10.0, txns) {
+    for (processors, multi, cube) in opts.rows("E-1.1", baseline_rows(&opts.pool, 10.0, txns)) {
         println!(
             "{:>6} {:>18.4} {:>14.4} {:>20.4}",
-            row.processors, row.multi_efficiency, row.multi_utilization, row.multicube_efficiency
+            processors, multi.efficiency, multi.buses[0].utilization, cube.efficiency
         );
     }
     println!();
@@ -339,10 +355,14 @@ fn ablations(opts: &Options) {
         "{:>10} {:>12} {:>12} {:>12}",
         "capacity", "efficiency", "overflows", "ops/txn"
     );
-    for row in mlt_rows(n, &[4, 16, 64, 256, 4096], txns) {
+    let mlt = mlt_rows(&opts.pool, n, &[4, 16, 64, 256, 4096], txns);
+    for (capacity, r) in opts.rows("A-1", mlt) {
         println!(
             "{:>10} {:>12.4} {:>12} {:>12.2}",
-            row.capacity, row.efficiency, row.overflows, row.ops_per_txn
+            capacity,
+            r.efficiency,
+            r.metrics.mlt_overflows.get(),
+            r.ops_per_transaction()
         );
     }
     println!();
@@ -352,14 +372,16 @@ fn ablations(opts: &Options) {
         "{:>8} {:>12} {:>10} {:>10} {:>22}",
         "drop p", "efficiency", "dropped", "bounces", "retries/modified read"
     );
-    for row in robustness_rows(n, &[0.0, 0.1, 0.25, 0.5, 0.75], txns) {
+    let robustness = robustness_rows(&opts.pool, n, &[0.0, 0.1, 0.25, 0.5, 0.75], txns);
+    for (p, r) in opts.rows("A-2", robustness) {
+        let rm = &r.metrics.read_modified;
         println!(
             "{:>8.2} {:>12.4} {:>10} {:>10} {:>22.2}",
-            row.drop_probability,
-            row.efficiency,
-            row.dropped,
-            row.bounces,
-            row.retries_per_read_modified
+            p,
+            r.efficiency,
+            r.metrics.dropped_signals.get(),
+            r.metrics.memory_bounces.get(),
+            rm.retries.get() as f64 / rm.count.max(1) as f64
         );
     }
     println!();
@@ -369,10 +391,13 @@ fn ablations(opts: &Options) {
         "{:>10} {:>12} {:>10} {:>18}",
         "snarfing", "efficiency", "snarfs", "bus transactions"
     );
-    for row in snarf_rows(n, txns) {
+    for (snarfing, r) in opts.rows("A-3", snarf_rows(&opts.pool, n, txns)) {
         println!(
             "{:>10} {:>12.4} {:>10} {:>18}",
-            row.snarfing, row.efficiency, row.snarfs, row.bus_transactions
+            snarfing,
+            r.efficiency,
+            r.metrics.snarfs.get(),
+            r.metrics.bus_transactions()
         );
     }
     println!();
@@ -382,7 +407,7 @@ fn faults(opts: &Options) {
     let n = if opts.quick { 4 } else { 8 };
     let txns = opts.txns.unwrap_or(60);
     let probs = [0.0, 0.1, 0.25, 0.5, 0.75];
-    let sweep = fault_sweep_rows(&opts.pool, n, &probs, txns);
+    let rows = opts.rows("A-2+", fault_sweep_rows(&opts.pool, n, &probs, txns));
     println!(
         "{}",
         render_fault_sweep(
@@ -390,18 +415,10 @@ fn faults(opts: &Options) {
                 "A-2+: composite fault sweep (n = {n}; drop p, loss p/2, dup p/4, \
                  nack p/4, mlt-delay p/4, blackout p/8; backoff 100ns..25us)"
             ),
-            &sweep.rows
+            &rows
         )
     );
-    for f in &sweep.failures {
-        eprintln!("!! fault-sweep point failed: {f}");
-    }
-    if let Some(dir) = &opts.csv {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = dir.join("fault_sweep.csv");
-        multicube_bench::write_fault_sweep_csv(&path, &sweep.rows).expect("write csv");
-        eprintln!("wrote {}", path.display());
-    }
+    opts.csv_file("fault_sweep.csv", |path| write_fault_sweep_csv(path, &rows));
 }
 
 fn kdim(_opts: &Options) {
@@ -436,12 +453,20 @@ fn kdim(_opts: &Options) {
 }
 
 fn telemetry(opts: &Options) {
-    use multicube::{Machine, MachineConfig, SyntheticSpec};
     let n = if opts.quick { 4 } else { 8 };
-    let txns = opts.txns.unwrap_or(if opts.quick { 40 } else { 200 });
-    let spec = SyntheticSpec::default().with_request_rate_per_ms(15.0);
-    let mut m = Machine::new(MachineConfig::grid(n).unwrap(), 23).unwrap();
-    let report = m.run_synthetic(&spec, txns);
+    let point = SimPoint {
+        series: format!("telemetry n={n}"),
+        index: 0,
+        rate_per_ms: 15.0,
+        seed: 23,
+        config: MachineConfig::grid(n).expect("valid n"),
+        spec: SyntheticSpec::default(),
+        txns_per_node: opts.txns.unwrap_or(if opts.quick { 40 } else { 200 }),
+    };
+    let report = match run_points(&opts.pool, &[point]).remove(0) {
+        Ok(report) => report,
+        Err(failure) => return opts.report_failures("Telemetry", &[failure]),
+    };
     println!(
         "{}",
         render_bus_telemetry(
@@ -463,15 +488,12 @@ fn telemetry(opts: &Options) {
             &report
         )
     );
-    if let Some(dir) = &opts.csv {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let bus_path = dir.join("telemetry_buses.csv");
-        multicube_bench::write_bus_telemetry_csv(&bus_path, &report).expect("write csv");
-        eprintln!("wrote {}", bus_path.display());
-        let class_path = dir.join("telemetry_classes.csv");
-        multicube_bench::write_class_stats_csv(&class_path, &report).expect("write csv");
-        eprintln!("wrote {}", class_path.display());
-    }
+    opts.csv_file("telemetry_buses.csv", |path| {
+        write_bus_telemetry_csv(path, &report)
+    });
+    opts.csv_file("telemetry_classes.csv", |path| {
+        write_class_stats_csv(path, &report)
+    });
 }
 
 /// The protocol shootout: all four engines on identical seeded
@@ -479,7 +501,7 @@ fn telemetry(opts: &Options) {
 /// table (see `multicube_bench::shootout` for the methodology).
 fn shootout(opts: &Options) {
     let n = if opts.quick { 4 } else { 8 };
-    let s = run_shootout(&opts.pool, n, &sweep(opts));
+    let rows = opts.rows("Shootout", run_shootout(&opts.pool, n, &sweep(opts)));
     println!(
         "{}",
         render_shootout(
@@ -487,21 +509,13 @@ fn shootout(opts: &Options) {
                 "Shootout: Multicube grid vs single-bus MESI, Dragon and write-once \
                  (n = {n}, identical workloads per rate)"
             ),
-            &s
+            &rows
         )
     );
-    for f in &s.failures {
-        eprintln!("!! shootout point failed: {f}");
-    }
     let path = opts.artifact("BENCH_shootout.csv");
-    multicube_bench::write_shootout_csv(&path, &s.rows).expect("write shootout csv");
+    write_shootout_csv(&path, &rows).expect("write shootout csv");
     eprintln!("wrote {}", path.display());
-    if let Some(dir) = &opts.csv {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = dir.join("shootout.csv");
-        multicube_bench::write_shootout_csv(&path, &s.rows).expect("write csv");
-        eprintln!("wrote {}", path.display());
-    }
+    opts.csv_file("shootout.csv", |path| write_shootout_csv(path, &rows));
 }
 
 /// S-3: the trace-driven serving tier. Each application's request
@@ -528,17 +542,13 @@ fn serve(opts: &Options) {
             &study
         )
     );
+    opts.report_failures("S-3", &study.failures);
     let json = render_serve_json(&study);
     validate_serve_report(&json, &cfg).expect("serve report validates");
     let path = opts.artifact("BENCH_serve.json");
     std::fs::write(&path, &json).expect("write serve json");
     eprintln!("wrote {}", path.display());
-    if let Some(dir) = &opts.csv {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let path = dir.join("serve.csv");
-        multicube_bench::write_serve_csv(&path, &study.rows).expect("write csv");
-        eprintln!("wrote {}", path.display());
-    }
+    opts.csv_file("serve.csv", |path| write_serve_csv(path, &study.rows));
 }
 
 /// T-7.1: the exhaustive protocol verification table — explored-state
@@ -581,15 +591,16 @@ fn model(opts: &Options) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = String::from("all");
     let mut opts = Options {
         quick: false,
         txns: None,
         csv: None,
-        out: std::path::PathBuf::from("."),
+        out: PathBuf::from("."),
         pool: Pool::from_env(),
+        failed: Cell::new(0),
     };
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -602,13 +613,13 @@ fn main() {
                     .or_else(|| panic!("--txns needs a number"));
             }
             "--csv" => {
-                opts.csv = it.next().map(std::path::PathBuf::from);
+                opts.csv = it.next().map(PathBuf::from);
                 assert!(opts.csv.is_some(), "--csv needs a directory");
             }
             "--out" => {
                 opts.out = it
                     .next()
-                    .map(std::path::PathBuf::from)
+                    .map(PathBuf::from)
                     .expect("--out needs a directory");
             }
             c if !c.starts_with('-') => command = c.to_string(),
@@ -650,5 +661,12 @@ fn main() {
             model(&opts);
         }
         other => panic!("unknown command {other}; see --help in the source header"),
+    }
+    match opts.failed.get() {
+        0 => ExitCode::SUCCESS,
+        failed => {
+            eprintln!("figures: {failed} simulated point(s) failed");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -35,14 +35,14 @@ pub use serve::{
     render_serve, render_serve_json, run_serve, serve_app_seed, synthesize_serve_trace,
     validate_serve_report, ServeConfig, ServeRow, ServeStudy, SERVE_APPS, SERVE_SCHEMA,
 };
-pub use shootout::{render_shootout, run_shootout, shootout_point_seed, Shootout, ShootoutRow};
+pub use shootout::{render_shootout, run_shootout, ShootoutRow};
 pub use simfig::{
-    collect_failures, render_failures, series_view, sim_figure2, sim_figure3, sim_figure4,
-    sim_latency_modes, sim_series, PointFailure, PointRun, SimSeries, SweepConfig, FIGURE2_SIDES,
+    collect_failures, run_points, series_view, sim_figure2, sim_figure3, sim_figure4,
+    sim_latency_modes, Measured, PointFailure, PointRun, SimPoint, SimSeries, SweepConfig,
+    FIGURE2_SIDES,
 };
 pub use tables::{
-    baseline_rows, costs_table, fault_sweep_rows, fault_sweep_seed, mlt_rows, render_bus_telemetry,
-    render_class_stats, render_fault_sweep, render_resilience, render_series,
-    render_series_utilization, robustness_rows, scaling_rows, snarf_rows, sweep_plan, sync_rows,
-    BaselineRow, CostRow, FaultSweep, FaultSweepRow, MltRow, RobustnessRow, SnarfRow, SyncRow,
+    baseline_rows, costs_table, fault_sweep_rows, mlt_rows, render_bus_telemetry,
+    render_class_stats, render_fault_sweep, render_resilience, render_series, robustness_rows,
+    scaling_rows, snarf_rows, sync_rows, CostRow, FaultSweepRow, SyncRow,
 };

@@ -283,12 +283,13 @@ fn queue_churn_ops(quick: bool) -> u64 {
     }
 }
 
-/// The `queue_churn` kernel: pure event-queue pressure with the machine's
-/// own delay mix — 10 ns processor hits, 50 ns bus words, 750 ns
-/// snoop/memory latencies, zero-delay forwards and exponential think
-/// times — interleaving single pops and batched same-instant drains while
-/// holding ~64 events pending. This isolates the scheduler from the
-/// protocol, so queue regressions show without protocol noise.
+/// The `queue_churn` kernel: pure event-queue pressure with a fixed delay
+/// mix — 10 ns (kept from the removed processor hits, so `BENCH_core.json`
+/// stays comparable), 50 ns bus words, 750 ns snoop/memory latencies,
+/// zero-delay forwards and exponential think times — interleaving single
+/// pops and batched same-instant drains while holding ~64 events pending.
+/// This isolates the scheduler from the protocol, so queue regressions
+/// show without protocol noise.
 fn kernel_queue_churn(quick: bool) -> u64 {
     let ops = queue_churn_ops(quick);
     let mut q: EventQueue<u64> = EventQueue::new();

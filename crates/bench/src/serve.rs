@@ -322,9 +322,6 @@ pub fn render_serve(title: &str, study: &ServeStudy) -> String {
             r.jain_fairness
         );
     }
-    for f in &study.failures {
-        let _ = writeln!(out, "!! failed job: {f}");
-    }
     out
 }
 

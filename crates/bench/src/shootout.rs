@@ -13,14 +13,14 @@
 //! write-invalidate engines, in-place updates for Dragon — (Figure 3's
 //! knob), and bus operations per transaction plus peak bus utilization
 //! (the single-bus saturation that motivates the Multicube's grid of
-//! buses). The matrix fans out through the deterministic worker pool, so
-//! the output is byte-identical at any worker count.
+//! buses). The matrix runs through [`crate::run_points`], so the output is
+//! byte-identical at any worker count.
 
-use multicube::{EngineKind, Machine, MachineConfig, SyntheticSpec};
+use multicube::{EngineKind, MachineConfig, SyntheticSpec};
 use multicube_sim::pool::Pool;
 use multicube_sim::stream_id;
 
-use crate::simfig::{PointFailure, SweepConfig};
+use crate::simfig::{measure, Measured, SimPoint, SweepConfig};
 
 /// One engine's measurements at one `(n, rate)` operating point.
 #[derive(Debug, Clone)]
@@ -49,88 +49,54 @@ pub struct ShootoutRow {
     pub peak_bus_utilization: f64,
 }
 
-/// A full shootout: rows in `(engine, rate)` order plus contained
-/// per-point failures with replay coordinates.
-#[derive(Debug, Clone)]
-pub struct Shootout {
-    /// Measured rows, grouped by engine in `EngineKind::all()` order,
-    /// rates ascending within each engine.
-    pub rows: Vec<ShootoutRow>,
-    /// Points that panicked, with replay coordinates.
-    pub failures: Vec<PointFailure>,
-}
-
 /// The shootout's seed for one rate index on grid side `n`: shared by
 /// all engines so their workloads are identical.
-pub fn shootout_point_seed(sweep: &SweepConfig, n: u32, index: usize) -> u64 {
+fn shootout_point_seed(sweep: &SweepConfig, n: u32, index: usize) -> u64 {
     sweep.point_seed(stream_id("shootout", &format!("n={n}")), index)
 }
 
-/// Runs every engine across the sweep's rates on an `n x n` grid.
-/// Each machine's quiescent state is verified against its own engine's
-/// coherence invariants; a violation poisons only that point.
-pub fn run_shootout(pool: &Pool, n: u32, sweep: &SweepConfig) -> Shootout {
-    let jobs: Vec<_> = EngineKind::all()
+/// Runs every engine across the sweep's rates on an `n x n` grid: rows
+/// grouped by engine in `EngineKind::all()` order, rates ascending within
+/// each engine. Each run checks its machine's quiescent state against its
+/// own engine's coherence invariants; a violation poisons only that point.
+pub fn run_shootout(pool: &Pool, n: u32, sweep: &SweepConfig) -> Measured<ShootoutRow> {
+    let params: Vec<(EngineKind, usize)> = EngineKind::all()
         .into_iter()
-        .flat_map(|engine| {
-            sweep
-                .rates
-                .iter()
-                .enumerate()
-                .map(move |(i, &rate)| (engine, i, rate, shootout_point_seed(sweep, n, i)))
-        })
+        .flat_map(|engine| (0..sweep.rates.len()).map(move |index| (engine, index)))
         .collect();
-    let txns = sweep.txns_per_node;
-    let results = pool.map(jobs.clone(), move |_, (engine, _i, rate, seed)| {
-        // Spec validation happens inside the job so a bad point is
-        // contained rather than fatal to the whole matrix.
-        let spec = SyntheticSpec::default().with_request_rate_per_ms(rate);
-        let config = MachineConfig::grid(n).expect("valid n").with_engine(engine);
-        let mut machine = Machine::new(config, seed).expect("valid configuration");
-        let report = machine.run_synthetic(&spec, txns);
-        machine
-            .check_coherence()
-            .unwrap_or_else(|v| panic!("{engine}: coherence violated at quiescence: {v}"));
-        let peak = report
-            .buses
-            .iter()
-            .map(|b| b.utilization)
-            .fold(0.0f64, f64::max);
+    let point = |_, (engine, index): (EngineKind, usize)| SimPoint {
+        series: engine.name().to_string(),
+        index,
+        rate_per_ms: sweep.rates[index],
+        seed: shootout_point_seed(sweep, n, index),
+        config: MachineConfig::grid(n).expect("valid n").with_engine(engine),
+        spec: SyntheticSpec::default(),
+        txns_per_node: sweep.txns_per_node,
+    };
+    measure(pool, &params, point, |(engine, index), report| {
         ShootoutRow {
             engine: engine.name(),
             n,
-            rate_per_ms: rate,
-            seed,
+            rate_per_ms: sweep.rates[index],
+            seed: shootout_point_seed(sweep, n, index),
             efficiency: report.efficiency,
             transactions: report.transactions_completed,
             bus_ops_per_txn: report.ops_per_transaction(),
             invalidations: report.metrics.invalidations.get(),
             updates: report.metrics.updates.get(),
             mean_latency_ns: report.mean_latency_ns,
-            peak_bus_utilization: peak,
+            peak_bus_utilization: report
+                .buses
+                .iter()
+                .map(|b| b.utilization)
+                .fold(0.0f64, f64::max),
         }
-    });
-
-    let mut rows = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for ((engine, i, rate, seed), result) in jobs.into_iter().zip(results) {
-        match result {
-            Ok(row) => rows.push(row),
-            Err(panic) => failures.push(PointFailure {
-                series: engine.name().to_string(),
-                index: i,
-                rate_per_ms: rate,
-                seed,
-                message: panic.message.clone(),
-            }),
-        }
-    }
-    Shootout { rows, failures }
+    })
 }
 
 /// Renders the shootout as an aligned comparison table, one block per
 /// engine (rows align across blocks because the rate grid is shared).
-pub fn render_shootout(title: &str, shootout: &Shootout) -> String {
+pub fn render_shootout(title: &str, rows: &[ShootoutRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {title} ==\n"));
     out.push_str(&format!(
@@ -146,7 +112,7 @@ pub fn render_shootout(title: &str, shootout: &Shootout) -> String {
         "peak util"
     ));
     let mut last_engine = "";
-    for r in &shootout.rows {
+    for r in rows {
         if !last_engine.is_empty() && r.engine != last_engine {
             out.push('\n');
         }
@@ -236,7 +202,7 @@ mod tests {
     #[test]
     fn render_groups_rows_by_engine() {
         let s = run_shootout(&Pool::serial(), 4, &tiny());
-        let text = render_shootout("shootout", &s);
+        let text = render_shootout("shootout", &s.rows);
         assert!(text.contains("multicube"));
         assert!(text.contains("mesi"));
         assert!(text.contains("dragon"));

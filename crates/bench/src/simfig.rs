@@ -1,20 +1,22 @@
-//! Discrete-event simulation sweeps matching the paper's figures.
+//! The runner behind every simulated point in `figures`, and the sweeps
+//! matching the paper's figures.
 //!
-//! Every figure is a matrix of independent machine runs — one per
-//! `(series, rate)` pair. The whole matrix fans out through the
-//! deterministic worker pool ([`multicube_sim::pool`]): results come back
-//! in stable job order (so output is byte-identical at any worker count),
-//! and a panicking point becomes a [`PointFailure`] carrying its
-//! `(series, rate, seed)` replay coordinates instead of tearing down the
-//! figure.
+//! A simulated point is one fresh machine running the closed-loop
+//! synthetic workload ([`SimPoint`]). [`run_points`] fans a list of them
+//! out through the deterministic worker pool ([`multicube_sim::pool`]):
+//! results come back in stable job order (so output is byte-identical at
+//! any worker count), and a panicking point becomes a [`PointFailure`]
+//! carrying its `(series, index, rate, seed)` replay coordinates instead of
+//! tearing down the figure or table it belongs to.
 //!
-//! Seeds follow the workspace splitting scheme
+//! Every figure is a matrix of such points — one per `(series, rate)`
+//! pair. Seeds follow the workspace splitting scheme
 //! ([`multicube_sim::split_seed`]): each point draws from the stream
 //! `(sweep.seed, stream_id(namespace, label), point index)`, so two series
 //! sweeping the same rate grid — and two harnesses sharing the default
 //! base seed — never replay each other's RNG streams.
 
-use multicube::{LatencyMode, Machine, MachineConfig, SyntheticSpec};
+use multicube::{LatencyMode, Machine, MachineConfig, RunReport, SyntheticSpec};
 use multicube_mva::{FigurePoint, FigureSeries};
 use multicube_sim::pool::Pool;
 use multicube_sim::{split_seed, stream_id};
@@ -57,13 +59,13 @@ impl SweepConfig {
     }
 }
 
-/// One sweep point that panicked instead of producing a [`FigurePoint`]:
+/// One simulated point that panicked instead of producing its report:
 /// everything needed to replay it, plus the panic message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointFailure {
     /// The series the point belonged to.
     pub series: String,
-    /// The point's index within the series' rate grid.
+    /// The point's index within its series.
     pub index: usize,
     /// The offered request rate of the failed point.
     pub rate_per_ms: f64,
@@ -81,6 +83,87 @@ impl std::fmt::Display for PointFailure {
             self.series, self.index, self.rate_per_ms, self.seed, self.message
         )
     }
+}
+
+/// One simulated point: its replay coordinates and the run behind them.
+#[derive(Debug, Clone)]
+pub struct SimPoint {
+    /// The series the point belongs to.
+    pub series: String,
+    /// The point's index within its series.
+    pub index: usize,
+    /// Offered request rate (requests/ms/processor), applied to `spec`.
+    pub rate_per_ms: f64,
+    /// The machine's seed.
+    pub seed: u64,
+    /// The machine to build.
+    pub config: MachineConfig,
+    /// The workload; its rate is replaced by `rate_per_ms`.
+    pub spec: SyntheticSpec,
+    /// Blocking requests issued per processor.
+    pub txns_per_node: u64,
+}
+
+/// Runs every point on the pool: `results[i]` is `points[i]`'s report, or
+/// the [`PointFailure`] its panic became.
+pub fn run_points(pool: &Pool, points: &[SimPoint]) -> Vec<Result<RunReport, PointFailure>> {
+    let results = pool.map(points.iter().collect(), |_, p: &SimPoint| {
+        // The spec (and its rate validation) and the machine are built
+        // *inside* the job so a bad point is contained rather than fatal.
+        let spec = p.spec.clone().with_request_rate_per_ms(p.rate_per_ms);
+        let mut machine = Machine::new(p.config.clone(), p.seed).expect("valid configuration");
+        machine.run_synthetic(&spec, p.txns_per_node)
+    });
+    points
+        .iter()
+        .zip(results)
+        .map(|(p, result)| {
+            result.map_err(|panic| PointFailure {
+                series: p.series.clone(),
+                index: p.index,
+                rate_per_ms: p.rate_per_ms,
+                seed: p.seed,
+                message: panic.message,
+            })
+        })
+        .collect()
+}
+
+/// The rows a table measured from its simulated points, plus the points
+/// that failed (the table simply skips their rows).
+#[derive(Debug, Clone)]
+pub struct Measured<R> {
+    /// Rows of the points that completed, in point order.
+    pub rows: Vec<R>,
+    /// Points that panicked, with replay coordinates.
+    pub failures: Vec<PointFailure>,
+}
+
+/// Runs one point per parameter through [`run_points`] — point `i` is
+/// `point(i, params[i])` — and measures `row(params[i], report)` from each
+/// report.
+pub(crate) fn measure<P: Copy, R>(
+    pool: &Pool,
+    params: &[P],
+    point: impl Fn(usize, P) -> SimPoint,
+    row: impl Fn(P, RunReport) -> R,
+) -> Measured<R> {
+    let points: Vec<SimPoint> = params
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| point(i, p))
+        .collect();
+    let mut measured = Measured {
+        rows: Vec::new(),
+        failures: Vec::new(),
+    };
+    for (&param, result) in params.iter().zip(run_points(pool, &points)) {
+        match result {
+            Ok(report) => measured.rows.push(row(param, report)),
+            Err(failure) => measured.failures.push(failure),
+        }
+    }
+    measured
 }
 
 /// What the run behind one simulated point recorded beside its
@@ -117,20 +200,6 @@ pub fn collect_failures(sims: &[SimSeries]) -> Vec<PointFailure> {
     sims.iter().flat_map(|s| s.failures.clone()).collect()
 }
 
-/// Renders contained sweep-point failures for a figure's output (empty
-/// string when the figure is clean).
-pub fn render_failures(title: &str, sims: &[SimSeries]) -> String {
-    let failures = collect_failures(sims);
-    if failures.is_empty() {
-        return String::new();
-    }
-    let mut out = format!("!! {title}: {} point(s) failed:\n", failures.len());
-    for f in &failures {
-        out.push_str(&format!("!!   {f}\n"));
-    }
-    out
-}
-
 /// One series' inputs in a figure matrix: label, machine configuration and
 /// workload base (the rate is applied per point).
 struct SeriesSpec {
@@ -139,103 +208,66 @@ struct SeriesSpec {
     spec_base: SyntheticSpec,
 }
 
-/// Runs a whole figure — every `(series, rate)` pair — through the pool
-/// and reassembles the curves in series/point order.
+/// Runs a whole figure — every `(series, rate)` pair — through
+/// [`run_points`] and reassembles the curves in series/point order.
 fn sim_matrix(
     pool: &Pool,
     namespace: &str,
     specs: Vec<SeriesSpec>,
     sweep: &SweepConfig,
 ) -> Vec<SimSeries> {
-    let rates = sweep.rates.clone();
-    let jobs: Vec<_> = specs
+    let points: Vec<SimPoint> = specs
         .iter()
         .flat_map(|s| {
             let stream = stream_id(namespace, &s.label);
-            rates.iter().enumerate().map(move |(i, &rate)| {
-                (s, i, rate, sweep.point_seed(stream, i), sweep.txns_per_node)
-            })
+            sweep
+                .rates
+                .iter()
+                .enumerate()
+                .map(move |(index, &rate)| SimPoint {
+                    series: s.label.clone(),
+                    index,
+                    rate_per_ms: rate,
+                    seed: sweep.point_seed(stream, index),
+                    config: s.config.clone(),
+                    spec: s.spec_base.clone(),
+                    txns_per_node: sweep.txns_per_node,
+                })
         })
         .collect();
-    let results = pool.map(jobs, |_, (s, _i, rate, seed, txns)| {
-        // The spec (and its rate validation) is built *inside* the job so
-        // a bad point is contained rather than fatal.
-        let spec = s.spec_base.clone().with_request_rate_per_ms(rate);
-        let mut machine = Machine::new(s.config.clone(), seed).expect("valid configuration");
-        let report = machine.run_synthetic(&spec, txns);
-        let point = FigurePoint {
-            rate_per_ms: rate,
-            efficiency: report.efficiency,
-            rho_row: report.utilization.row_mean,
-            rho_col: report.utilization.col_mean,
-        };
-        let run = PointRun {
-            seed,
-            ops_per_txn: report.ops_per_transaction(),
-            completed: report.transactions_completed,
-        };
-        (point, run)
-    });
-
-    let per_series = rates.len();
+    let mut results = points.iter().zip(run_points(pool, &points));
     specs
-        .iter()
-        .zip(results.chunks(per_series.max(1)))
-        .map(|(s, chunk)| {
-            let stream = stream_id(namespace, &s.label);
-            let mut points = Vec::with_capacity(per_series);
-            let mut runs = Vec::with_capacity(per_series);
-            let mut failures = Vec::new();
-            for (i, r) in chunk.iter().enumerate() {
-                match r {
-                    Ok((point, run)) => {
-                        points.push(*point);
-                        runs.push(*run);
+        .into_iter()
+        .map(|s| {
+            let mut sim = SimSeries {
+                series: FigureSeries {
+                    label: s.label,
+                    points: Vec::new(),
+                },
+                runs: Vec::new(),
+                failures: Vec::new(),
+            };
+            for (p, result) in results.by_ref().take(sweep.rates.len()) {
+                match result {
+                    Ok(report) => {
+                        sim.series.points.push(FigurePoint {
+                            rate_per_ms: p.rate_per_ms,
+                            efficiency: report.efficiency,
+                            rho_row: report.utilization.row_mean,
+                            rho_col: report.utilization.col_mean,
+                        });
+                        sim.runs.push(PointRun {
+                            seed: p.seed,
+                            ops_per_txn: report.ops_per_transaction(),
+                            completed: report.transactions_completed,
+                        });
                     }
-                    Err(panic) => failures.push(PointFailure {
-                        series: s.label.clone(),
-                        index: i,
-                        rate_per_ms: rates[i],
-                        seed: sweep.point_seed(stream, i),
-                        message: panic.message.clone(),
-                    }),
+                    Err(failure) => sim.failures.push(failure),
                 }
             }
-            SimSeries {
-                series: FigureSeries {
-                    label: s.label.clone(),
-                    points,
-                },
-                runs,
-                failures,
-            }
+            sim
         })
         .collect()
-}
-
-/// Runs one machine configuration across the sweep's rates on the pool
-/// and returns the measured efficiency curve plus contained failures.
-///
-/// `namespace` names the harness (e.g. `"fig2"`); together with the label
-/// it selects the series' seed stream, so same-label series in different
-/// harnesses — and different-label series in the same harness — draw
-/// independent RNG streams.
-pub fn sim_series(
-    pool: &Pool,
-    namespace: &str,
-    label: impl Into<String>,
-    config: &MachineConfig,
-    spec_base: &SyntheticSpec,
-    sweep: &SweepConfig,
-) -> SimSeries {
-    let specs = vec![SeriesSpec {
-        label: label.into(),
-        config: config.clone(),
-        spec_base: spec_base.clone(),
-    }];
-    sim_matrix(pool, namespace, specs, sweep)
-        .pop()
-        .expect("one series in, one series out")
 }
 
 /// Figure 2's grid sides: n = 8 to 32, 64 to 1024 processors.
@@ -396,14 +428,7 @@ mod tests {
         };
         for workers in [1usize, 2] {
             let pool = Pool::new(workers);
-            let sim = sim_series(
-                &pool,
-                "fig2",
-                "n=4",
-                &MachineConfig::grid(4).unwrap(),
-                &SyntheticSpec::default(),
-                &sweep,
-            );
+            let sim = sim_figure2(&pool, &[4], &sweep).pop().unwrap();
             assert_eq!(sim.series.points.len(), 2, "two good points survive");
             assert_eq!(sim.failures.len(), 1);
             let f = &sim.failures[0];
@@ -411,7 +436,7 @@ mod tests {
             assert_eq!(f.series, "n=4");
             assert_eq!(f.seed, sweep.point_seed(stream_id("fig2", "n=4"), 1));
             assert!(f.message.contains("must be positive"), "{}", f.message);
-            let text = render_failures("fig", &[sim]);
+            let text = f.to_string();
             assert!(text.contains("rate 0 req/ms"), "{text}");
         }
     }

@@ -1,19 +1,22 @@
 //! The paper's tabular claims, measured: protocol costs (T-6.1), scaling
-//! formulas (T-6.2), synchronization traffic (E-4.1) and the single-bus
-//! comparison (E-1.1) — plus ASCII rendering helpers.
+//! formulas (T-6.2), synchronization traffic (E-4.1), the single-bus
+//! comparison (E-1.1) and the ablations (A-1..A-3, A-2+) — plus ASCII
+//! rendering helpers. Every synthetic run behind a table goes through
+//! [`run_points`], so a panicking point costs only its own row.
 
 use multicube::{
-    EngineKind, FaultPlan, Machine, MachineConfig, Request, RequestKind, RetryPolicy, SyntheticSpec,
+    EngineKind, FaultPlan, Machine, MachineConfig, MachineMetrics, Request, RequestKind,
+    RetryPolicy, RunReport, SyntheticSpec, TxnStats,
 };
 use multicube_mem::LineAddr;
-use multicube_mva::FigureSeries;
+use multicube_mva::{FigurePoint, FigureSeries};
 use multicube_sim::pool::Pool;
 use multicube_sim::{split_seed, stream_id};
 use multicube_sync::{LockExperiment, QueueLock, SpinLock};
 use multicube_topology::scaling::{ScalingReport, TransactionCostBounds};
 use multicube_topology::Multicube;
 
-use crate::simfig::PointFailure;
+use crate::simfig::{measure, run_points, Measured, SimPoint};
 
 /// One measured row of the T-6.1 protocol-cost table.
 #[derive(Debug, Clone)]
@@ -33,123 +36,89 @@ pub struct CostRow {
 /// Measures the §6 per-transaction bus-operation costs on an `n x n`
 /// machine by staging each scenario on a quiet grid.
 pub fn costs_table(n: u32) -> Vec<CostRow> {
-    let bounds = TransactionCostBounds::for_grid(n);
-    let mut rows = Vec::new();
-
-    // Scenario helpers: place the actors away from special columns.
-    let line = LineAddr::new(1 + n as u64); // home column 1
-    let fresh = || Machine::new(MachineConfig::grid(n).unwrap(), 31).unwrap();
-
-    // READ of an unmodified line.
-    {
-        let mut m = fresh();
-        let reader = m.config().topology().node(1, 2);
-        m.submit(reader, Request::read(line)).unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        let s = &m.metrics().read_unmodified;
-        let total = s.row_ops.mean() + s.col_ops.mean();
-        rows.push(CostRow {
-            scenario: "READ, line unmodified",
-            paper_bound: format!("<= {}", bounds.read_unmodified_max),
-            row_ops: s.row_ops.mean(),
-            col_ops: s.col_ops.mean(),
-            within_bound: total <= bounds.read_unmodified_max as f64,
-        });
-    }
-
-    // READ of a line modified in a remote cache (general position).
-    {
-        let mut m = fresh();
-        let owner = m.config().topology().node(3, 3);
-        let reader = m.config().topology().node(0, 2);
-        m.submit(owner, Request::write(line)).unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        m.submit(reader, Request::read(line)).unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        let s = &m.metrics().read_modified;
-        let total = s.row_ops.mean() + s.col_ops.mean();
-        rows.push(CostRow {
-            scenario: "READ, line modified remotely",
-            paper_bound: format!("<= {}", bounds.read_modified_max),
-            row_ops: s.row_ops.mean(),
-            col_ops: s.col_ops.mean(),
-            within_bound: total <= bounds.read_modified_max as f64,
-        });
-    }
-
-    // READ-MOD of a line modified in a remote cache.
-    {
-        let mut m = fresh();
-        let owner = m.config().topology().node(3, 3);
-        let writer = m.config().topology().node(0, 2);
-        m.submit(owner, Request::write(line)).unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        m.submit(writer, Request::write(line)).unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        let s = &m.metrics().write_modified;
-        let total = s.row_ops.mean() + s.col_ops.mean();
-        rows.push(CostRow {
-            scenario: "READ-MOD, line modified remotely",
-            paper_bound: format!("<= {}", bounds.readmod_modified),
-            row_ops: s.row_ops.mean(),
-            col_ops: s.col_ops.mean(),
-            within_bound: total <= bounds.readmod_modified as f64,
-        });
-    }
-
-    // READ-MOD of an unmodified line: the invalidation broadcast.
-    {
-        let mut m = fresh();
-        let writer = m.config().topology().node(1, 2);
-        m.submit(writer, Request::write(line)).unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        let s = &m.metrics().write_unmodified;
-        rows.push(CostRow {
-            scenario: "READ-MOD, line unmodified (broadcast)",
-            paper_bound: format!(
+    use RequestKind::{Read, TestAndSet, Write};
+    let b = TransactionCostBounds::for_grid(n);
+    // Place the actors away from special columns: the line's home is
+    // column 1, a remote owner sits at (3, 3) and the requester at (0, 2),
+    // or at (1, 2) when it is the line's only user.
+    let line = LineAddr::new(1 + n as u64);
+    let (alone, owner, requester) = ((1, 2), (3, 3), (0, 2));
+    // Each scenario: its name, the requests staged one after another on a
+    // fresh machine, the class whose mean row and column operations it
+    // reports, the paper's bound as printed, and whether those operations
+    // keep to it.
+    type Steps<'a> = &'a [((u32, u32), RequestKind)];
+    type Class = fn(&MachineMetrics) -> &TxnStats;
+    type Within = fn(&TransactionCostBounds, f64, f64) -> bool;
+    let scenarios: [(&str, Steps<'_>, Class, String, Within); 5] = [
+        (
+            "READ, line unmodified",
+            &[(alone, Read)],
+            |m| &m.read_unmodified,
+            format!("<= {}", b.read_unmodified_max),
+            |b, row, col| row + col <= f64::from(b.read_unmodified_max),
+        ),
+        (
+            "READ, line modified remotely",
+            &[(owner, Write), (requester, Read)],
+            |m| &m.read_modified,
+            format!("<= {}", b.read_modified_max),
+            |b, row, col| row + col <= f64::from(b.read_modified_max),
+        ),
+        (
+            "READ-MOD, line modified remotely",
+            &[(owner, Write), (requester, Write)],
+            |m| &m.write_modified,
+            format!("<= {}", b.readmod_modified),
+            |b, row, col| row + col <= f64::from(b.readmod_modified),
+        ),
+        (
+            "READ-MOD, line unmodified (broadcast)",
+            &[(alone, Write)],
+            |m| &m.write_unmodified,
+            format!(
                 "{} row + {} col",
-                bounds.readmod_unmodified_row_ops, bounds.readmod_unmodified_col_ops
+                b.readmod_unmodified_row_ops, b.readmod_unmodified_col_ops
             ),
-            row_ops: s.row_ops.mean(),
-            col_ops: s.col_ops.mean(),
             // The measurement includes the final MLT insert (one extra
             // column op over the paper's 3-op accounting).
-            within_bound: s.row_ops.mean() <= (bounds.readmod_unmodified_row_ops) as f64
-                && s.col_ops.mean() <= (bounds.readmod_unmodified_col_ops + 1) as f64,
-        });
-    }
-
-    // Remote test-and-set on a held lock (failure): short notification.
-    {
-        let mut m = fresh();
-        let holder = m.config().topology().node(3, 3);
-        let prober = m.config().topology().node(0, 2);
-        m.submit(holder, Request::new(RequestKind::TestAndSet, line))
-            .unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        m.submit(prober, Request::new(RequestKind::TestAndSet, line))
-            .unwrap();
-        m.advance().unwrap();
-        m.run_to_quiescence();
-        let s = &m.metrics().tas_fail;
-        let total = s.row_ops.mean() + s.col_ops.mean();
-        rows.push(CostRow {
-            scenario: "TEST-AND-SET, failure (line stays remote)",
-            paper_bound: "<= 4 (short ops only)".to_string(),
-            row_ops: s.row_ops.mean(),
-            col_ops: s.col_ops.mean(),
-            within_bound: total <= 4.0,
-        });
-    }
-
-    rows
+            |b, row, col| {
+                row <= f64::from(b.readmod_unmodified_row_ops)
+                    && col <= f64::from(b.readmod_unmodified_col_ops + 1)
+            },
+        ),
+        (
+            // Remote test-and-set on a held lock: short notification.
+            "TEST-AND-SET, failure (line stays remote)",
+            &[(owner, TestAndSet), (requester, TestAndSet)],
+            |m| &m.tas_fail,
+            "<= 4 (short ops only)".to_string(),
+            |_, row, col| row + col <= 4.0,
+        ),
+    ];
+    scenarios
+        .into_iter()
+        .map(|(scenario, steps, class, paper_bound, within)| {
+            let config = MachineConfig::grid(n).expect("valid n");
+            let mut m = Machine::new(config, 31).expect("valid configuration");
+            for &((row, col), kind) in steps {
+                let node = m.config().topology().node(row, col);
+                m.submit(node, Request::new(kind, line))
+                    .expect("a quiet machine's node is idle");
+                m.advance().expect("the staged request completes");
+                m.run_to_quiescence();
+            }
+            let s = class(m.metrics());
+            let (row_ops, col_ops) = (s.row_ops.mean(), s.col_ops.mean());
+            CostRow {
+                scenario,
+                paper_bound,
+                row_ops,
+                col_ops,
+                within_bound: within(&b, row_ops, col_ops),
+            }
+        })
+        .collect()
 }
 
 /// The §6 scaling formulas for representative Multicube shapes (T-6.2).
@@ -203,45 +172,54 @@ pub fn sync_rows(ns: &[u32], rounds: u64) -> Vec<SyncRow> {
         .collect()
 }
 
-/// One row of the E-1.1 single-bus comparison.
-#[derive(Debug, Clone)]
-pub struct BaselineRow {
-    /// Total processors.
-    pub processors: u32,
-    /// Single-bus multi efficiency.
-    pub multi_efficiency: f64,
-    /// Single-bus utilization.
-    pub multi_utilization: f64,
-    /// Wisconsin Multicube efficiency at the same processor count.
-    pub multicube_efficiency: f64,
-}
-
 /// Compares the single-bus multi — Goodman's write-once on one bus, the
 /// [`EngineKind::WriteOnce`] engine — against the Multicube at matched
-/// processor counts and request rate (E-1.1).
-pub fn baseline_rows(rate_per_ms: f64, txns: u64) -> Vec<BaselineRow> {
-    let spec = SyntheticSpec::default().with_request_rate_per_ms(rate_per_ms);
-    [2u32, 4, 6, 8, 12, 16]
+/// processor counts and request rate (E-1.1). Each row is a processor
+/// count with the single bus's run and the Multicube's; a count whose run
+/// of either engine fails has no row.
+pub fn baseline_rows(
+    pool: &Pool,
+    rate_per_ms: f64,
+    txns: u64,
+) -> Measured<(u32, RunReport, RunReport)> {
+    let sides = [2u32, 4, 6, 8, 12, 16];
+    let points: Vec<SimPoint> = sides
         .iter()
-        .map(|&side| {
-            let run = |engine| {
-                let config = MachineConfig::grid(side).unwrap().with_engine(engine);
-                Machine::new(config, 17).unwrap().run_synthetic(&spec, txns)
-            };
-            let multi = run(EngineKind::WriteOnce);
-            BaselineRow {
-                processors: side * side,
-                multi_efficiency: multi.efficiency,
-                multi_utilization: multi.buses[0].utilization,
-                multicube_efficiency: run(EngineKind::Multicube).efficiency,
-            }
+        .enumerate()
+        .flat_map(|(index, &side)| {
+            [EngineKind::WriteOnce, EngineKind::Multicube].map(|engine| SimPoint {
+                series: engine.name().to_string(),
+                index,
+                rate_per_ms,
+                seed: 17,
+                config: MachineConfig::grid(side)
+                    .expect("valid side")
+                    .with_engine(engine),
+                spec: SyntheticSpec::default(),
+                txns_per_node: txns,
+            })
         })
-        .collect()
+        .collect();
+    let mut results = run_points(pool, &points).into_iter();
+    let mut table = Measured {
+        rows: Vec::new(),
+        failures: Vec::new(),
+    };
+    for side in sides {
+        let mut next = || results.next().expect("two runs per side");
+        match (next(), next()) {
+            (Ok(multi), Ok(cube)) => table.rows.push((side * side, multi, cube)),
+            (multi, cube) => table
+                .failures
+                .extend(multi.err().into_iter().chain(cube.err())),
+        }
+    }
+    table
 }
 
 /// Renders a run's per-bus telemetry — utilization, op counts and queue
 /// high-water per row/column bus — as an ASCII table.
-pub fn render_bus_telemetry(title: &str, report: &multicube::RunReport) -> String {
+pub fn render_bus_telemetry(title: &str, report: &RunReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {title} ==\n"));
     out.push_str(&format!(
@@ -267,7 +245,7 @@ pub fn render_bus_telemetry(title: &str, report: &multicube::RunReport) -> Strin
 
 /// Renders a run's per-transaction-class statistics — counts, mean bus
 /// operations and latency quantiles from the per-class histograms.
-pub fn render_class_stats(title: &str, report: &multicube::RunReport) -> String {
+pub fn render_class_stats(title: &str, report: &RunReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {title} ==\n"));
     out.push_str(&format!(
@@ -298,9 +276,14 @@ pub fn render_class_stats(title: &str, report: &multicube::RunReport) -> String 
     out
 }
 
-/// Renders figure series' row-bus utilization side by side (the sensitive
-/// metric for broadcast-traffic effects like Figure 3's).
-pub fn render_series_utilization(title: &str, series: &[FigureSeries]) -> String {
+/// Renders figure series side by side as an ASCII table of `value` at
+/// each point: the efficiency, say, or the row-bus utilization (the
+/// sensitive metric for broadcast-traffic effects like Figure 3's).
+pub fn render_series(
+    title: &str,
+    series: &[FigureSeries],
+    value: impl Fn(&FigurePoint) -> f64,
+) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {title} ==\n"));
     if series.is_empty() {
@@ -321,38 +304,7 @@ pub fn render_series_utilization(title: &str, series: &[FigureSeries]) -> String
         out.push_str(&format!("{rate:>10.1}"));
         for s in series {
             match s.points.get(i) {
-                Some(p) => out.push_str(&format!("{:>24.4}", p.rho_row)),
-                None => out.push_str(&format!("{:>24}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders figure series side by side as an ASCII table.
-pub fn render_series(title: &str, series: &[FigureSeries]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    if series.is_empty() {
-        return out;
-    }
-    out.push_str(&format!("{:>10}", "rate/ms"));
-    for s in series {
-        out.push_str(&format!("{:>24}", s.label));
-    }
-    out.push('\n');
-    let rows = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        let rate = series
-            .iter()
-            .find_map(|s| s.points.get(i))
-            .map(|p| p.rate_per_ms)
-            .unwrap_or(0.0);
-        out.push_str(&format!("{rate:>10.1}"));
-        for s in series {
-            match s.points.get(i) {
-                Some(p) => out.push_str(&format!("{:>24.4}", p.efficiency)),
+                Some(p) => out.push_str(&format!("{:>24.4}", value(p))),
                 None => out.push_str(&format!("{:>24}", "-")),
             }
         }
@@ -395,29 +347,32 @@ mod tests {
 
     #[test]
     fn baseline_rows_show_crossover() {
-        let rows = baseline_rows(10.0, 25);
-        let small = rows.first().unwrap();
-        let large = rows.last().unwrap();
+        let pool = Pool::serial();
+        let table = baseline_rows(&pool, 10.0, 25);
+        assert!(table.failures.is_empty(), "{:?}", table.failures);
+        let rows = table.rows;
+        let (_, small_multi, _) = rows.first().unwrap();
+        let (_, large_multi, large_cube) = rows.last().unwrap();
         // At 4 processors both are comfortable; at 256 the single bus is
         // far behind the grid.
-        assert!(small.multi_efficiency > 0.5);
-        assert!(large.multicube_efficiency > large.multi_efficiency + 0.2);
+        assert!(small_multi.efficiency > 0.5);
+        assert!(large_cube.efficiency > large_multi.efficiency + 0.2);
 
         // The single bus saturates: its efficiency falls from 4 to 16 to 64
         // processors (rows 0, 1 and 3) while its utilization grows.
-        assert_eq!(rows[3].processors, 64);
-        let eff: Vec<f64> = rows.iter().map(|r| r.multi_efficiency).collect();
+        assert_eq!(rows[3].0, 64);
+        let eff: Vec<f64> = rows.iter().map(|r| r.1.efficiency).collect();
         assert!(eff[0] > eff[1] && eff[1] > eff[3], "{eff:?}");
-        assert!(rows[1].multi_utilization > rows[0].multi_utilization);
+        let util = |row: &(u32, RunReport, RunReport)| row.1.buses[0].utilization;
+        assert!(util(&rows[1]) > util(&rows[0]));
         // Light load leaves 4 processors near-ideal; at 40 req/ms, 64
         // processors offer one bus about four times its capacity.
-        assert!(baseline_rows(0.5, 25)[0].multi_efficiency > 0.9);
-        assert!(baseline_rows(40.0, 25)[3].multi_efficiency < 0.5);
+        assert!(baseline_rows(&pool, 0.5, 25).rows[0].1.efficiency > 0.9);
+        assert!(baseline_rows(&pool, 40.0, 25).rows[3].1.efficiency < 0.5);
     }
 
     #[test]
     fn render_series_formats_rows() {
-        use multicube_mva::FigurePoint;
         let s = FigureSeries {
             label: "x".into(),
             points: vec![FigurePoint {
@@ -427,94 +382,71 @@ mod tests {
                 rho_col: 0.1,
             }],
         };
-        let text = render_series("t", &[s]);
+        let text = render_series("t", std::slice::from_ref(&s), |p| p.efficiency);
         assert!(text.contains("== t =="));
         assert!(text.contains("0.5000"));
+        let text = render_series("t", &[s], |p| p.rho_row);
+        assert!(
+            text.contains("0.1000") && !text.contains("0.5000"),
+            "{text}"
+        );
     }
 }
 
-/// One row of the MLT-sizing ablation (§6: "If the table is not large
-/// enough, modified lines will, on occasion, have to be written to main
-/// memory and changed to global state unmodified").
-#[derive(Debug, Clone)]
-pub struct MltRow {
-    /// Modified-line-table capacity (entries per column).
-    pub capacity: usize,
-    /// Run efficiency.
-    pub efficiency: f64,
-    /// Overflow write-backs forced by the bounded table.
-    pub overflows: u64,
-    /// Bus operations per transaction.
-    pub ops_per_txn: f64,
+/// The MLT-sizing ablation (A-1; §6: "If the table is not large enough,
+/// modified lines will, on occasion, have to be written to main memory
+/// and changed to global state unmodified"): each capacity's run on an
+/// `n x n` machine under a write-heavy workload. The run counts the
+/// overflow write-backs in `metrics.mlt_overflows`.
+pub fn mlt_rows(
+    pool: &Pool,
+    n: u32,
+    capacities: &[usize],
+    txns: u64,
+) -> Measured<(usize, RunReport)> {
+    let spec = SyntheticSpec::default()
+        .with_p_write(0.6)
+        .with_shared_lines(512);
+    let point = |index, capacity| SimPoint {
+        series: format!("mlt n={n}"),
+        index,
+        rate_per_ms: 15.0,
+        seed: 41,
+        config: MachineConfig::grid(n)
+            .expect("valid n")
+            .with_mlt_capacity(capacity),
+        spec: spec.clone(),
+        txns_per_node: txns,
+    };
+    measure(pool, capacities, point, |capacity, report| {
+        (capacity, report)
+    })
 }
 
-/// Sweeps the modified-line-table capacity on an `n x n` machine under a
-/// write-heavy workload.
-pub fn mlt_rows(n: u32, capacities: &[usize], txns: u64) -> Vec<MltRow> {
-    capacities
-        .iter()
-        .map(|&capacity| {
-            let config = MachineConfig::grid(n).unwrap().with_mlt_capacity(capacity);
-            let spec = SyntheticSpec::default()
-                .with_request_rate_per_ms(15.0)
-                .with_p_write(0.6)
-                .with_shared_lines(512);
-            let mut m = Machine::new(config, 41).unwrap();
-            let report = m.run_synthetic(&spec, txns);
-            MltRow {
-                capacity,
-                efficiency: report.efficiency,
-                overflows: report.metrics.mlt_overflows.get(),
-                ops_per_txn: report.ops_per_transaction(),
-            }
-        })
-        .collect()
-}
-
-/// One row of the §3 robustness ablation: controllers drop their
-/// modified-signal responsibility with the given probability; the valid
-/// bit in memory recovers every request at the cost of retries.
-#[derive(Debug, Clone)]
-pub struct RobustnessRow {
-    /// Drop probability.
-    pub drop_probability: f64,
-    /// Run efficiency.
-    pub efficiency: f64,
-    /// Signals dropped.
-    pub dropped: u64,
-    /// Memory bounces (valid-bit recoveries).
-    pub bounces: u64,
-    /// Mean retries per modified-data read.
-    pub retries_per_read_modified: f64,
-}
-
-/// Sweeps the signal-drop probability — quantifying the §3 claim that "a
-/// controller can, on occasion, simply discard such requests without
-/// breaking the protocol".
-pub fn robustness_rows(n: u32, drops: &[f64], txns: u64) -> Vec<RobustnessRow> {
-    drops
-        .iter()
-        .map(|&p| {
-            let config = MachineConfig::grid(n)
-                .unwrap()
-                .with_fault_plan(FaultPlan::default().with_signal_drop(p));
-            let spec = SyntheticSpec::default().with_request_rate_per_ms(15.0);
-            let mut m = Machine::new(config, 43).unwrap();
-            let report = m.run_synthetic(&spec, txns);
-            let rm = &report.metrics.read_modified;
-            RobustnessRow {
-                drop_probability: p,
-                efficiency: report.efficiency,
-                dropped: report.metrics.dropped_signals.get(),
-                bounces: report.metrics.memory_bounces.get(),
-                retries_per_read_modified: if rm.count > 0 {
-                    rm.retries.get() as f64 / rm.count as f64
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
+/// The §3 robustness ablation (A-2): controllers drop their modified-signal
+/// responsibility with each probability, and the valid bit in memory
+/// recovers every request at the cost of retries — quantifying the claim
+/// that "a controller can, on occasion, simply discard such requests
+/// without breaking the protocol". The run counts the drops in
+/// `metrics.dropped_signals` and the recoveries in `metrics.memory_bounces`.
+pub fn robustness_rows(
+    pool: &Pool,
+    n: u32,
+    drops: &[f64],
+    txns: u64,
+) -> Measured<(f64, RunReport)> {
+    let point = |index, p| SimPoint {
+        series: format!("robustness n={n}"),
+        index,
+        rate_per_ms: 15.0,
+        seed: 43,
+        config: MachineConfig::grid(n)
+            .expect("valid n")
+            .with_fault_plan(FaultPlan::default().with_signal_drop(p)),
+        spec: SyntheticSpec::default(),
+        txns_per_node: txns,
+    };
+    measure(pool, drops, point, |p, report| (p, report))
 }
 
 /// One row of the composite fault sweep: every fault class scaled together
@@ -555,7 +487,7 @@ pub struct FaultSweepRow {
 /// The composite fault plan used by the sweep: signal drops at `p`, op
 /// loss at `p/2`, duplicates and bank NACKs at `p/4`, MLT delay at `p/4`,
 /// blackouts at `p/8`.
-pub fn sweep_plan(p: f64) -> FaultPlan {
+fn sweep_plan(p: f64) -> FaultPlan {
     FaultPlan::default()
         .with_signal_drop(p)
         .with_op_loss(p / 2.0)
@@ -570,56 +502,43 @@ pub fn sweep_plan(p: f64) -> FaultPlan {
 /// The stream is namespaced (`"faults"` + the grid side) via the workspace
 /// seed-splitting scheme, so the sweep shares no RNG stream with the
 /// figure harnesses even though they all default to base seed `0x5EED`.
-pub fn fault_sweep_seed(n: u32, index: usize) -> u64 {
+fn fault_sweep_seed(n: u32, index: usize) -> u64 {
     split_seed(0x5EED, stream_id("faults", &format!("n={n}")), index as u64)
-}
-
-/// The composite fault sweep's outcome: rows in probability order, plus
-/// any contained per-point failures (a `FailFast` watchdog panic, say)
-/// with replay coordinates.
-#[derive(Debug, Clone)]
-pub struct FaultSweep {
-    /// Measured rows, one per requested probability that completed.
-    pub rows: Vec<FaultSweepRow>,
-    /// Probabilities whose run panicked, with replay coordinates.
-    pub failures: Vec<PointFailure>,
 }
 
 /// Sweeps the composite fault probability on an `n x n` machine — the §3
 /// robustness claim measured under every fault class at once. Each run
 /// must complete every transaction and pass the coherence checker; the
 /// sweep quantifies what that resilience *costs* in latency and retries.
-///
-/// Points fan out over the worker pool; a panicking point is contained as
-/// a [`PointFailure`] and the remaining rows still report.
-pub fn fault_sweep_rows(pool: &Pool, n: u32, probs: &[f64], txns: u64) -> FaultSweep {
-    let jobs: Vec<(usize, f64)> = probs.iter().copied().enumerate().collect();
-    let results = pool.map(jobs, |_, (i, p)| {
-        let config = MachineConfig::grid(n)
-            .unwrap()
+/// Rows come in probability order; a point that panics (a `FailFast`
+/// watchdog, say) is contained as a [`crate::PointFailure`].
+pub fn fault_sweep_rows(pool: &Pool, n: u32, probs: &[f64], txns: u64) -> Measured<FaultSweepRow> {
+    let point = |index, p| SimPoint {
+        series: format!("faults n={n}"),
+        index,
+        rate_per_ms: 15.0,
+        seed: fault_sweep_seed(n, index),
+        config: MachineConfig::grid(n)
+            .expect("valid n")
             .with_fault_plan(sweep_plan(p))
-            .with_retry_policy(RetryPolicy::default().with_backoff(100, 25_000));
-        let spec = SyntheticSpec::default().with_request_rate_per_ms(15.0);
-        let mut m = Machine::new(config, fault_sweep_seed(n, i)).unwrap();
-        let report = m.run_synthetic(&spec, txns);
+            .with_retry_policy(RetryPolicy::default().with_backoff(100, 25_000)),
+        spec: SyntheticSpec::default(),
+        txns_per_node: txns,
+    };
+    measure(pool, probs, point, |p, report| {
         let met = &report.metrics;
-        let (retries, max_retries, backoff_ns) =
-            met.classes()
-                .iter()
-                .fold((0u64, 0u32, 0u64), |(r, mx, b), (_, s)| {
-                    (
-                        r + s.retries.get(),
-                        mx.max(s.max_retries),
-                        b + s.backoff_ns.get(),
-                    )
-                });
+        let classes = met.classes();
         FaultSweepRow {
             probability: p,
             efficiency: report.efficiency,
             mean_latency_ns: report.mean_latency_ns,
-            retries,
-            max_retries,
-            backoff_ns,
+            retries: classes.iter().map(|(_, s)| s.retries.get()).sum(),
+            max_retries: classes
+                .iter()
+                .map(|(_, s)| s.max_retries)
+                .max()
+                .unwrap_or(0),
+            backoff_ns: classes.iter().map(|(_, s)| s.backoff_ns.get()).sum(),
             lost_ops: met.lost_ops.get(),
             duplicated_ops: met.duplicated_ops.get(),
             memory_nacks: met.memory_nacks.get(),
@@ -628,22 +547,7 @@ pub fn fault_sweep_rows(pool: &Pool, n: u32, probs: &[f64], txns: u64) -> FaultS
             watchdog_trips: met.watchdog_trips.get(),
             completed: report.transactions_completed,
         }
-    });
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    for (i, result) in results.into_iter().enumerate() {
-        match result {
-            Ok(row) => rows.push(row),
-            Err(panic) => failures.push(PointFailure {
-                series: format!("faults n={n}"),
-                index: i,
-                rate_per_ms: 15.0,
-                seed: fault_sweep_seed(n, i),
-                message: panic.message,
-            }),
-        }
-    }
-    FaultSweep { rows, failures }
+    })
 }
 
 /// Renders the composite fault sweep as an ASCII table.
@@ -688,7 +592,7 @@ pub fn render_fault_sweep(title: &str, rows: &[FaultSweepRow]) -> String {
 /// Renders a run's resilience telemetry: per-class retry pressure (total
 /// retries, worst-case retries, accumulated backoff) plus the machine-wide
 /// fault and watchdog counters.
-pub fn render_resilience(title: &str, report: &multicube::RunReport) -> String {
+pub fn render_resilience(title: &str, report: &RunReport) -> String {
     let mut out = String::new();
     out.push_str(&format!("== {title} ==\n"));
     out.push_str(&format!(
@@ -721,40 +625,24 @@ pub fn render_resilience(title: &str, report: &multicube::RunReport) -> String {
     out
 }
 
-/// One row of the snarfing ablation (§3's "snarf" optimization).
-#[derive(Debug, Clone)]
-pub struct SnarfRow {
-    /// Whether snarfing was enabled.
-    pub snarfing: bool,
-    /// Run efficiency.
-    pub efficiency: f64,
-    /// Lines snarfed.
-    pub snarfs: u64,
-    /// Bus transactions issued (snarfing converts future misses to hits).
-    pub bus_transactions: u64,
-}
-
-/// Measures the effect of snarfing under a re-read-heavy workload.
-pub fn snarf_rows(n: u32, txns: u64) -> Vec<SnarfRow> {
-    [false, true]
-        .iter()
-        .map(|&on| {
-            let config = MachineConfig::grid(n).unwrap().with_snarfing(on);
-            // A small, hot working set maximizes re-reads of purged lines.
-            let spec = SyntheticSpec::default()
-                .with_request_rate_per_ms(15.0)
-                .with_shared_lines(64)
-                .with_p_write(0.4);
-            let mut m = Machine::new(config, 47).unwrap();
-            let report = m.run_synthetic(&spec, txns);
-            SnarfRow {
-                snarfing: on,
-                efficiency: report.efficiency,
-                snarfs: report.metrics.snarfs.get(),
-                bus_transactions: report.metrics.bus_transactions(),
-            }
-        })
-        .collect()
+/// The snarfing ablation (A-3; §3's "snarf" optimization) under a
+/// re-read-heavy workload: the run without snarfing, then with it. The run
+/// counts the lines snarfed in `metrics.snarfs`.
+pub fn snarf_rows(pool: &Pool, n: u32, txns: u64) -> Measured<(bool, RunReport)> {
+    // A small, hot working set maximizes re-reads of purged lines.
+    let spec = SyntheticSpec::default()
+        .with_shared_lines(64)
+        .with_p_write(0.4);
+    let point = |index, on| SimPoint {
+        series: format!("snarf n={n}"),
+        index,
+        rate_per_ms: 15.0,
+        seed: 47,
+        config: MachineConfig::grid(n).expect("valid n").with_snarfing(on),
+        spec: spec.clone(),
+        txns_per_node: txns,
+    };
+    measure(pool, &[false, true], point, |on, report| (on, report))
 }
 
 #[cfg(test)]
@@ -763,26 +651,54 @@ mod ablation_tests {
 
     #[test]
     fn tiny_mlt_forces_overflow_writebacks() {
-        let rows = mlt_rows(4, &[4, 4096], 40);
-        assert!(rows[0].overflows > 0, "capacity 4 must overflow");
-        assert_eq!(rows[1].overflows, 0, "huge table never overflows");
-        assert!(rows[0].ops_per_txn >= rows[1].ops_per_txn);
+        let rows = mlt_rows(&Pool::serial(), 4, &[4, 4096], 40).rows;
+        let (small, huge) = (&rows[0].1, &rows[1].1);
+        assert!(
+            small.metrics.mlt_overflows.get() > 0,
+            "capacity 4 must overflow"
+        );
+        assert_eq!(
+            huge.metrics.mlt_overflows.get(),
+            0,
+            "huge table never overflows"
+        );
+        assert!(small.ops_per_transaction() >= huge.ops_per_transaction());
+    }
+
+    /// `MachineConfig::validate` rejects an MLT capacity of 0, so that
+    /// point fails alone: the other capacities keep their rows and the
+    /// failure names the point's series, index and seed.
+    #[test]
+    fn a_zero_capacity_point_fails_alone() {
+        for workers in [1, 3] {
+            let table = mlt_rows(&Pool::new(workers), 4, &[4, 0, 4096], 20);
+            let capacities: Vec<usize> = table.rows.iter().map(|r| r.0).collect();
+            assert_eq!(capacities, [4, 4096]);
+            assert_eq!(table.failures.len(), 1);
+            let f = &table.failures[0];
+            assert_eq!((f.series.as_str(), f.index, f.seed), ("mlt n=4", 1, 41));
+            assert!(f.message.contains("BadMltCapacity"), "{}", f.message);
+        }
     }
 
     #[test]
     fn signal_drops_cost_retries_not_correctness() {
-        let rows = robustness_rows(4, &[0.0, 0.5], 40);
-        assert_eq!(rows[0].dropped, 0);
-        assert!(rows[1].dropped > 0);
-        assert!(rows[1].bounces > rows[0].bounces);
-        assert!(rows[1].retries_per_read_modified > 0.0);
+        let rows = robustness_rows(&Pool::serial(), 4, &[0.0, 0.5], 40).rows;
+        let (clean, lossy) = (&rows[0].1.metrics, &rows[1].1.metrics);
+        assert_eq!(clean.dropped_signals.get(), 0);
+        assert!(lossy.dropped_signals.get() > 0);
+        assert!(lossy.memory_bounces.get() > clean.memory_bounces.get());
+        assert!(lossy.read_modified.count > 0 && lossy.read_modified.retries.get() > 0);
     }
 
     #[test]
     fn snarfing_runs_and_snarfs() {
-        let rows = snarf_rows(4, 60);
-        assert_eq!(rows[0].snarfs, 0);
-        assert!(rows[1].snarfs > 0, "hot set must trigger snarfs");
+        let rows = snarf_rows(&Pool::serial(), 4, 60).rows;
+        assert_eq!(rows[0].1.metrics.snarfs.get(), 0);
+        assert!(
+            rows[1].1.metrics.snarfs.get() > 0,
+            "hot set must trigger snarfs"
+        );
     }
 
     #[test]

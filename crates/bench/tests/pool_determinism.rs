@@ -8,14 +8,19 @@
 //! CSV artifacts at each worker count and compare md5 fingerprints — the
 //! same check CI performs across processes with `MULTICUBE_POOL_WORKERS`.
 
-use multicube::EngineKind;
+use multicube::{EngineKind, RunReport};
 use multicube_bench::{
-    fault_sweep_rows, render_fault_sweep, render_scaling_json, render_series,
-    render_series_utilization, run_cube_study, series_view, sim_figure2, sim_figure3, sim_figure4,
-    sim_latency_modes, validate_scaling_report, write_fault_sweep_csv, write_series_csv,
-    CubeStudyConfig, Pool, SweepConfig,
+    baseline_rows, fault_sweep_rows, mlt_rows, render_fault_sweep, render_scaling_json,
+    render_series, robustness_rows, run_cube_study, series_view, sim_figure2, sim_figure3,
+    sim_figure4, sim_latency_modes, snarf_rows, validate_scaling_report, write_fault_sweep_csv,
+    write_series_csv, CubeStudyConfig, Pool, SweepConfig,
 };
+use multicube_mva::FigurePoint;
 use multicube_sim::md5_hex;
+
+fn efficiency(p: &FigurePoint) -> f64 {
+    p.efficiency
+}
 
 /// One worker count per regime: serial, small-parallel, machine default.
 fn pools() -> Vec<Pool> {
@@ -30,20 +35,37 @@ fn render_quick_figures(pool: &Pool) -> String {
     let mut out = String::new();
 
     let fig2 = sim_figure2(pool, &[4, 8], &sweep);
-    out.push_str(&render_series("Figure 2 (simulated)", &series_view(&fig2)));
+    out.push_str(&render_series(
+        "Figure 2 (simulated)",
+        &series_view(&fig2),
+        efficiency,
+    ));
 
     let fig3 = sim_figure3(pool, &[0.1, 0.2, 0.3, 0.4, 0.5], 8, &sweep);
-    out.push_str(&render_series("Figure 3 (simulated)", &series_view(&fig3)));
-    out.push_str(&render_series_utilization(
+    out.push_str(&render_series(
+        "Figure 3 (simulated)",
+        &series_view(&fig3),
+        efficiency,
+    ));
+    out.push_str(&render_series(
         "Figure 3 utilization",
         &series_view(&fig3),
+        |p| p.rho_row,
     ));
 
     let fig4 = sim_figure4(pool, &[4, 8, 16, 32, 64], 8, &sweep);
-    out.push_str(&render_series("Figure 4 (simulated)", &series_view(&fig4)));
+    out.push_str(&render_series(
+        "Figure 4 (simulated)",
+        &series_view(&fig4),
+        efficiency,
+    ));
 
     let latency = sim_latency_modes(pool, 8, &sweep);
-    out.push_str(&render_series("E-5.1 (simulated)", &series_view(&latency)));
+    out.push_str(&render_series(
+        "E-5.1 (simulated)",
+        &series_view(&latency),
+        efficiency,
+    ));
 
     let faults = fault_sweep_rows(pool, 4, &[0.0, 0.1, 0.25, 0.5, 0.75], 15);
     assert!(faults.failures.is_empty());
@@ -133,6 +155,58 @@ fn scaling_study_json_is_byte_identical_across_worker_counts() {
     .unwrap();
     assert_eq!(md5_hex(jsons[0].as_bytes()), md5_hex(jsons[1].as_bytes()));
     assert_eq!(md5_hex(jsons[0].as_bytes()), md5_hex(jsons[2].as_bytes()));
+}
+
+/// The A-1, A-2, A-3 and E-1.1 tables run their points on the pool: every
+/// row must be bit-identical at 1 and at 3 workers.
+#[test]
+fn ablation_and_baseline_rows_are_bit_identical_across_worker_counts() {
+    // The fields each table prints, as bits.
+    let printed = |r: &RunReport| {
+        let m = &r.metrics;
+        [
+            r.efficiency.to_bits(),
+            r.ops_per_transaction().to_bits(),
+            r.buses[0].utilization.to_bits(),
+            m.mlt_overflows.get(),
+            m.dropped_signals.get(),
+            m.memory_bounces.get(),
+            m.read_modified.retries.get(),
+            m.read_modified.count,
+            m.snarfs.get(),
+            m.bus_transactions(),
+        ]
+    };
+    let rows = |pool: &Pool| {
+        let mlt = mlt_rows(pool, 4, &[4, 16, 4096], 20);
+        let robustness = robustness_rows(pool, 4, &[0.0, 0.25, 0.75], 20);
+        let snarf = snarf_rows(pool, 4, 20);
+        let baseline = baseline_rows(pool, 10.0, 10);
+        assert!(mlt.failures.is_empty() && robustness.failures.is_empty());
+        assert!(snarf.failures.is_empty() && baseline.failures.is_empty());
+        let mut out: Vec<(u64, [u64; 10])> = Vec::new();
+        out.extend(mlt.rows.iter().map(|(c, r)| (*c as u64, printed(r))));
+        out.extend(
+            robustness
+                .rows
+                .iter()
+                .map(|(p, r)| (p.to_bits(), printed(r))),
+        );
+        out.extend(
+            snarf
+                .rows
+                .iter()
+                .map(|(on, r)| (u64::from(*on), printed(r))),
+        );
+        for (processors, multi, cube) in &baseline.rows {
+            out.push((u64::from(*processors), printed(multi)));
+            out.push((u64::from(*processors), printed(cube)));
+        }
+        out
+    };
+    let serial = rows(&Pool::new(1));
+    assert_eq!(serial.len(), 3 + 3 + 2 + 2 * 6);
+    assert_eq!(serial, rows(&Pool::new(3)));
 }
 
 /// The cube's worker-count differential, artifact level: every engine's

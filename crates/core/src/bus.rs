@@ -51,13 +51,13 @@ impl Arbitration {
 /// # Example
 ///
 /// ```
-/// use multicube::bus::Bus;
+/// use multicube::bus::{Arbitration, Bus};
 /// use multicube::proto::{BusOp, OpKind, TxnId};
 /// use multicube_mem::LineAddr;
 /// use multicube_sim::SimTime;
 /// use multicube_topology::{BusId, NodeId};
 ///
-/// let mut bus = Bus::new(BusId::row(0));
+/// let mut bus = Bus::with_arbitration(BusId::row(0), Arbitration::Fcfs);
 /// let op = BusOp::new(OpKind::ReadRowRequest, LineAddr::new(1), NodeId::new(0), TxnId(1));
 /// // Idle bus: the op starts immediately and completes 50ns later.
 /// let done = bus.enqueue(op, 50, SimTime::ZERO).unwrap();
@@ -83,11 +83,6 @@ pub struct Bus {
 }
 
 impl Bus {
-    /// Creates an idle FCFS bus.
-    pub fn new(id: BusId) -> Self {
-        Bus::with_arbitration(id, Arbitration::Fcfs)
-    }
-
     /// Creates an idle bus with the given grant policy.
     pub fn with_arbitration(id: BusId, arbitration: Arbitration) -> Self {
         Bus {
@@ -237,9 +232,13 @@ mod tests {
         BusOp::new(kind, LineAddr::new(seq), NodeId::new(0), TxnId(seq))
     }
 
+    fn fcfs(id: BusId) -> Bus {
+        Bus::with_arbitration(id, Arbitration::Fcfs)
+    }
+
     #[test]
     fn idle_bus_starts_immediately() {
-        let mut bus = Bus::new(BusId::row(1));
+        let mut bus = fcfs(BusId::row(1));
         let done = bus.enqueue(op(OpKind::ReadRowRequest, 1), 100, SimTime::ZERO);
         assert_eq!(done, Some(SimTime::from_nanos(100)));
         assert!(bus.in_flight().is_some());
@@ -248,7 +247,7 @@ mod tests {
 
     #[test]
     fn busy_bus_queues_fifo() {
-        let mut bus = Bus::new(BusId::column(0));
+        let mut bus = fcfs(BusId::column(0));
         let t0 = SimTime::ZERO;
         let first_done = bus.enqueue(op(OpKind::ReadRowRequest, 1), 50, t0).unwrap();
         assert!(bus.enqueue(op(OpKind::ReadRowRequest, 2), 60, t0).is_none());
@@ -273,7 +272,7 @@ mod tests {
 
     #[test]
     fn utilization_counts_only_busy_time() {
-        let mut bus = Bus::new(BusId::row(0));
+        let mut bus = fcfs(BusId::row(0));
         let done = bus
             .enqueue(op(OpKind::ReadRowRequest, 1), 100, SimTime::ZERO)
             .unwrap();
@@ -284,7 +283,7 @@ mod tests {
 
     #[test]
     fn counters_distinguish_data_ops() {
-        let mut bus = Bus::new(BusId::row(0));
+        let mut bus = fcfs(BusId::row(0));
         let d1 = bus
             .enqueue(op(OpKind::ReadRowRequest, 1), 50, SimTime::ZERO)
             .unwrap();
@@ -300,7 +299,7 @@ mod tests {
 
     #[test]
     fn duplicates_queue_like_real_ops_and_are_counted() {
-        let mut bus = Bus::new(BusId::row(0));
+        let mut bus = fcfs(BusId::row(0));
         let done = bus
             .enqueue(op(OpKind::ReadRowRequest, 1), 50, SimTime::ZERO)
             .unwrap();
@@ -355,7 +354,7 @@ mod tests {
     /// default is byte-identical to the pre-seam bus.
     #[test]
     fn fcfs_default_serves_arrival_order() {
-        let mut bus = Bus::new(BusId::row(0));
+        let mut bus = fcfs(BusId::row(0));
         let t0 = SimTime::ZERO;
         let first = bus.enqueue(op_from(0, 1), 10, t0).unwrap();
         bus.enqueue(op_from(0, 2), 10, t0);
@@ -403,14 +402,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "no operation in flight")]
     fn completing_idle_bus_panics() {
-        let mut bus = Bus::new(BusId::row(0));
+        let mut bus = fcfs(BusId::row(0));
         bus.complete(SimTime::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "wrong time")]
     fn completing_at_wrong_time_panics() {
-        let mut bus = Bus::new(BusId::row(0));
+        let mut bus = fcfs(BusId::row(0));
         bus.enqueue(op(OpKind::ReadRowRequest, 1), 50, SimTime::ZERO);
         bus.complete(SimTime::from_nanos(49));
     }

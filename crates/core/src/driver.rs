@@ -77,6 +77,8 @@ impl Request {
 /// Figure 2 caption: "The probability that the requested data is in global
 /// state unmodified is 80 percent, and the probability that an invalidation
 /// operation is required for a write miss to unmodified data is 20 percent."
+/// The 80 percent is fixed for every run; the 20 percent is
+/// `p_invalidation`, Figure 3's knob.
 ///
 /// The generator is *state-conditioned*: it draws the target class (e.g.
 /// "a line currently modified in a remote cache") and then picks a concrete
@@ -98,14 +100,10 @@ pub struct SyntheticSpec {
     pub mean_think_ns: f64,
     /// Fraction of bus requests that are writes (READ-MOD).
     pub p_write: f64,
-    /// Probability the requested line is in global state unmodified.
-    pub p_unmodified: f64,
     /// Of write misses to unmodified data, the fraction that target lines
     /// with shared copies in other caches (and therefore actually
     /// invalidate something).
     pub p_invalidation: f64,
-    /// Fraction of writes issued as ALLOCATE (write-whole-line hint).
-    pub p_allocate: f64,
     /// Number of shared lines the workload touches.
     pub shared_lines: u64,
 }
@@ -117,9 +115,7 @@ impl Default for SyntheticSpec {
         SyntheticSpec {
             mean_think_ns: 100_000.0,
             p_write: 0.3,
-            p_unmodified: 0.8,
             p_invalidation: 0.2,
-            p_allocate: 0.0,
             shared_lines: 4096,
         }
     }
@@ -180,7 +176,6 @@ mod tests {
     #[test]
     fn default_spec_matches_figure2_caption() {
         let s = SyntheticSpec::default();
-        assert_eq!(s.p_unmodified, 0.8);
         assert_eq!(s.p_invalidation, 0.2);
     }
 

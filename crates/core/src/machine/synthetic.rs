@@ -17,6 +17,11 @@ use crate::driver::{Request, RequestKind, SyntheticSpec};
 use crate::machine::{Event, Machine};
 use crate::metrics::{BusReport, BusUtilization, RunReport};
 
+/// Probability that a synthetic request targets a line in global state
+/// unmodified. The Figure 2 caption: "The probability that the requested
+/// data is in global state unmodified is 80 percent".
+const P_UNMODIFIED: f64 = 0.8;
+
 /// Book-keeping for one synthetic run.
 #[derive(Debug)]
 pub(crate) struct SyntheticState {
@@ -96,7 +101,7 @@ impl Machine {
     pub(crate) fn synthetic_next_request(&mut self, node: NodeId) -> Option<Request> {
         let spec = self.synthetic.as_ref()?.spec.clone();
         let is_write = self.rng.chance(spec.p_write);
-        let want_modified = !self.rng.chance(spec.p_unmodified);
+        let want_modified = !self.rng.chance(P_UNMODIFIED);
         let line = if want_modified {
             self.pick_modified_remote(node)
         } else {
@@ -104,11 +109,11 @@ impl Machine {
         };
         let line = line.unwrap_or_else(|| self.pick_unmodified(node, &spec, is_write));
         let kind = if is_write {
-            if self.rng.chance(spec.p_allocate) {
-                RequestKind::Allocate
-            } else {
-                RequestKind::Write
-            }
+            // Every write once drew here for an ALLOCATE share that no run
+            // set above 0; the draw stays so every synthetic stream, and
+            // every trace fingerprint pinned on one, replays unchanged.
+            let _ = self.rng.uniform();
+            RequestKind::Write
         } else {
             RequestKind::Read
         };

@@ -1,11 +1,11 @@
 //! Statistics accumulators for simulation output.
 //!
-//! Three complementary accumulators cover everything the experiment harness
+//! Four complementary accumulators cover everything the experiment harness
 //! reports:
 //!
 //! * [`Counter`] — monotonic event counts (bus operations, invalidations).
-//! * [`OnlineStats`] — streaming mean/variance of sampled values
-//!   (transaction latencies) via Welford's algorithm.
+//! * [`OnlineStats`] — streaming mean and extrema of sampled values
+//!   (transaction latencies).
 //! * [`BusyTracker`] — time-weighted utilization of a resource (a bus),
 //!   accumulating busy nanoseconds against a window of simulated time.
 //! * [`Histogram`] — power-of-two bucketed latency distribution.
@@ -68,12 +68,19 @@ impl Counter {
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
 /// assert_eq!(s.max(), Some(9.0));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for OnlineStats {
+    /// An empty accumulator, as [`OnlineStats::new`].
+    fn default() -> Self {
+        OnlineStats::new()
+    }
 }
 
 impl OnlineStats {
@@ -315,6 +322,16 @@ mod tests {
         assert_eq!(s.count(), 5);
         assert!((s.mean() - 3.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(1.0));
+        assert_eq!(s.max(), Some(5.0));
+    }
+
+    /// `Default` is `new()`: the extrema start at ±∞, not at 0, so the
+    /// first sample sets both.
+    #[test]
+    fn online_stats_default_starts_empty() {
+        let mut s = OnlineStats::default();
+        s.record(5.0);
+        assert_eq!(s.min(), Some(5.0));
         assert_eq!(s.max(), Some(5.0));
     }
 
