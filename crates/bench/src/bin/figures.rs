@@ -39,7 +39,9 @@
 //!
 //! A simulated point that panics is contained: its figure or table prints
 //! without it and the failure, with its replay coordinates, goes to
-//! stderr. After all output, `figures` exits nonzero if any point failed.
+//! stderr once. A study that lost points writes no `BENCH_*` artifact and
+//! says so on stderr, and the run goes on. After all output, `figures`
+//! exits nonzero if any point failed.
 
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -103,10 +105,23 @@ impl Options {
         self.figure(title, &series_view(sims), csv);
     }
 
-    /// The path of the artifact `name` in the output directory.
-    fn artifact(&self, name: &str) -> PathBuf {
+    /// Writes the artifact `name` into the output directory with `write`,
+    /// unless its study lost `failed` points: an artifact without them
+    /// would pass for a complete run.
+    fn artifact(
+        &self,
+        name: &str,
+        failed: usize,
+        write: impl FnOnce(&Path) -> std::io::Result<()>,
+    ) {
+        if failed > 0 {
+            eprintln!("!! {name} not written: {failed} point(s) failed");
+            return;
+        }
         std::fs::create_dir_all(&self.out).expect("create output dir");
-        self.out.join(name)
+        let path = self.out.join(name);
+        write(&path).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        eprintln!("wrote {}", path.display());
     }
 
     /// Prints a figure's or table's contained point failures, with their
@@ -157,10 +172,13 @@ fn big_side(opts: &Options) -> u32 {
     }
 }
 
-/// The simulated Figure 2 sweep. `fig2` prints it and the scaling study
-/// records it, so `all` runs it once for both.
-fn figure2_sweep(opts: &Options) -> Vec<SimSeries> {
-    sim_figure2(&opts.pool, &grid_sides(opts), &sweep(opts))
+/// The simulated Figure 2 sweep over `sweep`, its failed points reported
+/// here once. `fig2` prints it and the scaling study records it, so `all`
+/// runs it once for both.
+fn figure2_sweep(opts: &Options, sweep: &SweepConfig) -> Vec<SimSeries> {
+    let sims = sim_figure2(&opts.pool, &grid_sides(opts), sweep);
+    opts.report_failures("Figure 2 (simulated)", &collect_failures(&sims));
+    sims
 }
 
 fn fig2(opts: &Options, sims: &[SimSeries]) {
@@ -169,7 +187,7 @@ fn fig2(opts: &Options, sims: &[SimSeries]) {
         &mva::figure2(),
         Some("fig2_model"),
     );
-    opts.sim_figure("Figure 2 (simulated)", sims, Some("fig2_sim"));
+    opts.figure("Figure 2 (simulated)", &series_view(sims), Some("fig2_sim"));
 }
 
 fn fig3(opts: &Options) {
@@ -284,9 +302,10 @@ fn scaling_formulas() {
 /// seeds — with bus operations and completions per point, plus the cube
 /// study (n³ = 512–32768 processors, the planes run in parallel after two
 /// depth-traffic exchanges), written together as `BENCH_scaling.json`
-/// alongside the printed tables. Quick mode records only deterministic
-/// cube fields, so the artifact is byte-identical at every worker count
-/// — the CI pool-determinism job diffs exactly that.
+/// alongside the printed tables. Every field is deterministic, so the
+/// artifact is byte-identical at every worker count — the CI
+/// pool-determinism job diffs exactly that — and a full run reproduces
+/// the committed file.
 fn scaling_study(opts: &Options, sims: &[SimSeries]) {
     let (sides, sweep) = (grid_sides(opts), sweep(opts));
     println!("{}", render_scaling_study(&sides, sims));
@@ -297,12 +316,13 @@ fn scaling_study(opts: &Options, sims: &[SimSeries]) {
     };
     let cube = run_cube_study(&cube_cfg);
     println!("{}", render_cube_study(&cube));
-    let json = render_scaling_json(&sides, &sweep, sims, Some(&cube));
-    validate_scaling_report(&json, &sides, &sweep, Some(&cube_cfg))
-        .expect("scaling report validates");
-    let path = opts.artifact("BENCH_scaling.json");
-    std::fs::write(&path, &json).expect("write scaling json");
-    eprintln!("wrote {}", path.display());
+    let failed = collect_failures(sims).len();
+    opts.artifact("BENCH_scaling.json", failed, |path| {
+        let json = render_scaling_json(&sides, &sweep, sims, Some(&cube));
+        validate_scaling_report(&json, &sides, &sweep, Some(&cube_cfg))
+            .expect("scaling report validates");
+        std::fs::write(path, json)
+    });
 }
 
 fn sync(opts: &Options) {
@@ -501,7 +521,9 @@ fn telemetry(opts: &Options) {
 /// table (see `multicube_bench::shootout` for the methodology).
 fn shootout(opts: &Options) {
     let n = if opts.quick { 4 } else { 8 };
-    let rows = opts.rows("Shootout", run_shootout(&opts.pool, n, &sweep(opts)));
+    let table = run_shootout(&opts.pool, n, &sweep(opts));
+    let failed = table.failures.len();
+    let rows = opts.rows("Shootout", table);
     println!(
         "{}",
         render_shootout(
@@ -512,9 +534,9 @@ fn shootout(opts: &Options) {
             &rows
         )
     );
-    let path = opts.artifact("BENCH_shootout.csv");
-    write_shootout_csv(&path, &rows).expect("write shootout csv");
-    eprintln!("wrote {}", path.display());
+    opts.artifact("BENCH_shootout.csv", failed, |path| {
+        write_shootout_csv(path, &rows)
+    });
     opts.csv_file("shootout.csv", |path| write_shootout_csv(path, &rows));
 }
 
@@ -543,11 +565,11 @@ fn serve(opts: &Options) {
         )
     );
     opts.report_failures("S-3", &study.failures);
-    let json = render_serve_json(&study);
-    validate_serve_report(&json, &cfg).expect("serve report validates");
-    let path = opts.artifact("BENCH_serve.json");
-    std::fs::write(&path, &json).expect("write serve json");
-    eprintln!("wrote {}", path.display());
+    opts.artifact("BENCH_serve.json", study.failures.len(), |path| {
+        let json = render_serve_json(&study);
+        validate_serve_report(&json, &cfg).expect("serve report validates");
+        std::fs::write(path, json)
+    });
     opts.csv_file("serve.csv", |path| write_serve_csv(path, &study.rows));
 }
 
@@ -627,12 +649,12 @@ fn main() -> ExitCode {
         }
     }
     match command.as_str() {
-        "fig2" => fig2(&opts, &figure2_sweep(&opts)),
+        "fig2" => fig2(&opts, &figure2_sweep(&opts, &sweep(&opts))),
         "fig3" => fig3(&opts),
         "fig4" => fig4(&opts),
         "latency" => latency(&opts),
         "costs" => costs(&opts),
-        "scaling" => scaling(&opts, &figure2_sweep(&opts)),
+        "scaling" => scaling(&opts, &figure2_sweep(&opts, &sweep(&opts))),
         "sync" => sync(&opts),
         "baseline" => baseline(&opts),
         "ablations" => ablations(&opts),
@@ -643,7 +665,7 @@ fn main() -> ExitCode {
         "serve" => serve(&opts),
         "model" => model(&opts),
         "all" => {
-            let figure2 = figure2_sweep(&opts);
+            let figure2 = figure2_sweep(&opts, &sweep(&opts));
             fig2(&opts, &figure2);
             fig3(&opts);
             fig4(&opts);
@@ -668,5 +690,40 @@ fn main() -> ExitCode {
             eprintln!("figures: {failed} simulated point(s) failed");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A Figure-2 point that fails (a rate of 0 panics in its job) is
+    /// printed and counted once over `fig2` and `scaling`, the scaling
+    /// study skips its artifact instead of panicking on it, and the run
+    /// goes on.
+    #[test]
+    fn a_failed_figure2_point_is_counted_once_and_skips_the_scaling_artifact() {
+        let out = std::env::temp_dir().join(format!("figures-failed-point-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let opts = Options {
+            quick: true,
+            txns: None,
+            csv: None,
+            out: out.clone(),
+            pool: Pool::serial(),
+            failed: Cell::new(0),
+        };
+        let failing = SweepConfig {
+            rates: vec![0.0, 10.0],
+            ..sweep(&opts)
+        };
+        let sims = figure2_sweep(&opts, &failing);
+        fig2(&opts, &sims);
+        scaling(&opts, &sims);
+        let sides = grid_sides(&opts).len();
+        assert_eq!(opts.failed.get(), sides, "one failed point per side");
+        assert!(!out.join("BENCH_scaling.json").exists());
+        assert!(!render_scaling_study(&grid_sides(&opts), &sims).contains("failed"));
+        let _ = std::fs::remove_dir_all(&out);
     }
 }

@@ -29,7 +29,7 @@ pub use csv::{
 pub use multicube_sim::pool::Pool;
 pub use scaling::{
     render_cube_study, render_scaling_json, render_scaling_study, run_cube_study,
-    validate_scaling_report, CubePoint, CubeStudy, CubeStudyConfig, CubeTiming, SCALING_SCHEMA,
+    validate_scaling_report, CubePoint, CubeStudy, CubeStudyConfig, SCALING_SCHEMA,
 };
 pub use serve::{
     render_serve, render_serve_json, run_serve, serve_app_seed, synthesize_serve_trace,

@@ -19,7 +19,6 @@ use multicube::pdes::{run_cube, CubeConfig};
 use multicube_mva::FigurePoint;
 use multicube_sim::{split_seed, stream_id};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use crate::json::{self, Value};
 use crate::simfig::{collect_failures, PointRun, SimSeries, SweepConfig, FIGURE2_SIDES};
@@ -30,8 +29,9 @@ use crate::simfig::{collect_failures, PointRun, SimSeries, SweepConfig, FIGURE2_
 /// parallel timing per point, with its round and message counts; v5
 /// stamps the study's `mode`: `"full"` for the committed study, `"quick"`
 /// for any smaller one; v6 drops the round and message counts, which
-/// are a constant and twice `remote_ops`.
-pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v6";
+/// are a constant and twice `remote_ops`; v7 drops the cube's wall-clock
+/// timing, so the whole artifact is deterministic.
+pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v7";
 
 /// Parameters of the cube study: full k = 3 Multicubes of `side` planes
 /// × `side`² processors each, the planes run in parallel
@@ -48,14 +48,8 @@ pub struct CubeStudyConfig {
     pub remote_gap_ns: f64,
     /// Base RNG seed of the study.
     pub seed: u64,
-    /// Worker threads for the parallel execution.
+    /// Worker threads for the parallel execution (at least 2 are used).
     pub workers: usize,
-    /// Measure wall-clock serial-vs-parallel timing. Off in quick mode so
-    /// the JSON carries only deterministic fields and stays byte-identical
-    /// across worker counts for the CI determinism diff; the fingerprint
-    /// column (checked serial-vs-parallel inside the run) is the
-    /// worker-invariance evidence.
-    pub measure: bool,
 }
 
 impl CubeStudyConfig {
@@ -68,11 +62,10 @@ impl CubeStudyConfig {
             remote_gap_ns: 250.0,
             seed: 0x5EED,
             workers,
-            measure: true,
         }
     }
 
-    /// The CI smoke study: tiny cubes, deterministic fields only.
+    /// The CI smoke study: tiny cubes.
     pub fn quick(workers: usize) -> Self {
         CubeStudyConfig {
             sides: vec![3, 4],
@@ -81,7 +74,6 @@ impl CubeStudyConfig {
             remote_gap_ns: 200.0,
             seed: 0x5EED,
             workers,
-            measure: false,
         }
     }
 
@@ -92,17 +84,13 @@ impl CubeStudyConfig {
         cfg.remote_gap_ns = self.remote_gap_ns;
         cfg.seed = split_seed(self.seed, stream_id("scaling", "cube"), u64::from(side));
         cfg.workers = workers;
-        // The per-plane coherence checker is O(lines × nodes) per plane and
-        // orthogonal to what this study measures; the quick study keeps it
-        // on as a smoke check, the big full-mode cubes turn it off.
-        cfg.check = !self.measure;
         cfg
     }
 }
 
 /// The `mode` a scaling report records: `"full"` for the committed study
-/// (Figure 2's full sweep with a measured [`CubeStudyConfig::full`] cube
-/// at any worker count), `"quick"` for any smaller one.
+/// (Figure 2's full sweep with a [`CubeStudyConfig::full`] cube at any
+/// worker count), `"quick"` for any smaller one.
 fn scaling_mode(
     sides: &[u32],
     sweep: &SweepConfig,
@@ -116,33 +104,10 @@ fn scaling_mode(
     }
 }
 
-/// Wall-clock measurements of one cube point: the serial reference and
-/// one parallel execution at `workers` threads. Full mode only — wall
-/// time is host-dependent by nature, so it never appears in the
-/// deterministic quick artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CubeTiming {
-    /// Host threads available (`std::thread::available_parallelism`) —
-    /// context for reading the speedup: a 1-thread host cannot show one.
-    pub host_parallelism: usize,
-    /// Serial (1-worker) wall time, ms.
-    pub serial_ms: f64,
-    /// Machine events per second, serial execution.
-    pub events_per_sec_serial: f64,
-    /// Worker threads of the parallel execution.
-    pub workers: usize,
-    /// Parallel wall time, ms.
-    pub parallel_ms: f64,
-    /// Serial wall time / parallel wall time.
-    pub speedup: f64,
-    /// Machine events per second, parallel execution.
-    pub events_per_sec: f64,
-}
-
-/// One measured cube of the cube study. All fields except
-/// `timing` are deterministic functions of the configuration — and
-/// independent of the worker count, which is what lets CI byte-diff the
-/// quick artifact across worker counts.
+/// One measured cube of the cube study. Every field is a deterministic
+/// function of the configuration, independent of the worker count, which
+/// is what lets CI byte-diff the artifact across worker counts and
+/// against the committed file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CubePoint {
     /// Cube side.
@@ -160,8 +125,6 @@ pub struct CubePoint {
     /// The run's fingerprint (also asserted equal between the serial and
     /// parallel runs before this point is recorded).
     pub fingerprint: String,
-    /// Wall-clock comparison; `None` when the study has `measure` off.
-    pub timing: Option<CubeTiming>,
 }
 
 /// The cube study's outcome, in `sides` order.
@@ -174,64 +137,26 @@ pub struct CubeStudy {
 }
 
 /// Runs the cube study. [`run_cube`] parallelizes internally (across
-/// planes), so points run one at a time rather than on the pool — the
-/// timed runs must not compete with sibling points for cores.
+/// planes), so points run one at a time rather than on the pool.
 ///
-/// Every point executes serially first (the reference), then reruns at
-/// the configured worker count; full mode times a second serial run and
-/// the parallel run. Every rerun's fingerprint is asserted identical to
-/// the reference before the point is recorded, so the committed artifact
-/// is itself a determinism proof across worker counts.
+/// Every point executes serially first (the reference), then reruns on at
+/// least 2 workers; the rerun's fingerprint is asserted identical to the
+/// reference before the point is recorded, so the committed artifact is
+/// itself a determinism proof across worker counts.
 pub fn run_cube_study(config: &CubeStudyConfig) -> CubeStudy {
     let points = config
         .sides
         .iter()
         .map(|&side| {
-            // The first run doubles as the warmup: it faults in the
-            // point's working set, so the timed runs below all start
-            // with a warm allocator instead of the first-comer paying
-            // the cold-page cost (which biased whichever run came first
-            // by up to 3x before the warmup was split out).
             let serial = run_cube(&config.cube_config(side, 1));
             let fingerprint = serial.fingerprint();
-
-            let workers = config.workers.max(if config.measure { 2 } else { 1 });
-            let timing = if config.measure {
-                let start = Instant::now();
-                let serial_timed = run_cube(&config.cube_config(side, 1));
-                let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(serial_timed.fingerprint(), fingerprint);
-
-                let start = Instant::now();
-                let parallel = run_cube(&config.cube_config(side, workers));
-                let parallel_ms = start.elapsed().as_secs_f64() * 1e3;
-                assert_eq!(
-                    parallel.fingerprint(),
-                    fingerprint,
-                    "cube side {side} diverged between 1 and {workers} workers"
-                );
-                Some(CubeTiming {
-                    host_parallelism: std::thread::available_parallelism()
-                        .map(std::num::NonZero::get)
-                        .unwrap_or(1),
-                    serial_ms,
-                    events_per_sec_serial: serial.events_delivered as f64 / (serial_ms / 1e3),
-                    workers,
-                    parallel_ms,
-                    speedup: serial_ms / parallel_ms.max(f64::MIN_POSITIVE),
-                    events_per_sec: parallel.events_delivered as f64 / (parallel_ms / 1e3),
-                })
-            } else {
-                if workers > 1 {
-                    let parallel = run_cube(&config.cube_config(side, workers));
-                    assert_eq!(
-                        parallel.fingerprint(),
-                        fingerprint,
-                        "cube side {side} diverged between 1 and {workers} workers"
-                    );
-                }
-                None
-            };
+            let workers = config.workers.max(2);
+            let parallel = run_cube(&config.cube_config(side, workers));
+            assert_eq!(
+                parallel.fingerprint(),
+                fingerprint,
+                "cube side {side} diverged between 1 and {workers} workers"
+            );
 
             let transactions = serial
                 .planes
@@ -249,7 +174,6 @@ pub fn run_cube_study(config: &CubeStudyConfig) -> CubeStudy {
                 events: serial.events_delivered,
                 mean_efficiency,
                 fingerprint,
-                timing,
             }
         })
         .collect();
@@ -290,29 +214,6 @@ pub fn render_cube_study(study: &CubeStudy) -> String {
             p.mean_efficiency,
             p.fingerprint
         );
-    }
-    if study.points.iter().any(|p| p.timing.is_some()) {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>7} {:>10} {:>11} {:>8} {:>12} {:>12}",
-            "n", "workers", "serial ms", "parallel ms", "speedup", "ev/s serial", "ev/s par"
-        );
-        for p in &study.points {
-            if let Some(t) = &p.timing {
-                let _ = writeln!(
-                    out,
-                    "{:>4} {:>7} {:>10.1} {:>11.1} {:>8.2} {:>12.0} {:>12.0}  (host threads: {})",
-                    p.side,
-                    t.workers,
-                    t.serial_ms,
-                    t.parallel_ms,
-                    t.speedup,
-                    t.events_per_sec_serial,
-                    t.events_per_sec,
-                    t.host_parallelism
-                );
-            }
-        }
     }
     out
 }
@@ -393,28 +294,12 @@ pub fn render_scaling_study(sides: &[u32], sims: &[SimSeries]) -> String {
             r.run.completed
         );
     }
-    for f in collect_failures(sims) {
-        let _ = writeln!(out, "!! failed point: {f}");
-    }
     out
 }
 
-/// The timing fields of a measured cube point, in written order.
-const TIMING_KEYS: [&str; 7] = [
-    "host_parallelism",
-    "serial_ms",
-    "events_per_sec_serial",
-    "workers",
-    "parallel_ms",
-    "speedup",
-    "events_per_sec",
-];
-
 /// Renders the study as the `BENCH_scaling.json` artifact: the grid
 /// (`sims`, [`sim_figure2`] over `sides` and `sweep`), then `cube`, when
-/// present, as a `"cube"` section. The cube's timing fields appear only
-/// for full-mode (measured) studies, keeping quick-mode output free of
-/// host-dependent bytes.
+/// present, as a `"cube"` section. No field depends on the host.
 ///
 /// [`sim_figure2`]: crate::sim_figure2
 pub fn render_scaling_json(
@@ -455,7 +340,7 @@ pub fn render_scaling_json(
     ];
     if let Some(cube) = cube {
         let points = cube.points.iter().map(|p| {
-            let mut members = vec![
+            json::obj([
                 ("side", p.side.into()),
                 ("processors", p.processors.into()),
                 ("transactions", p.transactions.into()),
@@ -463,20 +348,7 @@ pub fn render_scaling_json(
                 ("events", p.events.into()),
                 ("mean_efficiency", Value::fixed(p.mean_efficiency, 6)),
                 ("fingerprint", p.fingerprint.as_str().into()),
-            ];
-            if let Some(t) = &p.timing {
-                let values = [
-                    t.host_parallelism.into(),
-                    Value::fixed(t.serial_ms, 3),
-                    Value::fixed(t.events_per_sec_serial, 0),
-                    t.workers.into(),
-                    Value::fixed(t.parallel_ms, 3),
-                    Value::fixed(t.speedup, 4),
-                    Value::fixed(t.events_per_sec, 0),
-                ];
-                members.extend(TIMING_KEYS.into_iter().zip(values));
-            }
-            json::obj(members)
+            ])
         });
         report.push((
             "cube",
@@ -496,8 +368,7 @@ pub fn render_scaling_json(
 /// of `sides` swept by `sweep`, and `cube`: the schema and mode, no
 /// recorded failures, the `(n, rate_per_ms)` points of `sides × rates` in
 /// order, and — when `cube` is given — a fingerprinted cube point per
-/// configured side, in order, with timing fields exactly when the cube
-/// study measures.
+/// configured side, in order.
 ///
 /// # Errors
 ///
@@ -543,13 +414,6 @@ pub fn validate_scaling_report(
             for (p, side) in points.iter().zip(sides) {
                 p.str_field("fingerprint")
                     .map_err(|e| format!("cube side {side}: {e}"))?;
-                for key in TIMING_KEYS {
-                    if p.get(key).is_some() != cube.measure {
-                        return Err(format!(
-                            "cube side {side}: `{key}` must be recorded exactly when the study measures"
-                        ));
-                    }
-                }
             }
             Ok(())
         }
@@ -622,7 +486,7 @@ mod tests {
         assert!(json.contains("\"mode\": \"quick\""));
         assert!(validate_scaling_report(&json, &[2, 4, 8], &tiny(), None).is_err());
         assert!(validate_scaling_report("{}", &SIDES, &tiny(), None).is_err());
-        // `figures` validates before it writes, so a failed point fails it.
+        // A report that recorded failed points does not validate.
         let failed = json.replace("\"failures\": 0", "\"failures\": 1");
         assert_eq!(
             validate_scaling_report(&failed, &SIDES, &tiny(), None),
@@ -638,7 +502,6 @@ mod tests {
             remote_gap_ns: 150.0,
             seed: 7,
             workers: 2,
-            measure: false,
         }
     }
 
@@ -653,7 +516,6 @@ mod tests {
             assert_eq!(p.remote_ops, side * 8);
             assert!(p.events > 0);
             assert!(p.mean_efficiency > 0.0 && p.mean_efficiency <= 1.0);
-            assert!(p.timing.is_none(), "quick studies must not record timing");
         }
         // Deterministic end to end: a replay reproduces every field.
         assert_eq!(run_cube_study(&tiny_cube()).points, cube.points);
@@ -666,12 +528,8 @@ mod tests {
         let cube = run_cube_study(&cube_cfg);
         let json = render_scaling_json(&SIDES, &tiny(), &sims, Some(&cube));
         validate_scaling_report(&json, &SIDES, &tiny(), Some(&cube_cfg)).unwrap();
-        // The cube section must not leak wall-clock bytes in quick mode...
-        assert!(!json.contains("\"serial_ms\""));
-        assert!(!json.contains("\"workers\""));
-        assert!(!json.contains("\"parallel_ms\""));
-        // ...and must render byte-identically at a different worker count
-        // — the in-process version of the CI byte-diff across
+        // The cube section renders byte-identically at a different worker
+        // count — the in-process version of the CI byte-diff across
         // MULTICUBE_POOL_WORKERS.
         let mut other = tiny_cube();
         other.workers = 4;
@@ -681,29 +539,6 @@ mod tests {
         let plain = render_scaling_json(&SIDES, &tiny(), &sims, None);
         assert!(validate_scaling_report(&plain, &SIDES, &tiny(), Some(&cube_cfg)).is_err());
         assert!(validate_scaling_report(&json, &SIDES, &tiny(), None).is_err());
-    }
-
-    #[test]
-    fn measured_cube_study_embeds_one_parallel_timing() {
-        let mut cfg = tiny_cube();
-        cfg.sides = vec![2];
-        cfg.measure = true;
-        let cube = run_cube_study(&cfg);
-        let t = cube.points[0].timing.as_ref().expect("timing recorded");
-        assert!(t.serial_ms > 0.0 && t.events_per_sec_serial > 0.0);
-        assert_eq!(t.workers, 2);
-        assert!(t.parallel_ms > 0.0 && t.speedup > 0.0 && t.events_per_sec > 0.0);
-        let json = render_scaling_json(&SIDES, &tiny(), &tiny_grid(), Some(&cube));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"host_parallelism\""));
-        assert!(json.contains("\"parallel_ms\""));
-        validate_scaling_report(&json, &SIDES, &tiny(), Some(&cfg)).unwrap();
-        // A quick config rejects the measured report, and vice versa.
-        let quick = CubeStudyConfig {
-            measure: false,
-            ..cfg.clone()
-        };
-        assert!(validate_scaling_report(&json, &SIDES, &tiny(), Some(&quick)).is_err());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use multicube_sim::pool::Pool;
 use multicube_sim::{split_seed, stream_id, DeterministicRng};
 use multicube_topology::NodeId;
 use multicube_workload::{
-    Oltp, ProducerConsumer, TraceV2Reader, TraceV2Writer, WebSession, Workload, WorkloadRunner,
+    Oltp, ProducerConsumer, Stream, TraceV2Reader, TraceV2Writer, WebSession, Workload,
 };
 use std::fmt::Write as _;
 
@@ -198,22 +198,20 @@ pub fn run_serve(pool: &Pool, config: &ServeConfig) -> ServeStudy {
     let results = pool.map(jobs.clone(), move |_, (app, policy, seed)| {
         let bytes = synthesize_serve_trace(&cfg, app, seed);
         let reader = TraceV2Reader::new(&bytes).expect("own encoding");
-        let mut player = reader.player();
         let machine_config = MachineConfig::grid(cfg.n)
             .expect("valid n")
             .with_arbitration(policy);
         let mut machine = Machine::new(machine_config, seed).expect("valid configuration");
-        let report = WorkloadRunner::new(cfg.requests_per_node)
-            .with_seed(seed)
-            .run(&mut machine, &mut player);
+        let mut stream = Stream::new(reader.player()).with_seed(seed);
+        let run = machine.run_closed_loop(&mut stream, cfg.requests_per_node);
         assert_eq!(
-            report.requests_completed,
+            run.transactions_completed,
             reader.record_count(),
             "{app}/{}: replay must drain the whole trace",
             policy.name()
         );
 
-        let means: Vec<f64> = report
+        let means: Vec<f64> = stream
             .node_latency_ns
             .iter()
             .filter(|s| s.count() > 0)
@@ -226,31 +224,31 @@ pub fn run_serve(pool: &Pool, config: &ServeConfig) -> ServeStudy {
         } else {
             1.0
         };
-        let q = |p: f64| report.latency_hist.quantile(p).unwrap_or(0);
-        let elapsed_ms = report.elapsed.as_millis_f64();
+        let q = |p: f64| stream.latency_hist.quantile(p).unwrap_or(0);
+        let elapsed_ms = run.elapsed.as_millis_f64();
         ServeRow {
             app,
             policy: policy.name(),
             seed,
-            requests: report.requests_completed,
+            requests: run.transactions_completed,
             trace_records: reader.record_count(),
             trace_chunks: reader.chunk_count(),
             trace_bytes: reader.byte_len() as u64,
             elapsed_ms,
             throughput_per_ms: if elapsed_ms > 0.0 {
-                report.requests_completed as f64 / elapsed_ms
+                run.transactions_completed as f64 / elapsed_ms
             } else {
                 0.0
             },
-            efficiency: report.efficiency,
-            ops_per_request: report.ops_per_request,
-            mean_latency_ns: report.latency_ns.mean(),
+            efficiency: run.efficiency,
+            ops_per_request: run.ops_per_request(),
+            mean_latency_ns: stream.latency_ns.mean(),
             p50_ns: q(0.50),
             p90_ns: q(0.90),
             p99_ns: q(0.99),
             p999_ns: q(0.999),
-            max_latency_ns: report.latency_ns.max().unwrap_or(0.0),
-            kind_counts: report.kind_counts,
+            max_latency_ns: stream.latency_ns.max().unwrap_or(0.0),
+            kind_counts: stream.kind_counts,
             node_mean_min_ns: means.iter().copied().fold(f64::INFINITY, f64::min),
             node_mean_max_ns: means.iter().copied().fold(0.0f64, f64::max),
             jain_fairness: jain,

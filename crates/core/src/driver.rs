@@ -1,6 +1,10 @@
-//! Processor-side requests and the synthetic workload specification.
+//! Processor-side requests, the request sources of a closed-loop run and
+//! the synthetic workload specification.
 
 use multicube_mem::LineAddr;
+use multicube_topology::NodeId;
+
+use crate::machine::{Completion, Machine};
 
 /// What a processor asks its cache controller to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,6 +72,27 @@ impl Request {
     pub fn test_and_set(line: LineAddr) -> Self {
         Request::new(RequestKind::TestAndSet, line)
     }
+}
+
+/// Where the requests of a closed-loop run come from
+/// ([`Machine::run_closed_loop`]).
+///
+/// Every processor alternates between thinking and one blocking request.
+/// The driver asks the source for a node's next request once at the
+/// start, and again each time the node's previous request completes.
+pub trait RequestSource {
+    /// `node`'s think time (ns) before its next request, and the request.
+    /// The request issues at the think time truncated to whole
+    /// nanoseconds; efficiency counts the think time as returned. A
+    /// `None` request is drawn from the synthetic spec when the think
+    /// time ends; only [`Machine::run_synthetic`] sets one up, and an
+    /// issue without one panics. `None` ends the node's stream before its
+    /// quota.
+    fn next(&mut self, machine: &mut Machine, node: NodeId) -> Option<(f64, Option<Request>)>;
+
+    /// Sees each completion, in completion order, before the driver asks
+    /// for the node's next request.
+    fn completed(&mut self, _done: &Completion) {}
 }
 
 /// The statistical workload of the paper's evaluation (§5).

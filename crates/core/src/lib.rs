@@ -34,9 +34,11 @@
 //! * [`bus`] — a FIFO-arbitrated broadcast bus.
 //! * [`node`] — per-node controller state (snooping cache, outstanding
 //!   transaction).
-//! * [`machine`] — the machine itself: event loop plus the protocol
-//!   procedures.
-//! * [`driver`] — closed-loop synthetic workload driving ([`SyntheticSpec`]).
+//! * [`machine`] — the machine itself: event loop, the closed-loop
+//!   driver, and the protocol procedures.
+//! * [`driver`] — processor requests, the [`RequestSource`] of a
+//!   closed-loop run ([`Machine::run_closed_loop`]) and the synthetic
+//!   workload ([`SyntheticSpec`]).
 //! * [`metrics`] — counters, latencies, utilizations and the run report.
 //! * [`check`] — the coherence-invariant checker.
 //! * [`fault`] — fault injection ([`FaultPlan`]), retry backoff
@@ -61,7 +63,7 @@ pub mod trace;
 pub use bus::Arbitration;
 pub use check::{check_engine, CoherenceView, CoherenceViolation};
 pub use config::{EngineKind, LatencyMode, MachineConfig, MachineConfigError, Timing};
-pub use driver::{Request, RequestKind, SyntheticSpec};
+pub use driver::{Request, RequestKind, RequestSource, SyntheticSpec};
 pub use fault::{FaultConfigError, FaultPlan, RetryPolicy, Watchdog, WatchdogAction};
 pub use machine::{Completion, Machine, SubmitError};
 pub use metrics::{BusReport, MachineMetrics, RunReport, TxnStats};

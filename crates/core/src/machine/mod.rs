@@ -26,7 +26,7 @@ use multicube_topology::NodeId;
 use crate::bus::Bus;
 use crate::check::CoherenceViolation;
 use crate::config::{LatencyMode, MachineConfig, MachineConfigError};
-use crate::driver::{Request, RequestKind};
+use crate::driver::{Request, RequestKind, SyntheticSpec};
 use crate::fault::{FaultInjector, WatchdogAction};
 use crate::metrics::{MachineMetrics, Served};
 use crate::node::{Controller, LineMode};
@@ -34,8 +34,6 @@ use crate::proto::{BusOp, OpClass, OpFault, OpKind, Piece, TxnId};
 use crate::trace::{TraceEvent, TracePoint, TraceSink};
 
 use engine::Engine;
-
-pub(crate) use synthetic::SyntheticState;
 
 /// A completed processor transaction, as reported by [`Machine::advance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,10 +164,14 @@ pub(crate) struct LineEntry {
 
 /// A simulated Wisconsin Multicube.
 ///
-/// Drive it either with the closed-loop synthetic workload
-/// ([`Machine::run_synthetic`]) or transaction by transaction
-/// ([`Machine::submit`] / [`Machine::advance`]) — the latter is how the
-/// synchronization and application layers are built.
+/// Drive it either as a closed loop ([`Machine::run_closed_loop`]): every
+/// processor thinks, issues one blocking request from a
+/// [`crate::RequestSource`], and repeats, and the run ends in one
+/// [`crate::RunReport`]. [`Machine::run_synthetic`] is that loop with the
+/// paper's statistical workload; a request stream such as a trace replay
+/// is another source. Or drive it transaction by transaction
+/// ([`Machine::submit`] / [`Machine::advance`]), which is how the
+/// synchronization layer hands a lock or a barrier from node to node.
 ///
 /// # Example
 ///
@@ -229,10 +231,11 @@ pub struct Machine {
     batch_pos: usize,
     /// Events delivered so far (drives the `check_every` cadence).
     delivered: u64,
-    /// Completions awaiting [`Machine::advance`]; a synthetic run queues
-    /// none.
+    /// Completions not yet taken: [`Machine::advance`] returns them one
+    /// at a time, and the closed-loop driver drains them after every event.
     completions: VecDeque<Completion>,
-    pub(crate) synthetic: Option<SyntheticState>,
+    /// The spec [`Machine::run_synthetic`] draws issue-time requests from.
+    pub(crate) synthetic: Option<SyntheticSpec>,
     /// Structured trace destination, chosen once at construction.
     trace: TraceSink,
     /// Fault-injection decision engine (inert under the default plan).
@@ -1460,12 +1463,10 @@ impl Machine {
         self.finish_txn(node, txn, success);
     }
 
-    /// Marks the transaction complete: metrics, then the synthetic
-    /// workload's follow-up during [`Self::run_synthetic`] or a
-    /// [`Completion`] record for [`Self::advance`] otherwise (a synthetic
-    /// run reports through its `RunReport`, so nothing would read one).
-    /// Its ring slot is freed, so from here on [`Self::txn_info`] reads it
-    /// as absent.
+    /// Marks the transaction complete: metrics, then a [`Completion`]
+    /// record for [`Self::advance`] or the closed-loop driver. Its ring
+    /// slot is freed, so from here on [`Self::txn_info`] reads it as
+    /// absent.
     pub(crate) fn finish_txn(&mut self, node: NodeId, txn: TxnId, success: bool) {
         let now = self.now();
         let out = self.controllers[node.as_usize()].outstanding.take();
@@ -1494,19 +1495,15 @@ impl Machine {
             info.backoff_ns,
         );
         self.faults.finish(txn);
-        if self.synthetic.is_some() {
-            self.on_synthetic_completion(node, latency);
-        } else {
-            self.completions.push_back(Completion {
-                node,
-                txn,
-                kind,
-                line,
-                success,
-                latency,
-                at: now,
-            });
-        }
+        self.completions.push_back(Completion {
+            node,
+            txn,
+            kind,
+            line,
+            success,
+            latency,
+            at: now,
+        });
     }
 }
 

@@ -23,11 +23,7 @@ impl Machine {
     /// Issue-event handler: explicit request, or one generated from the
     /// synthetic workload spec.
     pub(crate) fn on_issue(&mut self, node: NodeId, request: Option<Request>) {
-        let req = match request {
-            Some(r) => Some(r),
-            None => self.synthetic_next_request(node),
-        };
-        let Some(req) = req else { return };
+        let req = request.unwrap_or_else(|| self.synthetic_next_request(node));
         if self.controllers[node.as_usize()].outstanding().is_some() {
             // A scheduled issue raced with an unfinished transaction;
             // drop it (callers using submit_at must pace themselves).

@@ -1,19 +1,22 @@
-//! The closed-loop synthetic workload driver.
+//! The closed-loop driver and its synthetic request source.
 //!
-//! Every processor alternates between an exponential *think* period and one
-//! blocking memory request — the paper's "requests are assumed to be
-//! non-overlapping" model. The generator is state-conditioned: the target
-//! class (globally unmodified vs. modified-remote; with or without remote
+//! Every processor alternates between a *think* period and one blocking
+//! memory request — the paper's "requests are assumed to be
+//! non-overlapping" model. One loop drives every closed-loop run, whatever
+//! its [`RequestSource`]: the synthetic workload here, or a request stream
+//! such as a trace replay.
+//!
+//! The synthetic generator is state-conditioned: the target class
+//! (globally unmodified vs. modified-remote; with or without remote
 //! sharers) is drawn from the configured probabilities and a concrete line
 //! currently in that state is selected, so the Figure 2–4 caption
 //! probabilities hold by construction.
 
 use multicube_mem::LineAddr;
 use multicube_sim::stats::OnlineStats;
-use multicube_sim::SimDuration;
 use multicube_topology::NodeId;
 
-use crate::driver::{Request, RequestKind, SyntheticSpec};
+use crate::driver::{Request, RequestKind, RequestSource, SyntheticSpec};
 use crate::machine::{Event, Machine};
 use crate::metrics::{BusReport, BusUtilization, RunReport};
 
@@ -22,16 +25,26 @@ use crate::metrics::{BusReport, BusUtilization, RunReport};
 /// data is in global state unmodified is 80 percent".
 const P_UNMODIFIED: f64 = 0.8;
 
-/// Book-keeping for one synthetic run.
-#[derive(Debug)]
-pub(crate) struct SyntheticState {
-    spec: SyntheticSpec,
-    /// Requests each node has yet to issue.
-    remaining: Vec<u64>,
-    /// Accumulated think time per node (ns).
-    think_ns: Vec<f64>,
-    /// Accumulated blocked time per node (ns).
-    blocked_ns: Vec<f64>,
+/// The synthetic workload as a request source: exponential think times
+/// from the machine's RNG, and the line picked at issue time, because
+/// `pick_modified_remote` reads which lines are modified at that instant.
+struct Synthetic {
+    mean_think_ns: f64,
+}
+
+impl RequestSource for Synthetic {
+    fn next(&mut self, machine: &mut Machine, _node: NodeId) -> Option<(f64, Option<Request>)> {
+        Some((machine.rng.exponential(self.mean_think_ns).max(0.0), None))
+    }
+}
+
+/// One node's closed loop: the requests it has yet to issue, and its
+/// think and blocked time (ns) so far.
+#[derive(Debug, Clone, Copy)]
+struct NodeLoop {
+    quota: u64,
+    think_ns: f64,
+    blocked_ns: f64,
 }
 
 impl Machine {
@@ -40,66 +53,80 @@ impl Machine {
     /// exponential think times. Returns the run report; panics on a
     /// coherence violation when checking is enabled.
     pub fn run_synthetic(&mut self, spec: &SyntheticSpec, txns_per_node: u64) -> RunReport {
+        self.synthetic = Some(spec.clone());
+        let mut source = Synthetic {
+            mean_think_ns: spec.mean_think_ns,
+        };
+        self.run_closed_loop(&mut source, txns_per_node)
+    }
+
+    /// The closed-loop driver: every processor thinks, issues one blocking
+    /// request from `source`, and repeats until it has issued
+    /// `txns_per_node` requests or its stream ends. The machine must be
+    /// fresh. At quiescence the coherence invariants are checked when the
+    /// configuration enables checking (a violation panics), and the run's
+    /// report is returned.
+    pub fn run_closed_loop<S: RequestSource>(
+        &mut self,
+        source: &mut S,
+        txns_per_node: u64,
+    ) -> RunReport {
         assert!(
             !self.events_pending() && self.txn_seq == 0,
-            "run_synthetic requires a fresh machine"
+            "a closed-loop run requires a fresh machine"
         );
-        let nn = (self.n * self.n) as usize;
-        self.synthetic = Some(SyntheticState {
-            spec: spec.clone(),
-            remaining: vec![txns_per_node; nn],
-            think_ns: vec![0.0; nn],
-            blocked_ns: vec![0.0; nn],
-        });
-        for idx in 0..nn {
-            self.schedule_next_issue(idx);
+        let start = NodeLoop {
+            quota: txns_per_node,
+            think_ns: 0.0,
+            blocked_ns: 0.0,
+        };
+        let mut loops = vec![start; (self.n * self.n) as usize];
+        for (idx, node_loop) in loops.iter_mut().enumerate() {
+            self.issue_next(source, NodeId::new(idx as u32), node_loop);
         }
         while let Some(ev) = self.next_event() {
             self.handle(ev);
+            while let Some(done) = self.completions.pop_front() {
+                let node_loop = &mut loops[done.node.as_usize()];
+                node_loop.blocked_ns += done.latency.as_nanos() as f64;
+                source.completed(&done);
+                self.issue_next(source, done.node, node_loop);
+            }
         }
         if self.config.checking() {
             self.check_coherence()
-                .expect("coherence violated at end of synthetic run");
+                .expect("coherence violated at end of closed-loop run");
         }
-        self.build_report()
+        self.run_report(&loops)
     }
 
-    /// Schedules the node's next issue after an exponential think time,
-    /// decrementing its quota.
-    fn schedule_next_issue(&mut self, node_idx: usize) {
-        let mean = match self.synthetic.as_mut() {
-            Some(st) if st.remaining[node_idx] > 0 => {
-                st.remaining[node_idx] -= 1;
-                st.spec.mean_think_ns
-            }
-            _ => return,
+    /// Schedules `node`'s next request after its think time, unless its
+    /// quota is spent or its stream has ended.
+    fn issue_next<S: RequestSource>(
+        &mut self,
+        source: &mut S,
+        node: NodeId,
+        node_loop: &mut NodeLoop,
+    ) {
+        if node_loop.quota == 0 {
+            return;
+        }
+        let Some((think_ns, request)) = source.next(self, node) else {
+            node_loop.quota = 0;
+            return;
         };
-        let t = self.rng.exponential(mean).max(0.0);
-        if let Some(st) = self.synthetic.as_mut() {
-            st.think_ns[node_idx] += t;
-        }
-        let node = NodeId::new(node_idx as u32);
-        self.events.schedule_after(
-            t as u64,
-            Event::Issue {
-                node,
-                request: None,
-            },
-        );
-    }
-
-    /// Hook called by [`Machine::finish_txn`] for each completion of a
-    /// synthetic run.
-    pub(crate) fn on_synthetic_completion(&mut self, node: NodeId, latency: SimDuration) {
-        let idx = node.as_usize();
-        let st = self.synthetic.as_mut().expect("a synthetic run is active");
-        st.blocked_ns[idx] += latency.as_nanos() as f64;
-        self.schedule_next_issue(idx);
+        node_loop.quota -= 1;
+        node_loop.think_ns += think_ns;
+        self.events
+            .schedule_after(think_ns as u64, Event::Issue { node, request });
     }
 
     /// Generates the node's next request from the workload spec.
-    pub(crate) fn synthetic_next_request(&mut self, node: NodeId) -> Option<Request> {
-        let spec = self.synthetic.as_ref()?.spec.clone();
+    pub(crate) fn synthetic_next_request(&mut self, node: NodeId) -> Request {
+        let spec = self
+            .synthetic
+            .clone()
+            .expect("a request left to issue time needs run_synthetic's spec");
         let is_write = self.rng.chance(spec.p_write);
         let want_modified = !self.rng.chance(P_UNMODIFIED);
         let line = if want_modified {
@@ -117,7 +144,7 @@ impl Machine {
         } else {
             RequestKind::Read
         };
-        Some(Request::new(kind, line))
+        Request::new(kind, line)
     }
 
     /// A line currently modified in some other node's cache, if one exists.
@@ -171,18 +198,18 @@ impl Machine {
         fallback.unwrap_or_else(|| LineAddr::new(self.rng.below(spec.shared_lines)))
     }
 
-    /// Assembles the run report and tears down the synthetic state.
-    fn build_report(&mut self) -> RunReport {
-        let st = self.synthetic.take().expect("synthetic state");
+    /// Assembles the report of a closed-loop run from each node's `loops`.
+    /// Efficiency is the mean over nodes of think ÷ (think + blocked), 1
+    /// when no node thought or waited.
+    fn run_report(&self, loops: &[NodeLoop]) -> RunReport {
         let now = self.now();
-        let nn = st.think_ns.len();
-
+        let nn = loops.len();
         let mut eff_sum = 0.0;
         let mut eff_count = 0u32;
-        for i in 0..nn {
-            let denom = st.think_ns[i] + st.blocked_ns[i];
+        for t in loops {
+            let denom = t.think_ns + t.blocked_ns;
             if denom > 0.0 {
-                eff_sum += st.think_ns[i] / denom;
+                eff_sum += t.think_ns / denom;
                 eff_count += 1;
             }
         }

@@ -207,7 +207,8 @@ pub struct BusReport {
     pub queue_high_water: usize,
 }
 
-/// The result of a synthetic run ([`crate::Machine::run_synthetic`]).
+/// The result of a closed-loop run ([`crate::Machine::run_closed_loop`]):
+/// a synthetic run or a request stream.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Processors in the machine.
@@ -244,6 +245,14 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Bus operations per completed transaction, local hits included.
+    pub fn ops_per_request(&self) -> f64 {
+        if self.transactions_completed == 0 {
+            return 0.0;
+        }
+        (self.row_bus_ops + self.col_bus_ops) as f64 / self.transactions_completed as f64
+    }
+
     /// Operations per bus transaction, aggregated.
     pub fn ops_per_transaction(&self) -> f64 {
         let txns = self.metrics.bus_transactions();

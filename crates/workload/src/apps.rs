@@ -359,27 +359,34 @@ impl Workload for WebSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::WorkloadRunner;
-    use multicube::{Machine, MachineConfig};
+    use crate::runner::Stream;
+    use multicube::{Machine, MachineConfig, RunReport};
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::grid(2).unwrap(), 11).unwrap()
     }
 
+    /// Runs `workload` for `per_node` requests per node on a fresh 2×2
+    /// machine: the run's report, its kind counts and the machine.
+    fn run<W: Workload>(workload: W, per_node: u64) -> (RunReport, [u64; 5], Machine) {
+        let mut m = machine();
+        let mut stream = Stream::new(workload);
+        let report = m.run_closed_loop(&mut stream, per_node);
+        (report, stream.kind_counts, m)
+    }
+
     #[test]
     fn oltp_exercises_allocate() {
-        let mut m = machine();
-        let report = WorkloadRunner::new(40).run(&mut m, &mut Oltp::new(16));
-        assert_eq!(report.requests_completed, 160);
-        assert!(report.kind_counts[2] > 0, "log appends must allocate");
-        assert!(report.kind_counts[0] > report.kind_counts[1]);
+        let (report, kinds, _) = run(Oltp::new(16), 40);
+        assert_eq!(report.transactions_completed, 160);
+        assert!(kinds[2] > 0, "log appends must allocate");
+        assert!(kinds[0] > kinds[1]);
     }
 
     #[test]
     fn producer_consumer_transfers_ownership() {
-        let mut m = machine();
-        let report = WorkloadRunner::new(40).run(&mut m, &mut ProducerConsumer::new());
-        assert_eq!(report.requests_completed, 160);
+        let (report, _, m) = run(ProducerConsumer::new(), 40);
+        assert_eq!(report.transactions_completed, 160);
         // The consumer's reads hit remotely-modified lines, so traffic is
         // dominated by cache-to-cache transfers, not memory.
         assert!(m.metrics().read_modified.count > 0);
@@ -387,50 +394,35 @@ mod tests {
 
     #[test]
     fn phased_numeric_alternates_private_and_boundary() {
-        let mut m = machine();
-        let report = WorkloadRunner::new(60).run(&mut m, &mut PhasedNumeric::new(2, 4));
-        assert_eq!(report.requests_completed, 240);
+        let (report, _, _) = run(PhasedNumeric::new(2, 4), 60);
+        assert_eq!(report.transactions_completed, 240);
         // Private phases make most accesses local after warmup.
-        assert!(report.ops_per_request < 4.0);
+        assert!(report.ops_per_request() < 4.0);
     }
 
     #[test]
     fn search_probes_locks() {
-        let mut m = machine();
-        let report = WorkloadRunner::new(80).run(&mut m, &mut Search::new(64, 4));
-        assert_eq!(report.requests_completed, 320);
-        assert!(report.kind_counts[3] > 0, "lock probes must happen");
+        let (report, kinds, _) = run(Search::new(64, 4), 80);
+        assert_eq!(report.transactions_completed, 320);
+        assert!(kinds[3] > 0, "lock probes must happen");
     }
 
     #[test]
     fn web_session_is_read_heavy_with_hot_writes() {
-        let mut m = machine();
-        let report = WorkloadRunner::new(200).run(&mut m, &mut WebSession::new(512, 0.8));
-        assert_eq!(report.requests_completed, 800);
+        let (report, kinds, m) = run(WebSession::new(512, 0.8), 200);
+        assert_eq!(report.transactions_completed, 800);
         // Content fetches dominate...
-        assert!(report.kind_counts[0] > report.kind_counts[1] * 2);
+        assert!(kinds[0] > kinds[1] * 2);
         // ...but the shared hit counters still force invalidations.
         assert!(m.metrics().invalidations.get() > 0);
         // Session logs append whole lines.
-        assert!(report.kind_counts[2] > 0);
+        assert!(kinds[2] > 0);
     }
 
     #[test]
     fn workloads_have_distinct_traffic_profiles() {
-        let ops = |w: &mut dyn FnMut(&mut Machine) -> f64| {
-            let mut m = machine();
-            w(&mut m)
-        };
-        let oltp = ops(&mut |m| {
-            WorkloadRunner::new(50)
-                .run(m, &mut Oltp::new(16))
-                .ops_per_request
-        });
-        let pc = ops(&mut |m| {
-            WorkloadRunner::new(50)
-                .run(m, &mut ProducerConsumer::new())
-                .ops_per_request
-        });
+        let oltp = run(Oltp::new(16), 50).0.ops_per_request();
+        let pc = run(ProducerConsumer::new(), 50).0.ops_per_request();
         // Producer/consumer ping-pong generates more traffic per request
         // than index-cached OLTP.
         assert!(pc > oltp * 0.5, "profiles should differ meaningfully");

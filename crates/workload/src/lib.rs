@@ -3,9 +3,13 @@
 //! The paper motivates the machine with "high-transaction database
 //! systems, large-scale simulation models, and artificial intelligence
 //! applications, as well as a host of numerical methods" (§1). This crate
-//! provides request-stream generators in those styles, plus a runner that
-//! drives a [`multicube::Machine`] with them and reports efficiency and
-//! traffic:
+//! provides request-stream generators in those styles. A [`Stream`] makes
+//! any of them the request source of the machine's closed-loop driver
+//! ([`multicube::Machine::run_closed_loop`]), whose
+//! [`multicube::RunReport`] gives efficiency and traffic; the stream keeps
+//! the latency distribution and per-node and per-kind counts.
+//! [`WorkloadRunner`] projects both into one [`WorkloadReport`], the form
+//! the benchmark harness reads:
 //!
 //! * [`Oltp`] — database transactions: hot shared index reads, private
 //!   tuple updates, whole-line log appends (exercising ALLOCATE).
@@ -28,12 +32,14 @@
 //!
 //! ```
 //! use multicube::{Machine, MachineConfig};
-//! use multicube_workload::{Oltp, WorkloadRunner};
+//! use multicube_workload::{Oltp, Stream};
 //!
 //! let mut machine = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
-//! let report = WorkloadRunner::new(50).run(&mut machine, &mut Oltp::new(4));
-//! assert_eq!(report.requests_completed, 50 * 4);
+//! let mut stream = Stream::new(Oltp::new(4));
+//! let report = machine.run_closed_loop(&mut stream, 50);
+//! assert_eq!(report.transactions_completed, 50 * 4);
 //! assert!(report.efficiency > 0.0);
+//! assert_eq!(stream.kind_counts.iter().sum::<u64>(), 50 * 4);
 //! ```
 
 pub mod apps;
@@ -41,7 +47,7 @@ pub mod runner;
 pub mod trace;
 
 pub use apps::{Oltp, PhasedNumeric, ProducerConsumer, Search, WebSession};
-pub use runner::{Workload, WorkloadReport, WorkloadRunner};
+pub use runner::{Stream, Workload, WorkloadReport, WorkloadRunner};
 pub use trace::{
     StreamingPlayer, TraceDecodeError, TraceRecord, TraceRecorder, TraceV2Reader, TraceV2Writer,
 };

@@ -1,15 +1,19 @@
-//! The workload runner: drives a machine with per-node request streams.
+//! Request streams as the sources of closed-loop runs, and the runner
+//! that projects a stream's run into a [`WorkloadReport`].
 
-use multicube::{Machine, Request, RequestKind};
+use multicube::{Completion, Machine, Request, RequestKind, RequestSource};
 use multicube_sim::stats::{Histogram, OnlineStats};
 use multicube_sim::{DeterministicRng, SimTime};
 use multicube_topology::NodeId;
 
+/// The generator seed of a [`Stream`] or [`WorkloadRunner`] not given one.
+const DEFAULT_SEED: u64 = 0xABCD_EF01;
+
 /// A per-node request stream.
 ///
-/// The runner calls [`Workload::next`] once per node initially and then
+/// A [`Stream`] calls [`Workload::next`] once per node initially and then
 /// after each completion; returning `None` retires the node early (before
-/// the runner's request quota).
+/// the run's request quota).
 pub trait Workload {
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -18,37 +22,111 @@ pub trait Workload {
     fn next(&mut self, node: NodeId, rng: &mut DeterministicRng) -> Option<(u64, Request)>;
 }
 
-/// Summary of one workload run.
+impl<W: Workload + ?Sized> Workload for &mut W {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn next(&mut self, node: NodeId, rng: &mut DeterministicRng) -> Option<(u64, Request)> {
+        (**self).next(node, rng)
+    }
+}
+
+/// A [`Workload`] as the request source of a closed-loop run
+/// ([`Machine::run_closed_loop`]).
+///
+/// It decides each node's next request when the node's previous one
+/// completes, drawing from its own RNG, and keeps the serving summary that
+/// [`multicube::RunReport`] lacks.
+///
+/// # Example
+///
+/// See the [crate-level example](crate).
+#[derive(Debug)]
+pub struct Stream<W> {
+    workload: W,
+    rng: DeterministicRng,
+    /// Latency over all completions, recorded in completion order (ns).
+    pub latency_ns: OnlineStats,
+    /// Latency distribution over all completions (power-of-two ns
+    /// buckets; the percentile source for the serving tier).
+    pub latency_hist: Histogram,
+    /// Per-node latency statistics (fairness and starvation analysis).
+    pub node_latency_ns: Vec<OnlineStats>,
+    /// Reads / writes / allocates / test-and-sets / writebacks completed.
+    pub kind_counts: [u64; 5],
+}
+
+impl<W: Workload> Stream<W> {
+    /// A stream of `workload`'s requests.
+    pub fn new(workload: W) -> Self {
+        Stream {
+            workload,
+            rng: DeterministicRng::seed(DEFAULT_SEED),
+            latency_ns: OnlineStats::new(),
+            latency_hist: Histogram::new(),
+            node_latency_ns: Vec::new(),
+            kind_counts: [0; 5],
+        }
+    }
+
+    /// Sets the generator RNG seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.rng = DeterministicRng::seed(seed);
+        self
+    }
+}
+
+impl<W: Workload> RequestSource for Stream<W> {
+    fn next(&mut self, machine: &mut Machine, node: NodeId) -> Option<(f64, Option<Request>)> {
+        if self.node_latency_ns.is_empty() {
+            let nodes = machine.side() * machine.side();
+            self.node_latency_ns = vec![OnlineStats::new(); nodes as usize];
+        }
+        let (delay, request) = self.workload.next(node, &mut self.rng)?;
+        Some((delay as f64, Some(request)))
+    }
+
+    fn completed(&mut self, done: &Completion) {
+        let ns = done.latency.as_nanos() as f64;
+        self.latency_ns.record(ns);
+        self.latency_hist.record_duration(done.latency);
+        self.node_latency_ns[done.node.as_usize()].record(ns);
+        let k = match done.kind {
+            RequestKind::Read => 0,
+            RequestKind::Write => 1,
+            RequestKind::Allocate => 2,
+            RequestKind::TestAndSet => 3,
+            RequestKind::Writeback => 4,
+        };
+        self.kind_counts[k] += 1;
+    }
+}
+
+/// Summary of one [`WorkloadRunner`] run: its [`multicube::RunReport`]
+/// and [`Stream`] summary, projected.
 #[derive(Debug, Clone)]
 pub struct WorkloadReport {
-    /// Workload name.
-    pub name: &'static str,
     /// Requests completed across all nodes.
     pub requests_completed: u64,
     /// Mean processor efficiency (think time over total time).
     pub efficiency: f64,
     /// Total bus operations.
     pub bus_ops: u64,
-    /// Bus operations per request.
-    pub ops_per_request: f64,
     /// Latency statistics over all requests (ns).
     pub latency_ns: OnlineStats,
-    /// Latency distribution over all requests (power-of-two ns buckets;
-    /// the percentile source for the serving tier).
+    /// Latency distribution over all requests (power-of-two ns buckets).
     pub latency_hist: Histogram,
-    /// Per-node latency statistics (fairness and starvation analysis).
-    pub node_latency_ns: Vec<OnlineStats>,
     /// Reads / writes / allocates / test-and-sets / writebacks completed.
     pub kind_counts: [u64; 5],
     /// Total simulated time.
     pub elapsed: SimTime,
 }
 
-/// Drives every node of a machine through a [`Workload`].
-///
-/// # Example
-///
-/// See the [crate-level example](crate).
+/// Drives every node of a fresh machine through a [`Workload`]: a
+/// [`Stream`] run of the closed-loop driver, reported as a
+/// [`WorkloadReport`].
 #[derive(Debug, Clone)]
 pub struct WorkloadRunner {
     requests_per_node: u64,
@@ -60,7 +138,7 @@ impl WorkloadRunner {
     pub fn new(requests_per_node: u64) -> Self {
         WorkloadRunner {
             requests_per_node,
-            seed: 0xABCD_EF01,
+            seed: DEFAULT_SEED,
         }
     }
 
@@ -71,105 +149,19 @@ impl WorkloadRunner {
         self
     }
 
-    /// Runs `workload` on `machine` until every node has completed its
-    /// quota (or its stream ended). Verifies coherence at the end.
+    /// Runs `workload` on the fresh `machine` until every node has
+    /// completed its quota (or its stream ended).
     pub fn run<W: Workload>(&self, machine: &mut Machine, workload: &mut W) -> WorkloadReport {
-        let n = machine.side();
-        let count = (n * n) as usize;
-        let mut rng = DeterministicRng::seed(self.seed);
-        let mut remaining = vec![self.requests_per_node; count];
-        let mut think_ns = vec![0.0f64; count];
-        let mut blocked_ns = vec![0.0f64; count];
-        let mut latency = OnlineStats::new();
-        let mut latency_hist = Histogram::new();
-        let mut node_latency = vec![OnlineStats::new(); count];
-        let mut kind_counts = [0u64; 5];
-        let mut completed = 0u64;
-
-        let issue_next = |machine: &mut Machine,
-                          workload: &mut W,
-                          rng: &mut DeterministicRng,
-                          remaining: &mut [u64],
-                          think_ns: &mut [f64],
-                          node: NodeId| {
-            let idx = node.as_usize();
-            if remaining[idx] == 0 {
-                return;
-            }
-            if let Some((delay, req)) = workload.next(node, rng) {
-                remaining[idx] -= 1;
-                think_ns[idx] += delay as f64;
-                machine.submit_at(node, req, machine.now() + delay);
-            } else {
-                remaining[idx] = 0;
-            }
-        };
-
-        for i in 0..count {
-            issue_next(
-                machine,
-                workload,
-                &mut rng,
-                &mut remaining,
-                &mut think_ns,
-                NodeId::new(i as u32),
-            );
-        }
-
-        while let Some(c) = machine.advance() {
-            completed += 1;
-            let idx = c.node.as_usize();
-            blocked_ns[idx] += c.latency.as_nanos() as f64;
-            latency.record(c.latency.as_nanos() as f64);
-            latency_hist.record_duration(c.latency);
-            node_latency[idx].record(c.latency.as_nanos() as f64);
-            let k = match c.kind {
-                RequestKind::Read => 0,
-                RequestKind::Write => 1,
-                RequestKind::Allocate => 2,
-                RequestKind::TestAndSet => 3,
-                RequestKind::Writeback => 4,
-            };
-            kind_counts[k] += 1;
-            issue_next(
-                machine,
-                workload,
-                &mut rng,
-                &mut remaining,
-                &mut think_ns,
-                c.node,
-            );
-        }
-
-        machine
-            .check_coherence()
-            .expect("coherent after workload run");
-
-        let mut eff = 0.0;
-        let mut eff_n = 0u32;
-        for i in 0..count {
-            let denom = think_ns[i] + blocked_ns[i];
-            if denom > 0.0 {
-                eff += think_ns[i] / denom;
-                eff_n += 1;
-            }
-        }
-        let (row, col) = machine.bus_op_totals();
+        let mut stream = Stream::new(workload).with_seed(self.seed);
+        let run = machine.run_closed_loop(&mut stream, self.requests_per_node);
         WorkloadReport {
-            name: workload.name(),
-            requests_completed: completed,
-            efficiency: if eff_n > 0 { eff / eff_n as f64 } else { 1.0 },
-            bus_ops: row + col,
-            ops_per_request: if completed > 0 {
-                (row + col) as f64 / completed as f64
-            } else {
-                0.0
-            },
-            latency_ns: latency,
-            latency_hist,
-            node_latency_ns: node_latency,
-            kind_counts,
-            elapsed: machine.now(),
+            requests_completed: run.transactions_completed,
+            efficiency: run.efficiency,
+            bus_ops: run.row_bus_ops + run.col_bus_ops,
+            latency_ns: stream.latency_ns,
+            latency_hist: stream.latency_hist,
+            kind_counts: stream.kind_counts,
+            elapsed: run.elapsed,
         }
     }
 }
@@ -196,11 +188,10 @@ mod tests {
     #[test]
     fn runner_completes_quota() {
         let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 7).unwrap();
-        let report = WorkloadRunner::new(20).run(&mut m, &mut PrivateReads);
-        assert_eq!(report.requests_completed, 20 * 4);
-        assert_eq!(report.name, "private-reads");
+        let report = m.run_closed_loop(&mut Stream::new(PrivateReads), 20);
+        assert_eq!(report.transactions_completed, 20 * 4);
         // After the first fetch, every read is a local hit.
-        assert!(report.ops_per_request < 1.0);
+        assert!(report.ops_per_request() < 1.0);
         assert!(report.efficiency > 0.8);
     }
 

@@ -311,20 +311,20 @@ fn record_bytewise(bytes: &[u8]) -> Result<(TraceRecord, usize), TraceDecodeErro
 ///
 /// ```
 /// use multicube::{Machine, MachineConfig};
-/// use multicube_workload::{Oltp, TraceRecorder, TraceV2Reader, TraceV2Writer, WorkloadRunner};
+/// use multicube_workload::{Oltp, Stream, TraceRecorder, TraceV2Reader, TraceV2Writer};
 ///
 /// // Record an OLTP run...
 /// let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 3).unwrap();
 /// let mut recorder = TraceRecorder::new(Oltp::new(8), TraceV2Writer::new(4, 16));
-/// WorkloadRunner::new(10).run(&mut m, &mut recorder);
+/// m.run_closed_loop(&mut Stream::new(&mut recorder), 10);
 /// let bytes = recorder.finish();
 ///
 /// // ...then validate and replay it.
 /// let reader = TraceV2Reader::new(&bytes).unwrap();
 /// assert_eq!(reader.record_count(), 40);
 /// let mut m2 = Machine::new(MachineConfig::grid(2).unwrap(), 3).unwrap();
-/// let report = WorkloadRunner::new(10).run(&mut m2, &mut reader.player());
-/// assert_eq!(report.requests_completed, 40);
+/// let report = m2.run_closed_loop(&mut Stream::new(reader.player()), 10);
+/// assert_eq!(report.transactions_completed, 40);
 /// ```
 #[derive(Debug)]
 pub struct TraceRecorder<W> {
@@ -673,8 +673,8 @@ impl Workload for StreamingPlayer<'_> {
 mod tests {
     use super::*;
     use crate::apps::Oltp;
-    use crate::runner::WorkloadRunner;
-    use multicube::{Machine, MachineConfig};
+    use crate::runner::Stream;
+    use multicube::{Machine, MachineConfig, RunReport};
 
     /// `count` records over `nodes` nodes: record `i` goes to node
     /// `i % nodes` with delay `i * 10`, line `i` and every kind in turn.
@@ -945,25 +945,29 @@ mod tests {
     }
 
     /// Records a 2×2 OLTP run of `per_node` requests per node.
-    fn record_oltp(per_node: u64) -> (crate::WorkloadReport, Vec<u8>) {
+    fn record_oltp(per_node: u64) -> (RunReport, [u64; 5], Vec<u8>) {
         let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
         let mut rec = TraceRecorder::new(Oltp::new(8), TraceV2Writer::new(4, 16));
-        let report = WorkloadRunner::new(per_node).run(&mut m, &mut rec);
-        (report, rec.finish())
+        let mut stream = Stream::new(&mut rec);
+        let report = m.run_closed_loop(&mut stream, per_node);
+        let kinds = stream.kind_counts;
+        (report, kinds, rec.finish())
     }
 
     #[test]
     fn record_then_replay_gives_identical_machine_behaviour() {
-        let (live, bytes) = record_oltp(25);
+        let (live, live_kinds, bytes) = record_oltp(25);
         let reader = TraceV2Reader::new(&bytes).unwrap();
-        assert_eq!(reader.record_count(), live.requests_completed);
+        assert_eq!(reader.record_count(), live.transactions_completed);
 
         let mut m = Machine::new(MachineConfig::grid(2).unwrap(), 5).unwrap();
-        let replay = WorkloadRunner::new(25).run(&mut m, &mut reader.player());
-        assert_eq!(replay.requests_completed, live.requests_completed);
+        let mut stream = Stream::new(reader.player());
+        let replay = m.run_closed_loop(&mut stream, 25);
+        assert_eq!(replay.transactions_completed, live.transactions_completed);
         assert_eq!(replay.elapsed, live.elapsed);
-        assert_eq!(replay.kind_counts, live.kind_counts);
-        assert_eq!(replay.bus_ops, live.bus_ops);
+        assert_eq!(stream.kind_counts, live_kinds);
+        assert_eq!(replay.row_bus_ops, live.row_bus_ops);
+        assert_eq!(replay.col_bus_ops, live.col_bus_ops);
         assert_eq!(
             replay.efficiency.to_bits(),
             live.efficiency.to_bits(),
@@ -973,14 +977,14 @@ mod tests {
 
     #[test]
     fn replay_on_different_machine_config_is_valid() {
-        let (_, bytes) = record_oltp(15);
+        let (_, _, bytes) = record_oltp(15);
         let reader = TraceV2Reader::new(&bytes).unwrap();
 
         // Same trace, different block size: still coherent and complete.
         let config = MachineConfig::grid(2).unwrap().with_block_words(64);
         let mut m = Machine::new(config, 99).unwrap();
-        let report = WorkloadRunner::new(15).run(&mut m, &mut reader.player());
-        assert_eq!(report.requests_completed, 60);
+        let report = m.run_closed_loop(&mut Stream::new(reader.player()), 15);
+        assert_eq!(report.transactions_completed, 60);
     }
 
     #[test]

@@ -9,8 +9,7 @@ use multicube_mem::LineAddr;
 use multicube_sim::DeterministicRng;
 use multicube_topology::NodeId;
 use multicube_workload::{
-    TraceDecodeError, TraceRecord, TraceRecorder, TraceV2Reader, TraceV2Writer, Workload,
-    WorkloadRunner,
+    Stream, TraceDecodeError, TraceRecord, TraceRecorder, TraceV2Reader, TraceV2Writer, Workload,
 };
 use proptest::prelude::*;
 
@@ -266,7 +265,7 @@ fn four_by_four_replay_touches_each_record_exactly_once() {
 }
 
 /// The same exactly-once property holds when a 4×4 machine drives the
-/// replay through the runner.
+/// replay through the closed-loop driver.
 #[test]
 fn four_by_four_machine_replay_completes_every_record() {
     let mut m = Machine::new(MachineConfig::grid(4).unwrap(), 21).unwrap();
@@ -274,14 +273,14 @@ fn four_by_four_machine_replay_completes_every_record() {
         multicube_workload::Oltp::new(32),
         TraceV2Writer::new(16, 64),
     );
-    let original = WorkloadRunner::new(30).run(&mut m, &mut rec);
+    let original = m.run_closed_loop(&mut Stream::new(&mut rec), 30);
     let bytes = rec.finish();
     let reader = TraceV2Reader::new(&bytes).unwrap();
-    assert_eq!(reader.record_count(), original.requests_completed);
+    assert_eq!(reader.record_count(), original.transactions_completed);
 
     let mut m2 = Machine::new(MachineConfig::grid(4).unwrap(), 21).unwrap();
     let mut player = reader.player();
-    let replay = WorkloadRunner::new(30).run(&mut m2, &mut player);
-    assert_eq!(replay.requests_completed, reader.record_count());
+    let replay = m2.run_closed_loop(&mut Stream::new(&mut player), 30);
+    assert_eq!(replay.transactions_completed, reader.record_count());
     assert_eq!(player.served(), reader.record_count());
 }

@@ -11,7 +11,7 @@
 //! ```
 
 use multicube_suite::machine::{Machine, MachineConfig};
-use multicube_suite::workload::{Oltp, WorkloadRunner};
+use multicube_suite::workload::{Oltp, Stream};
 
 fn main() {
     println!(
@@ -24,17 +24,17 @@ fn main() {
     for side in [2u32, 4, 8] {
         let config = MachineConfig::grid(side).expect("valid grid");
         let mut machine = Machine::new(config, 1234).expect("valid config");
-        let mut oltp = Oltp::new(64);
-        let report = WorkloadRunner::new(120).run(&mut machine, &mut oltp);
+        let mut stream = Stream::new(Oltp::new(64));
+        let report = machine.run_closed_loop(&mut stream, 120);
         println!(
             "{:>4}x{:<1} {:>8} {:>12.4} {:>12.2} {:>14.0} {:>12}",
             side,
             side,
             side * side,
             report.efficiency,
-            report.ops_per_request,
-            report.latency_ns.mean(),
-            report.kind_counts[2]
+            report.ops_per_request(),
+            stream.latency_ns.mean(),
+            stream.kind_counts[2]
         );
     }
     println!();

@@ -11,7 +11,7 @@
 //! ```
 
 use multicube_suite::machine::{Machine, MachineConfig};
-use multicube_suite::workload::{PhasedNumeric, WorkloadRunner};
+use multicube_suite::workload::{PhasedNumeric, Stream};
 
 fn main() {
     println!("Stencil phases on a 4x4 machine, varying the compute:exchange ratio");
@@ -22,13 +22,13 @@ fn main() {
     for phase_len in [2u8, 8, 32] {
         let config = MachineConfig::grid(4).expect("valid grid");
         let mut machine = Machine::new(config, 99).expect("valid config");
-        let mut stencil = PhasedNumeric::new(4, phase_len);
-        let report = WorkloadRunner::new(200).run(&mut machine, &mut stencil);
+        let mut stencil = Stream::new(PhasedNumeric::new(4, phase_len));
+        let report = machine.run_closed_loop(&mut stencil, 200);
         println!(
             "{:>12} {:>12.4} {:>14.3} {:>16} {:>14}",
             phase_len,
             report.efficiency,
-            report.ops_per_request,
+            report.ops_per_request(),
             machine.metrics().read_modified.count,
             machine.metrics().invalidations.get()
         );

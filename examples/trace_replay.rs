@@ -8,15 +8,13 @@
 //! ```
 
 use multicube_suite::machine::{Machine, MachineConfig};
-use multicube_suite::workload::{
-    Oltp, TraceRecorder, TraceV2Reader, TraceV2Writer, WorkloadRunner,
-};
+use multicube_suite::workload::{Oltp, Stream, TraceRecorder, TraceV2Reader, TraceV2Writer};
 
 fn main() {
     // Record a 4x4 OLTP run, 256 records per chunk.
     let mut machine = Machine::new(MachineConfig::grid(4).unwrap(), 7).unwrap();
     let mut recorder = TraceRecorder::new(Oltp::new(64), TraceV2Writer::new(16, 256));
-    let original = WorkloadRunner::new(100).run(&mut machine, &mut recorder);
+    let original = machine.run_closed_loop(&mut Stream::new(&mut recorder), 100);
     let bytes = recorder.finish();
     let trace = TraceV2Reader::new(&bytes).expect("valid trace");
     println!(
@@ -24,7 +22,7 @@ fn main() {
         trace.record_count(),
         bytes.len(),
         original.efficiency,
-        original.ops_per_request
+        original.ops_per_request()
     );
 
     // Replay the very same reference stream under different block sizes —
@@ -38,13 +36,14 @@ fn main() {
     for block in [4u32, 16, 64] {
         let config = MachineConfig::grid(4).unwrap().with_block_words(block);
         let mut m = Machine::new(config, 7).unwrap();
-        let report = WorkloadRunner::new(100).run(&mut m, &mut trace.player());
+        let mut replay = Stream::new(trace.player());
+        let report = m.run_closed_loop(&mut replay, 100);
         println!(
             "{:>12} {:>12.4} {:>14.2} {:>14.0}",
             block,
             report.efficiency,
-            report.ops_per_request,
-            report.latency_ns.mean()
+            report.ops_per_request(),
+            replay.latency_ns.mean()
         );
     }
     println!();

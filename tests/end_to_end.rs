@@ -6,7 +6,9 @@ use multicube_suite::mem::LineAddr;
 use multicube_suite::mva::{solve, ModelParams};
 use multicube_suite::sync::{Barrier, LockExperiment, QueueLock, SpinLock};
 use multicube_suite::topology::NodeId;
-use multicube_suite::workload::{Oltp, PhasedNumeric, ProducerConsumer, Search, WorkloadRunner};
+use multicube_suite::workload::{
+    Oltp, PhasedNumeric, ProducerConsumer, Search, Stream, WebSession, Workload,
+};
 
 #[test]
 fn model_and_simulation_agree_on_efficiency() {
@@ -26,32 +28,19 @@ fn model_and_simulation_agree_on_efficiency() {
 
 #[test]
 fn every_workload_leaves_the_machine_coherent() {
-    // WorkloadRunner::run checks coherence internally; exercise all four.
-    let run = |f: &mut dyn FnMut(&mut Machine) -> u64| {
+    // The closed-loop driver checks coherence at the end of every run
+    // whose configuration enables checking, as `grid` does; exercise all
+    // four.
+    fn run<W: Workload>(workload: W) -> u64 {
         let mut m = Machine::new(MachineConfig::grid(4).unwrap(), 21).unwrap();
-        f(&mut m)
-    };
+        m.run_closed_loop(&mut Stream::new(workload), 30)
+            .transactions_completed
+    }
     let counts = [
-        run(&mut |m| {
-            WorkloadRunner::new(30)
-                .run(m, &mut Oltp::new(32))
-                .requests_completed
-        }),
-        run(&mut |m| {
-            WorkloadRunner::new(30)
-                .run(m, &mut ProducerConsumer::new())
-                .requests_completed
-        }),
-        run(&mut |m| {
-            WorkloadRunner::new(30)
-                .run(m, &mut PhasedNumeric::new(4, 4))
-                .requests_completed
-        }),
-        run(&mut |m| {
-            WorkloadRunner::new(30)
-                .run(m, &mut Search::new(64, 4))
-                .requests_completed
-        }),
+        run(Oltp::new(32)),
+        run(ProducerConsumer::new()),
+        run(PhasedNumeric::new(4, 4)),
+        run(Search::new(64, 4)),
     ];
     assert!(counts.iter().all(|&c| c == 30 * 16), "{counts:?}");
 }
@@ -121,20 +110,60 @@ fn io_dma_pattern_streams_through_a_snooping_cache() {
     m.check_coherence().unwrap();
 }
 
+/// What a stream run produces, pinned: requests, bus ops, elapsed ns,
+/// efficiency bits, mean-latency bits, p99 bucket and kind counts.
+type StreamPin = (u64, u64, u64, u64, u64, u64, [u64; 5]);
+
+/// A 40-request-per-node stream on a 4×4 machine, seed 77, generator
+/// seed 5.
+fn stream_pin<W: Workload>(workload: W) -> StreamPin {
+    let mut m = Machine::new(MachineConfig::grid(4).unwrap(), 77).unwrap();
+    let mut stream = Stream::new(workload).with_seed(5);
+    let report = m.run_closed_loop(&mut stream, 40);
+    (
+        report.transactions_completed,
+        report.row_bus_ops + report.col_bus_ops,
+        report.elapsed.as_nanos(),
+        report.efficiency.to_bits(),
+        stream.latency_ns.mean().to_bits(),
+        stream
+            .latency_hist
+            .quantile(0.99)
+            .expect("requests completed"),
+        stream.kind_counts,
+    )
+}
+
+/// A replay reproduces itself, and the pinned values catch any change to
+/// what the stream path produces: the serving study's full-mode artifact
+/// is the only other check of it.
 #[test]
 fn whole_stack_is_deterministic() {
-    let run = || {
-        let mut m = Machine::new(MachineConfig::grid(4).unwrap(), 77).unwrap();
-        let report = WorkloadRunner::new(40)
-            .with_seed(5)
-            .run(&mut m, &mut Oltp::new(16));
+    assert_eq!(stream_pin(Oltp::new(16)), stream_pin(Oltp::new(16)));
+    assert_eq!(
+        stream_pin(Oltp::new(16)),
         (
-            report.requests_completed,
-            report.bus_ops,
-            report.latency_ns.mean().to_bits(),
+            640,
+            2_843,
+            236_295,
+            0x3fe6_823c_9c3b_74ce,
+            0x409a_60d7_ffff_ffff,
+            4_096,
+            [320, 160, 160, 0, 0]
         )
-    };
-    assert_eq!(run(), run());
+    );
+    assert_eq!(
+        stream_pin(WebSession::new(512, 0.8)),
+        (
+            640,
+            2_515,
+            246_134,
+            0x3fe0_dda4_9f88_2bce,
+            0x40a5_2edd_9999_9995,
+            4_096,
+            [471, 156, 13, 0, 0]
+        )
+    );
 }
 
 #[test]
