@@ -37,11 +37,13 @@
 //!   --out DIR write the BENCH_* artifacts into DIR (default: .)
 //! ```
 //!
-//! A simulated point that panics is contained: its figure or table prints
-//! without it and the failure, with its replay coordinates, goes to
-//! stderr once. A study that lost points writes no `BENCH_*` artifact and
-//! says so on stderr, and the run goes on. After all output, `figures`
-//! exits nonzero if any point failed.
+//! Every measured point — a simulated figure point, a table row, a cube,
+//! a serving-tier replay, an engine's model check — is a job of the one
+//! runner (`multicube_bench::measure`). A point that panics is contained:
+//! its figure or table prints without it and the failure, with its
+//! replay coordinates, goes to stderr once. A study that lost points
+//! writes no `BENCH_*` artifact and says so on stderr, and the run goes
+//! on. After all output, `figures` exits nonzero if any point failed.
 
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -49,15 +51,14 @@ use std::process::ExitCode;
 
 use multicube::{MachineConfig, SyntheticSpec};
 use multicube_bench::{
-    baseline_rows, collect_failures, costs_table, fault_sweep_rows, mlt_rows, render_bus_telemetry,
-    render_class_stats, render_cube_study, render_fault_sweep, render_resilience,
-    render_scaling_json, render_scaling_study, render_series, render_serve, render_serve_json,
-    render_shootout, robustness_rows, run_cube_study, run_points, run_serve, run_shootout,
-    scaling_rows, series_view, sim_figure2, sim_figure3, sim_figure4, sim_latency_modes,
-    snarf_rows, sync_rows, validate_scaling_report, validate_serve_report, write_bus_telemetry_csv,
-    write_class_stats_csv, write_fault_sweep_csv, write_series_csv, write_serve_csv,
-    write_shootout_csv, CubeStudyConfig, Measured, PointFailure, Pool, ServeConfig, SimPoint,
-    SimSeries, SweepConfig, FIGURE2_SIDES,
+    baseline_rows, collect_failures, costs_table, fault_sweep_rows, measure, mlt_rows,
+    render_bus_telemetry, render_class_stats, render_cube_study, render_fault_sweep,
+    render_resilience, render_scaling_json, render_scaling_study, render_series, render_serve,
+    render_serve_json, render_shootout, robustness_rows, run_cube_study, run_points, run_serve,
+    run_shootout, scaling_rows, series_view, sim_figure2, sim_figure3, sim_figure4,
+    sim_latency_modes, snarf_rows, sync_rows, write_bus_telemetry_csv, write_class_stats_csv,
+    write_fault_sweep_csv, write_series_csv, write_shootout_csv, CubeStudyConfig, Measured, Point,
+    PointFailure, Pool, ServeConfig, SimPoint, SimSeries, SweepConfig, FIGURE2_SIDES,
 };
 use multicube_mva::figures as mva;
 use multicube_mva::FigureSeries;
@@ -257,7 +258,7 @@ fn costs(opts: &Options) {
         "{:<42} {:>16} {:>9} {:>9} {:>6}",
         "scenario", "paper bound", "row ops", "col ops", "ok"
     );
-    for row in costs_table(n) {
+    for row in opts.rows("T-6.1", costs_table(&opts.pool, n)) {
         println!(
             "{:<42} {:>16} {:>9.1} {:>9.1} {:>6}",
             row.scenario,
@@ -270,9 +271,18 @@ fn costs(opts: &Options) {
     println!();
 }
 
-fn scaling(opts: &Options, sims: &[SimSeries]) {
+/// The cube study's configuration: quick or full, on the pool's workers.
+fn cube_config(opts: &Options) -> CubeStudyConfig {
+    if opts.quick {
+        CubeStudyConfig::quick(opts.pool.workers())
+    } else {
+        CubeStudyConfig::full(opts.pool.workers())
+    }
+}
+
+fn scaling(opts: &Options, sims: &[SimSeries], cube: &CubeStudyConfig) {
     scaling_formulas();
-    scaling_study(opts, sims);
+    scaling_study(opts, sims, cube);
 }
 
 fn scaling_formulas() {
@@ -299,28 +309,22 @@ fn scaling_formulas() {
 
 /// The measured scaling study: the simulated Figure 2 `sims` — n ∈
 /// {8,16,24,32} (64–1024 processors) across the figure's rates, on its
-/// seeds — with bus operations and completions per point, plus the cube
+/// seeds — with bus operations and completions per point, plus the `cube`
 /// study (n³ = 512–32768 processors, the planes run in parallel after two
 /// depth-traffic exchanges), written together as `BENCH_scaling.json`
-/// alongside the printed tables. Every field is deterministic, so the
-/// artifact is byte-identical at every worker count — the CI
-/// pool-determinism job diffs exactly that — and a full run reproduces
-/// the committed file.
-fn scaling_study(opts: &Options, sims: &[SimSeries]) {
+/// alongside the printed tables unless either half lost a point. Every
+/// field is deterministic, so the artifact is byte-identical at every
+/// worker count — the CI pool-determinism job diffs exactly that — and a
+/// full run reproduces the committed file.
+fn scaling_study(opts: &Options, sims: &[SimSeries], cube: &CubeStudyConfig) {
     let (sides, sweep) = (grid_sides(opts), sweep(opts));
     println!("{}", render_scaling_study(&sides, sims));
-    let cube_cfg = if opts.quick {
-        CubeStudyConfig::quick(opts.pool.workers())
-    } else {
-        CubeStudyConfig::full(opts.pool.workers())
-    };
-    let cube = run_cube_study(&cube_cfg);
-    println!("{}", render_cube_study(&cube));
-    let failed = collect_failures(sims).len();
+    let study = run_cube_study(cube);
+    let failed = collect_failures(sims).len() + study.failures.len();
+    let points = opts.rows("Cube scaling study", study);
+    println!("{}", render_cube_study(cube, &points));
     opts.artifact("BENCH_scaling.json", failed, |path| {
-        let json = render_scaling_json(&sides, &sweep, sims, Some(&cube));
-        validate_scaling_report(&json, &sides, &sweep, Some(&cube_cfg))
-            .expect("scaling report validates");
+        let json = render_scaling_json(&sides, &sweep, sims, Some((cube, &points)));
         std::fs::write(path, json)
     });
 }
@@ -336,7 +340,7 @@ fn sync(opts: &Options) {
         "{:>4} {:>6} {:>16} {:>14} {:>16} {:>14}",
         "n", "procs", "spin ops/acq", "spin fails", "queue ops/acq", "queue fails"
     );
-    for row in sync_rows(&ns, rounds) {
+    for row in opts.rows("E-4.1", sync_rows(&opts.pool, &ns, rounds)) {
         println!(
             "{:>4} {:>6} {:>16.1} {:>14} {:>16.1} {:>14}",
             row.n,
@@ -474,18 +478,18 @@ fn kdim(_opts: &Options) {
 
 fn telemetry(opts: &Options) {
     let n = if opts.quick { 4 } else { 8 };
-    let point = SimPoint {
+    let point = |index, n| SimPoint {
         series: format!("telemetry n={n}"),
-        index: 0,
+        index,
         rate_per_ms: 15.0,
         seed: 23,
         config: MachineConfig::grid(n).expect("valid n"),
         spec: SyntheticSpec::default(),
         txns_per_node: opts.txns.unwrap_or(if opts.quick { 40 } else { 200 }),
     };
-    let report = match run_points(&opts.pool, &[point]).remove(0) {
-        Ok(report) => report,
-        Err(failure) => return opts.report_failures("Telemetry", &[failure]),
+    let run = run_points(&opts.pool, &[n], point, |_, report| report);
+    let Some(report) = opts.rows("Telemetry", run).pop() else {
+        return;
     };
     println!(
         "{}",
@@ -537,7 +541,6 @@ fn shootout(opts: &Options) {
     opts.artifact("BENCH_shootout.csv", failed, |path| {
         write_shootout_csv(path, &rows)
     });
-    opts.csv_file("shootout.csv", |path| write_shootout_csv(path, &rows));
 }
 
 /// S-3: the trace-driven serving tier. Each application's request
@@ -551,7 +554,9 @@ fn serve(opts: &Options) {
     } else {
         ServeConfig::full()
     };
-    let study = run_serve(&opts.pool, &cfg);
+    let table = run_serve(&opts.pool, &cfg);
+    let failed = table.failures.len();
+    let rows = opts.rows("S-3", table);
     println!(
         "{}",
         render_serve(
@@ -561,16 +566,12 @@ fn serve(opts: &Options) {
                 rpn = cfg.requests_per_node,
                 n = cfg.n
             ),
-            &study
+            &rows
         )
     );
-    opts.report_failures("S-3", &study.failures);
-    opts.artifact("BENCH_serve.json", study.failures.len(), |path| {
-        let json = render_serve_json(&study);
-        validate_serve_report(&json, &cfg).expect("serve report validates");
-        std::fs::write(path, json)
+    opts.artifact("BENCH_serve.json", failed, |path| {
+        std::fs::write(path, render_serve_json(&cfg, &rows))
     });
-    opts.csv_file("serve.csv", |path| write_serve_csv(path, &study.rows));
 }
 
 /// T-7.1: the exhaustive protocol verification table — explored-state
@@ -585,31 +586,44 @@ fn model(opts: &Options) {
     let (lines, txns, budget) = if opts.quick { (1, 2, 1) } else { (2, 3, 2) };
     println!("Model checker: exhaustive state-space exploration (2x2 grid, {lines} line(s), {txns} txns)");
     println!("engine     budget     states transitions  idle-fps  xval");
-    for engine in EngineKind::all() {
-        let b = if engine == EngineKind::Multicube {
-            budget
-        } else {
-            0
-        };
-        let cfg = ModelConfig::new(engine, lines, txns, b);
-        let ex = multicube_model::check_model(&cfg);
-        assert!(
-            ex.violation.is_none() && !ex.truncated,
-            "{}: model exploration failed",
-            engine.name()
-        );
-        let idle = multicube_model::idle_fingerprints(&cfg, &ex).len();
-        let xval = multicube_model::cross_validate(&cfg).expect("cross-validation");
-        println!(
-            "{:<10} {:>6} {:>10} {:>11} {:>9}  {} sim runs, {} fingerprints, sim is a subset of model",
-            engine.name(),
-            b,
-            ex.states.len(),
-            ex.transitions,
-            idle,
-            xval.sim_runs,
-            xval.fingerprints_checked,
-        );
+    let points = EngineKind::all()
+        .into_iter()
+        .enumerate()
+        .map(|(index, engine)| Point {
+            series: "model".to_string(),
+            index,
+            rate_per_ms: 0.0,
+            seed: 0,
+            job: Box::new(move || {
+                let b = if engine == EngineKind::Multicube {
+                    budget
+                } else {
+                    0
+                };
+                let cfg = ModelConfig::new(engine, lines, txns, b);
+                let ex = multicube_model::check_model(&cfg);
+                assert!(
+                    ex.violation.is_none() && !ex.truncated,
+                    "{}: model exploration failed",
+                    engine.name()
+                );
+                let idle = multicube_model::idle_fingerprints(&cfg, &ex).len();
+                let xval = multicube_model::cross_validate(&cfg).expect("cross-validation");
+                format!(
+                    "{:<10} {:>6} {:>10} {:>11} {:>9}  {} sim runs, {} fingerprints, sim is a subset of model",
+                    engine.name(),
+                    b,
+                    ex.states.len(),
+                    ex.transitions,
+                    idle,
+                    xval.sim_runs,
+                    xval.fingerprints_checked,
+                )
+            }),
+        })
+        .collect();
+    for row in opts.rows("T-7.1", measure(&opts.pool, points)) {
+        println!("{row}");
     }
 }
 
@@ -654,7 +668,11 @@ fn main() -> ExitCode {
         "fig4" => fig4(&opts),
         "latency" => latency(&opts),
         "costs" => costs(&opts),
-        "scaling" => scaling(&opts, &figure2_sweep(&opts, &sweep(&opts))),
+        "scaling" => scaling(
+            &opts,
+            &figure2_sweep(&opts, &sweep(&opts)),
+            &cube_config(&opts),
+        ),
         "sync" => sync(&opts),
         "baseline" => baseline(&opts),
         "ablations" => ablations(&opts),
@@ -671,7 +689,7 @@ fn main() -> ExitCode {
             fig4(&opts);
             latency(&opts);
             costs(&opts);
-            scaling(&opts, &figure2);
+            scaling(&opts, &figure2, &cube_config(&opts));
             sync(&opts);
             baseline(&opts);
             ablations(&opts);
@@ -719,11 +737,40 @@ mod tests {
         };
         let sims = figure2_sweep(&opts, &failing);
         fig2(&opts, &sims);
-        scaling(&opts, &sims);
+        scaling(&opts, &sims, &cube_config(&opts));
         let sides = grid_sides(&opts).len();
         assert_eq!(opts.failed.get(), sides, "one failed point per side");
         assert!(!out.join("BENCH_scaling.json").exists());
         assert!(!render_scaling_study(&grid_sides(&opts), &sims).contains("failed"));
+        let _ = std::fs::remove_dir_all(&out);
+    }
+
+    /// A cube that panics (a NaN remote gap fails `run_cube`'s validation
+    /// in its job) is counted once, the scaling study still prints its
+    /// grid and writes no `BENCH_scaling.json`, and the run goes on.
+    #[test]
+    fn a_failed_cube_is_counted_once_and_skips_the_scaling_artifact() {
+        let out = std::env::temp_dir().join(format!("figures-failed-cube-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        for workers in [1, 3] {
+            let opts = Options {
+                quick: true,
+                txns: None,
+                csv: None,
+                out: out.clone(),
+                pool: Pool::new(workers),
+                failed: Cell::new(0),
+            };
+            let sims = figure2_sweep(&opts, &sweep(&opts));
+            assert!(collect_failures(&sims).is_empty());
+            let cube = CubeStudyConfig {
+                remote_gap_ns: f64::NAN,
+                ..CubeStudyConfig::quick(workers)
+            };
+            scaling(&opts, &sims, &cube);
+            assert_eq!(opts.failed.get(), cube.sides.len(), "one failure per cube");
+            assert!(!out.join("BENCH_scaling.json").exists());
+        }
         let _ = std::fs::remove_dir_all(&out);
     }
 }

@@ -11,14 +11,11 @@
 //! embeds a previous report's medians and the speedup against them.
 //! `--guard` additionally fails the run when a guarded kernel
 //! (`machine_1k_transactions`, `cube_pdes_events` or
-//! `cube_pdes_events_parallel`) regresses more than
-//! `MULTICUBE_PERF_GUARD_PCT` percent (default 25) against the baseline.
-//! It compares the fastest calibrated pass per work unit, so `--quick`
-//! runs measure against full-mode baselines and a slow host against a
-//! fast one; the two-worker cube is compared as a ratio to the one-worker
-//! cube. A set
-//! threshold that is not a finite number above 0 fails the guarded run
-//! before any kernel runs.
+//! `cube_pdes_events_parallel`) regresses more than 25 % against the
+//! baseline. It compares the fastest calibrated pass per work unit, so
+//! `--quick` runs measure against full-mode baselines and a slow host
+//! against a fast one; the two-worker cube is compared as a ratio to the
+//! one-worker cube.
 
 use std::process::ExitCode;
 
@@ -28,20 +25,8 @@ use multicube_bench::perf::{
     GUARD_KERNELS,
 };
 
-/// The environment variable holding the guard's regression threshold.
-const GUARD_PCT_ENV: &str = "MULTICUBE_PERF_GUARD_PCT";
-
-/// Parses a [`GUARD_PCT_ENV`] value: 25 when unset, the percentage when
-/// set to a finite number above 0, and the offending text otherwise.
-fn parse_guard_pct(raw: Option<&str>) -> Result<f64, String> {
-    let Some(raw) = raw else {
-        return Ok(25.0);
-    };
-    match raw.trim().parse::<f64>() {
-        Ok(pct) if pct.is_finite() && pct > 0.0 => Ok(pct),
-        _ => Err(raw.to_string()),
-    }
-}
+/// The regression, in percent, at which `--guard` fails a kernel.
+const GUARD_PCT: f64 = 25.0;
 
 fn main() -> ExitCode {
     let mut quick = false;
@@ -72,19 +57,6 @@ fn main() -> ExitCode {
     if guard_enabled && baseline_path.is_none() {
         return usage("--guard needs --baseline");
     }
-    let guard_pct = if guard_enabled {
-        let raw = std::env::var_os(GUARD_PCT_ENV).map(|v| v.to_string_lossy().into_owned());
-        match parse_guard_pct(raw.as_deref()) {
-            Ok(pct) => Some(pct),
-            Err(bad) => {
-                eprintln!("perf: {GUARD_PCT_ENV} must be a finite number above 0, got {bad:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        None
-    };
-
     let baseline = match &baseline_path {
         Some(p) => match std::fs::read_to_string(p) {
             Ok(text) => match json::parse(&text).and_then(|report| kernel_stats(&report)) {
@@ -167,13 +139,13 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if let Some(threshold) = guard_pct {
+    if guard_enabled {
         let base = baseline.as_deref().expect("guard requires baseline");
         let current = json::parse(&json)
             .and_then(|report| kernel_stats(&report))
             .expect("the report validated above");
         for kernel in GUARD_KERNELS {
-            match check_regression_guard(&current, base, kernel, threshold) {
+            match check_regression_guard(&current, base, kernel, GUARD_PCT) {
                 Ok(msg) => eprintln!("perf: {msg}"),
                 Err(msg) => {
                     eprintln!("perf: REGRESSION: {msg}");
@@ -188,19 +160,4 @@ fn main() -> ExitCode {
 fn usage(msg: &str) -> ExitCode {
     eprintln!("perf: {msg}\nusage: perf [--quick] [--out PATH] [--baseline PATH] [--guard]");
     ExitCode::FAILURE
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_guard_pct;
-
-    #[test]
-    fn guard_threshold_is_a_finite_positive_percentage() {
-        assert_eq!(parse_guard_pct(None), Ok(25.0));
-        assert_eq!(parse_guard_pct(Some("25")), Ok(25.0));
-        assert_eq!(parse_guard_pct(Some(" 7.5 ")), Ok(7.5));
-        for bad in ["", "25%", "O25", "0", "-5", "NaN", "inf", "-inf"] {
-            assert_eq!(parse_guard_pct(Some(bad)), Err(bad.to_string()), "{bad:?}");
-        }
-    }
 }

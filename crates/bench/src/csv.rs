@@ -168,52 +168,6 @@ pub fn write_shootout_csv(
     Ok(())
 }
 
-/// Writes the serving-tier study: one row per `(app, policy)` replay,
-/// applications grouped so the FCFS and round-robin rows for the same
-/// trace are adjacent. The seed column repeats across policies within an
-/// app — the identical-trace guarantee, auditable.
-///
-/// # Errors
-///
-/// Propagates I/O errors from creating or writing the file.
-pub fn write_serve_csv(path: &Path, rows: &[crate::serve::ServeRow]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    writeln!(
-        f,
-        "app,policy,seed,requests,trace_records,trace_chunks,trace_bytes,\
-         elapsed_ms,throughput_per_ms,efficiency,ops_per_request,mean_latency_ns,\
-         p50_ns,p90_ns,p99_ns,p999_ns,max_latency_ns,\
-         node_mean_min_ns,node_mean_max_ns,jain_fairness"
-    )?;
-    for r in rows {
-        writeln!(
-            f,
-            "{},{},{:#x},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            r.app,
-            r.policy,
-            r.seed,
-            r.requests,
-            r.trace_records,
-            r.trace_chunks,
-            r.trace_bytes,
-            r.elapsed_ms,
-            r.throughput_per_ms,
-            r.efficiency,
-            r.ops_per_request,
-            r.mean_latency_ns,
-            r.p50_ns,
-            r.p90_ns,
-            r.p99_ns,
-            r.p999_ns,
-            r.max_latency_ns,
-            r.node_mean_min_ns,
-            r.node_mean_max_ns,
-            r.jain_fairness
-        )?;
-    }
-    Ok(())
-}
-
 /// Writes the composite fault sweep: one row per fault probability with
 /// the measured completion latency, retry/backoff cost and per-class
 /// fault counters.

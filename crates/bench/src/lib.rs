@@ -24,21 +24,21 @@ pub mod tables;
 
 pub use csv::{
     write_bus_telemetry_csv, write_class_stats_csv, write_fault_sweep_csv, write_series_csv,
-    write_serve_csv, write_shootout_csv,
+    write_shootout_csv,
 };
 pub use multicube_sim::pool::Pool;
 pub use scaling::{
     render_cube_study, render_scaling_json, render_scaling_study, run_cube_study,
-    validate_scaling_report, CubePoint, CubeStudy, CubeStudyConfig, SCALING_SCHEMA,
+    validate_scaling_report, CubePoint, CubeStudyConfig, SCALING_SCHEMA,
 };
 pub use serve::{
     render_serve, render_serve_json, run_serve, serve_app_seed, synthesize_serve_trace,
-    validate_serve_report, ServeConfig, ServeRow, ServeStudy, SERVE_APPS, SERVE_SCHEMA,
+    validate_serve_report, ServeConfig, ServeRow, SERVE_APPS, SERVE_SCHEMA,
 };
 pub use shootout::{render_shootout, run_shootout, ShootoutRow};
 pub use simfig::{
-    collect_failures, run_points, series_view, sim_figure2, sim_figure3, sim_figure4,
-    sim_latency_modes, Measured, PointFailure, PointRun, SimPoint, SimSeries, SweepConfig,
+    collect_failures, measure, run_points, series_view, sim_figure2, sim_figure3, sim_figure4,
+    sim_latency_modes, Measured, Point, PointFailure, PointRun, SimPoint, SimSeries, SweepConfig,
     FIGURE2_SIDES,
 };
 pub use tables::{

@@ -17,11 +17,12 @@
 
 use multicube::pdes::{run_cube, CubeConfig};
 use multicube_mva::FigurePoint;
+use multicube_sim::pool::Pool;
 use multicube_sim::{split_seed, stream_id};
 use std::fmt::Write as _;
 
 use crate::json::{self, Value};
-use crate::simfig::{collect_failures, PointRun, SimSeries, SweepConfig, FIGURE2_SIDES};
+use crate::simfig::{measure, Measured, Point, PointRun, SimSeries, SweepConfig, FIGURE2_SIDES};
 
 /// Identifies the JSON layout; bump when the schema changes shape.
 /// v2 added the `cube` section (the parallel n³ scaling study); v3 added
@@ -30,8 +31,10 @@ use crate::simfig::{collect_failures, PointRun, SimSeries, SweepConfig, FIGURE2_
 /// stamps the study's `mode`: `"full"` for the committed study, `"quick"`
 /// for any smaller one; v6 drops the round and message counts, which
 /// are a constant and twice `remote_ops`; v7 drops the cube's wall-clock
-/// timing, so the whole artifact is deterministic.
-pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v7";
+/// timing, so the whole artifact is deterministic; v8 drops the
+/// `failures` count, which was always 0 because a study that lost points
+/// writes no artifact.
+pub const SCALING_SCHEMA: &str = "multicube-bench-scaling/v8";
 
 /// Parameters of the cube study: full k = 3 Multicubes of `side` planes
 /// × `side`² processors each, the planes run in parallel
@@ -127,70 +130,73 @@ pub struct CubePoint {
     pub fingerprint: String,
 }
 
-/// The cube study's outcome, in `sides` order.
-#[derive(Debug, Clone)]
-pub struct CubeStudy {
-    /// The configuration the study ran under.
-    pub config: CubeStudyConfig,
-    /// Measured cubes, ordered by side.
-    pub points: Vec<CubePoint>,
-}
-
-/// Runs the cube study. [`run_cube`] parallelizes internally (across
-/// planes), so points run one at a time rather than on the pool.
+/// Runs the cube study, one point per side, in `sides` order. The points
+/// run one at a time on a serial pool: [`run_cube`] already runs each
+/// cube's planes in parallel.
 ///
 /// Every point executes serially first (the reference), then reruns on at
 /// least 2 workers; the rerun's fingerprint is asserted identical to the
-/// reference before the point is recorded, so the committed artifact is
-/// itself a determinism proof across worker counts.
-pub fn run_cube_study(config: &CubeStudyConfig) -> CubeStudy {
+/// reference inside the point's job, so the committed artifact is itself
+/// a determinism proof across worker counts, and a divergence fails only
+/// its own point.
+pub fn run_cube_study(config: &CubeStudyConfig) -> Measured<CubePoint> {
     let points = config
         .sides
         .iter()
-        .map(|&side| {
-            let serial = run_cube(&config.cube_config(side, 1));
-            let fingerprint = serial.fingerprint();
-            let workers = config.workers.max(2);
-            let parallel = run_cube(&config.cube_config(side, workers));
-            assert_eq!(
-                parallel.fingerprint(),
-                fingerprint,
-                "cube side {side} diverged between 1 and {workers} workers"
-            );
-
-            let transactions = serial
-                .planes
-                .iter()
-                .map(|p| p.run.transactions_completed)
-                .sum();
-            let remote_ops = serial.planes.iter().map(|p| p.depth.serviced).sum();
-            let mean_efficiency = serial.planes.iter().map(|p| p.run.efficiency).sum::<f64>()
-                / serial.planes.len() as f64;
-            CubePoint {
-                side,
-                processors: serial.processors,
-                transactions,
-                remote_ops,
-                events: serial.events_delivered,
-                mean_efficiency,
-                fingerprint,
+        .enumerate()
+        .map(|(index, &side)| {
+            let serial_config = config.cube_config(side, 1);
+            Point {
+                series: format!("cube n={side}"),
+                index,
+                rate_per_ms: 0.0,
+                seed: serial_config.seed,
+                job: Box::new(move || cube_point(config, serial_config)),
             }
         })
         .collect();
-    CubeStudy {
-        config: config.clone(),
-        points,
+    measure(&Pool::serial(), points)
+}
+
+/// Runs one cube of the study serially and in parallel, and records it.
+fn cube_point(config: &CubeStudyConfig, serial_config: CubeConfig) -> CubePoint {
+    let side = serial_config.side;
+    let serial = run_cube(&serial_config);
+    let fingerprint = serial.fingerprint();
+    let workers = config.workers.max(2);
+    let parallel = run_cube(&config.cube_config(side, workers));
+    assert_eq!(
+        parallel.fingerprint(),
+        fingerprint,
+        "cube side {side} diverged between 1 and {workers} workers"
+    );
+
+    let transactions = serial
+        .planes
+        .iter()
+        .map(|p| p.run.transactions_completed)
+        .sum();
+    let remote_ops = serial.planes.iter().map(|p| p.depth.serviced).sum();
+    let mean_efficiency =
+        serial.planes.iter().map(|p| p.run.efficiency).sum::<f64>() / serial.planes.len() as f64;
+    CubePoint {
+        side,
+        processors: serial.processors,
+        transactions,
+        remote_ops,
+        events: serial.events_delivered,
+        mean_efficiency,
+        fingerprint,
     }
 }
 
-/// Renders the cube study as an ASCII table.
-pub fn render_cube_study(study: &CubeStudy) -> String {
+/// Renders the cube study's measured `points` as an ASCII table.
+pub fn render_cube_study(config: &CubeStudyConfig, points: &[CubePoint]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "== Cube scaling study (planes in parallel): n = {} ==",
-        study
-            .config
+        config
             .sides
             .iter()
             .map(|n| n.to_string())
@@ -202,7 +208,7 @@ pub fn render_cube_study(study: &CubeStudy) -> String {
         "{:>4} {:>7} {:>8} {:>7} {:>9} {:>8}  fingerprint",
         "n", "procs", "txns", "remote", "events", "eff"
     );
-    for p in &study.points {
+    for p in points {
         let _ = writeln!(
             out,
             "{:>4} {:>7} {:>8} {:>7} {:>9} {:>8.4}  {}",
@@ -299,14 +305,15 @@ pub fn render_scaling_study(sides: &[u32], sims: &[SimSeries]) -> String {
 
 /// Renders the study as the `BENCH_scaling.json` artifact: the grid
 /// (`sims`, [`sim_figure2`] over `sides` and `sweep`), then `cube`, when
-/// present, as a `"cube"` section. No field depends on the host.
+/// present, as a `"cube"` section: the cube study's configuration and
+/// its measured points. No field depends on the host.
 ///
 /// [`sim_figure2`]: crate::sim_figure2
 pub fn render_scaling_json(
     sides: &[u32],
     sweep: &SweepConfig,
     sims: &[SimSeries],
-    cube: Option<&CubeStudy>,
+    cube: Option<(&CubeStudyConfig, &[CubePoint])>,
 ) -> String {
     let points = grid_rows(sides, sims).map(|r| {
         json::obj([
@@ -329,17 +336,16 @@ pub fn render_scaling_json(
         ("schema", SCALING_SCHEMA.into()),
         (
             "mode",
-            scaling_mode(sides, sweep, cube.map(|c| &c.config)).into(),
+            scaling_mode(sides, sweep, cube.map(|(config, _)| config)).into(),
         ),
         ("seed", sweep.seed.into()),
         ("txns_per_node", sweep.txns_per_node.into()),
         ("ns", sides.iter().copied().collect()),
         ("rates_per_ms", sweep.rates.iter().copied().collect()),
-        ("failures", collect_failures(sims).len().into()),
         ("points", Value::Arr(points.collect())),
     ];
-    if let Some(cube) = cube {
-        let points = cube.points.iter().map(|p| {
+    if let Some((config, points)) = cube {
+        let points = points.iter().map(|p| {
             json::obj([
                 ("side", p.side.into()),
                 ("processors", p.processors.into()),
@@ -353,10 +359,10 @@ pub fn render_scaling_json(
         report.push((
             "cube",
             json::obj([
-                ("seed", cube.config.seed.into()),
-                ("txns_per_node", cube.config.txns_per_node.into()),
-                ("remote_ops_per_plane", cube.config.remote_ops.into()),
-                ("sides", cube.config.sides.iter().copied().collect()),
+                ("seed", config.seed.into()),
+                ("txns_per_node", config.txns_per_node.into()),
+                ("remote_ops_per_plane", config.remote_ops.into()),
+                ("sides", config.sides.iter().copied().collect()),
                 ("points", Value::Arr(points.collect())),
             ]),
         ));
@@ -365,10 +371,10 @@ pub fn render_scaling_json(
 }
 
 /// Validates that `text` is a scaling report this module wrote for a grid
-/// of `sides` swept by `sweep`, and `cube`: the schema and mode, no
-/// recorded failures, the `(n, rate_per_ms)` points of `sides × rates` in
-/// order, and — when `cube` is given — a fingerprinted cube point per
-/// configured side, in order.
+/// of `sides` swept by `sweep`, and `cube`: the schema and mode, the
+/// `(n, rate_per_ms)` points of `sides × rates` in order, and — when
+/// `cube` is given — a fingerprinted cube point per configured side, in
+/// order.
 ///
 /// # Errors
 ///
@@ -380,9 +386,6 @@ pub fn validate_scaling_report(
     cube: Option<&CubeStudyConfig>,
 ) -> Result<(), String> {
     let report = json::parse_artifact(text, SCALING_SCHEMA, scaling_mode(sides, sweep, cube))?;
-    if report.u64_field("failures")? != 0 {
-        return Err("report records contained point failures".to_string());
-    }
     let points = report
         .array_field("points")?
         .iter()
@@ -486,12 +489,6 @@ mod tests {
         assert!(json.contains("\"mode\": \"quick\""));
         assert!(validate_scaling_report(&json, &[2, 4, 8], &tiny(), None).is_err());
         assert!(validate_scaling_report("{}", &SIDES, &tiny(), None).is_err());
-        // A report that recorded failed points does not validate.
-        let failed = json.replace("\"failures\": 0", "\"failures\": 1");
-        assert_eq!(
-            validate_scaling_report(&failed, &SIDES, &tiny(), None),
-            Err("report records contained point failures".to_string())
-        );
     }
 
     fn tiny_cube() -> CubeStudyConfig {
@@ -508,8 +505,9 @@ mod tests {
     #[test]
     fn cube_study_records_deterministic_points() {
         let cube = run_cube_study(&tiny_cube());
-        assert_eq!(cube.points.len(), 2);
-        for (p, side) in cube.points.iter().zip([2u64, 3]) {
+        assert!(cube.failures.is_empty(), "{:?}", cube.failures);
+        assert_eq!(cube.rows.len(), 2);
+        for (p, side) in cube.rows.iter().zip([2u64, 3]) {
             assert_eq!(p.side as u64, side);
             assert_eq!(p.processors, side.pow(3));
             assert_eq!(p.transactions, side.pow(3) * 2);
@@ -518,22 +516,44 @@ mod tests {
             assert!(p.mean_efficiency > 0.0 && p.mean_efficiency <= 1.0);
         }
         // Deterministic end to end: a replay reproduces every field.
-        assert_eq!(run_cube_study(&tiny_cube()).points, cube.points);
+        assert_eq!(run_cube_study(&tiny_cube()).rows, cube.rows);
+    }
+
+    /// `run_cube` rejects a NaN remote gap, so the cube fails as one
+    /// point naming its side and seed instead of ending the study.
+    #[test]
+    fn a_cube_that_panics_is_one_failure() {
+        for workers in [1, 3] {
+            let config = CubeStudyConfig {
+                sides: vec![3],
+                remote_gap_ns: f64::NAN,
+                workers,
+                ..tiny_cube()
+            };
+            let study = run_cube_study(&config);
+            assert!(study.rows.is_empty());
+            assert_eq!(study.failures.len(), 1);
+            let f = &study.failures[0];
+            assert_eq!((f.series.as_str(), f.index), ("cube n=3", 0));
+            assert_eq!(f.seed, config.cube_config(3, 1).seed);
+            assert!(f.message.contains("remote_gap_ns"), "{}", f.message);
+        }
     }
 
     #[test]
     fn cube_json_is_worker_count_invariant_and_validates() {
         let sims = tiny_grid();
         let cube_cfg = tiny_cube();
-        let cube = run_cube_study(&cube_cfg);
-        let json = render_scaling_json(&SIDES, &tiny(), &sims, Some(&cube));
+        let cube = run_cube_study(&cube_cfg).rows;
+        let json = render_scaling_json(&SIDES, &tiny(), &sims, Some((&cube_cfg, &cube)));
         validate_scaling_report(&json, &SIDES, &tiny(), Some(&cube_cfg)).unwrap();
         // The cube section renders byte-identically at a different worker
         // count — the in-process version of the CI byte-diff across
         // MULTICUBE_POOL_WORKERS.
         let mut other = tiny_cube();
         other.workers = 4;
-        let json_other = render_scaling_json(&SIDES, &tiny(), &sims, Some(&run_cube_study(&other)));
+        let other_cube = run_cube_study(&other).rows;
+        let json_other = render_scaling_json(&SIDES, &tiny(), &sims, Some((&other, &other_cube)));
         assert_eq!(json, json_other);
         // A cube-less report no longer validates against a cube config.
         let plain = render_scaling_json(&SIDES, &tiny(), &sims, None);

@@ -8,9 +8,9 @@
 //! streams (same lines, same kinds, same think times) and every
 //! difference in the fairness columns is attributable to arbitration
 //! alone — the shootout's identical-workload methodology applied to the
-//! arbiter. Jobs fan out through the deterministic pool and the report
-//! carries no wall-clock fields, so `BENCH_serve.json` is byte-identical
-//! at any worker count.
+//! arbiter. Jobs are points of the one runner ([`crate::measure`]) and the
+//! report carries no wall-clock fields, so `BENCH_serve.json` is
+//! byte-identical at any worker count.
 //!
 //! In full mode the matrix is 3 applications x 2 policies x 64 nodes x
 //! 26,500 requests = 10,176,000 machine transactions — the 10^7-request
@@ -26,12 +26,13 @@ use multicube_workload::{
 use std::fmt::Write as _;
 
 use crate::json::{self, Value};
-use crate::simfig::PointFailure;
+use crate::simfig::{measure, Measured, Point};
 
 /// Schema marker for the `BENCH_serve.json` artifact. v2 stamps the
 /// study's `mode`: `"full"` for the committed operating point, `"quick"`
-/// for any smaller one.
-pub const SERVE_SCHEMA: &str = "multicube-bench-serve/v2";
+/// for any smaller one; v3 drops the `failures` count, which was always
+/// 0 because a study that lost jobs writes no artifact.
+pub const SERVE_SCHEMA: &str = "multicube-bench-serve/v3";
 
 /// The serving-tier applications, in report order.
 pub const SERVE_APPS: [&str; 3] = ["oltp", "web-session", "producer-consumer"];
@@ -137,19 +138,6 @@ pub struct ServeRow {
     pub jain_fairness: f64,
 }
 
-/// A full serving-tier study: rows in `(app, policy)` order plus
-/// contained per-job failures.
-#[derive(Debug, Clone)]
-pub struct ServeStudy {
-    /// The operating point the rows were measured at.
-    pub config: ServeConfig,
-    /// Rows grouped by application, policies in `Arbitration::all()`
-    /// order within each group.
-    pub rows: Vec<ServeRow>,
-    /// Jobs that panicked, with replay coordinates.
-    pub failures: Vec<PointFailure>,
-}
-
 /// The trace-synthesis seed for one application: shared by both
 /// policies so their replays are identical.
 pub fn serve_app_seed(config: &ServeConfig, app: &str) -> u64 {
@@ -183,9 +171,11 @@ pub fn synthesize_serve_trace(config: &ServeConfig, app: &'static str, seed: u64
     writer.finish()
 }
 
-/// Runs every application under every arbitration policy.
-pub fn run_serve(pool: &Pool, config: &ServeConfig) -> ServeStudy {
-    let jobs: Vec<(&'static str, Arbitration, u64)> = SERVE_APPS
+/// Runs every application under every arbitration policy: rows grouped
+/// by application, policies in `Arbitration::all()` order within each
+/// group, one point per `(app, policy)` job.
+pub fn run_serve(pool: &Pool, config: &ServeConfig) -> Measured<ServeRow> {
+    let points = SERVE_APPS
         .into_iter()
         .flat_map(|app| {
             let seed = serve_app_seed(config, app);
@@ -193,92 +183,83 @@ pub fn run_serve(pool: &Pool, config: &ServeConfig) -> ServeStudy {
                 .into_iter()
                 .map(move |policy| (app, policy, seed))
         })
-        .collect();
-    let cfg = config.clone();
-    let results = pool.map(jobs.clone(), move |_, (app, policy, seed)| {
-        let bytes = synthesize_serve_trace(&cfg, app, seed);
-        let reader = TraceV2Reader::new(&bytes).expect("own encoding");
-        let machine_config = MachineConfig::grid(cfg.n)
-            .expect("valid n")
-            .with_arbitration(policy);
-        let mut machine = Machine::new(machine_config, seed).expect("valid configuration");
-        let mut stream = Stream::new(reader.player()).with_seed(seed);
-        let run = machine.run_closed_loop(&mut stream, cfg.requests_per_node);
-        assert_eq!(
-            run.transactions_completed,
-            reader.record_count(),
-            "{app}/{}: replay must drain the whole trace",
-            policy.name()
-        );
-
-        let means: Vec<f64> = stream
-            .node_latency_ns
-            .iter()
-            .filter(|s| s.count() > 0)
-            .map(|s| s.mean())
-            .collect();
-        let sum: f64 = means.iter().sum();
-        let sum_sq: f64 = means.iter().map(|m| m * m).sum();
-        let jain = if sum_sq > 0.0 {
-            (sum * sum) / (means.len() as f64 * sum_sq)
-        } else {
-            1.0
-        };
-        let q = |p: f64| stream.latency_hist.quantile(p).unwrap_or(0);
-        let elapsed_ms = run.elapsed.as_millis_f64();
-        ServeRow {
-            app,
-            policy: policy.name(),
+        .enumerate()
+        .map(|(index, (app, policy, seed))| Point {
+            series: format!("{app}/{}", policy.name()),
+            index,
+            rate_per_ms: 0.0,
             seed,
-            requests: run.transactions_completed,
-            trace_records: reader.record_count(),
-            trace_chunks: reader.chunk_count(),
-            trace_bytes: reader.byte_len() as u64,
-            elapsed_ms,
-            throughput_per_ms: if elapsed_ms > 0.0 {
-                run.transactions_completed as f64 / elapsed_ms
-            } else {
-                0.0
-            },
-            efficiency: run.efficiency,
-            ops_per_request: run.ops_per_request(),
-            mean_latency_ns: stream.latency_ns.mean(),
-            p50_ns: q(0.50),
-            p90_ns: q(0.90),
-            p99_ns: q(0.99),
-            p999_ns: q(0.999),
-            max_latency_ns: stream.latency_ns.max().unwrap_or(0.0),
-            kind_counts: stream.kind_counts,
-            node_mean_min_ns: means.iter().copied().fold(f64::INFINITY, f64::min),
-            node_mean_max_ns: means.iter().copied().fold(0.0f64, f64::max),
-            jain_fairness: jain,
-        }
-    });
+            job: Box::new(move || replay(config, app, policy, seed)),
+        })
+        .collect();
+    measure(pool, points)
+}
 
-    let mut rows = Vec::with_capacity(results.len());
-    let mut failures = Vec::new();
-    for ((i, (app, policy, seed)), result) in jobs.into_iter().enumerate().zip(results) {
-        match result {
-            Ok(row) => rows.push(row),
-            Err(panic) => failures.push(PointFailure {
-                series: format!("{app}/{}", policy.name()),
-                index: i,
-                rate_per_ms: 0.0,
-                seed,
-                message: panic.message.clone(),
-            }),
-        }
-    }
-    ServeStudy {
-        config: config.clone(),
-        rows,
-        failures,
+/// One serving-tier job: synthesizes `app`'s trace from `seed` and
+/// replays it under `policy`.
+fn replay(config: &ServeConfig, app: &'static str, policy: Arbitration, seed: u64) -> ServeRow {
+    let bytes = synthesize_serve_trace(config, app, seed);
+    let reader = TraceV2Reader::new(&bytes).expect("own encoding");
+    let machine_config = MachineConfig::grid(config.n)
+        .expect("valid n")
+        .with_arbitration(policy);
+    let mut machine = Machine::new(machine_config, seed).expect("valid configuration");
+    let mut stream = Stream::new(reader.player()).with_seed(seed);
+    let run = machine.run_closed_loop(&mut stream, config.requests_per_node);
+    assert_eq!(
+        run.transactions_completed,
+        reader.record_count(),
+        "{app}/{}: replay must drain the whole trace",
+        policy.name()
+    );
+
+    let means: Vec<f64> = stream
+        .node_latency_ns
+        .iter()
+        .filter(|s| s.count() > 0)
+        .map(|s| s.mean())
+        .collect();
+    let sum: f64 = means.iter().sum();
+    let sum_sq: f64 = means.iter().map(|m| m * m).sum();
+    let jain = if sum_sq > 0.0 {
+        (sum * sum) / (means.len() as f64 * sum_sq)
+    } else {
+        1.0
+    };
+    let q = |p: f64| stream.latency_hist.quantile(p).unwrap_or(0);
+    let elapsed_ms = run.elapsed.as_millis_f64();
+    ServeRow {
+        app,
+        policy: policy.name(),
+        seed,
+        requests: run.transactions_completed,
+        trace_records: reader.record_count(),
+        trace_chunks: reader.chunk_count(),
+        trace_bytes: reader.byte_len() as u64,
+        elapsed_ms,
+        throughput_per_ms: if elapsed_ms > 0.0 {
+            run.transactions_completed as f64 / elapsed_ms
+        } else {
+            0.0
+        },
+        efficiency: run.efficiency,
+        ops_per_request: run.ops_per_request(),
+        mean_latency_ns: stream.latency_ns.mean(),
+        p50_ns: q(0.50),
+        p90_ns: q(0.90),
+        p99_ns: q(0.99),
+        p999_ns: q(0.999),
+        max_latency_ns: stream.latency_ns.max().unwrap_or(0.0),
+        kind_counts: stream.kind_counts,
+        node_mean_min_ns: means.iter().copied().fold(f64::INFINITY, f64::min),
+        node_mean_max_ns: means.iter().copied().fold(0.0f64, f64::max),
+        jain_fairness: jain,
     }
 }
 
-/// Renders the study as an aligned table, one block per application so
-/// the two policy rows sit side by side.
-pub fn render_serve(title: &str, study: &ServeStudy) -> String {
+/// Renders the study's rows as an aligned table, one block per
+/// application so the two policy rows sit side by side.
+pub fn render_serve(title: &str, rows: &[ServeRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
     let _ = writeln!(
@@ -298,7 +279,7 @@ pub fn render_serve(title: &str, study: &ServeStudy) -> String {
         "jain"
     );
     let mut last_app = "";
-    for r in &study.rows {
+    for r in rows {
         if !last_app.is_empty() && r.app != last_app {
             out.push('\n');
         }
@@ -323,11 +304,12 @@ pub fn render_serve(title: &str, study: &ServeStudy) -> String {
     out
 }
 
-/// Renders the study as the `BENCH_serve.json` artifact. Every field is
-/// a deterministic function of `(config, seed)` — there are no
-/// wall-clock bytes, so the artifact is identical at any worker count.
-pub fn render_serve_json(study: &ServeStudy) -> String {
-    let rows = study.rows.iter().map(|r| {
+/// Renders the rows of a study at `config` as the `BENCH_serve.json`
+/// artifact. Every field is a deterministic function of `(config, seed)`
+/// — there are no wall-clock bytes, so the artifact is identical at any
+/// worker count.
+pub fn render_serve_json(config: &ServeConfig, rows: &[ServeRow]) -> String {
+    let rows = rows.iter().map(|r| {
         json::obj([
             ("app", r.app.into()),
             ("policy", r.policy.into()),
@@ -352,7 +334,6 @@ pub fn render_serve_json(study: &ServeStudy) -> String {
             ("jain_fairness", Value::fixed(r.jain_fairness, 6)),
         ])
     });
-    let config = &study.config;
     json::obj([
         ("schema", SERVE_SCHEMA.into()),
         ("mode", config.mode().into()),
@@ -361,25 +342,21 @@ pub fn render_serve_json(study: &ServeStudy) -> String {
         ("requests_per_node", config.requests_per_node.into()),
         ("chunk_records", config.chunk_records.into()),
         ("total_transactions", config.total_transactions().into()),
-        ("failures", study.failures.len().into()),
         ("rows", Value::Arr(rows.collect())),
     ])
     .pretty()
 }
 
 /// Validates that `text` is a serve report this module wrote for
-/// `config`: the schema and mode, no failures, one row per
-/// `(app, policy)` pair of [`SERVE_APPS`] × [`Arbitration::all`] in
-/// order, and every row completing the full per-job quota.
+/// `config`: the schema and mode, one row per `(app, policy)` pair of
+/// [`SERVE_APPS`] × [`Arbitration::all`] in order, and every row
+/// completing the full per-job quota.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first problem found.
 pub fn validate_serve_report(text: &str, config: &ServeConfig) -> Result<(), String> {
     let report = json::parse_artifact(text, SERVE_SCHEMA, config.mode())?;
-    if report.u64_field("failures")? != 0 {
-        return Err("report records contained job failures".to_string());
-    }
     let rows = report.array_field("rows")?;
     let jobs = rows
         .iter()
@@ -463,8 +440,8 @@ mod tests {
             assert_eq!(a.jain_fairness.to_bits(), b.jain_fairness.to_bits());
         }
         assert_eq!(
-            render_serve_json(&serial),
-            render_serve_json(&parallel),
+            render_serve_json(&tiny(), &serial.rows),
+            render_serve_json(&tiny(), &parallel.rows),
             "the artifact must be byte-identical at any worker count"
         );
     }
@@ -474,12 +451,10 @@ mod tests {
     #[test]
     fn serve_json_round_trips_through_validator() {
         let cfg = tiny();
-        let study = run_serve(&Pool::serial(), &cfg);
-        let json = render_serve_json(&study);
+        let rows = run_serve(&Pool::serial(), &cfg).rows;
+        let json = render_serve_json(&cfg, &rows);
         validate_serve_report(&json, &cfg).expect("own report validates");
         assert!(validate_serve_report("{}", &cfg).is_err());
-        let broken = json.replace("\"failures\": 0", "\"failures\": 1");
-        assert!(validate_serve_report(&broken, &cfg).is_err());
         // The mode is stamped, and only the committed point is full mode.
         assert!(json.contains("\"mode\": \"quick\""));
         assert_eq!(ServeConfig::full().mode(), "full");
@@ -489,7 +464,7 @@ mod tests {
             validate_serve_report(&stamped, &cfg),
             Err("expected a quick-mode report".to_string())
         );
-        let text = render_serve("serve", &study);
+        let text = render_serve("serve", &rows);
         assert!(text.contains("fcfs") && text.contains("round-robin"));
         assert!(!text.contains("NaN"), "{text}");
     }

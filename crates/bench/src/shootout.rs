@@ -20,7 +20,7 @@ use multicube::{EngineKind, MachineConfig, SyntheticSpec};
 use multicube_sim::pool::Pool;
 use multicube_sim::stream_id;
 
-use crate::simfig::{measure, Measured, SimPoint, SweepConfig};
+use crate::simfig::{run_points, Measured, SimPoint, SweepConfig};
 
 /// One engine's measurements at one `(n, rate)` operating point.
 #[derive(Debug, Clone)]
@@ -73,7 +73,7 @@ pub fn run_shootout(pool: &Pool, n: u32, sweep: &SweepConfig) -> Measured<Shooto
         spec: SyntheticSpec::default(),
         txns_per_node: sweep.txns_per_node,
     };
-    measure(pool, &params, point, |(engine, index), report| {
+    run_points(pool, &params, point, |(engine, index), report| {
         ShootoutRow {
             engine: engine.name(),
             n,

@@ -1,13 +1,14 @@
-//! The runner behind every simulated point in `figures`, and the sweeps
+//! The runner behind every measured point in `figures`, and the sweeps
 //! matching the paper's figures.
 //!
-//! A simulated point is one fresh machine running the closed-loop
-//! synthetic workload ([`SimPoint`]). [`run_points`] fans a list of them
-//! out through the deterministic worker pool ([`multicube_sim::pool`]):
-//! results come back in stable job order (so output is byte-identical at
-//! any worker count), and a panicking point becomes a [`PointFailure`]
-//! carrying its `(series, index, rate, seed)` replay coordinates instead of
-//! tearing down the figure or table it belongs to.
+//! A measured point is a job plus its replay coordinates ([`Point`]).
+//! [`measure`] fans a list of them out through the deterministic worker
+//! pool ([`multicube_sim::pool`]): results come back in stable job order
+//! (so output is byte-identical at any worker count), and a panicking job
+//! becomes a [`PointFailure`] carrying its `(series, index, rate, seed)`
+//! coordinates instead of tearing down the figure or table it belongs
+//! to. [`run_points`] is its synthetic case: each point one fresh machine
+//! running the closed-loop synthetic workload ([`SimPoint`]).
 //!
 //! Every figure is a matrix of such points — one per `(series, rate)`
 //! pair. Seeds follow the workspace splitting scheme
@@ -59,17 +60,18 @@ impl SweepConfig {
     }
 }
 
-/// One simulated point that panicked instead of producing its report:
-/// everything needed to replay it, plus the panic message.
+/// One measured point whose job panicked instead of producing its
+/// result: everything needed to replay it, plus the panic message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointFailure {
     /// The series the point belonged to.
     pub series: String,
     /// The point's index within its series.
     pub index: usize,
-    /// The offered request rate of the failed point.
+    /// The offered request rate of the failed point (0 where the point
+    /// has no rate).
     pub rate_per_ms: f64,
-    /// The derived per-point seed (replay: same config, this seed).
+    /// The point's seed (replay: same config, this seed).
     pub seed: u64,
     /// The contained panic payload.
     pub message: String,
@@ -85,7 +87,63 @@ impl std::fmt::Display for PointFailure {
     }
 }
 
-/// One simulated point: its replay coordinates and the run behind them.
+/// One measured point: its replay coordinates and the job that measures
+/// it. Everything that can fail — building the machine included — belongs
+/// in the job, so a bad point is contained rather than fatal.
+pub struct Point<'a, R> {
+    /// The series the point belongs to.
+    pub series: String,
+    /// The point's index within its series.
+    pub index: usize,
+    /// Offered request rate (requests/ms/processor); 0 where the point
+    /// has no rate.
+    pub rate_per_ms: f64,
+    /// The point's seed.
+    pub seed: u64,
+    /// Measures the point; runs on a pool worker.
+    pub job: Box<dyn FnOnce() -> R + Send + 'a>,
+}
+
+/// The rows a table measured from its points, plus the points that
+/// failed (the table simply skips their rows).
+#[derive(Debug, Clone)]
+pub struct Measured<R> {
+    /// Rows of the points that completed, in point order.
+    pub rows: Vec<R>,
+    /// Points that panicked, with replay coordinates, in point order.
+    pub failures: Vec<PointFailure>,
+}
+
+/// Runs every point's job on the pool and returns, in point order, the
+/// result of each job that completed and the [`PointFailure`] of each
+/// that panicked.
+pub fn measure<R: Send>(pool: &Pool, points: Vec<Point<'_, R>>) -> Measured<R> {
+    let (coordinates, jobs): (Vec<_>, Vec<_>) = points
+        .into_iter()
+        .map(|p| ((p.series, p.index, p.rate_per_ms, p.seed), p.job))
+        .unzip();
+    let results = pool.map(jobs, |_, job| job());
+    let mut measured = Measured {
+        rows: Vec::new(),
+        failures: Vec::new(),
+    };
+    for ((series, index, rate_per_ms, seed), result) in coordinates.into_iter().zip(results) {
+        match result {
+            Ok(row) => measured.rows.push(row),
+            Err(panic) => measured.failures.push(PointFailure {
+                series,
+                index,
+                rate_per_ms,
+                seed,
+                message: panic.message,
+            }),
+        }
+    }
+    measured
+}
+
+/// One simulated point: a fresh machine running the closed-loop synthetic
+/// workload, with its replay coordinates.
 #[derive(Debug, Clone)]
 pub struct SimPoint {
     /// The series the point belongs to.
@@ -104,66 +162,41 @@ pub struct SimPoint {
     pub txns_per_node: u64,
 }
 
-/// Runs every point on the pool: `results[i]` is `points[i]`'s report, or
-/// the [`PointFailure`] its panic became.
-pub fn run_points(pool: &Pool, points: &[SimPoint]) -> Vec<Result<RunReport, PointFailure>> {
-    let results = pool.map(points.iter().collect(), |_, p: &SimPoint| {
-        // The spec (and its rate validation) and the machine are built
-        // *inside* the job so a bad point is contained rather than fatal.
-        let spec = p.spec.clone().with_request_rate_per_ms(p.rate_per_ms);
-        let mut machine = Machine::new(p.config.clone(), p.seed).expect("valid configuration");
-        machine.run_synthetic(&spec, p.txns_per_node)
-    });
-    points
-        .iter()
-        .zip(results)
-        .map(|(p, result)| {
-            result.map_err(|panic| PointFailure {
-                series: p.series.clone(),
-                index: p.index,
-                rate_per_ms: p.rate_per_ms,
-                seed: p.seed,
-                message: panic.message,
-            })
-        })
-        .collect()
-}
-
-/// The rows a table measured from its simulated points, plus the points
-/// that failed (the table simply skips their rows).
-#[derive(Debug, Clone)]
-pub struct Measured<R> {
-    /// Rows of the points that completed, in point order.
-    pub rows: Vec<R>,
-    /// Points that panicked, with replay coordinates.
-    pub failures: Vec<PointFailure>,
-}
-
-/// Runs one point per parameter through [`run_points`] — point `i` is
-/// `point(i, params[i])` — and measures `row(params[i], report)` from each
-/// report.
-pub(crate) fn measure<P: Copy, R>(
+/// The synthetic case of [`measure`]: point `i` is `point(i, params[i])`,
+/// and its row is `row(params[i], report)`, measured in its job from the
+/// run's report.
+pub fn run_points<P, R>(
     pool: &Pool,
     params: &[P],
     point: impl Fn(usize, P) -> SimPoint,
-    row: impl Fn(P, RunReport) -> R,
-) -> Measured<R> {
-    let points: Vec<SimPoint> = params
+    row: impl Fn(P, RunReport) -> R + Sync,
+) -> Measured<R>
+where
+    P: Copy + Send,
+    R: Send,
+{
+    let row = &row;
+    let points = params
         .iter()
         .enumerate()
-        .map(|(i, &p)| point(i, p))
+        .map(|(i, &param)| {
+            let p = point(i, param);
+            Point {
+                series: p.series,
+                index: p.index,
+                rate_per_ms: p.rate_per_ms,
+                seed: p.seed,
+                job: Box::new(move || {
+                    // The spec's rate validation and the machine run in
+                    // the job, so a bad point is contained.
+                    let spec = p.spec.with_request_rate_per_ms(p.rate_per_ms);
+                    let mut machine = Machine::new(p.config, p.seed).expect("valid configuration");
+                    row(param, machine.run_synthetic(&spec, p.txns_per_node))
+                }),
+            }
+        })
         .collect();
-    let mut measured = Measured {
-        rows: Vec::new(),
-        failures: Vec::new(),
-    };
-    for (&param, result) in params.iter().zip(run_points(pool, &points)) {
-        match result {
-            Ok(report) => measured.rows.push(row(param, report)),
-            Err(failure) => measured.failures.push(failure),
-        }
-    }
-    measured
+    measure(pool, points)
 }
 
 /// What the run behind one simulated point recorded beside its
@@ -216,56 +249,59 @@ fn sim_matrix(
     specs: Vec<SeriesSpec>,
     sweep: &SweepConfig,
 ) -> Vec<SimSeries> {
-    let points: Vec<SimPoint> = specs
+    let streams: Vec<u64> = specs
         .iter()
-        .flat_map(|s| {
-            let stream = stream_id(namespace, &s.label);
-            sweep
-                .rates
-                .iter()
-                .enumerate()
-                .map(move |(index, &rate)| SimPoint {
-                    series: s.label.clone(),
-                    index,
-                    rate_per_ms: rate,
-                    seed: sweep.point_seed(stream, index),
-                    config: s.config.clone(),
-                    spec: s.spec_base.clone(),
-                    txns_per_node: sweep.txns_per_node,
-                })
-        })
+        .map(|s| stream_id(namespace, &s.label))
         .collect();
-    let mut results = points.iter().zip(run_points(pool, &points));
+    let params: Vec<(usize, usize)> = (0..specs.len())
+        .flat_map(|series| (0..sweep.rates.len()).map(move |index| (series, index)))
+        .collect();
+    let point = |_, (series, index): (usize, usize)| SimPoint {
+        series: specs[series].label.clone(),
+        index,
+        rate_per_ms: sweep.rates[index],
+        seed: sweep.point_seed(streams[series], index),
+        config: specs[series].config.clone(),
+        spec: specs[series].spec_base.clone(),
+        txns_per_node: sweep.txns_per_node,
+    };
+    let table = run_points(pool, &params, point, |(series, index), report| {
+        let point = FigurePoint {
+            rate_per_ms: sweep.rates[index],
+            efficiency: report.efficiency,
+            rho_row: report.utilization.row_mean,
+            rho_col: report.utilization.col_mean,
+        };
+        let run = PointRun {
+            seed: sweep.point_seed(streams[series], index),
+            ops_per_txn: report.ops_per_transaction(),
+            completed: report.transactions_completed,
+        };
+        (series, point, run)
+    });
     specs
         .into_iter()
-        .map(|s| {
-            let mut sim = SimSeries {
+        .enumerate()
+        .map(|(series, s)| {
+            let (points, runs) = table
+                .rows
+                .iter()
+                .filter(|row| row.0 == series)
+                .map(|&(_, point, run)| (point, run))
+                .unzip();
+            SimSeries {
+                failures: table
+                    .failures
+                    .iter()
+                    .filter(|f| f.series == s.label)
+                    .cloned()
+                    .collect(),
                 series: FigureSeries {
                     label: s.label,
-                    points: Vec::new(),
+                    points,
                 },
-                runs: Vec::new(),
-                failures: Vec::new(),
-            };
-            for (p, result) in results.by_ref().take(sweep.rates.len()) {
-                match result {
-                    Ok(report) => {
-                        sim.series.points.push(FigurePoint {
-                            rate_per_ms: p.rate_per_ms,
-                            efficiency: report.efficiency,
-                            rho_row: report.utilization.row_mean,
-                            rho_col: report.utilization.col_mean,
-                        });
-                        sim.runs.push(PointRun {
-                            seed: p.seed,
-                            ops_per_txn: report.ops_per_transaction(),
-                            completed: report.transactions_completed,
-                        });
-                    }
-                    Err(failure) => sim.failures.push(failure),
-                }
+                runs,
             }
-            sim
         })
         .collect()
 }

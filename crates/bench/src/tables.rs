@@ -1,8 +1,9 @@
 //! The paper's tabular claims, measured: protocol costs (T-6.1), scaling
 //! formulas (T-6.2), synchronization traffic (E-4.1), the single-bus
 //! comparison (E-1.1) and the ablations (A-1..A-3, A-2+) — plus ASCII
-//! rendering helpers. Every synthetic run behind a table goes through
-//! [`run_points`], so a panicking point costs only its own row.
+//! rendering helpers. Every run behind a table is a job of [`measure`]
+//! (the synthetic ones through [`run_points`]), so a panicking point
+//! costs only its own row.
 
 use multicube::{
     EngineKind, FaultPlan, Machine, MachineConfig, MachineMetrics, Request, RequestKind,
@@ -16,7 +17,7 @@ use multicube_sync::{LockExperiment, QueueLock, SpinLock};
 use multicube_topology::scaling::{ScalingReport, TransactionCostBounds};
 use multicube_topology::Multicube;
 
-use crate::simfig::{measure, run_points, Measured, SimPoint};
+use crate::simfig::{measure, run_points, Measured, Point, SimPoint};
 
 /// One measured row of the T-6.1 protocol-cost table.
 #[derive(Debug, Clone)]
@@ -34,8 +35,9 @@ pub struct CostRow {
 }
 
 /// Measures the §6 per-transaction bus-operation costs on an `n x n`
-/// machine by staging each scenario on a quiet grid.
-pub fn costs_table(n: u32) -> Vec<CostRow> {
+/// machine by staging each scenario on a quiet grid, one point per
+/// scenario.
+pub fn costs_table(pool: &Pool, n: u32) -> Measured<CostRow> {
     use RequestKind::{Read, TestAndSet, Write};
     let b = TransactionCostBounds::for_grid(n);
     // Place the actors away from special columns: the line's home is
@@ -96,29 +98,40 @@ pub fn costs_table(n: u32) -> Vec<CostRow> {
             |_, row, col| row + col <= 4.0,
         ),
     ];
-    scenarios
+    let b = &b;
+    let points = scenarios
         .into_iter()
-        .map(|(scenario, steps, class, paper_bound, within)| {
-            let config = MachineConfig::grid(n).expect("valid n");
-            let mut m = Machine::new(config, 31).expect("valid configuration");
-            for &((row, col), kind) in steps {
-                let node = m.config().topology().node(row, col);
-                m.submit(node, Request::new(kind, line))
-                    .expect("a quiet machine's node is idle");
-                m.advance().expect("the staged request completes");
-                m.run_to_quiescence();
-            }
-            let s = class(m.metrics());
-            let (row_ops, col_ops) = (s.row_ops.mean(), s.col_ops.mean());
-            CostRow {
-                scenario,
-                paper_bound,
-                row_ops,
-                col_ops,
-                within_bound: within(&b, row_ops, col_ops),
-            }
-        })
-        .collect()
+        .enumerate()
+        .map(
+            |(index, (scenario, steps, class, paper_bound, within))| Point {
+                series: format!("costs n={n}"),
+                index,
+                rate_per_ms: 0.0,
+                seed: 31,
+                job: Box::new(move || {
+                    let config = MachineConfig::grid(n).expect("valid n");
+                    let mut m = Machine::new(config, 31).expect("valid configuration");
+                    for &((row, col), kind) in steps {
+                        let node = m.config().topology().node(row, col);
+                        m.submit(node, Request::new(kind, line))
+                            .expect("a quiet machine's node is idle");
+                        m.advance().expect("the staged request completes");
+                        m.run_to_quiescence();
+                    }
+                    let s = class(m.metrics());
+                    let (row_ops, col_ops) = (s.row_ops.mean(), s.col_ops.mean());
+                    CostRow {
+                        scenario,
+                        paper_bound,
+                        row_ops,
+                        col_ops,
+                        within_bound: within(b, row_ops, col_ops),
+                    }
+                }),
+            },
+        )
+        .collect();
+    measure(pool, points)
 }
 
 /// The §6 scaling formulas for representative Multicube shapes (T-6.2).
@@ -152,24 +165,34 @@ pub struct SyncRow {
     pub queue_failures: u64,
 }
 
-/// Measures hot-lock traffic for both §4 disciplines across grid sizes.
-pub fn sync_rows(ns: &[u32], rounds: u64) -> Vec<SyncRow> {
-    ns.iter()
-        .map(|&n| {
-            let exp = LockExperiment::new(rounds).with_hold_ns(20_000);
-            let mut m1 = Machine::new(MachineConfig::grid(n).unwrap(), 13).unwrap();
-            let spin = exp.run::<SpinLock>(&mut m1);
-            let mut m2 = Machine::new(MachineConfig::grid(n).unwrap(), 13).unwrap();
-            let queue = exp.run::<QueueLock>(&mut m2);
-            SyncRow {
-                n,
-                spin_ops_per_acq: spin.ops_per_acquisition(),
-                spin_failures: spin.tas_failures,
-                queue_ops_per_acq: queue.ops_per_acquisition(),
-                queue_failures: queue.tas_failures,
-            }
+/// Measures hot-lock traffic for both §4 disciplines across grid sizes,
+/// one point per side.
+pub fn sync_rows(pool: &Pool, ns: &[u32], rounds: u64) -> Measured<SyncRow> {
+    let points = ns
+        .iter()
+        .enumerate()
+        .map(|(index, &n)| Point {
+            series: format!("sync n={n}"),
+            index,
+            rate_per_ms: 0.0,
+            seed: 13,
+            job: Box::new(move || {
+                let exp = LockExperiment::new(rounds).with_hold_ns(20_000);
+                let mut m1 = Machine::new(MachineConfig::grid(n).unwrap(), 13).unwrap();
+                let spin = exp.run::<SpinLock>(&mut m1);
+                let mut m2 = Machine::new(MachineConfig::grid(n).unwrap(), 13).unwrap();
+                let queue = exp.run::<QueueLock>(&mut m2);
+                SyncRow {
+                    n,
+                    spin_ops_per_acq: spin.ops_per_acquisition(),
+                    spin_failures: spin.tas_failures,
+                    queue_ops_per_acq: queue.ops_per_acquisition(),
+                    queue_failures: queue.tas_failures,
+                }
+            }),
         })
-        .collect()
+        .collect();
+    measure(pool, points)
 }
 
 /// Compares the single-bus multi — Goodman's write-once on one bus, the
@@ -183,38 +206,35 @@ pub fn baseline_rows(
     txns: u64,
 ) -> Measured<(u32, RunReport, RunReport)> {
     let sides = [2u32, 4, 6, 8, 12, 16];
-    let points: Vec<SimPoint> = sides
-        .iter()
-        .enumerate()
-        .flat_map(|(index, &side)| {
-            [EngineKind::WriteOnce, EngineKind::Multicube].map(|engine| SimPoint {
-                series: engine.name().to_string(),
-                index,
-                rate_per_ms,
-                seed: 17,
-                config: MachineConfig::grid(side)
-                    .expect("valid side")
-                    .with_engine(engine),
-                spec: SyntheticSpec::default(),
-                txns_per_node: txns,
-            })
+    let params: Vec<(usize, EngineKind)> = (0..sides.len())
+        .flat_map(|index| [EngineKind::WriteOnce, EngineKind::Multicube].map(|e| (index, e)))
+        .collect();
+    let point = |_, (index, engine): (usize, EngineKind)| SimPoint {
+        series: engine.name().to_string(),
+        index,
+        rate_per_ms,
+        seed: 17,
+        config: MachineConfig::grid(sides[index])
+            .expect("valid side")
+            .with_engine(engine),
+        spec: SyntheticSpec::default(),
+        txns_per_node: txns,
+    };
+    let runs = run_points(pool, &params, point, |(index, _), report| (index, report));
+    // A side keeps its row only if both of its runs completed; those come
+    // in engine order.
+    let mut reports = runs.rows.into_iter().peekable();
+    let rows = (0..sides.len())
+        .filter_map(|index| {
+            let multi = reports.next_if(|run| run.0 == index);
+            let cube = reports.next_if(|run| run.0 == index);
+            Some((sides[index] * sides[index], multi?.1, cube?.1))
         })
         .collect();
-    let mut results = run_points(pool, &points).into_iter();
-    let mut table = Measured {
-        rows: Vec::new(),
-        failures: Vec::new(),
-    };
-    for side in sides {
-        let mut next = || results.next().expect("two runs per side");
-        match (next(), next()) {
-            (Ok(multi), Ok(cube)) => table.rows.push((side * side, multi, cube)),
-            (multi, cube) => table
-                .failures
-                .extend(multi.err().into_iter().chain(cube.err())),
-        }
+    Measured {
+        rows,
+        failures: runs.failures,
     }
-    table
 }
 
 /// Renders a run's per-bus telemetry — utilization, op counts and queue
@@ -319,7 +339,9 @@ mod tests {
 
     #[test]
     fn costs_table_rows_all_within_bounds() {
-        let rows = costs_table(4);
+        let table = costs_table(&Pool::serial(), 4);
+        assert!(table.failures.is_empty(), "{:?}", table.failures);
+        let rows = table.rows;
         assert_eq!(rows.len(), 5);
         for row in &rows {
             assert!(
@@ -340,9 +362,37 @@ mod tests {
 
     #[test]
     fn sync_rows_show_queue_advantage() {
-        let rows = sync_rows(&[2], 3);
+        let table = sync_rows(&Pool::serial(), &[2], 3);
+        assert!(table.failures.is_empty(), "{:?}", table.failures);
+        let rows = table.rows;
         assert_eq!(rows.len(), 1);
         assert!(rows[0].queue_ops_per_acq <= rows[0].spin_ops_per_acq);
+    }
+
+    /// `MachineConfig::grid` rejects side 1, so each of its points fails
+    /// alone: E-4.1 keeps the side-2 row, and every T-6.1 scenario
+    /// becomes a failure naming its series, index and seed.
+    #[test]
+    fn sync_and_cost_points_on_a_bad_side_fail_alone() {
+        for workers in [1, 3] {
+            let pool = Pool::new(workers);
+            let sync = sync_rows(&pool, &[1, 2], 2);
+            let sides: Vec<u32> = sync.rows.iter().map(|r| r.n).collect();
+            assert_eq!(sides, [2]);
+            assert_eq!(sync.failures.len(), 1);
+            let f = &sync.failures[0];
+            assert_eq!((f.series.as_str(), f.index, f.seed), ("sync n=1", 0, 13));
+            assert!(f.message.contains("ArityTooSmall"), "{}", f.message);
+
+            let costs = costs_table(&pool, 1);
+            assert!(costs.rows.is_empty());
+            let indices: Vec<usize> = costs.failures.iter().map(|f| f.index).collect();
+            assert_eq!(indices, [0, 1, 2, 3, 4]);
+            for f in &costs.failures {
+                assert_eq!((f.series.as_str(), f.seed), ("costs n=1", 31));
+                assert!(f.message.contains("ArityTooSmall"), "{}", f.message);
+            }
+        }
     }
 
     #[test]
@@ -418,7 +468,7 @@ pub fn mlt_rows(
         spec: spec.clone(),
         txns_per_node: txns,
     };
-    measure(pool, capacities, point, |capacity, report| {
+    run_points(pool, capacities, point, |capacity, report| {
         (capacity, report)
     })
 }
@@ -446,7 +496,7 @@ pub fn robustness_rows(
         spec: SyntheticSpec::default(),
         txns_per_node: txns,
     };
-    measure(pool, drops, point, |p, report| (p, report))
+    run_points(pool, drops, point, |p, report| (p, report))
 }
 
 /// One row of the composite fault sweep: every fault class scaled together
@@ -525,7 +575,7 @@ pub fn fault_sweep_rows(pool: &Pool, n: u32, probs: &[f64], txns: u64) -> Measur
         spec: SyntheticSpec::default(),
         txns_per_node: txns,
     };
-    measure(pool, probs, point, |p, report| {
+    run_points(pool, probs, point, |p, report| {
         let met = &report.metrics;
         let classes = met.classes();
         FaultSweepRow {
@@ -642,7 +692,7 @@ pub fn snarf_rows(pool: &Pool, n: u32, txns: u64) -> Measured<(bool, RunReport)>
         spec: spec.clone(),
         txns_per_node: txns,
     };
-    measure(pool, &[false, true], point, |on, report| (on, report))
+    run_points(pool, &[false, true], point, |on, report| (on, report))
 }
 
 #[cfg(test)]

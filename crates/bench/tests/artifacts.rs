@@ -51,7 +51,8 @@ fn scaling_report_cube_n8_matches_a_fresh_run() {
         sides: vec![8],
         ..CubeStudyConfig::full(2)
     });
-    let fresh = &study.points[0];
+    assert!(study.failures.is_empty(), "{:?}", study.failures);
+    let fresh = &study.rows[0];
     let report = json::parse(&artifact("BENCH_scaling.json")).unwrap();
     let committed = report
         .field("cube")

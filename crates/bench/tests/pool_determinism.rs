@@ -143,7 +143,8 @@ fn scaling_study_json_is_byte_identical_across_worker_counts() {
             assert!(sims.iter().all(|s| s.failures.is_empty()));
             let cube_cfg = CubeStudyConfig::quick(pool.workers());
             let cube = run_cube_study(&cube_cfg);
-            render_scaling_json(&sides, &sweep, &sims, Some(&cube))
+            assert!(cube.failures.is_empty(), "{:?}", cube.failures);
+            render_scaling_json(&sides, &sweep, &sims, Some((&cube_cfg, &cube.rows)))
         })
         .collect();
     validate_scaling_report(

@@ -37,7 +37,6 @@ pub(super) const ENGINE: Engine = Engine {
     upgrade: |_| OpKind::BusUpgrade,
     flush: OpKind::BusWriteback,
     single_bus: true,
-    reserved_is_exclusive: true,
 };
 
 /// Runs the MESI snoop of a completed bus operation.

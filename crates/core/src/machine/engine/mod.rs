@@ -67,9 +67,6 @@ pub(crate) struct Engine {
     /// Every operation rides bus 0, the single snooping bus; otherwise
     /// each rides the originator's row or column bus, by its class.
     pub single_bus: bool,
-    /// [`LineMode::Reserved`] is a writable exclusive-clean copy (MESI's
-    /// `E`, write-once's Reserved) rather than the §4 SYNC reservation.
-    pub reserved_is_exclusive: bool,
 }
 
 impl Engine {

@@ -14,8 +14,8 @@ use crate::proto::OpKind;
 use super::Engine;
 
 /// The Appendix-A Multicube protocol: row-bus requests and column-bus
-/// flushes on the grid. `Reserved` is the §4 SYNC reservation, which
-/// serves no access.
+/// flushes on the grid. It holds lines shared or modified, never in the
+/// arena engines' exclusive-clean `Reserved` mode.
 pub(super) const ENGINE: Engine = Engine {
     on_op: Machine::dispatch_multicube,
     check: check::check,
@@ -23,7 +23,6 @@ pub(super) const ENGINE: Engine = Engine {
     upgrade: row_request,
     flush: OpKind::WritebackColRemove,
     single_bus: false,
-    reserved_is_exclusive: false,
 };
 
 /// The row-bus request that starts, or retransmits, a transaction of

@@ -60,12 +60,11 @@ impl Machine {
     }
 
     /// Whether a copy in `mode` serves `kind` without the bus: any
-    /// readable copy serves a read, and only an exclusive one (modified,
-    /// or an exclusive-clean reservation) a write or test-and-set.
+    /// readable copy serves a read, and only an exclusive one (modified
+    /// or exclusive-clean) a write or test-and-set.
     fn serves_locally(&self, kind: RequestKind, mode: Option<LineMode>) -> bool {
         match mode {
-            Some(LineMode::Modified) => true,
-            Some(LineMode::Reserved) => self.engine.reserved_is_exclusive,
+            Some(LineMode::Modified | LineMode::Reserved) => true,
             Some(LineMode::Shared) => kind == RequestKind::Read,
             None => false,
         }

@@ -11,15 +11,17 @@ use crate::proto::TxnId;
 ///
 /// "With respect to a particular cache, a line may be in one of three local
 /// modes: shared..., modified..., or invalid" (§3). Invalid is represented
-/// by absence from the cache. `Reserved` is the §4 SYNC extension: space
-/// allocated for a queue-lock line that is not yet writable.
+/// by absence from the cache. `Reserved` is the single-bus engines'
+/// exclusive-clean copy (MESI's `E`, write-once's Reserved); the
+/// Multicube protocol never holds a line in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LineMode {
     /// Global state unmodified; other copies may exist; memory is current.
     Shared,
     /// This cache holds the only copy; memory is stale.
     Modified,
-    /// SYNC extension: space reserved while queued for the line.
+    /// This cache holds the only copy; memory is current. A write
+    /// upgrades it to `Modified` without a bus operation.
     Reserved,
 }
 

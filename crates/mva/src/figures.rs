@@ -32,28 +32,6 @@ pub struct FigureSeries {
     pub points: Vec<FigurePoint>,
 }
 
-/// A rate requested from [`FigureSeries::point_at_rate`] that the series'
-/// sweep grid does not contain.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateLookupError {
-    /// The series that was searched.
-    pub label: String,
-    /// The rate that was asked for.
-    pub rate_per_ms: f64,
-}
-
-impl std::fmt::Display for RateLookupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "series {:?} has no point at rate {} req/ms/processor",
-            self.label, self.rate_per_ms
-        )
-    }
-}
-
-impl std::error::Error for RateLookupError {}
-
 impl FigureSeries {
     fn sweep(label: impl Into<String>, params: &ModelParams, rates: &[f64]) -> Self {
         let points = rates
@@ -77,24 +55,6 @@ impl FigureSeries {
     /// Efficiency at the sweep's highest rate (curve tail).
     pub fn tail_efficiency(&self) -> f64 {
         self.points.last().map(|p| p.efficiency).unwrap_or(1.0)
-    }
-
-    /// The point at offered rate `rate_per_ms`, looked up by value rather
-    /// than by grid position, so a change to the rate grid can never
-    /// silently return the wrong point. The default grids use whole-number
-    /// rates, so the exact `f64` comparison is well-defined.
-    ///
-    /// # Errors
-    ///
-    /// [`RateLookupError`] naming the series and the missing rate.
-    pub fn point_at_rate(&self, rate_per_ms: f64) -> Result<&FigurePoint, RateLookupError> {
-        self.points
-            .iter()
-            .find(|p| p.rate_per_ms == rate_per_ms)
-            .ok_or_else(|| RateLookupError {
-                label: self.label.clone(),
-                rate_per_ms,
-            })
     }
 }
 
@@ -240,28 +200,8 @@ mod tests {
             .iter()
             .map(|p| p.efficiency)
             .fold(f64::INFINITY, f64::min);
-        let fixed_rate_64 = figure4()
-            .pop()
-            .unwrap()
-            .point_at_rate(16.0)
-            .expect("rate 16 is on the default grid")
-            .efficiency;
+        let fixed_rate_64 = solve(&ModelParams::figure4(64), 16.0).efficiency;
         assert!(worst > fixed_rate_64, "rate scaling must help big blocks");
-    }
-
-    #[test]
-    fn point_at_rate_finds_by_value_and_errors_loudly() {
-        let series = figure2().remove(0);
-        let p = series.point_at_rate(16.0).unwrap();
-        assert_eq!(p.rate_per_ms, 16.0);
-        // The same point regardless of where the grid puts it.
-        assert_eq!(p, &series.points[15]);
-
-        let err = series.point_at_rate(16.5).unwrap_err();
-        assert_eq!(err.rate_per_ms, 16.5);
-        assert_eq!(err.label, series.label);
-        let msg = err.to_string();
-        assert!(msg.contains("16.5") && msg.contains(&series.label), "{msg}");
     }
 
     #[test]

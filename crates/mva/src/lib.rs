@@ -37,7 +37,7 @@ pub mod kdim;
 pub mod model;
 pub mod params;
 
-pub use figures::{FigurePoint, FigureSeries, RateLookupError};
+pub use figures::{FigurePoint, FigureSeries};
 pub use kdim::{dimension_sweep, solve_k, KdimSolution};
 pub use model::{single_bus_efficiency, solve, ModelSolution};
 pub use params::{DataMovement, ModelParams};
