@@ -32,7 +32,8 @@
 //!
 //! options:
 //!   --quick   smaller sweeps, each command under about a minute
-//!   --txns N  transactions per processor for the sweeps that take it
+//!   --txns N  transactions per processor (N > 0) for the sweeps that
+//!             take it
 //!   --csv DIR also write each figure's CSV into DIR
 //!   --out DIR write the BENCH_* artifacts into DIR (default: .)
 //! ```
@@ -646,7 +647,8 @@ fn main() -> ExitCode {
                 opts.txns = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .or_else(|| panic!("--txns needs a number"));
+                    .filter(|&txns| txns > 0)
+                    .or_else(|| panic!("--txns needs a positive number"));
             }
             "--csv" => {
                 opts.csv = it.next().map(PathBuf::from);

@@ -1,82 +1,56 @@
 //! `perf` — the reproducible core-performance harness.
 //!
 //! ```text
-//! perf [--quick] [--out PATH] [--baseline PATH] [--guard]
+//! perf [--quick] [--out PATH]
+//! perf --guard PARENT_DIR CHANGE_DIR
 //! ```
 //!
 //! Runs the core kernels (see `multicube_bench::perf`) with warmup and
-//! repeats, each timed pass bracketed by the host-speed calibration
-//! kernel, and writes median/MAD/p90 results and the calibrated medians as
-//! JSON (default `BENCH_core.json` in the current directory). `--baseline`
-//! embeds a previous report's medians and the speedup against them.
-//! `--guard` additionally fails the run when a guarded kernel
-//! (`machine_1k_transactions`, `cube_pdes_events` or
-//! `cube_pdes_events_parallel`) regresses more than 25 % against the
-//! baseline. It compares the fastest calibrated pass per work unit, so
-//! `--quick` runs measure against full-mode baselines and a slow host
-//! against a fast one; the two-worker cube is compared as a ratio to the
-//! one-worker cube.
+//! repeats and writes median/MAD/p90 results as JSON (default
+//! `BENCH_core.json` in the current directory).
+//!
+//! `--guard` runs no kernels: it reads every `*.json` report in the two
+//! directories, written by the parent commit's `perf` and the change's
+//! run alternately on one host, prints each kernel's fastest pass per work
+//! unit pooled over each side and their ratio, and fails when
+//! `machine_1k_transactions`, `cube_pdes_events` or
+//! `cube_pdes_events_parallel` is more than 25 % slower than the parent.
 
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use multicube_bench::json;
 use multicube_bench::perf::{
-    check_regression_guard, kernel_stats, render_json, run_all, validate_report, PerfConfig,
-    GUARD_KERNELS,
+    guard, kernel_stats, render_json, run_all, validate_report, KernelStat, PerfConfig,
 };
 
-/// The regression, in percent, at which `--guard` fails a kernel.
-const GUARD_PCT: f64 = 25.0;
+const USAGE: &str = "usage: perf [--quick] [--out PATH]\n       perf --guard PARENT_DIR CHANGE_DIR";
 
 fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, parent, change] = args.as_slice() {
+        if flag == "--guard" {
+            return guard_dirs(Path::new(parent), Path::new(change));
+        }
+    }
     let mut quick = false;
-    let mut guard_enabled = false;
     let mut out_path = String::from("BENCH_core.json");
-    let mut baseline_path: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--guard" => guard_enabled = true,
             "--out" => match args.next() {
                 Some(p) => out_path = p,
                 None => return usage("--out needs a path"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(p),
-                None => return usage("--baseline needs a path"),
-            },
+            "--guard" => return usage("--guard takes two directories and no other option"),
             "--help" | "-h" => {
-                println!("usage: perf [--quick] [--out PATH] [--baseline PATH] [--guard]");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
         }
     }
-    if guard_enabled && baseline_path.is_none() {
-        return usage("--guard needs --baseline");
-    }
-    let baseline = match &baseline_path {
-        Some(p) => match std::fs::read_to_string(p) {
-            Ok(text) => match json::parse(&text).and_then(|report| kernel_stats(&report)) {
-                Ok(stats) if !stats.is_empty() => Some(stats),
-                Ok(_) => {
-                    eprintln!("perf: no kernels in baseline {p}");
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("perf: baseline {p} is not a perf report: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("perf: cannot read baseline {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
 
     let cfg = if quick {
         PerfConfig::quick()
@@ -94,30 +68,12 @@ fn main() -> ExitCode {
         eprintln!("  {f}");
     }
     for r in &results {
-        let speedup = baseline
-            .as_deref()
-            .and_then(|b| b.iter().find(|k| k.name == r.name))
-            .map(|base| {
-                format!(
-                    " ({:.2}x vs baseline)",
-                    base.calibrated_min_ns as f64 / r.calibrated_min_ns.max(1) as f64
-                )
-            })
-            .unwrap_or_default();
         eprintln!(
-            "  {:<28} median {:>12} ns  mad {:>10} ns  p90 {:>12} ns  outliers {}  \
-             calibrated median {:>12} ns  min {:>12} ns{}",
-            r.name,
-            r.median_ns,
-            r.mad_ns,
-            r.p90_ns,
-            r.outliers,
-            r.calibrated_median_ns,
-            r.calibrated_min_ns,
-            speedup
+            "  {:<28} median {:>12} ns  mad {:>10} ns  p90 {:>12} ns  outliers {}  min {:>12} ns",
+            r.name, r.median_ns, r.mad_ns, r.p90_ns, r.outliers, r.min_ns
         );
     }
-    let json = render_json(&cfg, &results, baseline.as_deref());
+    let json = render_json(&cfg, &results);
     // A panicked kernel leaves a partial report: still write it (the
     // surviving kernels' numbers are good), but fail the run — partial
     // reports must never validate as committed numbers.
@@ -139,25 +95,59 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    if guard_enabled {
-        let base = baseline.as_deref().expect("guard requires baseline");
-        let current = json::parse(&json)
-            .and_then(|report| kernel_stats(&report))
-            .expect("the report validated above");
-        for kernel in GUARD_KERNELS {
-            match check_regression_guard(&current, base, kernel, GUARD_PCT) {
-                Ok(msg) => eprintln!("perf: {msg}"),
-                Err(msg) => {
-                    eprintln!("perf: REGRESSION: {msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
     ExitCode::SUCCESS
 }
 
+/// Judges the reports in `change` against those in `parent`.
+fn guard_dirs(parent: &Path, change: &Path) -> ExitCode {
+    let (parent, change) = match (read_reports(parent), read_reports(change)) {
+        (Ok(parent), Ok(change)) => (parent, change),
+        (parent, change) => {
+            for e in parent.err().into_iter().chain(change.err()) {
+                eprintln!("perf: {e}");
+            }
+            return ExitCode::FAILURE;
+        }
+    };
+    let verdict = guard(&parent, &change);
+    for line in &verdict.table {
+        println!("{line}");
+    }
+    if verdict.failures.is_empty() {
+        println!("perf: guard passed");
+        return ExitCode::SUCCESS;
+    }
+    for failure in &verdict.failures {
+        eprintln!("perf: REGRESSION: {failure}");
+    }
+    ExitCode::FAILURE
+}
+
+/// The kernels of every `*.json` report in `dir`, in file-name order.
+fn read_reports(dir: &Path) -> Result<Vec<Vec<KernelStat>>, String> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+        .map(|entry| entry.map(|e| e.path()))
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    paths.retain(|p| p.extension().is_some_and(|ext| ext == "json"));
+    paths.sort();
+    if paths.is_empty() {
+        return Err(format!("no *.json report in {}", dir.display()));
+    }
+    paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p)
+                .map_err(|e| format!("cannot read {}: {e}", p.display()))?;
+            json::parse(&text)
+                .and_then(|report| kernel_stats(&report))
+                .map_err(|e| format!("{} is not a perf report: {e}", p.display()))
+        })
+        .collect()
+}
+
 fn usage(msg: &str) -> ExitCode {
-    eprintln!("perf: {msg}\nusage: perf [--quick] [--out PATH] [--baseline PATH] [--guard]");
+    eprintln!("perf: {msg}\n{USAGE}");
     ExitCode::FAILURE
 }

@@ -10,34 +10,24 @@
 //! are not.
 //!
 //! The `perf` binary writes the results as `BENCH_core.json` at the repo
-//! root (override with `--out`). Passing `--baseline <previous.json>`
-//! embeds the previous medians and the speedup against them, which is how
-//! before/after numbers are committed alongside an optimization:
+//! root (override with `--out`). `--quick` shrinks warmup/repeats for CI
+//! runs; the numbers are noisier but the schema is identical.
 //!
-//! ```text
-//! cargo run --release -p multicube-bench --bin perf -- --out /tmp/before.json
-//! # ... apply the optimization ...
-//! cargo run --release -p multicube-bench --bin perf -- \
-//!     --baseline /tmp/before.json --out BENCH_core.json
-//! ```
-//!
-//! `--quick` shrinks warmup/repeats for CI smoke runs; the numbers are
-//! noisier but the schema is identical.
-//!
-//! The host's speed drifts, on shared virtual machines by up to ~1.8x, so
-//! raw times judge the host as much as the code. Every timed pass is
-//! therefore bracketed by the fixed arithmetic kernel of
-//! [`multicube_sim::calibrate`], and each sample is also reported scaled to
-//! the reference host's speed (`calibrated_samples_ns`). The regression
-//! guard compares the fastest calibrated sample of each kernel: slowdowns
-//! from other tenants of the host come in bursts that lengthen some passes
-//! and never shorten one.
+//! A host's speed drifts, on shared virtual machines by up to ~1.8x, so a
+//! time is comparable only with one taken on the same host at about the
+//! same time. The regression guard ([`guard`], `perf --guard`) therefore
+//! compares two sets of reports run alternately on one host, the parent
+//! commit's and the change's, and pools each kernel's fastest pass per
+//! work unit over each set: other tenants slow the host in bursts that
+//! lengthen some passes and never shorten one. Its printout is also the
+//! before/after of an optimization: run the two builds' `perf --quick
+//! --out DIR/NN.json` in pairs that alternate which runs first, as CI's
+//! `perf` job does, then `perf --guard BEFORE_DIR AFTER_DIR`.
 
 use std::time::Instant;
 
 use multicube::{FaultPlan, Machine, MachineConfig, Request, SyntheticSpec};
 use multicube_mem::LineAddr;
-use multicube_sim::calibrate;
 use multicube_sim::pool::Pool;
 use multicube_sim::{DeterministicRng, EventQueue};
 use multicube_topology::NodeId;
@@ -45,11 +35,7 @@ use multicube_topology::NodeId;
 use crate::json::{self, Value};
 
 /// Identifies the JSON layout; bump when the schema changes shape.
-pub const SCHEMA: &str = "multicube-bench-core/v2";
-
-/// Iterations of each calibration bracket: about 6 ms on the reference
-/// host, long enough to read the host's speed, short beside the passes.
-pub const CALIBRATION_ITERATIONS: u64 = calibrate::ITERATIONS / 25;
+pub const SCHEMA: &str = "multicube-bench-core/v3";
 
 /// The kernels the CI regression guard watches: the serial machine core
 /// and the cube's events/sec kernels, the serial reference path and the
@@ -60,13 +46,8 @@ pub const GUARD_KERNELS: [&str; 3] = [
     "cube_pdes_events_parallel",
 ];
 
-/// The kernel a guarded kernel is judged relative to, if any. The two-worker
-/// cube runs on two CPUs, which one-thread calibration does not measure,
-/// so it is judged as a ratio to the one-worker cube of the same report:
-/// that kernel saw the same host.
-fn guard_reference(kernel: &str) -> Option<&'static str> {
-    (kernel == "cube_pdes_events_parallel").then_some("cube_pdes_events")
-}
+/// The slowdown, in percent, at which [`guard`] fails a guarded kernel.
+pub const GUARD_PCT: f64 = 25.0;
 
 /// Harness configuration: how many passes to run per kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,26 +84,17 @@ impl PerfConfig {
 /// One kernel's measurements, in nanoseconds of wall-clock time per pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelResult {
-    /// Kernel name (stable across versions; used to match baselines).
+    /// Kernel name (stable across versions; the guard matches a parent's
+    /// reports by it).
     pub name: &'static str,
     /// What one pass simulates, for the reader of the JSON.
     pub work: &'static str,
     /// Abstract work units one pass performs (transactions, schedule ops).
     /// Quick and full mode run different sizes, so cross-mode comparisons
-    /// — like the CI regression guard — divide medians by this.
+    /// divide times by this.
     pub work_units: u64,
     /// All timed samples, in pass order.
     pub samples_ns: Vec<u64>,
-    /// For each sample, the faster of the calibration brackets either side
-    /// of it.
-    pub calibration_ns: Vec<u64>,
-    /// Each sample scaled to the reference host's speed, as its bracket
-    /// measured it.
-    pub calibrated_samples_ns: Vec<u64>,
-    /// Median of `calibrated_samples_ns`.
-    pub calibrated_median_ns: u64,
-    /// Smallest of `calibrated_samples_ns`: what the guard compares.
-    pub calibrated_min_ns: u64,
     /// Median of `samples_ns`.
     pub median_ns: u64,
     /// Median absolute deviation of `samples_ns`.
@@ -133,7 +105,7 @@ pub struct KernelResult {
     /// Samples beyond `median + 5 * MAD` — scheduling outliers, counted
     /// so they are visible instead of silently absorbed.
     pub outliers: u32,
-    /// Smallest sample.
+    /// Smallest sample: what the guard compares.
     pub min_ns: u64,
     /// Largest sample.
     pub max_ns: u64,
@@ -161,34 +133,8 @@ fn p90(sorted: &[u64]) -> u64 {
     sorted[(9 * n).div_ceil(10) - 1]
 }
 
-/// One calibration bracket's wall time (ns).
-fn calibration_ns() -> u64 {
-    (calibrate::seconds(CALIBRATION_ITERATIONS, 1) * 1e9).round() as u64
-}
-
-/// `sample_ns` scaled to the reference host's speed, as a calibration
-/// bracket of `bracket_ns` measured it.
-fn calibrated(sample_ns: u64, bracket_ns: u64) -> u64 {
-    let bracket_s = bracket_ns as f64 * 1e-9;
-    let speed = calibrate::speed(CALIBRATION_ITERATIONS, bracket_s, bracket_s);
-    (sample_ns as f64 * speed).round() as u64
-}
-
-/// Summarizes one kernel's timed passes and the bracket each was scaled
-/// by.
-fn summarize(
-    kernel: &Kernel,
-    quick: bool,
-    samples_ns: Vec<u64>,
-    calibration_ns: Vec<u64>,
-) -> KernelResult {
-    let calibrated_samples_ns: Vec<u64> = samples_ns
-        .iter()
-        .zip(&calibration_ns)
-        .map(|(&sample, &bracket)| calibrated(sample, bracket))
-        .collect();
-    let mut sorted_calibrated = calibrated_samples_ns.clone();
-    sorted_calibrated.sort_unstable();
+/// Summarizes one kernel's timed passes.
+fn summarize(kernel: &Kernel, quick: bool, samples_ns: Vec<u64>) -> KernelResult {
     let mut sorted = samples_ns.clone();
     sorted.sort_unstable();
     let med = median(&sorted);
@@ -208,10 +154,6 @@ fn summarize(
         min_ns: sorted.first().copied().unwrap_or(0),
         max_ns: sorted.last().copied().unwrap_or(0),
         samples_ns,
-        calibration_ns,
-        calibrated_median_ns: median(&sorted_calibrated),
-        calibrated_min_ns: sorted_calibrated.first().copied().unwrap_or(0),
-        calibrated_samples_ns,
     }
 }
 
@@ -219,12 +161,11 @@ fn summarize(
 /// round-robined over a 4×4 grid, then drained to quiescence. This is the
 /// headline number optimization PRs are judged against.
 ///
-/// Deliberately NOT scaled down in quick mode: this is the kernel the CI
-/// regression guard compares against the committed full-mode report, and
-/// machine construction is a fixed cost (~two thirds of a 300-txn run)
-/// that would make per-unit numbers from different txn counts
-/// incomparable. One iteration is ~200 µs; quick mode saves its time by
-/// trimming repeats instead.
+/// Deliberately NOT scaled down in quick mode: machine construction is a
+/// fixed cost (~two thirds of a 300-txn run) that would make per-unit
+/// numbers from different txn counts incomparable, and a guarded kernel's
+/// quick figure should read like its full-mode one. One iteration is
+/// ~200 µs; quick mode saves its time by trimming repeats instead.
 fn kernel_machine_1k(_quick: bool) -> u64 {
     let txns: u64 = 1_000;
     let mut m = Machine::new(MachineConfig::grid(4).unwrap(), 8).unwrap();
@@ -343,8 +284,7 @@ pub const CUBE_PDES_EVENTS: u64 = 14_033;
 /// exchange design and stay because the CI guard keys on them.
 ///
 /// NOT scaled down in quick mode, for the same reason as
-/// `kernel_machine_1k`: both kernels are CI-guarded per work unit against
-/// the committed full-mode report.
+/// `kernel_machine_1k`.
 fn kernel_cube_pdes(workers: usize) -> u64 {
     let mut cfg = multicube::pdes::CubeConfig::new(4);
     cfg.txns_per_node = 32;
@@ -375,7 +315,7 @@ impl std::fmt::Display for KernelFailure {
 
 /// One timed kernel. `units` and `body` take the quick-mode flag.
 struct Kernel {
-    /// Stable name; baselines and the CI guard key on it.
+    /// Stable name; the CI guard keys on it.
     name: &'static str,
     /// What one pass simulates, for the reader of the JSON.
     work: &'static str,
@@ -433,11 +373,9 @@ const KERNELS: [Kernel; 6] = [
 /// per kernel, so every kernel's samples spread over the whole run: other
 /// tenants of a shared host slow it in bursts of a second or so, and a
 /// kernel whose passes all fell into one would read slow. Each timed pass
-/// follows an untimed pass of the same kernel, since the calibration
-/// bracket's arithmetic loop leaves caches and branch predictors cold for
-/// the simulator, and a bracket runs after each timed pass. A pass is
-/// scaled by the faster of the brackets either side of it: a bracket the
-/// host preempts reads slow, never fast.
+/// follows an untimed pass of the same kernel, so it starts with the
+/// caches and branch predictors its kernel left, not the previous
+/// kernel's.
 ///
 /// Passes run as jobs on a **serial** pool: wall-clock timing forbids
 /// concurrency (parallel passes would contend for the cores being
@@ -454,16 +392,13 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
             .map_err(|panic| panic.message)
     };
     let mut failed: Vec<Option<String>> = vec![None; KERNELS.len()];
-    let mut samples: Vec<(Vec<u64>, Vec<u64>)> = vec![Default::default(); KERNELS.len()];
+    let mut samples: Vec<Vec<u64>> = vec![Vec::new(); KERNELS.len()];
     for (k, failure) in KERNELS.iter().zip(&mut failed) {
         let warmup = || (0..cfg.warmup).fold(0u64, |acc, _| acc.wrapping_add((k.body)(quick)));
         *failure = contained(&warmup).err();
     }
-    let mut before = calibration_ns();
     for _ in 0..cfg.repeats {
-        for ((k, failure), (samples_ns, calibration)) in
-            KERNELS.iter().zip(&mut failed).zip(&mut samples)
-        {
+        for ((k, failure), samples_ns) in KERNELS.iter().zip(&mut failed).zip(&mut samples) {
             if failure.is_some() {
                 continue;
             }
@@ -473,23 +408,17 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
                 std::hint::black_box((k.body)(quick));
                 start.elapsed().as_nanos() as u64
             };
-            let outcome = contained(&timed);
-            let after = calibration_ns();
-            match outcome {
-                Ok(ns) => {
-                    samples_ns.push(ns);
-                    calibration.push(before.min(after));
-                }
+            match contained(&timed) {
+                Ok(ns) => samples_ns.push(ns),
                 Err(message) => *failure = Some(message),
             }
-            before = after;
         }
     }
     let mut results = Vec::new();
     let mut failures = Vec::new();
-    for ((k, failure), (samples_ns, calibration)) in KERNELS.iter().zip(failed).zip(samples) {
+    for ((k, failure), samples_ns) in KERNELS.iter().zip(failed).zip(samples) {
         match failure {
-            None => results.push(summarize(k, quick, samples_ns, calibration)),
+            None => results.push(summarize(k, quick, samples_ns)),
             Some(message) => failures.push(KernelFailure {
                 name: k.name,
                 message,
@@ -508,12 +437,13 @@ pub struct KernelStat {
     pub median_ns: u64,
     /// Work units per pass.
     pub work_units: u64,
-    /// Fastest pass, in time on the reference host (ns).
-    pub calibrated_min_ns: u64,
+    /// Fastest pass (ns).
+    pub min_ns: u64,
 }
 
-/// Reads each kernel's name, median, fastest calibrated pass and work
-/// units out of a parsed report.
+/// Reads each kernel's name, median, fastest pass and work units out of a
+/// parsed report. Other members are ignored, so a report of an older
+/// schema that carries these four reads too.
 ///
 /// # Errors
 ///
@@ -530,85 +460,115 @@ pub fn kernel_stats(report: &Value) -> Result<Vec<KernelStat>, String> {
                 name: name.to_string(),
                 median_ns: field("median_ns")?,
                 work_units: field("work_units")?,
-                calibrated_min_ns: field("calibrated_min_ns")?,
+                min_ns: field("min_ns")?,
             })
         })
         .collect()
 }
 
-/// The soft CI perf-regression guard: compares `kernel`'s fastest
-/// calibrated pass per work unit between two reports and fails when the
-/// current one is more than `threshold_pct` percent slower. Comparing per
-/// unit lets a quick run measure against a full-mode baseline, comparing
-/// calibrated times lets a run on a slow host measure against one made on
-/// a fast host, and comparing the fastest pass sets aside the bursts in
-/// which other tenants slow the host's memory more than its arithmetic.
-/// A kernel with a reference (the two-worker cube) is compared as the
-/// ratio of its per-unit time to the reference's. A baseline without the
-/// kernel passes with a note — the guard is soft, it must not block the
-/// first report that introduces a kernel.
+/// Each kernel's fastest pass per work unit (ns) over all of `reports`,
+/// in the order the kernels first appear.
 ///
 /// # Errors
 ///
-/// A description of the regression, or of a kernel missing from `current`
-/// or without work.
-pub fn check_regression_guard(
-    current: &[KernelStat],
-    baseline: &[KernelStat],
-    kernel: &str,
-    threshold_pct: f64,
-) -> Result<String, String> {
-    let find = |stats: &[KernelStat], name: &str| stats.iter().find(|k| k.name == name).cloned();
-    let skip = |name: &str| Ok(format!("guard: baseline has no kernel {name}; skipping"));
-    let per_unit = |k: &KernelStat, report: &str| {
-        if k.calibrated_min_ns == 0 || k.work_units == 0 {
-            Err(format!(
-                "{report} kernel {} has a zero median or no work units",
+/// A kernel with no fastest pass or no work units, in any report; `side`
+/// names the set of reports it came from.
+fn fastest_per_unit<'a>(
+    side: &str,
+    reports: &'a [Vec<KernelStat>],
+) -> Result<Vec<(&'a str, f64)>, String> {
+    let mut pooled: Vec<(&str, f64)> = Vec::new();
+    for k in reports.iter().flatten() {
+        if k.min_ns == 0 || k.work_units == 0 {
+            return Err(format!(
+                "{side} kernel {} has a zero fastest pass or no work units",
                 k.name
-            ))
-        } else {
-            Ok(k.calibrated_min_ns as f64 / k.work_units as f64)
+            ));
         }
-    };
-    let cur = find(current, kernel)
-        .ok_or_else(|| format!("kernel {kernel} missing from current report"))?;
-    let Some(base) = find(baseline, kernel) else {
-        return skip(kernel);
-    };
-    let (cur_v, base_v, unit) = match guard_reference(kernel) {
-        None => (
-            per_unit(&cur, "current")?,
-            per_unit(&base, "baseline")?,
-            "calibrated ns/unit".to_string(),
-        ),
-        Some(reference) => {
-            let cur_ref = find(current, reference)
-                .ok_or_else(|| format!("kernel {reference} missing from current report"))?;
-            let Some(base_ref) = find(baseline, reference) else {
-                return skip(reference);
-            };
-            (
-                per_unit(&cur, "current")? / per_unit(&cur_ref, "current")?,
-                per_unit(&base, "baseline")? / per_unit(&base_ref, "baseline")?,
-                format!("x {reference}"),
-            )
+        let per_unit = k.min_ns as f64 / k.work_units as f64;
+        match pooled.iter_mut().find(|(name, _)| *name == k.name) {
+            Some((_, fastest)) => *fastest = fastest.min(per_unit),
+            None => pooled.push((&k.name, per_unit)),
         }
-    };
-    let delta_pct = (cur_v - base_v) / base_v * 100.0;
-    let msg = format!(
-        "guard: {kernel} {cur_v:.3} {unit} vs baseline {base_v:.3} {unit} ({delta_pct:+.1}%)"
-    );
-    if delta_pct > threshold_pct {
-        Err(format!("{msg} exceeds the +{threshold_pct:.0}% threshold"))
-    } else {
-        Ok(msg)
     }
+    Ok(pooled)
 }
 
-/// What one calibration bracket takes on the reference host (ns).
-fn calibrated_reference_ns() -> u64 {
-    (calibrate::REFERENCE_S * 1e9 * CALIBRATION_ITERATIONS as f64 / calibrate::ITERATIONS as f64)
-        .round() as u64
+/// What [`guard`] found: its table and its failures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GuardVerdict {
+    /// A header, then one line per kernel of the change's reports: its
+    /// pooled parent and change figures and their ratio, or a note.
+    pub table: Vec<String>,
+    /// Why the change fails, one entry per problem; empty when it passes.
+    pub failures: Vec<String>,
+}
+
+/// The CI perf-regression guard: judges a change against its parent from
+/// reports of both, run alternately on one host.
+///
+/// Each side's figure for a kernel is its fastest pass per work unit,
+/// pooled over all of that side's reports: per work unit so quick and full
+/// reports compare, and the fastest pass because the bursts in which other
+/// tenants slow a shared host lengthen some passes and shorten none. The
+/// change fails when a kernel of [`GUARD_KERNELS`] is more than
+/// [`GUARD_PCT`] percent slower than the parent's, when one of its reports
+/// lacks a guarded kernel, or when any kernel has a zero fastest pass or
+/// no work units. A kernel the parent's reports lack passes with a note,
+/// so a change may introduce a kernel.
+pub fn guard(parent: &[Vec<KernelStat>], change: &[Vec<KernelStat>]) -> GuardVerdict {
+    let mut failures = Vec::new();
+    for (i, report) in change.iter().enumerate() {
+        for kernel in GUARD_KERNELS {
+            if !report.iter().any(|k| k.name == kernel) {
+                failures.push(format!("change report {} has no kernel {kernel}", i + 1));
+            }
+        }
+    }
+    let mut table = vec![format!(
+        "{:<28} {:>14} {:>14} {:>8}   ({} parent and {} change reports)",
+        "fastest pass per work unit",
+        "parent ns",
+        "change ns",
+        "ratio",
+        parent.len(),
+        change.len()
+    )];
+    let (before, after) = match (
+        fastest_per_unit("parent", parent),
+        fastest_per_unit("change", change),
+    ) {
+        (Ok(before), Ok(after)) => (before, after),
+        (before, after) => {
+            failures.extend(before.err().into_iter().chain(after.err()));
+            return GuardVerdict { table, failures };
+        }
+    };
+    for (name, change_ns) in after {
+        let guarded = GUARD_KERNELS.contains(&name);
+        let Some(&(_, parent_ns)) = before.iter().find(|(k, _)| *k == name) else {
+            table.push(format!(
+                "{name:<28} {:>14} {change_ns:>14.2} {:>8}   the parent has no such kernel: not judged",
+                "-", "-"
+            ));
+            continue;
+        };
+        let ratio = change_ns / parent_ns;
+        let verdict = match (guarded, (ratio - 1.0) * 100.0) {
+            (false, _) => String::new(),
+            (true, slower) if slower > GUARD_PCT => {
+                failures.push(format!(
+                    "{name} is {slower:+.1}% per work unit against the parent (limit +{GUARD_PCT:.0}%)"
+                ));
+                "   guarded: REGRESSION".to_string()
+            }
+            (true, _) => "   guarded".to_string(),
+        };
+        table.push(format!(
+            "{name:<28} {parent_ns:>14.2} {change_ns:>14.2} {ratio:>8.3}{verdict}"
+        ));
+    }
+    GuardVerdict { table, failures }
 }
 
 /// The `mode` a report of `cfg` records.
@@ -620,16 +580,10 @@ fn mode(cfg: &PerfConfig) -> &'static str {
     }
 }
 
-/// Renders the report as JSON. `baseline` medians (from [`kernel_stats`]
-/// on a previous report) are embedded together with the speedup of each
-/// matching kernel.
-pub fn render_json(
-    cfg: &PerfConfig,
-    results: &[KernelResult],
-    baseline: Option<&[KernelStat]>,
-) -> String {
+/// Renders the report as JSON.
+pub fn render_json(cfg: &PerfConfig, results: &[KernelResult]) -> String {
     let kernels = results.iter().map(|r| {
-        let mut members = vec![
+        json::obj([
             ("name", r.name.into()),
             ("work", r.work.into()),
             ("work_units", r.work_units.into()),
@@ -639,24 +593,8 @@ pub fn render_json(
             ("outliers", r.outliers.into()),
             ("min_ns", r.min_ns.into()),
             ("max_ns", r.max_ns.into()),
-            ("calibrated_median_ns", r.calibrated_median_ns.into()),
-            ("calibrated_min_ns", r.calibrated_min_ns.into()),
-        ];
-        if let Some(base) = baseline.and_then(|b| b.iter().find(|k| k.name == r.name)) {
-            members.push(("baseline_median_ns", base.median_ns.into()));
-            members.push(("baseline_calibrated_min_ns", base.calibrated_min_ns.into()));
-            if r.calibrated_min_ns > 0 {
-                let speedup = base.calibrated_min_ns as f64 / r.calibrated_min_ns as f64;
-                members.push(("speedup_vs_baseline", Value::fixed(speedup, 4)));
-            }
-        }
-        members.push(("samples_ns", r.samples_ns.iter().copied().collect()));
-        members.push(("calibration_ns", r.calibration_ns.iter().copied().collect()));
-        members.push((
-            "calibrated_samples_ns",
-            r.calibrated_samples_ns.iter().copied().collect(),
-        ));
-        json::obj(members)
+            ("samples_ns", r.samples_ns.iter().copied().collect()),
+        ])
     });
     json::obj([
         ("schema", SCHEMA.into()),
@@ -669,8 +607,6 @@ pub fn render_json(
         ),
         ("warmup", cfg.warmup.into()),
         ("repeats", cfg.repeats.into()),
-        ("calibration_iterations", CALIBRATION_ITERATIONS.into()),
-        ("calibration_reference_ns", calibrated_reference_ns().into()),
         ("kernels", Value::Arr(kernels.collect())),
     ])
     .pretty()
@@ -678,7 +614,7 @@ pub fn render_json(
 
 /// Validates that `text` is a report this harness wrote under `cfg`: the
 /// schema and mode, and every kernel [`run_all`] runs with a nonzero
-/// median and work-unit count.
+/// median, fastest pass and work-unit count.
 ///
 /// # Errors
 ///
@@ -689,7 +625,7 @@ pub fn validate_report(text: &str, cfg: &PerfConfig) -> Result<(), String> {
     for kernel in &KERNELS {
         match stats.iter().find(|k| k.name == kernel.name) {
             None => return Err(format!("missing kernel {}", kernel.name)),
-            Some(k) if k.median_ns == 0 || k.calibrated_min_ns == 0 || k.work_units == 0 => {
+            Some(k) if k.median_ns == 0 || k.min_ns == 0 || k.work_units == 0 => {
                 return Err(format!(
                     "kernel {} has a zero median or no work units",
                     k.name
@@ -705,17 +641,13 @@ pub fn validate_report(text: &str, cfg: &PerfConfig) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    /// A result measured on a host at the reference speed.
+    /// A result whose every pass took `median_ns`.
     fn result(name: &'static str, work_units: u64, median_ns: u64) -> KernelResult {
         KernelResult {
             name,
             work: "w",
             work_units,
             samples_ns: vec![median_ns, median_ns],
-            calibration_ns: vec![calibrated_reference_ns(); 2],
-            calibrated_samples_ns: vec![median_ns, median_ns],
-            calibrated_median_ns: median_ns,
-            calibrated_min_ns: median_ns,
             median_ns,
             mad_ns: 0,
             p90_ns: median_ns,
@@ -761,11 +693,6 @@ mod tests {
         assert_eq!(outliers, 1);
     }
 
-    /// The stats of a rendered report, read back through the codec.
-    fn stats_of(json: &str) -> Vec<KernelStat> {
-        kernel_stats(&json::parse(json).unwrap()).unwrap()
-    }
-
     #[test]
     fn quick_report_roundtrips_and_validates() {
         let cfg = PerfConfig {
@@ -776,16 +703,18 @@ mod tests {
         let (results, failures) = run_all(&cfg);
         assert!(failures.is_empty(), "{failures:?}");
         assert_eq!(results.len(), 6);
-        let json = render_json(&cfg, &results, None);
+        let json = render_json(&cfg, &results);
         validate_report(&json, &cfg).unwrap();
         assert_eq!(
             validate_report(&json, &PerfConfig::full()),
             Err("expected a full-mode report".to_string())
         );
-        let stats = stats_of(&json);
+        let report = json::parse(&json).unwrap();
+        let stats = kernel_stats(&report).unwrap();
         assert_eq!(stats.len(), 6);
         assert_eq!(stats[0].name, "machine_1k_transactions");
         assert_eq!(stats[0].median_ns, results[0].median_ns);
+        assert_eq!(stats[0].min_ns, results[0].min_ns);
         // The guard kernels run their full workloads even in quick mode,
         // so CI guard comparisons are like-for-like.
         assert_eq!(stats[0].work_units, 1_000);
@@ -794,7 +723,6 @@ mod tests {
         assert_eq!(stats[4].work_units, CUBE_PDES_EVENTS);
         assert_eq!(stats[5].name, "cube_pdes_events_parallel");
         assert_eq!(stats[5].work_units, CUBE_PDES_EVENTS);
-        let report = json::parse(&json).unwrap();
         let kernel = &report.array_field("kernels").unwrap()[0];
         assert_eq!(kernel.u64_field("p90_ns"), Ok(results[0].p90_ns));
         assert_eq!(
@@ -802,21 +730,6 @@ mod tests {
             Ok(u64::from(results[0].outliers))
         );
         assert!(report.u64_field("host_parallelism").unwrap() >= 1);
-    }
-
-    #[test]
-    fn baseline_is_embedded_with_speedup() {
-        let cfg = PerfConfig::quick();
-        let results = vec![result("machine_1k_transactions", 300, 100)];
-        let base = vec![KernelStat {
-            name: "machine_1k_transactions".to_string(),
-            median_ns: 200,
-            work_units: 1_000,
-            calibrated_min_ns: 200,
-        }];
-        let json = render_json(&cfg, &results, Some(&base));
-        assert!(json.contains("\"baseline_median_ns\": 200"));
-        assert!(json.contains("\"speedup_vs_baseline\": 2.0000"));
     }
 
     #[test]
@@ -841,38 +754,153 @@ mod tests {
         );
     }
 
+    /// One report's stats: every kernel over 1,000 work units, its
+    /// fastest pass at `ns_per_unit(kernel)` per unit.
+    fn report(ns_per_unit: impl Fn(&str) -> u64) -> Vec<KernelStat> {
+        KERNELS
+            .iter()
+            .map(|k| {
+                let min_ns = 1_000 * ns_per_unit(k.name);
+                KernelStat {
+                    name: k.name.to_string(),
+                    median_ns: min_ns + min_ns / 10,
+                    work_units: 1_000,
+                    min_ns,
+                }
+            })
+            .collect()
+    }
+
+    /// The table line of `kernel`.
+    fn line<'a>(verdict: &'a GuardVerdict, kernel: &str) -> &'a str {
+        verdict
+            .table
+            .iter()
+            .find(|l| l.split_whitespace().next() == Some(kernel))
+            .unwrap_or_else(|| panic!("no line for {kernel}: {verdict:?}"))
+    }
+
+    #[test]
+    fn guard_pools_the_fastest_pass_of_every_report() {
+        // Nine change reports at the parent's speed and one whose passes
+        // all took twice as long, as in a slow burst of the host: each
+        // side's fastest pass is the same, so every kernel reads at parity.
+        let parent = vec![report(|_| 100); 10];
+        let mut change = vec![report(|_| 100); 9];
+        change.push(report(|_| 200));
+        let verdict = guard(&parent, &change);
+        assert!(verdict.failures.is_empty(), "{verdict:?}");
+        assert!(verdict.table[0].contains("(10 parent and 10 change reports)"));
+        assert_eq!(verdict.table.len(), 1 + KERNELS.len());
+        for k in &KERNELS {
+            let figures: Vec<&str> = line(&verdict, k.name).split_whitespace().collect();
+            assert_eq!(figures[1..4], ["100.00", "100.00", "1.000"], "{verdict:?}");
+        }
+        assert!(line(&verdict, "cube_pdes_events_parallel").ends_with("guarded"));
+        assert!(line(&verdict, "queue_churn").ends_with("1.000"));
+    }
+
     #[test]
     fn guard_passes_within_threshold_and_fails_beyond() {
-        let cfg = PerfConfig::quick();
-        // Per-unit: current is 300 units at 120 ns vs baseline 1000 units
-        // at 300 ns — 0.4 vs 0.3 ns/unit, a +33% regression.
-        let current = stats_of(&render_json(
-            &cfg,
-            &[result("machine_1k_transactions", 300, 120)],
-            None,
-        ));
-        let baseline = stats_of(&render_json(
-            &PerfConfig::full(),
-            &[result("machine_1k_transactions", 1_000, 300)],
-            None,
-        ));
-        let err = check_regression_guard(&current, &baseline, "machine_1k_transactions", 25.0)
-            .unwrap_err();
-        assert!(err.contains("exceeds"), "{err}");
-        // A faster run passes.
-        let fast = stats_of(&render_json(
-            &cfg,
-            &[result("machine_1k_transactions", 300, 60)],
-            None,
-        ));
-        let msg =
-            check_regression_guard(&fast, &baseline, "machine_1k_transactions", 25.0).unwrap();
-        assert!(msg.contains("ns/unit"), "{msg}");
-        // Threshold is inclusive-of-anything-at-or-below: +33% passes a 40% bar.
-        check_regression_guard(&current, &baseline, "machine_1k_transactions", 40.0).unwrap();
-        // A baseline without the kernel is a soft pass.
-        let msg = check_regression_guard(&current, &[], "machine_1k_transactions", 25.0).unwrap();
-        assert!(msg.contains("skipping"), "{msg}");
+        let parent = vec![report(|_| 100); 10];
+        let slower = |kernel: &'static str, ns: u64| {
+            vec![report(|name| if name == kernel { ns } else { 100 }); 10]
+        };
+        // A uniform +30 % on one guarded kernel fails, naming that kernel.
+        let verdict = guard(&parent, &slower("cube_pdes_events", 130));
+        assert_eq!(
+            verdict.failures,
+            vec!["cube_pdes_events is +30.0% per work unit against the parent (limit +25%)"]
+        );
+        assert!(line(&verdict, "cube_pdes_events").ends_with("guarded: REGRESSION"));
+        // The two-worker cube is judged by its own figure.
+        let verdict = guard(&parent, &slower("cube_pdes_events_parallel", 130));
+        assert_eq!(verdict.failures.len(), 1);
+        assert!(verdict.failures[0].starts_with("cube_pdes_events_parallel is +30.0%"));
+        // +20 % passes, as does any speed-up, and an unguarded kernel is
+        // printed but not judged.
+        assert!(guard(&parent, &slower("machine_1k_transactions", 120))
+            .failures
+            .is_empty());
+        assert!(guard(&parent, &slower("machine_1k_transactions", 50))
+            .failures
+            .is_empty());
+        let verdict = guard(&parent, &slower("queue_churn", 200));
+        assert!(verdict.failures.is_empty());
+        assert!(line(&verdict, "queue_churn").ends_with("2.000"));
+    }
+
+    #[test]
+    fn guard_reads_a_v2_report_as_a_parent() {
+        // A report of schema v2, which also carried each pass scaled to a
+        // reference host's speed: the guard reads its raw fastest pass and
+        // ignores the rest.
+        let v2 = r#"{
+          "schema": "multicube-bench-core/v2",
+          "mode": "quick",
+          "host_parallelism": 2,
+          "warmup": 1,
+          "repeats": 5,
+          "calibration_iterations": 2000000,
+          "calibration_reference_ns": 6000000,
+          "kernels": [
+            {"name": "machine_1k_transactions", "work": "w", "work_units": 1000,
+             "median_ns": 110000, "mad_ns": 0, "p90_ns": 110000, "outliers": 0,
+             "min_ns": 100000, "max_ns": 110000, "calibrated_median_ns": 190000,
+             "calibrated_min_ns": 170000, "samples_ns": [100000, 110000],
+             "calibration_ns": [3500000, 3600000], "calibrated_samples_ns": [170000, 190000]},
+            {"name": "cube_pdes_events", "work_units": 1000,
+             "median_ns": 110000, "min_ns": 100000},
+            {"name": "cube_pdes_events_parallel", "work_units": 1000,
+             "median_ns": 110000, "min_ns": 100000}
+          ]
+        }"#;
+        let parent = vec![kernel_stats(&json::parse(v2).unwrap()).unwrap()];
+        assert_eq!(
+            parent[0][0],
+            KernelStat {
+                name: "machine_1k_transactions".to_string(),
+                median_ns: 110_000,
+                work_units: 1_000,
+                min_ns: 100_000,
+            }
+        );
+        let verdict = guard(&parent, &[report(|_| 100)]);
+        assert!(verdict.failures.is_empty(), "{verdict:?}");
+        for kernel in GUARD_KERNELS {
+            assert!(line(&verdict, kernel).contains(" 1.000"), "{verdict:?}");
+        }
+    }
+
+    #[test]
+    fn guard_passes_a_kernel_the_parent_lacks_with_a_note() {
+        let mut parent = vec![report(|_| 100); 10];
+        for r in &mut parent {
+            r.retain(|k| k.name != "cube_pdes_events_parallel");
+        }
+        let change = vec![
+            report(|name| if name == "cube_pdes_events_parallel" {
+                900
+            } else {
+                100
+            });
+            10
+        ];
+        let verdict = guard(&parent, &change);
+        assert!(verdict.failures.is_empty(), "{verdict:?}");
+        assert!(line(&verdict, "cube_pdes_events_parallel")
+            .ends_with("the parent has no such kernel: not judged"));
+    }
+
+    #[test]
+    fn guard_fails_a_change_report_without_a_guarded_kernel() {
+        let parent = vec![report(|_| 100); 10];
+        let mut change = vec![report(|_| 100); 10];
+        change[3].retain(|k| k.name != "machine_1k_transactions");
+        assert_eq!(
+            guard(&parent, &change).failures,
+            vec!["change report 4 has no kernel machine_1k_transactions"]
+        );
     }
 
     #[test]
@@ -885,30 +913,16 @@ mod tests {
             kernel_stats(&json::parse(no_units).unwrap()),
             Err("kernel machine_1k_transactions: missing `work_units`".to_string())
         );
-        let cfg = PerfConfig::quick();
-        let busy = stats_of(&render_json(
-            &cfg,
-            &[result("machine_1k_transactions", 300, 120)],
-            None,
-        ));
-        let idle = stats_of(&render_json(
-            &cfg,
-            &[result("machine_1k_transactions", 0, 100)],
-            None,
-        ));
+        let busy = vec![report(|_| 100); 10];
+        let mut idle = busy.clone();
+        idle[9][0].work_units = 0;
         assert_eq!(
-            check_regression_guard(&busy, &idle, "machine_1k_transactions", 25.0),
-            Err(
-                "baseline kernel machine_1k_transactions has a zero median or no work units"
-                    .to_string()
-            )
+            guard(&idle, &busy).failures,
+            vec!["parent kernel machine_1k_transactions has a zero fastest pass or no work units"]
         );
         assert_eq!(
-            check_regression_guard(&idle, &busy, "machine_1k_transactions", 25.0),
-            Err(
-                "current kernel machine_1k_transactions has a zero median or no work units"
-                    .to_string()
-            )
+            guard(&busy, &idle).failures,
+            vec!["change kernel machine_1k_transactions has a zero fastest pass or no work units"]
         );
     }
 
@@ -939,7 +953,7 @@ mod tests {
         .into_iter()
         .map(|name| result(name, 10, 100))
         .collect();
-        let json = render_json(&cfg, &results, None);
+        let json = render_json(&cfg, &results);
         validate_report(&json, &cfg).unwrap();
         let without = json.replacen("\"median_ns\": 100,", "", 1);
         assert_ne!(without, json);
@@ -952,7 +966,7 @@ mod tests {
             validate_report(&zero, &cfg),
             Err("kernel machine_1k_transactions has a zero median or no work units".to_string())
         );
-        let dropped = render_json(&cfg, &results[..6], None);
+        let dropped = render_json(&cfg, &results[..6]);
         assert_eq!(
             validate_report(&dropped, &cfg),
             Err("missing kernel cube_pdes_events_parallel".to_string())
