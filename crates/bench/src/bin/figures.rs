@@ -16,8 +16,8 @@
 //!   ablations A-1..A-3: MLT sizing, signal-drop robustness, snarfing
 //!   faults    A-2+: composite fault sweep — latency/retries vs fault rate
 //!   kdim      E-6.1: the k-dimensional Multicube model (§6 future work)
-//!   telemetry per-bus utilization/queueing + per-class latency histograms
-//!             and resilience counters (retries, backoff, watchdog)
+//!   telemetry per-bus utilization/queueing, per-class latency quantiles
+//!             and histograms, and retry, fault and watchdog counters
 //!   shootout  protocol shootout — Multicube vs single-bus MESI, Dragon
 //!             and write-once on identical seeded workloads (writes
 //!             BENCH_shootout.csv)
@@ -34,17 +34,25 @@
 //!   --quick   smaller sweeps, each command under about a minute
 //!   --txns N  transactions per processor (N > 0) for the sweeps that
 //!             take it
-//!   --csv DIR also write each figure's CSV into DIR
+//!   --csv DIR also write each printed table, numbers unrounded, as
+//!             DIR/<stem>.csv
 //!   --out DIR write the BENCH_* artifacts into DIR (default: .)
 //! ```
+//!
+//! Every result prints as one `multicube_bench::Table`, and `--csv` writes
+//! each table's CSV beside it. Four tables get no CSV because a `BENCH_*`
+//! artifact holds their rows: the scaling grid and the cube study
+//! (`BENCH_scaling.json`), S-3 (`BENCH_serve.json`) and the shootout,
+//! whose CSV is `BENCH_shootout.csv`.
 //!
 //! Every measured point — a simulated figure point, a table row, a cube,
 //! a serving-tier replay, an engine's model check — is a job of the one
 //! runner (`multicube_bench::measure`). A point that panics is contained:
 //! its figure or table prints without it and the failure, with its
-//! replay coordinates, goes to stderr once. A study that lost points
-//! writes no `BENCH_*` artifact and says so on stderr, and the run goes
-//! on. After all output, `figures` exits nonzero if any point failed.
+//! replay coordinates and the panic's location, goes to stderr once. A
+//! study that lost points writes no `BENCH_*` artifact and says so on
+//! stderr, and the run goes on. After all output, `figures` exits nonzero
+//! if any point failed.
 
 use std::cell::Cell;
 use std::path::{Path, PathBuf};
@@ -52,22 +60,20 @@ use std::process::ExitCode;
 
 use multicube::{MachineConfig, SyntheticSpec};
 use multicube_bench::{
-    baseline_rows, collect_failures, costs_table, fault_sweep_rows, measure, mlt_rows,
-    render_bus_telemetry, render_class_stats, render_cube_study, render_fault_sweep,
-    render_resilience, render_scaling_json, render_scaling_study, render_series, render_serve,
-    render_serve_json, render_shootout, robustness_rows, run_cube_study, run_points, run_serve,
-    run_shootout, scaling_rows, series_view, sim_figure2, sim_figure3, sim_figure4,
-    sim_latency_modes, snarf_rows, sync_rows, write_bus_telemetry_csv, write_class_stats_csv,
-    write_fault_sweep_csv, write_series_csv, write_shootout_csv, CubeStudyConfig, Measured, Point,
-    PointFailure, Pool, ServeConfig, SimPoint, SimSeries, SweepConfig, FIGURE2_SIDES,
+    baseline_rows, collect_failures, costs_table, cube_table, fault_sweep_rows, fault_sweep_table,
+    measure, mlt_rows, render_scaling_json, render_serve_json, robustness_rows, run_cube_study,
+    run_points, run_serve, run_shootout, scaling_grid_table, scaling_rows, series_view,
+    serve_table, shootout_table, sim_figure2, sim_figure3, sim_figure4, sim_latency_modes,
+    snarf_rows, sync_rows, telemetry_tables, CubeStudyConfig, Measured, Point, PointFailure, Pool,
+    ServeConfig, SimPoint, SimSeries, SweepConfig, Table, FIGURE2_SIDES,
 };
 use multicube_mva::figures as mva;
-use multicube_mva::FigureSeries;
+use multicube_mva::{FigurePoint, FigureSeries};
 
 struct Options {
     quick: bool,
     txns: Option<u64>,
-    /// Directory to additionally write per-figure CSV files into.
+    /// Directory to additionally write each table's CSV file into.
     csv: Option<PathBuf>,
     /// Directory the `BENCH_*` artifacts are written into.
     out: PathBuf,
@@ -79,32 +85,17 @@ struct Options {
 }
 
 impl Options {
-    /// With `--csv`, writes the file `name` into that directory.
-    fn csv_file(&self, name: &str, write: impl FnOnce(&Path) -> std::io::Result<()>) {
+    /// Prints `table` and, with `--csv DIR`, writes it as
+    /// `DIR/<stem>.csv`.
+    fn table(&self, table: &Table) {
+        println!("{}", table.text());
         if let Some(dir) = &self.csv {
             std::fs::create_dir_all(dir).expect("create csv dir");
-            let path = dir.join(name);
-            write(&path).expect("write csv");
+            let path = dir.join(format!("{}.csv", table.stem));
+            std::fs::write(&path, table.csv())
+                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
             eprintln!("wrote {}", path.display());
         }
-    }
-
-    /// Prints the efficiency table of `series` and, with `--csv`, writes
-    /// it as `{csv}.csv`.
-    fn figure(&self, title: &str, series: &[FigureSeries], csv: Option<&str>) {
-        println!("{}", render_series(title, series, |p| p.efficiency));
-        if let Some(name) = csv {
-            self.csv_file(&format!("{name}.csv"), |path| {
-                write_series_csv(path, series)
-            });
-        }
-    }
-
-    /// [`Options::figure`] for a simulated figure, after its contained
-    /// failures.
-    fn sim_figure(&self, title: &str, sims: &[SimSeries], csv: Option<&str>) {
-        self.report_failures(title, &collect_failures(sims));
-        self.figure(title, &series_view(sims), csv);
     }
 
     /// Writes the artifact `name` into the output directory with `write`,
@@ -146,6 +137,18 @@ impl Options {
     }
 }
 
+/// The table of `value` along each curve of `series`, one row per rate
+/// of `rates`.
+fn curves(
+    stem: &str,
+    title: &str,
+    rates: &[f64],
+    series: &[FigureSeries],
+    value: fn(&FigurePoint) -> f64,
+) -> Table {
+    Table::series(stem, title, rates, series, value).unwrap_or_else(|e| panic!("{title}: {e}"))
+}
+
 fn sweep(opts: &Options) -> SweepConfig {
     let mut s = if opts.quick {
         SweepConfig::quick()
@@ -183,93 +186,120 @@ fn figure2_sweep(opts: &Options, sweep: &SweepConfig) -> Vec<SimSeries> {
     sims
 }
 
-fn fig2(opts: &Options, sims: &[SimSeries]) {
-    opts.figure(
+fn fig2(opts: &Options, sweep: &SweepConfig, sims: &[SimSeries]) {
+    opts.table(&curves(
+        "fig2_model",
         "Figure 2 (model): efficiency vs request rate, n = 8/16/24/32",
+        &mva::default_rates(),
         &mva::figure2(),
-        Some("fig2_model"),
-    );
-    opts.figure("Figure 2 (simulated)", &series_view(sims), Some("fig2_sim"));
+        |p| p.efficiency,
+    ));
+    opts.table(&curves(
+        "fig2_sim",
+        "Figure 2 (simulated)",
+        &sweep.rates,
+        &series_view(sims),
+        |p| p.efficiency,
+    ));
 }
 
 fn fig3(opts: &Options) {
-    opts.figure(
+    opts.table(&curves(
+        "fig3_model",
         "Figure 3 (model): effect of invalidations, 1K processors",
+        &mva::default_rates(),
         &mva::figure3(),
-        Some("fig3_model"),
-    );
+        |p| p.efficiency,
+    ));
+    let sweep = sweep(opts);
     let sims = sim_figure3(
         &opts.pool,
         &[0.1, 0.2, 0.3, 0.4, 0.5],
         big_side(opts),
-        &sweep(opts),
+        &sweep,
     );
-    opts.sim_figure(
-        "Figure 3 (simulated, broadcast sharing-filter ablation; the faithful protocol always broadcasts, making all curves coincide)",
-        &sims,
-        None,
-    );
-    println!(
-        "{}",
-        render_series(
-            "Figure 3 (simulated): row-bus utilization — the invalidation traffic itself",
-            &series_view(&sims),
-            |p| p.rho_row
-        )
-    );
+    let title = "Figure 3 (simulated, broadcast sharing-filter ablation; the faithful protocol always broadcasts, making all curves coincide)";
+    opts.report_failures(title, &collect_failures(&sims));
+    let series = series_view(&sims);
+    opts.table(&curves("fig3_sim", title, &sweep.rates, &series, |p| {
+        p.efficiency
+    }));
+    opts.table(&curves(
+        "fig3_sim_rho_row",
+        "Figure 3 (simulated): row-bus utilization — the invalidation traffic itself",
+        &sweep.rates,
+        &series,
+        |p| p.rho_row,
+    ));
 }
 
 fn fig4(opts: &Options) {
-    opts.figure(
+    opts.table(&curves(
+        "fig4_model",
         "Figure 4 (model): effect of block size, 1K processors",
+        &mva::default_rates(),
         &mva::figure4(),
-        Some("fig4_model"),
-    );
-    println!("Figure 4 sloping dashed line (rate halves as block doubles):");
-    for p in mva::figure4_rate_scaled(16.0) {
-        println!(
-            "  rate={:>6.2}/ms  efficiency={:.4}",
-            p.rate_per_ms, p.efficiency
-        );
-    }
-    println!();
-    let sims = sim_figure4(
-        &opts.pool,
-        &[4, 8, 16, 32, 64],
-        big_side(opts),
-        &sweep(opts),
-    );
-    opts.sim_figure("Figure 4 (simulated)", &sims, Some("fig4_sim"));
+        |p| p.efficiency,
+    ));
+    opts.table(&Table::new(
+        "fig4_model_rate_scaled",
+        "Figure 4 (model): sloping dashed line, the rate halves as the block doubles",
+        &mva::figure4_rate_scaled(16.0),
+        &[
+            ("rate_per_ms", Some(2), &|p| p.rate_per_ms.into()),
+            ("efficiency", Some(4), &|p| p.efficiency.into()),
+        ],
+    ));
+    let sweep = sweep(opts);
+    let sims = sim_figure4(&opts.pool, &[4, 8, 16, 32, 64], big_side(opts), &sweep);
+    let title = "Figure 4 (simulated)";
+    opts.report_failures(title, &collect_failures(&sims));
+    opts.table(&curves(
+        "fig4_sim",
+        title,
+        &sweep.rates,
+        &series_view(&sims),
+        |p| p.efficiency,
+    ));
 }
 
 fn latency(opts: &Options) {
-    opts.figure(
+    opts.table(&curves(
+        "latency_model",
         "E-5.1 (model): latency-reduction techniques",
+        &mva::default_rates(),
         &mva::latency_modes(),
-        None,
-    );
-    let sims = sim_latency_modes(&opts.pool, big_side(opts).min(16), &sweep(opts));
-    opts.sim_figure("E-5.1 (simulated)", &sims, None);
+        |p| p.efficiency,
+    ));
+    let sweep = sweep(opts);
+    let sims = sim_latency_modes(&opts.pool, big_side(opts).min(16), &sweep);
+    let title = "E-5.1 (simulated)";
+    opts.report_failures(title, &collect_failures(&sims));
+    opts.table(&curves(
+        "latency_sim",
+        title,
+        &sweep.rates,
+        &series_view(&sims),
+        |p| p.efficiency,
+    ));
 }
 
 fn costs(opts: &Options) {
     let n = if opts.quick { 4 } else { 8 };
-    println!("== T-6.1: bus operations per transaction (n = {n}) ==");
-    println!(
-        "{:<42} {:>16} {:>9} {:>9} {:>6}",
-        "scenario", "paper bound", "row ops", "col ops", "ok"
-    );
-    for row in opts.rows("T-6.1", costs_table(&opts.pool, n)) {
-        println!(
-            "{:<42} {:>16} {:>9.1} {:>9.1} {:>6}",
-            row.scenario,
-            row.paper_bound,
-            row.row_ops,
-            row.col_ops,
-            if row.within_bound { "yes" } else { "NO" }
-        );
-    }
-    println!();
+    opts.table(&Table::new(
+        "costs",
+        format!("T-6.1: bus operations per transaction (n = {n})"),
+        &opts.rows("T-6.1", costs_table(&opts.pool, n)),
+        &[
+            ("scenario", None, &|r| r.scenario.into()),
+            ("paper bound", None, &|r| r.paper_bound.as_str().into()),
+            ("row ops", Some(1), &|r| r.row_ops.into()),
+            ("col ops", Some(1), &|r| r.col_ops.into()),
+            ("ok", None, &|r| {
+                if r.within_bound { "yes" } else { "NO" }.into()
+            }),
+        ],
+    ));
 }
 
 /// The cube study's configuration: quick or full, on the pool's workers.
@@ -281,51 +311,48 @@ fn cube_config(opts: &Options) -> CubeStudyConfig {
     }
 }
 
-fn scaling(opts: &Options, sims: &[SimSeries], cube: &CubeStudyConfig) {
-    scaling_formulas();
-    scaling_study(opts, sims, cube);
+fn scaling(opts: &Options, sweep: &SweepConfig, sims: &[SimSeries], cube: &CubeStudyConfig) {
+    scaling_formulas(opts);
+    scaling_study(opts, sweep, sims, cube);
 }
 
-fn scaling_formulas() {
-    println!("== T-6.2: Multicube scaling (buses = k*n^(k-1), bw/proc = k/n) ==");
-    println!(
-        "{:>4} {:>3} {:>10} {:>7} {:>10} {:>10} {:>12} {:>10}",
-        "n", "k", "processors", "buses", "bw/proc", "MLT cover", "inval ops", "path len"
-    );
-    for r in scaling_rows() {
-        println!(
-            "{:>4} {:>3} {:>10} {:>7} {:>10.4} {:>10} {:>12.1} {:>10.3}",
-            r.n,
-            r.k,
-            r.processors,
-            r.buses,
-            r.bandwidth_per_processor,
-            r.mlt_coverage_processors,
-            r.invalidation_ops,
-            r.mean_path_length
-        );
-    }
-    println!();
+fn scaling_formulas(opts: &Options) {
+    opts.table(&Table::new(
+        "scaling_formulas",
+        "T-6.2: Multicube scaling (buses = k*n^(k-1), bw/proc = k/n)",
+        &scaling_rows(),
+        &[
+            ("n", None, &|r| r.n.into()),
+            ("k", None, &|r| u32::from(r.k).into()),
+            ("processors", None, &|r| r.processors.into()),
+            ("buses", None, &|r| r.buses.into()),
+            ("bw/proc", Some(4), &|r| r.bandwidth_per_processor.into()),
+            ("MLT cover", None, &|r| r.mlt_coverage_processors.into()),
+            ("inval ops", Some(1), &|r| r.invalidation_ops.into()),
+            ("path len", Some(3), &|r| r.mean_path_length.into()),
+        ],
+    ));
 }
 
-/// The measured scaling study: the simulated Figure 2 `sims` — n ∈
-/// {8,16,24,32} (64–1024 processors) across the figure's rates, on its
-/// seeds — with bus operations and completions per point, plus the `cube`
-/// study (n³ = 512–32768 processors, the planes run in parallel after two
-/// depth-traffic exchanges), written together as `BENCH_scaling.json`
-/// alongside the printed tables unless either half lost a point. Every
-/// field is deterministic, so the artifact is byte-identical at every
-/// worker count — the CI pool-determinism job diffs exactly that — and a
-/// full run reproduces the committed file.
-fn scaling_study(opts: &Options, sims: &[SimSeries], cube: &CubeStudyConfig) {
-    let (sides, sweep) = (grid_sides(opts), sweep(opts));
-    println!("{}", render_scaling_study(&sides, sims));
+/// The measured scaling study: the simulated Figure 2 `sims` over `sweep`
+/// — n ∈ {8,16,24,32} (64–1024 processors) across the figure's rates, on
+/// its seeds — with bus operations and completions per point, plus the
+/// `cube` study (n³ = 512–32768 processors, the planes run in parallel
+/// after two depth-traffic exchanges), written together as
+/// `BENCH_scaling.json` alongside the printed tables unless either half
+/// lost a point. Every field is deterministic, so the artifact is
+/// byte-identical at every worker count — the CI pool-determinism job
+/// diffs exactly that — and a full run reproduces the committed file.
+fn scaling_study(opts: &Options, sweep: &SweepConfig, sims: &[SimSeries], cube: &CubeStudyConfig) {
+    let sides = grid_sides(opts);
+    // No CSV for either table: BENCH_scaling.json holds their rows.
+    println!("{}", scaling_grid_table(&sides, sims).text());
     let study = run_cube_study(cube);
     let failed = collect_failures(sims).len() + study.failures.len();
     let points = opts.rows("Cube scaling study", study);
-    println!("{}", render_cube_study(cube, &points));
+    println!("{}", cube_table(cube, &points).text());
     opts.artifact("BENCH_scaling.json", failed, |path| {
-        let json = render_scaling_json(&sides, &sweep, sims, Some((cube, &points)));
+        let json = render_scaling_json(&sides, sweep, sims, Some((cube, &points)));
         std::fs::write(path, json)
     });
 }
@@ -336,96 +363,95 @@ fn sync(opts: &Options) {
     } else {
         (vec![2, 4, 8], 4)
     };
-    println!("== E-4.1: hot-lock bus traffic per acquisition ==");
-    println!(
-        "{:>4} {:>6} {:>16} {:>14} {:>16} {:>14}",
-        "n", "procs", "spin ops/acq", "spin fails", "queue ops/acq", "queue fails"
-    );
-    for row in opts.rows("E-4.1", sync_rows(&opts.pool, &ns, rounds)) {
-        println!(
-            "{:>4} {:>6} {:>16.1} {:>14} {:>16.1} {:>14}",
-            row.n,
-            row.n * row.n,
-            row.spin_ops_per_acq,
-            row.spin_failures,
-            row.queue_ops_per_acq,
-            row.queue_failures
-        );
-    }
-    println!();
+    opts.table(&Table::new(
+        "sync",
+        "E-4.1: hot-lock bus traffic per acquisition",
+        &opts.rows("E-4.1", sync_rows(&opts.pool, &ns, rounds)),
+        &[
+            ("n", None, &|r| r.n.into()),
+            ("procs", None, &|r| (r.n * r.n).into()),
+            ("spin ops/acq", Some(1), &|r| r.spin_ops_per_acq.into()),
+            ("spin fails", None, &|r| r.spin_failures.into()),
+            ("queue ops/acq", Some(1), &|r| r.queue_ops_per_acq.into()),
+            ("queue fails", None, &|r| r.queue_failures.into()),
+        ],
+    ));
 }
 
 fn baseline(opts: &Options) {
     let txns = opts.txns.unwrap_or(if opts.quick { 20 } else { 40 });
-    println!("== E-1.1: single-bus multi vs Multicube at 10 req/ms ==");
-    println!(
-        "{:>6} {:>18} {:>14} {:>20}",
-        "procs", "multi efficiency", "multi bus util", "multicube efficiency"
-    );
-    for (processors, multi, cube) in opts.rows("E-1.1", baseline_rows(&opts.pool, 10.0, txns)) {
-        println!(
-            "{:>6} {:>18.4} {:>14.4} {:>20.4}",
-            processors, multi.efficiency, multi.buses[0].utilization, cube.efficiency
-        );
-    }
-    println!();
+    opts.table(&Table::new(
+        "baseline",
+        "E-1.1: single-bus multi vs Multicube at 10 req/ms",
+        &opts.rows("E-1.1", baseline_rows(&opts.pool, 10.0, txns)),
+        &[
+            ("procs", None, &|(processors, _, _)| (*processors).into()),
+            ("multi efficiency", Some(4), &|(_, multi, _)| {
+                multi.efficiency.into()
+            }),
+            ("multi bus util", Some(4), &|(_, multi, _)| {
+                multi.buses[0].utilization.into()
+            }),
+            ("multicube efficiency", Some(4), &|(_, _, cube)| {
+                cube.efficiency.into()
+            }),
+        ],
+    ));
 }
 
 fn ablations(opts: &Options) {
     let n = if opts.quick { 4 } else { 8 };
     let txns = opts.txns.unwrap_or(60);
 
-    println!("== A-1: modified-line-table sizing (write-heavy, n = {n}) ==");
-    println!(
-        "{:>10} {:>12} {:>12} {:>12}",
-        "capacity", "efficiency", "overflows", "ops/txn"
-    );
     let mlt = mlt_rows(&opts.pool, n, &[4, 16, 64, 256, 4096], txns);
-    for (capacity, r) in opts.rows("A-1", mlt) {
-        println!(
-            "{:>10} {:>12.4} {:>12} {:>12.2}",
-            capacity,
-            r.efficiency,
-            r.metrics.mlt_overflows.get(),
-            r.ops_per_transaction()
-        );
-    }
-    println!();
+    opts.table(&Table::new(
+        "ablation_mlt",
+        format!("A-1: modified-line-table sizing (write-heavy, n = {n})"),
+        &opts.rows("A-1", mlt),
+        &[
+            ("capacity", None, &|(capacity, _)| (*capacity).into()),
+            ("efficiency", Some(4), &|(_, r)| r.efficiency.into()),
+            ("overflows", None, &|(_, r)| {
+                r.metrics.mlt_overflows.get().into()
+            }),
+            ("ops/txn", Some(2), &|(_, r)| r.ops_per_transaction().into()),
+        ],
+    ));
 
-    println!("== A-2: §3 robustness — dropped modified signals (n = {n}) ==");
-    println!(
-        "{:>8} {:>12} {:>10} {:>10} {:>22}",
-        "drop p", "efficiency", "dropped", "bounces", "retries/modified read"
-    );
     let robustness = robustness_rows(&opts.pool, n, &[0.0, 0.1, 0.25, 0.5, 0.75], txns);
-    for (p, r) in opts.rows("A-2", robustness) {
-        let rm = &r.metrics.read_modified;
-        println!(
-            "{:>8.2} {:>12.4} {:>10} {:>10} {:>22.2}",
-            p,
-            r.efficiency,
-            r.metrics.dropped_signals.get(),
-            r.metrics.memory_bounces.get(),
-            rm.retries.get() as f64 / rm.count.max(1) as f64
-        );
-    }
-    println!();
+    opts.table(&Table::new(
+        "ablation_signal_drop",
+        format!("A-2: §3 robustness — dropped modified signals (n = {n})"),
+        &opts.rows("A-2", robustness),
+        &[
+            ("drop p", Some(2), &|(p, _)| (*p).into()),
+            ("efficiency", Some(4), &|(_, r)| r.efficiency.into()),
+            ("dropped", None, &|(_, r)| {
+                r.metrics.dropped_signals.get().into()
+            }),
+            ("bounces", None, &|(_, r)| {
+                r.metrics.memory_bounces.get().into()
+            }),
+            ("retries/modified read", Some(2), &|(_, r)| {
+                let rm = &r.metrics.read_modified;
+                (rm.retries.get() as f64 / rm.count.max(1) as f64).into()
+            }),
+        ],
+    ));
 
-    println!("== A-3: snarfing (hot shared set, n = {n}) ==");
-    println!(
-        "{:>10} {:>12} {:>10} {:>18}",
-        "snarfing", "efficiency", "snarfs", "bus transactions"
-    );
-    for (snarfing, r) in opts.rows("A-3", snarf_rows(&opts.pool, n, txns)) {
-        println!(
-            "{:>10} {:>12.4} {:>10} {:>18}",
-            snarfing,
-            r.efficiency,
-            r.metrics.snarfs.get(),
-            r.metrics.bus_transactions()
-        );
-    }
-    println!();
+    opts.table(&Table::new(
+        "ablation_snarf",
+        format!("A-3: snarfing (hot shared set, n = {n})"),
+        &opts.rows("A-3", snarf_rows(&opts.pool, n, txns)),
+        &[
+            ("snarfing", None, &|(on, _)| on.to_string().into()),
+            ("efficiency", Some(4), &|(_, r)| r.efficiency.into()),
+            ("snarfs", None, &|(_, r)| r.metrics.snarfs.get().into()),
+            ("bus transactions", None, &|(_, r)| {
+                r.metrics.bus_transactions().into()
+            }),
+        ],
+    ));
 }
 
 fn faults(opts: &Options) {
@@ -433,48 +459,39 @@ fn faults(opts: &Options) {
     let txns = opts.txns.unwrap_or(60);
     let probs = [0.0, 0.1, 0.25, 0.5, 0.75];
     let rows = opts.rows("A-2+", fault_sweep_rows(&opts.pool, n, &probs, txns));
-    println!(
-        "{}",
-        render_fault_sweep(
-            &format!(
-                "A-2+: composite fault sweep (n = {n}; drop p, loss p/2, dup p/4, \
-                 nack p/4, mlt-delay p/4, blackout p/8; backoff 100ns..25us)"
-            ),
-            &rows
-        )
-    );
-    opts.csv_file("fault_sweep.csv", |path| write_fault_sweep_csv(path, &rows));
+    opts.table(&fault_sweep_table(n, &rows));
 }
 
-fn kdim(_opts: &Options) {
+fn kdim(opts: &Options) {
     use multicube_mva::{dimension_sweep, ModelParams};
-    println!("== E-6.1: k-dimensional Multicube (model; §6 'future research') ==");
-    println!("n = 8 processors per bus, 10 req/ms/processor, Figure 2 workload mix:");
-    println!(
-        "{:>4} {:>12} {:>12} {:>14} {:>10} {:>10}",
-        "k", "processors", "efficiency", "response (ns)", "rho", "path len"
-    );
-    for s in dimension_sweep(&ModelParams::figure2(8), &[1, 2, 3, 4, 5], 10.0) {
-        println!(
-            "{:>4} {:>12} {:>12.4} {:>14.0} {:>10.4} {:>10.3}",
-            s.k, s.processors, s.efficiency, s.response_ns, s.rho, s.path_length
-        );
-    }
-    println!();
-    println!("Without invalidation broadcasts (pure point-to-point traffic):");
+    let ks = [1, 2, 3, 4, 5];
+    opts.table(&Table::new(
+        "kdim",
+        "E-6.1: k-dimensional Multicube (model; §6 'future research'): n = 8 processors \
+         per bus, 10 req/ms/processor, Figure 2 workload mix",
+        &dimension_sweep(&ModelParams::figure2(8), &ks, 10.0),
+        &[
+            ("k", None, &|s| u32::from(s.k).into()),
+            ("processors", None, &|s| s.processors.into()),
+            ("efficiency", Some(4), &|s| s.efficiency.into()),
+            ("response (ns)", Some(0), &|s| s.response_ns.into()),
+            ("rho", Some(4), &|s| s.rho.into()),
+            ("path len", Some(3), &|s| s.path_length.into()),
+        ],
+    ));
     let mut p = ModelParams::figure2(8);
     p.p_invalidation = 0.0;
-    println!(
-        "{:>4} {:>12} {:>12} {:>10}",
-        "k", "processors", "efficiency", "rho"
-    );
-    for s in dimension_sweep(&p, &[1, 2, 3, 4, 5], 10.0) {
-        println!(
-            "{:>4} {:>12} {:>12.4} {:>10.4}",
-            s.k, s.processors, s.efficiency, s.rho
-        );
-    }
-    println!();
+    opts.table(&Table::new(
+        "kdim_point_to_point",
+        "E-6.1 without invalidation broadcasts (pure point-to-point traffic)",
+        &dimension_sweep(&p, &ks, 10.0),
+        &[
+            ("k", None, &|s| u32::from(s.k).into()),
+            ("processors", None, &|s| s.processors.into()),
+            ("efficiency", Some(4), &|s| s.efficiency.into()),
+            ("rho", Some(4), &|s| s.rho.into()),
+        ],
+    ));
 }
 
 fn telemetry(opts: &Options) {
@@ -492,55 +509,25 @@ fn telemetry(opts: &Options) {
     let Some(report) = opts.rows("Telemetry", run).pop() else {
         return;
     };
-    println!(
-        "{}",
-        render_bus_telemetry(
-            &format!("Telemetry: per-bus utilization and queueing (n = {n}, 15 req/ms)"),
-            &report
-        )
-    );
-    println!(
-        "{}",
-        render_class_stats(
-            &format!("Telemetry: per-class op counts and latency quantiles (n = {n})"),
-            &report
-        )
-    );
-    println!(
-        "{}",
-        render_resilience(
-            &format!("Telemetry: resilience — retries, backoff and fault counters (n = {n})"),
-            &report
-        )
-    );
-    opts.csv_file("telemetry_buses.csv", |path| {
-        write_bus_telemetry_csv(path, &report)
-    });
-    opts.csv_file("telemetry_classes.csv", |path| {
-        write_class_stats_csv(path, &report)
-    });
+    for table in telemetry_tables(&format!("n = {n}, 15 req/ms"), &report) {
+        opts.table(&table);
+    }
 }
 
 /// The protocol shootout: all four engines on identical seeded
-/// workloads, written as `BENCH_shootout.csv` alongside the printed
-/// table (see `multicube_bench::shootout` for the methodology).
+/// workloads. Its table prints, and its CSV is written as
+/// `BENCH_shootout.csv` (see `multicube_bench::shootout` for the
+/// methodology).
 fn shootout(opts: &Options) {
-    let n = if opts.quick { 4 } else { 8 };
-    let table = run_shootout(&opts.pool, n, &sweep(opts));
-    let failed = table.failures.len();
-    let rows = opts.rows("Shootout", table);
-    println!(
-        "{}",
-        render_shootout(
-            &format!(
-                "Shootout: Multicube grid vs single-bus MESI, Dragon and write-once \
-                 (n = {n}, identical workloads per rate)"
-            ),
-            &rows
-        )
-    );
+    let (n, sweep) = (if opts.quick { 4 } else { 8 }, sweep(opts));
+    let study = run_shootout(&opts.pool, n, &sweep);
+    let failed = study.failures.len();
+    let rows = opts.rows("Shootout", study);
+    let table = shootout_table(n, &sweep, &rows);
+    // Its CSV is the artifact.
+    println!("{}", table.text());
     opts.artifact("BENCH_shootout.csv", failed, |path| {
-        write_shootout_csv(path, &rows)
+        std::fs::write(path, table.csv())
     });
 }
 
@@ -555,21 +542,11 @@ fn serve(opts: &Options) {
     } else {
         ServeConfig::full()
     };
-    let table = run_serve(&opts.pool, &cfg);
-    let failed = table.failures.len();
-    let rows = opts.rows("S-3", table);
-    println!(
-        "{}",
-        render_serve(
-            &format!(
-                "S-3: serving tier — {rpn} requests/node on {n}x{n} nodes, \
-                 FCFS vs round-robin arbitration",
-                rpn = cfg.requests_per_node,
-                n = cfg.n
-            ),
-            &rows
-        )
-    );
+    let study = run_serve(&opts.pool, &cfg);
+    let failed = study.failures.len();
+    let rows = opts.rows("S-3", study);
+    // No CSV: BENCH_serve.json holds its rows.
+    println!("{}", serve_table(&cfg, &rows).text());
     opts.artifact("BENCH_serve.json", failed, |path| {
         std::fs::write(path, render_serve_json(&cfg, &rows))
     });
@@ -585,8 +562,6 @@ fn model(opts: &Options) {
     use multicube_model::ModelConfig;
 
     let (lines, txns, budget) = if opts.quick { (1, 2, 1) } else { (2, 3, 2) };
-    println!("Model checker: exhaustive state-space exploration (2x2 grid, {lines} line(s), {txns} txns)");
-    println!("engine     budget     states transitions  idle-fps  xval");
     let points = EngineKind::all()
         .into_iter()
         .enumerate()
@@ -610,25 +585,44 @@ fn model(opts: &Options) {
                 );
                 let idle = multicube_model::idle_fingerprints(&cfg, &ex).len();
                 let xval = multicube_model::cross_validate(&cfg).expect("cross-validation");
-                format!(
-                    "{:<10} {:>6} {:>10} {:>11} {:>9}  {} sim runs, {} fingerprints, sim is a subset of model",
-                    engine.name(),
-                    b,
-                    ex.states.len(),
-                    ex.transitions,
-                    idle,
-                    xval.sim_runs,
-                    xval.fingerprints_checked,
-                )
+                (engine, b, ex.states.len(), ex.transitions, idle, xval)
             }),
         })
         .collect();
-    for row in opts.rows("T-7.1", measure(&opts.pool, points)) {
-        println!("{row}");
+    opts.table(&Table::new(
+        "model_check",
+        format!(
+            "T-7.1: exhaustive state-space exploration (2x2 grid, {lines} line(s), {txns} txns); \
+             the simulator's fingerprints are a subset of the model's"
+        ),
+        &opts.rows("T-7.1", measure(&opts.pool, points)),
+        &[
+            ("engine", None, &|r| r.0.name().into()),
+            ("budget", None, &|r| u32::from(r.1).into()),
+            ("states", None, &|r| r.2.into()),
+            ("transitions", None, &|r| r.3.into()),
+            ("idle-fps", None, &|r| r.4.into()),
+            ("sim runs", None, &|r| r.5.sim_runs.into()),
+            ("fingerprints", None, &|r| r.5.fingerprints_checked.into()),
+        ],
+    ));
+}
+
+/// The value of a flag: the next of `args`.
+///
+/// # Panics
+///
+/// Panics with `needs` when there is no next argument or it starts with
+/// `--`: a directory named `--quick` is a forgotten value, not a choice.
+fn flag_value<'a>(args: &mut impl Iterator<Item = &'a String>, needs: &str) -> &'a str {
+    match args.next() {
+        Some(value) if !value.starts_with("--") => value,
+        _ => panic!("{needs}"),
     }
 }
 
 fn main() -> ExitCode {
+    multicube_sim::pool::install_job_panic_hook();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut command = String::from("all");
     let mut opts = Options {
@@ -639,7 +633,7 @@ fn main() -> ExitCode {
         pool: Pool::from_env(),
         failed: Cell::new(0),
     };
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => opts.quick = true,
@@ -650,29 +644,23 @@ fn main() -> ExitCode {
                     .filter(|&txns| txns > 0)
                     .or_else(|| panic!("--txns needs a positive number"));
             }
-            "--csv" => {
-                opts.csv = it.next().map(PathBuf::from);
-                assert!(opts.csv.is_some(), "--csv needs a directory");
-            }
-            "--out" => {
-                opts.out = it
-                    .next()
-                    .map(PathBuf::from)
-                    .expect("--out needs a directory");
-            }
+            "--csv" => opts.csv = Some(flag_value(&mut it, "--csv needs a directory").into()),
+            "--out" => opts.out = flag_value(&mut it, "--out needs a directory").into(),
             c if !c.starts_with('-') => command = c.to_string(),
             other => panic!("unknown flag {other}"),
         }
     }
+    let sweep = sweep(&opts);
     match command.as_str() {
-        "fig2" => fig2(&opts, &figure2_sweep(&opts, &sweep(&opts))),
+        "fig2" => fig2(&opts, &sweep, &figure2_sweep(&opts, &sweep)),
         "fig3" => fig3(&opts),
         "fig4" => fig4(&opts),
         "latency" => latency(&opts),
         "costs" => costs(&opts),
         "scaling" => scaling(
             &opts,
-            &figure2_sweep(&opts, &sweep(&opts)),
+            &sweep,
+            &figure2_sweep(&opts, &sweep),
             &cube_config(&opts),
         ),
         "sync" => sync(&opts),
@@ -685,13 +673,13 @@ fn main() -> ExitCode {
         "serve" => serve(&opts),
         "model" => model(&opts),
         "all" => {
-            let figure2 = figure2_sweep(&opts, &sweep(&opts));
-            fig2(&opts, &figure2);
+            let figure2 = figure2_sweep(&opts, &sweep);
+            fig2(&opts, &sweep, &figure2);
             fig3(&opts);
             fig4(&opts);
             latency(&opts);
             costs(&opts);
-            scaling(&opts, &figure2, &cube_config(&opts));
+            scaling(&opts, &sweep, &figure2, &cube_config(&opts));
             sync(&opts);
             baseline(&opts);
             ablations(&opts);
@@ -738,12 +726,14 @@ mod tests {
             ..sweep(&opts)
         };
         let sims = figure2_sweep(&opts, &failing);
-        fig2(&opts, &sims);
-        scaling(&opts, &sims, &cube_config(&opts));
+        fig2(&opts, &failing, &sims);
+        scaling(&opts, &failing, &sims, &cube_config(&opts));
         let sides = grid_sides(&opts).len();
         assert_eq!(opts.failed.get(), sides, "one failed point per side");
         assert!(!out.join("BENCH_scaling.json").exists());
-        assert!(!render_scaling_study(&grid_sides(&opts), &sims).contains("failed"));
+        assert!(!scaling_grid_table(&grid_sides(&opts), &sims)
+            .text()
+            .contains("failed"));
         let _ = std::fs::remove_dir_all(&out);
     }
 
@@ -763,13 +753,14 @@ mod tests {
                 pool: Pool::new(workers),
                 failed: Cell::new(0),
             };
-            let sims = figure2_sweep(&opts, &sweep(&opts));
+            let sweep = sweep(&opts);
+            let sims = figure2_sweep(&opts, &sweep);
             assert!(collect_failures(&sims).is_empty());
             let cube = CubeStudyConfig {
                 remote_gap_ns: f64::NAN,
                 ..CubeStudyConfig::quick(workers)
             };
-            scaling(&opts, &sims, &cube);
+            scaling(&opts, &sweep, &sims, &cube);
             assert_eq!(opts.failed.get(), cube.sides.len(), "one failure per cube");
             assert!(!out.join("BENCH_scaling.json").exists());
         }

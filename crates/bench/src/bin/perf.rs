@@ -27,6 +27,7 @@ use multicube_bench::perf::{
 const USAGE: &str = "usage: perf [--quick] [--out PATH]\n       perf --guard PARENT_DIR CHANGE_DIR";
 
 fn main() -> ExitCode {
+    multicube_sim::pool::install_job_panic_hook();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let [flag, parent, change] = args.as_slice() {
         if flag == "--guard" {
@@ -40,8 +41,8 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--quick" => quick = true,
             "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => return usage("--out needs a path"),
+                Some(p) if !p.starts_with("--") => out_path = p,
+                _ => return usage("--out needs a path"),
             },
             "--guard" => return usage("--guard takes two directories and no other option"),
             "--help" | "-h" => {

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use multicube::{FaultPlan, Machine, MachineConfig, Request, SyntheticSpec};
 use multicube_mem::LineAddr;
-use multicube_sim::pool::Pool;
+use multicube_sim::pool::{JobPanic, Pool};
 use multicube_sim::{DeterministicRng, EventQueue};
 use multicube_topology::NodeId;
 
@@ -303,13 +303,17 @@ fn kernel_cube_pdes(workers: usize) -> u64 {
 pub struct KernelFailure {
     /// Kernel name.
     pub name: &'static str,
-    /// The contained panic payload.
-    pub message: String,
+    /// The contained panic.
+    pub panic: JobPanic,
 }
 
 impl std::fmt::Display for KernelFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "kernel {} panicked: {}", self.name, self.message)
+        write!(f, "kernel {} panicked", self.name)?;
+        if let Some(location) = &self.panic.location {
+            write!(f, " at {location}")?;
+        }
+        write!(f, ": {}", self.panic.message)
     }
 }
 
@@ -389,9 +393,8 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
         pool.run(vec![|_| job()])
             .pop()
             .expect("one job, one outcome")
-            .map_err(|panic| panic.message)
     };
-    let mut failed: Vec<Option<String>> = vec![None; KERNELS.len()];
+    let mut failed: Vec<Option<JobPanic>> = vec![None; KERNELS.len()];
     let mut samples: Vec<Vec<u64>> = vec![Vec::new(); KERNELS.len()];
     for (k, failure) in KERNELS.iter().zip(&mut failed) {
         let warmup = || (0..cfg.warmup).fold(0u64, |acc, _| acc.wrapping_add((k.body)(quick)));
@@ -410,7 +413,7 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
             };
             match contained(&timed) {
                 Ok(ns) => samples_ns.push(ns),
-                Err(message) => *failure = Some(message),
+                Err(panic) => *failure = Some(panic),
             }
         }
     }
@@ -419,9 +422,9 @@ pub fn run_all(cfg: &PerfConfig) -> (Vec<KernelResult>, Vec<KernelFailure>) {
     for ((k, failure), samples_ns) in KERNELS.iter().zip(failed).zip(samples) {
         match failure {
             None => results.push(summarize(k, quick, samples_ns)),
-            Some(message) => failures.push(KernelFailure {
+            Some(panic) => failures.push(KernelFailure {
                 name: k.name,
-                message,
+                panic,
             }),
         }
     }

@@ -6,7 +6,7 @@
 //! [`SweepConfig`], on the figure's own seeds): every grid side against
 //! every request rate, with efficiency, bus utilization, bus operations
 //! per transaction and completions per point. Its cube half runs full
-//! k = 3 Multicubes. This module renders both as tables (`figures --
+//! k = 3 Multicubes. This module lays out both as tables (`figures --
 //! scaling`) and as the committed JSON artifact (`BENCH_scaling.json`),
 //! so scaling regressions are diffable in review.
 //!
@@ -19,10 +19,10 @@ use multicube::pdes::{run_cube, CubeConfig};
 use multicube_mva::FigurePoint;
 use multicube_sim::pool::Pool;
 use multicube_sim::{split_seed, stream_id};
-use std::fmt::Write as _;
 
 use crate::json::{self, Value};
 use crate::simfig::{measure, Measured, Point, PointRun, SimSeries, SweepConfig, FIGURE2_SIDES};
+use crate::table::Table;
 
 /// Identifies the JSON layout; bump when the schema changes shape.
 /// v2 added the `cube` section (the parallel n³ scaling study); v3 added
@@ -190,38 +190,34 @@ fn cube_point(config: &CubeStudyConfig, serial_config: CubeConfig) -> CubePoint 
     }
 }
 
-/// Renders the cube study's measured `points` as an ASCII table.
-pub fn render_cube_study(config: &CubeStudyConfig, points: &[CubePoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Cube scaling study (planes in parallel): n = {} ==",
-        config
-            .sides
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
-    );
-    let _ = writeln!(
-        out,
-        "{:>4} {:>7} {:>8} {:>7} {:>9} {:>8}  fingerprint",
-        "n", "procs", "txns", "remote", "events", "eff"
-    );
-    for p in points {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>7} {:>8} {:>7} {:>9} {:>8.4}  {}",
-            p.side,
-            p.processors,
-            p.transactions,
-            p.remote_ops,
-            p.events,
-            p.mean_efficiency,
-            p.fingerprint
-        );
-    }
-    out
+/// `sides` joined as `a/b/c`, for a title.
+fn joined(sides: &[u32]) -> String {
+    sides
+        .iter()
+        .map(|n| n.to_string())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// The cube study's measured `points` as a table.
+pub fn cube_table(config: &CubeStudyConfig, points: &[CubePoint]) -> Table {
+    Table::new(
+        "cube",
+        format!(
+            "Cube scaling study (planes in parallel): n = {}",
+            joined(&config.sides)
+        ),
+        points,
+        &[
+            ("n", None, &|p| p.side.into()),
+            ("procs", None, &|p| p.processors.into()),
+            ("txns", None, &|p| p.transactions.into()),
+            ("remote", None, &|p| p.remote_ops.into()),
+            ("events", None, &|p| p.events.into()),
+            ("eff", Some(4), &|p| p.mean_efficiency.into()),
+            ("fingerprint", None, &|p| p.fingerprint.as_str().into()),
+        ],
+    )
 }
 
 /// One row of the grid table or report: a simulated Figure-2 point with
@@ -257,50 +253,31 @@ fn grid_rows<'a>(sides: &'a [u32], sims: &'a [SimSeries]) -> impl Iterator<Item 
     })
 }
 
-/// Renders the grid as an ASCII table: efficiency, effective processors
-/// and bus utilization per point of `sims`, [`sim_figure2`] over `sides`.
+/// The grid as a table: efficiency, effective processors and bus
+/// utilization per point of `sims`, [`sim_figure2`] over `sides`.
 ///
 /// [`sim_figure2`]: crate::sim_figure2
-pub fn render_scaling_study(sides: &[u32], sims: &[SimSeries]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Scaling study: efficiency and bus utilization, n = {} ==",
-        sides
-            .iter()
-            .map(|n| n.to_string())
-            .collect::<Vec<_>>()
-            .join("/")
-    );
-    let _ = writeln!(
-        out,
-        "{:>4} {:>6} {:>8} {:>11} {:>11} {:>8} {:>8} {:>9} {:>10}",
-        "n",
-        "procs",
-        "rate/ms",
-        "efficiency",
-        "eff procs",
-        "rho row",
-        "rho col",
-        "ops/txn",
-        "completed"
-    );
-    for r in grid_rows(sides, sims) {
-        let _ = writeln!(
-            out,
-            "{:>4} {:>6} {:>8.1} {:>11.4} {:>11.1} {:>8.4} {:>8.4} {:>9.2} {:>10}",
-            r.n,
-            r.processors(),
-            r.point.rate_per_ms,
-            r.point.efficiency,
-            r.effective_processors(),
-            r.point.rho_row,
-            r.point.rho_col,
-            r.run.ops_per_txn,
-            r.run.completed
-        );
-    }
-    out
+pub fn scaling_grid_table(sides: &[u32], sims: &[SimSeries]) -> Table {
+    let rows: Vec<GridRow<'_>> = grid_rows(sides, sims).collect();
+    Table::new(
+        "scaling_grid",
+        format!(
+            "Scaling study: efficiency and bus utilization, n = {}",
+            joined(sides)
+        ),
+        &rows,
+        &[
+            ("n", None, &|r| r.n.into()),
+            ("procs", None, &|r| r.processors().into()),
+            ("rate/ms", Some(1), &|r| r.point.rate_per_ms.into()),
+            ("efficiency", Some(4), &|r| r.point.efficiency.into()),
+            ("eff procs", Some(1), &|r| r.effective_processors().into()),
+            ("rho row", Some(4), &|r| r.point.rho_row.into()),
+            ("rho col", Some(4), &|r| r.point.rho_col.into()),
+            ("ops/txn", Some(2), &|r| r.run.ops_per_txn.into()),
+            ("completed", None, &|r| r.run.completed.into()),
+        ],
+    )
 }
 
 /// Renders the study as the `BENCH_scaling.json` artifact: the grid
@@ -615,7 +592,7 @@ mod tests {
     #[test]
     fn render_has_a_row_per_point() {
         let sims = tiny_grid();
-        let text = render_scaling_study(&SIDES, &sims);
+        let text = scaling_grid_table(&SIDES, &sims).text();
         assert!(text.contains("== Scaling study"));
         assert_eq!(text.lines().count(), 2 + SIDES.len() * tiny().rates.len());
     }

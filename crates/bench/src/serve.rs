@@ -23,10 +23,10 @@ use multicube_topology::NodeId;
 use multicube_workload::{
     Oltp, ProducerConsumer, Stream, TraceV2Reader, TraceV2Writer, WebSession, Workload,
 };
-use std::fmt::Write as _;
 
 use crate::json::{self, Value};
 use crate::simfig::{measure, Measured, Point};
+use crate::table::Table;
 
 /// Schema marker for the `BENCH_serve.json` artifact. v2 stamps the
 /// study's `mode`: `"full"` for the committed operating point, `"quick"`
@@ -257,51 +257,33 @@ fn replay(config: &ServeConfig, app: &'static str, policy: Arbitration, seed: u6
     }
 }
 
-/// Renders the study's rows as an aligned table, one block per
-/// application so the two policy rows sit side by side.
-pub fn render_serve(title: &str, rows: &[ServeRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    let _ = writeln!(
-        out,
-        "{:<18} {:<12} {:>9} {:>10} {:>8} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7}",
-        "app",
-        "policy",
-        "requests",
-        "req/sim-ms",
-        "eff",
-        "mean ns",
-        "p50",
-        "p90",
-        "p99",
-        "p999",
-        "worst-nd",
-        "jain"
-    );
-    let mut last_app = "";
-    for r in rows {
-        if !last_app.is_empty() && r.app != last_app {
-            out.push('\n');
-        }
-        last_app = r.app;
-        let _ = writeln!(
-            out,
-            "{:<18} {:<12} {:>9} {:>10.1} {:>8.4} {:>10.0} {:>8} {:>8} {:>8} {:>9} {:>9.0} {:>7.4}",
-            r.app,
-            r.policy,
-            r.requests,
-            r.throughput_per_ms,
-            r.efficiency,
-            r.mean_latency_ns,
-            r.p50_ns,
-            r.p90_ns,
-            r.p99_ns,
-            r.p999_ns,
-            r.node_mean_max_ns,
-            r.jain_fairness
-        );
-    }
-    out
+/// The rows of a study at `config` as a table, in study order: each
+/// application's two policy rows one after the other.
+pub fn serve_table(config: &ServeConfig, rows: &[ServeRow]) -> Table {
+    Table::new(
+        "serve",
+        format!(
+            "S-3: serving tier — {rpn} requests/node on {n}x{n} nodes, \
+             FCFS vs round-robin arbitration",
+            rpn = config.requests_per_node,
+            n = config.n
+        ),
+        rows,
+        &[
+            ("app", None, &|r| r.app.into()),
+            ("policy", None, &|r| r.policy.into()),
+            ("requests", None, &|r| r.requests.into()),
+            ("req/sim-ms", Some(1), &|r| r.throughput_per_ms.into()),
+            ("eff", Some(4), &|r| r.efficiency.into()),
+            ("mean ns", Some(0), &|r| r.mean_latency_ns.into()),
+            ("p50", None, &|r| r.p50_ns.into()),
+            ("p90", None, &|r| r.p90_ns.into()),
+            ("p99", None, &|r| r.p99_ns.into()),
+            ("p999", None, &|r| r.p999_ns.into()),
+            ("worst-nd", Some(0), &|r| r.node_mean_max_ns.into()),
+            ("jain", Some(4), &|r| r.jain_fairness.into()),
+        ],
+    )
 }
 
 /// Renders the rows of a study at `config` as the `BENCH_serve.json`
@@ -464,7 +446,7 @@ mod tests {
             validate_serve_report(&stamped, &cfg),
             Err("expected a quick-mode report".to_string())
         );
-        let text = render_serve("serve", &rows);
+        let text = serve_table(&cfg, &rows).text();
         assert!(text.contains("fcfs") && text.contains("round-robin"));
         assert!(!text.contains("NaN"), "{text}");
     }

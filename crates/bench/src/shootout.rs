@@ -14,40 +14,15 @@
 //! knob), and bus operations per transaction plus peak bus utilization
 //! (the single-bus saturation that motivates the Multicube's grid of
 //! buses). The matrix runs through [`crate::run_points`], so the output is
-//! byte-identical at any worker count.
+//! byte-identical at any worker count. Its [`Table`]'s CSV is the
+//! committed `BENCH_shootout.csv`.
 
-use multicube::{EngineKind, MachineConfig, SyntheticSpec};
+use multicube::{EngineKind, MachineConfig, RunReport, SyntheticSpec};
 use multicube_sim::pool::Pool;
 use multicube_sim::stream_id;
 
 use crate::simfig::{run_points, Measured, SimPoint, SweepConfig};
-
-/// One engine's measurements at one `(n, rate)` operating point.
-#[derive(Debug, Clone)]
-pub struct ShootoutRow {
-    /// Engine label (`multicube`, `mesi`, `dragon`, `writeonce`).
-    pub engine: &'static str,
-    /// Grid side (the machine has `n * n` processors).
-    pub n: u32,
-    /// Offered request rate per processor.
-    pub rate_per_ms: f64,
-    /// The per-point seed — identical across engines at the same point.
-    pub seed: u64,
-    /// Processor efficiency (Figure 2 axis).
-    pub efficiency: f64,
-    /// Completed transactions.
-    pub transactions: u64,
-    /// Bus operations per bus-visible transaction.
-    pub bus_ops_per_txn: f64,
-    /// Shared copies purged (write-invalidate traffic, Figure 3 axis).
-    pub invalidations: u64,
-    /// Remote copies refreshed in place (write-update traffic).
-    pub updates: u64,
-    /// Mean completion latency over the read/write classes.
-    pub mean_latency_ns: f64,
-    /// Peak utilization over all buses (the saturation axis).
-    pub peak_bus_utilization: f64,
-}
+use crate::table::Table;
 
 /// The shootout's seed for one rate index on grid side `n`: shared by
 /// all engines so their workloads are identical.
@@ -57,9 +32,14 @@ fn shootout_point_seed(sweep: &SweepConfig, n: u32, index: usize) -> u64 {
 
 /// Runs every engine across the sweep's rates on an `n x n` grid: rows
 /// grouped by engine in `EngineKind::all()` order, rates ascending within
-/// each engine. Each run checks its machine's quiescent state against its
-/// own engine's coherence invariants; a violation poisons only that point.
-pub fn run_shootout(pool: &Pool, n: u32, sweep: &SweepConfig) -> Measured<ShootoutRow> {
+/// each engine, each an engine, its rate's index in `sweep.rates` and the
+/// run. Each run checks its machine's quiescent state against its own
+/// engine's coherence invariants; a violation poisons only that point.
+pub fn run_shootout(
+    pool: &Pool,
+    n: u32,
+    sweep: &SweepConfig,
+) -> Measured<(EngineKind, usize, RunReport)> {
     let params: Vec<(EngineKind, usize)> = EngineKind::all()
         .into_iter()
         .flat_map(|engine| (0..sweep.rates.len()).map(move |index| (engine, index)))
@@ -74,63 +54,51 @@ pub fn run_shootout(pool: &Pool, n: u32, sweep: &SweepConfig) -> Measured<Shooto
         txns_per_node: sweep.txns_per_node,
     };
     run_points(pool, &params, point, |(engine, index), report| {
-        ShootoutRow {
-            engine: engine.name(),
-            n,
-            rate_per_ms: sweep.rates[index],
-            seed: shootout_point_seed(sweep, n, index),
-            efficiency: report.efficiency,
-            transactions: report.transactions_completed,
-            bus_ops_per_txn: report.ops_per_transaction(),
-            invalidations: report.metrics.invalidations.get(),
-            updates: report.metrics.updates.get(),
-            mean_latency_ns: report.mean_latency_ns,
-            peak_bus_utilization: report
-                .buses
-                .iter()
-                .map(|b| b.utilization)
-                .fold(0.0f64, f64::max),
-        }
+        (engine, index, report)
     })
 }
 
-/// Renders the shootout as an aligned comparison table, one block per
-/// engine (rows align across blocks because the rate grid is shared).
-pub fn render_shootout(title: &str, rows: &[ShootoutRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<10} {:>8} {:>12} {:>8} {:>9} {:>9} {:>9} {:>12} {:>10}\n",
-        "engine",
-        "rate/ms",
-        "efficiency",
-        "txns",
-        "ops/txn",
-        "invals",
-        "updates",
-        "latency ns",
-        "peak util"
-    ));
-    let mut last_engine = "";
-    for r in rows {
-        if !last_engine.is_empty() && r.engine != last_engine {
-            out.push('\n');
-        }
-        last_engine = r.engine;
-        out.push_str(&format!(
-            "{:<10} {:>8} {:>12.4} {:>8} {:>9.2} {:>9} {:>9} {:>12.0} {:>10.4}\n",
-            r.engine,
-            r.rate_per_ms,
-            r.efficiency,
-            r.transactions,
-            r.bus_ops_per_txn,
-            r.invalidations,
-            r.updates,
-            r.mean_latency_ns,
-            r.peak_bus_utilization
-        ));
-    }
-    out
+/// The shootout of [`run_shootout`] on an `n x n` grid over `sweep`, one
+/// row per point in run order. The seed column makes the
+/// identical-workload guarantee auditable: rows at the same rate carry
+/// the same seed for every engine.
+pub fn shootout_table(
+    n: u32,
+    sweep: &SweepConfig,
+    rows: &[(EngineKind, usize, RunReport)],
+) -> Table {
+    let peak = |r: &RunReport| r.buses.iter().map(|b| b.utilization).fold(0.0, f64::max);
+    Table::new(
+        "shootout",
+        format!(
+            "Shootout: Multicube grid vs single-bus MESI, Dragon and write-once \
+             (n = {n}, identical workloads per rate)"
+        ),
+        rows,
+        &[
+            ("engine", None, &|(engine, _, _)| engine.name().into()),
+            ("n", None, &|_| n.into()),
+            ("rate_per_ms", None, &|(_, i, _)| sweep.rates[*i].into()),
+            ("seed", None, &|(_, i, _)| {
+                format!("{:#x}", shootout_point_seed(sweep, n, *i)).into()
+            }),
+            ("efficiency", Some(4), &|(_, _, r)| r.efficiency.into()),
+            ("transactions", None, &|(_, _, r)| {
+                r.transactions_completed.into()
+            }),
+            ("bus_ops_per_txn", Some(2), &|(_, _, r)| {
+                r.ops_per_transaction().into()
+            }),
+            ("invalidations", None, &|(_, _, r)| {
+                r.metrics.invalidations.get().into()
+            }),
+            ("updates", None, &|(_, _, r)| r.metrics.updates.get().into()),
+            ("mean_latency_ns", Some(0), &|(_, _, r)| {
+                r.mean_latency_ns.into()
+            }),
+            ("peak_bus_utilization", Some(4), &|(_, _, r)| peak(r).into()),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -153,32 +121,50 @@ mod tests {
         let s = run_shootout(&Pool::serial(), 4, &tiny());
         assert!(s.failures.is_empty(), "{:?}", s.failures);
         assert_eq!(s.rows.len(), 8);
-        let engines: Vec<&str> = s.rows.iter().map(|r| r.engine).collect();
+        let engines: Vec<&str> = s.rows.iter().map(|r| r.0.name()).collect();
         let labels = ["multicube", "mesi", "dragon", "writeonce"];
         assert_eq!(engines, labels.map(|l| [l, l]).concat());
+        // The seed column of each row, as the CSV prints it.
+        let csv = shootout_table(4, &tiny(), &s.rows).csv();
+        let seeds: Vec<&str> = csv
+            .lines()
+            .skip(1)
+            .map(|line| line.split(',').nth(3).unwrap())
+            .collect();
         for i in 0..2 {
-            let seeds: Vec<u64> = s
+            let at_rate: Vec<&str> = s
                 .rows
                 .iter()
-                .filter(|r| r.rate_per_ms == tiny().rates[i])
-                .map(|r| r.seed)
+                .zip(&seeds)
+                .filter(|(r, _)| tiny().rates[r.1] == tiny().rates[i])
+                .map(|(_, &seed)| seed)
                 .collect();
-            assert_eq!(seeds.len(), 4);
+            assert_eq!(at_rate.len(), 4);
             assert!(
-                seeds.windows(2).all(|w| w[0] == w[1]),
+                at_rate.windows(2).all(|w| w[0] == w[1]),
                 "engines must share the point seed"
             );
         }
         // Every engine completed the full workload.
-        for r in &s.rows {
-            assert_eq!(r.transactions, 10 * 16, "{} completed all txns", r.engine);
+        for (engine, _, r) in &s.rows {
+            assert_eq!(
+                r.transactions_completed,
+                10 * 16,
+                "{} completed all txns",
+                engine.name()
+            );
         }
         // Only Dragon produces update traffic; it never invalidates.
-        for r in &s.rows {
-            if r.engine == "dragon" {
-                assert_eq!(r.invalidations, 0, "dragon never invalidates");
+        for (engine, _, r) in &s.rows {
+            if *engine == EngineKind::Dragon {
+                assert_eq!(r.metrics.invalidations.get(), 0, "dragon never invalidates");
             } else {
-                assert_eq!(r.updates, 0, "{} never updates in place", r.engine);
+                assert_eq!(
+                    r.metrics.updates.get(),
+                    0,
+                    "{} never updates in place",
+                    engine.name()
+                );
             }
         }
     }
@@ -191,18 +177,21 @@ mod tests {
         let parallel = run_shootout(&Pool::new(3), 4, &tiny());
         assert_eq!(serial.rows.len(), parallel.rows.len());
         for (a, b) in serial.rows.iter().zip(parallel.rows.iter()) {
-            assert_eq!(a.engine, b.engine);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.transactions, b.transactions);
-            assert_eq!(a.efficiency.to_bits(), b.efficiency.to_bits());
-            assert_eq!(a.mean_latency_ns.to_bits(), b.mean_latency_ns.to_bits());
+            assert_eq!((a.0, a.1), (b.0, b.1));
+            assert_eq!(a.2.transactions_completed, b.2.transactions_completed);
+            assert_eq!(a.2.efficiency.to_bits(), b.2.efficiency.to_bits());
+            assert_eq!(a.2.mean_latency_ns.to_bits(), b.2.mean_latency_ns.to_bits());
         }
+        assert_eq!(
+            shootout_table(4, &tiny(), &serial.rows).csv(),
+            shootout_table(4, &tiny(), &parallel.rows).csv()
+        );
     }
 
     #[test]
     fn render_groups_rows_by_engine() {
         let s = run_shootout(&Pool::serial(), 4, &tiny());
-        let text = render_shootout("shootout", &s.rows);
+        let text = shootout_table(4, &tiny(), &s.rows).text();
         assert!(text.contains("multicube"));
         assert!(text.contains("mesi"));
         assert!(text.contains("dragon"));

@@ -61,7 +61,8 @@ impl SweepConfig {
 }
 
 /// One measured point whose job panicked instead of producing its
-/// result: everything needed to replay it, plus the panic message.
+/// result: everything needed to replay it, plus the panic message and
+/// location.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointFailure {
     /// The series the point belonged to.
@@ -75,15 +76,21 @@ pub struct PointFailure {
     pub seed: u64,
     /// The contained panic payload.
     pub message: String,
+    /// Where the job panicked (see [`multicube_sim::pool::JobPanic`]).
+    pub location: Option<String>,
 }
 
 impl std::fmt::Display for PointFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "series {} point {} (rate {} req/ms, seed {:#x}): {}",
-            self.series, self.index, self.rate_per_ms, self.seed, self.message
-        )
+            "series {} point {} (rate {} req/ms, seed {:#x})",
+            self.series, self.index, self.rate_per_ms, self.seed
+        )?;
+        if let Some(location) = &self.location {
+            write!(f, " panicked at {location}")?;
+        }
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -136,6 +143,7 @@ pub fn measure<R: Send>(pool: &Pool, points: Vec<Point<'_, R>>) -> Measured<R> {
                 rate_per_ms,
                 seed,
                 message: panic.message,
+                location: panic.location,
             }),
         }
     }

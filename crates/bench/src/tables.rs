@@ -1,16 +1,15 @@
 //! The paper's tabular claims, measured: protocol costs (T-6.1), scaling
 //! formulas (T-6.2), synchronization traffic (E-4.1), the single-bus
-//! comparison (E-1.1) and the ablations (A-1..A-3, A-2+) — plus ASCII
-//! rendering helpers. Every run behind a table is a job of [`measure`]
-//! (the synthetic ones through [`run_points`]), so a panicking point
-//! costs only its own row.
+//! comparison (E-1.1) and the ablations (A-1..A-3, A-2+), with the
+//! [`Table`]s of the fault sweep and of one run's telemetry. Every run
+//! behind a table is a job of [`measure`] (the synthetic ones through
+//! [`run_points`]), so a panicking point costs only its own row.
 
 use multicube::{
     EngineKind, FaultPlan, Machine, MachineConfig, MachineMetrics, Request, RequestKind,
     RetryPolicy, RunReport, SyntheticSpec, TxnStats,
 };
 use multicube_mem::LineAddr;
-use multicube_mva::{FigurePoint, FigureSeries};
 use multicube_sim::pool::Pool;
 use multicube_sim::{split_seed, stream_id};
 use multicube_sync::{LockExperiment, QueueLock, SpinLock};
@@ -18,6 +17,7 @@ use multicube_topology::scaling::{ScalingReport, TransactionCostBounds};
 use multicube_topology::Multicube;
 
 use crate::simfig::{measure, run_points, Measured, Point, SimPoint};
+use crate::table::{Cell, Table};
 
 /// One measured row of the T-6.1 protocol-cost table.
 #[derive(Debug, Clone)]
@@ -237,105 +237,91 @@ pub fn baseline_rows(
     }
 }
 
-/// Renders a run's per-bus telemetry — utilization, op counts and queue
-/// high-water per row/column bus — as an ASCII table.
-pub fn render_bus_telemetry(title: &str, report: &RunReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    out.push_str(&format!(
-        "{:>8} {:>12} {:>10} {:>10} {:>12}\n",
-        "bus", "utilization", "ops", "data ops", "queue high"
-    ));
-    for b in &report.buses {
-        out.push_str(&format!(
-            "{:>8} {:>12.4} {:>10} {:>10} {:>12}\n",
-            b.id.to_string(),
-            b.utilization,
-            b.ops,
-            b.data_ops,
-            b.queue_high_water
-        ));
-    }
-    out.push_str(&format!(
-        "event queue: {} scheduled, {} delivered, high-water {}\n",
-        report.events_scheduled, report.events_delivered, report.event_queue_high_water
-    ));
-    out
-}
-
-/// Renders a run's per-transaction-class statistics — counts, mean bus
-/// operations and latency quantiles from the per-class histograms.
-pub fn render_class_stats(title: &str, report: &RunReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<28} {:>8} {:>10} {:>12} {:>10} {:>10} {:>10}\n",
-        "class", "count", "ops/txn", "latency ns", "p50 ns", "p90 ns", "p99 ns"
-    ));
-    // Emit every class, including empty ones: `classes()` is a stable,
-    // protocol-independent set, so tables from different engines (the
-    // shootout) stay row-aligned and diffable.
-    for (name, s) in report.metrics.classes() {
-        let q = |q: f64| {
-            s.latency_hist
-                .quantile(q)
-                .map(|v| v.to_string())
-                .unwrap_or_else(|| "-".to_string())
-        };
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>10.2} {:>12.0} {:>10} {:>10} {:>10}\n",
-            name,
-            s.count,
-            s.bus_ops.mean(),
-            s.latency_ns.mean(),
-            q(0.5),
-            q(0.9),
-            q(0.99)
-        ));
-    }
-    out
-}
-
-/// Renders figure series side by side as an ASCII table of `value` at
-/// each point: the efficiency, say, or the row-bus utilization (the
-/// sensitive metric for broadcast-traffic effects like Figure 3's).
-pub fn render_series(
-    title: &str,
-    series: &[FigureSeries],
-    value: impl Fn(&FigurePoint) -> f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    if series.is_empty() {
-        return out;
-    }
-    out.push_str(&format!("{:>10}", "rate/ms"));
-    for s in series {
-        out.push_str(&format!("{:>24}", s.label));
-    }
-    out.push('\n');
-    let rows = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..rows {
-        let rate = series
-            .iter()
-            .find_map(|s| s.points.get(i))
-            .map(|p| p.rate_per_ms)
-            .unwrap_or(0.0);
-        out.push_str(&format!("{rate:>10.1}"));
-        for s in series {
-            match s.points.get(i) {
-                Some(p) => out.push_str(&format!("{:>24.4}", value(p))),
-                None => out.push_str(&format!("{:>24}", "-")),
-            }
-        }
-        out.push('\n');
-    }
-    out
+/// One run's telemetry as three tables, titled with `setting`: per bus
+/// (utilization, op counts, queue high-water), per transaction class
+/// (counts, mean bus operations and latency, latency quantiles and
+/// histogram, retry pressure), and the run's event-queue, fault and
+/// watchdog counters.
+pub fn telemetry_tables(setting: &str, report: &RunReport) -> [Table; 3] {
+    let buses = Table::new(
+        "telemetry_buses",
+        format!("Telemetry: per-bus utilization and queueing ({setting})"),
+        &report.buses,
+        &[
+            ("bus", None, &|b| b.id.to_string().into()),
+            ("utilization", Some(4), &|b| b.utilization.into()),
+            ("ops", None, &|b| b.ops.into()),
+            ("data_ops", None, &|b| b.data_ops.into()),
+            ("duplicates", None, &|b| b.duplicates.into()),
+            ("queue_high_water", None, &|b| b.queue_high_water.into()),
+        ],
+    );
+    // Every class, empty ones included: `classes()` is a stable,
+    // protocol-independent set, so tables of different engines stay
+    // row-aligned and diffable.
+    let classes = Table::new(
+        "telemetry_classes",
+        format!("Telemetry: per-class op counts, latency quantiles and retries ({setting})"),
+        &report.metrics.classes(),
+        &[
+            ("class", None, &|(name, _)| (*name).into()),
+            ("count", None, &|(_, s)| s.count.into()),
+            ("mean_bus_ops", Some(2), &|(_, s)| s.bus_ops.mean().into()),
+            ("mean_latency_ns", Some(0), &|(_, s)| {
+                s.latency_ns.mean().into()
+            }),
+            ("p50_ns", None, &|(_, s)| {
+                s.latency_hist.quantile(0.5).into()
+            }),
+            ("p90_ns", None, &|(_, s)| {
+                s.latency_hist.quantile(0.9).into()
+            }),
+            ("p99_ns", None, &|(_, s)| {
+                s.latency_hist.quantile(0.99).into()
+            }),
+            ("retries", None, &|(_, s)| s.retries.get().into()),
+            ("max_retries", None, &|(_, s)| s.max_retries.into()),
+            ("backoff_ns", None, &|(_, s)| s.backoff_ns.get().into()),
+            ("latency_hist", None, &|(_, s)| {
+                let buckets: Vec<String> = s
+                    .latency_hist
+                    .iter()
+                    .map(|(bucket, count)| format!("{bucket}:{count}"))
+                    .collect();
+                buckets.join(" ").into()
+            }),
+        ],
+    );
+    let counters = Table::new(
+        "telemetry_run",
+        format!("Telemetry: event queue, fault and watchdog counters ({setting})"),
+        std::slice::from_ref(report),
+        &[
+            ("events scheduled", None, &|r| r.events_scheduled.into()),
+            ("events delivered", None, &|r| r.events_delivered.into()),
+            ("queue high-water", None, &|r| {
+                r.event_queue_high_water.into()
+            }),
+            ("lost", None, &|r| r.metrics.lost_ops.get().into()),
+            ("dup", None, &|r| r.metrics.duplicated_ops.get().into()),
+            ("nacks", None, &|r| r.metrics.memory_nacks.get().into()),
+            ("mlt-delays", None, &|r| r.metrics.mlt_delays.get().into()),
+            ("blackouts", None, &|r| r.metrics.blackouts.get().into()),
+            ("signal drops", None, &|r| {
+                r.metrics.dropped_signals.get().into()
+            }),
+            ("watchdog trips", None, &|r| {
+                r.metrics.watchdog_trips.get().into()
+            }),
+        ],
+    );
+    [buses, classes, counters]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multicube_mva::{FigurePoint, FigureSeries};
 
     #[test]
     fn costs_table_rows_all_within_bounds() {
@@ -432,14 +418,41 @@ mod tests {
                 rho_col: 0.1,
             }],
         };
-        let text = render_series("t", std::slice::from_ref(&s), |p| p.efficiency);
-        assert!(text.contains("== t =="));
-        assert!(text.contains("0.5000"));
-        let text = render_series("t", &[s], |p| p.rho_row);
-        assert!(
-            text.contains("0.1000") && !text.contains("0.5000"),
-            "{text}"
+        let text = |value: fn(&FigurePoint) -> f64| {
+            Table::series("s", "t", &[1.0], std::slice::from_ref(&s), value)
+                .unwrap()
+                .text()
+        };
+        let eff = text(|p| p.efficiency);
+        assert!(eff.contains("== t =="));
+        assert!(eff.contains("0.5000"));
+        let rho = text(|p| p.rho_row);
+        assert!(rho.contains("0.1000") && !rho.contains("0.5000"), "{rho}");
+    }
+
+    #[test]
+    fn telemetry_csvs_have_one_row_per_bus_and_class() {
+        let mut m = Machine::new(MachineConfig::grid(4).unwrap(), 19).unwrap();
+        let report = m.run_synthetic(&SyntheticSpec::default(), 30);
+        let [buses, classes, counters] = telemetry_tables("n = 4", &report);
+
+        let text = buses.csv();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[0],
+            "bus,utilization,ops,data_ops,duplicates,queue_high_water"
         );
+        // A 4x4 grid has 4 row buses and 4 column buses.
+        assert_eq!(lines.len(), 1 + 8);
+        assert!(lines[1].starts_with("row0,"));
+
+        let text = classes.csv();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + 8, "one row per transaction class");
+        assert!(lines[0].contains("retries,max_retries,backoff_ns"));
+        assert!(lines.iter().any(|l| l.starts_with("READ unmodified,")));
+
+        assert_eq!(counters.csv().lines().count(), 1 + 1, "one row per run");
     }
 }
 
@@ -499,41 +512,6 @@ pub fn robustness_rows(
     run_points(pool, drops, point, |p, report| (p, report))
 }
 
-/// One row of the composite fault sweep: every fault class scaled together
-/// from a single base probability, with bounded-exponential retry backoff
-/// enabled.
-#[derive(Debug, Clone)]
-pub struct FaultSweepRow {
-    /// The base fault probability `p` (signal drops at `p`; the other
-    /// classes at fixed fractions of it).
-    pub probability: f64,
-    /// Run efficiency.
-    pub efficiency: f64,
-    /// Mean end-to-end transaction latency (ns).
-    pub mean_latency_ns: f64,
-    /// Total retries across all transactions.
-    pub retries: u64,
-    /// Largest retry count any single transaction needed.
-    pub max_retries: u32,
-    /// Total injected backoff delay (ns).
-    pub backoff_ns: u64,
-    /// Request operations lost on a bus.
-    pub lost_ops: u64,
-    /// Spurious duplicate operations injected.
-    pub duplicated_ops: u64,
-    /// Memory-bank transient NACKs.
-    pub memory_nacks: u64,
-    /// MLT updates that left a controller's view transiently stale.
-    pub mlt_delays: u64,
-    /// Controller blackout windows opened.
-    pub blackouts: u64,
-    /// Livelock-watchdog escalations.
-    pub watchdog_trips: u64,
-    /// Transactions completed (must always equal the submitted count —
-    /// the sweep's whole point).
-    pub completed: u64,
-}
-
 /// The composite fault plan used by the sweep: signal drops at `p`, op
 /// loss at `p/2`, duplicates and bank NACKs at `p/4`, MLT delay at `p/4`,
 /// blackouts at `p/8`.
@@ -560,9 +538,15 @@ fn fault_sweep_seed(n: u32, index: usize) -> u64 {
 /// robustness claim measured under every fault class at once. Each run
 /// must complete every transaction and pass the coherence checker; the
 /// sweep quantifies what that resilience *costs* in latency and retries.
-/// Rows come in probability order; a point that panics (a `FailFast`
-/// watchdog, say) is contained as a [`crate::PointFailure`].
-pub fn fault_sweep_rows(pool: &Pool, n: u32, probs: &[f64], txns: u64) -> Measured<FaultSweepRow> {
+/// Rows come in probability order, each a probability and its run; a
+/// point that panics (a `FailFast` watchdog, say) is contained as a
+/// [`crate::PointFailure`].
+pub fn fault_sweep_rows(
+    pool: &Pool,
+    n: u32,
+    probs: &[f64],
+    txns: u64,
+) -> Measured<(f64, RunReport)> {
     let point = |index, p| SimPoint {
         series: format!("faults n={n}"),
         index,
@@ -575,104 +559,62 @@ pub fn fault_sweep_rows(pool: &Pool, n: u32, probs: &[f64], txns: u64) -> Measur
         spec: SyntheticSpec::default(),
         txns_per_node: txns,
     };
-    run_points(pool, probs, point, |p, report| {
-        let met = &report.metrics;
-        let classes = met.classes();
-        FaultSweepRow {
-            probability: p,
-            efficiency: report.efficiency,
-            mean_latency_ns: report.mean_latency_ns,
-            retries: classes.iter().map(|(_, s)| s.retries.get()).sum(),
-            max_retries: classes
-                .iter()
-                .map(|(_, s)| s.max_retries)
-                .max()
-                .unwrap_or(0),
-            backoff_ns: classes.iter().map(|(_, s)| s.backoff_ns.get()).sum(),
-            lost_ops: met.lost_ops.get(),
-            duplicated_ops: met.duplicated_ops.get(),
-            memory_nacks: met.memory_nacks.get(),
-            mlt_delays: met.mlt_delays.get(),
-            blackouts: met.blackouts.get(),
-            watchdog_trips: met.watchdog_trips.get(),
-            completed: report.transactions_completed,
-        }
-    })
+    run_points(pool, probs, point, |p, report| (p, report))
 }
 
-/// Renders the composite fault sweep as an ASCII table.
-pub fn render_fault_sweep(title: &str, rows: &[FaultSweepRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    out.push_str(&format!(
-        "{:>6} {:>10} {:>12} {:>9} {:>11} {:>12} {:>6} {:>6} {:>6} {:>7} {:>9} {:>6}\n",
-        "p",
-        "efficiency",
-        "latency ns",
-        "retries",
-        "max retries",
-        "backoff ns",
-        "lost",
-        "dup",
-        "nack",
-        "mltdel",
-        "blackout",
-        "trips"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>6.2} {:>10.4} {:>12.0} {:>9} {:>11} {:>12} {:>6} {:>6} {:>6} {:>7} {:>9} {:>6}\n",
-            r.probability,
-            r.efficiency,
-            r.mean_latency_ns,
-            r.retries,
-            r.max_retries,
-            r.backoff_ns,
-            r.lost_ops,
-            r.duplicated_ops,
-            r.memory_nacks,
-            r.mlt_delays,
-            r.blackouts,
-            r.watchdog_trips
-        ));
-    }
-    out
-}
-
-/// Renders a run's resilience telemetry: per-class retry pressure (total
-/// retries, worst-case retries, accumulated backoff) plus the machine-wide
-/// fault and watchdog counters.
-pub fn render_resilience(title: &str, report: &RunReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<28} {:>8} {:>9} {:>11} {:>14}\n",
-        "class", "count", "retries", "max retries", "backoff ns"
-    ));
-    // Stable class set (see `render_class_stats`): empty classes print too.
-    for (name, s) in report.metrics.classes() {
-        out.push_str(&format!(
-            "{:<28} {:>8} {:>9} {:>11} {:>14}\n",
-            name,
-            s.count,
-            s.retries.get(),
-            s.max_retries,
-            s.backoff_ns.get()
-        ));
-    }
-    let m = &report.metrics;
-    out.push_str(&format!(
-        "faults: lost {} dup {} nacks {} mlt-delays {} blackouts {} | \
-         signal drops {} | watchdog trips {}\n",
-        m.lost_ops.get(),
-        m.duplicated_ops.get(),
-        m.memory_nacks.get(),
-        m.mlt_delays.get(),
-        m.blackouts.get(),
-        m.dropped_signals.get(),
-        m.watchdog_trips.get()
-    ));
-    out
+/// The composite fault sweep on an `n x n` machine as a table: per base
+/// probability, the run's efficiency and mean latency, its retries and
+/// backoff over every class, its fault and watchdog counters, and its
+/// completions.
+pub fn fault_sweep_table(n: u32, rows: &[(f64, RunReport)]) -> Table {
+    let total = |r: &RunReport, count: fn(&TxnStats) -> u64| -> Cell {
+        r.metrics
+            .classes()
+            .iter()
+            .map(|(_, s)| count(s))
+            .sum::<u64>()
+            .into()
+    };
+    Table::new(
+        "fault_sweep",
+        format!(
+            "A-2+: composite fault sweep (n = {n}; drop p, loss p/2, dup p/4, \
+             nack p/4, mlt-delay p/4, blackout p/8; backoff 100ns..25us)"
+        ),
+        rows,
+        &[
+            ("probability", Some(2), &|(p, _)| (*p).into()),
+            ("efficiency", Some(4), &|(_, r)| r.efficiency.into()),
+            ("mean_latency_ns", Some(0), &|(_, r)| {
+                r.mean_latency_ns.into()
+            }),
+            ("retries", None, &|(_, r)| total(r, |s| s.retries.get())),
+            ("max_retries", None, &|(_, r)| {
+                let classes = r.metrics.classes();
+                classes.iter().map(|(_, s)| s.max_retries).max().into()
+            }),
+            ("backoff_ns", None, &|(_, r)| {
+                total(r, |s| s.backoff_ns.get())
+            }),
+            ("lost_ops", None, &|(_, r)| r.metrics.lost_ops.get().into()),
+            ("duplicated_ops", None, &|(_, r)| {
+                r.metrics.duplicated_ops.get().into()
+            }),
+            ("memory_nacks", None, &|(_, r)| {
+                r.metrics.memory_nacks.get().into()
+            }),
+            ("mlt_delays", None, &|(_, r)| {
+                r.metrics.mlt_delays.get().into()
+            }),
+            ("blackouts", None, &|(_, r)| {
+                r.metrics.blackouts.get().into()
+            }),
+            ("watchdog_trips", None, &|(_, r)| {
+                r.metrics.watchdog_trips.get().into()
+            }),
+            ("completed", None, &|(_, r)| r.transactions_completed.into()),
+        ],
+    )
 }
 
 /// The snarfing ablation (A-3; §3's "snarf" optimization) under a
@@ -757,25 +699,54 @@ mod ablation_tests {
         assert!(sweep.failures.is_empty());
         let rows = sweep.rows;
         assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.completed, 40 * 16, "every transaction completes");
+        for (_, r) in &rows {
+            assert_eq!(
+                r.transactions_completed,
+                40 * 16,
+                "every transaction completes"
+            );
         }
-        assert_eq!(rows[0].retries, 0, "fault-free run needs no fault retries");
-        assert_eq!(rows[0].lost_ops, 0);
-        assert!(rows[1].retries > 0, "heavy faults must cost retries");
-        assert!(rows[1].lost_ops > 0);
-        assert!(rows[1].backoff_ns > 0, "backoff policy must engage");
-        assert!(rows[1].mean_latency_ns > rows[0].mean_latency_ns);
+        let total = |r: &RunReport, count: fn(&TxnStats) -> u64| -> u64 {
+            r.metrics.classes().iter().map(|(_, s)| count(s)).sum()
+        };
+        let (clean, heavy) = (&rows[0].1, &rows[1].1);
+        assert_eq!(
+            total(clean, |s| s.retries.get()),
+            0,
+            "fault-free run needs no fault retries"
+        );
+        assert_eq!(clean.metrics.lost_ops.get(), 0);
+        assert!(
+            total(heavy, |s| s.retries.get()) > 0,
+            "heavy faults must cost retries"
+        );
+        assert!(heavy.metrics.lost_ops.get() > 0);
+        assert!(
+            total(heavy, |s| s.backoff_ns.get()) > 0,
+            "backoff policy must engage"
+        );
+        assert!(heavy.mean_latency_ns > clean.mean_latency_ns);
     }
 
     #[test]
     fn fault_sweep_render_has_all_columns() {
         let rows = fault_sweep_rows(&Pool::serial(), 4, &[0.25], 20).rows;
-        let text = render_fault_sweep("faults", &rows);
-        assert!(text.contains("== faults =="));
+        let text = fault_sweep_table(4, &rows).text();
+        assert!(text.contains("== A-2+: composite fault sweep (n = 4;"));
         assert!(text.contains("efficiency"));
-        assert!(text.contains("backoff ns"));
+        assert!(text.contains("backoff_ns"));
         assert!(text.contains("0.25"));
+    }
+
+    #[test]
+    fn fault_sweep_csv_has_one_row_per_probability() {
+        let rows = fault_sweep_rows(&Pool::serial(), 3, &[0.0, 0.25], 15).rows;
+        let text = fault_sweep_table(3, &rows).csv();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[0].starts_with("probability,efficiency,mean_latency_ns"));
+        assert_eq!(lines.len(), 1 + 2);
+        assert!(lines[1].starts_with("0,"));
+        assert!(lines[2].starts_with("0.25,"));
     }
 
     #[test]
@@ -786,8 +757,11 @@ mod ablation_tests {
             .with_retry_policy(RetryPolicy::default().with_backoff(100, 10_000));
         let mut m = Machine::new(config, 59).unwrap();
         let report = m.run_synthetic(&SyntheticSpec::default(), 30);
-        let text = render_resilience("resilience", &report);
-        assert!(text.contains("== resilience =="));
+        let text: String = telemetry_tables("resilience", &report)
+            .iter()
+            .map(Table::text)
+            .collect();
+        assert!(text.contains("retries (resilience) =="));
         assert!(text.contains("retries"));
         assert!(text.contains("watchdog trips"));
     }

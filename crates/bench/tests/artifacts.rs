@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use multicube_bench::json::{self, Value};
 use multicube_bench::perf::{validate_report, PerfConfig};
 use multicube_bench::{
-    run_cube_study, run_shootout, serve_app_seed, sim_figure2, synthesize_serve_trace,
-    validate_scaling_report, validate_serve_report, write_shootout_csv, CubeStudyConfig, Pool,
+    run_cube_study, run_shootout, serve_app_seed, shootout_table, sim_figure2,
+    synthesize_serve_trace, validate_scaling_report, validate_serve_report, CubeStudyConfig, Pool,
     ServeConfig, SweepConfig, FIGURE2_SIDES, SERVE_APPS,
 };
 use multicube_workload::TraceV2Reader;
@@ -198,12 +198,10 @@ fn corrupted_artifacts_fail_validation() {
 
 #[test]
 fn shootout_csv_matches_a_fresh_full_run() {
-    let shootout = run_shootout(&Pool::serial(), 8, &SweepConfig::default());
+    let sweep = SweepConfig::default();
+    let shootout = run_shootout(&Pool::serial(), 8, &sweep);
     assert!(shootout.failures.is_empty(), "{:?}", shootout.failures);
-    let path = std::env::temp_dir().join(format!("multicube-shootout-{}.csv", std::process::id()));
-    write_shootout_csv(&path, &shootout.rows).unwrap();
-    let fresh = std::fs::read_to_string(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
+    let fresh = shootout_table(8, &sweep, &shootout.rows).csv();
     assert!(
         fresh == artifact("BENCH_shootout.csv"),
         "BENCH_shootout.csv differs from `figures -- shootout` (n = 8, full sweep)"

@@ -3,17 +3,20 @@
 //! The determinism contract of `sim::pool` is that scheduling must never
 //! leak into results: the same sweep run on 1 worker, 2 workers, or the
 //! machine default must produce **byte-identical** output. These tests
-//! render the full quick figure set (the content of `figures -- all
-//! --quick`), the composite fault sweep, the scaling study JSON and the
-//! CSV artifacts at each worker count and compare md5 fingerprints — the
-//! same check CI performs across processes with `MULTICUBE_POOL_WORKERS`.
+//! build the tables of the simulated quick figure set (the content of
+//! `figures -- all --quick`) and of the composite fault sweep, and the
+//! scaling study JSON, at each worker count and compare md5 fingerprints
+//! of their text and their unrounded CSV — the same check CI performs
+//! across processes with `MULTICUBE_POOL_WORKERS`.
+
+use std::sync::OnceLock;
 
 use multicube::{EngineKind, RunReport};
 use multicube_bench::{
-    baseline_rows, fault_sweep_rows, mlt_rows, render_fault_sweep, render_scaling_json,
-    render_series, robustness_rows, run_cube_study, series_view, sim_figure2, sim_figure3,
-    sim_figure4, sim_latency_modes, snarf_rows, validate_scaling_report, write_fault_sweep_csv,
-    write_series_csv, CubeStudyConfig, Pool, SweepConfig,
+    baseline_rows, fault_sweep_rows, fault_sweep_table, mlt_rows, render_scaling_json,
+    robustness_rows, run_cube_study, series_view, sim_figure2, sim_figure3, sim_figure4,
+    sim_latency_modes, snarf_rows, validate_scaling_report, CubeStudyConfig, Pool, SimSeries,
+    SweepConfig, Table,
 };
 use multicube_mva::FigurePoint;
 use multicube_sim::md5_hex;
@@ -27,110 +30,84 @@ fn pools() -> Vec<Pool> {
     vec![Pool::new(1), Pool::new(2), Pool::from_env()]
 }
 
-/// Renders everything `figures -- all --quick` derives from the simulated
-/// sweeps, as one byte stream: figure tables, utilization tables and the
-/// fault sweep.
-fn render_quick_figures(pool: &Pool) -> String {
-    let sweep = SweepConfig::quick();
-    let mut out = String::new();
-
-    let fig2 = sim_figure2(pool, &[4, 8], &sweep);
-    out.push_str(&render_series(
-        "Figure 2 (simulated)",
-        &series_view(&fig2),
-        efficiency,
-    ));
-
-    let fig3 = sim_figure3(pool, &[0.1, 0.2, 0.3, 0.4, 0.5], 8, &sweep);
-    out.push_str(&render_series(
-        "Figure 3 (simulated)",
-        &series_view(&fig3),
-        efficiency,
-    ));
-    out.push_str(&render_series(
-        "Figure 3 utilization",
-        &series_view(&fig3),
-        |p| p.rho_row,
-    ));
-
-    let fig4 = sim_figure4(pool, &[4, 8, 16, 32, 64], 8, &sweep);
-    out.push_str(&render_series(
-        "Figure 4 (simulated)",
-        &series_view(&fig4),
-        efficiency,
-    ));
-
-    let latency = sim_latency_modes(pool, 8, &sweep);
-    out.push_str(&render_series(
-        "E-5.1 (simulated)",
-        &series_view(&latency),
-        efficiency,
-    ));
-
-    let faults = fault_sweep_rows(pool, 4, &[0.0, 0.1, 0.25, 0.5, 0.75], 15);
-    assert!(faults.failures.is_empty());
-    out.push_str(&render_fault_sweep("faults", &faults.rows));
-
-    for sims in [&fig2, &fig3, &fig4, &latency] {
-        for s in sims {
-            assert!(
-                s.failures.is_empty(),
-                "clean sweep expected: {:?}",
-                s.failures
-            );
-        }
+/// The table of `value` along the curves of a simulated figure that lost
+/// no point.
+fn curves(
+    stem: &str,
+    sweep: &SweepConfig,
+    sims: &[SimSeries],
+    value: fn(&FigurePoint) -> f64,
+) -> Table {
+    for s in sims {
+        assert!(
+            s.failures.is_empty(),
+            "clean sweep expected: {:?}",
+            s.failures
+        );
     }
-    out
+    Table::series(stem, stem, &sweep.rates, &series_view(sims), value).unwrap()
 }
 
-#[test]
-fn quick_figures_are_byte_identical_across_worker_counts() {
-    let digests: Vec<String> = pools()
+/// The tables `figures -- all --quick` builds from the simulated sweeps:
+/// the figure tables, the utilization table and the fault sweep.
+fn quick_figure_tables(pool: &Pool) -> Vec<Table> {
+    let sweep = SweepConfig::quick();
+    let fig2 = sim_figure2(pool, &[4, 8], &sweep);
+    let fig3 = sim_figure3(pool, &[0.1, 0.2, 0.3, 0.4, 0.5], 8, &sweep);
+    let fig4 = sim_figure4(pool, &[4, 8, 16, 32, 64], 8, &sweep);
+    let latency = sim_latency_modes(pool, 8, &sweep);
+    let faults = fault_sweep_rows(pool, 4, &[0.0, 0.1, 0.25, 0.5, 0.75], 15);
+    assert!(faults.failures.is_empty());
+    vec![
+        curves("fig2_sim", &sweep, &fig2, efficiency),
+        curves("fig3_sim", &sweep, &fig3, efficiency),
+        curves("fig3_sim_rho_row", &sweep, &fig3, |p| p.rho_row),
+        curves("fig4_sim", &sweep, &fig4, efficiency),
+        curves("latency_sim", &sweep, &latency, efficiency),
+        fault_sweep_table(4, &faults.rows),
+    ]
+}
+
+/// [`quick_figure_tables`] at each of [`pools`], built once for the two
+/// tests that compare them.
+fn quick_tables_per_pool() -> &'static [Vec<Table>] {
+    static TABLES: OnceLock<Vec<Vec<Table>>> = OnceLock::new();
+    TABLES.get_or_init(|| pools().iter().map(quick_figure_tables).collect())
+}
+
+/// Asserts that `render` of the quick tables has one md5 at every worker
+/// count.
+fn assert_identical_across_worker_counts(what: &str, render: fn(&Table) -> String) {
+    let digests: Vec<String> = quick_tables_per_pool()
         .iter()
-        .map(|pool| {
-            let text = render_quick_figures(pool);
-            assert!(!text.is_empty());
-            md5_hex(text.as_bytes())
+        .map(|tables| {
+            let bytes: String = tables.iter().map(render).collect();
+            assert!(!bytes.is_empty());
+            md5_hex(bytes.as_bytes())
         })
         .collect();
     assert_eq!(
         digests[0], digests[1],
-        "figure output md5 diverged between 1 and 2 workers"
+        "{what} md5 diverged between 1 and 2 workers"
     );
     assert_eq!(
         digests[0],
         digests[2],
-        "figure output md5 diverged at the default worker count ({})",
+        "{what} md5 diverged at the default worker count ({})",
         Pool::from_env().workers()
     );
 }
 
 #[test]
+fn quick_figures_are_byte_identical_across_worker_counts() {
+    assert_identical_across_worker_counts("figure text", Table::text);
+}
+
+/// The CSVs print every number unrounded, so they see a divergence the
+/// text's decimals would hide.
+#[test]
 fn csv_artifacts_are_byte_identical_across_worker_counts() {
-    let dir = std::env::temp_dir().join("multicube_pool_csv_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let sweep = SweepConfig::quick();
-    let mut digests: Vec<(String, String)> = Vec::new();
-    for (i, pool) in pools().iter().enumerate() {
-        let fig2 = sim_figure2(pool, &[4, 8], &sweep);
-        let series_path = dir.join(format!("fig2_{i}.csv"));
-        write_series_csv(&series_path, &series_view(&fig2)).unwrap();
-
-        let faults = fault_sweep_rows(pool, 4, &[0.0, 0.5], 15);
-        let faults_path = dir.join(format!("faults_{i}.csv"));
-        write_fault_sweep_csv(&faults_path, &faults.rows).unwrap();
-
-        digests.push((
-            md5_hex(&std::fs::read(&series_path).unwrap()),
-            md5_hex(&std::fs::read(&faults_path).unwrap()),
-        ));
-    }
-    assert_eq!(digests[0], digests[1], "CSV md5 diverged at 2 workers");
-    assert_eq!(
-        digests[0], digests[2],
-        "CSV md5 diverged at default workers"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    assert_identical_across_worker_counts("CSV", Table::csv);
 }
 
 #[test]

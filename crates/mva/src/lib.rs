@@ -39,7 +39,7 @@ pub mod params;
 
 pub use figures::{FigurePoint, FigureSeries};
 pub use kdim::{dimension_sweep, solve_k, KdimSolution};
-pub use model::{single_bus_efficiency, solve, ModelSolution};
+pub use model::{solve, ModelSolution};
 pub use params::{DataMovement, ModelParams};
 
 /// Mean path length (bus hops) between two distinct nodes of an `n^k`

@@ -415,81 +415,3 @@ mod tests {
         let _ = solve(&ModelParams::figure2(8), 0.0);
     }
 }
-
-/// A mean-value model of the single-bus *multi* baseline: every bus
-/// transaction holds the one bus for the device latency plus the block
-/// transfer (the defining limitation the Multicube removes), so the
-/// machine saturates once `N·λ·(L + D)` approaches 1.
-///
-/// Returns the efficiency of `processors` processors at the offered rate.
-///
-/// # Panics
-///
-/// Panics if `processors == 0` or the rate is not positive.
-///
-/// # Example
-///
-/// ```
-/// use multicube_mva::{single_bus_efficiency, ModelParams};
-///
-/// let p = ModelParams::figure2(8);
-/// let few = single_bus_efficiency(&p, 16, 10.0);
-/// let many = single_bus_efficiency(&p, 256, 10.0);
-/// assert!(few > 0.9 && many < 0.5);
-/// ```
-pub fn single_bus_efficiency(p: &ModelParams, processors: u32, offered_rate_per_ms: f64) -> f64 {
-    assert!(processors > 0, "need processors");
-    assert!(offered_rate_per_ms > 0.0, "rate must be positive");
-    let z = 1.0e6 / offered_rate_per_ms;
-    let s = p.device_latency_ns + p.data_op(); // bus held through the access
-    let n = processors as f64;
-
-    // Closed interactive system, one queueing centre: the fixed point
-    // R = f(R), with the M/M/1-like correction bounded by the
-    // response-time law R >= N*s - z at saturation.
-    const CAP: f64 = 0.999_9;
-    let f = |r: f64| -> f64 {
-        let lambda = 1.0 / (z + r);
-        let rho = (n * lambda * s).min(CAP);
-        // Mean customers ahead ~ rho/(1-rho) bounded by N-1.
-        let queue = (rho / (1.0 - rho)).min(n - 1.0);
-        s * (1.0 + queue)
-    };
-    let (r, _) = fixed_point(s, f);
-    z / (z + r)
-}
-
-#[cfg(test)]
-mod single_bus_tests {
-    use super::*;
-    use crate::params::ModelParams;
-
-    #[test]
-    fn single_bus_saturates_in_the_tens() {
-        // The paper: the multi "is limited to some tens of processors".
-        let p = ModelParams::figure2(8);
-        let rate = 10.0;
-        let e16 = single_bus_efficiency(&p, 16, rate);
-        let e64 = single_bus_efficiency(&p, 64, rate);
-        let e256 = single_bus_efficiency(&p, 256, rate);
-        assert!(e16 > 0.9, "{e16}");
-        assert!(e64 < e16);
-        assert!(e256 < 0.35, "{e256}");
-    }
-
-    #[test]
-    fn single_bus_model_matches_simulated_crossover_region() {
-        // The analytic crossover against the Multicube model lands in the
-        // same "some tens" region the E-1.1 simulation measures.
-        let p = ModelParams::figure2(12);
-        let cube = solve(&p, 10.0).efficiency; // 144-processor Multicube
-        let multi = single_bus_efficiency(&p, 144, 10.0);
-        assert!(cube > multi + 0.3, "cube {cube} vs single bus {multi}");
-    }
-
-    #[test]
-    fn light_load_is_fine_even_on_one_bus() {
-        let p = ModelParams::figure2(8);
-        assert!(single_bus_efficiency(&p, 64, 0.5) > 0.95);
-    }
-}

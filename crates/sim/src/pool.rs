@@ -17,7 +17,10 @@
 //!    panicking sweep point into a lost figure. Here every job body runs
 //!    under [`std::panic::catch_unwind`]; a panic becomes a per-job
 //!    [`JobPanic`] carrying the payload message, and every other job still
-//!    completes and reports.
+//!    completes and reports. A binary that reports each [`JobPanic`]
+//!    itself calls [`install_job_panic_hook`] first, so the panic hook
+//!    stays silent inside a job and the failure prints once, with the
+//!    location the hook would have printed.
 //!
 //! Seed discipline is the callers' half of the determinism contract: jobs
 //! must not share mutable state or draw from a common RNG. Derive one
@@ -36,9 +39,10 @@
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, Once};
 
 /// Environment variable overriding the default worker count.
 ///
@@ -62,18 +66,25 @@ impl std::fmt::Display for JobId {
 
 /// A contained panic from one job: the job's identity plus the panic
 /// payload rendered as text (`&str` and `String` payloads verbatim,
-/// anything else identified by its type).
+/// anything else identified by its type), and where it panicked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanic {
     /// Which job panicked.
     pub job: JobId,
     /// The panic payload, for the caller's error report.
     pub message: String,
+    /// The panic's `file:line:column`, recorded by the hook of
+    /// [`install_job_panic_hook`]; `None` without that hook.
+    pub location: Option<String>,
 }
 
 impl std::fmt::Display for JobPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} panicked: {}", self.job, self.message)
+        write!(f, "{} panicked", self.job)?;
+        if let Some(location) = &self.location {
+            write!(f, " at {location}")?;
+        }
+        write!(f, ": {}", self.message)
     }
 }
 
@@ -112,6 +123,51 @@ fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
         "non-string panic payload of type id {:?}",
         (*payload).type_id()
     )
+}
+
+thread_local! {
+    /// Whether this thread is running a pool job.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+    /// Where the job running on this thread panicked, as the hook of
+    /// [`install_job_panic_hook`] recorded it.
+    static PANIC_LOCATION: RefCell<Option<String>> = const { RefCell::new(None) };
+}
+
+/// Installs, once per process, a panic hook that is silent while a thread
+/// runs a pool job and calls the hook it replaced everywhere else.
+///
+/// [`Pool::run`] contains a job's panic as a [`JobPanic`] for its caller
+/// to report; the default hook would print the panic as well, so each
+/// contained failure would print twice. Inside a job this hook only
+/// records the panic's location, which [`Pool::run`] puts into the
+/// [`JobPanic`]. A binary that reports its jobs' panics calls this first
+/// in `main`; without it, jobs panic through whatever hook is installed.
+pub fn install_job_panic_hook() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if IN_JOB.try_with(Cell::get).unwrap_or(false) {
+                let location = info.location().map(ToString::to_string);
+                let _ = PANIC_LOCATION.try_with(|l| l.replace(location));
+            } else {
+                previous(info);
+            }
+        }));
+    });
+}
+
+/// Runs `job` as a pool job on this thread: marked for the hook of
+/// [`install_job_panic_hook`], its panic contained as a [`JobPanic`].
+fn run_job<T>(id: usize, job: impl FnOnce(JobId) -> T) -> Result<T, JobPanic> {
+    let outer = IN_JOB.replace(true);
+    let result = catch_unwind(AssertUnwindSafe(|| job(JobId(id))));
+    IN_JOB.set(outer);
+    result.map_err(|payload| JobPanic {
+        job: JobId(id),
+        message: payload_message(payload),
+        location: PANIC_LOCATION.take(),
+    })
 }
 
 /// Parses a [`WORKERS_ENV`] override: `Ok(None)` when unset, the worker
@@ -192,12 +248,6 @@ impl Pool {
         if n == 0 {
             return Vec::new();
         }
-        let run_one = |id: usize, job: F| -> Result<T, JobPanic> {
-            catch_unwind(AssertUnwindSafe(|| job(JobId(id)))).map_err(|payload| JobPanic {
-                job: JobId(id),
-                message: payload_message(payload),
-            })
-        };
         if self.workers == 1 || n == 1 {
             // Inline fast path: no threads, identical results by
             // construction (the contract the threaded path is tested
@@ -205,7 +255,7 @@ impl Pool {
             return jobs
                 .into_iter()
                 .enumerate()
-                .map(|(i, job)| run_one(i, job))
+                .map(|(i, job)| run_job(i, job))
                 .collect();
         }
 
@@ -221,7 +271,7 @@ impl Pool {
                         return;
                     }
                     let job = queue[i].lock().unwrap().take().expect("job claimed once");
-                    let result = run_one(i, job);
+                    let result = run_job(i, job);
                     *slots[i].lock().unwrap() = Some(result);
                 });
             }
